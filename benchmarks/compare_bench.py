@@ -5,7 +5,8 @@ CI runs the smoke variants of ``bench_crypto.py`` / ``bench_sim.py`` /
 ``bench_registry.py`` on whatever runner it gets, so *absolute* throughput is
 not comparable to the committed ``BENCH_*.json`` (different CPUs, different
 load).  What IS comparable are the machine-relative **ratios** both files
-record — packed vs per-component encryption, vectorized vs sequential
+record — packed vs per-component encryption, key-holder vs public-key
+encryption noise, vectorized vs sequential
 training, warm vs cold rounds, batched vs sequential evaluation, batched vs
 looped registration and streaming vs materialised peak memory: each divides
 two measurements taken on the same box, so a code-level regression moves
@@ -52,11 +53,12 @@ import sys
 __all__ = ["compare", "extract_metrics", "ledger_trajectories", "main"]
 
 
-#: crypto speedup components stable enough to gate: ``encrypt`` is averaged
-#: over every client's full registry, ``wire`` is a deterministic byte ratio.
+#: crypto speedup components stable enough to gate: ``encrypt`` and
+#: ``encrypt_incl_noise`` (the all-costs-counted figure) are averaged over
+#: every client's full registry, ``wire`` is a deterministic byte ratio.
 #: ``aggregate``/``decrypt`` are one-shot millisecond timings — recorded in
 #: the JSON, too noisy to gate on shared runners.
-STABLE_CRYPTO_COMPONENTS = ("encrypt", "wire")
+STABLE_CRYPTO_COMPONENTS = ("encrypt", "encrypt_incl_noise", "wire")
 
 #: executor modes whose speedup-vs-sequential ratio tracks code-level changes
 #: rather than the host: ``thread``/``process`` ratios swing with core count
@@ -86,6 +88,11 @@ def extract_metrics(payload: dict) -> dict[str, dict]:
             for component, value in (row.get("speedup") or {}).items():
                 if component in STABLE_CRYPTO_COMPONENTS:
                     add(f"{key}/speedup/{component}", value, workload)
+            noise = row.get("noise") or {}
+            if noise.get("keyholder_vs_public") is not None:
+                # CRT vs full-size r^n mod n², averaged over `terms` draws
+                add(f"{key}/noise/keyholder_vs_public",
+                    noise["keyholder_vs_public"], {"terms": noise.get("terms")})
     elif benchmark == "simulation_throughput":
         for row in payload.get("results", []):
             key = f"sim/k={row.get('k')}"

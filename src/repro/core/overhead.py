@@ -135,10 +135,13 @@ def measure_encryption_overhead(vector_length: int, key_size: int,
     length (values are irrelevant for cost — Paillier cost depends only on
     key size and vector length).
 
+    Both pipelines encrypt the way a Dubhe client does: the noise comes from
+    a :class:`NoisePool` built on the private key the agent dispatched, and
+    generating it is counted in the encrypt time (all costs counted).
+
     When *packed_clients* is given, the packed code path is measured too:
     the same vector shipped as ``⌈l/slots⌉`` ciphertexts with per-slot
-    headroom for *packed_clients* homomorphic additions, with the noise
-    terms precomputed (the deployment configuration the packing exists for).
+    headroom for *packed_clients* homomorphic additions.
     """
     if vector_length < 1:
         raise ValueError("vector_length must be positive")
@@ -151,13 +154,16 @@ def measure_encryption_overhead(vector_length: int, key_size: int,
     values = np.zeros(vector_length)
     values[0] = 1.0
     plaintext_bytes = plaintext_vector_bytes(values)
+    noise = NoisePool(keypair.private_key,
+                      rng=rng if rng_seed is not None else None)
 
     encrypt_times = []
     decrypt_times = []
     ciphertext_bytes = 0
     for _ in range(trials):
         start = perf_counter()
-        encrypted = EncryptedVector.encrypt(keypair.public_key, values)
+        encrypted = EncryptedVector.encrypt(keypair.public_key, values,
+                                            noise=noise)
         encrypt_times.append(perf_counter() - start)
         ciphertext_bytes = encrypted.nbytes()
         start = perf_counter()
@@ -168,14 +174,11 @@ def measure_encryption_overhead(vector_length: int, key_size: int,
     if packed_clients is not None:
         scheme = PackingScheme(keypair.public_key, vector_length,
                                max_weight=packed_clients)
-        noise = NoisePool(keypair.public_key,
-                          rng=rng if rng_seed is not None else None)
         packed_encrypt_times = []
         packed_decrypt_times = []
         packed_bytes = 0
         packed_count = 0
         for _ in range(trials):
-            noise.refill(scheme.num_ciphertexts)
             start = perf_counter()
             packed = PackedEncryptedVector.encrypt(keypair.public_key, values,
                                                    scheme=scheme, noise=noise)

@@ -3,10 +3,14 @@
 Roles, matching Figure 3/4 of the paper:
 
 * **clients** hold plaintext label distributions, fill registries locally,
-  and encrypt everything they transmit with the round public key;
+  and encrypt everything they transmit under the round key — they were
+  dispatched the whole pair, so their noise comes from a
+  :class:`~repro.crypto.paillier.NoisePool` built on ``sk_t`` (the CRT
+  spelling of ``r^n mod n²``; same ciphertexts, about half the cost);
 * the **server** only ever touches ciphertexts: it sums the encrypted
   registries (or encrypted distributions during multi-time selection) and
-  forwards aggregates — it never holds the private key;
+  forwards aggregates — it never holds the private key, nor a noise pool
+  built on it;
 * the **agent** (a randomly chosen client) generates the round key-pair,
   dispatches it to clients, and performs decryption duties on aggregates.
 
@@ -42,7 +46,7 @@ from ..crypto.encoding import DEFAULT_BASE, DEFAULT_PRECISION
 from ..crypto.keyagent import KeyAgent
 from ..crypto.packing import (DEFAULT_MAX_WEIGHT, PackingScheme,
                               StreamingTreeAggregator)
-from ..crypto.paillier import NoisePool, PaillierPublicKey
+from ..crypto.paillier import NoisePool, PaillierPrivateKey, PaillierPublicKey
 from ..crypto.vector import plaintext_vector_bytes
 from .config import DubheConfig, resolve_aggregation_mode
 from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
@@ -103,7 +107,9 @@ class SecureAggregationServer:
     """The honest-but-curious server: aggregates ciphertexts, nothing else.
 
     The class deliberately has no attribute that could hold a private key and
-    no decryption method — tests assert this structural property.
+    no decryption method — the trust-boundary tests walk the object graph of
+    every live server and assert that no private key and no noise pool is
+    reachable from it.
 
     Aggregation is *streaming* in both modes, so server memory never grows
     with N: ``aggregation="flat"`` (default) folds each arrival into one
@@ -202,7 +208,8 @@ class SecureClient:
         Packing headroom: how many clients' vectors the server may sum into
         the packed ciphertext.  Required when *packed*.
     noise:
-        Optional :class:`NoisePool` of precomputed ``r^n mod n²`` terms.
+        Optional :class:`NoisePool` the client draws ``r^n mod n²`` terms
+        from — in the protocol, one built on the dispatched ``sk_t``.
 
     Example
     -------
@@ -265,6 +272,18 @@ class SecureClient:
     def encrypted_distribution(self, public_key: PaillierPublicKey) -> AnyEncryptedVector:
         """The encrypted label distribution sent during multi-time selection."""
         return self._encrypt(self.distribution, public_key)
+
+
+def _client_noise_pool(private_key: PaillierPrivateKey) -> NoisePool:
+    """The pool a round's clients draw ``r^n mod n²`` from.
+
+    Built on the dispatched ``sk_t`` (the CRT spelling), and client-side
+    state: it must never be handed to, or be reachable from, a
+    :class:`SecureAggregationServer`.  It keeps the gcd check inline
+    encryption always had — free next to the exponentiation, and what keeps
+    toy-sized test keys decrypting correctly.
+    """
+    return NoisePool(private_key, check_coprime=True)
 
 
 def _noise_terms_needed(public_key: PaillierPublicKey, vector_length: int,
@@ -374,8 +393,10 @@ class SecureRegistrationRound:
         ``"process"`` parallelises the modular exponentiations in CPython
         (big-int ``pow`` holds the GIL); see :mod:`repro.crypto.batch`.
     precompute_noise:
-        Pre-generate every ``r^n mod n²`` term in a :class:`NoisePool`
-        before the timed encryption phase (amortised/offline noise).
+        Pre-generate every ``r^n mod n²`` term before the timed encryption
+        phase (amortised/offline noise, booked as
+        ``noise_precompute_seconds``).  The clients' :class:`NoisePool` on
+        ``sk_t`` exists either way; left unfilled it generates inline.
     aggregation, arity:
         Server fold strategy (:data:`repro.core.config.AGGREGATION_MODES`):
         ``"flat"`` is the original running sum, ``"tree"`` bounds the fold
@@ -424,7 +445,7 @@ class SecureRegistrationRound:
         keypair = agent.new_round()
         n_clients = distributions.shape[0]
         agent.dispatch_public_key(n_clients)
-        agent.dispatch_private_key(n_clients)
+        noise = _client_noise_pool(agent.dispatch_private_key(n_clients))
 
         clients = [SecureClient(k, distributions[k]) for k in range(n_clients)]
         server = SecureAggregationServer(keypair.public_key,
@@ -433,11 +454,9 @@ class SecureRegistrationRound:
         registrations = [client.register(codebook) for client in clients]
         registries = [registration.registry for registration in registrations]
 
-        noise: Optional[NoisePool] = None
         noise_seconds = 0.0
         if self.precompute_noise:
             start = perf_counter()
-            noise = NoisePool(keypair.public_key)
             noise.refill(_noise_terms_needed(
                 keypair.public_key, len(registries[0]), n_clients,
                 self.packed, max_weight=n_clients))
@@ -519,7 +538,7 @@ class SecureRegistrationRound:
         scheme = (PackingScheme.for_counts(keypair.public_key, codebook.length,
                                            max_weight=total_clients)
                   if self.packed else None)
-        noise = NoisePool(keypair.public_key) if self.precompute_noise else None
+        noise = _client_noise_pool(keypair.private_key)
         stats = ProtocolStats()
         blocks_parts: list[np.ndarray] = []
         index_parts: list[np.ndarray] = []
@@ -532,23 +551,26 @@ class SecureRegistrationRound:
                     f"every batch must have shape (b, {self.config.num_classes}),"
                     f" got {arr.shape}"
                 )
-            if arr.shape[0] == 0:
+            b = arr.shape[0]
+            if b == 0:
                 continue
-            n_seen += arr.shape[0]
+            n_seen += b
             if total_clients is not None and n_seen > total_clients:
                 raise ValueError(
                     f"stream delivered more than total_clients={total_clients} "
                     "distributions"
                 )
             num_batches += 1
+            # the protocol order: this chunk's clients get the keys, then encrypt
+            agent.dispatch_public_key(b)
+            agent.dispatch_private_key(b)
             reg = codebook.register_batch(arr)
             blocks_parts.append(reg.blocks)
             index_parts.append(reg.indices)
-            b = arr.shape[0]
             # this batch's one-hot registries; freed before the next batch
             registries = np.zeros((b, codebook.length))
             registries[np.arange(b), reg.indices] = 1.0
-            if noise is not None:
+            if self.precompute_noise:
                 start = perf_counter()
                 terms = (scheme.num_ciphertexts * b if scheme is not None
                          else codebook.length * b)
@@ -571,8 +593,6 @@ class SecureRegistrationRound:
                 server.receive(ciphertext)
         if n_seen == 0:
             raise ValueError("stream contained no client distributions")
-        agent.dispatch_public_key(n_seen)
-        agent.dispatch_private_key(n_seen)
         encrypted_total = server.aggregate()
         fold_depth = server.fold_depth
         start = perf_counter()
@@ -623,9 +643,8 @@ class SecureDistributionAggregation:
         self.packed = packed
         self.executor = BatchCryptoExecutor(executor_mode, max_workers)
         self.precompute_noise = precompute_noise
-        self.noise: Optional[NoisePool] = (
-            NoisePool(self.keypair.public_key) if precompute_noise else None
-        )
+        #: the selected clients' pool on ``sk_t``
+        self.noise = _client_noise_pool(self.keypair.private_key)
         self.stats = ProtocolStats()
 
     def score_selection(self, client_distributions: np.ndarray,
@@ -639,7 +658,7 @@ class SecureDistributionAggregation:
         clients = [SecureClient(k, distributions[k]) for k in selected]
 
         noise_seconds = 0.0
-        if self.noise is not None:
+        if self.precompute_noise:
             start = perf_counter()
             self.noise.refill(_noise_terms_needed(
                 self.keypair.public_key, distributions.shape[1], len(selected),

@@ -104,7 +104,9 @@ class SecureDubheSelector(ClientSelector):
         from .secure import SecureAggregationServer, SecureClient
 
         server = SecureAggregationServer(self._scorer.keypair.public_key)
-        clients = [SecureClient(int(k), self.client_distributions[int(k)]) for k in selected]
+        # the selected clients hold sk_t: they draw from the scorer's pool
+        clients = [SecureClient(int(k), self.client_distributions[int(k)],
+                                noise=self._scorer.noise) for k in selected]
         for client in clients:
             server.receive(client.encrypted_distribution(self._scorer.keypair.public_key))
         aggregate = server.aggregate()

@@ -18,9 +18,12 @@ Noise interplay
 ---------------
 * ``sequential`` and ``thread`` modes consume a shared (thread-safe)
   :class:`~repro.crypto.paillier.NoisePool` directly.
-* ``process`` mode cannot share a pool across interpreters, so when a pool
-  is supplied the required ``r^n`` terms are drawn in the parent and shipped
-  with each work item; otherwise workers generate their own secure noise.
+* ``process`` mode cannot share a pool across interpreters.  Terms the pool
+  has already *precomputed* are shipped with each work item; for the rest
+  the workers receive an empty copy of the pool (its picklable key half and
+  settings) and run the exponentiations themselves — the parent never
+  generates a term on the workers' behalf.  Workers are client-side
+  encryptors, so shipping them ``sk_t`` stays inside the trust boundary.
 """
 
 from __future__ import annotations
@@ -97,17 +100,16 @@ class BatchCryptoExecutor:
             return [None] * len(vectors)
         if self.mode != "process":
             return [noise] * len(vectors)  # NoisePool is thread-safe
-        # process mode: pre-draw r^n terms here and ship plain ints
+        # process mode: ship precomputed r^n terms as plain ints; where the
+        # pool holds none the worker gets an empty copy and generates its own
         per_item = []
         for values in vectors:
+            count = len(values)
             if packed:
-                scheme = PackingScheme(public_key, len(np.ravel(values)),
-                                       max_weight=max_weight, base=base,
-                                       precision=precision,
-                                       max_abs_value=max_abs_value)
-                per_item.append(noise.take_many(scheme.num_ciphertexts))
-            else:
-                per_item.append(noise.take_many(len(np.ravel(values))))
+                count = PackingScheme(public_key, count, max_weight=max_weight,
+                                      base=base, precision=precision,
+                                      max_abs_value=max_abs_value).num_ciphertexts
+            per_item.append(noise.take_precomputed(count) or noise)
         return per_item
 
     # -- public API ----------------------------------------------------------

@@ -95,9 +95,7 @@ class EncryptedNumber:
 
     def obfuscate(self, rng: Optional[random.Random] = None) -> "EncryptedNumber":
         """Re-randomise the ciphertext (multiply by an encryption of zero)."""
-        r = self.public_key.get_random_lt_n(rng)
-        blinder = pow(r, self.public_key.n, self.public_key.nsquare)
-        raw = (self.ciphertext * blinder) % self.public_key.nsquare
+        raw = self.public_key.raw_obfuscate(self.ciphertext, rng=rng)
         return EncryptedNumber(self.public_key, raw, self.base, self.precision)
 
     def nbytes(self) -> int:

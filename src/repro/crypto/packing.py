@@ -1,7 +1,7 @@
 """Ciphertext packing: many plaintext slots per Paillier ciphertext.
 
 Per-component encryption (:class:`~repro.crypto.vector.EncryptedVector`)
-spends one full ciphertext — and one ``pow(r, n, n²)`` — on every vector
+spends one full ciphertext — and one ``r^n mod n²`` — on every vector
 component, even though a Dubhe registry slot needs ~50 bits of plaintext and
 the modulus offers 2048.  BatchCrypt-style packing (deployed in FATE, cited
 in the paper's §6.4 as the cost baseline) closes that gap: multiple

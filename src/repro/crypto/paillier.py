@@ -19,8 +19,18 @@ Scheme summary
 
 The implementation also provides the usual engineering refinements found in
 production libraries: CRT-accelerated decryption, ciphertext
-re-randomisation (obfuscation), and negative-number support via the upper
-half of ``Z_n``.
+re-randomisation (obfuscation), negative-number support via the upper
+half of ``Z_n``, and **key-holder noise**: the encryption noise
+``r^n mod n²`` has one definition and two spellings,
+:meth:`PaillierPublicKey.raw_noise` (one full-size exponentiation, all a
+public-key-only party can do) and :meth:`PaillierPrivateKey.raw_noise` (the
+same integer by CRT over ``p²`` and ``q²``, Paillier 1999 §7, ~2–3× cheaper).
+In Dubhe every encryptor is a client and the agent dispatches the whole key
+pair to the clients (§5.1), so client-side encryption draws its noise from a
+:class:`NoisePool` built on ``sk_t``; only the server lacks ``sk_t``, and it
+never encrypts.  The shortcut changes nothing an observer can see: ``r`` is
+drawn exactly as before and ``r^n mod n²`` is the same integer either way,
+so ciphertexts are bit-identical and their distribution is unchanged.
 """
 
 from __future__ import annotations
@@ -106,7 +116,8 @@ class PaillierPublicKey:
         Parameters
         ----------
         r_value:
-            Explicit noise ``r``; ``r^n mod n²`` is still computed here.
+            Explicit noise ``r``; ``r^n mod n²`` is still computed here
+            (:meth:`raw_noise`).
         rn_value:
             Precomputed ``r^n mod n²`` (e.g. from a :class:`NoisePool`),
             skipping the modular exponentiation entirely — the dominant cost
@@ -125,8 +136,16 @@ class PaillierPublicKey:
         if r_value is None and not obfuscate:
             return gm
         r = r_value if r_value is not None else self.get_random_lt_n(rng)
-        rn = pow(r, self.n, self.nsquare)
-        return (gm * rn) % self.nsquare
+        return (gm * self.raw_noise(r)) % self.nsquare
+
+    def raw_noise(self, r: int) -> int:
+        """The encryption noise term ``r^n mod n²`` for the random ``r``.
+
+        The one place the full-size exponentiation is spelled.  A holder of
+        the private key computes the same integer ~2–3× cheaper with
+        :meth:`PaillierPrivateKey.raw_noise`.
+        """
+        return pow(r, self.n, self.nsquare)
 
     def raw_obfuscate(self, ciphertext: int, rn_value: Optional[int] = None,
                       rng: Optional[random.Random] = None) -> int:
@@ -137,8 +156,7 @@ class PaillierPublicKey:
         a :class:`NoisePool`) just before the ciphertext leaves the client.
         """
         if rn_value is None:
-            r = self.get_random_lt_n(rng)
-            rn_value = pow(r, self.n, self.nsquare)
+            rn_value = self.raw_noise(self.get_random_lt_n(rng))
         return (ciphertext * rn_value) % self.nsquare
 
     # -- homomorphic primitives on raw ciphertexts --------------------------
@@ -181,21 +199,30 @@ class PaillierPublicKey:
 class NoisePool:
     """A pool of precomputed encryption noise terms ``r^n mod n²``.
 
-    The modular exponentiation ``pow(r, n, n²)`` dominates Paillier
+    The modular exponentiation behind each term dominates Paillier
     encryption cost (the ``g^m`` term is a single multiplication thanks to
     ``g = n + 1``).  Because the noise is independent of the plaintext it can
     be generated ahead of time — during idle periods, on other cores, or
     between protocol rounds — and consumed in O(1) per encryption.  This is
     the "advance obfuscation" optimisation of FATE/BatchCrypt-style
-    deployments.
+    deployments.  A pool that was never :meth:`refill`-ed is simply the
+    inline path: :meth:`take_many` generates what it hands out.
+
+    The pool is built on **the key half its owner holds** and calls that
+    half's ``raw_noise``: a Dubhe client (which holds ``sk_t``) passes the
+    private key and gets the CRT spelling, a public-key-only party passes
+    the public key and pays the full exponentiation.  Same ``r`` sequence,
+    same terms, in the same order, either way.  A pool built on the private
+    key is client-side state and must never be handed to the server.
 
     The pool is thread-safe so a shared instance can feed a thread-pool
     encryptor (:mod:`repro.crypto.batch`).
 
     Parameters
     ----------
-    public_key:
-        Key whose modulus the noise is generated for.
+    key:
+        The :class:`PaillierPrivateKey` or :class:`PaillierPublicKey` whose
+        modulus the noise is generated for.
     rng:
         Optional seeded RNG for reproducible pools in tests; secure
         randomness is used when omitted.
@@ -206,13 +233,15 @@ class NoisePool:
         ``False`` uses the fast path that skips the gcd rejection loop.
     """
 
-    def __init__(self, public_key: PaillierPublicKey,
+    def __init__(self, key: "PaillierPublicKey | PaillierPrivateKey",
                  rng: Optional[random.Random] = None,
                  batch_size: int = 64,
                  check_coprime: bool = False):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        self.public_key = public_key
+        self.key = key
+        self.public_key = (key if isinstance(key, PaillierPublicKey)
+                           else key.public_key)
         self.rng = rng
         self.batch_size = batch_size
         self.check_coprime = check_coprime
@@ -223,13 +252,17 @@ class NoisePool:
     def __len__(self) -> int:
         return len(self._pool)
 
+    def __reduce__(self):
+        # crossing a process boundary carries the configuration only: pooled
+        # terms stay with their owner, and a seeded rng must never be cloned
+        # into several workers (they would all draw the same noise)
+        return (NoisePool, (self.key, None, self.batch_size, self.check_coprime))
+
     def _generate(self, count: int) -> list[int]:
-        pk = self.public_key
-        return [
-            pow(pk.get_random_lt_n(self.rng, check_coprime=self.check_coprime),
-                pk.n, pk.nsquare)
-            for _ in range(count)
-        ]
+        draw = self.public_key.get_random_lt_n
+        raw_noise = self.key.raw_noise
+        return [raw_noise(draw(self.rng, check_coprime=self.check_coprime))
+                for _ in range(count)]
 
     def refill(self, count: int) -> None:
         """Batch-generate *count* noise terms into the pool."""
@@ -262,13 +295,29 @@ class NoisePool:
                 self.generated += shortfall
         return grabbed
 
+    def take_precomputed(self, count: int) -> list[int]:
+        """Pop *count* terms if that many are already pooled, else none.
+
+        Never generates: the caller (process-mode batch encryption) ships
+        precomputed terms when they exist and an empty copy of the pool
+        otherwise, so the exponentiations run in the workers, not here.
+        """
+        with self._lock:
+            cut = len(self._pool) - count
+            if cut < 0:
+                return []
+            grabbed = self._pool[cut:]
+            del self._pool[cut:]
+        return grabbed
+
 
 class PaillierPrivateKey:
     """Private half of a Paillier keypair.
 
     Decryption uses the Chinese Remainder Theorem over the prime factors,
     which is roughly 4x faster than the textbook formula and is what
-    production libraries (python-paillier, FATE) do.
+    production libraries (python-paillier, FATE) do.  :meth:`raw_noise`
+    applies the same factorisation to the encryption noise term.
     """
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int):
@@ -282,6 +331,7 @@ class PaillierPrivateKey:
         self.psquare = self.p * self.p
         self.qsquare = self.q * self.q
         self.p_inverse = pow(self.p, -1, self.q)
+        self.psquare_inverse = pow(self.psquare, -1, self.qsquare)
         self.hp = self._h_function(self.p, self.psquare)
         self.hq = self._h_function(self.q, self.qsquare)
 
@@ -313,6 +363,25 @@ class PaillierPrivateKey:
         mp = (self._l_function(pow(c, self.p - 1, self.psquare), self.p) * self.hp) % self.p
         mq = (self._l_function(pow(c, self.q - 1, self.qsquare), self.q) * self.hq) % self.q
         return self._crt(mp, mq, self.p, self.q, self.p_inverse)
+
+    # -- key-holder encryption noise -----------------------------------------
+
+    def raw_noise(self, r: int) -> int:
+        """``r^n mod n²`` by CRT — equal to the public key's for every ``r``.
+
+        ``r^n = (r^q)^p``, and ``x^p mod p²`` depends only on ``x mod p``
+        (every other term of ``(x + kp)^p`` carries ``p²``), so ``r^q`` is
+        only needed modulo ``p`` — where Fermat reduces the exponent to
+        ``q mod (p − 1)``.  That leaves two half-exponent, half-modulus
+        exponentiations plus two quarter-size ones instead of one full-size
+        one (Paillier 1999, §7).  No coprimality assumption: ``r ≡ 0 mod p``
+        gives 0 on both sides.
+        """
+        p, q = self.p, self.q
+        rp = pow(pow(r % p, q % (p - 1), p), p, self.psquare)
+        rq = pow(pow(r % q, p % (q - 1), q), q, self.qsquare)
+        return self._crt(rp, rq, self.psquare, self.qsquare,
+                         self.psquare_inverse)
 
     def decrypt_signed(self, ciphertext: int) -> int:
         """Decrypt and map the upper half of ``Z_n`` back to negative integers."""

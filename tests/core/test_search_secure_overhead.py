@@ -102,17 +102,6 @@ class TestSecureProtocol:
         assert stats.encrypt_seconds > 0
         assert stats.decrypt_seconds > 0
 
-    def test_server_never_holds_private_key(self):
-        keypair = generate_keypair(128, rng=random.Random(1))
-        server = SecureAggregationServer(keypair.public_key)
-        # structural privacy check: no attribute of the server references the
-        # private key and the server exposes no decryption capability
-        assert not hasattr(server, "private_key")
-        assert not any(
-            "private" in attr or "secret" in attr for attr in vars(server)
-        )
-        assert not hasattr(server, "decrypt")
-
     def test_server_rejects_foreign_ciphertexts(self):
         kp_a = generate_keypair(128, rng=random.Random(2))
         kp_b = generate_keypair(128, rng=random.Random(3))

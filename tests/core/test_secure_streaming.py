@@ -9,15 +9,24 @@ also pins down the streaming-specific API contract: iterable inputs,
 O(log N) fold depth.
 """
 
+import random
+import types
+
 import numpy as np
 import pytest
 
+from repro.core import secure
 from repro.core.config import DubheConfig
 from repro.core.secure import (
+    SecureAggregationServer,
     SecureRegistrationRound,
     StreamedRegistration,
     iter_distribution_batches,
 )
+from repro.crypto import paillier
+from repro.crypto.batch import BatchCryptoExecutor
+from repro.crypto.keyagent import KeyAgent
+from repro.crypto.paillier import NoisePool
 
 N_CLIENTS = 23
 
@@ -90,6 +99,76 @@ class TestStreamEqualsRun:
         reference = SecureRegistrationRound(config).run_stream(distributions)
         np.testing.assert_array_equal(streamed.overall, reference.overall)
         assert streamed.stats.noise_precompute_seconds > 0.0
+
+
+class TestProtocolOrder:
+    def test_keys_are_dispatched_before_each_chunk_encrypts(self, config,
+                                                            distributions,
+                                                            monkeypatch):
+        events = []
+        agent = KeyAgent(key_size=64, rng=random.Random(1))
+        for name in ("dispatch_public_key", "dispatch_private_key"):
+            original = getattr(agent, name)
+            monkeypatch.setattr(
+                agent, name,
+                lambda n, name=name, original=original:
+                    events.append((name, n)) or original(n))
+        encrypt_many = BatchCryptoExecutor.encrypt_many
+        monkeypatch.setattr(
+            BatchCryptoExecutor, "encrypt_many",
+            lambda self, pk, vectors, **kwargs:
+                events.append(("encrypt", len(vectors)))
+                or encrypt_many(self, pk, vectors, **kwargs))
+        SecureRegistrationRound(config, agent=agent).run_stream(distributions)
+        sizes = [7, 7, 7, 2]
+        assert events == [event for b in sizes for event in (
+            ("dispatch_public_key", b), ("dispatch_private_key", b),
+            ("encrypt", b))]
+        # same total as run(): one public and one private dispatch per client
+        reference = KeyAgent(key_size=64, rng=random.Random(1))
+        SecureRegistrationRound(config, agent=reference).run(distributions)
+        assert agent.stats == reference.stats
+        assert agent.stats.key_dispatches == 2 * N_CLIENTS
+
+
+class TestKeyHolderRouting:
+    """Routing noise through ``sk_t`` changes no ciphertext integer."""
+
+    @pytest.mark.parametrize("method", ["run", "run_stream"])
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"packed": True},
+        {"packed": True, "precompute_noise": True, "aggregation": "tree"},
+    ], ids=["per-component", "packed", "packed-precomputed-tree"])
+    def test_ciphertexts_equal_the_public_key_routing(self, config,
+                                                      distributions,
+                                                      monkeypatch, kwargs,
+                                                      method):
+        received = []
+        receive = SecureAggregationServer.receive
+        monkeypatch.setattr(
+            SecureAggregationServer, "receive",
+            lambda self, vector: received.append(list(vector.ciphertexts))
+            or receive(self, vector))
+
+        def uploads(pool_key):
+            # the protocol draws r from `secrets`: seed it for this run
+            monkeypatch.setattr(paillier, "secrets", types.SimpleNamespace(
+                randbelow=random.Random(99).randrange))
+            monkeypatch.setattr(
+                secure, "_client_noise_pool",
+                lambda sk: NoisePool(pool_key(sk), check_coprime=True))
+            received.clear()
+            round_ = SecureRegistrationRound(
+                config, agent=KeyAgent(key_size=64, rng=random.Random(2)),
+                **kwargs)
+            getattr(round_, method)(distributions)
+            return list(received)
+
+        before = uploads(lambda sk: sk.public_key)
+        after = uploads(lambda sk: sk)
+        assert len(after) == N_CLIENTS
+        assert after == before
 
 
 class TestFoldDepth:

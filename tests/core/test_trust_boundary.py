@@ -1,0 +1,147 @@
+"""The honest-but-curious trust boundary, asserted on the object graph.
+
+Dubhe's clients hold ``sk_t`` (the agent dispatches the whole pair, §5.1) and
+draw their encryption noise from a :class:`NoisePool` built on it; the server
+only ever sums ciphertexts.  These tests keep every
+:class:`SecureAggregationServer` a protocol run creates alive, then walk
+``gc.get_referents`` from each one and assert that no private key, no noise
+pool and no plaintext array is reachable — the structural form of the paper's
+§4 claim, which the key-holder noise path makes load-bearing.
+"""
+
+import gc
+import random
+import types
+
+import numpy as np
+import pytest
+
+from repro.core import secure
+from repro.core.config import DubheConfig
+from repro.core.secure import (
+    SecureAggregationServer,
+    SecureDistributionAggregation,
+    SecureRegistrationRound,
+)
+from repro.core.secure_selector import SecureDubheSelector
+from repro.crypto.keyagent import KeyAgent
+from repro.crypto.paillier import NoisePool, PaillierPrivateKey
+
+FORBIDDEN = (PaillierPrivateKey, NoisePool, np.ndarray)
+# code, not data: descending into these reaches every module global
+OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+          types.MethodDescriptorType, types.WrapperDescriptorType)
+
+
+def reachable_forbidden(root) -> list:
+    """Every FORBIDDEN instance in the data graph hanging off *root*."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        for obj in gc.get_referents(stack.pop()):
+            if id(obj) in seen or isinstance(obj, OPAQUE):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, FORBIDDEN):
+                found.append(obj)
+            stack.append(obj)
+    return found
+
+
+@pytest.fixture
+def servers(monkeypatch):
+    """Every server constructed during the test, kept alive for inspection."""
+    live = []
+    original = SecureAggregationServer.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        live.append(self)
+
+    monkeypatch.setattr(SecureAggregationServer, "__init__", recording_init)
+    return live
+
+
+@pytest.fixture(scope="module")
+def config():
+    return DubheConfig(num_classes=6, reference_set=(1, 2, 6),
+                       thresholds={1: 0.6, 2: 0.1, 6: 0.0},
+                       participants_per_round=4, tentative_selections=2,
+                       key_size=64, registration_batch_size=5)
+
+
+@pytest.fixture(scope="module")
+def distributions(config):
+    return np.random.default_rng(3).dirichlet(
+        np.full(config.num_classes, 0.4), size=13)
+
+
+def agent():
+    return KeyAgent(key_size=64, rng=random.Random(11))
+
+
+def assert_clean(servers, expected_at_least=1):
+    assert len(servers) >= expected_at_least
+    for server in servers:
+        assert server.received_count > 0
+        assert reachable_forbidden(server) == []
+        assert not hasattr(server, "decrypt")
+
+
+class TestServerObjectGraph:
+    def test_the_walk_finds_what_it_looks_for(self, servers, config,
+                                              distributions):
+        # negative control: plant each forbidden thing behind a container
+        SecureRegistrationRound(config, agent=agent()).run(distributions)
+        server = servers[0]
+        sk = agent().new_round().private_key
+        for leak in (sk, NoisePool(sk), np.zeros(2)):
+            server.stats.leak = {"nested": [leak]}
+            assert any(hit is leak for hit in reachable_forbidden(server))
+        del server.stats.leak
+        assert reachable_forbidden(server) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"packed": True, "precompute_noise": True},
+        {"packed": True, "aggregation": "tree", "executor_mode": "thread"},
+    ], ids=["per-component", "packed-precomputed", "packed-tree-thread"])
+    def test_run_and_run_stream(self, servers, config, distributions, kwargs):
+        SecureRegistrationRound(config, agent=agent(), **kwargs).run(
+            distributions)
+        SecureRegistrationRound(config, agent=agent(), **kwargs).run_stream(
+            distributions)
+        assert_clean(servers, 2)
+
+    @pytest.mark.parametrize("precompute_noise", [False, True])
+    def test_score_selection(self, servers, config, distributions,
+                             precompute_noise):
+        scorer = SecureDistributionAggregation(
+            config, agent=agent(), precompute_noise=precompute_noise)
+        scorer.score_selection(distributions, [0, 3, 5, 8])
+        # the pool on sk_t exists, on the client side only
+        assert isinstance(scorer.noise.key, PaillierPrivateKey)
+        assert_clean(servers)
+
+    def test_secure_selector_select(self, servers, config, distributions):
+        selector = SecureDubheSelector(distributions, config, seed=0,
+                                       agent=agent())
+        selector.select(0)
+        # one registration server plus one per tentative try
+        assert_clean(servers, 1 + config.tentative_selections)
+
+    def test_protocol_pools_are_built_on_the_private_key(self, servers,
+                                                         monkeypatch, config,
+                                                         distributions):
+        built = []
+        original = secure._client_noise_pool
+        monkeypatch.setattr(secure, "_client_noise_pool",
+                            lambda key: built.append(original(key)) or built[-1])
+        SecureRegistrationRound(config, agent=agent()).run(distributions)
+        SecureRegistrationRound(config, agent=agent()).run_stream(distributions)
+        assert len(built) == 2
+        assert all(isinstance(pool.key, PaillierPrivateKey) for pool in built)
+        # the clients generated every term, the CRT way, and none leaked
+        assert all(pool.generated > 0 for pool in built)
+        assert_clean(servers, 2)

@@ -100,6 +100,37 @@ class TestNoisePool:
         assert len(taken) == 64
         assert len(set(taken)) == 64  # no term handed out twice
 
+    def test_private_and_public_pools_yield_the_same_terms_in_order(self, pk,
+                                                                    sk):
+        pools = [NoisePool(key, rng=random.Random(5), batch_size=4)
+                 for key in (sk, pk)]
+        drawn = []
+        for pool in pools:
+            pool.refill(3)
+            drawn.append([pool.take(), *pool.take_many(5), pool.take()])
+        assert drawn[0] == drawn[1]
+        assert [pool.generated for pool in pools] == [10, 10]
+        assert pools[0].public_key is pools[1].public_key is pk
+
+    def test_take_precomputed_never_generates(self, pk):
+        pool = NoisePool(pk, rng=random.Random(6))
+        assert pool.take_precomputed(2) == []
+        pool.refill(3)
+        assert pool.take_precomputed(4) == [] and len(pool) == 3
+        assert len(pool.take_precomputed(2)) == 2
+        assert (len(pool), pool.generated) == (1, 3)
+
+    def test_pickling_carries_configuration_only(self, sk):
+        import pickle
+
+        pool = NoisePool(sk, rng=random.Random(7), batch_size=3,
+                         check_coprime=True)
+        pool.refill(2)
+        copy = pickle.loads(pickle.dumps(pool))
+        # no pooled terms and no cloned rng state cross the boundary
+        assert (len(copy), copy.rng) == (0, None)
+        assert (copy.key, copy.batch_size, copy.check_coprime) == (sk, 3, True)
+
     def test_invalid_arguments(self, pk):
         with pytest.raises(ValueError):
             NoisePool(pk, batch_size=0)
@@ -150,15 +181,36 @@ class TestBatchCryptoExecutor:
         for out, expected in zip(executor.decrypt_many(sk, encrypted), matrix):
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_noise_pool_pre_drawn_for_process_mode(self, pk, sk):
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_process_mode_leaves_unfilled_pool_to_the_workers(self, pk, sk,
+                                                              packed):
+        # an always-present pool must not pull exponentiations into the
+        # parent: nothing was prefilled, so the workers get the key half
         vectors = np.random.default_rng(9).uniform(0, 1, (3, 4))
-        pool = NoisePool(pk, rng=random.Random(10))
-        executor = BatchCryptoExecutor("process", max_workers=2)
-        encrypted = executor.encrypt_many(pk, vectors, packed=True, max_weight=4,
-                                          noise=pool)
-        assert pool.generated > 0  # terms drawn in the parent, shipped to workers
-        for out, expected in zip(executor.decrypt_many(sk, encrypted), vectors):
-            np.testing.assert_allclose(out, expected, atol=1e-12)
+        pool = NoisePool(sk)
+        encrypted = BatchCryptoExecutor("process", max_workers=2).encrypt_many(
+            pk, vectors, packed=packed, max_weight=4, noise=pool)
+        assert pool.generated == 0
+        reference = BatchCryptoExecutor("sequential").encrypt_many(
+            pk, vectors, packed=packed, max_weight=4)
+        for got, ref in zip(encrypted, reference):
+            np.testing.assert_array_equal(got.decrypt(sk), ref.decrypt(sk))
+
+    def test_process_mode_ships_precomputed_terms(self, pk, sk):
+        vectors = np.random.default_rng(9).uniform(0, 1, (3, 4))
+        terms = NoisePool(pk, rng=random.Random(10)).take_many(vectors.size)
+        pool = NoisePool(sk, rng=random.Random(10))
+        pool.refill(vectors.size)
+        encrypted = BatchCryptoExecutor("process", max_workers=2).encrypt_many(
+            pk, vectors, noise=pool)
+        # exactly the prefilled terms were used, none generated on top
+        assert (len(pool), pool.generated) == (0, vectors.size)
+        used = sorted(c * pow(pk.raw_encrypt(m, obfuscate=False), -1, pk.nsquare)
+                      % pk.nsquare
+                      for vec in encrypted
+                      for c, m in zip(vec.ciphertexts,
+                                      map(sk.raw_decrypt, vec.ciphertexts)))
+        assert used == sorted(terms)
 
     def test_empty_input(self, pk, sk):
         executor = BatchCryptoExecutor("sequential")

@@ -1,6 +1,7 @@
 """Unit and property-based tests for the Paillier cryptosystem."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,48 @@ class TestHomomorphism:
     def test_addition_wraps_modulo_n(self, pk, sk):
         c = pk.raw_add(pk.raw_encrypt(pk.n - 1), pk.raw_encrypt(2))
         assert sk.raw_decrypt(c) == 1
+
+
+NOISE_KEY_SIZES = (16, 24, 32, 64, 128, 256, 512)
+
+
+@lru_cache(maxsize=None)
+def _noise_keypair(key_size, seed):
+    return generate_keypair(key_size, rng=random.Random(1000 * key_size + seed))
+
+
+class TestKeyHolderNoise:
+    """``sk.raw_noise`` is the CRT spelling of ``pk.raw_noise`` — same integer."""
+
+    @settings(max_examples=scaled_max_examples(60), deadline=None)
+    @given(key_size=st.sampled_from(NOISE_KEY_SIZES),
+           seed=st.integers(min_value=0, max_value=2),
+           x=st.integers(min_value=0, max_value=2**1024))
+    def test_property_equals_the_full_exponentiation(self, key_size, seed, x):
+        pk, sk = _noise_keypair(key_size, seed)
+        r = x % pk.n
+        assert sk.raw_noise(r) == pk.raw_noise(r) == pow(r, pk.n, pk.nsquare)
+
+    @pytest.mark.parametrize("key_size", NOISE_KEY_SIZES)
+    def test_edges_including_r_not_coprime_to_n(self, key_size):
+        pk, sk = _noise_keypair(key_size, 0)
+        n, p, q = pk.n, sk.p, sk.q
+        for r in (0, 1, 2, n - 1, p, q, 7 * p % n, 11 * q % n, (n - p) % n):
+            assert sk.raw_noise(r) == pow(r, n, pk.nsquare), r
+
+    def test_factor_order_is_irrelevant(self):
+        pk, sk = _noise_keypair(64, 0)
+        swapped = PaillierPrivateKey(pk, sk.q, sk.p)
+        for r in (1, sk.p, sk.q, pk.n - 1, 123456789 % pk.n):
+            assert swapped.raw_noise(r) == sk.raw_noise(r) == pk.raw_noise(r)
+
+    def test_every_public_encrypt_path_uses_the_one_noise_term(self, pk):
+        r = pk.get_random_lt_n(random.Random(5))
+        rn = pk.raw_noise(r)
+        bare = pk.raw_encrypt(42, obfuscate=False)
+        assert pk.raw_encrypt(42, r_value=r) == bare * rn % pk.nsquare
+        assert pk.raw_obfuscate(bare, rng=random.Random(5)) == \
+            bare * rn % pk.nsquare
 
 
 @settings(max_examples=scaled_max_examples(25), deadline=None)

@@ -26,13 +26,14 @@ def sim_payload(vectorized=4.0, warm=5.0, eval_speedup=2.1, n_test=2000):
     }
 
 
-def crypto_payload(encrypt=400.0):
+def crypto_payload(encrypt=400.0, keyholder=1.6):
     return {
         "benchmark": "crypto_throughput",
         "results": [
             {"key_size": 256, "n_clients": 100, "registry_length": 56,
-             "speedup": {"encrypt": encrypt, "aggregate": 4.4, "decrypt": 4.8,
-                         "wire": 4.7}},
+             "noise": {"terms": 400, "keyholder_vs_public": keyholder},
+             "speedup": {"encrypt": encrypt, "encrypt_incl_noise": 4.6,
+                         "aggregate": 4.4, "decrypt": 4.8, "wire": 4.7}},
         ],
     }
 
@@ -95,6 +96,9 @@ class TestExtractMetrics:
         metrics = compare_bench.extract_metrics(crypto_payload())
         assert metrics["crypto/key=256/speedup/encrypt"]["value"] == 400.0
         assert metrics["crypto/key=256/speedup/wire"]["value"] == 4.7
+        assert metrics["crypto/key=256/speedup/encrypt_incl_noise"]["value"] == 4.6
+        assert metrics["crypto/key=256/noise/keyholder_vs_public"] == {
+            "value": 1.6, "workload": {"terms": 400}}
         # one-shot ms-scale timings must never be gated
         assert "crypto/key=256/speedup/aggregate" not in metrics
         assert "crypto/key=256/speedup/decrypt" not in metrics
@@ -145,6 +149,13 @@ class TestExtractMetrics:
         assert compare_bench.main(["--baseline", baseline,
                                    "--candidate", candidate]) == 1
 
+    def test_crypto_gate_catches_losing_the_keyholder_path(self, tmp_path):
+        # routing client noise back through the full exponentiation is 1.0x
+        baseline = write(tmp_path, "base.json", crypto_payload(keyholder=1.6))
+        candidate = write(tmp_path, "cand.json", crypto_payload(keyholder=1.0))
+        assert compare_bench.main(["--baseline", baseline,
+                                   "--candidate", candidate]) == 1
+
     def test_unknown_payload_is_empty(self):
         assert compare_bench.extract_metrics({"benchmark": "other"}) == {}
 
@@ -154,6 +165,20 @@ class TestExtractMetrics:
                      "BENCH_registry.json"):
             with open(os.path.join(root, name)) as fh:
                 assert compare_bench.extract_metrics(json.load(fh))
+
+    def test_committed_crypto_baseline_counts_the_noise(self):
+        # with the noise precompute counted, packing saves exactly what it
+        # saves in ciphertexts: one r^n per ciphertext on both pipelines
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "BENCH_crypto.json")) as fh:
+            rows = json.load(fh)["results"]
+        assert [row["key_size"] for row in rows] == [256, 1024, 2048]
+        for row in rows:
+            count_ratio = (row["per_component"]["ciphertexts_per_client"]
+                           / row["packed"]["ciphertexts_per_client"])
+            assert row["speedup"]["encrypt_incl_noise"] == pytest.approx(
+                count_ratio, rel=0.25)
+            assert row["noise"]["keyholder_vs_public"] > 1.2
 
 
 class TestGate:
