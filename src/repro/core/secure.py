@@ -616,10 +616,14 @@ class SecureRegistrationRound:
 class SecureDistributionAggregation:
     """The multi-time-selection data path: encrypted ``p_l`` aggregation.
 
-    The selected clients of a tentative try encrypt their label
-    distributions; the server sums the ciphertexts; the agent decrypts the
-    aggregate and scores ``||p_o − p_u||₁``.  Population distributions of
-    individual clients are never visible to the server.
+    Per tentative try each of the K selected clients uploads its label
+    distribution packed — ``⌈C/slots⌉`` ciphertexts (2 at a 256-bit key and
+    C = 10, 1 from 512 bits up), not C; the server sums the K uploads and the
+    agent decrypts the aggregate only.  Uploads carry headroom
+    ``max_weight = K``: a slot absorbs exactly the K additions a try performs
+    (a (K+1)-th raises :class:`OverflowError` at the fold rather than carry
+    into the next slot), and the sums decrypt bit-identically to per-component
+    encryption's.  Individual ``p_l`` are never visible to the server.
 
     Example
     -------
@@ -634,22 +638,21 @@ class SecureDistributionAggregation:
     """
 
     def __init__(self, config: DubheConfig, agent: Optional[KeyAgent] = None,
-                 packed: bool = False, executor_mode: str = "sequential",
+                 executor_mode: str = "sequential",
                  max_workers: Optional[int] = None,
                  precompute_noise: bool = False):
         self.config = config
         self.agent = agent or KeyAgent(key_size=config.key_size)
         self.keypair = self.agent.new_round()
-        self.packed = packed
         self.executor = BatchCryptoExecutor(executor_mode, max_workers)
         self.precompute_noise = precompute_noise
         #: the selected clients' pool on ``sk_t``
         self.noise = _client_noise_pool(self.keypair.private_key)
         self.stats = ProtocolStats()
 
-    def score_selection(self, client_distributions: np.ndarray,
-                        selected: Sequence[int]) -> float:
-        """Return ``||p_o − p_u||₁`` for *selected*, computed under encryption."""
+    def population(self, client_distributions: np.ndarray,
+                   selected: Sequence[int]) -> np.ndarray:
+        """The cohort's ``p_o`` from the encrypted sum (zeros if it has no mass)."""
         distributions = np.asarray(client_distributions, dtype=float)
         selected = list(selected)
         if not selected:
@@ -662,20 +665,24 @@ class SecureDistributionAggregation:
             start = perf_counter()
             self.noise.refill(_noise_terms_needed(
                 self.keypair.public_key, distributions.shape[1], len(selected),
-                self.packed, max_weight=len(selected)))
+                packed=True, max_weight=len(selected)))
             noise_seconds = perf_counter() - start
 
         vectors = [distributions[k] for k in selected]
         _encrypt_and_deliver(self.keypair.public_key, clients, vectors, server,
-                             self.executor, self.packed,
+                             self.executor, packed=True,
                              max_weight=len(selected), noise=self.noise)
-        aggregate = server.aggregate()
-        uniform = np.full(self.config.num_classes, 1.0 / self.config.num_classes)
-        score = self.agent.score_population(aggregate, uniform)
-        round_stats = ProtocolStats()
+        decrypted = self.agent.decrypt_vector(server.aggregate())
+        round_stats = server.stats
         for client in clients:
             round_stats = round_stats.merged_with(client.stats)
-        round_stats = round_stats.merged_with(server.stats)
         round_stats.noise_precompute_seconds += noise_seconds
         self.stats = self.stats.merged_with(round_stats)
-        return score
+        total = decrypted.sum()
+        return decrypted / total if total > 0 else np.zeros_like(decrypted)
+
+    def score_selection(self, client_distributions: np.ndarray,
+                        selected: Sequence[int]) -> float:
+        """Return ``||p_o − p_u||₁`` for *selected*, computed under encryption."""
+        p_o = self.population(client_distributions, selected)
+        return float(np.abs(p_o - 1.0 / self.config.num_classes).sum())

@@ -4,36 +4,42 @@
 *algorithm* against plaintext label distributions (which is what the
 large-scale experiments use — the algebra is identical and Paillier at
 benchmark scale would dominate the runtime).  This class runs the same
-algorithm through the actual encrypted data path, exactly as deployed:
+algorithm through the actual encrypted data path, exactly as deployed, and
+every vector it moves travels *packed*:
 
-* the registration round goes through :class:`SecureRegistrationRound`
-  (agent keygen → client-side encryption → server ciphertext aggregation →
-  client-side decryption of the overall registry);
-* each multi-time tentative selection is scored by the agent via
-  :class:`SecureDistributionAggregation` (selected clients encrypt ``p_l``,
-  the server sums ciphertexts, the agent decrypts the aggregate only);
+* registration streams through :meth:`SecureRegistrationRound.run_stream`
+  (agent keygen → chunked client-side encryption → server tree fold →
+  client-side decryption of the overall registry) under integer count
+  packing: a 56-slot registry is 3 ciphertexts at a 256-bit key, 1 at 2048;
+* each multi-time tentative try is scored through
+  :meth:`SecureDistributionAggregation.population`: the K selected clients
+  each upload ``p_l`` as ``⌈C/slots⌉`` ciphertexts (2 at 256 bits, 1 from
+  512 up) with packing headroom ``max_weight = K``, the server sums them and
+  the agent decrypts the aggregate only;
 * the server side of the selector never touches a plaintext distribution or
   a private key.
 
-It produces byte-for-byte the same selections as the plaintext selector for
-the same RNG seed (verified in the test-suite), plus a full
-:class:`ProtocolStats` accounting of the encryption/communication cost it
-incurred — so it doubles as a live §6.4 measurement on real selections.
+Packed and per-component ciphertexts decrypt bit-identically, so it picks the
+same cohorts as the plaintext selector for the same RNG seed with the same
+``last_bias`` floats as a per-component scorer (both verified in the
+test-suite), plus a full :class:`ProtocolStats` accounting of what it moved
+— so it doubles as a live §6.4 measurement on real selections.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
 from ..crypto.keyagent import KeyAgent
 from .config import DubheConfig
 from .multitime import MultiTimeResult, multi_time_selection
-from .probability import bernoulli_participation, participation_probabilities
-from .registry import RegistryCodebook
+from .probability import participation_probabilities
+from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
 from .secure import ProtocolStats, SecureDistributionAggregation, SecureRegistrationRound
-from .selectors import ClientSelector
+from .selectors import ClientSelector, DubheSelector
 
 __all__ = ["SecureDubheSelector"]
 
@@ -57,72 +63,54 @@ class SecureDubheSelector(ClientSelector):
         self.codebook = RegistryCodebook(config)
         self.agent = agent or KeyAgent(key_size=config.key_size)
         self.score_securely = score_securely
-        self.stats = ProtocolStats()
         self.last_result: Optional[MultiTimeResult] = None
-        self._registration_round = SecureRegistrationRound(config, agent=self.agent)
+        self._registration_round = SecureRegistrationRound(
+            config, agent=self.agent, packed=True, aggregation="tree")
         self._scorer: Optional[SecureDistributionAggregation] = None
+        self._settled_stats = ProtocolStats()
         self.register()
 
     # -- the encrypted registration round ---------------------------------------
 
     def register(self) -> None:
         """Run a full encrypted registration round for every client."""
-        overall, registrations, stats = self._registration_round.run(self.client_distributions)
-        # fixed-point decryption returns floats; counts are integral by construction
-        self.overall_registry = np.round(overall)
-        self.registrations = registrations
+        streamed = self._registration_round.run_stream(self.client_distributions)
+        self.registration_batch: BatchRegistration = streamed.registration
+        self._registrations: Optional[list[RegistrationResult]] = None
+        self.overall_registry = streamed.overall
         self.probabilities = participation_probabilities(
-            self.codebook, registrations, self.overall_registry,
+            self.codebook, self.registration_batch, self.overall_registry,
             self.config.participants_per_round,
         )
-        self.stats = self.stats.merged_with(stats)
+        self._settled_stats = self.stats.merged_with(streamed.stats)
         if self.score_securely:
             # rotate to a fresh key for the multi-time scoring traffic; the
             # agent's current keypair now matches the scorer's
             self._scorer = SecureDistributionAggregation(self.config, agent=self.agent)
 
+    @property
+    def registrations(self) -> list[RegistrationResult]:
+        """Per-client :class:`RegistrationResult` list (materialised lazily)."""
+        if self._registrations is None:
+            self._registrations = self.codebook.materialize_results(self.registration_batch)
+        return self._registrations
+
+    @property
+    def stats(self) -> ProtocolStats:
+        """Everything moved so far: every registration plus every scored try."""
+        scored = self._scorer.stats if self._scorer else ProtocolStats()
+        return self._settled_stats.merged_with(scored)
+
     # -- selection ----------------------------------------------------------------
 
-    def _tentative_draw(self, _h: int) -> list[int]:
-        volunteers = bernoulli_participation(self.probabilities, rng=self.rng)
-        pool = [int(v) for v in volunteers]
-        k = self.participants_per_round
-        if len(pool) > k:
-            keep = self.rng.choice(len(pool), size=k, replace=False)
-            pool = [pool[i] for i in keep]
-        elif len(pool) < k:
-            outside = np.setdiff1d(np.arange(self.n_clients), np.asarray(pool, dtype=int))
-            extra = self.rng.choice(outside, size=k - len(pool), replace=False)
-            pool.extend(int(e) for e in extra)
-        return pool
-
-    def _secure_population(self, selected: Sequence[int]) -> np.ndarray:
-        """Population distribution recovered from the encrypted aggregate."""
-        assert self._scorer is not None
-        # the agent's score is ||p_o − p_u||₁; for the multi-time argmin we
-        # need p_o itself, so reuse the same encrypted path at vector level
-        from .secure import SecureAggregationServer, SecureClient
-
-        server = SecureAggregationServer(self._scorer.keypair.public_key)
-        # the selected clients hold sk_t: they draw from the scorer's pool
-        clients = [SecureClient(int(k), self.client_distributions[int(k)],
-                                noise=self._scorer.noise) for k in selected]
-        for client in clients:
-            server.receive(client.encrypted_distribution(self._scorer.keypair.public_key))
-        aggregate = server.aggregate()
-        decrypted = self.agent.decrypt_vector(aggregate)
-        round_stats = ProtocolStats()
-        for client in clients:
-            round_stats = round_stats.merged_with(client.stats)
-        self.stats = self.stats.merged_with(round_stats.merged_with(server.stats))
-        total = decrypted.sum()
-        if total <= 0:
-            return self.uniform.copy()
-        return decrypted / total
+    # the plaintext selector's own draw: same rng stream, hence same cohorts
+    rebalance_to_k = True
+    _tentative_draw = DubheSelector._tentative_draw
 
     def select(self, round_index: int) -> list[int]:
-        population_of = (self._secure_population if self.score_securely
-                         else self.population_of)
+        # p_o of a try: recovered from the encrypted aggregate, or plaintext
+        population_of = (partial(self._scorer.population, self.client_distributions)
+                         if self.score_securely else self.population_of)
         result = multi_time_selection(
             draw=self._tentative_draw,
             population_of=population_of,

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from _per_component_scorer import PerComponentScorer
 from repro.core.config import DubheConfig
 from repro.core.overhead import communication_overhead, measure_encryption_overhead
 from repro.core.parameter_search import default_sigma_grid, search_thresholds
@@ -194,14 +195,16 @@ class TestPackedSecureProtocol:
     def test_packed_scoring_bit_identical(self, federation_distributions):
         config = settled_config(key_size=256)
         selected = [0, 3, 5, 8]
-        plain = SecureDistributionAggregation(
-            config, agent=KeyAgent(key_size=256, rng=random.Random(23)),
-        ).score_selection(federation_distributions, selected)
+        reference = PerComponentScorer(
+            config, KeyAgent(key_size=256, rng=random.Random(23)))
         packed = SecureDistributionAggregation(
             config, agent=KeyAgent(key_size=256, rng=random.Random(23)),
-            packed=True, precompute_noise=True,
-        ).score_selection(federation_distributions, selected)
-        assert plain == packed
+            precompute_noise=True)
+        assert np.array_equal(packed.population(federation_distributions, selected),
+                              reference.population(federation_distributions, selected))
+        assert (packed.score_selection(federation_distributions, selected)
+                == reference.score_selection(federation_distributions, selected))
+        assert packed.stats.noise_precompute_seconds > 0
 
 
 class TestStreamingAggregation:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import DubheConfig
+from repro.core.registry import BatchRegistration
 from repro.core.secure_selector import SecureDubheSelector
 from repro.core.selectors import DubheSelector, RandomSelector
 from repro.crypto.keyagent import KeyAgent
+from repro.crypto.packing import PackingScheme
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 
@@ -47,11 +49,28 @@ class TestSecureDubheSelector:
             SecureDubheSelector(small_federation, config)
 
     def test_registration_matches_plaintext_selector(self, small_federation, secure_selector):
+        # count packing decrypts exact integers: equal with no tolerance
         plaintext = DubheSelector(small_federation, settled_config(), seed=0)
-        np.testing.assert_allclose(secure_selector.overall_registry,
-                                   plaintext.overall_registry, atol=1e-9)
-        np.testing.assert_allclose(secure_selector.probabilities,
-                                   plaintext.probabilities, atol=1e-9)
+        assert np.array_equal(secure_selector.overall_registry,
+                              plaintext.overall_registry)
+        assert np.array_equal(secure_selector.probabilities,
+                              plaintext.probabilities)
+
+    def test_registration_api_matches_plaintext_selector(self, small_federation,
+                                                         secure_selector):
+        plaintext = DubheSelector(small_federation, settled_config(), seed=0)
+        batch = secure_selector.registration_batch
+        assert isinstance(batch, BatchRegistration)
+        assert np.array_equal(batch.blocks, plaintext.registration_batch.blocks)
+        assert np.array_equal(batch.indices, plaintext.registration_batch.indices)
+        # the per-client list is built on first access only
+        assert secure_selector._registrations is None
+        registrations = secure_selector.registrations
+        assert registrations is secure_selector.registrations
+        assert ([r.index for r in registrations]
+                == [r.index for r in plaintext.registrations])
+        assert all(np.array_equal(a.registry, b.registry)
+                   for a, b in zip(registrations, plaintext.registrations))
 
     def test_selects_exactly_k_distinct(self, secure_selector):
         selected = secure_selector.select(0)
@@ -66,14 +85,42 @@ class TestSecureDubheSelector:
         for r in range(3):
             assert secure.select(r) == plaintext.select(r)
 
-    def test_protocol_stats_accumulate(self, small_federation):
-        agent = KeyAgent(key_size=128, rng=random.Random(2))
-        secure = SecureDubheSelector(small_federation, settled_config(), seed=0, agent=agent)
-        after_registration = secure.stats.messages
-        assert after_registration >= len(small_federation)
-        assert secure.stats.ciphertext_bytes > secure.stats.plaintext_bytes
+    def test_protocol_stats_are_exact(self, small_federation):
+        k, h = 6, 2
+        n, c = small_federation.shape
+        secure = SecureDubheSelector(small_federation, settled_config(k, h), seed=0,
+                                     agent=KeyAgent(key_size=128, rng=random.Random(2)))
+        # a twin agent replays the two round keys: registration, then scoring
+        twin = KeyAgent(key_size=128, rng=random.Random(2))
+        registry = PackingScheme.for_counts(
+            twin.new_round().public_key, secure.codebook.length, max_weight=n)
+        upload = PackingScheme(twin.new_round().public_key, c, max_weight=k)
+        assert twin.keypair.public_key == secure.agent.keypair.public_key
+        each = twin.keypair.public_key.ciphertext_bytes()
+
+        # N uploads, N server receipts, N copies of the aggregate sent back
+        registered = secure.stats
+        assert registered.messages == 3 * n
+        assert registered.ciphertext_bytes == 3 * n * registry.num_ciphertexts * each
+        assert registry.num_ciphertexts < secure.codebook.length
+        # per try: K packed uploads and K receipts of ⌈C/slots⌉ ciphertexts
         secure.select(0)
-        assert secure.stats.messages > after_registration
+        scored = secure.stats
+        assert scored.messages - registered.messages == 2 * k * h
+        assert (scored.ciphertext_bytes - registered.ciphertext_bytes
+                == 2 * k * h * upload.num_ciphertexts * each)
+        assert upload.num_ciphertexts == -(-c // upload.slots_per_ciphertext)
+        assert upload.num_ciphertexts < c
+
+    def test_reregistration_keeps_the_history(self, small_federation):
+        secure = SecureDubheSelector(small_federation, settled_config(), seed=0,
+                                     agent=KeyAgent(key_size=128, rng=random.Random(5)))
+        secure.select(0)
+        before = secure.stats
+        secure.register()
+        assert secure.stats.messages == before.messages + 3 * len(small_federation)
+        assert secure.agent.keypair is secure._scorer.keypair
+        assert len(secure.select(1)) == 6
 
     def test_beats_random_on_skewed_federation(self, small_federation, secure_selector):
         rand = RandomSelector(small_federation, 6, seed=0)
