@@ -77,6 +77,10 @@ def multi_time_selection(
 ) -> MultiTimeResult:
     """Run *tries* tentative draws and keep the one closest to uniform.
 
+    A try whose members are an earlier try's in another order is the same
+    cohort: it is not scored again and shares that try's population and
+    score, so the earlier one wins the tie whatever the scorer's arithmetic.
+
     Parameters
     ----------
     draw:
@@ -110,10 +114,17 @@ def multi_time_selection(
     if tries < 1:
         raise ValueError("tries must be positive")
     uniform = np.asarray(uniform, dtype=float)
-    candidates = [tuple(int(c) for c in draw(h)) for h in range(tries)]
+    draws = [np.asarray(draw(h), dtype=np.int64).ravel() for h in range(tries)]
+    candidates = [tuple(drawn.tolist()) for drawn in draws]
     populations: list[Optional[np.ndarray]] = [None] * tries
     scores = np.empty(tries)
-    non_empty = [h for h, c in enumerate(candidates) if c]
+    # same members, same cohort: float summation order would otherwise split
+    # a permutation from its original by an ulp in plaintext, while the
+    # integer sums under encryption tie exactly
+    first_with: dict[bytes, int] = {}
+    repeats = {h: first_with.setdefault(np.sort(drawn).tobytes(), h)
+               for h, drawn in enumerate(draws) if drawn.size}
+    non_empty = [h for h, first in repeats.items() if first == h]
     if non_empty:
         sizes = {len(candidates[h]) for h in non_empty}
         if population_of_many is not None and len(sizes) == 1:
@@ -128,6 +139,8 @@ def multi_time_selection(
             for h in non_empty:
                 populations[h] = np.asarray(population_of(candidates[h]), dtype=float)
                 scores[h] = float(np.abs(populations[h] - uniform).sum())
+    for h, first in repeats.items():
+        populations[h], scores[h] = populations[first], scores[first]
     results: list[TentativeTry] = []
     for h, candidate in enumerate(candidates):
         if populations[h] is None:

@@ -6,7 +6,10 @@ Roles, matching Figure 3/4 of the paper:
   and encrypt everything they transmit under the round key — they were
   dispatched the whole pair, so their noise comes from a
   :class:`~repro.crypto.paillier.NoisePool` built on ``sk_t`` (the CRT
-  spelling of ``r^n mod n²``; same ciphertexts, about half the cost);
+  spelling of ``r^n mod n²``; same ciphertexts, about half the cost).  A
+  client encrypts its ``p_l`` once per key epoch and *re-sends* that
+  ciphertext on every tentative try it is drawn into (see
+  :meth:`SecureClient.encrypted_distribution`);
 * the **server** only ever touches ciphertexts: it sums the encrypted
   registries (or encrypted distributions during multi-time selection) and
   forwards aggregates — it never holds the private key, nor a noise pool
@@ -211,6 +214,10 @@ class SecureClient:
         Optional :class:`NoisePool` the client draws ``r^n mod n²`` terms
         from — in the protocol, one built on the dispatched ``sk_t``.
 
+    The client owns the ciphertext of its ``p_l``: it keeps the last one it
+    produced and transmits that again for as long as the key, the headroom
+    and its own data are the ones the ciphertext was made for.
+
     Example
     -------
     >>> import numpy as np
@@ -218,8 +225,10 @@ class SecureClient:
     >>> pk = generate_keypair(key_size=64).public_key
     >>> client = SecureClient(0, np.array([0.8, 0.2]))
     >>> ciphertext = client.encrypted_distribution(pk)
+    >>> client.encrypted_distribution(pk) is ciphertext   # re-sent, not redone
+    True
     >>> client.stats.messages
-    1
+    2
     """
 
     def __init__(self, client_id: int, distribution: np.ndarray,
@@ -232,6 +241,9 @@ class SecureClient:
         self.max_weight = max_weight
         self.noise = noise
         self.stats = ProtocolStats()
+        #: the last encrypted p_l, and the (key, headroom, row bytes) it is for
+        self._upload: Optional[AnyEncryptedVector] = None
+        self._upload_made_for: Optional[tuple] = None
 
     def register(self, codebook: RegistryCodebook) -> RegistrationResult:
         """Run Algorithm 1 locally (plaintext never leaves the client)."""
@@ -270,8 +282,21 @@ class SecureClient:
         return self._encrypt(self.registration.registry, public_key)
 
     def encrypted_distribution(self, public_key: PaillierPublicKey) -> AnyEncryptedVector:
-        """The encrypted label distribution sent during multi-time selection."""
-        return self._encrypt(self.distribution, public_key)
+        """The encrypted label distribution sent during multi-time selection.
+
+        Encrypted once, then re-sent: the ciphertext is kept under the key,
+        the headroom and the exact bytes of the row it encrypts, so a new
+        round key, another cohort size or changed data always re-encrypts.
+        A re-send is a transmission like any other (one message, the same
+        bytes on the wire) that costs no encryption time.
+        """
+        made_for = (public_key, self.max_weight, self.distribution.tobytes())
+        if self._upload_made_for != made_for:
+            self._upload = self._encrypt(self.distribution, public_key)
+            self._upload_made_for = made_for
+        else:
+            self.record_transmission(self.distribution, self._upload, 0.0)
+        return self._upload
 
 
 def _client_noise_pool(private_key: PaillierPrivateKey) -> NoisePool:
@@ -293,29 +318,6 @@ def _noise_terms_needed(public_key: PaillierPublicKey, vector_length: int,
         return vector_length * n_clients
     scheme = PackingScheme(public_key, vector_length, max_weight=max_weight)
     return scheme.num_ciphertexts * n_clients
-
-
-def _encrypt_and_deliver(public_key: PaillierPublicKey,
-                         clients: Sequence[SecureClient],
-                         vectors: Sequence[np.ndarray],
-                         server: "SecureAggregationServer",
-                         executor: BatchCryptoExecutor, packed: bool,
-                         max_weight: int,
-                         noise: Optional[NoisePool]) -> None:
-    """Encrypt every client's vector in one batch and stream it to the server.
-
-    Shared by registration and distribution aggregation so the stats
-    attribution (wall time split evenly across clients) and delivery order
-    cannot drift between the two protocols.
-    """
-    start = perf_counter()
-    encrypted = executor.encrypt_many(public_key, vectors, packed=packed,
-                                      max_weight=max_weight, noise=noise)
-    encrypt_seconds = perf_counter() - start
-    for client, values, ciphertext in zip(clients, vectors, encrypted):
-        client.record_transmission(values, ciphertext,
-                                   encrypt_seconds / len(clients))
-        server.receive(ciphertext)
 
 
 @dataclass(frozen=True)
@@ -463,9 +465,16 @@ class SecureRegistrationRound:
             noise_seconds = perf_counter() - start
 
         executor = BatchCryptoExecutor(self.executor_mode, self.max_workers)
-        _encrypt_and_deliver(keypair.public_key, clients, registries, server,
-                             executor, self.packed, max_weight=n_clients,
-                             noise=noise)
+        start = perf_counter()
+        encrypted = executor.encrypt_many(keypair.public_key, registries,
+                                          packed=self.packed,
+                                          max_weight=n_clients, noise=noise)
+        encrypt_seconds = perf_counter() - start
+        for client, values, ciphertext in zip(clients, registries, encrypted):
+            # the batch's wall time, split evenly across the clients
+            client.record_transmission(values, ciphertext,
+                                       encrypt_seconds / n_clients)
+            server.receive(ciphertext)
         encrypted_total = server.aggregate()
 
         # every client can decrypt the synchronized aggregate with sk_t; we
@@ -625,6 +634,15 @@ class SecureDistributionAggregation:
     into the next slot), and the sums decrypt bit-identically to per-component
     encryption's.  Individual ``p_l`` are never visible to the server.
 
+    One instance is one **key epoch**: it draws a fresh round key when built
+    and keeps one :class:`SecureClient` per client id until it is dropped, so
+    a client encrypts its ``p_l`` the first time a try draws it and re-sends
+    that ciphertext on every later try (≤ N encryptions per epoch, however
+    many rounds it lasts; the steady state of a try is fold + one decrypt).
+    Messages and bytes per try do not change — the upload is transmitted
+    again, only not recomputed.  ``docs/architecture.md`` §1 argues why the
+    repeat shows the server nothing it did not know.
+
     Example
     -------
     >>> import numpy as np
@@ -635,20 +653,37 @@ class SecureDistributionAggregation:
     >>> distributions = np.array([[0.9, 0.1], [0.1, 0.9]])
     >>> round(aggregation.score_selection(distributions, [0, 1]), 6)
     0.0
+    >>> terms = aggregation.noise.generated      # both clients have encrypted
+    >>> round(aggregation.score_selection(distributions, [1, 0]), 6)
+    0.0
+    >>> (aggregation.noise.generated == terms, aggregation.stats.messages)
+    (True, 8)
     """
 
-    def __init__(self, config: DubheConfig, agent: Optional[KeyAgent] = None,
-                 executor_mode: str = "sequential",
-                 max_workers: Optional[int] = None,
-                 precompute_noise: bool = False):
+    def __init__(self, config: DubheConfig, agent: Optional[KeyAgent] = None):
         self.config = config
         self.agent = agent or KeyAgent(key_size=config.key_size)
         self.keypair = self.agent.new_round()
-        self.executor = BatchCryptoExecutor(executor_mode, max_workers)
-        self.precompute_noise = precompute_noise
         #: the selected clients' pool on ``sk_t``
         self.noise = _client_noise_pool(self.keypair.private_key)
         self.stats = ProtocolStats()
+        #: client-side state, one per id drawn so far: each owns its upload
+        self._clients: dict[int, SecureClient] = {}
+
+    def _client(self, client_id: int, row: np.ndarray,
+                max_weight: int) -> SecureClient:
+        """The epoch's client *client_id*, holding *row* as its current data."""
+        client = self._clients.get(client_id)
+        if client is None:
+            client = self._clients[client_id] = SecureClient(
+                client_id, row, packed=True, noise=self.noise)
+            # every role books into the aggregation's one ledger, in place
+            client.stats = self.stats
+        # the matrix is the clients' data: a changed row (or cohort size)
+        # no longer matches what the kept ciphertext was made for
+        client.distribution = row
+        client.max_weight = max_weight
+        return client
 
     def population(self, client_distributions: np.ndarray,
                    selected: Sequence[int]) -> np.ndarray:
@@ -657,27 +692,14 @@ class SecureDistributionAggregation:
         selected = list(selected)
         if not selected:
             raise ValueError("cannot score an empty selection")
-        server = SecureAggregationServer(self.keypair.public_key)
-        clients = [SecureClient(k, distributions[k]) for k in selected]
-
-        noise_seconds = 0.0
-        if self.precompute_noise:
-            start = perf_counter()
-            self.noise.refill(_noise_terms_needed(
-                self.keypair.public_key, distributions.shape[1], len(selected),
-                packed=True, max_weight=len(selected)))
-            noise_seconds = perf_counter() - start
-
-        vectors = [distributions[k] for k in selected]
-        _encrypt_and_deliver(self.keypair.public_key, clients, vectors, server,
-                             self.executor, packed=True,
-                             max_weight=len(selected), noise=self.noise)
+        public_key = self.keypair.public_key
+        server = SecureAggregationServer(public_key)
+        for k in selected:
+            client = self._client(int(k), distributions[k], len(selected))
+            server.receive(client.encrypted_distribution(public_key))
         decrypted = self.agent.decrypt_vector(server.aggregate())
-        round_stats = server.stats
-        for client in clients:
-            round_stats = round_stats.merged_with(client.stats)
-        round_stats.noise_precompute_seconds += noise_seconds
-        self.stats = self.stats.merged_with(round_stats)
+        self.stats.messages += server.stats.messages
+        self.stats.ciphertext_bytes += server.stats.ciphertext_bytes
         total = decrypted.sum()
         return decrypted / total if total > 0 else np.zeros_like(decrypted)
 

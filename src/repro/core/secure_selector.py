@@ -15,7 +15,12 @@ every vector it moves travels *packed*:
   :meth:`SecureDistributionAggregation.population`: the K selected clients
   each upload ``p_l`` as ``⌈C/slots⌉`` ciphertexts (2 at 256 bits, 1 from
   512 up) with packing headroom ``max_weight = K``, the server sums them and
-  the agent decrypts the aggregate only;
+  the agent decrypts the aggregate only.  A client *encrypts* that upload
+  once per key epoch and re-sends it on every later try that draws it: the
+  scorer — one round key, one :class:`SecureClient` per client id — lives
+  from one :meth:`SecureDubheSelector.register` to the next, where every
+  client starts over under a new key (a deviation from Fig. 4's per-try
+  encryption, see ``docs/paper_mapping.md``);
 * the server side of the selector never touches a plaintext distribution or
   a private key.
 
@@ -84,8 +89,9 @@ class SecureDubheSelector(ClientSelector):
         )
         self._settled_stats = self.stats.merged_with(streamed.stats)
         if self.score_securely:
-            # rotate to a fresh key for the multi-time scoring traffic; the
-            # agent's current keypair now matches the scorer's
+            # a new key epoch for the multi-time scoring traffic: a fresh key
+            # (the agent's current keypair now matches the scorer's) and no
+            # client holds an upload yet — the old scorer's are dropped with it
             self._scorer = SecureDistributionAggregation(self.config, agent=self.agent)
 
     @property

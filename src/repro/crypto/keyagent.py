@@ -101,21 +101,3 @@ class KeyAgent:
         self.stats.decrypt_seconds += time.perf_counter() - start
         self.stats.decryptions += 1
         return result
-
-    def score_population(self, aggregated: EncryptedVector,
-                         uniform: np.ndarray) -> float:
-        """Return ``||p_o − p_u||₁`` for an encrypted aggregated distribution.
-
-        The aggregated vector is the homomorphic sum of the selected clients'
-        label distributions; dividing by the number of contributors is done by
-        the caller (the agent is told the normalised target through
-        *uniform*'s scale, so we normalise the decrypted sum here).
-        """
-        decrypted = self.decrypt_vector(aggregated)
-        total = decrypted.sum()
-        if total <= 0:
-            # no participants: the population distribution is undefined and
-            # maximally far from uniform
-            return float(np.abs(uniform).sum() + 1.0)
-        p_o = decrypted / total
-        return float(np.abs(p_o - uniform).sum())

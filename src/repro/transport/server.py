@@ -253,6 +253,7 @@ class SocketTransport(Transport):
         self._round_decode: "Dict[int, int]" = {}
         self._round_disconnects: "Dict[int, str]" = {}
         self._round_task: Optional["asyncio.Task"] = None
+        self._heartbeat_task: Optional["asyncio.Future"] = None
         self._roster_changed: Optional[asyncio.Event] = None
         self._closing = False
 
@@ -305,7 +306,7 @@ class SocketTransport(Transport):
             self._handle_connection, host=self.config.host,
             port=self.config.port)
         if self.config.heartbeat_interval > 0:
-            asyncio.ensure_future(self._heartbeat_loop())
+            self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -383,8 +384,16 @@ class SocketTransport(Transport):
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # reap the per-connection reader/writer tasks (and the heartbeat
-        # loop) before the loop stops, so none are destroyed while pending.
+        # the liveness probe is parked in asyncio.sleep(interval) and would
+        # only notice _closing when it wakes: cancel it, or the grace window
+        # below always runs to its timeout
+        heartbeat_task = self._heartbeat_task
+        self._heartbeat_task = None
+        if heartbeat_task is not None:
+            heartbeat_task.cancel()
+            await asyncio.gather(heartbeat_task, return_exceptions=True)
+        # reap the per-connection reader/writer tasks before the loop stops,
+        # so none are destroyed while pending.
         # The session writers just closed, so readers exit on their own
         # within the grace window; cancelling a reader still parked in
         # readexactly would make the streams-internal done-callback re-raise

@@ -6,7 +6,9 @@ only ever sums ciphertexts.  These tests keep every
 :class:`SecureAggregationServer` a protocol run creates alive, then walk
 ``gc.get_referents`` from each one and assert that no private key, no noise
 pool and no plaintext array is reachable — the structural form of the paper's
-§4 claim, which the key-holder noise path makes load-bearing.
+§4 claim, which the key-holder noise path makes load-bearing.  The ciphertext
+each client keeps for re-sending within a key epoch is client-side state too:
+no server may reach a :class:`SecureClient` or the object it kept.
 """
 
 import gc
@@ -33,8 +35,9 @@ OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
           types.MethodDescriptorType, types.WrapperDescriptorType)
 
 
-def reachable_forbidden(root) -> list:
-    """Every FORBIDDEN instance in the data graph hanging off *root*."""
+def reachable_forbidden(root, client_side=()) -> list:
+    """Every FORBIDDEN instance, or *client_side* object, hanging off *root*."""
+    kept = {id(obj) for obj in client_side}
     seen = {id(root)}
     stack = [root]
     found = []
@@ -43,7 +46,7 @@ def reachable_forbidden(root) -> list:
             if id(obj) in seen or isinstance(obj, OPAQUE):
                 continue
             seen.add(id(obj))
-            if isinstance(obj, FORBIDDEN):
+            if isinstance(obj, FORBIDDEN) or id(obj) in kept:
                 found.append(obj)
             stack.append(obj)
     return found
@@ -81,11 +84,16 @@ def agent():
     return KeyAgent(key_size=64, rng=random.Random(11))
 
 
-def assert_clean(servers, expected_at_least=1):
+def kept_uploads(scorer) -> list:
+    """The ciphertext every client of *scorer*'s key epoch holds for re-sending."""
+    return [client._upload for client in scorer._clients.values()]
+
+
+def assert_clean(servers, expected_at_least=1, client_side=()):
     assert len(servers) >= expected_at_least
     for server in servers:
         assert server.received_count > 0
-        assert reachable_forbidden(server) == []
+        assert reachable_forbidden(server, client_side) == []
         assert not hasattr(server, "decrypt")
 
 
@@ -114,22 +122,39 @@ class TestServerObjectGraph:
             distributions)
         assert_clean(servers, 2)
 
-    @pytest.mark.parametrize("precompute_noise", [False, True])
-    def test_score_selection(self, servers, config, distributions,
-                             precompute_noise):
-        scorer = SecureDistributionAggregation(
-            config, agent=agent(), precompute_noise=precompute_noise)
+    def test_score_selection(self, servers, config, distributions):
+        scorer = SecureDistributionAggregation(config, agent=agent())
         scorer.score_selection(distributions, [0, 3, 5, 8])
+        scorer.score_selection(distributions, [8, 3, 1, 0])   # three re-sends
         # the pool on sk_t exists, on the client side only
         assert isinstance(scorer.noise.key, PaillierPrivateKey)
-        assert_clean(servers)
+        assert_clean(servers, 2, client_side=kept_uploads(scorer))
 
     def test_secure_selector_select(self, servers, config, distributions):
         selector = SecureDubheSelector(distributions, config, seed=0,
                                        agent=agent())
-        selector.select(0)
+        rounds = 4
+        for r in range(rounds):
+            selector.select(r)
+        # the clients kept their uploads across all of it, and re-sent them ...
+        uploads = kept_uploads(selector._scorer)
+        assert len(uploads) > config.participants_per_round
+        assert (selector._scorer.noise.generated
+                < rounds * config.tentative_selections
+                * config.participants_per_round * uploads[0].scheme.num_ciphertexts)
+        # ... yet no server can reach one, nor the clients, the pool or a key:
         # one registration server plus one per tentative try
-        assert_clean(servers, 1 + config.tentative_selections)
+        assert_clean(servers, 1 + rounds * config.tentative_selections,
+                     client_side=[*uploads, *selector._scorer._clients.values()])
+
+    def test_the_walk_finds_a_kept_upload(self, servers, config, distributions):
+        # negative control for client_side=: a server that kept the very
+        # object a client handed it would be caught
+        scorer = SecureDistributionAggregation(config, agent=agent())
+        scorer.score_selection(distributions, [0, 3, 5, 8])
+        uploads = kept_uploads(scorer)
+        servers[0].stats.leak = [uploads[2]]
+        assert reachable_forbidden(servers[0], uploads) == [uploads[2]]
 
     def test_protocol_pools_are_built_on_the_private_key(self, servers,
                                                          monkeypatch, config,

@@ -49,23 +49,3 @@ class TestDecryptionServices:
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-9)
         assert agent.stats.decryptions == 1
         assert agent.stats.decrypt_seconds > 0
-
-    def test_score_population_uniform_is_zero(self, agent):
-        pk = agent.dispatch_public_key(1)
-        # two clients with mirrored distributions -> aggregated sum is uniform
-        a = EncryptedVector.encrypt(pk, [0.8, 0.2])
-        b = EncryptedVector.encrypt(pk, [0.2, 0.8])
-        score = agent.score_population(a + b, np.array([0.5, 0.5]))
-        assert score == pytest.approx(0.0, abs=1e-8)
-
-    def test_score_population_skewed_is_positive(self, agent):
-        pk = agent.dispatch_public_key(1)
-        a = EncryptedVector.encrypt(pk, [1.0, 0.0])
-        score = agent.score_population(a, np.array([0.5, 0.5]))
-        assert score == pytest.approx(1.0, abs=1e-8)
-
-    def test_score_population_empty_aggregate(self, agent):
-        pk = agent.dispatch_public_key(1)
-        zero = EncryptedVector.encrypt(pk, [0.0, 0.0])
-        score = agent.score_population(zero, np.array([0.5, 0.5]))
-        assert score > 1.0

@@ -137,3 +137,18 @@ class TestHalfOpenDetection:
         finally:
             zombie.close()
             transport.close()
+
+
+class TestTeardown:
+    def test_closing_an_idle_server_does_not_wait_out_the_heartbeat(self):
+        # the probe sleeps heartbeat_interval (10 s by default) between
+        # rounds: close() must cancel it, not sit out its 1 s grace window
+        transport = SocketTransport(TransportConfig(kind="socket"))
+        assert transport.config.heartbeat_interval > 1.0
+        started = time.perf_counter()
+        transport.start()
+        loop = transport._loop
+        transport.close()
+        assert time.perf_counter() - started < 0.2
+        assert transport._heartbeat_task is None
+        assert loop.is_closed()
