@@ -7,7 +7,6 @@ states) plus server aggregation — under each execution back-end of
 :class:`repro.federated.LocalUpdateExecutor`:
 
 * ``sequential`` — one client after another (the reference);
-* ``thread`` / ``process`` — pool-based parallelism over clients;
 * ``vectorized`` — the cohort back-end: all K clients stacked into one
   batched tensor program (:mod:`repro.nn.batched`);
 * ``parallel`` — the multi-cohort back-end: the cohort sharded across
@@ -36,8 +35,8 @@ Two further sections exercise the round-persistent runtime:
   boxes with >= 2 cores — the ratio measures multi-core scaling, so on a
   single-core runner the section records the (necessarily <= 1x) number and
   the gate is skipped with a warning.  For the same reason the ratio is
-  *not* part of the ``compare_bench.py`` baseline gate (like the
-  thread/process modes, it tracks the host's core count, not the code).
+  *not* part of the ``compare_bench.py`` baseline gate (it tracks the
+  host's core count, not the code).
 
 Run from the repository root::
 
@@ -335,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ks", default="8,32,128",
                         help="comma-separated cohort sizes K to benchmark")
-    parser.add_argument("--modes", default="sequential,thread,process,vectorized",
+    parser.add_argument("--modes", default="sequential,vectorized",
                         help="comma-separated executor modes")
     parser.add_argument("--rounds", type=int, default=5,
                         help="timed rounds per (mode, K) point")

@@ -61,8 +61,9 @@ __all__ = ["compare", "extract_metrics", "ledger_trajectories", "main"]
 STABLE_CRYPTO_COMPONENTS = ("encrypt", "encrypt_incl_noise", "wire")
 
 #: executor modes whose speedup-vs-sequential ratio tracks code-level changes
-#: rather than the host: ``thread``/``process`` ratios swing with core count
-#: and spawn overhead, so they are recorded but never gated.
+#: rather than the host; any other mode in a payload (older baselines still
+#: carry ``thread``/``process`` rows, whose ratios swung with core count and
+#: spawn overhead) is recorded but never gated.
 STABLE_SIM_MODES = ("vectorized",)
 
 

@@ -9,7 +9,7 @@ Scale note
 ----------
 The paper trains ResNet18/CNNs on real MNIST/CIFAR10/FEMNIST for up to 1500
 rounds on a GPU.  The benchmarks default to a reduced scale (documented in
-each file and in EXPERIMENTS.md): fewer clients, fewer rounds, an MLP/compact
+each file): fewer clients, fewer rounds, an MLP/compact
 CNN on synthetic data.  The *shape* of each result — which method wins, how
 the ordering changes with ρ, EMD_avg, K and H — is what the reproduction
 checks.  ``paper_scale()`` in each benchmark file records the full-size

@@ -22,8 +22,8 @@ Sub-packages
 * :mod:`repro.transport` — the federated service layer: typed protocol
   messages over a versioned binary wire format, an asyncio TCP server and
   client, and the in-process transport behind the same interface.
-* :mod:`repro.api` — :class:`~repro.api.Session`, the unified builder
-  entry point for plain, scenario and ledgered runs on any transport.
+* :mod:`repro.api` — :class:`~repro.api.Session`, the builder for
+  scenario, ledger and recipe runs on any transport.
 
 Quickstart
 ----------
@@ -60,7 +60,7 @@ from .data import (
 )
 from .api import Session, SessionResult
 from .federated import FederatedConfig, FederatedSimulation, LocalTrainingConfig
-from .scenarios import ScenarioSpec, run_scenario
+from .scenarios import ScenarioSpec
 
 __version__ = "1.0.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "make_synthetic_mnist",
     "make_uniform_test_set",
     "quick_federation",
-    "run_scenario",
     "search_thresholds",
 ]
 

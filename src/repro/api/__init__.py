@@ -1,8 +1,9 @@
-"""The unified front door: ``repro.api.Session`` drives every kind of run.
+"""``repro.api.Session``: the builder for scenario, ledger and recipe runs.
 
-One builder chain replaces the three historical entry points (direct
-:class:`~repro.federated.FederatedSimulation` construction,
-:func:`repro.scenarios.run_scenario`, and hand-threaded ledger config)::
+:class:`~repro.federated.FederatedSimulation` is the engine and
+:class:`~repro.federated.FederatedConfig` the one flat description of a run;
+a ``Session`` assembles them when a run needs a scenario report, a ledger or
+a recipe::
 
     from repro.api import Session
 
@@ -12,8 +13,7 @@ One builder chain replaces the three historical entry points (direct
               .with_ledger("runs.db")
               .run(rounds=20))
 
-See :mod:`repro.api.session` for the migration table and
-``docs/session.md`` for the narrative guide.
+See ``docs/session.md`` for the narrative guide.
 """
 
 from .session import Session, SessionResult

@@ -1,10 +1,10 @@
-""":class:`Session` — the one builder that drives every kind of run.
+""":class:`Session` — the builder for scenario, ledger and recipe runs.
 
-Before PR 8 the repo had three divergent entry points: construct a
-:class:`~repro.federated.FederatedSimulation` directly, wrap it in
-:func:`repro.scenarios.run_scenario` for a fault report, or thread ledger
-fields through the config for record/resume/verify.  :class:`Session`
-unifies them behind one chain::
+:class:`~repro.federated.FederatedSimulation` is the engine and
+:class:`~repro.federated.FederatedConfig` the one flat description of a run;
+``Session`` assembles the two for the runs that need more than a bare
+engine — a fault-injection scenario (with its report), a run ledger, or
+components rebuilt from an importable recipe::
 
     result = (Session(config)
               .with_federation(partition=..., generator=..., model_factory=...,
@@ -16,18 +16,6 @@ unifies them behind one chain::
     result.report       # ScenarioReport — when a scenario was attached
     result.run_id       # ledger run id — when a ledger was attached
 
-Migration table (old → new):
-
-=============================================  =======================================
-``FederatedSimulation(..., config=c).run(n)``  ``Session(c).with_federation(...).run(n)``
-``run_scenario(sim, n, name)``                 ``Session(c).with_scenario(spec, name=name)...run(n)``
-``FederatedConfig(ledger_path=p, run_mode=m)`` ``Session(c).with_ledger(p, run_mode=m)``
-``FederatedConfig(executor_mode=m)``           ``Session(c).with_executor(mode=m)``
-``(no old spelling)``                          ``Session(c).with_transport(kind="socket")``
-=============================================  =======================================
-
-The old entry points keep working as thin delegating wrappers that emit
-:class:`DeprecationWarning`; ``Session`` itself never trips those shims.
 Every transport (in-process back-ends and the asyncio socket layer) runs
 through this same code path.
 """
@@ -38,40 +26,14 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.config import ExecutorConfig, LedgerConfig, TransportConfig
-from ..federated.simulation import (_EXECUTOR_ALIASES, _LEDGER_ALIASES,
-                                    FederatedConfig, FederatedSimulation,
-                                    _session_entry)
+from ..core.config import TransportConfig
+from ..federated.simulation import FederatedConfig, FederatedSimulation
 
 __all__ = ["Session", "SessionResult"]
 
 #: the component kwargs a simulation needs (mirrors FederatedSimulation)
 _COMPONENT_KEYS = ("partition", "generator", "model_factory", "selector",
                    "test_set")
-
-_GROUP_ALIASES = {"executor": _EXECUTOR_ALIASES, "ledger": _LEDGER_ALIASES}
-
-
-def _amend(config: FederatedConfig, **changes) -> FederatedConfig:
-    """A copy of *config* with *changes*, safe across flat/nested aliasing.
-
-    ``dataclasses.replace`` would carry both a group's old flat spellings
-    and a new group object into ``__post_init__`` and trip the conflict
-    check; this helper drops the flat aliases of any group being replaced so
-    the new group simply wins.
-    """
-    kwargs = {
-        f.name: getattr(config, f.name)
-        for f in dataclasses.fields(FederatedConfig)
-        if f.name not in ("executor", "ledger")
-    }
-    for group, aliases in _GROUP_ALIASES.items():
-        if group in changes:
-            for flat in aliases:
-                kwargs.pop(flat, None)
-    kwargs.update(changes)
-    return FederatedConfig(**kwargs)
-
 
 @dataclass(frozen=True)
 class SessionResult:
@@ -105,10 +67,10 @@ class Session:
     -------
     >>> from repro import FederatedConfig
     >>> session = Session(FederatedConfig(rounds=2, seed=0))
-    >>> session.with_executor(mode="vectorized") is session
+    >>> session.with_ledger("runs.db") is session
     True
-    >>> session.config.executor_mode
-    'vectorized'
+    >>> session.config.ledger_path
+    'runs.db'
     """
 
     def __init__(self, config: Optional[FederatedConfig] = None, *,
@@ -156,7 +118,7 @@ class Session:
                 "this Session already built its simulation; configure "
                 "before build()/run()"
             )
-        self._config = _amend(self._config, **changes)
+        self._config = dataclasses.replace(self._config, **changes)
         return self
 
     def with_federation(self, *, partition, generator, model_factory,
@@ -228,24 +190,9 @@ class Session:
         >>> session.config.ledger_path
         '/tmp/runs.db'
         """
-        return self._amend_config(ledger=LedgerConfig(
-            path=path, run_mode=run_mode,
-            replay_source_run_id=source_run_id, run_name=run_name))
-
-    def with_executor(self, executor: Optional[ExecutorConfig] = None,
-                      **knobs) -> "Session":
-        """Choose the execution back-end group (mode, workers, dtype, ...).
-
-        Example
-        -------
-        >>> Session().with_executor(mode="parallel",
-        ...                         num_workers=2).config.num_workers
-        2
-        """
-        if executor is not None and knobs:
-            raise TypeError("pass either an ExecutorConfig or knobs, not both")
         return self._amend_config(
-            executor=executor if executor is not None else ExecutorConfig(**knobs))
+            ledger_path=path, run_mode=run_mode,
+            replay_source_run_id=source_run_id, run_name=run_name)
 
     def with_transport(self, transport: Optional[TransportConfig] = None,
                        **knobs) -> "Session":
@@ -280,8 +227,7 @@ class Session:
         """Materialise the simulation (once) without running it.
 
         Components come from :meth:`with_federation` or, failing that, from
-        the recipe; this is the only supported constructor path — it never
-        emits the direct-construction :class:`DeprecationWarning`.
+        the recipe.
 
         Example
         -------
@@ -305,12 +251,8 @@ class Session:
         missing = [key for key in _COMPONENT_KEYS if key not in components]
         if missing:
             raise ValueError(f"with_federation is missing {missing}")
-        _session_entry.active = True
-        try:
-            self._simulation = FederatedSimulation(
-                config=self._config, recipe=self._recipe, **components)
-        finally:
-            _session_entry.active = False
+        self._simulation = FederatedSimulation(
+            config=self._config, recipe=self._recipe, **components)
         return self._simulation
 
     def run(self, rounds: Optional[int] = None) -> SessionResult:

@@ -20,10 +20,8 @@ __all__ = [
     "AGGREGATION_MODES",
     "DEFAULT_REGISTRATION_BATCH",
     "DubheConfig",
-    "ExecutorConfig",
     "GROUP1_REFERENCE_SET",
     "GROUP2_REFERENCE_SET",
-    "LedgerConfig",
     "RUNTIME_DTYPES",
     "RUN_MODES",
     "SHARD_POLICIES",
@@ -233,71 +231,6 @@ def resolve_transport_kind(kind: str) -> str:
             f"transport kind must be one of {TRANSPORT_KINDS}, got {kind!r}"
         )
     return kind
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """The execution-back-end group of a federated run's configuration.
-
-    Groups every knob that selects *how local updates run* — the back-end
-    (:data:`repro.federated.EXECUTOR_MODES`), the parallel scheduler's fleet
-    geometry, the cohort runtime precision, the shared dataset pool and the
-    server's evaluation back-end.  ``FederatedConfig`` accepts either this
-    nested group (``FederatedConfig(executor=ExecutorConfig(mode=...))``) or
-    the original flat kwargs (``FederatedConfig(executor_mode=...)``) — the
-    two spellings resolve identically.
-
-    Example
-    -------
-    >>> ExecutorConfig(mode="parallel", num_workers=2).shard_policy
-    'contiguous'
-    """
-
-    mode: str = "sequential"
-    num_workers: Optional[int] = None
-    shard_policy: str = "contiguous"
-    scheduler_timeout: Optional[float] = 120.0
-    dtype: str = "float64"
-    dataset_cache_size: Optional[int] = 1024
-    eval_backend: str = "batched"
-
-    def __post_init__(self) -> None:
-        # per-field checks only; cross-field rules (num_workers requires the
-        # parallel back-end, ...) stay in FederatedConfig, which validates
-        # the synced flat fields either way
-        from ..federated.executor import EXECUTOR_MODES  # lazy: no cycle
-
-        if self.mode not in EXECUTOR_MODES:
-            raise ValueError(
-                f"executor mode must be one of {EXECUTOR_MODES}, got "
-                f"{self.mode!r}"
-            )
-        resolve_shard_policy(self.shard_policy)
-        resolve_runtime_dtype(self.dtype)
-
-
-@dataclass(frozen=True)
-class LedgerConfig:
-    """The run-ledger group of a federated run's configuration.
-
-    Groups the :mod:`repro.ledger` plumbing: where the SQLite ledger lives,
-    which run mode drives the session (:data:`RUN_MODES`), which recorded
-    run to resume/verify and how to label a fresh one.  Accepted by
-    ``FederatedConfig(ledger=...)`` next to the original flat kwargs
-    (``ledger_path=...``, ``run_mode=...``, ...).
-
-    Example
-    -------
-    >>> LedgerConfig(path="runs.db", run_mode="live").replay_source_run_id
-    """
-
-    path: Optional[str] = None
-    run_mode: str = "live"
-    replay_source_run_id: Optional[str] = None
-    run_name: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        resolve_run_mode(self.run_mode)
 
 
 @dataclass(frozen=True)

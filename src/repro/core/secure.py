@@ -388,12 +388,6 @@ class SecureRegistrationRound:
         Transmit packed ciphertexts (``⌈l/slots⌉`` per registry, headroom for
         all N clients' additions).  Packed and per-component rounds decrypt
         to bit-identical overall registries.
-    executor_mode, max_workers:
-        Back-end for encrypting all N clients' registries
-        (``"sequential"`` / ``"thread"`` / ``"process"``, mirroring
-        :class:`~repro.federated.executor.LocalUpdateExecutor`).  Only
-        ``"process"`` parallelises the modular exponentiations in CPython
-        (big-int ``pow`` holds the GIL); see :mod:`repro.crypto.batch`.
     precompute_noise:
         Pre-generate every ``r^n mod n²`` term before the timed encryption
         phase (amortised/offline noise, booked as
@@ -422,8 +416,6 @@ class SecureRegistrationRound:
     config: DubheConfig
     agent: Optional[KeyAgent] = None
     packed: bool = False
-    executor_mode: str = "sequential"
-    max_workers: Optional[int] = None
     precompute_noise: bool = False
     aggregation: str = "flat"
     arity: int = 2
@@ -464,7 +456,7 @@ class SecureRegistrationRound:
                 self.packed, max_weight=n_clients))
             noise_seconds = perf_counter() - start
 
-        executor = BatchCryptoExecutor(self.executor_mode, self.max_workers)
+        executor = BatchCryptoExecutor()
         start = perf_counter()
         encrypted = executor.encrypt_many(keypair.public_key, registries,
                                           packed=self.packed,
@@ -543,7 +535,7 @@ class SecureRegistrationRound:
         server = SecureAggregationServer(keypair.public_key,
                                          aggregation=self.aggregation,
                                          arity=self.arity)
-        executor = BatchCryptoExecutor(self.executor_mode, self.max_workers)
+        executor = BatchCryptoExecutor()
         scheme = (PackingScheme.for_counts(keypair.public_key, codebook.length,
                                            max_weight=total_clients)
                   if self.packed else None)

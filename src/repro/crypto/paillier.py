@@ -215,8 +215,7 @@ class NoisePool:
     same terms, in the same order, either way.  A pool built on the private
     key is client-side state and must never be handed to the server.
 
-    The pool is thread-safe so a shared instance can feed a thread-pool
-    encryptor (:mod:`repro.crypto.batch`).
+    The pool is thread-safe: one shared instance may feed several encryptors.
 
     Parameters
     ----------
@@ -293,21 +292,6 @@ class NoisePool:
             grabbed.extend(self._generate(shortfall))
             with self._lock:
                 self.generated += shortfall
-        return grabbed
-
-    def take_precomputed(self, count: int) -> list[int]:
-        """Pop *count* terms if that many are already pooled, else none.
-
-        Never generates: the caller (process-mode batch encryption) ships
-        precomputed terms when they exist and an empty copy of the pool
-        otherwise, so the exponentiations run in the workers, not here.
-        """
-        with self._lock:
-            cut = len(self._pool) - count
-            if cut < 0:
-                return []
-            grabbed = self._pool[cut:]
-            del self._pool[cut:]
         return grabbed
 
 

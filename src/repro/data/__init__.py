@@ -39,9 +39,7 @@ from .femnist import (
     FEMNIST_PAPER_CLIENTS,
     FEMNIST_PAPER_EMD,
     FEMNIST_PAPER_RHO,
-    LEAF_FEMNIST_URL,
     FemnistFederation,
-    download_femnist,
     make_femnist_federation,
 )
 from .partition import (
@@ -74,14 +72,12 @@ __all__ = [
     "FEMNIST_PAPER_EMD",
     "FEMNIST_PAPER_RHO",
     "FemnistFederation",
-    "LEAF_FEMNIST_URL",
     "ShardPartitioner",
     "Subset",
     "SyntheticImageGenerator",
     "VirtualClientMapping",
     "apply_global_skew",
     "average_emd",
-    "download_femnist",
     "emd",
     "half_normal_class_proportions",
     "imbalance_ratio",

@@ -22,11 +22,8 @@ the same CNN the paper uses for FEMNIST.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,9 +36,7 @@ __all__ = [
     "FEMNIST_PAPER_CLIENTS",
     "FEMNIST_PAPER_RHO",
     "FEMNIST_PAPER_EMD",
-    "LEAF_FEMNIST_URL",
     "FemnistFederation",
-    "download_femnist",
     "make_femnist_federation",
 ]
 
@@ -56,74 +51,6 @@ FEMNIST_PAPER_RHO = 13.64
 
 #: Average client EMD reported in Table 1.
 FEMNIST_PAPER_EMD = 0.554
-
-#: Where the LEAF benchmark publishes the real FEMNIST archive.
-LEAF_FEMNIST_URL = (
-    "https://s3.amazonaws.com/nist-srd/SD19/by_class.zip"
-)
-
-
-def download_femnist(dest: "str | os.PathLike", url: str = LEAF_FEMNIST_URL,
-                     retries: int = 4, timeout: float = 30.0,
-                     backoff: float = 1.0,
-                     urlopen: Optional[Callable] = None,
-                     sleep: Optional[Callable[[float], None]] = None) -> Path:
-    """Fetch the real FEMNIST archive with retry, backoff and timeout.
-
-    The synthetic federation above needs no download; this helper exists for
-    users who want the genuine LEAF images.  Transient network failures are
-    retried up to *retries* times with exponential backoff (``backoff``,
-    ``2·backoff``, ``4·backoff``, … seconds) and every attempt carries a
-    socket *timeout*, so a hung mirror cannot stall the caller forever.  The
-    archive is written atomically (a partial download never masquerades as a
-    finished one) and an already-downloaded *dest* is returned immediately.
-    *urlopen*/*sleep* are injectable for tests.
-
-    Example
-    -------
-    >>> import io, tempfile, os
-    >>> fake = lambda url, timeout: io.BytesIO(b"archive-bytes")
-    >>> out = download_femnist(os.path.join(tempfile.mkdtemp(), "f.zip"),
-    ...                        urlopen=fake, sleep=lambda s: None)
-    >>> out.read_bytes()
-    b'archive-bytes'
-    """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout <= 0 or backoff <= 0:
-        raise ValueError("timeout and backoff must be positive")
-    if urlopen is None:  # pragma: no cover - exercised via injection in tests
-        from urllib.request import urlopen as _default_urlopen
-        urlopen = _default_urlopen
-    if sleep is None:
-        sleep = time.sleep
-    dest = Path(os.fspath(dest))
-    if dest.exists():
-        return dest
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    partial = dest.with_suffix(dest.suffix + ".part")
-    last_error: Optional[BaseException] = None
-    for attempt in range(retries + 1):
-        if attempt > 0:
-            sleep(backoff * 2 ** (attempt - 1))
-        try:
-            with urlopen(url, timeout=timeout) as response:
-                with open(partial, "wb") as sink:
-                    while True:
-                        chunk = response.read(1 << 20)
-                        if not chunk:
-                            break
-                        sink.write(chunk)
-            os.replace(partial, dest)
-            return dest
-        except OSError as exc:  # URLError subclasses OSError
-            last_error = exc
-            partial.unlink(missing_ok=True)
-    raise OSError(
-        f"failed to download {url} after {retries + 1} attempt(s): "
-        f"{last_error}"
-    ) from last_error
-
 
 @dataclass
 class FemnistFederation:

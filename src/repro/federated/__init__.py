@@ -5,8 +5,8 @@ Public API
 * :class:`FederatedClient`, :class:`LocalTrainingConfig` — local training.
 * :class:`FederatedServer` — global model and aggregation.
 * :func:`average_states`, :func:`weighted_average_states` — FedVC/FedAvg rules.
-* :class:`LocalUpdateExecutor` — sequential/thread/process/vectorized/
-  parallel local updates (``"vectorized"`` trains the whole cohort as one
+* :class:`LocalUpdateExecutor` — sequential/vectorized/parallel local
+  updates (``"vectorized"`` trains the whole cohort as one
   batched tensor program, ``"parallel"`` shards it across persistent worker
   processes; see :mod:`repro.nn.batched` and
   :mod:`repro.federated.scheduler`).

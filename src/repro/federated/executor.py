@@ -2,14 +2,10 @@
 
 The paper implements "the training process of participated clients as
 parallel processes" on a GPU box.  In this reproduction local updates are
-plain NumPy, so four execution modes are offered:
+plain NumPy, so three execution modes are offered:
 
 * ``"sequential"`` (default) — deterministic and simplest; NumPy already uses
   multi-threaded BLAS for the matrix multiplies;
-* ``"thread"`` — a thread pool; useful when local updates release the GIL in
-  BLAS-heavy layers;
-* ``"process"`` — a process pool for genuinely CPU-bound local updates with
-  larger models; model states are pickled across the process boundary;
 * ``"vectorized"`` — the cohort back-end: the K selected clients' datasets
   are stacked into one ``(K, N_vc, …)`` tensor, the model's parameters are
   broadcast to a leading client axis, and every local optimisation step for
@@ -52,7 +48,6 @@ as the round loop naturally does.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,7 +65,7 @@ __all__ = ["EXECUTOR_MODES", "LocalUpdateExecutor"]
 
 StateDict = dict[str, np.ndarray]
 
-EXECUTOR_MODES = ("sequential", "thread", "process", "vectorized", "parallel")
+EXECUTOR_MODES = ("sequential", "vectorized", "parallel")
 
 #: modes that run the cohort tensor program (and therefore accept the
 #: float32 fast path and the round-persistent workspace machinery)
@@ -79,7 +74,7 @@ _COHORT_MODES = ("vectorized", "parallel")
 
 def _run_local_update(client: FederatedClient, model: Module, global_state: StateDict,
                       config: LocalTrainingConfig, round_index: int) -> StateDict:
-    """Worker body: load global weights into the clone and train locally."""
+    """Load global weights into the fresh clone and train locally."""
     model.load_state_dict(global_state)
     return client.local_train(model, config, round_index=round_index)
 
@@ -91,8 +86,7 @@ class LocalUpdateExecutor:
     ``"parallel"`` mode's scheduler (worker-process count, client→shard
     assignment, and how long a round waits for a worker's reply before
     declaring it wedged — raise it for genuinely long rounds, ``None``
-    waits forever); they are ignored by every other mode.  ``max_workers``
-    bounds the ``"thread"`` / ``"process"`` pools.
+    waits forever); they are ignored by every other mode.
 
     Example
     -------
@@ -103,15 +97,13 @@ class LocalUpdateExecutor:
     >>> #                             LocalTrainingConfig())
     """
 
-    def __init__(self, mode: str = "sequential", max_workers: Optional[int] = None,
+    def __init__(self, mode: str = "sequential",
                  dtype: "str | np.dtype" = "float64",
                  num_workers: Optional[int] = None,
                  shard_policy: str = "contiguous",
                  scheduler_timeout: Optional[float] = 120.0):
         if mode not in EXECUTOR_MODES:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive when given")
         self.dtype = resolve_runtime_dtype(dtype)
         if self.dtype != np.dtype(np.float64) and mode not in _COHORT_MODES:
             raise ValueError(
@@ -121,7 +113,6 @@ class LocalUpdateExecutor:
         if scheduler_timeout is not None and scheduler_timeout <= 0:
             raise ValueError("scheduler_timeout must be positive (or None)")
         self.mode = mode
-        self.max_workers = max_workers
         self.num_workers = num_workers
         self.shard_policy = resolve_shard_policy(shard_policy)
         self.scheduler_timeout = scheduler_timeout
@@ -175,7 +166,7 @@ class LocalUpdateExecutor:
         The cohort back-ends train the full cohort and discard the failed
         rows (a real dropout wastes its local compute too — and keeping the
         cohort geometry stable preserves the round-persistent workspace),
-        while the sequential/pool back-ends skip failed clients outright.
+        while the sequential back-end skips failed clients outright.
         Without *faults* (or with an empty plan) behaviour is bit-identical
         to before.
 
@@ -228,18 +219,8 @@ class LocalUpdateExecutor:
                 self.last_fallback_reason = str(exc)
                 return self._run_sequential(clients, model_factory, global_state,
                                             config, round_index, failed=failed)
-        if self.mode == "sequential":
-            return self._run_sequential(clients, model_factory, global_state,
-                                        config, round_index, failed=failed)
-        pool_cls = ThreadPoolExecutor if self.mode == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=self.max_workers) as pool:
-            futures = [
-                pool.submit(_run_local_update, client, model_factory(), global_state,
-                            config, round_index)
-                for position, client in enumerate(clients)
-                if position not in failed
-            ]
-            return [f.result() for f in futures]
+        return self._run_sequential(clients, model_factory, global_state,
+                                    config, round_index, failed=failed)
 
     # -- back-ends -------------------------------------------------------------
 

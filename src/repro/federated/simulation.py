@@ -15,16 +15,13 @@ Dubhe "pluggable"; the code structure mirrors that).
 
 from __future__ import annotations
 
-import threading
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..core.config import (ExecutorConfig, LedgerConfig, TransportConfig,
-                           resolve_run_mode, resolve_runtime_dtype,
-                           resolve_shard_policy)
+from ..core.config import (TransportConfig, resolve_run_mode,
+                           resolve_runtime_dtype, resolve_shard_policy)
 from ..data.cohort import DatasetCache
 from ..data.dataset import ArrayDataset
 from ..data.distributions import emd, uniform_distribution
@@ -34,34 +31,11 @@ from ..nn.module import Module
 from ..scenarios.engine import FaultInjector
 from ..scenarios.spec import ScenarioSpec
 from .client import FederatedClient, LocalTrainingConfig
-from .executor import LocalUpdateExecutor
+from .executor import EXECUTOR_MODES, LocalUpdateExecutor
 from .history import RoundRecord, TrainingHistory
 from .server import EVAL_BACKENDS, FederatedServer
 
 __all__ = ["ClientSelectorProtocol", "FederatedConfig", "FederatedSimulation"]
-
-#: flat FederatedConfig field → its home in the nested ExecutorConfig group
-_EXECUTOR_ALIASES = {
-    "executor_mode": "mode",
-    "num_workers": "num_workers",
-    "shard_policy": "shard_policy",
-    "scheduler_timeout": "scheduler_timeout",
-    "dtype": "dtype",
-    "dataset_cache_size": "dataset_cache_size",
-    "eval_backend": "eval_backend",
-}
-
-#: flat FederatedConfig field → its home in the nested LedgerConfig group
-_LEDGER_ALIASES = {
-    "ledger_path": "path",
-    "run_mode": "run_mode",
-    "replay_source_run_id": "replay_source_run_id",
-    "run_name": "run_name",
-}
-
-#: set while repro.api.Session is the constructor — the facade is the
-#: supported entry point, so it must not trip its own deprecation shim
-_session_entry = threading.local()
 
 
 class ClientSelectorProtocol(Protocol):
@@ -74,11 +48,16 @@ class ClientSelectorProtocol(Protocol):
 
 @dataclass(frozen=True)
 class FederatedConfig:
-    """Top-level configuration of a federated run.
+    """The one flat description of a federated run.
+
+    Every knob has exactly one spelling here; the socket layer's knobs are
+    the single nested group, ``transport``
+    (:class:`~repro.core.config.TransportConfig`).
 
     ``executor_mode`` selects the local-update back-end
-    (``"sequential"``/``"thread"``/``"process"``/``"vectorized"``/
-    ``"parallel"``; see :class:`repro.federated.LocalUpdateExecutor`).
+    (:data:`repro.federated.EXECUTOR_MODES`: ``"sequential"``/
+    ``"vectorized"``/``"parallel"``; see
+    :class:`repro.federated.LocalUpdateExecutor`).
     ``num_workers`` / ``shard_policy`` / ``scheduler_timeout`` configure the
     ``"parallel"`` mode's multi-cohort scheduler (worker-process count,
     defaulting to one per core; client→shard assignment, see
@@ -110,26 +89,12 @@ class FederatedConfig:
     recorded run to resume/verify (default: the ledger's most recent);
     ``run_name`` labels a freshly recorded run.
 
-    The flat executor/ledger knobs are also available as nested groups —
-    ``executor`` (:class:`~repro.core.config.ExecutorConfig`), ``ledger``
-    (:class:`~repro.core.config.LedgerConfig`) and ``transport``
-    (:class:`~repro.core.config.TransportConfig`, the service layer's
-    socket/timeout knobs, which have no flat spelling).  Either spelling
-    resolves identically: a nested group fills the matching flat fields,
-    flat kwargs fill the group, and naming the same knob differently in
-    both spellings is an error.
-
     Example
     -------
     >>> config = FederatedConfig(rounds=5, executor_mode="parallel",
     ...                          num_workers=2, seed=0)
     >>> config.shard_policy
     'contiguous'
-    >>> config.executor.mode
-    'parallel'
-    >>> from repro.core.config import ExecutorConfig
-    >>> FederatedConfig(executor=ExecutorConfig(mode="parallel")).executor_mode
-    'parallel'
     """
 
     rounds: int = 20
@@ -148,35 +113,14 @@ class FederatedConfig:
     ledger_path: Optional[str] = None
     replay_source_run_id: Optional[str] = None
     run_name: Optional[str] = None
-    executor: Optional[ExecutorConfig] = None
-    ledger: Optional[LedgerConfig] = None
     transport: Optional[TransportConfig] = None
 
-    def _sync_group(self, name: str, group_cls, aliases: "dict[str, str]") -> None:
-        """Reconcile one nested group with its flat aliases (both ways)."""
-        group = getattr(self, name)
-        if group is None:
-            object.__setattr__(self, name, group_cls(**{
-                nested: getattr(self, flat) for flat, nested in aliases.items()
-            }))
-            return
-        if not isinstance(group, group_cls):
-            raise TypeError(f"{name} must be a {group_cls.__name__} (or None)")
-        defaults = {f.name: f.default for f in fields(type(self))}
-        for flat, nested in aliases.items():
-            flat_value = getattr(self, flat)
-            group_value = getattr(group, nested)
-            if flat_value != defaults[flat] and flat_value != group_value:
-                raise ValueError(
-                    f"conflicting configuration: {flat}={flat_value!r} and "
-                    f"{name}.{nested}={group_value!r} name the same knob; "
-                    "use one spelling"
-                )
-            object.__setattr__(self, flat, group_value)
-
     def __post_init__(self) -> None:
-        self._sync_group("executor", ExecutorConfig, _EXECUTOR_ALIASES)
-        self._sync_group("ledger", LedgerConfig, _LEDGER_ALIASES)
+        if self.executor_mode not in EXECUTOR_MODES:
+            raise ValueError(
+                f"executor mode must be one of {EXECUTOR_MODES}, got "
+                f"{self.executor_mode!r}"
+            )
         if self.transport is None:
             object.__setattr__(self, "transport", TransportConfig())
         elif not isinstance(self.transport, TransportConfig):
@@ -237,6 +181,10 @@ class FederatedConfig:
 class FederatedSimulation:
     """Simulate federated training with a pluggable client-selection strategy.
 
+    The engine of every run: construct it directly from the federation's
+    components and a :class:`FederatedConfig`, or let
+    :class:`repro.api.Session` build it for scenario, ledger and recipe runs.
+
     Example
     -------
     >>> from repro import (FederatedConfig, FederatedSimulation,
@@ -267,13 +215,6 @@ class FederatedSimulation:
         self.selector = selector
         self.test_set = test_set
         self.config = config or FederatedConfig()
-        if not getattr(_session_entry, "active", False):
-            warnings.warn(
-                "constructing FederatedSimulation directly is deprecated; "
-                "drive runs through repro.api.Session (see docs/session.md "
-                "for the migration table)",
-                DeprecationWarning, stacklevel=2,
-            )
         self.server = FederatedServer(model_factory,
                                       eval_backend=self.config.eval_backend)
         from ..transport.base import build_transport
@@ -281,9 +222,18 @@ class FederatedSimulation:
         #: the seam every round speaks to: in-process executors or sockets
         #: (a scenario's NetworkSpec interposes the chaos proxy, keyed by
         #: the scenario seed so network faults replay deterministically)
-        scenario = self.config.scenario
+        config = self.config
+        scenario = config.scenario
+        executor = None
+        if config.transport.kind == "inprocess":
+            executor = LocalUpdateExecutor(
+                mode=config.executor_mode, dtype=config.dtype,
+                num_workers=config.num_workers,
+                shard_policy=config.shard_policy,
+                scheduler_timeout=config.scheduler_timeout,
+            )
         self.transport = build_transport(
-            self.config.transport, self.config.executor,
+            config.transport, executor,
             network=None if scenario is None else scenario.network,
             chaos_seed=0 if scenario is None else scenario.seed,
         )

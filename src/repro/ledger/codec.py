@@ -46,11 +46,10 @@ __all__ = [
 #: are therefore excluded from the recorded run configuration.
 LEDGER_FIELDS = ("run_mode", "ledger_path", "replay_source_run_id", "run_name")
 
-#: FederatedConfig's nested config groups.  They mirror (or, for transport,
-#: extend) the flat fields, so recording them would duplicate every knob and
-#: change the recorded schema; the flat form stays the canonical record and
-#: the groups are rebuilt from it on load.
-GROUP_FIELDS = ("executor", "ledger", "transport")
+#: FederatedConfig's nested config group: the service layer's knobs say how
+#: clients are reached, not what the run computes, so the recorded schema
+#: leaves them out and loading rebuilds the default group.
+GROUP_FIELDS = ("transport",)
 
 #: Recorded-config keys that determine a run's numeric results.  RESUME and
 #: VERIFY require these to match between the recorded run and the current

@@ -10,7 +10,7 @@ Public API
 * :class:`FaultInjector`, :class:`RoundPlan`, :class:`ClientFault`,
   :class:`CohortFaults`, :data:`FAILURE_CAUSES` — the seeded engine that
   turns a spec into reproducible per-round decisions.
-* :func:`run_scenario`, :func:`compare_selectors`,
+* :func:`compare_selectors`,
   :class:`ScenarioReport` — robustness measured in the paper's own metrics
   (population EMD, accuracy per selection strategy).
 
@@ -30,7 +30,7 @@ from .engine import (
     FaultInjector,
     RoundPlan,
 )
-from .report import ScenarioReport, compare_selectors, run_scenario
+from .report import ScenarioReport, compare_selectors
 from .spec import (
     PARTITION_DIRECTIONS,
     AvailabilitySpec,
@@ -58,5 +58,4 @@ __all__ = [
     "ScenarioSpec",
     "StragglerSpec",
     "compare_selectors",
-    "run_scenario",
 ]

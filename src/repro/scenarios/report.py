@@ -17,13 +17,12 @@ inside the functions to keep :mod:`repro.scenarios` import-light.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ScenarioReport", "compare_selectors", "run_scenario"]
+__all__ = ["ScenarioReport", "compare_selectors"]
 
 
 @dataclass(frozen=True)
@@ -104,31 +103,6 @@ class ScenarioReport:
             "failures": dict(self.failure_counts),
             "skipped_rounds": self.skipped_rounds,
         }
-
-
-def run_scenario(simulation, rounds: Optional[int] = None,
-                 name: str = "scenario") -> ScenarioReport:
-    """Deprecated spelling of a scenario run — prefer :class:`repro.api.Session`.
-
-    ``Session(config).with_scenario(spec, name=name)...run(rounds)`` produces
-    the same :class:`ScenarioReport` (as ``result.report``) through the
-    unified entry point; see ``docs/session.md`` for the migration table.
-    This wrapper delegates unchanged and emits a :class:`DeprecationWarning`.
-
-    Example
-    -------
-    >>> # sim = FederatedSimulation(..., config=FederatedConfig(scenario=spec))
-    >>> # report = run_scenario(sim, rounds=20, name="churn+dropout")
-    >>> # report.summary()["skipped_rounds"]
-    """
-    warnings.warn(
-        "run_scenario is deprecated; drive scenario runs through "
-        "repro.api.Session.with_scenario (see docs/session.md for the "
-        "migration table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_scenario_impl(simulation, rounds, name=name)
 
 
 def _run_scenario_impl(simulation, rounds: Optional[int] = None,

@@ -8,7 +8,7 @@ attributes — so the simulation's round loop is transport-agnostic:
 
 * :class:`InProcessTransport` wraps the existing
   :class:`~repro.federated.executor.LocalUpdateExecutor` (sequential /
-  thread / process / vectorized / parallel back-ends) with zero overhead;
+  vectorized / parallel back-ends) with zero overhead;
 * :class:`~repro.transport.server.SocketTransport` drives the same round
   over localhost (or real) TCP sockets against
   :class:`~repro.transport.client.TransportClient` peers.
@@ -17,7 +17,7 @@ Both produce bit-identical survivor states under float64 on a fault-free
 round — the contract the loopback tests assert.
 
 :func:`build_transport` maps a :class:`~repro.core.config.TransportConfig`
-(plus the executor knobs) to the right implementation.
+(plus a ready in-process executor) to the right implementation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import ExecutorConfig, TransportConfig
+from ..core.config import TransportConfig
 from ..federated.client import FederatedClient, LocalTrainingConfig
 from ..federated.executor import LocalUpdateExecutor
 from ..nn.module import Module
@@ -179,13 +179,13 @@ class InProcessTransport(Transport):
 
 
 def build_transport(config: Optional[TransportConfig] = None,
-                    executor: Optional[ExecutorConfig] = None,
+                    executor: Optional[LocalUpdateExecutor] = None,
                     network=None, chaos_seed: int = 0) -> Transport:
-    """Build the transport a config pair asks for.
+    """Build the transport *config* asks for.
 
-    ``kind="inprocess"`` wraps a fresh
-    :class:`~repro.federated.executor.LocalUpdateExecutor` configured from
-    *executor*; ``kind="socket"`` starts a
+    ``kind="inprocess"`` wraps *executor* (a
+    :class:`~repro.federated.executor.LocalUpdateExecutor`; ``None`` means a
+    default sequential one); ``kind="socket"`` starts a
     :class:`~repro.transport.server.SocketTransport` listening on
     ``config.host:config.port`` (port 0 picks a free port).  *network* (a
     :class:`~repro.scenarios.spec.NetworkSpec`) interposes a
@@ -194,14 +194,13 @@ def build_transport(config: Optional[TransportConfig] = None,
 
     Example
     -------
-    >>> from repro.core.config import ExecutorConfig, TransportConfig
+    >>> from repro.core.config import TransportConfig
     >>> transport = build_transport(TransportConfig(kind="inprocess"),
-    ...                             ExecutorConfig(mode="sequential"))
+    ...                             LocalUpdateExecutor("vectorized"))
     >>> transport.executor.mode
-    'sequential'
+    'vectorized'
     """
     config = config or TransportConfig()
-    executor = executor or ExecutorConfig()
     if config.kind == "socket":
         from .server import SocketTransport
 
@@ -209,10 +208,4 @@ def build_transport(config: Optional[TransportConfig] = None,
     if network is not None:
         raise ValueError(
             "a NetworkSpec needs real sockets: use TransportConfig(kind='socket')")
-    return InProcessTransport(LocalUpdateExecutor(
-        mode=executor.mode,
-        dtype=executor.dtype,
-        num_workers=executor.num_workers,
-        shard_policy=executor.shard_policy,
-        scheduler_timeout=executor.scheduler_timeout,
-    ))
+    return InProcessTransport(executor or LocalUpdateExecutor())

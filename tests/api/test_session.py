@@ -1,9 +1,9 @@
-"""The ``repro.api.Session`` facade: one builder for every run mode.
+"""The ``repro.api.Session`` builder over the one flat ``FederatedConfig``.
 
-Pins the PR-8 API-redesign contract: a ``Session`` chain drives plain runs,
-scenario runs and ledgered runs through one code path; the historical entry
-points keep working but emit :class:`DeprecationWarning`; and the builder
-refuses ambiguous or out-of-order configuration instead of guessing.
+A ``Session`` chain drives plain runs, scenario runs and ledgered runs
+through one code path, each ``with_*`` step replaces exactly the flat fields
+it names, and the builder refuses out-of-order configuration instead of
+guessing.
 """
 
 import warnings
@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import FederatedConfig, FederatedSimulation, Session, run_scenario
-from repro.api.session import SessionResult, _amend
-from repro.core.config import ExecutorConfig, TransportConfig
+from repro import FederatedConfig, Session
+from repro.api.session import SessionResult
+from repro.core.config import TransportConfig
 from repro.scenarios import ScenarioSpec
 
 RECIPE_TARGET = "repro.ledger.recipes:quick_mlp"
@@ -79,13 +79,6 @@ class TestScenarioRuns:
         assert result.report.name == "churn"
         assert result.report.rounds == 2
 
-    def test_run_scenario_wrapper_warns_and_delegates(self):
-        with make_session() as session:
-            simulation = session.build()
-            with pytest.warns(DeprecationWarning, match="repro.api.Session"):
-                report = run_scenario(simulation, rounds=1, name="legacy")
-        assert report.rounds == 1
-
     def test_compare_selectors_does_not_warn(self):
         from repro.scenarios import compare_selectors
 
@@ -126,15 +119,6 @@ class TestLedgerRuns:
 
 
 class TestBuilderGuards:
-    def test_direct_simulation_construction_warns(self):
-        from repro.ledger.codec import RunRecipe
-
-        components = RunRecipe(RECIPE_TARGET, RECIPE_KWARGS).build()
-        with pytest.warns(DeprecationWarning, match="repro.api.Session"):
-            simulation = FederatedSimulation(
-                config=FederatedConfig(rounds=1, seed=0), **components)
-        simulation.close()
-
     def test_missing_federation_is_an_error(self):
         with pytest.raises(ValueError, match="with_federation"):
             Session(FederatedConfig()).build()
@@ -147,11 +131,11 @@ class TestBuilderGuards:
         with make_session() as session:
             session.build()
             with pytest.raises(RuntimeError, match="already built"):
-                session.with_executor(mode="vectorized")
+                session.with_transport(kind="inprocess")
 
-    def test_with_executor_rejects_both_spellings(self):
+    def test_with_transport_rejects_both_spellings(self):
         with pytest.raises(TypeError, match="not both"):
-            Session().with_executor(ExecutorConfig(), mode="sequential")
+            Session().with_transport(TransportConfig(), kind="inprocess")
 
     def test_with_transport_sets_the_group(self):
         session = Session().with_transport(kind="socket", round_timeout=5.0)
@@ -163,16 +147,33 @@ class TestBuilderGuards:
             assert session.build() is session.build()
 
 
-class TestAmend:
-    def test_amend_replaces_a_group_without_alias_conflicts(self):
-        config = FederatedConfig(executor_mode="vectorized", rounds=5)
-        amended = _amend(config, executor=ExecutorConfig(mode="sequential"))
-        assert amended.executor_mode == "sequential"
-        assert amended.rounds == 5
+class TestFlatConfig:
+    def test_with_ledger_twice_keeps_only_the_second(self):
+        session = (Session(FederatedConfig(rounds=5))
+                   .with_ledger("a.db", run_name="first")
+                   .with_ledger("b.db", run_mode="verify",
+                                source_run_id="abc"))
+        config = session.config
+        assert (config.ledger_path, config.run_mode) == ("b.db", "verify")
+        assert (config.replay_source_run_id, config.run_name) == ("abc", None)
+        assert config.rounds == 5
 
-    def test_amend_keeps_unrelated_groups(self):
+    def test_with_ledger_then_with_transport_keeps_both(self):
+        config = (Session(FederatedConfig(executor_mode="vectorized"))
+                  .with_ledger("runs.db", run_name="api")
+                  .with_transport(kind="socket", round_timeout=9.0)).config
+        assert (config.ledger_path, config.run_name) == ("runs.db", "api")
+        assert config.transport.round_timeout == 9.0
+        assert config.executor_mode == "vectorized"
+
+    def test_with_ledger_keeps_the_transport_group(self):
         config = FederatedConfig(
             transport=TransportConfig(kind="socket", round_timeout=9.0))
-        amended = _amend(config, rounds=3)
+        amended = Session(config).with_ledger("runs.db").config
         assert amended.transport.round_timeout == 9.0
-        assert amended.rounds == 3
+        assert amended.ledger_path == "runs.db"
+
+    @pytest.mark.parametrize("group", ["executor", "ledger"])
+    def test_nested_group_keywords_are_unknown(self, group):
+        with pytest.raises(TypeError, match=group):
+            FederatedConfig(**{group: {"mode": "parallel"}})

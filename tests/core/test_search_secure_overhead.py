@@ -154,18 +154,6 @@ class TestPackedSecureProtocol:
         assert packed_stats.messages == plain_stats.messages
         assert packed_stats.noise_precompute_seconds > 0
 
-    def test_packed_round_parallel_executors(self, federation_distributions):
-        subset = federation_distributions[:8]
-        config = settled_config(key_size=256)
-        baseline, _, _ = SecureRegistrationRound(
-            config, agent=KeyAgent(key_size=256, rng=random.Random(22))).run(subset)
-        for mode in ("thread", "process"):
-            overall, _, stats = SecureRegistrationRound(
-                config, agent=KeyAgent(key_size=256, rng=random.Random(22)),
-                packed=True, executor_mode=mode, max_workers=2).run(subset)
-            np.testing.assert_array_equal(baseline, overall)
-            assert stats.encrypt_seconds > 0
-
     def test_packed_client_transmits_packed_ciphertexts(self, federation_distributions):
         from repro.crypto.packing import PackedEncryptedVector
         from repro.crypto.paillier import NoisePool

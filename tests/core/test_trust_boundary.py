@@ -113,8 +113,8 @@ class TestServerObjectGraph:
     @pytest.mark.parametrize("kwargs", [
         {},
         {"packed": True, "precompute_noise": True},
-        {"packed": True, "aggregation": "tree", "executor_mode": "thread"},
-    ], ids=["per-component", "packed-precomputed", "packed-tree-thread"])
+        {"packed": True, "aggregation": "tree"},
+    ], ids=["per-component", "packed-precomputed", "packed-tree"])
     def test_run_and_run_stream(self, servers, config, distributions, kwargs):
         SecureRegistrationRound(config, agent=agent(), **kwargs).run(
             distributions)

@@ -112,14 +112,6 @@ class TestNoisePool:
         assert [pool.generated for pool in pools] == [10, 10]
         assert pools[0].public_key is pools[1].public_key is pk
 
-    def test_take_precomputed_never_generates(self, pk):
-        pool = NoisePool(pk, rng=random.Random(6))
-        assert pool.take_precomputed(2) == []
-        pool.refill(3)
-        assert pool.take_precomputed(4) == [] and len(pool) == 3
-        assert len(pool.take_precomputed(2)) == 2
-        assert (len(pool), pool.generated) == (1, 3)
-
     def test_pickling_carries_configuration_only(self, sk):
         import pickle
 
@@ -146,63 +138,27 @@ class TestBatchCryptoExecutor:
     def matrix(self):
         return np.random.default_rng(7).uniform(0, 1, (6, 10))
 
-    @pytest.mark.parametrize("mode", ["sequential", "thread", "process"])
-    def test_modes_roundtrip_per_component(self, pk, sk, matrix, mode):
-        executor = BatchCryptoExecutor(mode, max_workers=2)
+    def test_roundtrip_per_component(self, pk, sk, matrix):
+        executor = BatchCryptoExecutor()
         encrypted = executor.encrypt_many(pk, matrix)
         assert all(isinstance(e, EncryptedVector) for e in encrypted)
         decrypted = executor.decrypt_many(sk, encrypted)
         for out, expected in zip(decrypted, matrix):
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["sequential", "thread"])
-    def test_modes_roundtrip_packed(self, pk, sk, matrix, mode):
-        executor = BatchCryptoExecutor(mode, max_workers=2)
+    def test_roundtrip_packed(self, pk, sk, matrix):
+        executor = BatchCryptoExecutor()
         encrypted = executor.encrypt_many(pk, matrix, packed=True, max_weight=8)
         assert all(isinstance(e, PackedEncryptedVector) for e in encrypted)
         for out, expected in zip(executor.decrypt_many(sk, encrypted), matrix):
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_modes_produce_identical_plaintexts(self, pk, sk, matrix):
-        results = {}
-        for mode in ("sequential", "thread"):
-            encrypted = BatchCryptoExecutor(mode).encrypt_many(pk, matrix,
-                                                               packed=True,
-                                                               max_weight=8)
-            results[mode] = np.stack(
-                BatchCryptoExecutor(mode).decrypt_many(sk, encrypted))
-        np.testing.assert_array_equal(results["sequential"], results["thread"])
-
-    def test_shared_noise_pool_in_thread_mode(self, pk, sk, matrix):
-        pool = NoisePool(pk, rng=random.Random(8))
-        pool.refill(matrix.size)
-        executor = BatchCryptoExecutor("thread", max_workers=3)
-        encrypted = executor.encrypt_many(pk, matrix, noise=pool)
-        for out, expected in zip(executor.decrypt_many(sk, encrypted), matrix):
-            np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("packed", [False, True])
-    def test_process_mode_leaves_unfilled_pool_to_the_workers(self, pk, sk,
-                                                              packed):
-        # an always-present pool must not pull exponentiations into the
-        # parent: nothing was prefilled, so the workers get the key half
-        vectors = np.random.default_rng(9).uniform(0, 1, (3, 4))
-        pool = NoisePool(sk)
-        encrypted = BatchCryptoExecutor("process", max_workers=2).encrypt_many(
-            pk, vectors, packed=packed, max_weight=4, noise=pool)
-        assert pool.generated == 0
-        reference = BatchCryptoExecutor("sequential").encrypt_many(
-            pk, vectors, packed=packed, max_weight=4)
-        for got, ref in zip(encrypted, reference):
-            np.testing.assert_array_equal(got.decrypt(sk), ref.decrypt(sk))
-
-    def test_process_mode_ships_precomputed_terms(self, pk, sk):
+    def test_prefilled_pool_feeds_every_encryption(self, pk, sk):
         vectors = np.random.default_rng(9).uniform(0, 1, (3, 4))
         terms = NoisePool(pk, rng=random.Random(10)).take_many(vectors.size)
         pool = NoisePool(sk, rng=random.Random(10))
         pool.refill(vectors.size)
-        encrypted = BatchCryptoExecutor("process", max_workers=2).encrypt_many(
-            pk, vectors, noise=pool)
+        encrypted = BatchCryptoExecutor().encrypt_many(pk, vectors, noise=pool)
         # exactly the prefilled terms were used, none generated on top
         assert (len(pool), pool.generated) == (0, vectors.size)
         used = sorted(c * pow(pk.raw_encrypt(m, obfuscate=False), -1, pk.nsquare)
@@ -212,20 +168,21 @@ class TestBatchCryptoExecutor:
                                       map(sk.raw_decrypt, vec.ciphertexts)))
         assert used == sorted(terms)
 
+    def test_seeded_rng_reproduces_ciphertexts(self, pk, matrix):
+        runs = [BatchCryptoExecutor().encrypt_many(pk, matrix, packed=True,
+                                                   max_weight=8,
+                                                   rng=random.Random(11))
+                for _ in range(2)]
+        assert [v.ciphertexts for v in runs[0]] == [v.ciphertexts for v in runs[1]]
+
     def test_empty_input(self, pk, sk):
-        executor = BatchCryptoExecutor("sequential")
+        executor = BatchCryptoExecutor()
         assert executor.encrypt_many(pk, []) == []
         assert executor.decrypt_many(sk, []) == []
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            BatchCryptoExecutor("gpu")
-        with pytest.raises(ValueError):
-            BatchCryptoExecutor("thread", max_workers=0)
-
     def test_convenience_wrappers(self, pk, sk):
         vectors = [[0.5, 0.25], [0.125, 1.0]]
-        encrypted = encrypt_many(pk, vectors, mode="thread", max_workers=2)
-        decrypted = decrypt_many(sk, encrypted, mode="thread", max_workers=2)
+        encrypted = encrypt_many(pk, vectors)
+        decrypted = decrypt_many(sk, encrypted)
         np.testing.assert_allclose(np.stack(decrypted), np.asarray(vectors),
                                    atol=1e-12)

@@ -201,20 +201,6 @@ class TestExecutor:
         )
         assert len(states) == 3
 
-    def test_thread_matches_sequential(self):
-        clients = self._setup(2)
-        server = FederatedServer(mlp_factory)
-        config = LocalTrainingConfig(learning_rate=1e-3)
-        seq = LocalUpdateExecutor("sequential").run_round(
-            clients, server.new_client_model, server.global_state(), config
-        )
-        par = LocalUpdateExecutor("thread", max_workers=2).run_round(
-            clients, server.new_client_model, server.global_state(), config
-        )
-        for a, b in zip(seq, par):
-            for key in a:
-                np.testing.assert_allclose(a[key], b[key])
-
     def test_empty_client_list(self):
         assert LocalUpdateExecutor().run_round(
             [], mlp_factory, {}, LocalTrainingConfig()
@@ -223,5 +209,3 @@ class TestExecutor:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             LocalUpdateExecutor("gpu")
-        with pytest.raises(ValueError):
-            LocalUpdateExecutor(max_workers=0)

@@ -198,7 +198,7 @@ def run_simulation(sim_setup, mode, rounds=2):
 
 
 class TestSimulationExecutorModes:
-    @pytest.mark.parametrize("mode", ["sequential", "thread", "vectorized"])
+    @pytest.mark.parametrize("mode", ["sequential", "vectorized"])
     def test_run_smoke(self, sim_setup, mode):
         sim, history = run_simulation(sim_setup, mode)
         assert len(history) == 2

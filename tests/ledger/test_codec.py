@@ -59,6 +59,27 @@ class TestScenarioCodec:
         assert scenario_from_dict(payload) == spec
 
 
+#: a config payload exactly as an earlier release recorded it
+RECORDED = {
+    "rounds": 4, "eval_every": 1,
+    "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
+              "optimizer": "adam", "max_batches_per_epoch": None},
+    "executor_mode": "vectorized", "dataset_cache_size": 7,
+    "dtype": "float32", "eval_backend": "batched", "num_workers": None,
+    "shard_policy": "contiguous", "scheduler_timeout": 120.0, "seed": 3,
+    "scenario": {
+        "availability": {"offline_probability": 0.0, "down_rounds": {}},
+        "churn": {"joins": {}, "leaves": {}},
+        "stragglers": {"probability": 0.0, "mean_delay": 0.0,
+                       "deadline": None},
+        "dropouts": {"probability": 0.25},
+        "drift": {"period": 0, "shift": 1, "secure_reregistration": False,
+                  "key_size": 128},
+        "network": None, "min_participation": 0.0, "seed": 2,
+    },
+}
+
+
 class TestConfigCodec:
     def test_ledger_fields_are_stripped(self):
         config = FederatedConfig(rounds=3, seed=1, ledger_path="x.db",
@@ -91,6 +112,27 @@ class TestConfigCodec:
         payload = config_to_dict(FederatedConfig())
         for key in DETERMINISM_KEYS:
             assert key in payload
+
+    def test_recorded_key_set_is_pinned(self):
+        assert set(config_to_dict(FederatedConfig())) == {
+            "rounds", "eval_every", "local", "executor_mode",
+            "dataset_cache_size", "dtype", "eval_backend", "num_workers",
+            "shard_policy", "scheduler_timeout", "seed", "scenario",
+        }
+
+    def test_recorded_payload_is_byte_stable(self):
+        # what config_to_dict wrote for these arguments before the nested
+        # executor/ledger groups were removed: old ledgers must still load
+        # and re-record to the same config_json
+        config = FederatedConfig(
+            rounds=4, seed=3, executor_mode="vectorized", dtype="float32",
+            dataset_cache_size=7,
+            scenario=ScenarioSpec(seed=2,
+                                  dropouts=DropoutSpec(probability=0.25)))
+        assert json.dumps(config_to_dict(config)) == json.dumps(RECORDED)
+        rebuilt = config_from_dict(json.loads(json.dumps(RECORDED)))
+        assert rebuilt == config
+        assert json.dumps(config_to_dict(rebuilt)) == json.dumps(RECORDED)
 
 
 class TestRunRecipe:

@@ -241,13 +241,15 @@ class TestScenarioRuns:
         assert info.scenario["seed"] == 7
         assert info.config["scenario"]["dropouts"]["probability"] == 0.25
 
-    def test_run_scenario_attaches_report(self, ledger_path):
-        from repro.scenarios.report import run_scenario
+    def test_scenario_session_attaches_report(self, ledger_path):
+        from repro.api import Session
 
-        with build(ledger_path, scenario=self.SPEC,
-                   run_name="scenario") as sim:
-            run_scenario(sim, name="dropout-study")
-            run_id = sim.ledger_session.run_id
+        session = (Session(FederatedConfig(rounds=3, seed=0))
+                   .with_recipe(RECIPE)
+                   .with_scenario(self.SPEC, name="dropout-study")
+                   .with_ledger(ledger_path, run_name="scenario"))
+        with session:
+            run_id = session.run().run_id
         with RunLedger(ledger_path, create=False) as ledger:
             info = ledger.run(run_id)
         assert info.name == "dropout-study"

@@ -10,6 +10,7 @@ partial-round aggregation with the participation floor, label drift with
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core import DubheConfig, DubheSelector, GreedySelector, RandomSelector
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
@@ -26,7 +27,6 @@ from repro.scenarios import (
     ScenarioSpec,
     StragglerSpec,
     compare_selectors,
-    run_scenario,
 )
 
 TOL = 1e-10
@@ -270,9 +270,19 @@ class TestLabelDrift:
 
 
 class TestReports:
-    def test_run_scenario_report(self, federation):
-        with make_sim(federation, scenario=FAULTY) as sim:
-            report = run_scenario(sim, name="acceptance")
+    def test_session_scenario_report(self, federation):
+        generator, partition, test_set = federation
+        config = FederatedConfig(
+            rounds=3, local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
+            seed=0)
+        session = Session(config).with_federation(
+            partition=partition, generator=generator,
+            model_factory=lambda: MLP(64, 10, hidden=(16,), seed=7),
+            selector=RoundRobinSelector(partition.n_clients, 4),
+            test_set=test_set,
+        ).with_scenario(FAULTY, name="acceptance")
+        with session:
+            report = session.run().report
         assert report.name == "acceptance"
         assert report.rounds == 3
         assert report.total_failures() >= 1

@@ -125,11 +125,14 @@ def _needs_example(obj) -> bool:
     return True
 
 
-def _audit_cases():
-    for module in AUDITED_MODULES:
-        for name, obj in _public_objects(module):
-            yield pytest.param(module, name, obj,
-                               id=f"{module.__name__}.{name}")
+def _audit_cases(keep=lambda obj: True):
+    """One parameter per audited public object that *keep* applies to."""
+    return [
+        pytest.param(module, name, obj, id=f"{module.__name__}.{name}")
+        for module in AUDITED_MODULES
+        for name, obj in _public_objects(module)
+        if keep(obj)
+    ]
 
 
 class TestModuleDocstrings:
@@ -146,20 +149,16 @@ class TestPublicObjectDocstrings:
         assert (inspect.getdoc(obj) or "").strip(), \
             f"{module.__name__}.{name} has no docstring"
 
-    @pytest.mark.parametrize("module,name,obj", _audit_cases())
+    @pytest.mark.parametrize("module,name,obj", _audit_cases(_needs_example))
     def test_docstring_has_example(self, module, name, obj):
-        if not _needs_example(obj):
-            pytest.skip("exceptions/protocols only need a docstring")
         doc = inspect.getdoc(obj) or ""
         assert ">>>" in doc, (
             f"{module.__name__}.{name}'s docstring has no '>>>' example; "
             "the API reference should always show a usage snippet"
         )
 
-    @pytest.mark.parametrize("module,name,obj", _audit_cases())
+    @pytest.mark.parametrize("module,name,obj", _audit_cases(inspect.isclass))
     def test_public_methods_have_docstrings(self, module, name, obj):
-        if not inspect.isclass(obj):
-            pytest.skip("functions have no methods")
         undocumented = []
         for attr, member in vars(obj).items():
             if attr.startswith("_"):

@@ -11,7 +11,7 @@ path did.
 import numpy as np
 import pytest
 
-from repro.core.config import ExecutorConfig, TransportConfig
+from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.transport import InProcessTransport, Transport, build_transport
@@ -52,11 +52,10 @@ class TestBuildTransport:
         assert transport.executor.mode == "sequential"
         transport.close()
 
-    def test_executor_group_configures_the_backend(self):
-        transport = build_transport(TransportConfig(),
-                                    ExecutorConfig(mode="vectorized",
-                                                   dtype="float32"))
-        assert transport.executor.mode == "vectorized"
+    def test_inprocess_wraps_the_given_executor(self):
+        executor = LocalUpdateExecutor(mode="vectorized", dtype="float32")
+        transport = build_transport(TransportConfig(), executor)
+        assert transport.executor is executor
         transport.close()
 
     def test_socket_kind_builds_a_socket_transport(self):
