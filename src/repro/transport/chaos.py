@@ -40,31 +40,30 @@ from typing import Optional
 import numpy as np
 
 from ..scenarios.spec import NetworkSpec
-from .wire import DEFAULT_MAX_FRAME_BYTES, WireError, frame_header
+from .messages import (
+    ErrorNotice,
+    ModelDelta,
+    ProbabilityBroadcast,
+    Register,
+    RegisterAck,
+    RoundResult,
+    SelectionNotice,
+    Shutdown,
+)
+from .wire import DEFAULT_MAX_FRAME_BYTES, WireError, read_frame
 
 __all__ = ["ChaosProxy"]
 
-#: Frame header + trailing CRC sizes (mirrors ``repro.transport.wire``).
-_HEADER_SIZE = 8
-_CRC_SIZE = 4
-
-#: Message type codes the proxy sniffs (kept in sync with
-#: :data:`repro.transport.messages.MESSAGE_TYPES` by the test suite).
-_TYPE_REGISTER = 1
-_TYPE_REGISTER_ACK = 2
-_TYPE_PROBABILITIES = 4
-_TYPE_SELECTION = 5
-_TYPE_DELTA = 6
-_TYPE_RESULT = 7
-_TYPE_SHUTDOWN = 8
-_TYPE_ERROR = 9
+#: Frames whose first payload field is the round index the proxy sniffs.
+_ROUND_TYPES = frozenset(
+    cls.TYPE for cls in (ProbabilityBroadcast, SelectionNotice, ModelDelta,
+                         RoundResult))
 
 #: Frames that must always pass (never partitioned): the join handshake and
 #: the teardown — chaos targets *round* traffic, not the federation's
 #: existence.
 _HANDSHAKE_TYPES = frozenset(
-    {_TYPE_REGISTER, _TYPE_REGISTER_ACK, _TYPE_SHUTDOWN, _TYPE_ERROR}
-)
+    cls.TYPE for cls in (Register, RegisterAck, Shutdown, ErrorNotice))
 
 #: Direction codes folded into the RNG key (client → server and back).
 _DIR_TO_SERVER = 0
@@ -101,12 +100,11 @@ class _Relay:
 
     def sniff(self, direction: int, msg_type: int, payload: bytes) -> None:
         """Learn (round, client) coordinates from a relayed frame."""
-        if direction == _DIR_TO_SERVER and msg_type == _TYPE_REGISTER:
+        if direction == _DIR_TO_SERVER and msg_type == Register.TYPE:
             client_id = _read_u32(payload)
             if client_id is not None:
                 self.client_id = client_id
-        elif msg_type in (_TYPE_PROBABILITIES, _TYPE_SELECTION, _TYPE_DELTA,
-                          _TYPE_RESULT):
+        elif msg_type in _ROUND_TYPES:
             round_index = _read_u32(payload)
             if round_index is not None:
                 self._advance_round(round_index)
@@ -269,13 +267,6 @@ class ChaosProxy:
                 except Exception:
                     pass
 
-    async def _read_frame(self, reader: asyncio.StreamReader) -> "tuple[bytes, int, bytes]":
-        """One complete frame: ``(raw bytes, msg_type, payload)``."""
-        header = await reader.readexactly(_HEADER_SIZE)
-        msg_type, length = frame_header(header, self.max_frame_bytes)
-        rest = await reader.readexactly(length + _CRC_SIZE)
-        return header + rest, msg_type, rest[:length]
-
     def _record(self, relay: _Relay, direction: int, kind: str) -> None:
         client = relay.client_id if relay.client_id is not None else -1
         name = "to_server" if direction == _DIR_TO_SERVER else "to_client"
@@ -297,7 +288,8 @@ class ChaosProxy:
         try:
             while not self._closing:
                 try:
-                    raw, msg_type, payload = await self._read_frame(reader)
+                    msg_type, payload, raw = await read_frame(
+                        reader, self.max_frame_bytes)
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 except WireError:

@@ -63,9 +63,11 @@ from .messages import (
     RoundResult,
     SelectionNotice,
     Shutdown,
+    decode_message,
     encode_message,
 )
-from .server import TransportError, _read_message
+from .server import TransportError
+from .wire import read_frame
 
 __all__ = ["TransportClient"]
 
@@ -211,7 +213,10 @@ class TransportClient:
                         client_id=self.client.client_id, tag=tag,
                         vector=vector))
                 while True:
-                    message = await _read_message(reader, self.max_frame_bytes)
+                    # no local holds the raw frame: across the awaits below it
+                    # would pin one extra copy of a model state per connection
+                    message, _ = decode_message(
+                        (await read_frame(reader, self.max_frame_bytes))[2])
                     if isinstance(message, Shutdown):
                         self._shutdown = True
                         break

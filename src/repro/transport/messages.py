@@ -26,18 +26,27 @@ peer as a stranger.  :class:`ModelDelta` echoes the token so retransmits
 after a reconnect are deduplicated by ``(round, client, token)`` and never
 double-aggregate.
 
-Every message is a frozen dataclass with a one-byte :attr:`TYPE` code, a
-``to_payload`` serialiser and a ``from_payload`` parser built on the
-primitive codecs of :mod:`repro.transport.wire`.  :func:`encode_message`
-wraps a message into one versioned frame; :func:`decode_message` is its
-exact inverse and raises the structured :class:`~repro.transport.wire.WireError`
-family on damage, truncation or a foreign protocol version.
+Every message is a frozen dataclass with a one-byte :attr:`TYPE` code and a
+``WIRE`` table: its fields in wire order, each paired with a codec (``U32``,
+``STR``, ``STATE``, ...) built on the primitives of
+:mod:`repro.transport.wire`.  One generic encoder (``to_payload``) and one
+generic decoder (``from_payload``) walk that table, so the range check, the
+"payload fully consumed" check and field-wise equality live in one place.
+**Adding a message is one class plus one table**: a
+``@dataclass(frozen=True, eq=False)`` subclass of ``_Message`` with a new
+``TYPE`` and its ``WIRE`` table joins :data:`MESSAGE_TYPES` by subclassing.
+:func:`encode_message` wraps a message into one versioned frame;
+:func:`decode_message` is its exact inverse and raises the structured
+:class:`~repro.transport.wire.WireError` family on damage, truncation,
+trailing bytes or a foreign protocol version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Type
+import operator
+import struct
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Type
 
 import numpy as np
 
@@ -73,8 +82,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Register:
+class _Codec(NamedTuple):
+    """How one field crosses the wire: append it, read it back, compare it."""
+
+    write: Callable[[WireWriter, Any], Any]
+    read: Callable[[WireReader], Any]
+    same: Callable[[Any, Any], bool] = operator.eq
+
+
+def _write_f64s(writer: WireWriter, values) -> None:
+    writer.u32(len(values))
+    for value in values:
+        writer.f64(float(value))
+
+
+def _write_failures(writer: WireWriter, failures: "Mapping[int, str]") -> None:
+    writer.u32(len(failures))
+    for client_id in sorted(failures):
+        writer.u32(client_id).str(failures[client_id])
+
+
+def _write_recipe(writer: WireWriter, config: LocalTrainingConfig) -> None:
+    max_batches = config.max_batches_per_epoch
+    (writer.u32(config.batch_size).u32(config.local_epochs)
+     .f64(config.learning_rate).str(config.optimizer)
+     .bool(max_batches is not None))
+    if max_batches is not None:
+        writer.u32(max_batches)
+
+
+def _read_recipe(reader: WireReader) -> LocalTrainingConfig:
+    recipe = dict(batch_size=reader.u32(), local_epochs=reader.u32(),
+                  learning_rate=reader.f64(), optimizer=reader.str(),
+                  max_batches_per_epoch=reader.u32() if reader.u8() else None)
+    try:
+        return LocalTrainingConfig(**recipe)
+    except ValueError as exc:
+        raise CorruptFrameError(f"invalid training recipe on the wire: {exc}")
+
+
+def _states_equal(a: "Mapping[str, np.ndarray]",
+                  b: "Mapping[str, np.ndarray]") -> bool:
+    return set(a) == set(b) and all(
+        a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a)
+
+
+U32 = _Codec(WireWriter.u32, WireReader.u32)
+STR = _Codec(WireWriter.str, WireReader.str)
+BOOL = _Codec(WireWriter.bool, WireReader.bool)
+OPT_F64 = _Codec(WireWriter.opt_f64, WireReader.opt_f64)
+F64_TUPLE = _Codec(_write_f64s,
+                   lambda reader: tuple(reader.f64() for _ in range(reader.u32())))
+#: client id → failure cause, written in ascending client-id order
+FAILURES = _Codec(_write_failures,
+                  lambda reader: {reader.u32(): reader.str()
+                                  for _ in range(reader.u32())})
+RECIPE = _Codec(_write_recipe, _read_recipe)
+STATE = _Codec(lambda writer, state: state_to_wire(state, writer),
+               state_from_wire, _states_equal)
+PACKED = _Codec(lambda writer, vector: packed_to_wire(vector, writer),
+                packed_from_wire,
+                lambda a, b: a.ciphertexts == b.ciphertexts and a.weight == b.weight)
+
+
+class _Message:
+    """Table-driven encoder, decoder and equality shared by every message."""
+
+    TYPE: int
+    WIRE: "tuple[tuple[str, _Codec], ...]"
+
+    def to_payload(self) -> bytes:
+        """Serialise to a frame payload, one ``WIRE`` field after another; a
+        value the wire cannot carry (an integer outside its range, say) raises
+        :class:`ValueError` naming the ``Class.field``."""
+        writer = WireWriter()
+        for name, codec in self.WIRE:
+            try:
+                codec.write(writer, getattr(self, name))
+            except (struct.error, ValueError) as exc:
+                raise ValueError(f"{type(self).__name__}.{name}: {exc}") from None
+        return writer.getvalue()
+
+    @classmethod
+    def from_payload(cls, payload: bytes):
+        """Parse from a frame payload; bytes left after the last field are damage."""
+        reader = WireReader(payload)
+        values = {name: codec.read(reader) for name, codec in cls.WIRE}
+        if not reader.exhausted():
+            raise CorruptFrameError(f"{cls.__name__} payload has trailing bytes")
+        return cls(**values)
+
+    def _compared(self) -> "list[tuple[str, Callable[[Any, Any], bool]]]":
+        codecs = dict(self.WIRE)
+        return [(f.name, codecs[f.name].same) for f in fields(self) if f.compare]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(same(getattr(self, name), getattr(other, name))
+                   for name, same in self._compared())
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name, _ in self._compared()))
+
+
+@dataclass(frozen=True, eq=False)
+class Register(_Message):
     """Client → server: join the federation.
 
     ``token`` is empty on a first join; on a reconnect the client echoes
@@ -90,38 +203,17 @@ class Register:
     """
 
     TYPE = 1
+    WIRE = (("client_id", U32), ("num_classes", U32), ("num_samples", U32),
+            ("token", STR))
 
     client_id: int
     num_classes: int
     num_samples: int
     token: str = ""
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> Register.from_payload(Register(1, 10, 5).to_payload()).client_id
-        1
-        """
-        return (WireWriter().u32(self.client_id).u32(self.num_classes)
-                .u32(self.num_samples).str(self.token).getvalue())
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Register":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> Register.from_payload(Register(2, 10, 64).to_payload()).num_samples
-        64
-        """
-        reader = WireReader(payload)
-        return cls(reader.u32(), reader.u32(), reader.u32(), reader.str())
-
-
-@dataclass(frozen=True)
-class RegisterAck:
+@dataclass(frozen=True, eq=False)
+class RegisterAck(_Message):
     """Server → client: registration accepted, cohort position assigned.
 
     ``token`` is the session token the client must echo in subsequent
@@ -137,6 +229,8 @@ class RegisterAck:
     """
 
     TYPE = 2
+    WIRE = (("client_id", U32), ("position", U32), ("cohort_size", U32),
+            ("token", STR), ("resumed", BOOL))
 
     client_id: int
     position: int
@@ -144,34 +238,9 @@ class RegisterAck:
     token: str = ""
     resumed: bool = False
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> RegisterAck.from_payload(RegisterAck(1, 0, 4).to_payload()).position
-        0
-        """
-        return (WireWriter().u32(self.client_id).u32(self.position)
-                .u32(self.cohort_size).str(self.token).bool(self.resumed)
-                .getvalue())
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RegisterAck":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> RegisterAck.from_payload(RegisterAck(1, 2, 4).to_payload()).cohort_size
-        4
-        """
-        reader = WireReader(payload)
-        return cls(reader.u32(), reader.u32(), reader.u32(), reader.str(),
-                   reader.bool())
-
-
-@dataclass(frozen=True)
-class PackedCiphertextUpload:
+@dataclass(frozen=True, eq=False)
+class PackedCiphertextUpload(_Message):
     """Client → server: a packed encrypted vector (registry or ``p_l``).
 
     The *tag* names which protocol artefact the vector is ("registry",
@@ -191,57 +260,15 @@ class PackedCiphertextUpload:
     """
 
     TYPE = 3
+    WIRE = (("client_id", U32), ("tag", STR), ("vector", PACKED))
 
     client_id: int
     tag: str
     vector: PackedEncryptedVector
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> from repro.crypto import generate_keypair
-        >>> from repro.crypto.packing import PackedEncryptedVector
-        >>> public, _ = generate_keypair(key_size=256)
-        >>> vec = PackedEncryptedVector.encrypt(public, [1.0])
-        >>> msg = PackedCiphertextUpload(0, "p_l", vec)
-        >>> PackedCiphertextUpload.from_payload(msg.to_payload()).tag
-        'p_l'
-        """
-        writer = WireWriter().u32(self.client_id).str(self.tag)
-        packed_to_wire(self.vector, writer)
-        return writer.getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "PackedCiphertextUpload":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> from repro.crypto import generate_keypair
-        >>> from repro.crypto.packing import PackedEncryptedVector
-        >>> public, _ = generate_keypair(key_size=256)
-        >>> vec = PackedEncryptedVector.encrypt(public, [0.0, 1.0])
-        >>> msg = PackedCiphertextUpload(7, "registry", vec)
-        >>> len(PackedCiphertextUpload.from_payload(msg.to_payload()).vector)
-        2
-        """
-        reader = WireReader(payload)
-        client_id = reader.u32()
-        tag = reader.str()
-        return cls(client_id, tag, packed_from_wire(reader))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedCiphertextUpload):
-            return NotImplemented
-        return (self.client_id == other.client_id and self.tag == other.tag
-                and self.vector.ciphertexts == other.vector.ciphertexts
-                and self.vector.weight == other.vector.weight)
-
-
-@dataclass(frozen=True)
-class ProbabilityBroadcast:
+@dataclass(frozen=True, eq=False)
+class ProbabilityBroadcast(_Message):
     """Server → clients: the selection probabilities ``q_k`` for this round.
 
     Example
@@ -252,42 +279,14 @@ class ProbabilityBroadcast:
     """
 
     TYPE = 4
+    WIRE = (("round_index", U32), ("probabilities", F64_TUPLE))
 
     round_index: int
     probabilities: "tuple[float, ...]"
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> msg = ProbabilityBroadcast(0, (1.0,))
-        >>> ProbabilityBroadcast.from_payload(msg.to_payload()).round_index
-        0
-        """
-        writer = WireWriter().u32(self.round_index).u32(len(self.probabilities))
-        for p in self.probabilities:
-            writer.f64(float(p))
-        return writer.getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "ProbabilityBroadcast":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> msg = ProbabilityBroadcast(1, (0.25, 0.75))
-        >>> ProbabilityBroadcast.from_payload(msg.to_payload()).probabilities
-        (0.25, 0.75)
-        """
-        reader = WireReader(payload)
-        round_index = reader.u32()
-        count = reader.u32()
-        return cls(round_index, tuple(reader.f64() for _ in range(count)))
-
-
-@dataclass(frozen=True)
-class SelectionNotice:
+@dataclass(frozen=True, eq=False)
+class SelectionNotice(_Message):
     """Server → one selected client: train on this state with this recipe.
 
     Carries the global model state, the local-training hyper-parameters and
@@ -306,6 +305,8 @@ class SelectionNotice:
     """
 
     TYPE = 5
+    WIRE = (("round_index", U32), ("client_id", U32), ("deadline", OPT_F64),
+            ("config", RECIPE), ("state", STATE))
 
     round_index: int
     client_id: int
@@ -313,75 +314,15 @@ class SelectionNotice:
     state: "Mapping[str, np.ndarray]"
     deadline: Optional[float] = None
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> notice = SelectionNotice(0, 1, LocalTrainingConfig(), {})
-        >>> SelectionNotice.from_payload(notice.to_payload()).round_index
-        0
-        """
-        writer = (WireWriter().u32(self.round_index).u32(self.client_id)
-                  .opt_f64(self.deadline)
-                  .u32(self.config.batch_size).u32(self.config.local_epochs)
-                  .f64(self.config.learning_rate).str(self.config.optimizer))
-        max_batches = self.config.max_batches_per_epoch
-        writer.u8(1 if max_batches is not None else 0)
-        if max_batches is not None:
-            writer.u32(max_batches)
-        state_to_wire(self.state, writer)
-        return writer.getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "SelectionNotice":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> notice = SelectionNotice(2, 0, LocalTrainingConfig(batch_size=4), {},
-        ...                          deadline=5.0)
-        >>> SelectionNotice.from_payload(notice.to_payload()).deadline
-        5.0
-        """
-        reader = WireReader(payload)
-        round_index = reader.u32()
-        client_id = reader.u32()
-        deadline = reader.opt_f64()
-        batch_size = reader.u32()
-        local_epochs = reader.u32()
-        learning_rate = reader.f64()
-        optimizer = reader.str()
-        max_batches = reader.u32() if reader.u8() else None
-        try:
-            config = LocalTrainingConfig(
-                batch_size=batch_size, local_epochs=local_epochs,
-                learning_rate=learning_rate, optimizer=optimizer,
-                max_batches_per_epoch=max_batches,
-            )
-        except ValueError as exc:
-            raise CorruptFrameError(f"invalid training recipe on the wire: {exc}")
-        return cls(round_index, client_id, config, state_from_wire(reader),
-                   deadline=deadline)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SelectionNotice):
-            return NotImplemented
-        return (self.round_index == other.round_index
-                and self.client_id == other.client_id
-                and self.config == other.config
-                and self.deadline == other.deadline
-                and _states_equal(self.state, other.state))
-
-
-@dataclass(frozen=True)
-class ModelDelta:
+@dataclass(frozen=True, eq=False)
+class ModelDelta(_Message):
     """Client → server: locally trained parameters for one round.
 
     ``token`` echoes the session token from :class:`RegisterAck` so the
     server can deduplicate retransmits by ``(round, client, token)``: a
     client that reconnects mid-round and resends its delta is aggregated
-    exactly once.
+    exactly once.  It takes no part in equality.
 
     Example
     -------
@@ -393,50 +334,17 @@ class ModelDelta:
     """
 
     TYPE = 6
+    WIRE = (("round_index", U32), ("client_id", U32), ("token", STR),
+            ("state", STATE))
 
     round_index: int
     client_id: int
     state: "Mapping[str, np.ndarray]"
-    token: str = ""
-
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
-
-        Example
-        -------
-        >>> ModelDelta.from_payload(ModelDelta(1, 2, {}).to_payload()).client_id
-        2
-        """
-        writer = (WireWriter().u32(self.round_index).u32(self.client_id)
-                  .str(self.token))
-        state_to_wire(self.state, writer)
-        return writer.getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "ModelDelta":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> ModelDelta.from_payload(ModelDelta(3, 0, {}).to_payload()).round_index
-        3
-        """
-        reader = WireReader(payload)
-        round_index = reader.u32()
-        client_id = reader.u32()
-        token = reader.str()
-        return cls(round_index, client_id, state_from_wire(reader), token)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModelDelta):
-            return NotImplemented
-        return (self.round_index == other.round_index
-                and self.client_id == other.client_id
-                and _states_equal(self.state, other.state))
+    token: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
-class RoundResult:
+@dataclass(frozen=True, eq=False)
+class RoundResult(_Message):
     """Server → clients: the round closed (fully or partially).
 
     ``failures`` maps client id → failure cause (one of
@@ -453,57 +361,17 @@ class RoundResult:
     """
 
     TYPE = 7
+    WIRE = (("round_index", U32), ("skipped", BOOL), ("accuracy", OPT_F64),
+            ("failures", FAILURES))
 
     round_index: int
     skipped: bool
     accuracy: Optional[float] = None
     failures: "Dict[int, str]" = field(default_factory=dict)
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> RoundResult.from_payload(RoundResult(0, True).to_payload()).skipped
-        True
-        """
-        writer = (WireWriter().u32(self.round_index).bool(self.skipped)
-                  .opt_f64(self.accuracy).u32(len(self.failures)))
-        for client_id in sorted(self.failures):
-            writer.u32(client_id).str(self.failures[client_id])
-        return writer.getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RoundResult":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> RoundResult.from_payload(RoundResult(2, False, 0.75).to_payload()).accuracy
-        0.75
-        """
-        reader = WireReader(payload)
-        round_index = reader.u32()
-        skipped = reader.bool()
-        accuracy = reader.opt_f64()
-        count = reader.u32()
-        failures = {}
-        for _ in range(count):
-            client_id = reader.u32()
-            failures[client_id] = reader.str()
-        return cls(round_index, skipped, accuracy, failures)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoundResult):
-            return NotImplemented
-        return (self.round_index == other.round_index
-                and self.skipped == other.skipped
-                and self.accuracy == other.accuracy
-                and self.failures == other.failures)
-
-
-@dataclass(frozen=True)
-class Shutdown:
+@dataclass(frozen=True, eq=False)
+class Shutdown(_Message):
     """Server → clients: the federation is over, close the connection.
 
     Example
@@ -513,33 +381,13 @@ class Shutdown:
     """
 
     TYPE = 8
+    WIRE = (("reason", STR),)
 
     reason: str = "complete"
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> Shutdown.from_payload(Shutdown().to_payload()).reason
-        'complete'
-        """
-        return WireWriter().str(self.reason).getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Shutdown":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> Shutdown.from_payload(Shutdown("closing").to_payload()).reason
-        'closing'
-        """
-        return cls(WireReader(payload).str())
-
-
-@dataclass(frozen=True)
-class ErrorNotice:
+@dataclass(frozen=True, eq=False)
+class ErrorNotice(_Message):
     """Either direction: a structured protocol error (kept on the wire so a
     peer can distinguish "you were rejected" from a dead socket).
 
@@ -550,33 +398,13 @@ class ErrorNotice:
     """
 
     TYPE = 9
+    WIRE = (("detail", STR),)
 
     detail: str
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> ErrorNotice.from_payload(ErrorNotice("x").to_payload()).detail
-        'x'
-        """
-        return WireWriter().str(self.detail).getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "ErrorNotice":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> ErrorNotice.from_payload(ErrorNotice("nope").to_payload()).detail
-        'nope'
-        """
-        return cls(WireReader(payload).str())
-
-
-@dataclass(frozen=True)
-class Heartbeat:
+@dataclass(frozen=True, eq=False)
+class Heartbeat(_Message):
     """Server → client: liveness probe (detects half-open connections).
 
     ``seq`` is a per-connection sequence number; the client echoes it back
@@ -591,33 +419,13 @@ class Heartbeat:
     """
 
     TYPE = 10
+    WIRE = (("seq", U32),)
 
     seq: int
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> Heartbeat.from_payload(Heartbeat(7).to_payload()).seq
-        7
-        """
-        return WireWriter().u32(self.seq).getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Heartbeat":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> Heartbeat.from_payload(Heartbeat(0).to_payload()).seq
-        0
-        """
-        return cls(WireReader(payload).u32())
-
-
-@dataclass(frozen=True)
-class HeartbeatAck:
+@dataclass(frozen=True, eq=False)
+class HeartbeatAck(_Message):
     """Client → server: liveness probe answered, connection is healthy.
 
     Example
@@ -627,47 +435,15 @@ class HeartbeatAck:
     """
 
     TYPE = 11
+    WIRE = (("seq", U32),)
 
     seq: int
 
-    def to_payload(self) -> bytes:
-        """Serialise to a frame payload.
 
-        Example
-        -------
-        >>> HeartbeatAck.from_payload(HeartbeatAck(9).to_payload()).seq
-        9
-        """
-        return WireWriter().u32(self.seq).getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "HeartbeatAck":
-        """Parse from a frame payload.
-
-        Example
-        -------
-        >>> HeartbeatAck.from_payload(HeartbeatAck(1).to_payload()).seq
-        1
-        """
-        return cls(WireReader(payload).u32())
-
-
-#: One-byte type code → message class, the registry the decoder dispatches on.
-MESSAGE_TYPES: "Dict[int, Type]" = {
-    cls.TYPE: cls
-    for cls in (Register, RegisterAck, PackedCiphertextUpload,
-                ProbabilityBroadcast, SelectionNotice, ModelDelta,
-                RoundResult, Shutdown, ErrorNotice, Heartbeat, HeartbeatAck)
+#: One-byte type code → message class (every ``_Message`` subclass).
+MESSAGE_TYPES: "Dict[int, Type[_Message]]" = {
+    cls.TYPE: cls for cls in _Message.__subclasses__()
 }
-
-
-def _states_equal(a: "Mapping[str, np.ndarray]",
-                  b: "Mapping[str, np.ndarray]") -> bool:
-    if set(a) != set(b):
-        return False
-    return all(
-        a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a
-    )
 
 
 def encode_message(message) -> bytes:

@@ -91,18 +91,14 @@ from .messages import (
     RoundResult,
     SelectionNotice,
     Shutdown,
+    decode_message,
     encode_message,
 )
-from .wire import WireError, frame_header
+from .wire import WireError, read_frame
 
 __all__ = ["SocketTransport", "TransportClosedError", "TransportError"]
 
 StateDict = dict[str, np.ndarray]
-
-#: wire-frame header size (magic + version + type + length)
-_HEADER_SIZE = 8
-#: wire-frame trailer size (crc32)
-_TRAILER_SIZE = 4
 
 #: key for decode failures on connections that never registered
 _UNKNOWN_CLIENT = -1
@@ -169,21 +165,6 @@ class _ClientSession:
             self.writer.close()
         except Exception:
             pass
-
-
-async def _read_message(reader: asyncio.StreamReader, max_frame_bytes: int):
-    """Read exactly one protocol message off a stream.
-
-    Validates the header (magic/version/length cap) before allocating the
-    payload, then runs the full structured decode including the CRC.
-    """
-    from .messages import decode_message
-
-    head = await reader.readexactly(_HEADER_SIZE)
-    _, length = frame_header(head, max_frame_bytes)
-    body = await reader.readexactly(length + _TRAILER_SIZE)
-    message, _ = decode_message(head + body)
-    return message
 
 
 class SocketTransport(Transport):
@@ -471,7 +452,10 @@ class SocketTransport(Transport):
         cause = "connection_lost"
         try:
             while True:
-                message = await _read_message(reader, self.config.max_frame_bytes)
+                # no local holds the raw frame: across the awaits below it
+                # would pin one extra copy of a model state per connection
+                message, _ = decode_message(
+                    (await read_frame(reader, self.config.max_frame_bytes))[2])
                 session.last_seen = self._loop.time()
                 session.health = "healthy"
                 await self._dispatch(session, message)

@@ -7,11 +7,13 @@ Every message of the Dubhe round protocol crosses the network as one
     | payload(payload_len) | crc32(4, big-endian)
 
 The CRC covers the header *and* the payload, so a flipped bit anywhere in
-the frame is detected before the payload is parsed.  Decoding failures are
-*structured*: a frame cut short raises :class:`TruncatedFrameError`, damage
-raises :class:`CorruptFrameError`, and a frame stamped with a different
-protocol version raises :class:`VersionMismatchError` — a v2 server never
-misinterprets a v1 client, it rejects it with a nameable cause.
+the frame is detected before the payload is parsed.  :func:`read_frame` is
+the one asyncio frame reader the server, the client and the chaos proxy
+share.  Decoding failures are *structured*: a frame cut short raises
+:class:`TruncatedFrameError`, damage raises :class:`CorruptFrameError`, and
+a frame stamped with a different protocol version raises
+:class:`VersionMismatchError` — a v2 server never misinterprets a v1
+client, it rejects it with a nameable cause.
 
 Payloads are built from three codecs, all exact inverses of their decoders:
 
@@ -31,6 +33,7 @@ Payloads are built from three codecs, all exact inverses of their decoders:
 
 from __future__ import annotations
 
+import asyncio
 import struct
 import zlib
 from typing import Mapping, Optional
@@ -55,6 +58,7 @@ __all__ = [
     "frame_header",
     "packed_from_wire",
     "packed_to_wire",
+    "read_frame",
     "state_from_wire",
     "state_to_wire",
 ]
@@ -182,6 +186,33 @@ def decode_frame(buffer: bytes,
             f"frame carries {expected_crc:#010x}"
         )
     return msg_type, payload, total
+
+
+async def read_frame(reader: asyncio.StreamReader,
+                     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+                     ) -> "tuple[int, memoryview, bytes]":
+    """Read one whole frame off a stream: ``(msg_type, payload, frame)``.
+
+    The header (magic, version, length cap) is validated before the payload
+    is awaited, so a hostile length prefix never becomes an allocation.  The
+    CRC is left to :func:`decode_frame` on the returned *frame*, which a
+    relay may instead forward untouched; *payload* is a view into *frame*,
+    not a copy.
+
+    Example
+    -------
+    >>> async def first_frame():
+    ...     stream = asyncio.StreamReader()
+    ...     stream.feed_data(encode_frame(4, b"hi"))
+    ...     msg_type, payload, frame = await read_frame(stream)
+    ...     return msg_type, bytes(payload), len(frame)
+    >>> asyncio.run(first_frame())
+    (4, b'hi', 14)
+    """
+    header = await reader.readexactly(_HEADER.size)
+    msg_type, length = frame_header(header, max_frame_bytes)
+    frame = header + await reader.readexactly(length + _CRC.size)
+    return msg_type, memoryview(frame)[_HEADER.size:_HEADER.size + length], frame
 
 
 # -- primitive payload codec ---------------------------------------------------------
