@@ -12,9 +12,15 @@ the two properties the experiments actually depend on:
    and noise), mirroring the relative behaviour of the real datasets.
 
 Each class ``c`` owns a random smooth prototype image; samples are the
-prototype plus per-sample deformation (random affine-ish jitter implemented
-as shifted blends) and pixel noise.  Class overlap is injected by mixing a
-shared background component into every prototype.
+prototype plus per-sample deformation (a random cyclic shift of up to
+``jitter`` pixels per axis) and pixel noise.  Class overlap is injected by
+mixing a shared background component into every prototype.  Every shifted
+prototype is tabulated once per generator, so a sample costs its RNG draws
+and one gather.
+
+For a given seed the data never changes: samples are drawn class by class
+(per sample the row shift, the column shift, then the pixel noise), and one
+permutation shuffles the dataset — see :meth:`SyntheticImageGenerator.generate`.
 
 The generator object is kept around by the experiment harness so that a
 class-balanced test set (the paper's uniform test distribution) and the
@@ -64,6 +70,17 @@ def _smooth_random_image(rng: np.random.Generator, channels: int, size: int,
     return img
 
 
+def _whole_counts(values, name: str) -> np.ndarray:
+    """*values* as non-negative ``int`` counts; integral floats are accepted."""
+    counts = np.asarray(values)
+    if (counts.dtype.kind not in "iuf" or not np.all(np.isfinite(counts))
+            or np.any(counts != np.trunc(counts))):
+        raise ValueError(f"{name} must be whole numbers, got {values!r}")
+    if np.any(counts < 0):
+        raise ValueError(f"{name} must be non-negative")
+    return counts.astype(int)
+
+
 @dataclass
 class SyntheticImageGenerator:
     """Generator of a ``C``-class synthetic image classification problem.
@@ -81,7 +98,9 @@ class SyntheticImageGenerator:
         Fraction of a shared background mixed into every class prototype
         (0 = fully separable prototypes, 1 = identical prototypes).
     jitter:
-        Magnitude of per-sample prototype deformation (random pixel shifts).
+        Magnitude of per-sample prototype deformation: each sample is its
+        prototype cyclically shifted by up to ``jitter`` pixels per axis (a
+        non-negative integer; 0 disables the shift).
     max_frequency:
         Highest spatial frequency (cycles per image) of the prototype
         patterns.  Lower frequencies make prototypes robust to jitter (easier
@@ -111,6 +130,8 @@ class SyntheticImageGenerator:
             raise ValueError("noise_scale must be non-negative")
         if self.max_frequency <= 0:
             raise ValueError("max_frequency must be positive")
+        if self.jitter < 0 or self.jitter != int(self.jitter):
+            raise ValueError("jitter must be a non-negative integer")
         rng = np.random.default_rng(self.seed)
         background = _smooth_random_image(rng, channels, height, self.max_frequency)
         prototypes = np.stack(
@@ -122,55 +143,77 @@ class SyntheticImageGenerator:
         self.prototypes = (
             (1 - self.class_overlap) * prototypes + self.class_overlap * background[None]
         )
+        # every shifted prototype, tabulated without touching the RNG:
+        # _jittered[c, dy + j, dx + j] = prototypes[c] rolled by dy rows, dx columns
+        j = int(self.jitter)
+        self._jittered = np.empty((self.num_classes, 2 * j + 1, 2 * j + 1, *self.image_shape))
+        for dy in range(-j, j + 1):
+            for dx in range(-j, j + 1):
+                self._jittered[:, dy + j, dx + j] = np.roll(self.prototypes, (dy, dx), axis=(2, 3))
         self._rng = rng
 
     # -- sampling -------------------------------------------------------------
 
-    def _deform(self, prototype: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Random small cyclic shift of the prototype (cheap deformation)."""
-        if self.jitter <= 0:
-            return prototype
-        dy = int(rng.integers(-self.jitter, self.jitter + 1))
-        dx = int(rng.integers(-self.jitter, self.jitter + 1))
-        return np.roll(np.roll(prototype, dy, axis=1), dx, axis=2)
+    def _sample(self, counts: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``counts[c]`` samples of each class ``c``, in class order."""
+        y = np.repeat(np.arange(self.num_classes), counts)
+        n = len(y)
+        j = int(self.jitter)
+        dy = np.zeros(n, dtype=np.intp)
+        dx = np.zeros(n, dtype=np.intp)
+        noise = np.empty((n, *self.image_shape))
+        integers, normal = rng.integers, rng.normal
+        for i in range(n):
+            if j:
+                dy[i] = integers(-j, j + 1)
+                dx[i] = integers(-j, j + 1)
+            noise[i] = normal(0.0, self.noise_scale, size=self.image_shape)
+        # the shifts were pure copies and float addition commutes, so adding
+        # the gathered prototypes into the noise is the per-sample
+        # roll-then-add element for element (and rounds to float32 the same)
+        noise += self._jittered[y, dy + j, dx + j]
+        return noise.astype(np.float32), y
 
     def sample_class(self, label: int, n: int,
                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Draw *n* samples of class *label*; returns ``(n, C, H, W)`` floats."""
+        """Draw *n* samples of class *label*; returns ``(n, C, H, W)`` floats.
+
+        Consumes *rng* (default: the generator's own) exactly as
+        :meth:`generate` does for one class with ``shuffle=False``.
+        """
         if not 0 <= label < self.num_classes:
             raise ValueError(f"label {label} out of range")
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        rng = rng if rng is not None else self._rng
-        out = np.empty((n, *self.image_shape), dtype=np.float32)
-        proto = self.prototypes[label]
-        for i in range(n):
-            deformed = self._deform(proto, rng)
-            out[i] = deformed + rng.normal(0.0, self.noise_scale, size=self.image_shape)
-        return out
+        counts = np.zeros(self.num_classes, dtype=int)
+        counts[label] = _whole_counts(n, "n")
+        x, _ = self._sample(counts, rng if rng is not None else self._rng)
+        return x
 
     def generate(self, class_counts: Sequence[int] | np.ndarray,
                  rng: Optional[np.random.Generator] = None,
                  shuffle: bool = True) -> ArrayDataset:
-        """Generate a dataset with the given per-class sample counts."""
-        counts = np.asarray(class_counts, dtype=int)
-        if counts.size != self.num_classes:
-            raise ValueError("class_counts length must equal num_classes")
-        if np.any(counts < 0):
-            raise ValueError("class_counts must be non-negative")
+        """Generate a dataset with the given per-class sample counts.
+
+        *class_counts* holds one whole, non-negative count per class
+        (integral floats are accepted).
+
+        RNG-stream contract: *rng* (default: the generator's own) is consumed
+        class by class in label order; per sample it yields the row shift
+        ``dy`` and the column shift ``dx`` (two scalar
+        ``integers(-jitter, jitter + 1)`` calls, none when ``jitter == 0``),
+        then the ``normal(0.0, noise_scale, size=image_shape)`` pixel noise.
+        Unless *shuffle* is false, one ``permutation`` then shuffles the
+        dataset.  The data for a seed never changes.
+        """
+        counts = np.asarray(class_counts)
+        if counts.shape != (self.num_classes,):
+            raise ValueError(
+                f"class_counts must be a 1-D sequence of num_classes={self.num_classes} "
+                f"counts, got shape {counts.shape}"
+            )
+        counts = _whole_counts(counts, "class_counts")
         rng = rng if rng is not None else self._rng
-        xs, ys = [], []
-        for c, n in enumerate(counts):
-            if n == 0:
-                continue
-            xs.append(self.sample_class(c, int(n), rng=rng))
-            ys.append(np.full(int(n), c, dtype=int))
-        if not xs:
-            x = np.empty((0, *self.image_shape), dtype=np.float32)
-            y = np.empty(0, dtype=int)
-        else:
-            x = np.concatenate(xs)
-            y = np.concatenate(ys)
+        x, y = self._sample(counts, rng)
         if shuffle and len(y):
             order = rng.permutation(len(y))
             x, y = x[order], y[order]

@@ -80,6 +80,33 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             make_uniform_test_set(gen, samples_per_class=0)
 
+    @pytest.mark.parametrize("jitter", [-1, 1.5])
+    def test_jitter_must_be_a_non_negative_integer(self, jitter):
+        with pytest.raises(ValueError, match="jitter"):
+            SyntheticImageGenerator(num_classes=3, jitter=jitter)
+
+    def test_fractional_class_counts_rejected(self):
+        gen = make_synthetic_mnist(seed=0)
+        with pytest.raises(ValueError, match="whole numbers"):
+            gen.generate([2.7] * 10)
+
+    def test_integral_float_class_counts_accepted(self):
+        gen = make_synthetic_mnist(seed=0)
+        as_float = gen.generate([2.0] * 10, rng=np.random.default_rng(0))
+        as_int = gen.generate([2] * 10, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(as_float.x, as_int.x)
+        np.testing.assert_array_equal(as_float.y, as_int.y)
+
+    def test_two_dimensional_class_counts_rejected(self):
+        gen = make_synthetic_mnist(seed=0)
+        with pytest.raises(ValueError, match="1-D sequence"):
+            gen.generate(np.ones((2, 5), dtype=int))
+
+    def test_fractional_sample_class_size_rejected(self):
+        gen = make_synthetic_mnist(seed=0)
+        with pytest.raises(ValueError, match="whole numbers"):
+            gen.sample_class(1, 2.5)
+
 
 class TestFemnistFederation:
     def test_summary_matches_paper_statistics(self):
