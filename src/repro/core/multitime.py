@@ -96,7 +96,8 @@ def multi_time_selection(
         Number of tentative selections ``H``.
     population_of_many:
         Optional batch counterpart of *population_of*: maps a list of
-        candidate sets to the ``(H, C)`` matrix of their populations.  When
+        candidate sets (one int64 array per try) to the ``(H, C)`` matrix
+        of their populations.  When
         given (and the non-empty draws share one size), all H tries are
         scored with one vectorised pass instead of H Python calls; row ``h``
         must equal ``population_of(candidates[h])``.
@@ -129,7 +130,7 @@ def multi_time_selection(
         sizes = {len(candidates[h]) for h in non_empty}
         if population_of_many is not None and len(sizes) == 1:
             batch = np.asarray(
-                population_of_many([candidates[h] for h in non_empty]), dtype=float
+                population_of_many([draws[h] for h in non_empty]), dtype=float
             )
             batch_scores = np.abs(batch - uniform[None, :]).sum(axis=1)
             for j, h in enumerate(non_empty):

@@ -178,7 +178,7 @@ def bernoulli_participation(probabilities: np.ndarray,
     [0, 2]
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if np.any(probabilities < 0) or np.any(probabilities > 1):
+    if not np.all((probabilities >= 0) & (probabilities <= 1)):  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
     rng = rng if rng is not None else np.random.default_rng()
     draws = rng.random(probabilities.shape)

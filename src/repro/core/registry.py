@@ -332,12 +332,16 @@ class RegistryCodebook:
     def register_batch(self, distributions: np.ndarray) -> BatchRegistration:
         """Run Algorithm 1 for every row of ``distributions`` vectorised.
 
-        One stable argsort plus a handful of gathers replace the per-client
-        Python loop; ties are broken by ascending class id exactly as
-        :meth:`register` does, and the property suite asserts per-row
-        equality between the two paths.  Returns a :class:`BatchRegistration`
-        (flat indices, no one-hot vectors), so peak memory is O(N) int64
-        rather than O(N·L) float.
+        Algorithm 1 only ever reads a row's top ``k`` classes, ``k`` the
+        largest ``i ∈ G`` below ``C`` (two for the paper's ``G = (1, 2, C)``),
+        so no row is sorted: :meth:`_top_classes` finds them with ``k``
+        first-occurrence ``argmax`` passes, each masking the previous winner,
+        which breaks ties by ascending class id exactly as :meth:`register`
+        does (the property suite asserts per-row equality between the two
+        paths, ties and ``-0.0`` included).  The thresholds and the
+        combination ranks then read those ids through flat 1-D gathers.
+        Returns a :class:`BatchRegistration` (flat indices, no one-hot
+        vectors), so peak memory is O(N) int64 rather than O(N·L) float.
         """
         p = np.ascontiguousarray(distributions, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != self.num_classes:
@@ -346,45 +350,74 @@ class RegistryCodebook:
             )
         if p.shape[0] == 0:
             raise ValueError("distributions is empty")
-        if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
+        # the np.allclose(sums, 1, atol=1e-6) bound, which NaN and inf fail
+        if np.any(p < 0) or not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-6 + 1e-5):
             raise ValueError("every row must be a probability vector")
-        n = p.shape[0]
-        # stable argsort of -p == lexsort((arange, -p)): ties keep class order
-        order = np.argsort(-p, axis=1, kind="stable")
-        rows = np.arange(n)
-        blocks = np.full(n, self.num_classes, dtype=np.int64)
+        n, c = p.shape
+        dominated = [i for i in self.reference_set if i < c]
+        blocks = np.full(n, c, dtype=np.int64)
+        indices = np.full(n, self._block_offset[c], dtype=np.int64)
+        if not dominated:
+            return BatchRegistration(blocks=blocks, indices=indices, length=self.length)
+        top = self._top_classes(p, dominated[-1])
+        flat = p.reshape(-1)
+        row_start = np.arange(0, n * c, c)
         undecided = np.ones(n, dtype=bool)
-        for i in self.reference_set:
-            if i == self.num_classes:
-                break  # σ_C = 0: whoever is left lands in the C block
-            sigma = self.config.threshold_for(i)
-            m_i = p[rows, order[:, i - 1]]
-            matched = undecided & (m_i >= sigma)
-            blocks[matched] = i
+        for i in dominated:
+            m_i = flat[row_start + top[i - 1]]  # the i-th largest proportion
+            matched = undecided & (m_i >= self.config.threshold_for(i))
             undecided &= ~matched
-        indices = np.empty(n, dtype=np.int64)
-        for i in self.reference_set:
-            members = np.flatnonzero(blocks == i)
-            if members.size == 0:
-                continue
-            start = self._block_offset[i]
-            if i == self.num_classes:
-                indices[members] = start  # the single "no dominating class" slot
-                continue
-            top = np.sort(order[members, :i], axis=1)
-            indices[members] = start + self._rank_rows(top, i)
+            members = np.flatnonzero(matched)
+            blocks[members] = i
+            ranks = self._rank_rows([ids[members] for ids in top[:i]])
+            indices[members] = self._block_offset[i] + ranks
         return BatchRegistration(blocks=blocks, indices=indices, length=self.length)
 
-    def _rank_rows(self, top: np.ndarray, size: int) -> np.ndarray:
-        """Vectorised :func:`combination_rank` over the rows of ``top``."""
-        if self.length < _INT64_SAFE_LENGTH:
-            table = self._comb_table()
-            j = np.arange(size)
-            suffix = table[self.num_classes - 1 - top, size - j]
-            return table[self.num_classes, size] - 1 - suffix.sum(axis=1)
-        # exact-integer fallback for codebooks wider than int64 ranks
-        return np.array([combination_rank(row, self.num_classes) for row in top],
-                        dtype=object)
+    @staticmethod
+    def _top_classes(p: np.ndarray, k: int) -> np.ndarray:
+        """``(k, N)`` ids: row ``j`` holds every client's ``(j+1)``-th largest class.
+
+        Ties go to the smaller class id — the order of a stable argsort of
+        ``-p`` — because ``argmax`` returns the first maximum and a winner is
+        masked to ``-inf`` (below every proportion, ``-0.0`` included) only
+        in a scratch copy.
+        """
+        n, c = p.shape
+        top = np.empty((k, n), dtype=np.int64)
+        scratch = p.copy()
+        flat = scratch.reshape(-1)
+        row_start = np.arange(0, n * c, c)
+        for j in range(k):
+            np.argmax(scratch, axis=1, out=top[j])
+            if j + 1 < k:
+                flat[row_start + top[j]] = -np.inf
+        return top
+
+    def _rank_rows(self, members: list[np.ndarray]) -> np.ndarray:
+        """Vectorised :func:`combination_rank` of unsorted combinations.
+
+        ``members[j]`` holds the ``j``-th class of every combination (the
+        ``i = len(members)`` classes of a column are distinct, in any order);
+        a class sits at sorted position ``s`` when ``s`` other members are
+        smaller, so no sort is needed.
+        """
+        size = len(members)
+        if self.length >= _INT64_SAFE_LENGTH:
+            # exact-integer fallback for codebooks wider than int64 ranks
+            return np.array([combination_rank(sorted(column), self.num_classes)
+                             for column in np.stack(members, axis=1).tolist()],
+                            dtype=object)
+        table = self._comb_table()
+        width = table.shape[1]
+        suffix = np.zeros(members[0].shape, dtype=np.int64)
+        for j, ids in enumerate(members):
+            position = np.zeros(ids.shape, dtype=np.int64)
+            for other in members[:j] + members[j + 1:]:
+                position += other < ids
+            # table[C - 1 - c_s, size - s] through one flat gather
+            suffix += table.reshape(-1)[(self.num_classes - 1 - ids) * width
+                                        + size - position]
+        return table[self.num_classes, size] - 1 - suffix
 
     def _comb_table(self) -> np.ndarray:
         """Cached Pascal triangle ``table[n, k] = C(n, k)`` as int64."""

@@ -76,6 +76,8 @@ class ClientSelector:
     def population_of(self, selected: Sequence[int]) -> np.ndarray:
         """Population distribution ``p_o`` of a candidate participant set."""
         idx = np.asarray(list(selected), dtype=int)
+        if idx.size == 0:
+            raise ValueError("cannot score an empty selection")
         return self.client_distributions[idx].mean(axis=0)
 
     def bias_of(self, selected: Sequence[int]) -> float:
@@ -86,14 +88,18 @@ class ClientSelector:
         """Population distributions of several candidate sets at once.
 
         Equal-sized candidate sets (the common case: every tentative draw is
-        topped up/trimmed to K) are scored with a single fancy-index and one
-        mean over the member axis; ragged sets fall back to per-candidate
-        calls.  Row ``h`` equals ``population_of(candidates[h])``.
+        topped up/trimmed to K) are scored with a single row ``take`` (the
+        rows fancy indexing would copy, at about a third of its cost for an
+        ``(H, K)`` index into a 10^5-row matrix) and one mean over the
+        member axis; ragged sets fall back to per-candidate calls.  Row
+        ``h`` equals ``population_of(candidates[h])``.
         """
         sizes = {len(c) for c in candidates}
+        if 0 in sizes:
+            raise ValueError("cannot score an empty selection")
         if len(sizes) == 1:
-            idx = np.asarray([tuple(c) for c in candidates], dtype=int)
-            return self.client_distributions[idx].mean(axis=1)
+            idx = np.asarray(candidates, dtype=np.int64)
+            return self.client_distributions.take(idx, axis=0).mean(axis=1)
         return np.stack([self.population_of(c) for c in candidates])
 
     def select(self, round_index: int) -> list[int]:
@@ -258,9 +264,13 @@ class DubheSelector(ClientSelector):
         """One proactive participation draw, topped up / trimmed to exactly K.
 
         Array-native version of the original list-based draw: identical RNG
-        stream (one uniform block for the Bernoulli step, then the same
-        ``choice`` calls on the same arguments), so seeded selections match
-        the reference implementation element for element.
+        stream (one uniform block for the Bernoulli step, then ``choice``
+        calls that pick the same positions), so seeded selections match the
+        reference implementation element for element.  ``choice`` draws its
+        positions from the population size alone, so the top-up samples
+        positions among the ``N − |pool|`` clients outside the pool and maps
+        them to client ids with one ``searchsorted`` — O(K) work, no
+        N-entry mask.
         """
         volunteers = bernoulli_participation(self.probabilities, rng=self.rng)
         pool = volunteers.astype(np.int64, copy=False)
@@ -271,11 +281,12 @@ class DubheSelector(ClientSelector):
             keep = self.rng.choice(pool.size, size=k, replace=False)
             pool = pool[keep]
         elif pool.size < k:
-            inside = np.zeros(self.n_clients, dtype=bool)
-            inside[pool] = True
-            outside = np.flatnonzero(~inside)  # == setdiff1d(arange(N), pool)
-            extra = self.rng.choice(outside, size=k - pool.size, replace=False)
-            pool = np.concatenate([pool, extra])
+            positions = self.rng.choice(self.n_clients - pool.size,
+                                        size=k - pool.size, replace=False)
+            # outside the ascending pool, the j-th client is j + #{t : pool[t] − t ≤ j}
+            skipped = np.searchsorted(pool - np.arange(pool.size), positions,
+                                      side="right")
+            pool = np.concatenate([pool, positions + skipped])
         return pool
 
     # -- public API --------------------------------------------------------------------
@@ -290,7 +301,7 @@ class DubheSelector(ClientSelector):
             population_of_many=self.populations_of,
         )
         self.last_result = result
-        return [int(c) for c in result.best.candidate]
+        return list(result.best.candidate)
 
     @property
     def last_bias(self) -> float:

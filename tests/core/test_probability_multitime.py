@@ -110,6 +110,11 @@ class TestBernoulliParticipation:
         with pytest.raises(ValueError):
             bernoulli_participation(np.array([-0.1]))
 
+    def test_nan_probability_rejected(self):
+        # NaN compares False both ways: it used to volunteer nobody silently
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bernoulli_participation(np.array([np.nan, 0.5, 1.0]))
+
     def test_expected_count_statistics(self):
         rng = np.random.default_rng(1)
         probs = np.full(2000, 0.25)

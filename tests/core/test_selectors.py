@@ -137,6 +137,18 @@ class TestPopulationsOf:
         for row, candidate in zip(batch, candidates):
             np.testing.assert_array_equal(row, selector.population_of(candidate))
 
+    def test_empty_selection_is_an_error_not_nan(self, skewed_federation):
+        # the encrypted scorer's error, not a "Mean of empty slice" NaN
+        selector = RandomSelector(skewed_federation, 20, seed=0)
+        with pytest.raises(ValueError, match="cannot score an empty selection"):
+            selector.population_of([])
+        with pytest.raises(ValueError, match="cannot score an empty selection"):
+            selector.bias_of([])
+        with pytest.raises(ValueError, match="cannot score an empty selection"):
+            selector.populations_of([[], []])
+        with pytest.raises(ValueError, match="cannot score an empty selection"):
+            selector.populations_of([[0, 1], []])
+
     def test_ragged_candidates_fall_back(self, skewed_federation):
         selector = RandomSelector(skewed_federation, 20, seed=0)
         candidates = [[0, 1, 2], [3, 4], [5, 6, 7]]
