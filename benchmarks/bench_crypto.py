@@ -60,6 +60,7 @@ from repro.crypto import (  # noqa: E402  (sys.path setup above)
     generate_keypair,
     plaintext_vector_bytes,
 )
+from repro.crypto.packing import StreamingTreeAggregator  # noqa: E402
 
 #: Registry length of the paper's §6.4 study (reference set G = {1, 2, C}).
 REGISTRY_LENGTH = 56
@@ -71,6 +72,14 @@ NOISE_TERMS = {256: 400, 1024: 24, 2048: 8}
 #: Default clients per key size: full scale where per-component encryption
 #: is cheap, reduced where a single registry already costs seconds.
 DEFAULT_CLIENTS = {256: 100, 1024: 8, 2048: 4}
+
+
+def fold(vectors):
+    """The homomorphic sum of *vectors*: the server's flat left-to-right fold."""
+    aggregator = StreamingTreeAggregator(arity=None)
+    for vector in vectors:
+        aggregator.push(vector)
+    return aggregator.combined()
 
 
 def registry_workload(n_clients: int, length: int) -> list[np.ndarray]:
@@ -121,7 +130,7 @@ def bench_key_size(key_size: int, n_clients: int, length: int,
                      for v in vectors]
     pc_encrypt = perf_counter() - start
     start = perf_counter()
-    pc_total = EncryptedVector.sum(per_component)
+    pc_total = fold(per_component)
     pc_aggregate = perf_counter() - start
     start = perf_counter()
     pc_plain = pc_total.decrypt(sk)
@@ -137,7 +146,7 @@ def bench_key_size(key_size: int, n_clients: int, length: int,
               for v in vectors]
     pk_encrypt = perf_counter() - start
     start = perf_counter()
-    pk_total = PackedEncryptedVector.sum(packed)
+    pk_total = fold(packed)
     pk_aggregate = perf_counter() - start
     start = perf_counter()
     pk_plain = pk_total.decrypt(sk)

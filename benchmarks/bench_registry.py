@@ -5,22 +5,23 @@ Sweeps N ∈ {10^4, 10^5, 10^6} (configurable) over the four scaled paths this
 repo ships and records ``BENCH_registry.json``:
 
 * **registration** — vectorised Algorithm 1 (`RegistryCodebook.register_batch`)
-  streamed in chunks, with the per-client Python loop (`register_many`) as the
-  capped reference; the two are asserted index-identical before timing counts.
+  streamed in chunks, with a per-client loop of `register` as the capped
+  reference; the two are asserted index-identical before timing counts.
 * **probability** — the vectorised eq. (6) over all N against the scalar
   per-client reference, asserted bit-identical.
 * **selection** — `DubheSelector` construction + one multi-time selection at
   K = min(1000, N/10), H = 4, all on the batch path.
 * **memory** — `tracemalloc` peaks: streaming registration (batch generator,
-  nothing materialised) vs the materialised `register_many` path at a capped
-  N, yielding the memory-reduction ratio the CI gate watches.
+  nothing materialised) vs one `RegistrationResult` (with its one-hot
+  registry) per client at a capped N, yielding the memory-reduction ratio the
+  CI gate watches.
 * **tree** — fold-depth of the streaming tree aggregator at the full N
   (flat depth is N − 1, tree depth is O(log N)), probed without crypto.
 * **secure** — a real encrypted round at ``--secure-clients`` (Paillier cost
   is per-ciphertext, so the full N would take days; the capped run is the
-  *same code path* streaming runs at any N): `run()` vs `run_stream()` flat
-  vs tree, asserted to decrypt bit-identically, with the count-packing
-  ciphertext reduction recorded.
+  *same code path* streaming runs at any N): `run_stream()` with a flat and
+  a tree fold, each asserted to decrypt to the plaintext overall registry,
+  with the count-packing ciphertext reduction recorded.
 
 Run from the repository root::
 
@@ -64,7 +65,7 @@ from repro.crypto.packing import (  # noqa: E402
 #: paper's skewed MNIST splits: most clients have 1–2 dominating classes).
 DIRICHLET_ALPHA = 0.3
 
-#: Cap on the per-client reference loops (register_many / scalar eq. (6)):
+#: Cap on the per-client reference loops (register / scalar eq. (6)):
 #: the point of the reference is the speedup ratio and the equivalence
 #: assert, both of which 10^4 clients establish; looping 10^6 would just
 #: make the sweep take minutes for no extra information.
@@ -123,7 +124,7 @@ def bench_size(n: int, batch_size: int, arity: int, seed: int = 0) -> dict:
 
     loop_clients = min(n, LOOP_CAP)
     start = perf_counter()
-    loop_results = codebook.register_many(distributions[:loop_clients])
+    loop_results = [codebook.register(p) for p in distributions[:loop_clients]]
     loop_s = perf_counter() - start
     loop_indices = np.array([r.index for r in loop_results])
     if not np.array_equal(batch.indices[:loop_clients], loop_indices):
@@ -176,8 +177,10 @@ def bench_size(n: int, batch_size: int, arity: int, seed: int = 0) -> dict:
     tracemalloc.start()
     tracemalloc.reset_peak()
     mat_distributions = population(mat_clients, config.num_classes, seed)
-    mat_results = codebook.register_many(mat_distributions)
-    _ = codebook.aggregate(mat_results)
+    mat_results = [codebook.register(p) for p in mat_distributions]
+    overall = codebook.empty_registry()
+    for result in mat_results:
+        overall += result.registry
     _, mat_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del mat_results
@@ -233,7 +236,7 @@ def bench_size(n: int, batch_size: int, arity: int, seed: int = 0) -> dict:
 
 def bench_secure(n_clients: int, batch_size: int, arity: int,
                  key_size: int, seed: int = 0) -> dict:
-    """One real encrypted round: run() vs streaming flat vs streaming tree.
+    """One real encrypted round, streamed with a flat and with a tree fold.
 
     Paillier cost scales per-ciphertext, so the encrypted section runs at a
     capped client count — the code path (chunked encrypt, streaming fold) is
@@ -243,10 +246,8 @@ def bench_secure(n_clients: int, batch_size: int, arity: int,
                           key_size=key_size)
     distributions = population(n_clients, config.num_classes, seed)
 
-    start = perf_counter()
-    overall_ref, _, stats_ref = SecureRegistrationRound(
-        config, packed=True, precompute_noise=True).run(distributions)
-    run_s = perf_counter() - start
+    expected = RegistryCodebook(config).register_batch(
+        distributions).overall_registry()
 
     start = perf_counter()
     flat = SecureRegistrationRound(
@@ -261,9 +262,10 @@ def bench_secure(n_clients: int, batch_size: int, arity: int,
     stream_tree_s = perf_counter() - start
 
     for label, streamed in (("flat", flat), ("tree", tree)):
-        if not np.array_equal(streamed.overall, overall_ref):
+        if not np.array_equal(streamed.overall, expected):
             raise AssertionError(
-                f"streaming ({label}) decrypted a different overall registry")
+                f"streaming ({label}) decrypted a different overall registry "
+                "than the plaintext one")
 
     codebook_length = flat.registration.length
     from repro.crypto.paillier import generate_keypair
@@ -277,7 +279,6 @@ def bench_secure(n_clients: int, batch_size: int, arity: int,
         "n_clients": n_clients,
         "key_size": key_size,
         "batch_size": batch_size,
-        "run_s": round(run_s, 3),
         "stream_flat_s": round(stream_flat_s, 3),
         "stream_tree_s": round(stream_tree_s, 3),
         "fold_depth": {"flat": flat.fold_depth, "tree": tree.fold_depth,
@@ -285,7 +286,6 @@ def bench_secure(n_clients: int, batch_size: int, arity: int,
         "num_batches": flat.num_batches,
         "ciphertexts_per_client": {"default_packing": default_cts,
                                    "count_packing": count_cts},
-        "ciphertext_mb": round(stats_ref.ciphertext_bytes / 2**20, 2),
         "stream_ciphertext_mb": round(flat.stats.ciphertext_bytes / 2**20, 2),
         "bit_identical": True,
     }
@@ -336,8 +336,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{args.secure_key_size}-bit keys ...", flush=True)
         secure = bench_secure(args.secure_clients, args.batch_size,
                               args.arity, args.secure_key_size)
-        print(f"  run {secure['run_s']}s, stream flat "
-              f"{secure['stream_flat_s']}s, stream tree "
+        print(f"  stream flat {secure['stream_flat_s']}s, stream tree "
               f"{secure['stream_tree_s']}s (depth "
               f"{secure['fold_depth']['tree']} vs "
               f"{secure['fold_depth']['flat']}), bit-identical")

@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from bench_crypto import bench_key_size, registry_workload
+from bench_crypto import bench_key_size, fold, registry_workload
 from helpers import print_table
 from repro.crypto import (
     EncryptedVector,
@@ -106,7 +106,7 @@ def test_packed_aggregate_matches_per_component_bitwise(benchmark):
 
     def experiment():
         scheme = PackingScheme(pk, REGISTRY_LENGTH, max_weight=N_CLIENTS)
-        packed = PackedEncryptedVector.sum([
+        packed = fold([
             PackedEncryptedVector.encrypt(pk, v, scheme=scheme) for v in vectors[:20]
         ]).decrypt(sk)
         plain = np.sum(vectors[:20], axis=0)

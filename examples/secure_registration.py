@@ -70,7 +70,9 @@ def main(argv: list[str] | None = None) -> None:
                                            precompute_noise=True)
     else:
         protocol = SecureRegistrationRound(config, agent=agent)
-    overall, registrations, stats = protocol.run(distributions)
+    streamed = protocol.run_stream(distributions)
+    overall, registrations, stats = (streamed.overall, streamed.registration,
+                                     streamed.stats)
 
     print(f"Secure registration round ({'packed' if args.packed else 'per-component'} "
           f"ciphertexts)")
@@ -99,7 +101,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     print("\nEach client's self-computed participation probability (first 10):")
     for client_id, p in enumerate(probabilities[:10]):
-        category = registrations[client_id].category.classes
+        category = codebook.category_of(int(registrations.indices[client_id])).classes
         print(f"  client {client_id:>2} (category {category!s:<10}): P = {p:.3f}")
 
     # -------------------------------------------- §6.4-style overhead summary

@@ -178,13 +178,13 @@ def partition_cohort(num_clients: int, num_workers: int,
     return [np.arange(bounds[s], bounds[s + 1]) for s in range(shards)]
 
 
-#: How the secure-aggregation server folds the stream of client ciphertexts.
-#: ``"flat"`` is the original left-to-right accumulator (fold depth N − 1);
-#: ``"tree"`` merges fixed-arity partials so the longest sequential addition
-#: chain is O(log N).  Paillier addition is associative and commutative, so
-#: the two modes produce bit-identical ciphertexts — the tree only changes
-#: *when* additions happen, which is what lets the server parallelise or
-#: bound latency at million-client scale.
+#: The shape of the secure-aggregation server's one fold over the stream of
+#: client ciphertexts.  ``"flat"`` never carries: one running sum, fold depth
+#: N − 1; ``"tree"`` carries a partial up a level every ``arity`` arrivals,
+#: so the longest sequential addition chain is O(log N).  Paillier addition
+#: is associative and commutative, so both shapes produce bit-identical
+#: ciphertexts — the tree only changes *when* additions happen, which is
+#: what lets the server parallelise or bound latency at million-client scale.
 AGGREGATION_MODES: tuple[str, ...] = ("flat", "tree")
 
 #: Default client chunk size for streaming registration.  Peak server memory

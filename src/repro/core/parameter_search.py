@@ -52,11 +52,10 @@ def _score_candidate(config: DubheConfig, client_distributions: np.ndarray,
                      tries: int, rng: np.random.Generator) -> float:
     """Score one threshold assignment by the expected population bias."""
     codebook = RegistryCodebook(config)
-    registrations = codebook.register_many(client_distributions)
-    overall = codebook.aggregate(registrations)
+    registrations = codebook.register_batch(client_distributions)
     probabilities = participation_probabilities(
-        codebook, registrations, overall, config.participants_per_round
-    )
+        codebook, registrations, registrations.overall_registry(),
+        config.participants_per_round)
     uniform = np.full(config.num_classes, 1.0 / config.num_classes)
     n_clients = client_distributions.shape[0]
 

@@ -17,20 +17,20 @@ are verified by the tests and the property-based suite:
 
 :func:`participation_probabilities` is fully vectorised: for N clients it is
 one gather and a handful of array ops over a contiguous float64 registry —
-no per-client Python work — and accepts either the original
-``list[RegistrationResult]``, a scaled :class:`~repro.core.registry.BatchRegistration`,
-or a bare integer index array.  The scalar :func:`participation_probability`
+no per-client Python work — and accepts a
+:class:`~repro.core.registry.BatchRegistration` or a bare integer index
+array.  The scalar :func:`participation_probability`
 is kept as the readable single-client reference the property suite compares
 against.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
+from .registry import BatchRegistration, RegistryCodebook
 
 __all__ = [
     "participation_probability",
@@ -40,7 +40,7 @@ __all__ = [
     "bernoulli_participation",
 ]
 
-Registrations = Union[BatchRegistration, Sequence[RegistrationResult], np.ndarray]
+Registrations = Union[BatchRegistration, np.ndarray]
 
 
 def participation_probability(overall_registry: np.ndarray, category_index: int,
@@ -73,9 +73,7 @@ def _registration_indices(registrations: Registrations) -> np.ndarray:
     """Flat registry indices of a registration collection as int64."""
     if isinstance(registrations, BatchRegistration):
         return registrations.indices
-    if isinstance(registrations, np.ndarray):
-        return np.ascontiguousarray(registrations, dtype=np.int64)
-    return np.array([reg.index for reg in registrations], dtype=np.int64)
+    return np.ascontiguousarray(registrations, dtype=np.int64)
 
 
 def participation_probabilities(codebook: RegistryCodebook,

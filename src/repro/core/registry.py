@@ -19,9 +19,9 @@ The codebook is **lazy** by default: a category's flat slot index is computed
 by combinatorial (lexicographic) ranking — :func:`combination_rank` /
 :func:`combination_from_rank` — instead of materialising all ``C(C, i)``
 combinations in lookup tables, so a wide-``C`` block (say ``C(52, 26)``
-slots) costs nothing to address.  ``materialize=True`` restores the eager
-tables; the two construction modes are asserted index-identical by the
-property suite.  :meth:`RegistryCodebook.register_batch` runs Algorithm 1
+slots) costs nothing to address; the property suite asserts the ranks
+index-identical to an eager ``itertools.combinations`` table.
+:meth:`RegistryCodebook.register_batch` runs Algorithm 1
 for N clients as a handful of array operations (no per-client Python work)
 and returns a compact :class:`BatchRegistration` — two int64 arrays — rather
 than N one-hot vectors, which is what lets registration stream to
@@ -150,8 +150,8 @@ class RegistrationResult:
 class BatchRegistration:
     """Algorithm 1 output for N clients as two compact int64 arrays.
 
-    The scaled counterpart of a ``list[RegistrationResult]``: 16 bytes per
-    client instead of a one-hot float vector per client, so a million-client
+    16 bytes per client instead of a one-hot float vector (a
+    :class:`RegistrationResult`) per client, so a million-client
     registration fits in ~16 MB.  Row ``k`` of the batch registered block
     ``blocks[k]`` at flat slot ``indices[k]``.
 
@@ -192,12 +192,8 @@ class BatchRegistration:
 class RegistryCodebook:
     """Maps between client categories and registry vector positions.
 
-    Lazy by default: slot indices come from combinatorial ranking and no
-    per-combination table is built.  ``materialize=True`` builds the eager
-    combination tables of the original implementation — kept as the
-    reference the property suite checks the lazy arithmetic against (and as
-    a micro-optimisation for tiny codebooks that are addressed millions of
-    times).
+    Lazy: slot indices come from combinatorial ranking and no
+    per-combination table is built.
 
     Example
     -------
@@ -207,7 +203,7 @@ class RegistryCodebook:
     56
     """
 
-    def __init__(self, config: DubheConfig, materialize: bool = False):
+    def __init__(self, config: DubheConfig):
         if not config.has_all_thresholds():
             raise ValueError("all thresholds must be set before building the codebook")
         self.config = config
@@ -226,18 +222,6 @@ class RegistryCodebook:
         self._offset_order = sorted(
             (start, i) for i, start in self._block_offset.items()
         )
-        self._combo_to_index: dict[tuple[int, ...], int] | None = None
-        if materialize:
-            self._combo_to_index = {}
-            for i in self.reference_set:
-                start = self._block_offset[i]
-                for j, combo in enumerate(combinations(range(self.num_classes), i)):
-                    self._combo_to_index[combo] = start + j
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the eager per-combination tables were built."""
-        return self._combo_to_index is not None
 
     # -- codebook geometry -------------------------------------------------------
 
@@ -269,10 +253,6 @@ class RegistryCodebook:
         """Flat registry index of a category."""
         classes = tuple(category.classes if isinstance(category, ClientCategory) else
                         sorted(category))
-        if self._combo_to_index is not None:
-            if classes not in self._combo_to_index:
-                raise KeyError(f"category {classes} is not representable by this codebook")
-            return self._combo_to_index[classes]
         size = len(classes)
         if (size not in self._block_offset
                 or len(set(classes)) != size
@@ -431,36 +411,6 @@ class RegistryCodebook:
                     table[n, k] = comb(n, k)
             self._comb_table_cache = table
         return table
-
-    def materialize_results(self, batch: BatchRegistration) -> list[RegistrationResult]:
-        """Expand a :class:`BatchRegistration` into per-client results.
-
-        The compatibility bridge for code that wants the original
-        ``list[RegistrationResult]`` (one-hot vectors included); costs
-        O(N·L) memory, so call it only at paper scale.
-        """
-        results = []
-        for block, index in zip(batch.blocks, batch.indices):
-            registry = self.empty_registry()
-            registry[index] = 1.0
-            results.append(RegistrationResult(
-                registry, self.category_of(int(index)), block=int(block),
-                index=int(index)))
-        return results
-
-    def register_many(self, distributions: Sequence[np.ndarray] | np.ndarray,
-                      ) -> list[RegistrationResult]:
-        """Register every client of a federation (row per client)."""
-        return [self.register(np.asarray(p)) for p in distributions]
-
-    def aggregate(self, registrations: Sequence[RegistrationResult]) -> np.ndarray:
-        """The overall registry ``R_A = Σ_k R^(t,k)`` (plaintext path)."""
-        if not registrations:
-            raise ValueError("cannot aggregate zero registrations")
-        total = self.empty_registry()
-        for reg in registrations:
-            total += reg.registry
-        return total
 
     def describe(self, overall_registry: np.ndarray, max_entries: int | None = None) -> list[dict]:
         """Human-readable view of an overall registry (Figure 10 style).

@@ -25,11 +25,12 @@ Million-client scale
 --------------------
 Two orthogonal knobs push the round to large N (see ``docs/scaling.md``):
 
-* ``aggregation="tree"`` folds received ciphertexts through a fixed-arity
-  merge tree (:class:`~repro.crypto.packing.StreamingTreeAggregator`), so the
-  longest chain of dependent Paillier additions is O(log N) instead of
-  N − 1 — bit-identical ciphertexts, since Paillier addition is associative
-  and commutative;
+* the server folds every arrival through one
+  :class:`~repro.crypto.packing.StreamingTreeAggregator`; with
+  ``aggregation="tree"`` it carries every *arity* arrivals up a level, so
+  the longest chain of dependent Paillier additions is O(log N) instead of
+  N − 1 — the same ciphertexts, since Paillier addition is associative and
+  commutative;
 * :meth:`SecureRegistrationRound.run_stream` consumes client distributions
   in chunks, registering / encrypting / folding one batch at a time and
   discarding each batch's registries before the next, so peak memory is
@@ -38,7 +39,7 @@ Two orthogonal knobs push the round to large N (see ``docs/scaling.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,7 +53,7 @@ from ..crypto.packing import (DEFAULT_MAX_WEIGHT, PackingScheme,
 from ..crypto.paillier import NoisePool, PaillierPrivateKey, PaillierPublicKey
 from ..crypto.vector import plaintext_vector_bytes
 from .config import DubheConfig, resolve_aggregation_mode
-from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
+from .registry import BatchRegistration, RegistryCodebook
 
 __all__ = [
     "ProtocolStats",
@@ -114,51 +115,45 @@ class SecureAggregationServer:
     every live server and assert that no private key and no noise pool is
     reachable from it.
 
-    Aggregation is *streaming* in both modes, so server memory never grows
-    with N: ``aggregation="flat"`` (default) folds each arrival into one
-    running sum (O(1) state, fold depth N − 1); ``aggregation="tree"`` keeps
-    O(log N) partial sums in a :class:`~repro.crypto.packing.StreamingTreeAggregator`
-    so the longest chain of dependent additions — :attr:`fold_depth` — is
-    O(log N).  The two modes produce bit-identical ciphertexts (Paillier
-    addition is associative and commutative); the tree only matters for
-    latency and pipelining at million-client scale.
+    Aggregation is *streaming*, so server memory never grows with N: every
+    arrival folds through one
+    :class:`~repro.crypto.packing.StreamingTreeAggregator`.  ``arity=None``
+    (default) keeps one running sum (fold depth N − 1); an integer *arity*
+    keeps O(log N) partial sums so the longest chain of dependent additions —
+    :attr:`fold_depth` — is O(log N).  The ciphertexts are the same either
+    way (Paillier addition is associative and commutative); the tree only
+    matters for latency and pipelining at million-client scale.  An upload
+    of another kind or packing scheme than the first one folded is refused
+    when it arrives.
 
     Example
     -------
     >>> from repro.crypto.paillier import generate_keypair
     >>> from repro.crypto.vector import EncryptedVector
     >>> pk = generate_keypair(key_size=64).public_key
-    >>> server = SecureAggregationServer(pk, aggregation="tree")
+    >>> server = SecureAggregationServer(pk, arity=2)
     >>> server.receive(EncryptedVector.encrypt(pk, [1.0, 0.0]))
     >>> server.receive(EncryptedVector.encrypt(pk, [0.0, 1.0]))
     >>> (server.received_count, server.fold_depth)
     (2, 1)
     """
 
-    def __init__(self, public_key: PaillierPublicKey, aggregation: str = "flat",
-                 arity: int = 2):
+    def __init__(self, public_key: PaillierPublicKey, arity: Optional[int] = None):
         self.public_key = public_key
-        self.aggregation = resolve_aggregation_mode(aggregation)
-        self._tree: Optional[StreamingTreeAggregator] = (
-            StreamingTreeAggregator(arity=arity) if self.aggregation == "tree"
-            else None
-        )
-        self._aggregate: Optional[AnyEncryptedVector] = None
-        self._count = 0
+        self._fold = StreamingTreeAggregator(arity=arity)
+        #: a copy of the first upload, which every later one must match
+        self._first: Optional[AnyEncryptedVector] = None
         self.stats = ProtocolStats()
 
     def receive(self, ciphertext: AnyEncryptedVector) -> None:
         """Accept one client's encrypted vector and fold it into the sum."""
         if ciphertext.public_key != self.public_key:
             raise ValueError("ciphertext was produced under a different round key")
-        if self._tree is not None:
-            self._tree.push(ciphertext)
-        elif self._aggregate is None:
-            # copy so in-place accumulation never mutates the sender's object
-            self._aggregate = ciphertext.copy()
+        if self._first is None:
+            self._first = ciphertext.copy()
         else:
-            self._aggregate.add_(ciphertext)
-        self._count += 1
+            self._first.check_compatible(ciphertext)
+        self._fold.push(ciphertext)
         self.stats.messages += 1
         self.stats.ciphertext_bytes += ciphertext.nbytes()
 
@@ -168,11 +163,9 @@ class SecureAggregationServer:
         Returns a copy, so callers can keep (or mutate) the result while the
         server continues to fold in late arrivals.
         """
-        if self._count == 0:
+        if self._fold.count == 0:
             raise ValueError("no ciphertexts received")
-        if self._tree is not None:
-            return self._tree.combined()
-        return self._aggregate.copy()
+        return self._fold.combined()
 
     @property
     def fold_depth(self) -> int:
@@ -181,35 +174,30 @@ class SecureAggregationServer:
         ``N − 1`` for the flat fold, O(log N) for the tree — the scale suite
         asserts both.
         """
-        if self._tree is not None:
-            return self._tree.depth
-        return max(0, self._count - 1)
+        return self._fold.depth
 
     @property
     def received_count(self) -> int:
         """How many client ciphertexts have been folded in."""
-        return self._count
+        return self._fold.count
 
     def reset(self) -> None:
         """Drop the running aggregate and start a fresh round."""
-        if self._tree is not None:
-            self._tree.reset()
-        self._aggregate = None
-        self._count = 0
+        self._fold.reset()
+        self._first = None
 
 
 class SecureClient:
     """A client's view of the secure protocol: encrypt before transmitting.
 
+    Every vector a client transmits is BatchCrypt-style packed
+    (``⌈l/slots⌉`` ciphertexts per vector).
+
     Parameters
     ----------
-    packed:
-        When ``True`` the client transmits BatchCrypt-style packed
-        ciphertexts (``⌈l/slots⌉`` ciphertexts per vector) instead of one
-        ciphertext per component.
     max_weight:
         Packing headroom: how many clients' vectors the server may sum into
-        the packed ciphertext.  Required when *packed*.
+        the packed ciphertext.  Required before the first encryption.
     noise:
         Optional :class:`NoisePool` the client draws ``r^n mod n²`` terms
         from — in the protocol, one built on the dispatched ``sk_t``.
@@ -222,8 +210,8 @@ class SecureClient:
     -------
     >>> import numpy as np
     >>> from repro.crypto.paillier import generate_keypair
-    >>> pk = generate_keypair(key_size=64).public_key
-    >>> client = SecureClient(0, np.array([0.8, 0.2]))
+    >>> pk = generate_keypair(key_size=128).public_key
+    >>> client = SecureClient(0, np.array([0.8, 0.2]), max_weight=4)
     >>> ciphertext = client.encrypted_distribution(pk)
     >>> client.encrypted_distribution(pk) is ciphertext   # re-sent, not redone
     True
@@ -232,54 +220,16 @@ class SecureClient:
     """
 
     def __init__(self, client_id: int, distribution: np.ndarray,
-                 packed: bool = False, max_weight: Optional[int] = None,
+                 max_weight: Optional[int] = None,
                  noise: Optional[NoisePool] = None):
         self.client_id = client_id
         self.distribution = np.asarray(distribution, dtype=float)
-        self.registration: Optional[RegistrationResult] = None
-        self.packed = packed
         self.max_weight = max_weight
         self.noise = noise
         self.stats = ProtocolStats()
         #: the last encrypted p_l, and the (key, headroom, row bytes) it is for
         self._upload: Optional[AnyEncryptedVector] = None
         self._upload_made_for: Optional[tuple] = None
-
-    def register(self, codebook: RegistryCodebook) -> RegistrationResult:
-        """Run Algorithm 1 locally (plaintext never leaves the client)."""
-        self.registration = codebook.register(self.distribution)
-        return self.registration
-
-    def record_transmission(self, values: np.ndarray,
-                            ciphertext: AnyEncryptedVector,
-                            encrypt_seconds: float) -> None:
-        """Account for one transmitted vector (used by batched encryption)."""
-        self.stats.encrypt_seconds += encrypt_seconds
-        self.stats.messages += 1
-        self.stats.plaintext_bytes += plaintext_vector_bytes(values)
-        self.stats.ciphertext_bytes += ciphertext.nbytes()
-
-    def _encrypt(self, values: np.ndarray,
-                 public_key: PaillierPublicKey) -> AnyEncryptedVector:
-        if self.packed and self.max_weight is None:
-            raise ValueError("packed clients need max_weight (the n_clients headroom)")
-        start = perf_counter()
-        # the same worker body the batch executor runs, so the client-side
-        # and round-level encryption paths cannot drift apart
-        ciphertext = encrypt_one(
-            public_key, values, packed=self.packed,
-            max_weight=(self.max_weight if self.max_weight is not None
-                        else DEFAULT_MAX_WEIGHT),
-            base=DEFAULT_BASE, precision=DEFAULT_PRECISION, max_abs_value=1.0,
-            noise=self.noise, rng=None)
-        self.record_transmission(values, ciphertext, perf_counter() - start)
-        return ciphertext
-
-    def encrypted_registry(self, public_key: PaillierPublicKey) -> AnyEncryptedVector:
-        """The encrypted registry this client sends to the server."""
-        if self.registration is None:
-            raise RuntimeError("client has not registered yet")
-        return self._encrypt(self.registration.registry, public_key)
 
     def encrypted_distribution(self, public_key: PaillierPublicKey) -> AnyEncryptedVector:
         """The encrypted label distribution sent during multi-time selection.
@@ -291,11 +241,24 @@ class SecureClient:
         bytes on the wire) that costs no encryption time.
         """
         made_for = (public_key, self.max_weight, self.distribution.tobytes())
+        seconds = 0.0
         if self._upload_made_for != made_for:
-            self._upload = self._encrypt(self.distribution, public_key)
+            if self.max_weight is None:
+                raise ValueError("clients need max_weight (the cohort-size headroom)")
+            start = perf_counter()
+            # the same worker body the batch executor runs, so the client-side
+            # and round-level encryption paths cannot drift apart
+            self._upload = encrypt_one(
+                public_key, self.distribution, packed=True,
+                max_weight=self.max_weight, base=DEFAULT_BASE,
+                precision=DEFAULT_PRECISION, max_abs_value=1.0,
+                noise=self.noise, rng=None)
             self._upload_made_for = made_for
-        else:
-            self.record_transmission(self.distribution, self._upload, 0.0)
+            seconds = perf_counter() - start
+        self.stats.encrypt_seconds += seconds
+        self.stats.messages += 1
+        self.stats.plaintext_bytes += plaintext_vector_bytes(self.distribution)
+        self.stats.ciphertext_bytes += self._upload.nbytes()
         return self._upload
 
 
@@ -309,15 +272,6 @@ def _client_noise_pool(private_key: PaillierPrivateKey) -> NoisePool:
     toy-sized test keys decrypting correctly.
     """
     return NoisePool(private_key, check_coprime=True)
-
-
-def _noise_terms_needed(public_key: PaillierPublicKey, vector_length: int,
-                        n_clients: int, packed: bool, max_weight: int) -> int:
-    """How many ``r^n`` terms a round of *n_clients* encryptions consumes."""
-    if not packed:
-        return vector_length * n_clients
-    scheme = PackingScheme(public_key, vector_length, max_weight=max_weight)
-    return scheme.num_ciphertexts * n_clients
 
 
 @dataclass(frozen=True)
@@ -335,11 +289,11 @@ class StreamedRegistration:
     1
     """
 
-    #: The decrypted overall registry ``R_A`` — bit-identical to ``run()``'s.
+    #: The decrypted overall registry ``R_A`` — bit-identical to the plaintext sum.
     overall: np.ndarray
     #: Per-client blocks/indices as compact int64 arrays (16 bytes/client).
     registration: BatchRegistration
-    #: Aggregate overhead of every role, same accounting as ``run()``.
+    #: Aggregate overhead of every role.
     stats: ProtocolStats
     #: Longest chain of dependent ciphertext additions performed.
     fold_depth: int
@@ -379,8 +333,8 @@ def iter_distribution_batches(distributions: np.ndarray,
 class SecureRegistrationRound:
     """One full registration round: keygen → encrypt → aggregate → decrypt.
 
-    Returns the overall registry exactly as each client would decrypt it,
-    plus the overhead statistics of every role.
+    :meth:`run_stream` returns the overall registry exactly as each client
+    would decrypt it, plus the overhead statistics of every role.
 
     Parameters
     ----------
@@ -394,9 +348,9 @@ class SecureRegistrationRound:
         ``noise_precompute_seconds``).  The clients' :class:`NoisePool` on
         ``sk_t`` exists either way; left unfilled it generates inline.
     aggregation, arity:
-        Server fold strategy (:data:`repro.core.config.AGGREGATION_MODES`):
-        ``"flat"`` is the original running sum, ``"tree"`` bounds the fold
-        depth to O(log N) with *arity*-way merges — bit-identical results.
+        Server fold shape (:data:`repro.core.config.AGGREGATION_MODES`):
+        ``"flat"`` is one running sum, ``"tree"`` bounds the fold depth to
+        O(log N) with *arity*-way carries — the same ciphertexts either way.
 
     Example
     -------
@@ -406,10 +360,9 @@ class SecureRegistrationRound:
     ...                      thresholds={1: 0.6, 2: 0.0}, key_size=64)
     >>> rng = np.random.default_rng(0)
     >>> population = rng.dirichlet((1.0, 1.0), size=8)
-    >>> overall, registrations, stats = SecureRegistrationRound(config).run(
-    ...     population)
     >>> streamed = SecureRegistrationRound(config).run_stream(population)
-    >>> bool((streamed.overall == overall).all())
+    >>> plaintext = RegistryCodebook(config).register_batch(population)
+    >>> bool((streamed.overall == plaintext.overall_registry()).all())
     True
     """
 
@@ -419,86 +372,24 @@ class SecureRegistrationRound:
     precompute_noise: bool = False
     aggregation: str = "flat"
     arity: int = 2
-    _stats: ProtocolStats = field(default_factory=ProtocolStats)
 
     def __post_init__(self) -> None:
         resolve_aggregation_mode(self.aggregation)
         if self.arity < 2:
             raise ValueError("tree arity must be at least 2")
 
-    def run(self, client_distributions: Sequence[np.ndarray] | np.ndarray,
-            ) -> tuple[np.ndarray, list[RegistrationResult], ProtocolStats]:
-        """Execute the protocol for every client distribution given."""
-        distributions = np.asarray(client_distributions, dtype=float)
-        if distributions.ndim != 2:
-            raise ValueError("client_distributions must be 2-D")
-        if distributions.shape[0] == 0:
-            raise ValueError("client_distributions is empty")
-        codebook = RegistryCodebook(self.config)
-        agent = self.agent or KeyAgent(key_size=self.config.key_size)
-        keypair = agent.new_round()
-        n_clients = distributions.shape[0]
-        agent.dispatch_public_key(n_clients)
-        noise = _client_noise_pool(agent.dispatch_private_key(n_clients))
-
-        clients = [SecureClient(k, distributions[k]) for k in range(n_clients)]
-        server = SecureAggregationServer(keypair.public_key,
-                                         aggregation=self.aggregation,
-                                         arity=self.arity)
-        registrations = [client.register(codebook) for client in clients]
-        registries = [registration.registry for registration in registrations]
-
-        noise_seconds = 0.0
-        if self.precompute_noise:
-            start = perf_counter()
-            noise.refill(_noise_terms_needed(
-                keypair.public_key, len(registries[0]), n_clients,
-                self.packed, max_weight=n_clients))
-            noise_seconds = perf_counter() - start
-
-        executor = BatchCryptoExecutor()
-        start = perf_counter()
-        encrypted = executor.encrypt_many(keypair.public_key, registries,
-                                          packed=self.packed,
-                                          max_weight=n_clients, noise=noise)
-        encrypt_seconds = perf_counter() - start
-        for client, values, ciphertext in zip(clients, registries, encrypted):
-            # the batch's wall time, split evenly across the clients
-            client.record_transmission(values, ciphertext,
-                                       encrypt_seconds / n_clients)
-            server.receive(ciphertext)
-        encrypted_total = server.aggregate()
-
-        # every client can decrypt the synchronized aggregate with sk_t; we
-        # decrypt once (the result is identical for every client)
-        start = perf_counter()
-        overall = encrypted_total.decrypt(keypair.private_key)
-        decrypt_seconds = perf_counter() - start
-
-        stats = ProtocolStats()
-        for client in clients:
-            stats = stats.merged_with(client.stats)
-        stats = stats.merged_with(server.stats)
-        stats.decrypt_seconds += decrypt_seconds
-        stats.noise_precompute_seconds += noise_seconds
-        # synchronising the aggregate back to N clients is N more messages
-        stats.messages += n_clients
-        stats.ciphertext_bytes += encrypted_total.nbytes() * n_clients
-        self._stats = stats
-        return overall, registrations, stats
-
     def run_stream(self,
                    batches: np.ndarray | Iterable[np.ndarray],
                    total_clients: Optional[int] = None) -> StreamedRegistration:
         """Execute the protocol over a *stream* of distribution chunks.
 
-        The scaled counterpart of :meth:`run`: each chunk is registered
-        (vectorised Algorithm 1), encrypted and folded into the server's
-        aggregate, then discarded — peak memory is O(batch · codebook length)
-        plus 16 bytes per client for the returned index arrays, never
-        O(N · codebook length).  The decrypted overall registry is
-        bit-identical to :meth:`run`'s on the same clients (asserted by the
-        streaming equivalence suite), and the packed path uses the integer
+        Each chunk is registered (vectorised Algorithm 1), encrypted and
+        folded into the server's aggregate, then discarded — peak memory is
+        O(batch · codebook length) plus 16 bytes per client for the returned
+        index arrays, never O(N · codebook length).  The decrypted overall
+        registry is bit-identical to the plaintext sum of the same clients'
+        registries (asserted by the streaming equivalence suite), and the
+        packed path uses the integer
         count-packing scheme (:meth:`~repro.crypto.packing.PackingScheme.for_counts`),
         which needs ~2.3× fewer ciphertexts per registry than the float
         default.
@@ -532,9 +423,9 @@ class SecureRegistrationRound:
             )
         agent = self.agent or KeyAgent(key_size=self.config.key_size)
         keypair = agent.new_round()
-        server = SecureAggregationServer(keypair.public_key,
-                                         aggregation=self.aggregation,
-                                         arity=self.arity)
+        server = SecureAggregationServer(
+            keypair.public_key,
+            arity=self.arity if self.aggregation == "tree" else None)
         executor = BatchCryptoExecutor()
         scheme = (PackingScheme.for_counts(keypair.public_key, codebook.length,
                                            max_weight=total_clients)
@@ -587,7 +478,7 @@ class SecureRegistrationRound:
                 noise=noise)
             stats.encrypt_seconds += perf_counter() - start
             for values, ciphertext in zip(registries, encrypted):
-                # client-side accounting, mirroring record_transmission
+                # client-side accounting, as SecureClient books a transmission
                 stats.messages += 1
                 stats.plaintext_bytes += plaintext_vector_bytes(values)
                 stats.ciphertext_bytes += ciphertext.nbytes()
@@ -603,7 +494,6 @@ class SecureRegistrationRound:
         # synchronising the aggregate back to N clients is N more messages
         stats.messages += n_seen
         stats.ciphertext_bytes += encrypted_total.nbytes() * n_seen
-        self._stats = stats
         registration = BatchRegistration(
             blocks=np.concatenate(blocks_parts),
             indices=np.concatenate(index_parts),
@@ -668,7 +558,7 @@ class SecureDistributionAggregation:
         client = self._clients.get(client_id)
         if client is None:
             client = self._clients[client_id] = SecureClient(
-                client_id, row, packed=True, noise=self.noise)
+                client_id, row, noise=self.noise)
             # every role books into the aggregation's one ledger, in place
             client.stats = self.stats
         # the matrix is the clients' data: a changed row (or cohort size)

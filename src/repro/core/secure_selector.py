@@ -42,7 +42,7 @@ from ..crypto.keyagent import KeyAgent
 from .config import DubheConfig
 from .multitime import MultiTimeResult, multi_time_selection
 from .probability import participation_probabilities
-from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
+from .registry import BatchRegistration, RegistryCodebook
 from .secure import ProtocolStats, SecureDistributionAggregation, SecureRegistrationRound
 from .selectors import ClientSelector, DubheSelector
 
@@ -81,7 +81,6 @@ class SecureDubheSelector(ClientSelector):
         """Run a full encrypted registration round for every client."""
         streamed = self._registration_round.run_stream(self.client_distributions)
         self.registration_batch: BatchRegistration = streamed.registration
-        self._registrations: Optional[list[RegistrationResult]] = None
         self.overall_registry = streamed.overall
         self.probabilities = participation_probabilities(
             self.codebook, self.registration_batch, self.overall_registry,
@@ -93,13 +92,6 @@ class SecureDubheSelector(ClientSelector):
             # (the agent's current keypair now matches the scorer's) and no
             # client holds an upload yet — the old scorer's are dropped with it
             self._scorer = SecureDistributionAggregation(self.config, agent=self.agent)
-
-    @property
-    def registrations(self) -> list[RegistrationResult]:
-        """Per-client :class:`RegistrationResult` list (materialised lazily)."""
-        if self._registrations is None:
-            self._registrations = self.codebook.materialize_results(self.registration_batch)
-        return self._registrations
 
     @property
     def stats(self) -> ProtocolStats:

@@ -36,7 +36,7 @@ from ..data.distributions import kl_divergence, uniform_distribution
 from .config import DubheConfig
 from .multitime import MultiTimeResult, multi_time_selection
 from .probability import bernoulli_participation, participation_probabilities
-from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
+from .registry import BatchRegistration, RegistryCodebook
 
 __all__ = ["ClientSelector", "RandomSelector", "GreedySelector", "DubheSelector"]
 
@@ -193,8 +193,7 @@ class DubheSelector(ClientSelector):
     batch path (:meth:`RegistryCodebook.register_batch` → int64 index
     arrays → one ``bincount`` → one vectorised eq. (6)), so constructing a
     selector over N = 10^6 clients allocates O(N) integers, not N one-hot
-    vectors.  The per-client :attr:`registrations` list of the original
-    implementation is still available — materialised lazily on first access.
+    vectors.
 
     Example
     -------
@@ -229,23 +228,11 @@ class DubheSelector(ClientSelector):
         """Run Algorithm 1 + aggregation + eq. (6) over all clients, batched."""
         self.registration_batch: BatchRegistration = self.codebook.register_batch(
             self.client_distributions)
-        self._registrations: Optional[list[RegistrationResult]] = None
         self.overall_registry = self.registration_batch.overall_registry()
         self.probabilities = participation_probabilities(
             self.codebook, self.registration_batch, self.overall_registry,
             self.config.participants_per_round,
         )
-
-    @property
-    def registrations(self) -> list[RegistrationResult]:
-        """Per-client :class:`RegistrationResult` list (materialised lazily).
-
-        Kept for compatibility with paper-scale callers; costs O(N·L) memory,
-        so million-client code should use :attr:`registration_batch` instead.
-        """
-        if self._registrations is None:
-            self._registrations = self.codebook.materialize_results(self.registration_batch)
-        return self._registrations
 
     # -- registration refresh -----------------------------------------------------
 

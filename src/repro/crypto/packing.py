@@ -49,7 +49,6 @@ __all__ = [
     "PackedEncryptedVector",
     "StreamingTreeAggregator",
     "DEFAULT_MAX_WEIGHT",
-    "tree_sum",
 ]
 
 #: Default homomorphic-addition headroom: how many fresh vectors (clients)
@@ -190,7 +189,7 @@ class PackedEncryptedVector:
     """A vector packed into ``⌈l/slots⌉`` Paillier ciphertexts.
 
     API-compatible with :class:`~repro.crypto.vector.EncryptedVector`:
-    supports ``+``, :meth:`scale`, :meth:`sum`, :meth:`decrypt`,
+    supports ``+``, :meth:`scale`, :meth:`decrypt`,
     :meth:`to_bytes` / :meth:`from_bytes`, :meth:`nbytes` and ``len()``
     (the *logical* vector length), so the secure protocol layer can swap it
     in without touching the server.
@@ -282,7 +281,8 @@ class PackedEncryptedVector:
 
     # -- homomorphic algebra --------------------------------------------------
 
-    def _check_compatible(self, other: "PackedEncryptedVector") -> None:
+    def check_compatible(self, other: "PackedEncryptedVector") -> None:
+        """Raise unless *other* can be added to this vector."""
         if not isinstance(other, PackedEncryptedVector):
             raise TypeError("can only combine with another PackedEncryptedVector")
         if not self.scheme.compatible_with(other.scheme):
@@ -308,9 +308,7 @@ class PackedEncryptedVector:
 
     def add_(self, other: "PackedEncryptedVector") -> "PackedEncryptedVector":
         """In-place homomorphic addition (streaming aggregation)."""
-        if not isinstance(other, PackedEncryptedVector):
-            raise TypeError("can only add another PackedEncryptedVector")
-        self._check_compatible(other)
+        self.check_compatible(other)
         self.weight = self._check_weight(self.weight + other.weight)
         nsquare = self.public_key.nsquare
         own = self.ciphertexts
@@ -334,16 +332,6 @@ class PackedEncryptedVector:
         nsquare = self.public_key.nsquare
         scaled = [pow(c, scalar, nsquare) for c in self.ciphertexts]
         return PackedEncryptedVector(self.scheme, scaled, weight=weight)
-
-    @staticmethod
-    def sum(vectors: Sequence["PackedEncryptedVector"]) -> "PackedEncryptedVector":
-        """Homomorphically sum a non-empty sequence, one accumulator pass."""
-        if not vectors:
-            raise ValueError("cannot sum an empty sequence of packed vectors")
-        total = vectors[0].copy()
-        for v in vectors[1:]:
-            total.add_(v)
-        return total
 
     # -- sizes / serialization -------------------------------------------------
 
@@ -407,70 +395,23 @@ class PackedEncryptedVector:
         )
 
 
-def tree_sum(vectors: Sequence["PackedEncryptedVector"], arity: int = 2):
-    """Homomorphically sum *vectors* by a fixed-arity merge tree.
+class StreamingTreeAggregator:
+    """Fold a ciphertext stream into one sum — the package's only fold.
+
+    A base-*arity* counter: digit ``d`` keeps one running partial sum and
+    the number of arrivals folded into it; the ``arity``-th arrival
+    completes the digit (its partial then covers ``arity^(d+1)`` pushes) and
+    carries the partial up to digit ``d + 1``.  At most ``⌈log_arity N⌉``
+    partials are alive at any moment — the aggregator's whole state — so
+    streaming registration over N = 10^6 clients holds a few dozen
+    ciphertext vectors, never N, and the longest chain of dependent
+    additions, :attr:`depth`, is O(arity · log N).  ``arity=None`` never
+    carries: one running sum, the flat left-to-right fold, depth N − 1.
 
     Paillier addition (ciphertext multiplication mod ``n²``) is associative
-    and commutative, so the tree fold returns **bit-identical** ciphertexts
-    to the flat left-to-right :meth:`PackedEncryptedVector.sum` — only the
-    *dependency depth* changes: the longest chain of sequential additions is
-    ``O(arity · log_arity N)`` instead of ``N − 1``, which is what bounds
-    server latency (and enables pipelining) at million-client scale.
-
-    Duck-typed over the ``copy``/``add_`` surface, so it folds
-    :class:`~repro.crypto.vector.EncryptedVector` sequences too.
-
-    Example
-    -------
-    >>> from repro.crypto import generate_keypair
-    >>> public, private = generate_keypair(key_size=256)
-    >>> vs = [PackedEncryptedVector.encrypt(public, [i / 4]) for i in range(5)]
-    >>> tree_sum(vs, arity=2).decrypt(private).tolist()
-    [2.5]
-    """
-    if arity < 2:
-        raise ValueError("tree arity must be at least 2")
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("cannot sum an empty sequence of vectors")
-    # leaf level: copy each group head so callers' vectors are never mutated
-    level = []
-    for start in range(0, len(vectors), arity):
-        group = vectors[start:start + arity]
-        head = group[0].copy()
-        for v in group[1:]:
-            head.add_(v)
-        level.append(head)
-    # internal levels: heads are already owned by the fold
-    while len(level) > 1:
-        merged = []
-        for start in range(0, len(level), arity):
-            group = level[start:start + arity]
-            head = group[0]
-            for v in group[1:]:
-                head.add_(v)
-            merged.append(head)
-        level = merged
-    return level[0]
-
-
-class StreamingTreeAggregator:
-    """Fold an unbounded ciphertext stream with O(log N) partials and depth.
-
-    The generalised binary-counter aggregator: digit ``d`` of a base-*arity*
-    counter holds up to ``arity − 1`` partial sums covering ``arity^d``
-    clients each.  Pushing a ciphertext increments digit 0; a full digit is
-    merged into one partial and carried.  At any moment at most
-    ``(arity − 1) · ⌈log_arity N⌉`` partials are alive — the aggregator's
-    whole state — so streaming registration over N = 10^6 clients stores a
-    few dozen ciphertext vectors, never N.
-
-    The final :meth:`combined` result is bit-identical to the flat fold
-    (Paillier addition is associative/commutative); :attr:`depth` reports the
-    longest chain of dependent additions actually performed, which stays
-    O(log N) — the property the scale tests assert.
-
-    Duck-typed like :func:`tree_sum`: anything with ``copy``/``add_`` folds.
+    and commutative, so every arity yields the very same ciphertext
+    integers; only the depth differs.  Duck-typed: anything with
+    ``copy``/``add_`` folds, and pushed vectors are never mutated.
 
     Example
     -------
@@ -485,61 +426,65 @@ class StreamingTreeAggregator:
     [1.5]
     """
 
-    def __init__(self, arity: int = 2):
-        if arity < 2:
+    def __init__(self, arity: Optional[int] = 2):
+        if arity is not None and arity < 2:
             raise ValueError("tree arity must be at least 2")
         self.arity = arity
         self.count = 0
-        # digit d: list of (partial, depth) pairs, each covering arity^d pushes
-        self._digits: list[list[tuple[object, int]]] = []
+        # digit d: None, or [running partial, its depth, arrivals folded in]
+        self._digits: list[Optional[list]] = []
 
     def push(self, vector) -> None:
         """Absorb one ciphertext vector (the vector itself is not mutated)."""
         self.count += 1
-        carry: tuple[object, int] | None = (vector, 0)
+        carry, depth, owned = vector, 0, False
         d = 0
-        while carry is not None:
+        while True:
             if d == len(self._digits):
-                self._digits.append([])
+                self._digits.append(None)
             digit = self._digits[d]
-            digit.append(carry)
-            carry = None
-            if len(digit) == self.arity:
-                self._digits[d] = []
-                carry = self._merge(digit)
+            if digit is None:
+                digit = self._digits[d] = [carry if owned else carry.copy(), depth, 0]
+            else:
+                # every arrival at digit d is exactly as deep as the first
+                digit[0].add_(carry)
+                digit[1] += 1
+            digit[2] += 1
+            if digit[2] != self.arity:
+                return
+            # a complete digit: its partial (now owned) carries upwards
+            self._digits[d] = None
+            carry, depth, owned = digit[0], digit[1], True
             d += 1
 
-    def _merge(self, partials: list[tuple[object, int]]) -> tuple[object, int]:
-        """Fold a digit's partials into one, tracking the addition chain."""
-        head, depth = partials[0]
-        head = head.copy()
-        for vector, d in partials[1:]:
-            head.add_(vector)
-            depth = max(depth, d) + 1
-        return head, depth
+    def _alive(self) -> list[list]:
+        return [digit for digit in self._digits if digit is not None]
 
     def combined(self):
         """The sum of everything pushed so far (leaves the state intact)."""
-        alive = [pair for digit in self._digits for pair in digit]
+        alive = self._alive()
         if not alive:
             raise ValueError("cannot combine an empty aggregator")
-        return self._merge(alive)[0]
+        total = alive[0][0].copy()
+        for partial, _, _ in alive[1:]:
+            total.add_(partial)
+        return total
 
     @property
     def depth(self) -> int:
         """Longest chain of dependent additions in :meth:`combined`'s result."""
-        alive = [pair for digit in self._digits for pair in digit]
+        alive = self._alive()
         if not alive:
             return 0
         depth = alive[0][1]
-        for _, d in alive[1:]:
+        for _, d, _ in alive[1:]:
             depth = max(depth, d) + 1
         return depth
 
     @property
     def partials(self) -> int:
-        """Number of partial sums currently held (O(arity · log N))."""
-        return sum(len(digit) for digit in self._digits)
+        """Number of partial sums currently held (at most ``⌈log_arity N⌉``)."""
+        return len(self._alive())
 
     def reset(self) -> None:
         """Drop all state and start a fresh aggregation."""

@@ -129,7 +129,10 @@ class EncryptedVector:
 
     # -- homomorphic algebra --------------------------------------------------
 
-    def _check_compatible(self, other: "EncryptedVector") -> None:
+    def check_compatible(self, other: "EncryptedVector") -> None:
+        """Raise unless *other* can be added to this vector."""
+        if not isinstance(other, EncryptedVector):
+            raise TypeError("can only combine with another EncryptedVector")
         if self.public_key != other.public_key:
             raise ValueError("cannot combine vectors encrypted under different keys")
         if len(self.ciphertexts) != len(other.ciphertexts):
@@ -158,29 +161,13 @@ class EncryptedVector:
 
     def add_(self, other: "EncryptedVector") -> "EncryptedVector":
         """In-place homomorphic addition (streaming aggregation)."""
-        if not isinstance(other, EncryptedVector):
-            raise TypeError("can only add another EncryptedVector")
-        self._check_compatible(other)
+        self.check_compatible(other)
         nsquare = self.public_key.nsquare
         own = self.ciphertexts
         theirs = other.ciphertexts
         for i in range(len(own)):
             own[i] = own[i] * theirs[i] % nsquare
         return self
-
-    @staticmethod
-    def sum(vectors: Sequence["EncryptedVector"]) -> "EncryptedVector":
-        """Homomorphically sum a non-empty sequence of encrypted vectors.
-
-        A single accumulator of modular products — no per-addend
-        EncryptedVector allocations or Python-level zips.
-        """
-        if not vectors:
-            raise ValueError("cannot sum an empty sequence of encrypted vectors")
-        total = vectors[0].copy()
-        for v in vectors[1:]:
-            total.add_(v)
-        return total
 
     # -- sizes / serialization -------------------------------------------------
 

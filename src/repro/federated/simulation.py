@@ -430,28 +430,29 @@ class FederatedSimulation:
         """Run the encrypted registration round and check it against plaintext.
 
         Requires a Dubhe-style selector (one carrying a
-        :class:`~repro.core.DubheConfig` and plaintext registrations); the
-        encrypted round runs with the drift spec's ``key_size`` and its
-        decrypted overall registry must equal the plaintext sum exactly —
-        Paillier aggregation of integer registries is lossless.
+        :class:`~repro.core.DubheConfig` and a plaintext
+        ``registration_batch``); the packed, tree-folded encrypted round runs
+        with the drift spec's ``key_size`` and its decrypted overall registry
+        must equal the plaintext one exactly — Paillier aggregation of
+        integer registries is lossless.
         """
         import dataclasses
 
         from ..core.secure import SecureRegistrationRound
 
         config = getattr(self.selector, "config", None)
-        registrations = getattr(self.selector, "registrations", None)
-        if config is None or registrations is None:
+        batch = getattr(self.selector, "registration_batch", None)
+        if config is None or batch is None:
             raise RuntimeError(
                 "secure_reregistration needs a Dubhe selector (with .config "
-                "and .registrations); got "
+                "and .registration_batch); got "
                 f"{type(self.selector).__name__}"
             )
         drift = self.config.scenario.drift
         round_config = dataclasses.replace(config, key_size=drift.key_size)
-        overall, _, _ = SecureRegistrationRound(round_config).run(distributions)
-        expected = np.sum([r.registry for r in registrations], axis=0)
-        if not np.array_equal(overall, expected):
+        streamed = SecureRegistrationRound(
+            round_config, packed=True, aggregation="tree").run_stream(distributions)
+        if not np.array_equal(streamed.overall, batch.overall_registry()):
             raise RuntimeError(
                 "decrypted overall registry does not match the plaintext "
                 "re-registration"

@@ -155,6 +155,9 @@ class ChaosProxy:
         #: fault, in decision order — the observable the determinism tests
         #: compare across repeat runs.
         self.events: "list[tuple[int, int, str, str]]" = []
+        #: proxied connections whose relay has ended — every fault decision
+        #: for them is in :attr:`events`
+        self.relays_finished = 0
         self.address: Optional[tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -249,6 +252,7 @@ class ChaosProxy:
             up_reader, up_writer = await asyncio.open_connection(*self.upstream)
         except OSError:
             writer.close()
+            self.relays_finished += 1
             return
         pumps = [
             asyncio.ensure_future(self._pump(relay, _DIR_TO_SERVER, reader,
@@ -266,6 +270,7 @@ class ChaosProxy:
                     w.close()
                 except Exception:
                     pass
+            self.relays_finished += 1
 
     def _record(self, relay: _Relay, direction: int, kind: str) -> None:
         client = relay.client_id if relay.client_id is not None else -1

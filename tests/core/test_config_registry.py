@@ -183,27 +183,26 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             codebook.register(np.array([1.5, -0.5] + [0.0] * 8))
 
-    def test_register_many_and_aggregate(self):
+    def test_register_batch_overall_registry(self):
         codebook = RegistryCodebook(group1_config())
         p1 = np.concatenate([[0.9], np.full(9, 0.1 / 9)])
         p2 = np.concatenate([[0.9], np.full(9, 0.1 / 9)])
         p3 = np.full(10, 0.1)
-        registrations = codebook.register_many([p1, p2, p3])
-        overall = codebook.aggregate(registrations)
+        overall = codebook.register_batch(np.stack([p1, p2, p3])).overall_registry()
         assert overall.sum() == 3
-        assert overall[registrations[0].index] == 2
-        assert overall[registrations[2].index] == 1
+        assert overall[codebook.register(p1).index] == 2
+        assert overall[codebook.register(p3).index] == 1
 
-    def test_aggregate_empty_rejected(self):
+    def test_register_batch_empty_rejected(self):
         codebook = RegistryCodebook(group1_config())
         with pytest.raises(ValueError):
-            codebook.aggregate([])
+            codebook.register_batch(np.empty((0, 10)))
 
     def test_describe_overall_registry(self):
         codebook = RegistryCodebook(group1_config())
         p1 = np.concatenate([[0.9], np.full(9, 0.1 / 9)])
-        registrations = codebook.register_many([p1, p1, np.full(10, 0.1)])
-        overall = codebook.aggregate(registrations)
+        overall = codebook.register_batch(
+            np.stack([p1, p1, np.full(10, 0.1)])).overall_registry()
         entries = codebook.describe(overall)
         assert entries[0]["count"] == 2
         assert entries[0]["category"] == (0,)

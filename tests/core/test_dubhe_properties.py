@@ -68,12 +68,12 @@ def test_property_eq6_probabilities_and_eq7_expectation(n_clients, k, concentrat
     distributions = _random_federation(n_clients, concentration, seed)
     config = _settled_config(k)
     codebook = RegistryCodebook(config)
-    registrations = codebook.register_many(distributions)
-    overall = codebook.aggregate(registrations)
+    registrations = codebook.register_batch(distributions)
+    overall = registrations.overall_registry()
     probabilities = participation_probabilities(codebook, registrations, overall, k)
     support = int(np.count_nonzero(overall))
-    for reg, p in zip(registrations, probabilities):
-        expected = min(1.0, k / (overall[reg.index] * support))
+    for index, p in zip(registrations.indices, probabilities):
+        expected = min(1.0, k / (overall[index] * support))
         assert p == pytest.approx(expected)
     expectation = expected_participants(overall, k)
     assert expectation <= n_clients + 1e-9

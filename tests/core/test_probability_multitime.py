@@ -90,8 +90,8 @@ class TestProbabilitiesForFederation:
         skewed = np.concatenate([[0.9], np.full(9, 0.1 / 9)])
         balanced = np.full(10, 0.1)
         dists = [skewed] * 6 + [balanced] * 2
-        registrations = codebook.register_many(dists)
-        overall = codebook.aggregate(registrations)
+        registrations = codebook.register_batch(np.stack(dists))
+        overall = registrations.overall_registry()
         probs = participation_probabilities(codebook, registrations, overall, 4)
         support = 2
         np.testing.assert_allclose(probs[:6], 4 / (6 * support))

@@ -1,11 +1,11 @@
-"""Property tests: the lazy combinatorial-ranked codebook ≡ the materialised one.
+"""Property tests: the lazy combinatorial-ranked codebook ≡ the eager table.
 
 The lazy :class:`RegistryCodebook` addresses slots arithmetically
-(:func:`combination_rank` / :func:`combination_from_rank`); the
-``materialize=True`` construction builds the original eager combination
-tables.  These tests hold the two index-identical over random
-(C, G, σ) configurations, check the rank/unrank bijection on blocks far too
-wide to materialise, and pin down the Algorithm 1 invariances: the block
+(:func:`combination_rank` / :func:`combination_from_rank`); the reference in
+``tests/reference/combination_table.py`` enumerates every block with
+``itertools.combinations``.  These tests hold the two index-identical over
+random (C, G, σ) configurations, check the rank/unrank bijection on blocks far
+too wide to materialise, and pin down the Algorithm 1 invariances: the block
 choice is invariant to any permutation of the class labels (including ones
 that permute tied proportions), and the chosen *category* is equivariant for
 tie-free distributions.
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hypothesis_support import scaled_max_examples
+from reference.combination_table import slot_table
 
 from repro.core.config import DubheConfig
 from repro.core.registry import (
@@ -53,32 +54,28 @@ def distributions_for(config, n, seed):
     return rng.dirichlet(np.full(config.num_classes, 0.5), size=n)
 
 
-class TestLazyEqualsMaterialized:
+class TestLazyEqualsEagerTable:
     @settings(max_examples=scaled_max_examples(30), deadline=None)
     @given(config=codebook_configs())
     def test_every_slot_roundtrips_identically(self, config):
-        lazy = RegistryCodebook(config)
-        eager = RegistryCodebook(config, materialize=True)
-        assert not lazy.materialized and eager.materialized
-        assert lazy.length == eager.length
-        for index in range(lazy.length):
-            category = lazy.category_of(index)
-            assert eager.category_of(index).classes == category.classes
-            assert lazy.index_of(category) == index
-            assert eager.index_of(category) == index
+        codebook = RegistryCodebook(config)
+        table = slot_table(config)
+        assert codebook.length == len(table)
+        for combo, index in table.items():
+            assert codebook.index_of(combo) == index
+            assert codebook.category_of(index).classes == combo
 
     @settings(max_examples=scaled_max_examples(25), deadline=None)
     @given(config=codebook_configs(),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_register_agrees_between_constructions(self, config, seed):
-        lazy = RegistryCodebook(config)
-        eager = RegistryCodebook(config, materialize=True)
+    def test_register_flips_the_eager_tables_slot(self, config, seed):
+        codebook = RegistryCodebook(config)
+        table = slot_table(config)
         for p in distributions_for(config, 8, seed):
-            a = lazy.register(p)
-            b = eager.register(p)
-            assert a.index == b.index
-            assert a.block == b.block
-            assert a.category.classes == b.category.classes
+            result = codebook.register(p)
+            assert result.index == table[result.category.classes]
+            assert result.block == result.category.size
+            assert np.flatnonzero(result.registry).tolist() == [result.index]
 
     @settings(max_examples=scaled_max_examples(25), deadline=None)
     @given(config=codebook_configs(),
@@ -91,9 +88,9 @@ class TestLazyEqualsMaterialized:
             reference = codebook.register(p)
             assert batch.indices[k] == reference.index
             assert batch.blocks[k] == reference.block
-        results = codebook.materialize_results(batch)
-        overall = batch.overall_registry()
-        np.testing.assert_array_equal(overall, codebook.aggregate(results))
+        registries = [codebook.register(p).registry for p in distributions]
+        np.testing.assert_array_equal(batch.overall_registry(),
+                                      np.sum(registries, axis=0))
 
     def test_block_categories_matches_slot_order(self):
         config = DubheConfig(num_classes=10, reference_set=(1, 2, 10),
@@ -153,16 +150,15 @@ class TestCombinatorialRanking:
     def test_unrepresentable_categories_rejected(self):
         config = DubheConfig(num_classes=10, reference_set=(1, 2, 10),
                              thresholds={1: 0.7, 2: 0.1, 10: 0.0})
-        for codebook in (RegistryCodebook(config),
-                         RegistryCodebook(config, materialize=True)):
+        codebook = RegistryCodebook(config)
+        for combo in ((0, 1, 2), (0, 10)):  # size 3 not in G, class out of range
+            assert combo not in slot_table(config)
             with pytest.raises(KeyError):
-                codebook.index_of((0, 1, 2))  # size 3 not in G
-            with pytest.raises(KeyError):
-                codebook.index_of((0, 10))  # class out of range
-            with pytest.raises(KeyError):
-                codebook.index_of(ClientCategory((0, 10)))
-            with pytest.raises(IndexError):
-                codebook.category_of(codebook.length)
+                codebook.index_of(combo)
+        with pytest.raises(KeyError):
+            codebook.index_of(ClientCategory((0, 10)))
+        with pytest.raises(IndexError):
+            codebook.category_of(codebook.length)
 
 
 class TestPermutationInvariance:

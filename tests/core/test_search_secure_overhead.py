@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from _per_component_scorer import PerComponentScorer
+from reference.per_component_scorer import PerComponentScorer
 from repro.core.config import DubheConfig
 from repro.core.overhead import communication_overhead, measure_encryption_overhead
 from repro.core.parameter_search import default_sigma_grid, search_thresholds
@@ -93,11 +93,11 @@ class TestSecureProtocol:
         subset = federation_distributions[:12]
         config = settled_config()
         agent = KeyAgent(key_size=128, rng=random.Random(0))
-        overall, registrations, stats = SecureRegistrationRound(config, agent=agent).run(subset)
-        codebook = RegistryCodebook(config)
-        expected = codebook.aggregate(codebook.register_many(subset))
-        np.testing.assert_allclose(overall, expected, atol=1e-6)
-        assert len(registrations) == 12
+        streamed = SecureRegistrationRound(config, agent=agent).run_stream(subset)
+        expected = RegistryCodebook(config).register_batch(subset).overall_registry()
+        np.testing.assert_array_equal(streamed.overall, expected)
+        assert streamed.n_clients == 12
+        stats = streamed.stats
         assert stats.messages > 0
         assert stats.ciphertext_bytes > stats.plaintext_bytes
         assert stats.encrypt_seconds > 0
@@ -107,7 +107,7 @@ class TestSecureProtocol:
         kp_a = generate_keypair(128, rng=random.Random(2))
         kp_b = generate_keypair(128, rng=random.Random(3))
         server = SecureAggregationServer(kp_a.public_key)
-        client = SecureClient(0, np.full(10, 0.1))
+        client = SecureClient(0, np.full(10, 0.1), max_weight=1)
         with pytest.raises(ValueError):
             server.receive(client.encrypted_distribution(kp_b.public_key))
 
@@ -117,11 +117,12 @@ class TestSecureProtocol:
         with pytest.raises(ValueError):
             server.aggregate()
 
-    def test_client_must_register_before_sending_registry(self):
+    def test_client_without_headroom_sends_nothing(self):
         keypair = generate_keypair(128, rng=random.Random(5))
         client = SecureClient(0, np.full(10, 0.1))
-        with pytest.raises(RuntimeError):
-            client.encrypted_registry(keypair.public_key)
+        with pytest.raises(ValueError, match="max_weight"):
+            client.encrypted_distribution(keypair.public_key)
+        assert client.stats.messages == 0 and client._upload is None
 
     def test_secure_distribution_scoring_matches_plaintext(self, federation_distributions):
         config = settled_config()
@@ -143,12 +144,14 @@ class TestPackedSecureProtocol:
     def test_packed_round_bit_identical_to_per_component(self, federation_distributions):
         subset = federation_distributions[:10]
         config = settled_config(key_size=256)
-        plain, _, plain_stats = SecureRegistrationRound(
-            config, agent=KeyAgent(key_size=256, rng=random.Random(21))).run(subset)
-        packed, _, packed_stats = SecureRegistrationRound(
+        plain = SecureRegistrationRound(
+            config, agent=KeyAgent(key_size=256, rng=random.Random(21))
+        ).run_stream(subset)
+        packed = SecureRegistrationRound(
             config, agent=KeyAgent(key_size=256, rng=random.Random(21)),
-            packed=True, precompute_noise=True).run(subset)
-        np.testing.assert_array_equal(plain, packed)
+            packed=True, precompute_noise=True).run_stream(subset)
+        plain_stats, packed_stats = plain.stats, packed.stats
+        np.testing.assert_array_equal(plain.overall, packed.overall)
         # packing shrinks the wire and keeps the message count
         assert packed_stats.ciphertext_bytes < plain_stats.ciphertext_bytes
         assert packed_stats.messages == plain_stats.messages
@@ -161,8 +164,8 @@ class TestPackedSecureProtocol:
         keypair = generate_keypair(256, rng=random.Random(24))
         pool = NoisePool(keypair.public_key, rng=random.Random(25))
         server = SecureAggregationServer(keypair.public_key)
-        clients = [SecureClient(k, federation_distributions[k], packed=True,
-                                max_weight=4, noise=pool) for k in range(4)]
+        clients = [SecureClient(k, federation_distributions[k], max_weight=4,
+                                noise=pool) for k in range(4)]
         for client in clients:
             ciphertext = client.encrypted_distribution(keypair.public_key)
             assert isinstance(ciphertext, PackedEncryptedVector)
@@ -173,10 +176,10 @@ class TestPackedSecureProtocol:
 
     def test_packed_client_requires_max_weight(self, federation_distributions):
         keypair = generate_keypair(256, rng=random.Random(26))
-        client = SecureClient(0, federation_distributions[0], packed=True)
+        client = SecureClient(0, federation_distributions[0])
         with pytest.raises(ValueError):
             client.encrypted_distribution(keypair.public_key)
-        zero = SecureClient(0, federation_distributions[0], packed=True, max_weight=0)
+        zero = SecureClient(0, federation_distributions[0], max_weight=0)
         with pytest.raises(ValueError):
             zero.encrypted_distribution(keypair.public_key)
 
@@ -197,7 +200,7 @@ class TestStreamingAggregation:
     def test_received_count_and_aggregate(self):
         keypair = generate_keypair(128, rng=random.Random(31))
         server = SecureAggregationServer(keypair.public_key)
-        clients = [SecureClient(k, np.full(4, 0.25)) for k in range(5)]
+        clients = [SecureClient(k, np.full(4, 0.25), max_weight=5) for k in range(5)]
         for client in clients:
             server.receive(client.encrypted_distribution(keypair.public_key))
         assert server.received_count == 5
@@ -207,7 +210,7 @@ class TestStreamingAggregation:
     def test_memory_is_constant_in_clients(self):
         keypair = generate_keypair(128, rng=random.Random(32))
         server = SecureAggregationServer(keypair.public_key)
-        client = SecureClient(0, np.full(4, 0.1))
+        client = SecureClient(0, np.full(4, 0.1), max_weight=7)
         for _ in range(7):
             server.receive(client.encrypted_distribution(keypair.public_key))
         # one running aggregate, not a buffer of received vectors
@@ -218,7 +221,7 @@ class TestStreamingAggregation:
     def test_receive_does_not_mutate_sender_ciphertext(self):
         keypair = generate_keypair(128, rng=random.Random(33))
         server = SecureAggregationServer(keypair.public_key)
-        client = SecureClient(0, np.full(3, 0.5))
+        client = SecureClient(0, np.full(3, 0.5), max_weight=2)
         first = client.encrypted_distribution(keypair.public_key)
         original = list(first.ciphertexts)
         server.receive(first)
@@ -228,7 +231,7 @@ class TestStreamingAggregation:
     def test_reset_clears_the_stream(self):
         keypair = generate_keypair(128, rng=random.Random(34))
         server = SecureAggregationServer(keypair.public_key)
-        client = SecureClient(0, np.full(3, 0.5))
+        client = SecureClient(0, np.full(3, 0.5), max_weight=1)
         server.receive(client.encrypted_distribution(keypair.public_key))
         server.reset()
         assert server.received_count == 0

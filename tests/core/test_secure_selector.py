@@ -63,14 +63,10 @@ class TestSecureDubheSelector:
         assert isinstance(batch, BatchRegistration)
         assert np.array_equal(batch.blocks, plaintext.registration_batch.blocks)
         assert np.array_equal(batch.indices, plaintext.registration_batch.indices)
-        # the per-client list is built on first access only
-        assert secure_selector._registrations is None
-        registrations = secure_selector.registrations
-        assert registrations is secure_selector.registrations
-        assert ([r.index for r in registrations]
-                == [r.index for r in plaintext.registrations])
-        assert all(np.array_equal(a.registry, b.registry)
-                   for a, b in zip(registrations, plaintext.registrations))
+        # every row's slot is the one per-client Algorithm 1 flips
+        assert (batch.indices.tolist()
+                == [plaintext.codebook.register(p).index for p in small_federation])
+        assert batch.length == secure_selector.codebook.length
 
     def test_selects_exactly_k_distinct(self, secure_selector):
         selected = secure_selector.select(0)

@@ -2,9 +2,9 @@
 
 ``SecureDubheSelector`` speaks packed ciphertexts only.  Packing is an
 encoding of the same fixed-point integers, so everything it decrypts must be
-the very floats the per-component path (``tests/_per_component_scorer.py``)
-decrypts — try for try — and the cohorts must be the plaintext
-``DubheSelector``'s.  The second part pins the slot headroom the scorer
+the very floats the per-component path
+(``tests/reference/per_component_scorer.py``) decrypts — try for try — and
+the cohorts must be the plaintext ``DubheSelector``'s.  The second part pins the slot headroom the scorer
 declares (``max_weight = K``): enough for K additions, an error beyond.  The
 third pins the key epoch: a client encrypts ``p_l`` once per round key and
 re-sends that ciphertext on every later try — same messages and bytes, same
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _hypothesis_support import scaled_max_examples
-from _per_component_scorer import PerComponentScorer
+from reference.per_component_scorer import PerComponentScorer
 from repro.core import secure
 from repro.core.config import DubheConfig
 from repro.core.multitime import multi_time_selection
@@ -115,19 +115,19 @@ class TestHeadroom:
             # un-normalised: exactly K in the hot slot, 0.0 in every other
             server = SecureAggregationServer(public_key)
             for i in range(k):
-                server.receive(SecureClient(i, distributions[i], packed=True, max_weight=k)
+                server.receive(SecureClient(i, distributions[i], max_weight=k)
                                .encrypted_distribution(public_key))
             total = server.aggregate()
             assert len(total.ciphertexts) < C
             assert np.array_equal(total.decrypt(scorer.keypair.private_key),
                                   k * expected)
 
-    @pytest.mark.parametrize("aggregation", ["flat", "tree"])
-    def test_cohort_beyond_the_headroom_raises(self, aggregation):
+    @pytest.mark.parametrize("arity", [None, 2], ids=["flat", "tree"])
+    def test_cohort_beyond_the_headroom_raises(self, arity):
         k = 4
         keypair = generate_keypair(256, rng=random.Random(9))
-        server = SecureAggregationServer(keypair.public_key, aggregation=aggregation)
-        uploads = [SecureClient(i, np.full(C, 0.1), packed=True, max_weight=k)
+        server = SecureAggregationServer(keypair.public_key, arity=arity)
+        uploads = [SecureClient(i, np.full(C, 0.1), max_weight=k)
                    .encrypted_distribution(keypair.public_key) for i in range(k + 1)]
         for upload in uploads[:k]:
             server.receive(upload)
@@ -257,17 +257,16 @@ class TestKeyEpoch:
                    for u in new_uploads)
         assert not ({id(u) for u in new_uploads} & {id(u) for u in old_uploads})
 
-    @pytest.mark.parametrize("aggregation", ["flat", "tree"])
-    def test_folding_never_touches_a_kept_upload(self, distributions, aggregation):
+    @pytest.mark.parametrize("arity", [None, 2], ids=["flat", "tree"])
+    def test_folding_never_touches_a_kept_upload(self, distributions, arity):
         keypair = generate_keypair(self.KEY, rng=random.Random(3))
-        clients = [SecureClient(k, distributions[k], packed=True, max_weight=self.K)
+        clients = [SecureClient(k, distributions[k], max_weight=self.K)
                    for k in range(self.K)]
         uploads = [c.encrypted_distribution(keypair.public_key) for c in clients]
         frozen = [(list(u.ciphertexts), u.weight) for u in uploads]
         sums = []
         for _ in range(3):
-            server = SecureAggregationServer(keypair.public_key,
-                                             aggregation=aggregation)
+            server = SecureAggregationServer(keypair.public_key, arity=arity)
             for client, upload in zip(clients, uploads):
                 resent = client.encrypted_distribution(keypair.public_key)
                 assert resent is upload

@@ -1,8 +1,8 @@
-"""Streaming secure registration ≡ the monolithic round, bit-identically.
+"""Streaming secure registration ≡ plaintext registration, bit-identically.
 
-``SecureRegistrationRound.run_stream`` must be a pure re-chunking of
-``run()``: same decrypted overall registry, same per-client registration
-indices, same message accounting — for the per-component path, the packed
+``SecureRegistrationRound.run_stream`` must decrypt to the plaintext overall
+registry and return the per-client Algorithm 1 indices, with closed-form
+message and byte accounting — for the per-component path, the packed
 (count-packing) path, and the tree-aggregation server alike.  The suite
 also pins down the streaming-specific API contract: iterable inputs,
 ``total_clients`` headroom validation, overrun/empty-stream errors, and the
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import secure
 from repro.core.config import DubheConfig
+from repro.core.registry import RegistryCodebook
 from repro.core.secure import (
     SecureAggregationServer,
     SecureRegistrationRound,
@@ -26,7 +27,9 @@ from repro.core.secure import (
 from repro.crypto import paillier
 from repro.crypto.batch import BatchCryptoExecutor
 from repro.crypto.keyagent import KeyAgent
+from repro.crypto.packing import PackingScheme
 from repro.crypto.paillier import NoisePool
+from repro.crypto.vector import plaintext_vector_bytes
 
 N_CLIENTS = 23
 
@@ -45,15 +48,7 @@ def distributions(config):
     return rng.dirichlet(np.full(config.num_classes, 0.4), size=N_CLIENTS)
 
 
-def run_both(config, distributions, **kwargs):
-    overall, registrations, stats = SecureRegistrationRound(
-        config, **kwargs).run(distributions)
-    streamed = SecureRegistrationRound(config, **kwargs).run_stream(
-        distributions)
-    return overall, registrations, stats, streamed
-
-
-class TestStreamEqualsRun:
+class TestStreamEqualsPlaintext:
     @pytest.mark.parametrize("kwargs", [
         {},
         {"packed": True},
@@ -62,20 +57,32 @@ class TestStreamEqualsRun:
     ], ids=["per-component", "packed", "tree", "packed-tree"])
     def test_overall_and_indices_identical(self, config, distributions,
                                            kwargs):
-        overall, registrations, stats, streamed = run_both(
-            config, distributions, **kwargs)
+        agent = KeyAgent(key_size=64, rng=random.Random(5))
+        streamed = SecureRegistrationRound(
+            config, agent=agent, **kwargs).run_stream(distributions)
+        codebook = RegistryCodebook(config)
         assert isinstance(streamed, StreamedRegistration)
-        np.testing.assert_array_equal(streamed.overall, overall)
+        np.testing.assert_array_equal(
+            streamed.overall,
+            codebook.register_batch(distributions).overall_registry())
         assert streamed.overall.sum() == N_CLIENTS
         assert streamed.n_clients == N_CLIENTS
+        per_client = [codebook.register(p) for p in distributions]
         assert streamed.registration.indices.tolist() == \
-            [r.index for r in registrations]
+            [r.index for r in per_client]
         assert streamed.registration.blocks.tolist() == \
-            [r.block for r in registrations]
-        # identical message accounting: N uploads seen by client and server
-        # sides plus N aggregate syncs
-        assert streamed.stats.messages == stats.messages == 3 * N_CLIENTS
-        assert streamed.stats.plaintext_bytes == stats.plaintext_bytes
+            [r.block for r in per_client]
+        # N uploads seen by client and server sides plus N aggregate syncs,
+        # every one a registry's worth of ciphertexts
+        public_key = agent.keypair.public_key
+        per_upload = (PackingScheme.for_counts(
+            public_key, codebook.length, max_weight=N_CLIENTS).num_ciphertexts
+            if kwargs.get("packed") else codebook.length)
+        assert streamed.stats.messages == 3 * N_CLIENTS
+        assert streamed.stats.plaintext_bytes == \
+            N_CLIENTS * plaintext_vector_bytes(np.zeros(codebook.length))
+        assert streamed.stats.ciphertext_bytes == \
+            3 * N_CLIENTS * per_upload * public_key.ciphertext_bytes()
 
     def test_batching_is_invisible(self, config, distributions):
         """Any chunking of the same clients produces the same result."""
@@ -124,17 +131,15 @@ class TestProtocolOrder:
         assert events == [event for b in sizes for event in (
             ("dispatch_public_key", b), ("dispatch_private_key", b),
             ("encrypt", b))]
-        # same total as run(): one public and one private dispatch per client
-        reference = KeyAgent(key_size=64, rng=random.Random(1))
-        SecureRegistrationRound(config, agent=reference).run(distributions)
-        assert agent.stats == reference.stats
+        # one round key, one public and one private dispatch per client
+        assert agent.stats.keypairs_generated == 1
         assert agent.stats.key_dispatches == 2 * N_CLIENTS
 
 
 class TestKeyHolderRouting:
     """Routing noise through ``sk_t`` changes no ciphertext integer."""
 
-    @pytest.mark.parametrize("method", ["run", "run_stream"])
+    @pytest.mark.parametrize("feed", ["array", "chunks"])
     @pytest.mark.parametrize("kwargs", [
         {},
         {"packed": True},
@@ -143,7 +148,7 @@ class TestKeyHolderRouting:
     def test_ciphertexts_equal_the_public_key_routing(self, config,
                                                       distributions,
                                                       monkeypatch, kwargs,
-                                                      method):
+                                                      feed):
         received = []
         receive = SecureAggregationServer.receive
         monkeypatch.setattr(
@@ -162,7 +167,11 @@ class TestKeyHolderRouting:
             round_ = SecureRegistrationRound(
                 config, agent=KeyAgent(key_size=64, rng=random.Random(2)),
                 **kwargs)
-            getattr(round_, method)(distributions)
+            if feed == "array":
+                round_.run_stream(distributions)
+            else:
+                round_.run_stream(iter_distribution_batches(distributions, 5),
+                                  total_clients=N_CLIENTS)
             return list(received)
 
         before = uploads(lambda sk: sk.public_key)

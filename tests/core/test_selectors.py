@@ -174,7 +174,7 @@ class TestDubheSelector:
     def test_registration_counts_match_client_count(self, skewed_federation):
         selector = DubheSelector(skewed_federation, group1_config(), seed=0)
         assert selector.overall_registry.sum() == len(skewed_federation)
-        assert len(selector.registrations) == len(skewed_federation)
+        assert len(selector.registration_batch) == len(skewed_federation)
 
     def test_probabilities_lie_in_unit_interval(self, skewed_federation):
         selector = DubheSelector(skewed_federation, group1_config(), seed=0)

@@ -24,6 +24,7 @@ from repro.core.secure import (
     SecureAggregationServer,
     SecureDistributionAggregation,
     SecureRegistrationRound,
+    iter_distribution_batches,
 )
 from repro.core.secure_selector import SecureDubheSelector
 from repro.crypto.keyagent import KeyAgent
@@ -101,7 +102,7 @@ class TestServerObjectGraph:
     def test_the_walk_finds_what_it_looks_for(self, servers, config,
                                               distributions):
         # negative control: plant each forbidden thing behind a container
-        SecureRegistrationRound(config, agent=agent()).run(distributions)
+        SecureRegistrationRound(config, agent=agent()).run_stream(distributions)
         server = servers[0]
         sk = agent().new_round().private_key
         for leak in (sk, NoisePool(sk), np.zeros(2)):
@@ -115,11 +116,12 @@ class TestServerObjectGraph:
         {"packed": True, "precompute_noise": True},
         {"packed": True, "aggregation": "tree"},
     ], ids=["per-component", "packed-precomputed", "packed-tree"])
-    def test_run_and_run_stream(self, servers, config, distributions, kwargs):
-        SecureRegistrationRound(config, agent=agent(), **kwargs).run(
-            distributions)
+    def test_run_stream(self, servers, config, distributions, kwargs):
         SecureRegistrationRound(config, agent=agent(), **kwargs).run_stream(
             distributions)
+        SecureRegistrationRound(config, agent=agent(), **kwargs).run_stream(
+            iter_distribution_batches(distributions, 4),
+            total_clients=len(distributions))
         assert_clean(servers, 2)
 
     def test_score_selection(self, servers, config, distributions):
@@ -163,8 +165,9 @@ class TestServerObjectGraph:
         original = secure._client_noise_pool
         monkeypatch.setattr(secure, "_client_noise_pool",
                             lambda key: built.append(original(key)) or built[-1])
-        SecureRegistrationRound(config, agent=agent()).run(distributions)
         SecureRegistrationRound(config, agent=agent()).run_stream(distributions)
+        SecureRegistrationRound(config, agent=agent(), packed=True).run_stream(
+            distributions)
         assert len(built) == 2
         assert all(isinstance(pool.key, PaillierPrivateKey) for pool in built)
         # the clients generated every term, the CRT way, and none leaked

@@ -1,16 +1,19 @@
-"""Property tests: tree aggregation ≡ flat fold, bit-identically.
+"""Property tests: every fold arity ≡ the left-to-right fold, bit-identically.
 
 Paillier addition is ciphertext multiplication mod n² — associative and
-commutative — so ANY fold shape must yield the very same ciphertext
-integers as the flat left-to-right accumulator.  These tests assert that
-exact integer identity (not just equal decryptions) for arbitrary
-(N, arity, packing width), including N not a multiple of the arity and
-single-client trees, plus the O(log N) depth bounds of the streaming
-aggregator.
+commutative — so :class:`StreamingTreeAggregator` at ANY arity must yield the
+very same ciphertext integers as the flat left-to-right accumulator
+(``arity=None``).  These tests assert that exact integer identity (not just
+equal decryptions) for arbitrary (N, arity, packing width), including N not a
+multiple of the arity and single-client trees, pin the fold depth of every
+arity for N = 1..64, and check the server refuses a mismatched upload the
+moment it arrives.
 """
 
 import random
+from functools import reduce
 from math import ceil, log
+from operator import add
 
 import numpy as np
 import pytest
@@ -24,10 +27,22 @@ from repro.crypto.packing import (
     PackedEncryptedVector,
     PackingScheme,
     StreamingTreeAggregator,
-    tree_sum,
 )
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.vector import EncryptedVector
+
+ARITIES = [None, 2, 3, 4, 5]
+
+#: ``depth`` after N = 1..64 pushes, per arity: the table of the digit-list
+#: aggregator the running-partial one replaced (``arity=None`` is N − 1).
+DEPTHS = {
+    2: [0, 1, 2, 2, 3, 3, 3, 3] + [4] * 8 + [5] * 16 + [6] * 32,
+    3: [0, 1, 2, 3, 3, 3, 4, 4, 4] + [5] * 9 + [6] * 9 + [7] * 27 + [8] * 10,
+    4: [0, 1, 2, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6] + [7] * 16
+       + [8] * 16 + [9] * 16,
+    5: [0, 1, 2, 3, 4] + [5] * 5 + [6] * 5 + [7] * 5 + [8] * 5 + [9] * 25
+       + [10] * 14,
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +68,44 @@ def _packed_vectors(pk, n, length, values_seed, max_weight):
             for row in rows]
 
 
-class TestTreeSumEquivalence:
+def pushed(arity, vectors):
+    aggregator = StreamingTreeAggregator(arity=arity)
+    for v in vectors:
+        aggregator.push(v)
+    return aggregator
+
+
+class TestEveryArityEqualsTheFlatFold:
+    @settings(max_examples=scaled_max_examples(20), deadline=None)
+    @given(
+        arity=st.sampled_from(ARITIES),
+        length=st.integers(min_value=1, max_value=20),
+        values_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_combined_equals_left_to_right_fold_for_n_up_to_64(
+            self, pk, arity, length, values_seed):
+        vectors = _packed_vectors(pk, 64, length, values_seed, max_weight=64)
+        aggregator = StreamingTreeAggregator(arity=arity)
+        running = None
+        for n, v in enumerate(vectors, start=1):
+            aggregator.push(v)
+            running = v.copy() if running is None else running.add_(v)
+            combined = aggregator.combined()
+            assert combined.ciphertexts == running.ciphertexts  # exact ints
+            assert combined.weight == running.weight == n
+            assert aggregator.count == n
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_depth_table(self, arity):
+        aggregator = StreamingTreeAggregator(arity=arity)
+        probe = _probe()
+        depths = []
+        for _ in range(64):
+            aggregator.push(probe)
+            depths.append(aggregator.depth)
+        expected = list(range(64)) if arity is None else DEPTHS[arity]
+        assert depths == expected
+
     @settings(max_examples=scaled_max_examples(20), deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=40),
@@ -64,59 +116,34 @@ class TestTreeSumEquivalence:
     def test_tree_equals_flat_bit_identically(self, pk, n, arity, length,
                                               values_seed):
         vectors = _packed_vectors(pk, n, length, values_seed, max_weight=64)
-        flat = PackedEncryptedVector.sum(vectors)
-        tree = tree_sum(vectors, arity=arity)
+        flat = pushed(None, vectors).combined()
+        tree = pushed(arity, vectors).combined()
         assert tree.ciphertexts == flat.ciphertexts  # exact integers
         assert tree.weight == flat.weight
-
-    @settings(max_examples=scaled_max_examples(20), deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=40),
-        arity=st.integers(min_value=2, max_value=5),
-        length=st.integers(min_value=1, max_value=20),
-        values_seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_streaming_aggregator_equals_flat(self, pk, n, arity, length,
-                                              values_seed):
-        vectors = _packed_vectors(pk, n, length, values_seed, max_weight=64)
-        flat = PackedEncryptedVector.sum(vectors)
-        agg = StreamingTreeAggregator(arity=arity)
-        for v in vectors:
-            agg.push(v)
-        combined = agg.combined()
-        assert combined.ciphertexts == flat.ciphertexts
-        assert combined.weight == flat.weight
-        assert agg.count == n
 
     def test_inputs_never_mutated(self, pk, sk):
         vectors = _packed_vectors(pk, 7, 4, values_seed=3, max_weight=16)
         snapshots = [list(v.ciphertexts) for v in vectors]
-        tree_sum(vectors, arity=3)
-        agg = StreamingTreeAggregator(arity=2)
-        for v in vectors:
-            agg.push(v)
-        agg.combined()
+        for arity in ARITIES:
+            pushed(arity, vectors).combined()
         assert [list(v.ciphertexts) for v in vectors] == snapshots
 
     def test_per_component_vectors_fold_too(self, pk, sk):
         rng = np.random.default_rng(5)
         rows = rng.random((9, 3))
         vectors = [EncryptedVector.encrypt(pk, row) for row in rows]
-        flat = EncryptedVector.sum(vectors)
-        tree = tree_sum(vectors, arity=3)
+        flat = reduce(add, vectors)
+        tree = pushed(3, vectors).combined()
         assert tree.ciphertexts == flat.ciphertexts
         np.testing.assert_array_equal(tree.decrypt(sk), flat.decrypt(sk))
 
-    def test_invalid_arguments(self, pk):
-        vectors = _packed_vectors(pk, 2, 2, values_seed=0, max_weight=4)
-        with pytest.raises(ValueError):
-            tree_sum([], arity=2)
-        with pytest.raises(ValueError):
-            tree_sum(vectors, arity=1)
-        with pytest.raises(ValueError):
-            StreamingTreeAggregator(arity=1)
-        with pytest.raises(ValueError):
-            StreamingTreeAggregator(arity=2).combined()
+    def test_invalid_arguments(self):
+        for arity in (0, 1):
+            with pytest.raises(ValueError):
+                StreamingTreeAggregator(arity=arity)
+        for arity in ARITIES:
+            with pytest.raises(ValueError):
+                StreamingTreeAggregator(arity=arity).combined()
 
 
 class TestStreamingDepth:
@@ -176,7 +203,7 @@ class TestServerTreeMode:
     def test_tree_server_matches_flat_server(self, pk, sk):
         vectors = _packed_vectors(pk, 13, 6, values_seed=9, max_weight=32)
         flat_server = SecureAggregationServer(pk)
-        tree_server = SecureAggregationServer(pk, aggregation="tree", arity=3)
+        tree_server = SecureAggregationServer(pk, arity=3)
         for v in vectors:
             flat_server.receive(v)
             tree_server.receive(v)
@@ -188,19 +215,61 @@ class TestServerTreeMode:
         assert flat_server.fold_depth == 12
         assert tree_server.fold_depth < 12
 
-    def test_invalid_aggregation_mode(self, pk):
+    def test_invalid_arity(self, pk):
         with pytest.raises(ValueError):
-            SecureAggregationServer(pk, aggregation="ring")
+            SecureAggregationServer(pk, arity=1)
 
     def test_reset_restarts_tree(self, pk, sk):
-        server = SecureAggregationServer(pk, aggregation="tree")
+        server = SecureAggregationServer(pk, arity=2)
         first = _packed_vectors(pk, 3, 2, values_seed=4, max_weight=8)
         for v in first:
             server.receive(v)
         server.reset()
         assert server.received_count == 0
-        second = _packed_vectors(pk, 2, 2, values_seed=6, max_weight=8)
+        # the next round may use another packing scheme
+        second = _packed_vectors(pk, 2, 2, values_seed=6, max_weight=4)
         for v in second:
             server.receive(v)
-        expected = PackedEncryptedVector.sum(second)
-        assert server.aggregate().ciphertexts == expected.ciphertexts
+        assert server.aggregate().ciphertexts == reduce(add, second).ciphertexts
+
+
+class TestMismatchedUploadsRefusedOnArrival:
+    """An upload unlike the first one folded is refused by ``receive``.
+
+    Two good uploads, then a bad third: at arity 2 the third starts a new
+    digit, so no addition would ever compare it with the others before
+    :meth:`~SecureAggregationServer.aggregate`.
+    """
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_other_packing_scheme(self, pk, sk, arity):
+        good = _packed_vectors(pk, 2, 5, values_seed=1, max_weight=8)
+        (bad,) = _packed_vectors(pk, 1, 5, values_seed=2, max_weight=16)
+        server = SecureAggregationServer(pk, arity=arity)
+        for v in good:
+            server.receive(v)
+        with pytest.raises(ValueError, match="different schemes"):
+            server.receive(bad)
+        # refused before folding: the round carries on without it
+        assert server.received_count == 2
+        np.testing.assert_array_equal(server.aggregate().decrypt(sk),
+                                      reduce(add, good).decrypt(sk))
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_other_vector_kind(self, pk, arity):
+        good = _packed_vectors(pk, 2, 3, values_seed=3, max_weight=8)
+        server = SecureAggregationServer(pk, arity=arity)
+        for v in good:
+            server.receive(v)
+        with pytest.raises(TypeError):
+            server.receive(EncryptedVector.encrypt(pk, [0.0, 1.0, 0.0]))
+        assert server.received_count == 2
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_other_per_component_length(self, pk, arity):
+        server = SecureAggregationServer(pk, arity=arity)
+        for _ in range(2):
+            server.receive(EncryptedVector.encrypt(pk, [1.0, 0.0]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            server.receive(EncryptedVector.encrypt(pk, [1.0, 0.0, 0.0]))
+        assert server.received_count == 2

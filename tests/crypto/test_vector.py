@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _hypothesis_support import scaled_max_examples
 
+from repro.crypto.packing import PackedEncryptedVector
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.vector import EncryptedVector, plaintext_vector_bytes
 
@@ -55,7 +56,8 @@ class TestHomomorphicAggregation:
         r1 = [0, 1, 0, 0, 0]
         r2 = [0, 1, 0, 0, 0]
         r3 = [0, 0, 0, 0, 1]
-        total = EncryptedVector.sum([EncryptedVector.encrypt(pk, r) for r in (r1, r2, r3)])
+        total = (EncryptedVector.encrypt(pk, r1) + EncryptedVector.encrypt(pk, r2)
+                 + EncryptedVector.encrypt(pk, r3))
         np.testing.assert_allclose(total.decrypt(sk), [0, 2, 0, 0, 1], atol=1e-9)
 
     def test_add_two_distributions(self, pk, sk):
@@ -80,9 +82,10 @@ class TestHomomorphicAggregation:
         with pytest.raises(ValueError):
             EncryptedVector.encrypt(pk, [1.0]) + EncryptedVector.encrypt(other_pk, [1.0])
 
-    def test_empty_sum_rejected(self):
-        with pytest.raises(ValueError):
-            EncryptedVector.sum([])
+    def test_packed_operand_rejected(self, pk):
+        packed = PackedEncryptedVector.encrypt(pk, [1.0], max_weight=2)
+        with pytest.raises(TypeError):
+            EncryptedVector.encrypt(pk, [1.0]).add_(packed)
 
     def test_add_notimplemented_for_other_types(self, pk):
         assert EncryptedVector.encrypt(pk, [1.0]).__add__(3) is NotImplemented

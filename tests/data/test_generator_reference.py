@@ -1,8 +1,8 @@
 """The table-gather generator against the per-sample ``np.roll`` reference.
 
 ``SyntheticImageGenerator`` draws every sample's shift and noise in the same
-RNG order as the loop in ``tests/_synthetic_reference.py`` and gathers the
-shifted prototype from a precomputed table; its output must be the
+RNG order as the loop in ``tests/reference/synthetic_generator.py`` and
+gathers the shifted prototype from a precomputed table; its output must be the
 reference's, array for array and dtype for dtype, for any generator shape,
 jitter, noise scale, class counts, shuffle flag and RNG.
 """
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hypothesis_support import scaled_max_examples
-from _synthetic_reference import reference_generate, reference_sample_class
+from reference.synthetic_generator import reference_generate, reference_sample_class
 from repro.data.synthetic import SyntheticImageGenerator
 
 

@@ -46,12 +46,14 @@ class TestSecureSelectionPipeline:
         distributions = partition.client_distributions()[:15]
         config = settled_config(k=5)
         agent = KeyAgent(key_size=128, rng=random.Random(0))
-        overall, registrations, _ = SecureRegistrationRound(config, agent=agent).run(distributions)
+        streamed = SecureRegistrationRound(config, agent=agent).run_stream(distributions)
         codebook = RegistryCodebook(config)
+        registrations = streamed.registration
         secure_probs = participation_probabilities(codebook, registrations,
-                                                   np.round(overall), 5)
-        plain_overall = codebook.aggregate(registrations)
-        plain_probs = participation_probabilities(codebook, registrations, plain_overall, 5)
+                                                   np.round(streamed.overall), 5)
+        plain = codebook.register_batch(distributions)
+        plain_probs = participation_probabilities(codebook, plain,
+                                                  plain.overall_registry(), 5)
         np.testing.assert_allclose(secure_probs, plain_probs, atol=1e-9)
 
 

@@ -1,0 +1,14 @@
+"""Equivalence references: the slow, readable paths ``src/`` must match.
+
+Each module keeps an implementation the production code replaced, so the
+property suite can hold the fast path to it exactly:
+
+* :mod:`reference.per_component_scorer` — multi-time scoring with one
+  Paillier ciphertext per class, against the packed scorer;
+* :mod:`reference.synthetic_generator` — the per-sample ``np.roll`` image
+  generator, against the table-gather kernel;
+* :mod:`reference.combination_table` — the eager ``itertools.combinations``
+  slot table, against the codebook's lazy combinatorial ranks.
+
+References live in ``tests/``, not ``src/``.
+"""

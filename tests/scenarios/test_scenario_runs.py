@@ -218,8 +218,7 @@ class TestLabelDrift:
         generator, partition, test_set = federation
         selector = self._dubhe(partition)
         original_counts = partition.client_class_counts.copy()
-        original_registry = np.sum(
-            [r.registry for r in selector.registrations], axis=0)
+        original_registry = selector.registration_batch.overall_registry()
         scenario = ScenarioSpec(drift=DriftSpec(period=2, shift=1), seed=5)
         with make_sim(federation, scenario=scenario, selector=selector) as sim:
             history = sim.run()
@@ -231,8 +230,7 @@ class TestLabelDrift:
             np.testing.assert_allclose(
                 selector.client_distributions,
                 sim.partition.client_distributions())
-            refreshed_registry = np.sum(
-                [r.registry for r in selector.registrations], axis=0)
+            refreshed_registry = selector.registration_batch.overall_registry()
             assert not np.array_equal(refreshed_registry, original_registry)
         # the source partition object is untouched (drift replaces, not mutates)
         np.testing.assert_array_equal(partition.client_class_counts,

@@ -218,16 +218,11 @@ def _drive_proxy(spec, seed, connections=12, frames_per_connection=6):
                 pass  # the proxy already cut this connection
             finally:
                 sock.close()
-        # wait for the pumps to finish judging the in-flight frames: the
-        # event count is stable once every connection has drained
-        deadline = time.monotonic() + 5.0
-        previous = -1
-        while time.monotonic() < deadline:
-            current = len(proxy.events)
-            if current == previous:
-                break
-            previous = current
-            time.sleep(0.05)
+        # every fault decision is recorded once each connection's relay ends
+        deadline = time.monotonic() + 30.0
+        while proxy.relays_finished < connections:
+            assert time.monotonic() < deadline, "the proxy never drained"
+            time.sleep(0.01)
         return sorted(proxy.events)
     finally:
         proxy.close()
