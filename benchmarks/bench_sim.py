@@ -291,7 +291,7 @@ def bench_evaluation(samples_per_class: int, repeats: int) -> dict:
     generator = make_synthetic_mnist(seed=0)
     test_set = make_uniform_test_set(generator,
                                      samples_per_class=samples_per_class, seed=1)
-    server = FederatedServer(model_factory, eval_backend="sequential")
+    server = FederatedServer(model_factory)
     evaluator = BatchedEvaluator(model_factory())
     evaluator.load_state(server.global_state(copy=False))
 

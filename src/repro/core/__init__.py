@@ -24,10 +24,8 @@ from .config import (
     GROUP1_REFERENCE_SET,
     GROUP2_REFERENCE_SET,
     RUN_MODES,
-    RUNTIME_DTYPES,
     DubheConfig,
     resolve_run_mode,
-    resolve_runtime_dtype,
 )
 from .multitime import MultiTimeResult, TentativeTry, multi_time_selection
 from .overhead import (
@@ -69,7 +67,6 @@ __all__ = [
     "MultiTimeResult",
     "ParameterSearchResult",
     "ProtocolStats",
-    "RUNTIME_DTYPES",
     "RUN_MODES",
     "RandomSelector",
     "RegistrationResult",
@@ -91,6 +88,5 @@ __all__ = [
     "participation_probabilities",
     "participation_probability",
     "resolve_run_mode",
-    "resolve_runtime_dtype",
     "search_thresholds",
 ]

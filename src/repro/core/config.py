@@ -22,17 +22,13 @@ __all__ = [
     "DubheConfig",
     "GROUP1_REFERENCE_SET",
     "GROUP2_REFERENCE_SET",
-    "RUNTIME_DTYPES",
     "RUN_MODES",
-    "SHARD_POLICIES",
     "TRANSPORT_KINDS",
     "TransportConfig",
     "partition_cohort",
     "resolve_aggregation_mode",
     "resolve_num_workers",
     "resolve_run_mode",
-    "resolve_runtime_dtype",
-    "resolve_shard_policy",
     "resolve_transport_kind",
 ]
 
@@ -42,60 +38,10 @@ GROUP1_REFERENCE_SET: tuple[int, ...] = (1, 2, 10)
 #: Reference set used by the paper for the 52-class FEMNIST experiment.
 GROUP2_REFERENCE_SET: tuple[int, ...] = (1, 52)
 
-#: Floating-point dtypes the cohort (vectorized) runtime accepts.  float64 is
-#: the default and reproduces the sequential back-end bit-for-bit; float32 is
-#: the opt-in fast path (half the memory traffic through the flat pools) with
-#: documented tolerance.
-RUNTIME_DTYPES: tuple[str, ...] = ("float64", "float32")
-
-
-def resolve_runtime_dtype(dtype: "str | np.dtype | type") -> np.dtype:
-    """Validate and normalise a runtime dtype knob to a :class:`numpy.dtype`.
-
-    Shared by every layer that threads the knob (``FederatedConfig`` →
-    ``LocalUpdateExecutor`` → ``BatchedModel``/optimisers) so they all accept
-    the same spellings and reject anything outside :data:`RUNTIME_DTYPES`.
-
-    Example
-    -------
-    >>> resolve_runtime_dtype("float32").name
-    'float32'
-    """
-    resolved = np.dtype(dtype)
-    if resolved.name not in RUNTIME_DTYPES:
-        raise ValueError(
-            f"runtime dtype must be one of {RUNTIME_DTYPES}, got {resolved.name!r}"
-        )
-    return resolved
-
-
-#: How the parallel (multi-cohort) scheduler assigns the K selected clients
-#: to worker shards.  ``"contiguous"`` keeps selection order (shard 0 gets
-#: clients 0..s-1, ...) with near-equal shard sizes; ``"interleaved"`` deals
-#: clients round-robin (shard i gets clients i, i+W, i+2W, ...), which
-#: balances any position-correlated cost across workers.  Both policies merge
-#: back into the original client order, so results are identical either way.
-SHARD_POLICIES: tuple[str, ...] = ("contiguous", "interleaved")
-
 #: Soft cap on the default worker count: federated cohorts on the benchmark
 #: models stop scaling well before this, and oversubscribing a shared box
 #: with one process per core of a large machine hurts more than it helps.
 _DEFAULT_MAX_WORKERS = 8
-
-
-def resolve_shard_policy(policy: str) -> str:
-    """Validate a shard-policy knob against :data:`SHARD_POLICIES`.
-
-    Example
-    -------
-    >>> resolve_shard_policy("contiguous")
-    'contiguous'
-    """
-    if policy not in SHARD_POLICIES:
-        raise ValueError(
-            f"shard policy must be one of {SHARD_POLICIES}, got {policy!r}"
-        )
-    return policy
 
 
 #: How a federated run interacts with the run ledger (:mod:`repro.ledger`).
@@ -145,33 +91,28 @@ def resolve_num_workers(num_workers: Optional[int] = None) -> int:
     return int(num_workers)
 
 
-def partition_cohort(num_clients: int, num_workers: int,
-                     policy: str = "contiguous") -> "list[np.ndarray]":
-    """Partition ``K`` client positions into per-worker index shards.
+def partition_cohort(num_clients: int, num_workers: int) -> "list[np.ndarray]":
+    """Partition ``K`` client positions into contiguous per-worker shards.
 
-    Returns one integer index array per shard.  At most ``num_workers``
-    shards are produced and every shard is non-empty, so ``K < num_workers``
-    simply yields ``K`` single-client shards; when ``K`` is not divisible the
-    first ``K mod W`` shards hold one extra client.  Concatenating (or
-    interleaving) the shards always reproduces ``range(K)`` exactly once —
-    the merge step relies on that bijection.
+    Returns one integer index array per shard, in selection order (shard 0
+    gets clients 0..s-1, ...).  At most ``num_workers`` shards are produced
+    and every shard is non-empty, so ``K < num_workers`` simply yields ``K``
+    single-client shards; when ``K`` is not divisible the first ``K mod W``
+    shards hold one extra client.  Concatenating the shards always
+    reproduces ``range(K)`` exactly once — the merge step relies on that
+    bijection.
 
     Example
     -------
     >>> [s.tolist() for s in partition_cohort(5, 2)]
     [[0, 1, 2], [3, 4]]
-    >>> [s.tolist() for s in partition_cohort(5, 2, policy="interleaved")]
-    [[0, 2, 4], [1, 3]]
     >>> len(partition_cohort(3, 8))
     3
     """
     if num_clients < 1:
         raise ValueError("num_clients must be positive")
     num_workers = resolve_num_workers(num_workers)
-    policy = resolve_shard_policy(policy)
     shards = min(num_clients, num_workers)
-    if policy == "interleaved":
-        return [np.arange(s, num_clients, shards) for s in range(shards)]
     base, extra = divmod(num_clients, shards)
     sizes = [base + (1 if s < extra else 0) for s in range(shards)]
     bounds = np.cumsum([0] + sizes)

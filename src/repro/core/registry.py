@@ -173,20 +173,10 @@ class BatchRegistration:
     def overall_registry(self) -> np.ndarray:
         """The dense overall registry ``R_A = Σ_k R^(t,k)`` via one bincount.
 
-        Materialises a length-``length`` float vector — suitable for the
-        paper's reference sets (tens of slots); for astronomically wide lazy
-        codebooks use :meth:`slot_counts` instead.
+        Materialises one float per codebook slot: ``length`` is tens of
+        slots for the paper's reference sets (56 for group 1 on 10 classes).
         """
         return np.bincount(self.indices, minlength=self.length).astype(float)
-
-    def slot_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse aggregate: ``(occupied slot indices, client counts)``.
-
-        Never allocates the dense registry, so it stays O(distinct
-        categories) even when the codebook length does not fit in memory.
-        """
-        unique, counts = np.unique(self.indices, return_counts=True)
-        return unique, counts.astype(float)
 
 
 class RegistryCodebook:

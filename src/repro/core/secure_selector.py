@@ -102,7 +102,6 @@ class SecureDubheSelector(ClientSelector):
     # -- selection ----------------------------------------------------------------
 
     # the plaintext selector's own draw: same rng stream, hence same cohorts
-    rebalance_to_k = True
     _tentative_draw = DubheSelector._tentative_draw
 
     def select(self, round_index: int) -> list[int]:

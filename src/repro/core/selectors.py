@@ -210,7 +210,7 @@ class DubheSelector(ClientSelector):
     name = "dubhe"
 
     def __init__(self, client_distributions: np.ndarray, config: DubheConfig,
-                 seed: Optional[int] = None, rebalance_to_k: bool = True):
+                 seed: Optional[int] = None):
         super().__init__(client_distributions, config.participants_per_round, seed=seed)
         if config.num_classes != self.num_classes:
             raise ValueError("config num_classes does not match client distributions")
@@ -219,7 +219,6 @@ class DubheSelector(ClientSelector):
                 "DubheConfig is missing thresholds; run repro.core.parameter_search first"
             )
         self.config = config
-        self.rebalance_to_k = rebalance_to_k
         self.codebook = RegistryCodebook(config)
         self._register_all()
         self.last_result: Optional[MultiTimeResult] = None
@@ -262,8 +261,6 @@ class DubheSelector(ClientSelector):
         volunteers = bernoulli_participation(self.probabilities, rng=self.rng)
         pool = volunteers.astype(np.int64, copy=False)
         k = self.participants_per_round
-        if not self.rebalance_to_k:
-            return pool
         if pool.size > k:
             keep = self.rng.choice(pool.size, size=k, replace=False)
             pool = pool[keep]

@@ -144,9 +144,8 @@ class CohortBuffer:
     evicted and regenerated — are restacked.  Slot datasets are pinned
     (referenced) while resident, so object identity is a sound freshness key.
 
-    ``dtype`` is the feature-buffer precision: the cohort fast path casts
-    client features once, on the copy into the buffer, instead of per batch.
-    Labels always stay integral.
+    Features are cast to the float64 pools once, on the copy into the
+    buffer, instead of per batch.  Labels keep their integral dtype.
 
     ``arrays`` pins the buffer to preallocated backing storage instead of
     letting it allocate lazily — the multi-cohort scheduler passes
@@ -170,12 +169,11 @@ class CohortBuffer:
     2
     """
 
-    def __init__(self, num_clients: int, dtype: "str | np.dtype" = np.float64,
+    def __init__(self, num_clients: int,
                  arrays: "Optional[tuple[np.ndarray, np.ndarray]]" = None):
         if num_clients < 1:
             raise ValueError("num_clients must be positive")
         self.num_clients = num_clients
-        self.dtype = np.dtype(dtype)
         self.x: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
         self._external = arrays is not None
@@ -226,7 +224,7 @@ class CohortBuffer:
                 f"backed buffers {self.x.shape}"
             )
         if self.x is None or self.x.shape != shape:
-            self.x = np.empty(shape, dtype=self.dtype)
+            self.x = np.empty(shape)
             self.y = np.empty(shape[:2], dtype=np.asarray(datasets[0].y).dtype)
             self._slot_keys = [None] * self.num_clients
             self._slot_pins = [None] * self.num_clients

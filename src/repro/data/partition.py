@@ -118,49 +118,6 @@ class ClientPartition:
         p_u = np.full(self.num_classes, 1.0 / self.num_classes)
         return emd(self.selection_population(selected), p_u)
 
-    # -- materialisation -------------------------------------------------------
-
-    def assign_sample_indices(self, labels: np.ndarray,
-                              rng: Optional[np.random.Generator] = None) -> list[np.ndarray]:
-        """Map the count matrix onto concrete sample indices of a dataset.
-
-        Samples of each class are drawn from the pool of that class in
-        *labels*; when a client needs more samples of a class than remain in
-        the pool, samples are reused (drawn with replacement), mirroring the
-        FedVC duplication rule the paper adopts for small clients.
-        """
-        rng = rng if rng is not None else np.random.default_rng()
-        labels = np.asarray(labels)
-        pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(self.num_classes)]
-        cursors = [0] * self.num_classes
-        assignments: list[np.ndarray] = []
-        for k in range(self.n_clients):
-            chosen: list[np.ndarray] = []
-            for c in range(self.num_classes):
-                need = int(self.client_class_counts[k, c])
-                if need == 0:
-                    continue
-                pool = pools[c]
-                if pool.size == 0:
-                    raise ValueError(f"dataset has no samples of class {c}")
-                start = cursors[c]
-                end = start + need
-                if end <= pool.size:
-                    chosen.append(pool[start:end])
-                    cursors[c] = end
-                else:
-                    # exhaust the pool, then duplicate (FedVC-style)
-                    remaining = pool[start:]
-                    extra = rng.choice(pool, size=end - pool.size, replace=True)
-                    chosen.append(np.concatenate([remaining, extra]))
-                    cursors[c] = pool.size
-                    pools[c] = rng.permutation(pool)
-                    cursors[c] = 0
-            idx = np.concatenate(chosen) if chosen else np.empty(0, dtype=int)
-            rng.shuffle(idx)
-            assignments.append(idx)
-        return assignments
-
 
 class EMDTargetPartitioner:
     """Partition clients so that the average client EMD hits a target value.

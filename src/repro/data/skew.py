@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import imbalance_ratio, normalize_counts
+from .distributions import normalize_counts
 
 __all__ = [
     "half_normal_class_proportions",
@@ -124,7 +124,3 @@ def apply_global_skew(labels: np.ndarray, num_classes: int, rho: float,
     rng.shuffle(result)
     return result
 
-
-def _self_check() -> None:  # pragma: no cover - convenience for interactive use
-    counts = skewed_class_counts(10_000, 10, 10.0)
-    assert abs(imbalance_ratio(counts) - 10.0) < 1.0

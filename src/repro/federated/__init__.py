@@ -20,8 +20,6 @@ Public API
 * :class:`FederatedSimulation`, :class:`FederatedConfig` — the round loop
   (``FederatedConfig(scenario=...)`` opts into :mod:`repro.scenarios` fault
   injection with partial-round aggregation).
-* :func:`partial_round_weights` — survivor-normalised FedAvg weights of a
-  (possibly partial) round.
 * :class:`TrainingHistory`, :class:`RoundRecord` — per-round metrics,
   including planned-vs-actual participation and failure causes under a
   scenario.
@@ -30,7 +28,6 @@ Public API
 from .aggregation import (
     StackedClientStates,
     average_states,
-    partial_round_weights,
     state_difference_norm,
     weighted_average_states,
 )
@@ -38,7 +35,7 @@ from .client import FederatedClient, LocalTrainingConfig
 from .executor import EXECUTOR_MODES, LocalUpdateExecutor
 from .history import RoundRecord, TrainingHistory
 from .scheduler import CohortScheduler, SchedulerError
-from .server import EVAL_BACKENDS, FederatedServer
+from .server import FederatedServer
 from .simulation import ClientSelectorProtocol, FederatedConfig, FederatedSimulation
 from .workspace import CohortWorkspace, shared_pool, train_cohort
 
@@ -46,7 +43,6 @@ __all__ = [
     "ClientSelectorProtocol",
     "CohortScheduler",
     "CohortWorkspace",
-    "EVAL_BACKENDS",
     "EXECUTOR_MODES",
     "FederatedClient",
     "FederatedConfig",
@@ -59,7 +55,6 @@ __all__ = [
     "StackedClientStates",
     "TrainingHistory",
     "average_states",
-    "partial_round_weights",
     "shared_pool",
     "state_difference_norm",
     "train_cohort",

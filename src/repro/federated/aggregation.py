@@ -4,19 +4,18 @@ The paper adopts the FedVC convention (eq. (1)): because every virtual client
 holds the same number of samples and takes the same number of optimisation
 steps, the global model is the **plain average** of the selected clients'
 models.  The classical sample-weighted FedAvg is provided as well (used by an
-ablation benchmark comparing the two).
+ablation benchmark showing the two agree on equal-size clients).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "StackedClientStates",
     "average_states",
-    "partial_round_weights",
     "weighted_average_states",
     "state_difference_norm",
 ]
@@ -88,47 +87,6 @@ def average_states(states: Sequence[StateDict]) -> StateDict:
     _check_states(states)
     keys = states[0].keys()
     return {k: np.mean([s[k] for s in states], axis=0) for k in keys}
-
-
-def partial_round_weights(sample_counts: Sequence[float],
-                          survivors: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Normalised aggregation weights of a (possibly partial) round.
-
-    This is FedAvg's sample-count weighting restricted to the survivors of a
-    faulted round: *sample_counts* holds every planned client's sample
-    count, *survivors* the positions whose updates actually arrived (``None``
-    = everyone).  The returned weights cover exactly the survivor subset and
-    always sum to 1 — so when every client survives they equal the
-    full-cohort FedAvg weights, and a partial round remains a convex
-    combination of the updates it did receive (no silent down-scaling of the
-    global model).  With equal sample counts (the paper's FedVC virtual
-    clients) this reduces to the plain average over survivors.
-
-    Example
-    -------
-    >>> partial_round_weights([8, 8, 16], survivors=[0, 2]).tolist()
-    [0.3333333333333333, 0.6666666666666666]
-    >>> partial_round_weights([8, 8]).tolist()
-    [0.5, 0.5]
-    """
-    counts = np.asarray(list(sample_counts), dtype=float)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("sample_counts must be a non-empty 1-D sequence")
-    if np.any(counts < 0):
-        raise ValueError("sample counts must be non-negative")
-    if survivors is not None:
-        idx = np.asarray(list(survivors), dtype=int)
-        if idx.size == 0:
-            raise ValueError("a partial round needs at least one survivor")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("survivor positions must be unique")
-        if np.any(idx < 0) or np.any(idx >= counts.size):
-            raise ValueError("survivor positions out of range")
-        counts = counts[idx]
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("surviving sample counts must not all be zero")
-    return counts / total
 
 
 def weighted_average_states(states: Sequence[StateDict],

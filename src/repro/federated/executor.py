@@ -18,8 +18,8 @@ plain NumPy, so three execution modes are offered:
   as an independent vectorized block with bulk state crossing the process
   boundary through shared-memory pools
   (:class:`~repro.federated.scheduler.CohortScheduler`).  This is the
-  fastest mode on multi-core boxes at large K; with float64 pools it is
-  bit-identical to ``"vectorized"``.
+  fastest mode on multi-core boxes at large K, and bit-identical to
+  ``"vectorized"``.
 
 All modes produce matching results for the same inputs: the work items are
 pure functions of (client dataset, incoming weights, config), and the
@@ -33,11 +33,8 @@ builds a :class:`~repro.federated.workspace.CohortWorkspace` (flat parameter
 pools, optimiser state, stacked data buffers) and every shape-compatible
 later round reuses it — rebinding the fresh template into the existing
 pools, resetting (not reallocating) the optimiser and restacking only the
-data slots whose selected client changed.  ``dtype="float32"`` opts the
-cohort into single-precision pools (see
-:data:`repro.core.config.RUNTIME_DTYPES`); the float64 default stays
-bit-identical to sequential execution, and any fallback always runs the
-float64 sequential reference.
+data slots whose selected client changed.  Its pools are float64, so a
+cohort round is bit-identical to sequential execution.
 
 Note on result lifetime: vectorized rounds return zero-copy views into the
 workspace pools (:class:`~repro.federated.aggregation.StackedClientStates`).
@@ -52,7 +49,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import resolve_runtime_dtype, resolve_shard_policy
 from ..data.cohort import CohortShapeError
 from ..nn.batched import UnvectorizableModelError
 from ..nn.module import Module
@@ -67,10 +63,6 @@ StateDict = dict[str, np.ndarray]
 
 EXECUTOR_MODES = ("sequential", "vectorized", "parallel")
 
-#: modes that run the cohort tensor program (and therefore accept the
-#: float32 fast path and the round-persistent workspace machinery)
-_COHORT_MODES = ("vectorized", "parallel")
-
 
 def _run_local_update(client: FederatedClient, model: Module, global_state: StateDict,
                       config: LocalTrainingConfig, round_index: int) -> StateDict:
@@ -82,11 +74,11 @@ def _run_local_update(client: FederatedClient, model: Module, global_state: Stat
 class LocalUpdateExecutor:
     """Run the selected clients' local updates with the chosen back-end.
 
-    ``num_workers`` / ``shard_policy`` / ``scheduler_timeout`` configure the
-    ``"parallel"`` mode's scheduler (worker-process count, client→shard
-    assignment, and how long a round waits for a worker's reply before
-    declaring it wedged — raise it for genuinely long rounds, ``None``
-    waits forever); they are ignored by every other mode.
+    ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
+    mode's scheduler (worker-process count, and how long a round waits for
+    a worker's reply before declaring it wedged — raise it for genuinely
+    long rounds, ``None`` waits forever); they are ignored by every other
+    mode.  Every mode trains in float64 and returns bit-identical states.
 
     Example
     -------
@@ -98,23 +90,14 @@ class LocalUpdateExecutor:
     """
 
     def __init__(self, mode: str = "sequential",
-                 dtype: "str | np.dtype" = "float64",
                  num_workers: Optional[int] = None,
-                 shard_policy: str = "contiguous",
                  scheduler_timeout: Optional[float] = 120.0):
         if mode not in EXECUTOR_MODES:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}")
-        self.dtype = resolve_runtime_dtype(dtype)
-        if self.dtype != np.dtype(np.float64) and mode not in _COHORT_MODES:
-            raise ValueError(
-                "the float32 fast path is a cohort feature; it requires "
-                f"mode in {_COHORT_MODES}, got mode={mode!r}"
-            )
         if scheduler_timeout is not None and scheduler_timeout <= 0:
             raise ValueError("scheduler_timeout must be positive (or None)")
         self.mode = mode
         self.num_workers = num_workers
-        self.shard_policy = resolve_shard_policy(shard_policy)
         self.scheduler_timeout = scheduler_timeout
         #: why the most recent cohort round fell back (or None)
         self.last_fallback_reason: Optional[str] = None
@@ -280,7 +263,7 @@ class LocalUpdateExecutor:
         if workspace is None or not workspace.adopt(template, len(clients)):
             # incompatible (or first) round: build fresh pools; may raise
             # UnvectorizableModelError straight into the sequential fallback
-            workspace = CohortWorkspace(template, len(clients), dtype=self.dtype)
+            workspace = CohortWorkspace(template, len(clients))
             self.workspace = workspace
             self.workspace_builds += 1
         # a ragged cohort raises CohortShapeError here; the workspace stays
@@ -319,8 +302,6 @@ class LocalUpdateExecutor:
         """
         if self.scheduler is None:
             self.scheduler = CohortScheduler(num_workers=self.num_workers,
-                                             shard_policy=self.shard_policy,
-                                             dtype=self.dtype,
                                              timeout=self.scheduler_timeout)
         return self.scheduler.run_round(clients, model_factory, global_state,
                                         config, round_index)

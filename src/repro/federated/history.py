@@ -209,18 +209,6 @@ class TrainingHistory:
 
     # -- fault-injection series (scenario runs) ------------------------------------
 
-    def actual_population_biases(self) -> np.ndarray:
-        """``||p_o − p_u||₁`` over each round's *aggregated* survivors.
-
-        Scenario-free rounds report the planned bias (survivors == planned);
-        rounds that aggregated nobody report ``NaN``.
-        """
-        return np.array([
-            r.population_bias if r.actual_population_bias is None
-            else r.actual_population_bias
-            for r in self.records
-        ])
-
     def failure_totals(self) -> "dict[str, int]":
         """Injected client-round faults over the whole run, keyed by cause."""
         totals: dict[str, int] = {}

@@ -27,9 +27,9 @@ Design
   ``(K, *shape)`` stack per parameter in the original selection order, so
   the mean-over-client-axis aggregation sees exactly the array the
   single-process vectorized mode would have produced.  Every batched kernel
-  treats clients as independent slices, so with float64 pools the parallel
-  results are **bit-identical** to ``executor_mode="vectorized"`` (the suite
-  asserts ≤ 1e-10 over multi-round runs with changing selections).
+  treats clients as independent slices, so the parallel results are
+  **bit-identical** to ``executor_mode="vectorized"`` (the suite asserts it
+  over multi-round runs with changing selections).
 * **Fail towards correctness.**  A dead or wedged worker marks the scheduler
   broken and raises :class:`SchedulerError`;
   :class:`~repro.federated.LocalUpdateExecutor` catches it and transparently
@@ -46,12 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import (
-    partition_cohort,
-    resolve_num_workers,
-    resolve_runtime_dtype,
-    resolve_shard_policy,
-)
+from ..core.config import partition_cohort, resolve_num_workers
 from ..data.cohort import CohortBuffer, CohortShapeError
 from ..nn.batched import BatchedModel
 from ..nn.module import Module
@@ -139,7 +134,7 @@ def _flat_layout(template: Module) -> "tuple[list[tuple[str, int, tuple[int, ...
 
 
 def _worker_main(conn, model_factory: Callable[[], Module], shard_size: int,
-                 dtype: np.dtype, global_pool: np.ndarray,
+                 global_pool: np.ndarray,
                  x: np.ndarray, y: np.ndarray, result: np.ndarray) -> None:
     """Worker body: serve vectorized shard rounds until told to stop.
 
@@ -161,7 +156,7 @@ def _worker_main(conn, model_factory: Callable[[], Module], shard_size: int,
         try:
             template = model_factory()
             if workspace is None or not workspace.adopt(template, shard_size):
-                workspace = CohortWorkspace(template, shard_size, dtype=dtype)
+                workspace = CohortWorkspace(template, shard_size)
             batched = workspace.model
             layout, _ = _flat_layout(template)
             batched.load_state_dict_broadcast({
@@ -210,7 +205,7 @@ class CohortScheduler:
 
     The scheduler is round-persistent: the first round forks the worker
     fleet and allocates every shared pool; later rounds with the same
-    *geometry* (cohort size, data shape, model architecture, dtype) reuse
+    *geometry* (cohort size, data shape, model architecture) reuse
     both, restacking only the data slots whose selected client changed.  A
     geometry change tears the fleet down and rebuilds it
     (:attr:`builds` counts fleet builds); a worker crash or timeout marks
@@ -228,12 +223,8 @@ class CohortScheduler:
     """
 
     def __init__(self, num_workers: Optional[int] = None,
-                 shard_policy: str = "contiguous",
-                 dtype: "str | np.dtype" = "float64",
                  timeout: Optional[float] = 120.0):
         self.num_workers = resolve_num_workers(num_workers)
-        self.shard_policy = resolve_shard_policy(shard_policy)
-        self.dtype = resolve_runtime_dtype(dtype)
         #: seconds to wait for a worker's round reply before declaring it
         #: wedged (None waits forever — only sensible in debuggers)
         self.timeout = timeout
@@ -305,24 +296,23 @@ class CohortScheduler:
         self.shutdown()
         # cheap parent-side vectorization pre-check: refuse unregistered
         # models/layers here, before any process is forked
-        BatchedModel(template, 1, dtype=self.dtype)
+        BatchedModel(template, 1)
         self._layout, per_client = _flat_layout(template)
         try:
-            self._shards = partition_cohort(num_clients, self.num_workers,
-                                            self.shard_policy)
+            self._shards = partition_cohort(num_clients, self.num_workers)
             self._global = shared_pool((per_client,), np.float64, self._ctx)
             for indices in self._shards:
                 shard_size = len(indices)
-                x = shared_pool((shard_size,) + sample_shape, self.dtype,
+                x = shared_pool((shard_size,) + sample_shape, np.float64,
                                 self._ctx)
                 y = shared_pool((shard_size,) + sample_shape[:1], y_dtype,
                                 self._ctx)
-                result = shared_pool((shard_size * per_client,), self.dtype,
+                result = shared_pool((shard_size * per_client,), np.float64,
                                      self._ctx)
                 parent_conn, child_conn = self._ctx.Pipe(duplex=True)
                 worker = self._ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, model_factory, shard_size, self.dtype,
+                    args=(child_conn, model_factory, shard_size,
                           self._global, x, y, result),
                     daemon=True,
                     name=f"cohort-shard-{len(self._conns)}",
@@ -332,7 +322,7 @@ class CohortScheduler:
                 self._workers.append(worker)
                 self._conns.append(parent_conn)
                 self._buffers.append(
-                    CohortBuffer(shard_size, dtype=self.dtype, arrays=(x, y)))
+                    CohortBuffer(shard_size, arrays=(x, y)))
                 self._results.append(result)
         except OSError as exc:
             # fork limits, /dev/shm exhaustion, pipe limits: stop whatever
@@ -344,7 +334,7 @@ class CohortScheduler:
         # and only copied into per round (their views are what run_round
         # returns — valid until the next round, like the vectorized pools)
         self._stacked = {
-            name: np.empty((num_clients,) + shape, dtype=self.dtype)
+            name: np.empty((num_clients,) + shape)
             for name, _, shape in self._layout
         }
         self._per_client = [
@@ -388,7 +378,7 @@ class CohortScheduler:
         y_dtype = np.asarray(datasets[0].y).dtype
         template = model_factory()
         geometry = (
-            len(clients), sample_shape, y_dtype.str, self.dtype.name,
+            len(clients), sample_shape, y_dtype.str,
             tuple((name, offset, shape) for name, offset, shape
                   in _flat_layout(template)[0]),
             # layer types + scalar config (dropout rate, strides, seeds, …):
@@ -465,5 +455,4 @@ class CohortScheduler:
         state = self.broken or (f"{len(self._workers)} workers"
                                 if self._workers else "idle")
         return (f"CohortScheduler(num_workers={self.num_workers}, "
-                f"policy={self.shard_policy!r}, dtype={self.dtype.name}, "
                 f"builds={self.builds}, {state})")

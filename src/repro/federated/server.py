@@ -18,24 +18,23 @@ from ..data.dataset import ArrayDataset
 from ..nn.batched import UnvectorizableModelError
 from ..nn.metrics import BatchedEvaluator, evaluate_model
 from ..nn.module import Module
-from .aggregation import average_states, weighted_average_states
+from .aggregation import average_states
 
-__all__ = ["EVAL_BACKENDS", "FederatedServer"]
+__all__ = ["FederatedServer"]
 
 StateDict = dict[str, np.ndarray]
 
-EVAL_BACKENDS = ("batched", "sequential")
-
 
 class FederatedServer:
-    """Holds the global model and performs FedAvg/FedVC aggregation.
+    """Holds the global model and performs FedVC aggregation (eq. (1)).
 
-    ``eval_backend`` selects how :meth:`evaluate` runs the test pass:
-    ``"batched"`` (default) pushes the test set through the forward-only
-    cohort kernels (:class:`repro.nn.metrics.BatchedEvaluator`, built once
-    and reused every round), falling back to the sequential loop for models
-    without a registered cohort chain; ``"sequential"`` always uses the
-    per-batch Python loop.  Both produce identical metrics.
+    :meth:`aggregate` is the uniform average of the client states: every
+    FedVC virtual client holds the same number of samples, so this equals
+    sample-weighted FedAvg.  :meth:`evaluate` pushes the test set through
+    the forward-only cohort kernels (:class:`repro.nn.metrics.BatchedEvaluator`,
+    built once and reused every round), falling back to the per-batch loop
+    (:func:`repro.nn.metrics.evaluate_model`, identical metrics) for models
+    without a registered cohort chain.
 
     Example
     -------
@@ -47,16 +46,9 @@ class FederatedServer:
     0
     """
 
-    def __init__(self, model_factory: Callable[[], Module], aggregation: str = "uniform",
-                 eval_backend: str = "batched"):
-        if aggregation not in ("uniform", "weighted"):
-            raise ValueError("aggregation must be 'uniform' or 'weighted'")
-        if eval_backend not in EVAL_BACKENDS:
-            raise ValueError(f"eval_backend must be one of {EVAL_BACKENDS}")
+    def __init__(self, model_factory: Callable[[], Module]):
         self.model_factory = model_factory
         self.global_model = model_factory()
-        self.aggregation = aggregation
-        self.eval_backend = eval_backend
         self.rounds_completed = 0
         #: rounds whose aggregation was skipped (survivors below the floor)
         self.rounds_skipped = 0
@@ -105,16 +97,9 @@ class FederatedServer:
         self.last_aggregation_skipped = False
 
     def aggregate(self, client_states: Sequence[StateDict],
-                  client_weights: Sequence[float] | None = None,
                   expected_count: Optional[int] = None,
                   min_participation: float = 0.0) -> StateDict:
-        """Aggregate client updates into the new global model.
-
-        With ``aggregation == "uniform"`` this is eq. (1) (virtual clients of
-        equal size); with ``"weighted"`` the classical sample-weighted FedAvg
-        is used and *client_weights* must be given (one weight per state; the
-        weights are normalised over the states present, so a partial round
-        stays a convex combination of the updates that arrived).
+        """Average client updates into the new global model (eq. (1)).
 
         *expected_count* opts into **partial-round aggregation** (the
         fault-injection path): it is the planned cohort size, of which only
@@ -139,12 +124,7 @@ class FederatedServer:
                 return self.global_state()
         if not client_states:
             raise ValueError("no client updates to aggregate")
-        if self.aggregation == "uniform":
-            new_state = average_states(client_states)
-        else:
-            if client_weights is None:
-                raise ValueError("weighted aggregation requires client_weights")
-            new_state = weighted_average_states(client_states, client_weights)
+        new_state = average_states(client_states)
         self.global_model.load_state_dict(new_state)
         self.rounds_completed += 1
         return new_state
@@ -154,16 +134,15 @@ class FederatedServer:
     def evaluate(self, test_set: ArrayDataset, batch_size: int = 64) -> dict:
         """Evaluate the current global model on a (uniform) test set.
 
-        With the ``"batched"`` backend the round-persistent evaluator reuses
-        its one-client parameter stack across rounds and *batch_size* is
-        irrelevant (chunking is internal); the metrics are identical to the
-        sequential loop's either way.
+        The round-persistent batched evaluator reuses its one-client
+        parameter stack across rounds (chunking is internal); *batch_size*
+        only applies to the per-batch fallback for models without a cohort
+        chain.  The metrics are identical either way.
         """
-        if self.eval_backend == "batched":
-            evaluator = self._ensure_evaluator()
-            if evaluator is not None:
-                evaluator.load_state(self.global_state(copy=False))
-                return evaluator.evaluate(test_set)
+        evaluator = self._ensure_evaluator()
+        if evaluator is not None:
+            evaluator.load_state(self.global_state(copy=False))
+            return evaluator.evaluate(test_set)
         return evaluate_model(self.global_model, test_set, batch_size=batch_size)
 
     def _ensure_evaluator(self) -> Optional[BatchedEvaluator]:

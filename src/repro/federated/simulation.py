@@ -20,8 +20,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..core.config import (TransportConfig, resolve_run_mode,
-                           resolve_runtime_dtype, resolve_shard_policy)
+from ..core.config import TransportConfig, resolve_run_mode
 from ..data.cohort import DatasetCache
 from ..data.dataset import ArrayDataset
 from ..data.distributions import emd, uniform_distribution
@@ -33,7 +32,7 @@ from ..scenarios.spec import ScenarioSpec
 from .client import FederatedClient, LocalTrainingConfig
 from .executor import EXECUTOR_MODES, LocalUpdateExecutor
 from .history import RoundRecord, TrainingHistory
-from .server import EVAL_BACKENDS, FederatedServer
+from .server import FederatedServer
 
 __all__ = ["ClientSelectorProtocol", "FederatedConfig", "FederatedSimulation"]
 
@@ -58,21 +57,14 @@ class FederatedConfig:
     (:data:`repro.federated.EXECUTOR_MODES`: ``"sequential"``/
     ``"vectorized"``/``"parallel"``; see
     :class:`repro.federated.LocalUpdateExecutor`).
-    ``num_workers`` / ``shard_policy`` / ``scheduler_timeout`` configure the
-    ``"parallel"`` mode's multi-cohort scheduler (worker-process count,
-    defaulting to one per core; client→shard assignment, see
-    :data:`repro.core.config.SHARD_POLICIES`; and the per-round worker-reply
-    deadline in seconds — raise it for genuinely long local updates,
-    ``None`` waits forever).  ``dataset_cache_size``
-    bounds the shared LRU pool of materialised client datasets; ``None``
-    disables pooling (each client pins its own data forever, the pre-cache
-    behaviour).  ``dtype`` is the cohort-runtime precision knob
-    (:data:`repro.core.config.RUNTIME_DTYPES`): ``"float64"`` (default)
-    reproduces sequential execution bit-for-bit, ``"float32"`` is the
-    cohort-only fast path with single-precision tolerance.
-    ``eval_backend`` picks the server's test pass
-    (``"batched"``/``"sequential"``, identical metrics; see
-    :class:`repro.federated.FederatedServer`).  ``scenario`` opts the run
+    ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
+    mode's multi-cohort scheduler (worker-process count, defaulting to one
+    per core, and the per-round worker-reply deadline in seconds — raise it
+    for genuinely long local updates, ``None`` waits forever).
+    ``dataset_cache_size`` bounds the shared LRU pool of materialised client
+    datasets; ``None`` disables pooling (each client pins its own data
+    forever, the pre-cache behaviour).  Every back-end trains in float64, so
+    all three produce bit-identical rounds.  ``scenario`` opts the run
     into fault injection (:class:`repro.scenarios.ScenarioSpec`): churn,
     availability, stragglers, dropouts and label drift, with partial-round
     aggregation below the spec's participation floor.  ``None`` (default)
@@ -93,8 +85,8 @@ class FederatedConfig:
     -------
     >>> config = FederatedConfig(rounds=5, executor_mode="parallel",
     ...                          num_workers=2, seed=0)
-    >>> config.shard_policy
-    'contiguous'
+    >>> config.num_workers
+    2
     """
 
     rounds: int = 20
@@ -102,10 +94,7 @@ class FederatedConfig:
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
     executor_mode: str = "sequential"
     dataset_cache_size: Optional[int] = 1024
-    dtype: str = "float64"
-    eval_backend: str = "batched"
     num_workers: Optional[int] = None
-    shard_policy: str = "contiguous"
     scheduler_timeout: Optional[float] = 120.0
     seed: Optional[int] = None
     scenario: Optional[ScenarioSpec] = None
@@ -131,13 +120,6 @@ class FederatedConfig:
             raise ValueError("eval_every must be positive")
         if self.dataset_cache_size is not None and self.dataset_cache_size < 1:
             raise ValueError("dataset_cache_size must be positive when given")
-        resolved = resolve_runtime_dtype(self.dtype)
-        if resolved != np.dtype("float64") and self.executor_mode not in (
-                "vectorized", "parallel"):
-            raise ValueError(
-                "dtype='float32' is the cohort fast path and requires "
-                "executor_mode='vectorized' or 'parallel'"
-            )
         if self.num_workers is not None:
             if self.num_workers < 1:
                 raise ValueError("num_workers must be positive when given")
@@ -146,16 +128,8 @@ class FederatedConfig:
                     "num_workers configures the parallel scheduler; it "
                     "requires executor_mode='parallel'"
                 )
-        resolve_shard_policy(self.shard_policy)
-        if self.shard_policy != "contiguous" and self.executor_mode != "parallel":
-            raise ValueError(
-                "shard_policy configures the parallel scheduler; it "
-                "requires executor_mode='parallel'"
-            )
         if self.scheduler_timeout is not None and self.scheduler_timeout <= 0:
             raise ValueError("scheduler_timeout must be positive (or None)")
-        if self.eval_backend not in EVAL_BACKENDS:
-            raise ValueError(f"eval_backend must be one of {EVAL_BACKENDS}")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
             raise TypeError("scenario must be a ScenarioSpec (or None)")
         if (self.scenario is not None and self.scenario.network is not None
@@ -215,8 +189,7 @@ class FederatedSimulation:
         self.selector = selector
         self.test_set = test_set
         self.config = config or FederatedConfig()
-        self.server = FederatedServer(model_factory,
-                                      eval_backend=self.config.eval_backend)
+        self.server = FederatedServer(model_factory)
         from ..transport.base import build_transport
 
         #: the seam every round speaks to: in-process executors or sockets
@@ -227,9 +200,7 @@ class FederatedSimulation:
         executor = None
         if config.transport.kind == "inprocess":
             executor = LocalUpdateExecutor(
-                mode=config.executor_mode, dtype=config.dtype,
-                num_workers=config.num_workers,
-                shard_policy=config.shard_policy,
+                mode=config.executor_mode, num_workers=config.num_workers,
                 scheduler_timeout=config.scheduler_timeout,
             )
         self.transport = build_transport(

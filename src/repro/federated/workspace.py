@@ -12,7 +12,7 @@ rounds.  A :class:`CohortWorkspace` owns
 
 and :class:`~repro.federated.LocalUpdateExecutor` reuses one workspace for
 as long as consecutive rounds are *shape-compatible* (same cohort size, same
-model architecture, same dtype).  Each round the executor rebinds the fresh
+model architecture).  Each round the executor rebinds the fresh
 template model into the existing pools (:meth:`CohortWorkspace.adopt`),
 resets — never reallocates — the optimiser state, and restacks only the data
 slots whose selected client changed.  Every reuse path preserves the
@@ -141,14 +141,12 @@ class CohortWorkspace:
     True
     """
 
-    def __init__(self, template: Module, num_clients: int,
-                 dtype: "str | np.dtype" = np.float64):
-        self.dtype = np.dtype(dtype)
+    def __init__(self, template: Module, num_clients: int):
         #: the batched tensor program; its flat pools live for the workspace's lifetime
-        self.model = BatchedModel(template, num_clients, dtype=self.dtype)
+        self.model = BatchedModel(template, num_clients)
         self.num_clients = num_clients
         #: dense (K, N_vc, …) data buffers with per-slot restack skipping
-        self.buffer = CohortBuffer(num_clients, dtype=self.dtype)
+        self.buffer = CohortBuffer(num_clients)
         self._optimizer: "Optional[BatchedAdam | BatchedSGD]" = None
         self._optimizer_kind: Optional[str] = None
         #: precomputed client-row index for per-batch gathers
@@ -197,5 +195,4 @@ class CohortWorkspace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CohortWorkspace(clients={self.num_clients}, "
-                f"dtype={self.dtype.name}, rounds_bound={self.rounds_bound}, "
-                f"buffer={self.buffer!r})")
+                f"rounds_bound={self.rounds_bound}, buffer={self.buffer!r})")

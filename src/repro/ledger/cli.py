@@ -121,7 +121,7 @@ def _build_simulation(path: str, info: RunInfo, run_mode: str,
         # executor-specific knobs recorded for another back-end must not
         # leak into this one (e.g. num_workers requires 'parallel')
         if executor_mode != "parallel":
-            overrides.update(num_workers=None, shard_policy="contiguous")
+            overrides["num_workers"] = None
     config = config_from_dict(info.config, **overrides)
     return Session(config).with_recipe(recipe).build()
 

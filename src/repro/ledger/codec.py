@@ -32,9 +32,11 @@ from typing import Mapping, Optional
 import numpy as np
 
 __all__ = [
+    "RETIRED_KEYS",
     "RunRecipe",
     "config_from_dict",
     "config_to_dict",
+    "drop_retired_keys",
     "scenario_from_dict",
     "scenario_to_dict",
     "state_from_bytes",
@@ -54,9 +56,19 @@ GROUP_FIELDS = ("transport",)
 #: Recorded-config keys that determine a run's numeric results.  RESUME and
 #: VERIFY require these to match between the recorded run and the current
 #: simulation; executor knobs (back-end, workers, cache sizes) are absent on
-#: purpose — all back-ends are bit-identical under float64, which is exactly
-#: what makes cross-back-end VERIFY meaningful.
-DETERMINISM_KEYS = ("eval_every", "seed", "dtype", "local", "scenario")
+#: purpose — all back-ends are bit-identical, which is exactly what makes
+#: cross-back-end VERIFY meaningful.
+DETERMINISM_KEYS = ("eval_every", "seed", "local", "scenario")
+
+#: Keys that older ledgers recorded for knobs the config no longer has,
+#: each with the one value every run now uses.  Loading drops a key that
+#: holds that value; any other value names a run this code cannot
+#: reproduce, and is refused (see :func:`drop_retired_keys`).
+RETIRED_KEYS = {
+    "dtype": "float64",
+    "shard_policy": "contiguous",
+    "eval_backend": "batched",
+}
 
 
 # -- model state ---------------------------------------------------------------------
@@ -158,6 +170,35 @@ def scenario_from_dict(payload: "Optional[Mapping]"):
 # -- run configuration ---------------------------------------------------------------
 
 
+def drop_retired_keys(payload: Mapping) -> dict:
+    """A copy of a recorded config without its :data:`RETIRED_KEYS`.
+
+    Raises :class:`~repro.ledger.LedgerMismatchError`, naming the key, when
+    a retired key holds anything but its surviving value — a run recorded
+    with another value would not replay bit-for-bit.
+
+    Example
+    -------
+    >>> drop_retired_keys({"seed": 3, "dtype": "float64"})
+    {'seed': 3}
+    >>> drop_retired_keys({"dtype": "float32"})
+    Traceback (most recent call last):
+    ...
+    repro.ledger.modes.LedgerMismatchError: recorded dtype='float32', but every run now uses dtype='float64'
+    """
+    from .modes import LedgerMismatchError
+
+    kwargs = dict(payload)
+    for key, surviving in RETIRED_KEYS.items():
+        recorded = kwargs.pop(key, surviving)
+        if recorded != surviving:
+            raise LedgerMismatchError(
+                f"recorded {key}={recorded!r}, but every run now uses "
+                f"{key}={surviving!r}"
+            )
+    return kwargs
+
+
 def config_to_dict(config) -> dict:
     """A resolved :class:`~repro.federated.FederatedConfig` as a JSON dict.
 
@@ -184,7 +225,8 @@ def config_from_dict(payload: Mapping, **overrides):
 
     *overrides* replace recorded fields — the CLI uses this to re-attach the
     ledger plumbing (``run_mode="verify"``, ``ledger_path=...``) and to
-    re-execute a recorded run on a different executor back-end.
+    re-execute a recorded run on a different executor back-end.  Keys of
+    retired knobs are dropped (:func:`drop_retired_keys`).
 
     Example
     -------
@@ -196,7 +238,7 @@ def config_from_dict(payload: Mapping, **overrides):
     from ..federated.client import LocalTrainingConfig
     from ..federated.simulation import FederatedConfig
 
-    kwargs = dict(payload)
+    kwargs = drop_retired_keys(payload)
     for name in GROUP_FIELDS:  # tolerate payloads that recorded the groups
         kwargs.pop(name, None)
     kwargs["local"] = LocalTrainingConfig(**kwargs["local"])

@@ -39,7 +39,8 @@ import numpy as np
 
 from ..core.config import resolve_run_mode
 from ..federated.history import RoundRecord
-from .codec import DETERMINISM_KEYS, config_to_dict, scenario_to_dict
+from .codec import (DETERMINISM_KEYS, config_to_dict, drop_retired_keys,
+                    scenario_to_dict)
 from .context import benchmark_context
 from .store import LedgerError, RunLedger
 
@@ -334,7 +335,7 @@ class LedgerSession:
 
     def _check_compatibility(self, recorded_config: dict, config) -> None:
         current = _canonical(config_to_dict(config))
-        recorded = _canonical(recorded_config)
+        recorded = _canonical(drop_retired_keys(recorded_config))
         differing = {
             key: (recorded.get(key), current.get(key))
             for key in DETERMINISM_KEYS

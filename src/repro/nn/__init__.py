@@ -27,7 +27,7 @@ from .batched import (
     register_layer_vectorizer,
 )
 from .conv import AvgPool2d, Conv2d, MaxPool2d, col2im, im2col
-from .init import kaiming_uniform, xavier_uniform, zeros
+from .init import kaiming_uniform, zeros
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
 from .loss import CrossEntropyLoss, log_softmax, softmax
 from .metrics import (
@@ -76,6 +76,5 @@ __all__ = [
     "register_cohort_chain",
     "register_layer_vectorizer",
     "softmax",
-    "xavier_uniform",
     "zeros",
 ]

@@ -326,10 +326,7 @@ class BatchedDropout(BatchedLayer):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape[1:]) < keep) / keep
-        # masks are drawn in float64 (matching the sequential layer's RNG
-        # arithmetic exactly) and only cast when the cohort runs float32
-        self._mask = mask if mask.dtype == x.dtype else mask.astype(x.dtype)
+        self._mask = (self.rng.random(x.shape[1:]) < keep) / keep
         return x * self._mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -511,12 +508,6 @@ class BatchedModel:
     model factory): its layer structure defines the program and its dropout
     RNG state stands in for every client's.
 
-    ``dtype`` selects the precision of the flat value/grad pools (and
-    therefore of every batched kernel).  ``float64`` — the default — keeps
-    the bit-identical contract above; ``float32`` is the opt-in fast path:
-    half the memory traffic through the pools, with per-client results
-    matching the float64 reference only to single-precision tolerance.
-
     Example
     -------
     >>> import numpy as np
@@ -529,13 +520,9 @@ class BatchedModel:
     (5, 3, 4)
     """
 
-    def __init__(self, template: Module, num_clients: int,
-                 dtype: "str | np.dtype" = np.float64):
+    def __init__(self, template: Module, num_clients: int):
         if num_clients < 1:
             raise ValueError("num_clients must be positive")
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype}")
         self.template = template
         self.num_clients = num_clients
         chain = _resolve_chain(template)
@@ -597,8 +584,8 @@ class BatchedModel:
         grouped, so this changes no numerics.
         """
         total = sum(bp.value.size for _, bp in self._named)
-        self.flat_values = np.zeros(total, dtype=self.dtype)
-        self.flat_grads = np.zeros(total, dtype=self.dtype)
+        self.flat_values = np.zeros(total)
+        self.flat_grads = np.zeros(total)
         offset = 0
         repacked: set[int] = set()
         for _, bp in self._named:
@@ -671,7 +658,7 @@ class BatchedModel:
             raise KeyError(f"state_dict mismatch: missing={sorted(missing)}, "
                            f"unexpected={sorted(unexpected)}")
         for name, bp in self._named:
-            value = np.asarray(state[name], dtype=self.dtype)
+            value = np.asarray(state[name], dtype=np.float64)
             if value.shape != bp.value.shape[1:]:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} vs {bp.value.shape[1:]}"
@@ -902,9 +889,7 @@ def batched_cross_entropy(logits: np.ndarray, targets: np.ndarray,
     >>> np.allclose(losses, np.log(3)), grad.shape
     (True, (2, 4, 3))
     """
-    logits = np.asarray(logits)
-    if logits.dtype != np.float32:  # float32 cohorts keep their precision
-        logits = logits.astype(np.float64, copy=False)
+    logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=int)
     if logits.ndim != 3:
         raise ValueError(f"logits must be 3-D (K, B, C), got shape {logits.shape}")

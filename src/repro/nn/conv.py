@@ -156,8 +156,7 @@ class MaxPool2d(Module):
         k = self.kernel_size
         grad = mask * grad_output[:, :, :, None, :, None]
         # when several entries tie for the max, split the gradient between them
-        # (tie counts cast to the gradient dtype: int-array division would
-        # promote float32 cohort gradients to float64)
+        # (tie counts cast to the gradient dtype, so the division keeps it)
         counts = mask.sum(axis=(3, 5), keepdims=True)
         grad = grad / np.maximum(counts, 1).astype(grad.dtype)
         return grad.reshape(n, c, h, w)

@@ -1,4 +1,4 @@
-"""Weight initialisers (Kaiming / Xavier) for the NumPy NN substrate.
+"""Weight initialisers (Kaiming, zeros) for the NumPy NN substrate.
 
 All initialisers take an explicit ``numpy.random.Generator`` so that model
 construction is bit-reproducible — federated experiments must start every
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "zeros"]
+__all__ = ["kaiming_uniform", "zeros"]
 
 
 def kaiming_uniform(shape: tuple[int, ...], fan_in: int,
@@ -19,15 +19,6 @@ def kaiming_uniform(shape: tuple[int, ...], fan_in: int,
     if fan_in <= 0:
         raise ValueError("fan_in must be positive")
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation, suitable for linear/softmax layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -141,7 +141,7 @@ class BatchedEvaluator:
         self._model.load_state_dict_broadcast(state)
 
     def _features(self, dataset: ArrayDataset) -> np.ndarray:
-        """The dataset's features in the model dtype, cached per dataset.
+        """The dataset's features as float64, cached per dataset.
 
         The cast is exact (float32 features widen losslessly) and
         round-persistent: the server evaluates the same test set every round,
@@ -151,10 +151,10 @@ class BatchedEvaluator:
         recomputed every round.
         """
         x = np.asarray(dataset.x)
-        if x.dtype == self._model.dtype:
+        if x.dtype == np.float64:
             return x
         if self._cast_cache is None or self._cast_cache[0] is not x:
-            self._cast_cache = (x, x.astype(self._model.dtype))
+            self._cast_cache = (x, x.astype(np.float64))
         return self._cast_cache[1]
 
     def predictions(self, dataset: ArrayDataset) -> np.ndarray:

@@ -84,7 +84,6 @@ from .messages import (
     Heartbeat,
     HeartbeatAck,
     ModelDelta,
-    PackedCiphertextUpload,
     ProbabilityBroadcast,
     Register,
     RegisterAck,
@@ -211,8 +210,6 @@ class SocketTransport(Transport):
         self.address: Optional[Tuple[str, int]] = None
         #: the server socket's own bind address (behind the proxy)
         self.bind_address: Optional[Tuple[str, int]] = None
-        #: encrypted uploads received so far: client_id -> tag -> vector
-        self.uploads: "Dict[int, dict]" = {}
         #: cumulative malformed-frame counts per client id (-1 = a
         #: connection that never registered)
         self.decode_failures: "Dict[int, int]" = {}
@@ -534,9 +531,6 @@ class SocketTransport(Transport):
                     notice = self._round_notices.get((round_index, cid))
                     if notice is not None:
                         await session.send(notice)
-        elif isinstance(message, PackedCiphertextUpload):
-            self.uploads.setdefault(message.client_id, {})[message.tag] = \
-                message.vector
         elif isinstance(message, ModelDelta):
             key = (message.round_index, message.client_id, message.token)
             if key in self._seen_deltas:
@@ -554,7 +548,9 @@ class SocketTransport(Transport):
             session.health = "healthy"  # last_seen already updated
         elif isinstance(message, ErrorNotice):
             self.last_fallback_reason = f"client error: {message.detail}"
-        # other message types are server→client only; ignore echoes
+        # anything else is dropped on arrival: a PackedCiphertextUpload
+        # (nothing on this side folds it, and keeping it would let a peer
+        # grow server memory without bound) or a server→client echo
 
     # -- protocol broadcasts ----------------------------------------------------
 

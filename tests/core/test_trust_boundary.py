@@ -8,18 +8,21 @@ only ever sums ciphertexts.  These tests keep every
 pool and no plaintext array is reachable — the structural form of the paper's
 §4 claim, which the key-holder noise path makes load-bearing.  The ciphertext
 each client keeps for re-sending within a key epoch is client-side state too:
-no server may reach a :class:`SecureClient` or the object it kept.
+no server may reach a :class:`SecureClient` or the object it kept.  The socket
+server drops every ciphertext upload on arrival, so no peer can grow its
+memory by varying the upload tag.
 """
 
 import gc
 import random
+import socket
 import types
 
 import numpy as np
 import pytest
 
 from repro.core import secure
-from repro.core.config import DubheConfig
+from repro.core.config import DubheConfig, TransportConfig
 from repro.core.secure import (
     SecureAggregationServer,
     SecureDistributionAggregation,
@@ -28,7 +31,17 @@ from repro.core.secure import (
 )
 from repro.core.secure_selector import SecureDubheSelector
 from repro.crypto.keyagent import KeyAgent
+from repro.crypto.packing import PackedEncryptedVector
 from repro.crypto.paillier import NoisePool, PaillierPrivateKey
+from repro.transport import SocketTransport
+from repro.transport.messages import (
+    PackedCiphertextUpload,
+    Register,
+    RegisterAck,
+    decode_message,
+    encode_message,
+)
+from repro.transport.wire import frame_header
 
 FORBIDDEN = (PaillierPrivateKey, NoisePool, np.ndarray)
 # code, not data: descending into these reaches every module global
@@ -36,8 +49,8 @@ OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
           types.MethodDescriptorType, types.WrapperDescriptorType)
 
 
-def reachable_forbidden(root, client_side=()) -> list:
-    """Every FORBIDDEN instance, or *client_side* object, hanging off *root*."""
+def reachable_forbidden(root, client_side=(), forbidden=FORBIDDEN) -> list:
+    """Every *forbidden* instance, or *client_side* object, hanging off *root*."""
     kept = {id(obj) for obj in client_side}
     seen = {id(root)}
     stack = [root]
@@ -47,7 +60,7 @@ def reachable_forbidden(root, client_side=()) -> list:
             if id(obj) in seen or isinstance(obj, OPAQUE):
                 continue
             seen.add(id(obj))
-            if isinstance(obj, FORBIDDEN) or id(obj) in kept:
+            if isinstance(obj, forbidden) or id(obj) in kept:
                 found.append(obj)
             stack.append(obj)
     return found
@@ -173,3 +186,43 @@ class TestServerObjectGraph:
         # the clients generated every term, the CRT way, and none leaked
         assert all(pool.generated > 0 for pool in built)
         assert_clean(servers, 2)
+
+
+def read_message(sock):
+    """One whole frame off a blocking socket, decoded."""
+    data = b""
+    while len(data) < 8:
+        chunk = sock.recv(8 - len(data))
+        assert chunk, "server closed the connection"
+        data += chunk
+    _, length = frame_header(data, 1 << 20)
+    while len(data) < 8 + length + 4:
+        chunk = sock.recv(8 + length + 4 - len(data))
+        assert chunk, "server truncated its reply"
+        data += chunk
+    return decode_message(data)[0]
+
+
+class TestSocketServerKeepsNoUpload:
+    def test_distinct_tags_leave_no_ciphertext_behind(self):
+        public_key = agent().new_round().public_key
+        transport = SocketTransport(TransportConfig(kind="socket"))
+        transport.start()
+        sock = socket.create_connection(transport.address, timeout=10.0)
+        try:
+            sock.sendall(encode_message(Register(5, 6, 8)))
+            assert isinstance(read_message(sock), RegisterAck)
+            vector = PackedEncryptedVector.encrypt(
+                public_key, [0.5, 0.25], rng=random.Random(1))
+            for tag in range(50):
+                sock.sendall(encode_message(
+                    PackedCiphertextUpload(5, f"tag-{tag}", vector)))
+            # one connection is dispatched in order: this ack means the
+            # server has handled every upload sent before it
+            sock.sendall(encode_message(Register(5, 6, 8)))
+            assert isinstance(read_message(sock), RegisterAck)
+            assert reachable_forbidden(
+                transport, forbidden=PackedEncryptedVector) == []
+        finally:
+            sock.close()
+            transport.close()

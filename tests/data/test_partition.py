@@ -52,30 +52,6 @@ class TestClientPartition:
         with pytest.raises(ValueError):
             ClientPartition(-np.ones((2, 3)), 3)
 
-    def test_assign_sample_indices_counts_match(self):
-        rng = np.random.default_rng(0)
-        labels = np.repeat(np.arange(3), 50)
-        counts = np.array([[10, 5, 0], [2, 2, 2]])
-        part = ClientPartition(counts, 3)
-        assignments = part.assign_sample_indices(labels, rng=rng)
-        for k, idx in enumerate(assignments):
-            got = np.bincount(labels[idx], minlength=3)
-            np.testing.assert_array_equal(got, counts[k])
-
-    def test_assign_sample_indices_duplicates_when_pool_small(self):
-        labels = np.array([0, 0, 1])  # only two class-0 samples available
-        counts = np.array([[5, 0]])
-        part = ClientPartition(counts, 2)
-        idx = part.assign_sample_indices(labels, rng=np.random.default_rng(1))[0]
-        assert len(idx) == 5
-        assert np.all(labels[idx] == 0)
-
-    def test_assign_missing_class_rejected(self):
-        labels = np.array([0, 0, 0])
-        part = ClientPartition(np.array([[1, 1]]), 2)
-        with pytest.raises(ValueError):
-            part.assign_sample_indices(labels)
-
 
 class TestEMDTargetPartitioner:
     @pytest.mark.parametrize("target", [0.0, 0.5, 1.0, 1.5])

@@ -158,16 +158,6 @@ class TestFederatedServer:
         )
         assert server.rounds_completed == 1
 
-    def test_weighted_mode_requires_weights(self):
-        server = FederatedServer(mlp_factory, aggregation="weighted")
-        state = server.global_state()
-        with pytest.raises(ValueError):
-            server.aggregate([state, state])
-
-    def test_invalid_aggregation_mode(self):
-        with pytest.raises(ValueError):
-            FederatedServer(mlp_factory, aggregation="median")
-
     def test_empty_aggregate_rejected(self):
         server = FederatedServer(mlp_factory)
         with pytest.raises(ValueError):

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import (
-    SHARD_POLICIES,
-    partition_cohort,
-    resolve_num_workers,
-    resolve_shard_policy,
-)
+from repro.core.config import partition_cohort, resolve_num_workers
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set
@@ -42,12 +37,12 @@ def make_clients(n_clients=5, samples_per_class=3, generator_seed=0):
     ]
 
 
-def assert_states_match(a_states, b_states, tol=TOL):
+def assert_states_match(a_states, b_states):
     assert len(a_states) == len(b_states)
     for a, b in zip(a_states, b_states):
         assert set(a) == set(b)
         for key in a:
-            np.testing.assert_allclose(a[key], b[key], atol=tol, rtol=0)
+            np.testing.assert_allclose(a[key], b[key], atol=TOL, rtol=0)
 
 
 @pytest.fixture
@@ -71,22 +66,17 @@ class TestShardPartition:
         shards = partition_cohort(3, 8)
         assert [len(s) for s in shards] == [1, 1, 1]
 
-    def test_interleaved_policy(self):
-        shards = partition_cohort(7, 2, policy="interleaved")
-        assert [list(s) for s in shards] == [[0, 2, 4, 6], [1, 3, 5]]
-
-    @pytest.mark.parametrize("policy", SHARD_POLICIES)
-    def test_every_policy_is_a_bijection(self, policy):
+    def test_shards_are_a_bijection(self):
         for k, w in [(1, 1), (5, 2), (16, 5), (4, 9)]:
-            shards = partition_cohort(k, w, policy=policy)
+            shards = partition_cohort(k, w)
             assert sorted(np.concatenate(shards)) == list(range(k))
             assert all(len(s) > 0 for s in shards)
 
-    def test_invalid_policy_rejected(self):
+    def test_invalid_cohort_rejected(self):
         with pytest.raises(ValueError):
-            resolve_shard_policy("zigzag")
+            partition_cohort(0, 2)
         with pytest.raises(ValueError):
-            partition_cohort(4, 2, policy="zigzag")
+            partition_cohort(4, 0)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -167,24 +157,6 @@ class TestParallelEquivalence:
         finally:
             executor.close()
 
-    def test_interleaved_policy_matches_contiguous(self):
-        factory = MODEL_FACTORIES["mlp"]
-        server = FederatedServer(factory)
-        config = LocalTrainingConfig(batch_size=8, learning_rate=1e-3)
-        vec = LocalUpdateExecutor("vectorized").run_round(
-            make_clients(5), factory, server.global_state(), config
-        )
-        executor = LocalUpdateExecutor("parallel", num_workers=2,
-                                       shard_policy="interleaved")
-        try:
-            par = executor.run_round(
-                make_clients(5), factory, server.global_state(), config
-            )
-            assert executor.last_fallback_reason is None
-            assert_states_match(vec, par)
-        finally:
-            executor.close()
-
     def test_rounds_participated_increment(self, parallel_executor):
         factory = MODEL_FACTORIES["mlp"]
         server = FederatedServer(factory)
@@ -232,23 +204,19 @@ class TestParallelEquivalence:
         assert parallel_executor.scheduler.builds == 2
         assert parallel_executor.last_fallback_reason is None
 
-    def test_float32_parallel_tracks_float64(self):
+    def test_merge_stacks_are_float64(self, parallel_executor):
         factory = MODEL_FACTORIES["mlp"]
         server = FederatedServer(factory)
         config = LocalTrainingConfig(learning_rate=1e-3)
         ref = LocalUpdateExecutor("vectorized").run_round(
             make_clients(4), factory, server.global_state(), config
         )
-        executor = LocalUpdateExecutor("parallel", num_workers=2,
-                                       dtype="float32")
-        try:
-            par = executor.run_round(make_clients(4), factory,
-                                     server.global_state(), config)
-            assert executor.last_fallback_reason is None
-            assert par.stacked[next(iter(par.stacked))].dtype == np.float32
-            assert_states_match(ref, par, tol=1e-4)
-        finally:
-            executor.close()
+        par = parallel_executor.run_round(make_clients(4), factory,
+                                          server.global_state(), config)
+        assert parallel_executor.last_fallback_reason is None
+        assert all(stack.dtype == np.float64
+                   for stack in par.stacked.values())
+        assert_states_match(ref, par)
 
 
 class TestParallelFallback:
@@ -456,10 +424,4 @@ class TestParallelSimulation:
             FederatedConfig(executor_mode="vectorized", num_workers=2)
         with pytest.raises(ValueError):
             FederatedConfig(executor_mode="parallel", num_workers=0)
-        with pytest.raises(ValueError):
-            FederatedConfig(shard_policy="zigzag")
-        with pytest.raises(ValueError):
-            FederatedConfig(executor_mode="vectorized",
-                            shard_policy="interleaved")
-        assert FederatedConfig(executor_mode="parallel",
-                               shard_policy="interleaved").num_workers is None
+        assert FederatedConfig(executor_mode="parallel").num_workers is None

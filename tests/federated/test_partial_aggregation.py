@@ -1,4 +1,4 @@
-"""Partial-round aggregation: survivor weights and the server's skip policy."""
+"""Partial-round aggregation: the survivors' average and the server's skip policy."""
 
 import numpy as np
 import pytest
@@ -6,84 +6,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hypothesis_support import scaled_max_examples
-from repro.federated.aggregation import (
-    partial_round_weights,
-    weighted_average_states,
-)
+from repro.federated.aggregation import weighted_average_states
 from repro.federated.server import FederatedServer
 from repro.nn.models import MLP
 
 
 @st.composite
-def counts_and_survivors(draw):
-    """A planned cohort's sample counts plus a non-empty survivor subset."""
-    counts = draw(st.lists(st.integers(min_value=1, max_value=512),
-                           min_size=1, max_size=32))
-    survivors = draw(st.sets(st.integers(min_value=0, max_value=len(counts) - 1),
-                             min_size=1, max_size=len(counts)))
-    return counts, sorted(survivors)
+def cohort_and_survivors(draw):
+    """A planned cohort size plus a non-empty survivor subset."""
+    size = draw(st.integers(min_value=1, max_value=32))
+    survivors = draw(st.sets(st.integers(min_value=0, max_value=size - 1),
+                             min_size=1, max_size=size))
+    return size, sorted(survivors)
 
 
-class TestPartialRoundWeightsProperties:
-    @settings(max_examples=scaled_max_examples(200), deadline=None)
-    @given(case=counts_and_survivors())
-    def test_weights_over_any_survivor_subset_sum_to_one(self, case):
-        counts, survivors = case
-        weights = partial_round_weights(counts, survivors=survivors)
-        assert weights.shape == (len(survivors),)
-        assert np.all(weights > 0)
-        assert np.isclose(weights.sum(), 1.0, atol=1e-12)
+def mlp_factory():
+    return MLP(8, 2, hidden=(4,), seed=0)
 
-    @settings(max_examples=scaled_max_examples(200), deadline=None)
-    @given(counts=st.lists(st.integers(min_value=1, max_value=512),
-                           min_size=1, max_size=32))
-    def test_full_survival_equals_full_cohort_weights(self, counts):
-        full = partial_round_weights(counts)
-        everyone = partial_round_weights(counts, survivors=range(len(counts)))
-        np.testing.assert_allclose(everyone, full, rtol=0, atol=0)
-        np.testing.assert_allclose(
-            full, np.asarray(counts, dtype=float) / sum(counts))
 
+class TestPartialRoundAverage:
     @settings(max_examples=scaled_max_examples(100), deadline=None)
-    @given(case=counts_and_survivors())
-    def test_equal_counts_reduce_to_plain_average(self, case):
-        counts, survivors = case
-        uniform = [counts[0]] * len(counts)  # FedVC: every virtual client equal
-        weights = partial_round_weights(uniform, survivors=survivors)
-        np.testing.assert_allclose(weights, 1.0 / len(survivors), atol=1e-12)
+    @given(case=cohort_and_survivors())
+    def test_survivors_are_averaged_uniformly(self, case):
+        # FedVC virtual clients hold equal sample counts, so the plain mean
+        # over the survivors is sample-weighted FedAvg restricted to them
+        size, survivors = case
+        server = FederatedServer(mlp_factory)
+        template = server.global_state()
+        states = [{k: np.full_like(v, float(i)) for k, v in template.items()}
+                  for i in range(size)]
+        arrived = [states[i] for i in survivors]
+        merged = server.aggregate(arrived, expected_count=size)
+        fedavg = weighted_average_states(arrived, [64] * len(arrived))
+        for key in template:
+            np.testing.assert_allclose(merged[key], np.mean(survivors),
+                                       atol=1e-12)
+            np.testing.assert_allclose(merged[key], fedavg[key], atol=1e-12)
 
-    @settings(max_examples=scaled_max_examples(100), deadline=None)
-    @given(case=counts_and_survivors())
-    def test_weighted_partial_aggregate_is_survivor_convex_combination(self, case):
-        counts, survivors = case
-        states = [{"w": np.full(3, float(k))} for k in range(len(counts))]
-        weights = partial_round_weights(counts, survivors=survivors)
-        merged = weighted_average_states([states[i] for i in survivors], weights)
-        expected = sum(w * states[i]["w"] for w, i in zip(weights, survivors))
-        np.testing.assert_allclose(merged["w"], expected, atol=1e-12)
+    @settings(max_examples=scaled_max_examples(50), deadline=None)
+    @given(size=st.integers(min_value=1, max_value=16),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_full_survival_equals_the_full_cohort_average(self, size, seed):
+        rng = np.random.default_rng(seed)
+        template = FederatedServer(mlp_factory).global_state()
+        states = [{k: rng.standard_normal(v.shape) for k, v in template.items()}
+                  for _ in range(size)]
+        partial = FederatedServer(mlp_factory).aggregate(
+            states, expected_count=size, min_participation=1.0)
+        full = FederatedServer(mlp_factory).aggregate(states)
+        for key in template:
+            np.testing.assert_array_equal(partial[key], full[key])
 
-
-class TestPartialRoundWeightsValidation:
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            partial_round_weights([])
-        with pytest.raises(ValueError):
-            partial_round_weights([3, -1])
-
-    def test_rejects_bad_survivor_sets(self):
-        with pytest.raises(ValueError):
-            partial_round_weights([1, 2], survivors=[])
-        with pytest.raises(ValueError):
-            partial_round_weights([1, 2], survivors=[0, 0])
-        with pytest.raises(ValueError):
-            partial_round_weights([1, 2], survivors=[2])
-        with pytest.raises(ValueError):
-            partial_round_weights([0, 0], survivors=[0])
+    @settings(max_examples=scaled_max_examples(50), deadline=None)
+    @given(case=cohort_and_survivors(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_partial_average_is_a_convex_combination_of_survivors(self, case,
+                                                                  seed):
+        size, survivors = case
+        rng = np.random.default_rng(seed)
+        server = FederatedServer(mlp_factory)
+        template = server.global_state()
+        states = [{k: rng.standard_normal(v.shape) for k, v in template.items()}
+                  for _ in range(size)]
+        arrived = [states[i] for i in survivors]
+        merged = server.aggregate(arrived, expected_count=size)
+        for key in template:
+            stacked = np.stack([s[key] for s in arrived])
+            np.testing.assert_allclose(merged[key], stacked.mean(axis=0),
+                                       atol=1e-12)
+            assert np.all(merged[key] >= stacked.min(axis=0) - 1e-12)
+            assert np.all(merged[key] <= stacked.max(axis=0) + 1e-12)
 
 
 class TestServerSkipPolicy:
     def _server(self):
-        return FederatedServer(lambda: MLP(8, 2, hidden=(4,), seed=0))
+        return FederatedServer(mlp_factory)
 
     def _state(self, value):
         server = self._server()

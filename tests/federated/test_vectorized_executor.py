@@ -11,6 +11,7 @@ from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
+from repro.nn.metrics import evaluate_model
 from repro.nn.models import MLP, MnistCNN
 from repro.nn.module import Module
 
@@ -261,7 +262,7 @@ class TestSimulationExecutorModes:
         assert sim.executor.workspace_builds == 1
         assert sim.executor.workspace is not None
 
-    def test_float32_simulation_smoke(self, sim_setup):
+    def test_batched_eval_matches_the_sequential_loop(self, sim_setup):
         generator, partition, test_set = sim_setup
         sim = FederatedSimulation(
             partition=partition,
@@ -273,34 +274,11 @@ class TestSimulationExecutorModes:
                 rounds=2,
                 local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
                 executor_mode="vectorized",
-                dtype="float32",
                 seed=0,
             ),
         )
-        history = sim.run()
-        assert sim.executor.last_fallback_reason is None
-        assert all(r.test_accuracy is not None for r in history.records)
-
-    def test_sequential_eval_backend_matches_batched(self, sim_setup):
-        generator, partition, test_set = sim_setup
-
-        def build(eval_backend):
-            return FederatedSimulation(
-                partition=partition,
-                generator=generator,
-                model_factory=lambda: MLP(64, 10, hidden=(16,), seed=5),
-                selector=RoundRobinSelector(partition.n_clients, 4),
-                test_set=test_set,
-                config=FederatedConfig(
-                    rounds=2,
-                    local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
-                    executor_mode="vectorized",
-                    eval_backend=eval_backend,
-                    seed=0,
-                ),
-            )
-
-        hist_batched = build("batched").run()
-        hist_sequential = build("sequential").run()
-        np.testing.assert_array_equal(hist_batched.accuracies(),
-                                      hist_sequential.accuracies())
+        for round_index in range(2):
+            record = sim.run_round(round_index)
+            expected = evaluate_model(sim.server.global_model, test_set)
+            assert record.test_accuracy == expected["accuracy"]
+        assert sim.server.eval_fallback_reason is None

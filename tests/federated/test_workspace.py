@@ -1,4 +1,4 @@
-"""Round-persistent vectorized runtime: workspace reuse, restacking, float32."""
+"""Round-persistent vectorized runtime: workspace reuse and restacking."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.data.synthetic import make_synthetic_mnist
 from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
-from repro.federated.simulation import FederatedConfig
 from repro.federated.workspace import CohortWorkspace
 from repro.nn.models import MLP, MnistCNN
 
@@ -242,58 +241,36 @@ class TestRaggedFallbackThroughWorkspace:
                 np.testing.assert_allclose(a[key], b[key], atol=TOL, rtol=0)
 
 
-class TestFloat32FastPath:
-    def test_states_are_float32_and_close_to_reference(self):
+class TestFloat64Pools:
+    def test_states_are_float64_and_match_the_reference(self):
         clients = make_clients()
         config = LocalTrainingConfig(learning_rate=1e-3)
         server = FederatedServer(mlp_factory)
-        executor = LocalUpdateExecutor("vectorized", dtype="float32")
+        executor = LocalUpdateExecutor("vectorized")
         vec = executor.run_round(clients, mlp_factory, server.global_state(),
                                  config, round_index=0)
         assert executor.last_fallback_reason is None
         seq = LocalUpdateExecutor("sequential").run_round(
             make_clients(), mlp_factory, server.global_state(), config,
             round_index=0)
-        worst = 0.0
         for a, b in zip(seq, vec):
             for key in a:
-                assert b[key].dtype == np.float32
-                worst = max(worst, float(np.max(np.abs(a[key] - b[key]))))
-        # documented tolerance: single precision tracks the float64 reference
-        # to ~1e-5 after one local update, far outside bit-identity
-        assert 0.0 < worst < 1e-3
+                assert b[key].dtype == np.float64
+                np.testing.assert_allclose(b[key], a[key], atol=TOL, rtol=0)
 
-    def test_float32_multi_round_stays_close(self):
-        schedule = [(0, 1, 2), (1, 2, 3), (2, 3, 0)]
+    def test_every_pool_is_float64_for_float32_client_data(self):
+        clients = make_clients()
+        assert clients[0].dataset.x.dtype == np.float32
         config = LocalTrainingConfig(learning_rate=1e-3)
-        pool32 = make_clients(4)
-        vec_rounds, server32 = run_rounds(
-            LocalUpdateExecutor("vectorized", dtype="float32"),
-            [[pool32[i] for i in sel] for sel in schedule], mlp_factory, config)
-        pool64 = make_clients(4)
-        seq_rounds, server64 = run_rounds(
-            LocalUpdateExecutor("sequential"),
-            [[pool64[i] for i in sel] for sel in schedule], mlp_factory, config)
-        a = server64.global_state()
-        b = server32.global_state()
-        for key in a:
-            np.testing.assert_allclose(a[key], b[key], atol=1e-3, rtol=0)
-
-    def test_float32_requires_vectorized_mode(self):
-        with pytest.raises(ValueError):
-            LocalUpdateExecutor("sequential", dtype="float32")
-        with pytest.raises(ValueError):
-            FederatedConfig(executor_mode="sequential", dtype="float32")
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            LocalUpdateExecutor("vectorized", dtype="float16")
-        with pytest.raises(ValueError):
-            FederatedConfig(executor_mode="vectorized", dtype="int32")
-
-    def test_float32_config_threads_through(self):
-        config = FederatedConfig(executor_mode="vectorized", dtype="float32")
-        assert config.dtype == "float32"
+        server = FederatedServer(mlp_factory)
+        executor = LocalUpdateExecutor("vectorized")
+        executor.run_round(clients, mlp_factory, server.global_state(), config,
+                           round_index=0)
+        workspace = executor.workspace
+        optimizer = workspace.optimizer_for(config)
+        for pool in (workspace.model.flat_values, workspace.model.flat_grads,
+                     workspace.buffer.x, optimizer._m, optimizer._v):
+            assert pool.dtype == np.float64
 
 
 class TestCohortBuffer:
@@ -319,13 +296,13 @@ class TestCohortBuffer:
             np.testing.assert_array_equal(x[k], client.dataset.x)
             np.testing.assert_array_equal(y[k], client.dataset.y)
 
-    def test_float32_buffer_casts_once(self):
+    def test_features_are_cast_to_float64_on_the_copy(self):
         clients = make_clients(2)
-        buffer = CohortBuffer(2, dtype="float32")
+        buffer = CohortBuffer(2)
         x, _ = buffer.stack([c.cohort_slot() for c in clients])
-        assert x.dtype == np.float32
-        np.testing.assert_allclose(
-            x[0], clients[0].dataset.x.astype(np.float32), rtol=0, atol=0)
+        assert clients[0].dataset.x.dtype == np.float32
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x[0], clients[0].dataset.x)
 
     def test_invalid_num_clients(self):
         with pytest.raises(ValueError):

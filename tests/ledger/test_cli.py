@@ -1,6 +1,7 @@
 """Tests of the ``python -m repro.ledger`` CLI (repro/ledger/cli.py)."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -88,8 +89,6 @@ class TestResumeAndVerify:
         assert payload["rounds_checked"] == 4
 
     def test_verify_failure_exit_code(self, recorded, capsys):
-        import sqlite3
-
         path, run_id = recorded
         conn = sqlite3.connect(path)
         row = conn.execute(
@@ -120,3 +119,47 @@ class TestResumeAndVerify:
                              {}, 1)
         assert main(["verify", path]) == 2
         assert "--recipe" in capsys.readouterr().err
+
+
+#: the config_json an earlier release recorded for the ``recorded`` fixture's
+#: FederatedConfig(rounds=4, seed=0), with the knobs since retired
+LEGACY_CONFIG = {
+    "rounds": 4, "eval_every": 1,
+    "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
+              "optimizer": "adam", "max_batches_per_epoch": None},
+    "executor_mode": "sequential", "dataset_cache_size": 1024,
+    "dtype": "float64", "eval_backend": "batched", "num_workers": None,
+    "shard_policy": "contiguous", "scheduler_timeout": 120.0, "seed": 0,
+    "scenario": None,
+}
+
+
+def record_config(path, run_id, payload):
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE runs SET config_json = ? WHERE run_id = ?",
+                 (json.dumps(payload), run_id))
+    conn.commit()
+    conn.close()
+
+
+class TestLegacyConfig:
+    def test_legacy_config_resumes_and_verifies(self, recorded, capsys):
+        path, run_id = recorded
+        record_config(path, run_id, LEGACY_CONFIG)
+        assert main(["resume", path, run_id]) == 0
+        assert "ran 2 round(s), 4 total" in capsys.readouterr().out
+        assert main(["verify", path, run_id]) == 0
+        assert "OK (4 rounds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [("dtype", "float32"),
+                                           ("shard_policy", "interleaved"),
+                                           ("eval_backend", "sequential")])
+    @pytest.mark.parametrize("command", ["resume", "verify"])
+    def test_another_retired_value_is_refused(self, recorded, capsys,
+                                              command, key, value):
+        path, run_id = recorded
+        record_config(path, run_id, dict(LEGACY_CONFIG, **{key: value}))
+        assert main([command, path, run_id]) == 2
+        assert f"recorded {key}={value!r}" in capsys.readouterr().err
+        with RunLedger(path, create=False) as ledger:
+            assert ledger.run(run_id).rounds_committed == 2

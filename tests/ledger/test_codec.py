@@ -1,5 +1,6 @@
 """Tests of the ledger codecs (repro/ledger/codec.py) and run context."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.simulation import FederatedConfig
-from repro.ledger import (RunRecipe, benchmark_context, config_from_dict,
-                          config_to_dict, find_bench_files, git_sha,
-                          scenario_from_dict, scenario_to_dict,
+from repro.ledger import (LedgerMismatchError, RunRecipe, benchmark_context,
+                          config_from_dict, config_to_dict, find_bench_files,
+                          git_sha, scenario_from_dict, scenario_to_dict,
                           state_from_bytes, state_sha256, state_to_bytes)
-from repro.ledger.codec import DETERMINISM_KEYS, LEDGER_FIELDS
+from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS, RETIRED_KEYS,
+                                drop_retired_keys)
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import (AvailabilitySpec, DriftSpec, DropoutSpec,
                                   StragglerSpec)
@@ -59,13 +61,14 @@ class TestScenarioCodec:
         assert scenario_from_dict(payload) == spec
 
 
-#: a config payload exactly as an earlier release recorded it
+#: a config payload exactly as an earlier release recorded it, retired
+#: knobs included
 RECORDED = {
     "rounds": 4, "eval_every": 1,
     "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
               "optimizer": "adam", "max_batches_per_epoch": None},
     "executor_mode": "vectorized", "dataset_cache_size": 7,
-    "dtype": "float32", "eval_backend": "batched", "num_workers": None,
+    "dtype": "float64", "eval_backend": "batched", "num_workers": None,
     "shard_policy": "contiguous", "scheduler_timeout": 120.0, "seed": 3,
     "scenario": {
         "availability": {"offline_probability": 0.0, "down_rounds": {}},
@@ -116,23 +119,55 @@ class TestConfigCodec:
     def test_recorded_key_set_is_pinned(self):
         assert set(config_to_dict(FederatedConfig())) == {
             "rounds", "eval_every", "local", "executor_mode",
-            "dataset_cache_size", "dtype", "eval_backend", "num_workers",
-            "shard_policy", "scheduler_timeout", "seed", "scenario",
+            "dataset_cache_size", "num_workers", "scheduler_timeout", "seed",
+            "scenario",
         }
 
     def test_recorded_payload_is_byte_stable(self):
         # what config_to_dict wrote for these arguments before the nested
-        # executor/ledger groups were removed: old ledgers must still load
-        # and re-record to the same config_json
+        # executor/ledger groups and the retired knobs were removed: old
+        # ledgers must still load, and re-record the same config_json less
+        # the retired keys
         config = FederatedConfig(
-            rounds=4, seed=3, executor_mode="vectorized", dtype="float32",
+            rounds=4, seed=3, executor_mode="vectorized",
             dataset_cache_size=7,
             scenario=ScenarioSpec(seed=2,
                                   dropouts=DropoutSpec(probability=0.25)))
-        assert json.dumps(config_to_dict(config)) == json.dumps(RECORDED)
+        current = {key: value for key, value in RECORDED.items()
+                   if key not in RETIRED_KEYS}
+        assert json.dumps(config_to_dict(config)) == json.dumps(current)
         rebuilt = config_from_dict(json.loads(json.dumps(RECORDED)))
         assert rebuilt == config
-        assert json.dumps(config_to_dict(rebuilt)) == json.dumps(RECORDED)
+        assert json.dumps(config_to_dict(rebuilt)) == json.dumps(current)
+
+    @pytest.mark.parametrize("key,value", [
+        ("dtype", "float32"), ("shard_policy", "interleaved"),
+        ("eval_backend", "sequential")])
+    def test_retired_key_with_another_value_is_refused(self, key, value):
+        # a float32 run must never load (and so resume) silently in float64
+        with pytest.raises(LedgerMismatchError, match=f"recorded {key}="):
+            config_from_dict(dict(RECORDED, **{key: value}))
+
+
+class TestRetiredKeys:
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_surviving_value_is_dropped_on_load(self, key):
+        current = config_to_dict(FederatedConfig(rounds=4, seed=3))
+        legacy = dict(current, **{key: RETIRED_KEYS[key]})
+        assert config_from_dict(legacy) == config_from_dict(current)
+
+    def test_payload_is_left_untouched(self):
+        payload = dict(RECORDED)
+        kept = drop_retired_keys(payload)
+        assert payload == RECORDED
+        assert list(kept) == [key for key in RECORDED
+                              if key not in RETIRED_KEYS]
+        assert all(kept[key] == RECORDED[key] for key in kept)
+
+    def test_no_retired_key_is_a_config_field(self):
+        fields = {f.name for f in dataclasses.fields(FederatedConfig)}
+        assert not fields & set(RETIRED_KEYS)
+        assert not set(config_to_dict(FederatedConfig())) & set(RETIRED_KEYS)
 
 
 class TestRunRecipe:

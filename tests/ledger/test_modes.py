@@ -1,6 +1,8 @@
 """Tests of the three ledger run modes (repro/ledger/modes.py)."""
 
 import dataclasses
+import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -34,6 +36,18 @@ def record_run(ledger_path, rounds=3, stop_after=None, **over):
     with build(ledger_path, rounds=rounds, **over) as sim:
         history = sim.run(stop_after)
         return sim.ledger_session.run_id, history
+
+
+def rerecord_config(ledger_path, run_id, **keys):
+    """Rewrite *run_id*'s recorded config as an older release would have
+    stored it, with *keys* (retired knobs) added."""
+    with RunLedger(ledger_path, create=False) as ledger:
+        payload = dict(ledger.run(run_id).config, **keys)
+    conn = sqlite3.connect(ledger_path)
+    conn.execute("UPDATE runs SET config_json = ? WHERE run_id = ?",
+                 (json.dumps(payload), run_id))
+    conn.commit()
+    conn.close()
 
 
 class TestConfigValidation:
@@ -118,6 +132,30 @@ class TestResumeMode:
             build(ledger_path, "resume", replay_source_run_id=partial_id,
                   seed=1)
 
+    @pytest.mark.parametrize("key,value", [
+        ("dtype", "float32"), ("shard_policy", "interleaved"),
+        ("eval_backend", "sequential")])
+    def test_resume_refuses_a_retired_knob_value(self, ledger_path, key,
+                                                 value):
+        partial_id, _ = record_run(ledger_path, stop_after=2)
+        rerecord_config(ledger_path, partial_id, **{key: value})
+        with pytest.raises(LedgerMismatchError, match=key):
+            build(ledger_path, "resume", replay_source_run_id=partial_id)
+
+    @pytest.mark.parametrize("key,value", [
+        ("dtype", "float64"), ("shard_policy", "contiguous"),
+        ("eval_backend", "batched")])
+    def test_resume_accepts_a_retired_knob_at_its_surviving_value(
+            self, ledger_path, key, value):
+        _, uninterrupted = record_run(str(ledger_path) + ".ref")
+        partial_id, _ = record_run(ledger_path, stop_after=2)
+        rerecord_config(ledger_path, partial_id, **{key: value})
+        with build(ledger_path, "resume",
+                   replay_source_run_id=partial_id) as sim:
+            resumed = sim.run()
+        np.testing.assert_array_equal(resumed.accuracies(),
+                                      uninterrupted.accuracies())
+
     def test_resume_refuses_selector_drift(self, ledger_path):
         partial_id, _ = record_run(ledger_path, stop_after=2)
         other = RunRecipe("repro.ledger.recipes:quick_mlp",
@@ -198,6 +236,21 @@ class TestVerifyMode:
             ledger.begin_run("empty", recorded, {}, 3)
         with pytest.raises(LedgerError, match="no committed rounds"):
             build(ledger_path, "verify")
+
+    def test_verify_accepts_a_legacy_config(self, ledger_path):
+        run_id, _ = record_run(ledger_path)
+        rerecord_config(ledger_path, run_id, dtype="float64",
+                        shard_policy="contiguous", eval_backend="batched")
+        with build(ledger_path, "verify",
+                   replay_source_run_id=run_id) as sim:
+            sim.run()
+            assert sim.ledger_session.report.ok()
+
+    def test_verify_refuses_a_retired_knob_value(self, ledger_path):
+        run_id, _ = record_run(ledger_path)
+        rerecord_config(ledger_path, run_id, dtype="float32")
+        with pytest.raises(LedgerMismatchError, match="dtype"):
+            build(ledger_path, "verify", replay_source_run_id=run_id)
 
     def test_verify_never_writes(self, ledger_path):
         run_id, _ = record_run(ledger_path)

@@ -286,6 +286,17 @@ class TestBatchedCrossEntropy:
             assert losses[i] == pytest.approx(ref_loss, abs=1e-12)
             np.testing.assert_allclose(grad[i], ref_grad, atol=1e-15)
 
+    def test_float32_logits_are_computed_in_float64(self):
+        rng = np.random.default_rng(6)
+        logits = (rng.standard_normal((3, 5, 4)) * 3).astype(np.float32)
+        targets = rng.integers(0, 4, size=(3, 5))
+        losses, grad = batched_cross_entropy(logits, targets)
+        ref_losses, ref_grad = batched_cross_entropy(
+            logits.astype(np.float64), targets)
+        assert losses.dtype == grad.dtype == np.float64
+        np.testing.assert_array_equal(losses, ref_losses)
+        np.testing.assert_array_equal(grad, ref_grad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             batched_cross_entropy(np.zeros((2, 3)), np.zeros((2, 3), dtype=int))

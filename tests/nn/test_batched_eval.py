@@ -101,13 +101,22 @@ class TestBatchedEvaluator:
 
 
 class TestServerEvalBackend:
-    def test_batched_and_sequential_backends_agree(self, test_set):
-        batched = trained_server(mlp_factory)
-        sequential = FederatedServer(mlp_factory, eval_backend="sequential")
-        sequential.global_model.load_state_dict(batched.global_state())
-        assert_reports_equal(batched.evaluate(test_set),
-                             sequential.evaluate(test_set))
-        assert batched.eval_fallback_reason is None
+    def test_batched_evaluation_matches_the_sequential_loop(self, test_set):
+        server = trained_server(mlp_factory)
+        assert_reports_equal(server.evaluate(test_set),
+                             evaluate_model(server.global_model, test_set))
+        assert server.eval_fallback_reason is None
+
+    def test_evaluation_tracks_the_global_model_across_rounds(self, test_set):
+        server = trained_server(cnn_factory, rounds=1)
+        first = server.evaluate(test_set)
+        assert_reports_equal(first,
+                             evaluate_model(server.global_model, test_set))
+        state = server.global_state()
+        server.aggregate([{k: v * 0.5 for k, v in state.items()}])
+        assert_reports_equal(server.evaluate(test_set),
+                             evaluate_model(server.global_model, test_set))
+        assert server.eval_fallback_reason is None
 
     def test_unvectorizable_model_falls_back(self, test_set):
         class Custom(Module):
@@ -125,7 +134,3 @@ class TestServerEvalBackend:
         assert server.eval_fallback_reason is not None
         reference = evaluate_model(server.global_model, test_set)
         assert_reports_equal(report, reference)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            FederatedServer(mlp_factory, eval_backend="gpu")

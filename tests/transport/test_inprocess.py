@@ -53,7 +53,7 @@ class TestBuildTransport:
         transport.close()
 
     def test_inprocess_wraps_the_given_executor(self):
-        executor = LocalUpdateExecutor(mode="vectorized", dtype="float32")
+        executor = LocalUpdateExecutor(mode="vectorized")
         transport = build_transport(TransportConfig(), executor)
         assert transport.executor is executor
         transport.close()
