@@ -11,7 +11,8 @@ repo ships and records ``BENCH_registry.json``:
   per-client reference, asserted bit-identical.
 * **selection** — `DubheSelector` construction + one multi-time selection at
   K = min(1000, N/10), H = 4, all on the batch path.
-* **memory** — `tracemalloc` peaks: streaming registration (batch generator,
+* **memory** — `tracemalloc` peaks: one `register_batch` over all N (its
+  outputs plus row-block scratch), streaming registration (batch generator,
   nothing materialised) vs one `RegistrationResult` (with its one-hot
   registry) per client at a capped N, yielding the memory-reduction ratio the
   CI gate watches.
@@ -77,6 +78,8 @@ MATERIALIZE_CAP = 10_000
 
 #: Documented peak-allocation ceiling for streaming registration at any N
 #: (see docs/scaling.md): O(batch), so the same bound holds at N = 10^6.
+#: A one-shot `register_batch` is held to it too: 16 MB of int64 outputs
+#: plus O(block) scratch at N = 10^6.
 STREAMING_PEAK_CEILING_MB = 64.0
 
 
@@ -156,7 +159,13 @@ def bench_size(n: int, batch_size: int, arity: int, seed: int = 0) -> dict:
     if len(selected) != k:
         raise AssertionError(f"selection returned {len(selected)} != K={k}")
 
-    # -- memory: streaming vs materialised peaks -----------------------------
+    # -- memory: one-shot, streaming and materialised peaks ------------------
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    codebook.register_batch(distributions)
+    _, batch_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+
     rng = np.random.default_rng(seed)
     counts = np.zeros(codebook.length)
     tracemalloc.start()
@@ -217,6 +226,7 @@ def bench_size(n: int, batch_size: int, arity: int, seed: int = 0) -> dict:
             "select_s": round(select_s, 6),
         },
         "memory": {
+            "batch_peak_mb": round(batch_peak / 2**20, 3),
             "streaming_peak_mb": round(stream_peak / 2**20, 3),
             "materialized_clients": mat_clients,
             "materialized_peak_mb": round(mat_peak / 2**20, 3),
@@ -312,8 +322,9 @@ def main(argv: list[str] | None = None) -> int:
                              "speedup over the loop falls below this factor")
     parser.add_argument("--max-peak-mb", type=float,
                         default=STREAMING_PEAK_CEILING_MB,
-                        help="fail (exit 1) when any streaming peak exceeds "
-                             "this many MB (0 disables)")
+                        help="fail (exit 1) when any one-shot or streaming "
+                             "registration peak exceeds this many MB "
+                             "(0 disables)")
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",")]
@@ -326,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
               f"({row['registration']['clients_per_s']} clients/s, "
               f"{row['speedup']['register_batch']}x over the loop), "
               f"selection {row['selection']['select_s']:.3f}s at "
-              f"K={row['selection']['k']}, streaming peak "
+              f"K={row['selection']['k']}, one-shot peak "
+              f"{row['memory']['batch_peak_mb']} MB, streaming peak "
               f"{row['memory']['streaming_peak_mb']} MB, tree depth "
               f"{row['tree']['fold_depth']} vs flat {row['tree']['flat_depth']}")
 
@@ -367,14 +379,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"OK: register_batch speedup {achieved}x >= "
                   f"{args.min_batch_speedup}x")
     if args.max_peak_mb:
-        worst = max(row["memory"]["streaming_peak_mb"] for row in results)
-        if worst > args.max_peak_mb:
-            print(f"FAIL: streaming peak {worst} MB > ceiling "
-                  f"{args.max_peak_mb} MB", file=sys.stderr)
-            failed = True
-        else:
-            print(f"OK: streaming peaks <= {args.max_peak_mb} MB "
-                  f"(worst {worst} MB)")
+        for key, label in (("batch_peak_mb", "one-shot"),
+                           ("streaming_peak_mb", "streaming")):
+            worst = max(row["memory"][key] for row in results)
+            if worst > args.max_peak_mb:
+                print(f"FAIL: {label} registration peak {worst} MB > ceiling "
+                      f"{args.max_peak_mb} MB", file=sys.stderr)
+                failed = True
+            else:
+                print(f"OK: {label} registration peaks <= {args.max_peak_mb} "
+                      f"MB (worst {worst} MB)")
     return 1 if failed else 0
 
 

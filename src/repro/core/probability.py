@@ -38,6 +38,7 @@ __all__ = [
     "expected_participants",
     "expected_category_count",
     "bernoulli_participation",
+    "VolunteerDraw",
 ]
 
 Registrations = Union[BatchRegistration, np.ndarray]
@@ -160,6 +161,37 @@ def expected_category_count(overall_registry: np.ndarray, category_index: int,
     return float(count * p)
 
 
+class VolunteerDraw:
+    """Bernoulli volunteering over one probability vector, in reused buffers.
+
+    The vector is checked to lie in [0, 1] once, here; every call then
+    fills one ``(N,)`` float buffer from a single ``rng.random`` stream,
+    compares it against the probabilities into one bool mask and returns
+    the mask's ``flatnonzero`` — the same draws, in the same RNG order, as
+    allocating both arrays afresh.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> VolunteerDraw(np.array([1.0, 0.0, 1.0]))(np.random.default_rng(0)).tolist()
+    [0, 2]
+    """
+
+    def __init__(self, probabilities: np.ndarray):
+        probabilities = np.asarray(probabilities, dtype=float)
+        if not np.all((probabilities >= 0) & (probabilities <= 1)):  # NaN fails too
+            raise ValueError("probabilities must lie in [0, 1]")
+        self.probabilities = probabilities
+        self._draws = np.empty(probabilities.shape)
+        self._mask = np.empty(probabilities.shape, dtype=bool)
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        """Indices of the clients whose Bernoulli draw succeeded."""
+        rng.random(out=self._draws)
+        np.less(self._draws, self.probabilities, out=self._mask)
+        return np.flatnonzero(self._mask)
+
+
 def bernoulli_participation(probabilities: np.ndarray,
                             rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Each client independently decides to participate (client autonomy).
@@ -167,6 +199,8 @@ def bernoulli_participation(probabilities: np.ndarray,
     Returns the indices of clients whose Bernoulli draw succeeded.  This is
     the step where Dubhe's "clients proactively participate" property lives:
     the server never picks specific clients, it only learns who volunteered.
+    Runs one :class:`VolunteerDraw`, whose constructor checks that every
+    probability lies in [0, 1] (NaN fails too) before anything is drawn.
 
     Example
     -------
@@ -175,9 +209,4 @@ def bernoulli_participation(probabilities: np.ndarray,
     >>> volunteers.tolist()
     [0, 2]
     """
-    probabilities = np.asarray(probabilities, dtype=float)
-    if not np.all((probabilities >= 0) & (probabilities <= 1)):  # NaN fails too
-        raise ValueError("probabilities must lie in [0, 1]")
-    rng = rng if rng is not None else np.random.default_rng()
-    draws = rng.random(probabilities.shape)
-    return np.flatnonzero(draws < probabilities)
+    return VolunteerDraw(probabilities)(rng if rng is not None else np.random.default_rng())

@@ -22,10 +22,11 @@ combinations in lookup tables, so a wide-``C`` block (say ``C(52, 26)``
 slots) costs nothing to address; the property suite asserts the ranks
 index-identical to an eager ``itertools.combinations`` table.
 :meth:`RegistryCodebook.register_batch` runs Algorithm 1
-for N clients as a handful of array operations (no per-client Python work)
-and returns a compact :class:`BatchRegistration` — two int64 arrays — rather
-than N one-hot vectors, which is what lets registration stream to
-N = 1,000,000 with O(batch) peak memory (see ``docs/scaling.md``).
+for N clients as a handful of array operations per fixed-size block of rows
+(no per-client Python work) and returns a compact :class:`BatchRegistration`
+— two int64 arrays — rather than N one-hot vectors, which is what lets
+registration stream to N = 1,000,000 with O(batch) peak memory (see
+``docs/scaling.md``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ __all__ = [
 #: Codebooks whose length fits comfortably in int64 rank with vectorised
 #: Pascal-table lookups; anything larger falls back to exact Python ints.
 _INT64_SAFE_LENGTH = 1 << 62
+
+#: Codebooks this long or longer have slots beyond int64, the dtype of
+#: :meth:`RegistryCodebook.register_batch`'s outputs.
+_INT64_LIMIT = 1 << 63
+
+#: Float64 elements per block of rows :meth:`RegistryCodebook.register_batch`
+#: walks at a time (6 553 rows at C = 10): its scratch is this size, not N·C.
+_REGISTER_BLOCK = 1 << 16
 
 
 def combination_rank(classes: Sequence[int], num_classes: int) -> int:
@@ -310,9 +319,18 @@ class RegistryCodebook:
         does (the property suite asserts per-row equality between the two
         paths, ties and ``-0.0`` included).  The thresholds and the
         combination ranks then read those ids through flat 1-D gathers.
+
+        The rows are walked in blocks of ``_REGISTER_BLOCK`` float64
+        elements: each block is validated, masked in a block-sized scratch
+        copy and ranked straight into the preallocated ``(N,)`` outputs.
         Returns a :class:`BatchRegistration` (flat indices, no one-hot
-        vectors), so peak memory is O(N) int64 rather than O(N·L) float.
+        vectors), so peak memory is O(N) int64 plus O(``_REGISTER_BLOCK``)
+        float scratch, not O(N·C).
         """
+        if self.length >= _INT64_LIMIT:
+            raise ValueError(
+                f"codebook length {self.length} does not fit int64 "
+                f"registration indices (limit 2^63 = {_INT64_LIMIT})")
         p = np.ascontiguousarray(distributions, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != self.num_classes:
             raise ValueError(
@@ -320,15 +338,26 @@ class RegistryCodebook:
             )
         if p.shape[0] == 0:
             raise ValueError("distributions is empty")
-        # the np.allclose(sums, 1, atol=1e-6) bound, which NaN and inf fail
-        if np.any(p < 0) or not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-6 + 1e-5):
-            raise ValueError("every row must be a probability vector")
         n, c = p.shape
         dominated = [i for i in self.reference_set if i < c]
         blocks = np.full(n, c, dtype=np.int64)
         indices = np.full(n, self._block_offset[c], dtype=np.int64)
-        if not dominated:
-            return BatchRegistration(blocks=blocks, indices=indices, length=self.length)
+        rows = max(1, _REGISTER_BLOCK // c)
+        for start in range(0, n, rows):
+            block = p[start:start + rows]
+            # the np.allclose(sums, 1, atol=1e-6) bound, which NaN and inf fail
+            if (np.any(block < 0)
+                    or not np.all(np.abs(block.sum(axis=1) - 1.0) <= 1e-6 + 1e-5)):
+                raise ValueError("every row must be a probability vector")
+            if dominated:
+                self._register_block(block, dominated, blocks[start:start + rows],
+                                     indices[start:start + rows])
+        return BatchRegistration(blocks=blocks, indices=indices, length=self.length)
+
+    def _register_block(self, p: np.ndarray, dominated: list[int],
+                        blocks: np.ndarray, indices: np.ndarray) -> None:
+        """Algorithm 1 for validated rows ``p``, into their output slices."""
+        n, c = p.shape
         top = self._top_classes(p, dominated[-1])
         flat = p.reshape(-1)
         row_start = np.arange(0, n * c, c)
@@ -341,7 +370,6 @@ class RegistryCodebook:
             blocks[members] = i
             ranks = self._rank_rows([ids[members] for ids in top[:i]])
             indices[members] = self._block_offset[i] + ranks
-        return BatchRegistration(blocks=blocks, indices=indices, length=self.length)
 
     @staticmethod
     def _top_classes(p: np.ndarray, k: int) -> np.ndarray:

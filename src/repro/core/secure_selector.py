@@ -41,7 +41,7 @@ import numpy as np
 from ..crypto.keyagent import KeyAgent
 from .config import DubheConfig
 from .multitime import MultiTimeResult, multi_time_selection
-from .probability import participation_probabilities
+from .probability import VolunteerDraw, participation_probabilities
 from .registry import BatchRegistration, RegistryCodebook
 from .secure import ProtocolStats, SecureDistributionAggregation, SecureRegistrationRound
 from .selectors import ClientSelector, DubheSelector
@@ -69,6 +69,7 @@ class SecureDubheSelector(ClientSelector):
         self.agent = agent or KeyAgent(key_size=config.key_size)
         self.score_securely = score_securely
         self.last_result: Optional[MultiTimeResult] = None
+        self._volunteer: Optional[VolunteerDraw] = None
         self._registration_round = SecureRegistrationRound(
             config, agent=self.agent, packed=True, aggregation="tree")
         self._scorer: Optional[SecureDistributionAggregation] = None

@@ -35,7 +35,7 @@ import numpy as np
 from ..data.distributions import kl_divergence, uniform_distribution
 from .config import DubheConfig
 from .multitime import MultiTimeResult, multi_time_selection
-from .probability import bernoulli_participation, participation_probabilities
+from .probability import VolunteerDraw, participation_probabilities
 from .registry import BatchRegistration, RegistryCodebook
 
 __all__ = ["ClientSelector", "RandomSelector", "GreedySelector", "DubheSelector"]
@@ -220,6 +220,7 @@ class DubheSelector(ClientSelector):
             )
         self.config = config
         self.codebook = RegistryCodebook(config)
+        self._volunteer: Optional[VolunteerDraw] = None
         self._register_all()
         self.last_result: Optional[MultiTimeResult] = None
 
@@ -252,14 +253,18 @@ class DubheSelector(ClientSelector):
         Array-native version of the original list-based draw: identical RNG
         stream (one uniform block for the Bernoulli step, then ``choice``
         calls that pick the same positions), so seeded selections match the
-        reference implementation element for element.  ``choice`` draws its
-        positions from the population size alone, so the top-up samples
-        positions among the ``N − |pool|`` clients outside the pool and maps
-        them to client ids with one ``searchsorted`` — O(K) work, no
-        N-entry mask.
+        reference implementation element for element.  The Bernoulli step
+        is a :class:`VolunteerDraw` kept with ``self.probabilities``: built
+        (and the vector checked to lie in [0, 1]) on the first try after
+        the vector is set, its draw buffer and mask reused by every later
+        try.  ``choice`` draws its positions from the population size
+        alone, so the top-up samples positions among the ``N − |pool|``
+        clients outside the pool and maps them to client ids with one
+        ``searchsorted`` — O(K) work, no N-entry mask.
         """
-        volunteers = bernoulli_participation(self.probabilities, rng=self.rng)
-        pool = volunteers.astype(np.int64, copy=False)
+        if self._volunteer is None or self._volunteer.probabilities is not self.probabilities:
+            self._volunteer = VolunteerDraw(self.probabilities)
+        pool = self._volunteer(self.rng).astype(np.int64, copy=False)
         k = self.participants_per_round
         if pool.size > k:
             keep = self.rng.choice(pool.size, size=k, replace=False)

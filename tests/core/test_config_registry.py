@@ -9,7 +9,7 @@ from _hypothesis_support import scaled_max_examples
 from hypothesis.extra import numpy as hnp
 
 from repro.core.config import GROUP1_REFERENCE_SET, GROUP2_REFERENCE_SET, DubheConfig
-from repro.core.registry import ClientCategory, RegistryCodebook
+from repro.core.registry import _REGISTER_BLOCK, ClientCategory, RegistryCodebook
 from repro.data.distributions import normalize_counts
 
 
@@ -197,6 +197,20 @@ class TestAlgorithm1:
         codebook = RegistryCodebook(group1_config())
         with pytest.raises(ValueError):
             codebook.register_batch(np.empty((0, 10)))
+
+    @pytest.mark.parametrize("bad", [
+        np.concatenate([[np.nan], np.full(9, 1 / 9)]),
+        np.concatenate([[1.5, -0.5], np.zeros(8)]),
+        np.full(10, 0.2),
+    ], ids=["nan", "negative", "sum-not-1"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_register_batch_bad_row_rejected_in_any_block(self, bad, where):
+        # the last row sits alone in the third block register_batch walks
+        codebook = RegistryCodebook(group1_config())
+        distributions = np.full((2 * (_REGISTER_BLOCK // 10) + 1, 10), 0.1)
+        distributions[0 if where == "first" else -1] = bad
+        with pytest.raises(ValueError, match="every row must be a probability vector"):
+            codebook.register_batch(distributions)
 
     def test_describe_overall_registry(self):
         codebook = RegistryCodebook(group1_config())

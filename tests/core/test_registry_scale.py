@@ -2,8 +2,9 @@
 
 Two families of guarantees keep the million-client path honest:
 
-* **memory** — streaming registration holds peak allocation to O(batch),
-  asserted via ``tracemalloc`` against a generous-but-fixed ceiling.  An
+* **memory** — streaming registration holds peak allocation to O(batch)
+  and one ``register_batch`` call to its outputs plus O(block) scratch,
+  asserted via ``tracemalloc`` against generous-but-fixed ceilings.  An
   accidental ``list(...)`` materialisation of per-client results (or one-hot
   registries) at N = 10^5 allocates an order of magnitude more than the
   ceiling and fails here before it reaches CI's nightly N = 10^6 sweep.
@@ -36,6 +37,11 @@ BATCH = 4096
 #: materialisation alone is ≥ 44 MB.  Generous headroom, but any O(N) slip
 #: trips it.
 STREAM_CEILING_BYTES = 16 * 2**20
+
+#: Scratch allowance for one register_batch call over N = 2·10^5 rows on
+#: top of its two (N,) int64 outputs: the row-block walk needs ~1 MB, a
+#: full (N, C) float copy alone is 16 MB.
+BATCH_SCRATCH_BYTES = 2 * 2**20
 
 #: Fixed ceiling for the secure streaming round below (N = 8192, 32-bit toy
 #: key, count packing, batch 512): streaming peaks well under 2 MB; holding
@@ -84,6 +90,21 @@ class TestStreamingMemory:
             f"streaming registration peaked at {peak / 2**20:.1f} MB "
             f"(> {STREAM_CEILING_BYTES / 2**20:.0f} MB ceiling): something "
             "is materialising O(N) state"
+        )
+
+    def test_one_shot_registration_scratch_is_o_block(self):
+        n = 2 * N_LARGE
+        codebook = RegistryCodebook(scale_config())
+        distributions = skewed_population(n, seed=4)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        batch = codebook.register_batch(distributions)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        outputs = batch.blocks.nbytes + batch.indices.nbytes
+        assert peak < outputs + BATCH_SCRATCH_BYTES, (
+            f"register_batch peaked at {peak / 2**20:.1f} MB for "
+            f"{outputs / 2**20:.1f} MB of outputs: its scratch is O(N·C)"
         )
 
     def test_secure_run_stream_peak_is_o_batch(self):

@@ -5,17 +5,19 @@ row's top classes from first-occurrence ``argmax`` passes, so a tie must go
 to the smaller class id, exactly as :meth:`RegistryCodebook.register` orders
 classes with ``lexsort``.  These tests feed both paths rows built to break
 a sloppy tie rule: exact ties at and across the threshold boundary, ``-0.0``
-zeros, one-hot and uniform rows, and thresholds of 0 below ``C``.
+zeros, one-hot and uniform rows, and thresholds of 0 below ``C`` — and row
+counts on either side of the row blocks ``register_batch`` walks.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _hypothesis_support import scaled_max_examples
 
 from repro.core.config import DubheConfig
-from repro.core.registry import RegistryCodebook
+from repro.core.registry import _REGISTER_BLOCK, RegistryCodebook
 
 #: (C, G) pairs: the paper's group 1, a wide and a narrow 10-class codebook,
 #: every block of a 4-class one, FEMNIST's 52 classes, a 40-class codebook
@@ -33,6 +35,17 @@ SHAPES = (
 
 #: thresholds that exact-tie quantised proportions can land on, 0 included
 SIGMAS = (0.0, 0.0, 0.02, 0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0)
+
+GROUP1 = DubheConfig(num_classes=10, reference_set=(1, 2, 10),
+                     thresholds={1: 0.7, 2: 0.1, 10: 0.0})
+WIDE = DubheConfig(num_classes=40, reference_set=(1, 20, 40),
+                   thresholds={1: 0.5, 20: 0.02, 40: 0.0})
+
+
+def block_edges(num_classes):
+    """Row counts around :meth:`RegistryCodebook.register_batch`'s row blocks."""
+    rows = _REGISTER_BLOCK // num_classes
+    return (rows - 1, rows, rows + 1, 2 * rows + 3)
 
 
 @st.composite
@@ -90,6 +103,14 @@ class TestBatchEqualsPerRowOnTies:
     @given(config=tie_configs(), n=st.integers(min_value=1, max_value=40),
            levels=st.integers(min_value=1, max_value=4),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # one row short of, exactly, one past and two blocks and a bit past the
+    # row block that register_batch walks
+    @example(config=GROUP1, n=block_edges(10)[0], levels=2, seed=1)
+    @example(config=GROUP1, n=block_edges(10)[1], levels=3, seed=2)
+    @example(config=GROUP1, n=block_edges(10)[2], levels=1, seed=3)
+    @example(config=GROUP1, n=block_edges(10)[3], levels=2, seed=4)
+    @example(config=WIDE, n=block_edges(40)[0], levels=2, seed=5)
+    @example(config=WIDE, n=block_edges(40)[3], levels=4, seed=6)
     def test_indices_and_blocks_match_register(self, config, n, levels, seed):
         codebook = RegistryCodebook(config)
         rows = tie_heavy_rows(config.num_classes, n, levels, seed)
@@ -125,3 +146,14 @@ class TestBatchEqualsPerRowOnTies:
         batch = codebook.register_batch(row[None, :])
         assert codebook.category_of(int(batch.indices[0])).classes == (0, 1)
         assert batch.indices[0] == codebook.register(row).index
+
+
+def test_codebook_beyond_int64_is_refused():
+    # C(70, 35) ≈ 1.1·10^20 slots: the ranks are exact but cannot be stored
+    config = DubheConfig(num_classes=70, reference_set=(1, 35, 70),
+                         thresholds={1: 0.5, 35: 0.0, 70: 0.0})
+    codebook = RegistryCodebook(config)
+    assert codebook.length >= 2**63
+    rows = tie_heavy_rows(70, 4, 2, seed=0)
+    with pytest.raises(ValueError, match=r"int64.*2\^63"):
+        codebook.register_batch(rows)

@@ -182,6 +182,17 @@ class TestDubheSelector:
         assert np.all(selector.probabilities >= 0)
         assert np.all(selector.probabilities <= 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_probabilities_out_of_unit_interval_rejected_on_next_draw(
+            self, skewed_federation, bad):
+        selector = DubheSelector(skewed_federation, group1_config(), seed=0)
+        selector._tentative_draw(0)  # the draw buffers now exist
+        probabilities = selector.probabilities.copy()
+        probabilities[-1] = bad
+        selector.probabilities = probabilities
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            selector._tentative_draw(1)
+
     def test_expected_pool_size_close_to_k(self, skewed_federation):
         # the volunteer pool before the draw tops it up or trims it to K
         selector = DubheSelector(skewed_federation, group1_config(k=20), seed=0)
