@@ -6,7 +6,7 @@ Public API
 * :class:`RegistryCodebook`, :class:`RegistrationResult`,
   :class:`ClientCategory` — the registry and Algorithm 1.
 * probability rules — :func:`participation_probability`,
-  :func:`expected_participants`, :func:`bernoulli_participation`.
+  :func:`expected_participants`, :class:`VolunteerDraw`.
 * selectors — :class:`RandomSelector`, :class:`GreedySelector`,
   :class:`DubheSelector`.
 * multi-time selection — :func:`multi_time_selection`,
@@ -36,7 +36,7 @@ from .overhead import (
 )
 from .parameter_search import ParameterSearchResult, default_sigma_grid, search_thresholds
 from .probability import (
-    bernoulli_participation,
+    VolunteerDraw,
     expected_category_count,
     expected_participants,
     participation_probabilities,
@@ -78,7 +78,7 @@ __all__ = [
     "SecureDubheSelector",
     "SecureRegistrationRound",
     "TentativeTry",
-    "bernoulli_participation",
+    "VolunteerDraw",
     "communication_overhead",
     "default_sigma_grid",
     "expected_category_count",

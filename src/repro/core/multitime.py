@@ -11,13 +11,11 @@ parameter search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["TentativeTry", "MultiTimeResult", "multi_time_selection"]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,9 @@ class MultiTimeResult:
 
 def multi_time_selection(
     draw: Callable[[int], Sequence[int]],
-    population_of: Callable[[Sequence[int]], np.ndarray],
+    populations_of: Callable[[Sequence[np.ndarray]], np.ndarray],
     uniform: np.ndarray,
     tries: int,
-    population_of_many: Callable[[Sequence[Sequence[int]]], np.ndarray] | None = None,
 ) -> MultiTimeResult:
     """Run *tries* tentative draws and keep the one closest to uniform.
 
@@ -88,26 +85,22 @@ def multi_time_selection(
         ``h`` (client indices — any integer sequence, including NumPy index
         arrays; candidates are normalised to tuples of Python ints so
         downstream consumers can serialise them).
-    population_of:
-        Maps a candidate set to its population distribution ``p_o``.
+    populations_of:
+        Maps the distinct non-empty candidate sets (one int64 array per
+        try, in try order) to the ``(n, C)`` matrix of their population
+        distributions ``p_o``; called once per selection.
     uniform:
         The target distribution ``p_u``.
     tries:
         Number of tentative selections ``H``.
-    population_of_many:
-        Optional batch counterpart of *population_of*: maps a list of
-        candidate sets (one int64 array per try) to the ``(H, C)`` matrix
-        of their populations.  When
-        given (and the non-empty draws share one size), all H tries are
-        scored with one vectorised pass instead of H Python calls; row ``h``
-        must equal ``population_of(candidates[h])``.
 
     Example
     -------
     >>> import numpy as np
     >>> dists = np.array([[1.0, 0.0], [0.0, 1.0]])
     >>> result = multi_time_selection(
-    ...     draw=lambda h: [h], population_of=lambda c: dists[list(c)].mean(axis=0),
+    ...     draw=lambda h: [h],
+    ...     populations_of=lambda cs: np.stack([dists[c].mean(axis=0) for c in cs]),
     ...     uniform=np.array([0.5, 0.5]), tries=2)
     >>> result.best.candidate in {(0,), (1,)}
     True
@@ -116,41 +109,25 @@ def multi_time_selection(
         raise ValueError("tries must be positive")
     uniform = np.asarray(uniform, dtype=float)
     draws = [np.asarray(draw(h), dtype=np.int64).ravel() for h in range(tries)]
-    candidates = [tuple(drawn.tolist()) for drawn in draws]
-    populations: list[Optional[np.ndarray]] = [None] * tries
-    scores = np.empty(tries)
     # same members, same cohort: float summation order would otherwise split
     # a permutation from its original by an ulp in plaintext, while the
     # integer sums under encryption tie exactly
     first_with: dict[bytes, int] = {}
-    repeats = {h: first_with.setdefault(np.sort(drawn).tobytes(), h)
-               for h, drawn in enumerate(draws) if drawn.size}
-    non_empty = [h for h, first in repeats.items() if first == h]
-    if non_empty:
-        sizes = {len(candidates[h]) for h in non_empty}
-        if population_of_many is not None and len(sizes) == 1:
-            batch = np.asarray(
-                population_of_many([draws[h] for h in non_empty]), dtype=float
-            )
-            batch_scores = np.abs(batch - uniform[None, :]).sum(axis=1)
-            for j, h in enumerate(non_empty):
-                populations[h] = batch[j]
-                scores[h] = float(batch_scores[j])
-        else:
-            for h in non_empty:
-                populations[h] = np.asarray(population_of(candidates[h]), dtype=float)
-                scores[h] = float(np.abs(populations[h] - uniform).sum())
-    for h, first in repeats.items():
-        populations[h], scores[h] = populations[first], scores[first]
+    first = {h: first_with.setdefault(np.sort(drawn).tobytes(), h)
+             for h, drawn in enumerate(draws) if drawn.size}
+    distinct = list(first_with.values())
+    if distinct:
+        batch = np.asarray(populations_of([draws[h] for h in distinct]), dtype=float)
+        batch_scores = np.abs(batch - uniform[None, :]).sum(axis=1)
+        row = {h: j for j, h in enumerate(distinct)}
     results: list[TentativeTry] = []
-    for h, candidate in enumerate(candidates):
-        if populations[h] is None:
-            # an empty draw is maximally biased; keep it only if every try is empty
-            population = uniform * 0.0
-            score = float(np.abs(uniform).sum()) + 1.0
+    for h, drawn in enumerate(draws):
+        if h in first:
+            j = row[first[h]]
+            population, score = batch[j], float(batch_scores[j])
         else:
-            population = populations[h]
-            score = scores[h]
-        results.append(TentativeTry(h, candidate, score, population))
+            # an empty draw is maximally biased; keep it only if every try is empty
+            population, score = uniform * 0.0, float(np.abs(uniform).sum()) + 1.0
+        results.append(TentativeTry(h, tuple(drawn.tolist()), score, population))
     best = min(results, key=lambda t: t.score)
     return MultiTimeResult(best, tuple(results))

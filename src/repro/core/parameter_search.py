@@ -16,16 +16,14 @@ dispatched to the clients and the module is settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import DubheConfig
-from .multitime import multi_time_selection
-from .probability import bernoulli_participation, participation_probabilities
-from .registry import RegistryCodebook
+from .selectors import DubheSelector
 
 __all__ = ["ParameterSearchResult", "default_sigma_grid", "search_thresholds"]
 
@@ -46,38 +44,6 @@ def default_sigma_grid(values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> t
     if not grid or any(not 0 <= v <= 1 for v in grid):
         raise ValueError("sigma grid values must lie in [0, 1]")
     return grid
-
-
-def _score_candidate(config: DubheConfig, client_distributions: np.ndarray,
-                     tries: int, rng: np.random.Generator) -> float:
-    """Score one threshold assignment by the expected population bias."""
-    codebook = RegistryCodebook(config)
-    registrations = codebook.register_batch(client_distributions)
-    probabilities = participation_probabilities(
-        codebook, registrations, registrations.overall_registry(),
-        config.participants_per_round)
-    uniform = np.full(config.num_classes, 1.0 / config.num_classes)
-    n_clients = client_distributions.shape[0]
-
-    def draw(_h: int) -> list[int]:
-        volunteers = bernoulli_participation(probabilities, rng=rng)
-        pool = [int(v) for v in volunteers]
-        k = config.participants_per_round
-        if len(pool) > k:
-            keep = rng.choice(len(pool), size=k, replace=False)
-            pool = [pool[i] for i in keep]
-        elif len(pool) < k:
-            outside = np.setdiff1d(np.arange(n_clients), np.asarray(pool, dtype=int))
-            extra = rng.choice(outside, size=k - len(pool), replace=False)
-            pool.extend(int(e) for e in extra)
-        return pool
-
-    def population_of(selected: Sequence[int]) -> np.ndarray:
-        return client_distributions[np.asarray(list(selected), dtype=int)].mean(axis=0)
-
-    result = multi_time_selection(draw, population_of, uniform, tries)
-    # §5.3.2 scores the *expectation* of p_o over the H tries
-    return float(np.abs(result.mean_population - uniform).sum())
 
 
 def search_thresholds(client_distributions: np.ndarray, config: DubheConfig,
@@ -112,12 +78,9 @@ def search_thresholds(client_distributions: np.ndarray, config: DubheConfig,
         raise ValueError("tries must be positive")
     rng = np.random.default_rng(seed if seed is not None else config.seed)
 
+    # each grid point rehearses H = tries, whatever H the config settles with
+    rehearsal = replace(config, tentative_selections=tries)
     free = [i for i in config.reference_set if i != config.num_classes]
-    if not free:
-        settled = config.with_thresholds({config.num_classes: 0.0})
-        score = _score_candidate(settled, distributions, tries, rng)
-        return ParameterSearchResult({config.num_classes: 0.0}, score, settled, {(): score})
-
     best_score = np.inf
     best_thresholds: dict[int, float] = {}
     all_scores: dict[tuple[float, ...], float] = {}
@@ -128,8 +91,15 @@ def search_thresholds(client_distributions: np.ndarray, config: DubheConfig,
             continue
         thresholds = {i: s for i, s in zip(free, assignment)}
         thresholds[config.num_classes] = 0.0
-        candidate = config.with_thresholds(thresholds)
-        score = _score_candidate(candidate, distributions, tries, rng)
+        # one select of the selector being settled, on the search's own
+        # generator (default_rng hands a Generator back unchanged): each grid
+        # point draws on from where the previous one stopped
+        selector = DubheSelector(distributions, rehearsal.with_thresholds(thresholds),
+                                 seed=rng)
+        selector.select(0)
+        # §5.3.2 scores the *expectation* of p_o over the H tries
+        score = float(np.abs(selector.last_result.mean_population
+                             - selector.uniform).sum())
         all_scores[assignment] = score
         if score < best_score:
             best_score = score

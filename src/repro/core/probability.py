@@ -37,11 +37,28 @@ __all__ = [
     "participation_probabilities",
     "expected_participants",
     "expected_category_count",
-    "bernoulli_participation",
     "VolunteerDraw",
 ]
 
 Registrations = Union[BatchRegistration, np.ndarray]
+
+
+def _checked_support(overall: np.ndarray, participants_per_round: int,
+                     category_index: Optional[int] = None) -> int:
+    """``||R_A||₀`` of *overall*, after eq. (6)'s input checks.
+
+    *participants_per_round* must be positive, *category_index* (when given)
+    a slot of the registry — a negative one would wrap — and the registry
+    non-empty.
+    """
+    if participants_per_round < 1:
+        raise ValueError("participants_per_round must be positive")
+    if category_index is not None and not 0 <= category_index < overall.size:
+        raise IndexError("category index out of range")
+    support = int(np.count_nonzero(overall))
+    if support == 0:
+        raise ValueError("overall registry is empty")
+    return support
 
 
 def participation_probability(overall_registry: np.ndarray, category_index: int,
@@ -55,13 +72,7 @@ def participation_probability(overall_registry: np.ndarray, category_index: int,
     0.5
     """
     overall = np.asarray(overall_registry, dtype=float)
-    if participants_per_round < 1:
-        raise ValueError("participants_per_round must be positive")
-    if not 0 <= category_index < overall.size:
-        raise IndexError("category index out of range")
-    support = int(np.count_nonzero(overall))
-    if support == 0:
-        raise ValueError("overall registry is empty")
+    support = _checked_support(overall, participants_per_round, category_index)
     count_in_category = overall[category_index]
     if count_in_category <= 0:
         # the client's own registration guarantees R_A(u) >= 1 in a consistent
@@ -132,9 +143,7 @@ def expected_participants(overall_registry: np.ndarray, participants_per_round: 
     4.0
     """
     overall = np.asarray(overall_registry, dtype=float)
-    support = int(np.count_nonzero(overall))
-    if support == 0:
-        raise ValueError("overall registry is empty")
+    support = _checked_support(overall, participants_per_round)
     counts = overall[overall > 0]
     probs = np.minimum(1.0, participants_per_round / (counts * support))
     return float(np.sum(counts * probs))
@@ -151,9 +160,7 @@ def expected_category_count(overall_registry: np.ndarray, category_index: int,
     2.0
     """
     overall = np.asarray(overall_registry, dtype=float)
-    support = int(np.count_nonzero(overall))
-    if support == 0:
-        raise ValueError("overall registry is empty")
+    support = _checked_support(overall, participants_per_round, category_index)
     count = overall[category_index]
     if count <= 0:
         return 0.0
@@ -168,7 +175,9 @@ class VolunteerDraw:
     fills one ``(N,)`` float buffer from a single ``rng.random`` stream,
     compares it against the probabilities into one bool mask and returns
     the mask's ``flatnonzero`` — the same draws, in the same RNG order, as
-    allocating both arrays afresh.
+    allocating both arrays afresh.  This is where Dubhe's "clients
+    proactively participate" property lives: the server never picks
+    specific clients, it only learns who volunteered.
 
     Example
     -------
@@ -190,23 +199,3 @@ class VolunteerDraw:
         rng.random(out=self._draws)
         np.less(self._draws, self.probabilities, out=self._mask)
         return np.flatnonzero(self._mask)
-
-
-def bernoulli_participation(probabilities: np.ndarray,
-                            rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Each client independently decides to participate (client autonomy).
-
-    Returns the indices of clients whose Bernoulli draw succeeded.  This is
-    the step where Dubhe's "clients proactively participate" property lives:
-    the server never picks specific clients, it only learns who volunteered.
-    Runs one :class:`VolunteerDraw`, whose constructor checks that every
-    probability lies in [0, 1] (NaN fails too) before anything is drawn.
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> volunteers = bernoulli_participation(np.array([1.0, 0.0, 1.0]))
-    >>> volunteers.tolist()
-    [0, 2]
-    """
-    return VolunteerDraw(probabilities)(rng if rng is not None else np.random.default_rng())

@@ -533,11 +533,11 @@ class SecureDistributionAggregation:
     ...                      thresholds={1: 0.6, 2: 0.0}, key_size=64)
     >>> aggregation = SecureDistributionAggregation(config)
     >>> distributions = np.array([[0.9, 0.1], [0.1, 0.9]])
-    >>> round(aggregation.score_selection(distributions, [0, 1]), 6)
-    0.0
+    >>> aggregation.population(distributions, [0, 1]).round(6).tolist()
+    [0.5, 0.5]
     >>> terms = aggregation.noise.generated      # both clients have encrypted
-    >>> round(aggregation.score_selection(distributions, [1, 0]), 6)
-    0.0
+    >>> aggregation.population(distributions, [1, 0]).round(6).tolist()
+    [0.5, 0.5]
     >>> (aggregation.noise.generated == terms, aggregation.stats.messages)
     (True, 8)
     """
@@ -584,9 +584,3 @@ class SecureDistributionAggregation:
         self.stats.ciphertext_bytes += server.stats.ciphertext_bytes
         total = decrypted.sum()
         return decrypted / total if total > 0 else np.zeros_like(decrypted)
-
-    def score_selection(self, client_distributions: np.ndarray,
-                        selected: Sequence[int]) -> float:
-        """Return ``||p_o − p_u||₁`` for *selected*, computed under encryption."""
-        p_o = self.population(client_distributions, selected)
-        return float(np.abs(p_o - 1.0 / self.config.num_classes).sum())

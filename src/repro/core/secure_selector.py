@@ -3,8 +3,9 @@
 :class:`~repro.core.selectors.DubheSelector` implements the selection
 *algorithm* against plaintext label distributions (which is what the
 large-scale experiments use — the algebra is identical and Paillier at
-benchmark scale would dominate the runtime).  This class runs the same
-algorithm through the actual encrypted data path, exactly as deployed, and
+benchmark scale would dominate the runtime).  This subclass runs the same
+algorithm — its validation, tentative draw and re-registration are the
+parent's — through the actual encrypted data path, exactly as deployed, and
 every vector it moves travels *packed*:
 
 * registration streams through :meth:`SecureRegistrationRound.run_stream`
@@ -18,9 +19,10 @@ every vector it moves travels *packed*:
   the agent decrypts the aggregate only.  A client *encrypts* that upload
   once per key epoch and re-sends it on every later try that draws it: the
   scorer — one round key, one :class:`SecureClient` per client id — lives
-  from one :meth:`SecureDubheSelector.register` to the next, where every
-  client starts over under a new key (a deviation from Fig. 4's per-try
-  encryption, see ``docs/paper_mapping.md``);
+  from one registration round to the next (the constructor's, then each
+  :meth:`~repro.core.selectors.DubheSelector.refresh_registrations`), where
+  every client starts over under a new key (a deviation from Fig. 4's
+  per-try encryption, see ``docs/paper_mapping.md``);
 * the server side of the selector never touches a plaintext distribution or
   a private key.
 
@@ -33,23 +35,21 @@ test-suite), plus a full :class:`ProtocolStats` accounting of what it moved
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..crypto.keyagent import KeyAgent
 from .config import DubheConfig
-from .multitime import MultiTimeResult, multi_time_selection
-from .probability import VolunteerDraw, participation_probabilities
-from .registry import BatchRegistration, RegistryCodebook
+from .multitime import multi_time_selection
+from .probability import participation_probabilities
 from .secure import ProtocolStats, SecureDistributionAggregation, SecureRegistrationRound
-from .selectors import ClientSelector, DubheSelector
+from .selectors import DubheSelector
 
 __all__ = ["SecureDubheSelector"]
 
 
-class SecureDubheSelector(ClientSelector):
+class SecureDubheSelector(DubheSelector):
     """Dubhe selection where every exchanged vector travels encrypted."""
 
     name = "dubhe-secure"
@@ -57,31 +57,18 @@ class SecureDubheSelector(ClientSelector):
     def __init__(self, client_distributions: np.ndarray, config: DubheConfig,
                  seed: Optional[int] = None, agent: Optional[KeyAgent] = None,
                  score_securely: bool = True):
-        super().__init__(client_distributions, config.participants_per_round, seed=seed)
-        if config.num_classes != self.num_classes:
-            raise ValueError("config num_classes does not match client distributions")
-        if not config.has_all_thresholds():
-            raise ValueError(
-                "DubheConfig is missing thresholds; run repro.core.parameter_search first"
-            )
-        self.config = config
-        self.codebook = RegistryCodebook(config)
         self.agent = agent or KeyAgent(key_size=config.key_size)
         self.score_securely = score_securely
-        self.last_result: Optional[MultiTimeResult] = None
-        self._volunteer: Optional[VolunteerDraw] = None
         self._registration_round = SecureRegistrationRound(
             config, agent=self.agent, packed=True, aggregation="tree")
         self._scorer: Optional[SecureDistributionAggregation] = None
         self._settled_stats = ProtocolStats()
-        self.register()
+        super().__init__(client_distributions, config, seed=seed)
 
-    # -- the encrypted registration round ---------------------------------------
-
-    def register(self) -> None:
-        """Run a full encrypted registration round for every client."""
+    def _register_all(self) -> None:
+        """Run a full encrypted registration round and open a new key epoch."""
         streamed = self._registration_round.run_stream(self.client_distributions)
-        self.registration_batch: BatchRegistration = streamed.registration
+        self.registration_batch = streamed.registration
         self.overall_registry = streamed.overall
         self.probabilities = participation_probabilities(
             self.codebook, self.registration_batch, self.overall_registry,
@@ -100,27 +87,17 @@ class SecureDubheSelector(ClientSelector):
         scored = self._scorer.stats if self._scorer else ProtocolStats()
         return self._settled_stats.merged_with(scored)
 
-    # -- selection ----------------------------------------------------------------
-
-    # the plaintext selector's own draw: same rng stream, hence same cohorts
-    _tentative_draw = DubheSelector._tentative_draw
-
     def select(self, round_index: int) -> list[int]:
-        # p_o of a try: recovered from the encrypted aggregate, or plaintext
-        population_of = (partial(self._scorer.population, self.client_distributions)
-                         if self.score_securely else self.population_of)
+        """Run ``H`` tentative draws, each try's ``p_o`` decrypted from its sum."""
+        def populations_of(candidates):
+            return np.stack([self._scorer.population(self.client_distributions, c)
+                             for c in candidates])
+
         result = multi_time_selection(
             draw=self._tentative_draw,
-            population_of=population_of,
+            populations_of=populations_of if self.score_securely else self.populations_of,
             uniform=self.uniform,
             tries=self.config.tentative_selections,
         )
         self.last_result = result
         return list(result.best.candidate)
-
-    @property
-    def last_bias(self) -> float:
-        """``EMD*`` of the most recent selection (scored on decrypted aggregates)."""
-        if self.last_result is None:
-            raise RuntimeError("no selection has been performed yet")
-        return self.last_result.best_score

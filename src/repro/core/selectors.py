@@ -284,10 +284,9 @@ class DubheSelector(ClientSelector):
         """Run ``H`` tentative draws and keep the least-biased pool."""
         result = multi_time_selection(
             draw=self._tentative_draw,
-            population_of=self.population_of,
+            populations_of=self.populations_of,
             uniform=self.uniform,
             tries=self.config.tentative_selections,
-            population_of_many=self.populations_of,
         )
         self.last_result = result
         return list(result.best.candidate)

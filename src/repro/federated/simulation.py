@@ -376,9 +376,9 @@ class FederatedSimulation:
         regenerated from the drifted counts on next selection), and the
         selector re-registers against the new distributions — through
         :meth:`repro.core.DubheSelector.refresh_registrations` when
-        available, else by updating its ``client_distributions``.  With
-        ``drift.secure_reregistration`` the refresh also runs the encrypted
-        registration round and checks it against the plaintext registry.
+        available, else by updating its ``client_distributions``.  A
+        :class:`~repro.core.SecureDubheSelector` re-registers through the
+        encrypted round and opens a new key epoch.
         """
         spec = self.config.scenario
         assert spec is not None  # only called on scenario runs
@@ -394,40 +394,6 @@ class FederatedSimulation:
             self.selector.refresh_registrations(distributions)
         elif hasattr(self.selector, "client_distributions"):
             self.selector.client_distributions = distributions
-        if spec.drift.secure_reregistration:
-            self._verify_secure_reregistration(distributions)
-
-    def _verify_secure_reregistration(self, distributions: np.ndarray) -> None:
-        """Run the encrypted registration round and check it against plaintext.
-
-        Requires a Dubhe-style selector (one carrying a
-        :class:`~repro.core.DubheConfig` and a plaintext
-        ``registration_batch``); the packed, tree-folded encrypted round runs
-        with the drift spec's ``key_size`` and its decrypted overall registry
-        must equal the plaintext one exactly — Paillier aggregation of
-        integer registries is lossless.
-        """
-        import dataclasses
-
-        from ..core.secure import SecureRegistrationRound
-
-        config = getattr(self.selector, "config", None)
-        batch = getattr(self.selector, "registration_batch", None)
-        if config is None or batch is None:
-            raise RuntimeError(
-                "secure_reregistration needs a Dubhe selector (with .config "
-                "and .registration_batch); got "
-                f"{type(self.selector).__name__}"
-            )
-        drift = self.config.scenario.drift
-        round_config = dataclasses.replace(config, key_size=drift.key_size)
-        streamed = SecureRegistrationRound(
-            round_config, packed=True, aggregation="tree").run_stream(distributions)
-        if not np.array_equal(streamed.overall, batch.overall_registry()):
-            raise RuntimeError(
-                "decrypted overall registry does not match the plaintext "
-                "re-registration"
-            )
 
     def run(self, rounds: Optional[int] = None, progress: Optional[Callable[[RoundRecord], None]] = None,
             ) -> TrainingHistory:

@@ -32,6 +32,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 __all__ = [
+    "RETIRED_DRIFT_KEYS",
     "RETIRED_KEYS",
     "RunRecipe",
     "config_from_dict",
@@ -68,6 +69,15 @@ RETIRED_KEYS = {
     "dtype": "float64",
     "shard_policy": "contiguous",
     "eval_backend": "batched",
+}
+
+#: The same for the scenario's drift block, where ``None`` drops any value:
+#: ``key_size`` only sized the secure re-registration check, which a
+#: :class:`~repro.core.SecureDubheSelector` now replaces by re-registering
+#: itself.
+RETIRED_DRIFT_KEYS = {
+    "secure_reregistration": False,
+    "key_size": None,
 }
 
 
@@ -170,11 +180,28 @@ def scenario_from_dict(payload: "Optional[Mapping]"):
 # -- run configuration ---------------------------------------------------------------
 
 
-def drop_retired_keys(payload: Mapping) -> dict:
-    """A copy of a recorded config without its :data:`RETIRED_KEYS`.
+def _drop_retired(payload: Mapping, retired: Mapping, prefix: str = "") -> dict:
+    """*payload* without the *retired* keys, refusing any other value."""
+    from .modes import LedgerMismatchError
 
-    Raises :class:`~repro.ledger.LedgerMismatchError`, naming the key, when
-    a retired key holds anything but its surviving value — a run recorded
+    kept = dict(payload)
+    for key, surviving in retired.items():
+        recorded = kept.pop(key, surviving)
+        if surviving is not None and recorded != surviving:
+            raise LedgerMismatchError(
+                f"recorded {prefix}{key}={recorded!r}, but every run now uses "
+                f"{prefix}{key}={surviving!r}"
+            )
+    return kept
+
+
+def drop_retired_keys(payload: Mapping) -> dict:
+    """A copy of a recorded config without its retired keys.
+
+    Drops :data:`RETIRED_KEYS` from the config and
+    :data:`RETIRED_DRIFT_KEYS` from its scenario's drift block.  Raises
+    :class:`~repro.ledger.LedgerMismatchError`, naming the key, when a
+    retired key holds anything but its surviving value — a run recorded
     with another value would not replay bit-for-bit.
 
     Example
@@ -186,16 +213,11 @@ def drop_retired_keys(payload: Mapping) -> dict:
     ...
     repro.ledger.modes.LedgerMismatchError: recorded dtype='float32', but every run now uses dtype='float64'
     """
-    from .modes import LedgerMismatchError
-
-    kwargs = dict(payload)
-    for key, surviving in RETIRED_KEYS.items():
-        recorded = kwargs.pop(key, surviving)
-        if recorded != surviving:
-            raise LedgerMismatchError(
-                f"recorded {key}={recorded!r}, but every run now uses "
-                f"{key}={surviving!r}"
-            )
+    kwargs = _drop_retired(payload, RETIRED_KEYS)
+    scenario = kwargs.get("scenario")
+    if scenario is not None:
+        drift = _drop_retired(scenario["drift"], RETIRED_DRIFT_KEYS, "drift.")
+        kwargs["scenario"] = dict(scenario, drift=drift)
     return kwargs
 
 

@@ -238,11 +238,9 @@ class DriftSpec:
     while its skew *profile* is preserved.  The simulation then regenerates
     client data from the drifted counts and re-runs Dubhe registration
     through :mod:`repro.core.registry` — the paper's periodic
-    re-registration, which its static evaluation never exercises.  With
-    ``secure_reregistration`` the refresh additionally runs the full
-    encrypted path (:class:`repro.core.secure.SecureRegistrationRound`,
-    with a ``key_size``-bit round key) and asserts the decrypted aggregate
-    registry matches the plaintext one.
+    re-registration, which its static evaluation never exercises.  A
+    :class:`repro.core.SecureDubheSelector` runs that re-registration as the
+    full encrypted round.
 
     Example
     -------
@@ -253,16 +251,12 @@ class DriftSpec:
 
     period: int = 0
     shift: int = 1
-    secure_reregistration: bool = False
-    key_size: int = 128
 
     def __post_init__(self) -> None:
         if self.period < 0:
             raise ValueError("period must be >= 0 (0 disables drift)")
         if self.period > 0 and self.shift == 0:
             raise ValueError("drift with period > 0 needs a non-zero shift")
-        if self.key_size < 16:
-            raise ValueError("key_size too small")
 
     def is_empty(self) -> bool:
         """Whether the label distributions never drift.

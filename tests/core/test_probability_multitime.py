@@ -10,7 +10,7 @@ from _hypothesis_support import scaled_max_examples
 from repro.core.config import DubheConfig
 from repro.core.multitime import multi_time_selection
 from repro.core.probability import (
-    bernoulli_participation,
+    VolunteerDraw,
     expected_category_count,
     expected_participants,
     participation_probabilities,
@@ -22,6 +22,11 @@ from repro.core.registry import RegistryCodebook
 def simple_overall(counts):
     """An overall registry with the given per-slot counts."""
     return np.asarray(counts, dtype=float)
+
+
+def mean_rows(dists):
+    """A batch scorer: each candidate's mean distribution, one row per candidate."""
+    return lambda cands: np.stack([dists[np.asarray(c)].mean(axis=0) for c in cands])
 
 
 class TestParticipationProbability:
@@ -50,6 +55,21 @@ class TestParticipationProbability:
             participation_probability(overall, 0, 0)
         with pytest.raises(IndexError):
             participation_probability(overall, 5, 2)
+        # eq. (7)/(8) take the same inputs and refuse them the same way: a
+        # negative index would wrap to the last slot, a negative K count down
+        overall = simple_overall([3, 0, 5])
+        with pytest.raises(IndexError):
+            participation_probability(overall, -1, 4)
+        with pytest.raises(IndexError):
+            expected_category_count(overall, -1, 4)
+        with pytest.raises(IndexError):
+            expected_category_count(overall, 3, 4)
+        with pytest.raises(ValueError):
+            expected_category_count(overall, 0, 0)
+        with pytest.raises(ValueError):
+            expected_participants(overall, -4)
+        with pytest.raises(ValueError):
+            expected_participants(overall, 0)
 
 
 class TestExpectationIdentities:
@@ -98,27 +118,27 @@ class TestProbabilitiesForFederation:
         np.testing.assert_allclose(probs[6:], 4 / (2 * support))
 
 
-class TestBernoulliParticipation:
+class TestVolunteerDraw:
     def test_zero_and_one_probabilities(self):
         rng = np.random.default_rng(0)
-        out = bernoulli_participation(np.array([0.0, 1.0, 0.0, 1.0]), rng=rng)
+        out = VolunteerDraw(np.array([0.0, 1.0, 0.0, 1.0]))(rng)
         np.testing.assert_array_equal(out, [1, 3])
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
-            bernoulli_participation(np.array([1.5]))
+            VolunteerDraw(np.array([1.5]))
         with pytest.raises(ValueError):
-            bernoulli_participation(np.array([-0.1]))
+            VolunteerDraw(np.array([-0.1]))
 
     def test_nan_probability_rejected(self):
         # NaN compares False both ways: it used to volunteer nobody silently
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            bernoulli_participation(np.array([np.nan, 0.5, 1.0]))
+            VolunteerDraw(np.array([np.nan, 0.5, 1.0]))
 
     def test_expected_count_statistics(self):
         rng = np.random.default_rng(1)
-        probs = np.full(2000, 0.25)
-        counts = [len(bernoulli_participation(probs, rng=rng)) for _ in range(30)]
+        draw = VolunteerDraw(np.full(2000, 0.25))
+        counts = [len(draw(rng)) for _ in range(30)]
         assert np.mean(counts) == pytest.approx(500, rel=0.1)
 
 
@@ -129,7 +149,7 @@ class TestMultiTimeSelection:
 
         result = multi_time_selection(
             draw=lambda h: candidates[h],
-            population_of=lambda sel: dists[list(sel)].mean(axis=0),
+            populations_of=mean_rows(dists),
             uniform=np.array([0.5, 0.5]),
             tries=3,
         )
@@ -142,7 +162,7 @@ class TestMultiTimeSelection:
         dists = np.array([[1.0, 0.0], [0.0, 1.0]])
         result = multi_time_selection(
             draw=lambda h: [h % 2],
-            population_of=lambda sel: dists[list(sel)].mean(axis=0),
+            populations_of=mean_rows(dists),
             uniform=np.array([0.5, 0.5]),
             tries=2,
         )
@@ -152,7 +172,7 @@ class TestMultiTimeSelection:
         dists = np.array([[0.6, 0.4]])
         result = multi_time_selection(
             draw=lambda h: [] if h == 0 else [0],
-            population_of=lambda sel: dists[list(sel)].mean(axis=0),
+            populations_of=mean_rows(dists),
             uniform=np.array([0.5, 0.5]),
             tries=2,
         )
@@ -160,7 +180,8 @@ class TestMultiTimeSelection:
 
     def test_invalid_tries(self):
         with pytest.raises(ValueError):
-            multi_time_selection(lambda h: [0], lambda s: np.array([1.0]), np.array([1.0]), 0)
+            multi_time_selection(lambda h: [0], lambda cs: np.ones((len(cs), 1)),
+                                 np.array([1.0]), 0)
 
     def test_batch_scoring_matches_per_candidate_path(self):
         rng = np.random.default_rng(2)
@@ -168,37 +189,33 @@ class TestMultiTimeSelection:
         uniform = np.full(4, 0.25)
         candidates = {h: list(rng.choice(20, size=6, replace=False)) for h in range(5)}
 
-        def population_of(sel):
-            return dists[list(sel)].mean(axis=0)
-
         looped = multi_time_selection(
-            lambda h: candidates[h], population_of, uniform, tries=5
+            lambda h: candidates[h], mean_rows(dists), uniform, tries=5
         )
         batched = multi_time_selection(
-            lambda h: candidates[h], population_of, uniform, tries=5,
-            population_of_many=lambda cands: dists[np.asarray(cands)].mean(axis=1),
+            lambda h: candidates[h],
+            lambda cands: dists[np.asarray(cands)].mean(axis=1), uniform, tries=5,
         )
         assert batched.best.candidate == looped.best.candidate
         np.testing.assert_allclose(batched.scores, looped.scores, atol=1e-15)
         np.testing.assert_allclose(batched.best.population, looped.best.population,
                                    atol=1e-15)
 
-    def test_batch_scoring_skipped_for_ragged_draws(self):
+    def test_ragged_draws_reach_the_scorer_in_one_call(self):
         dists = np.array([[1.0, 0.0], [0.0, 1.0]])
         calls = []
 
-        def population_of_many(cands):
-            calls.append(cands)
-            return dists[np.asarray(cands)].mean(axis=1)
+        def populations_of(cands):
+            calls.append([c.tolist() for c in cands])
+            return mean_rows(dists)(cands)
 
         result = multi_time_selection(
             lambda h: [0] if h == 0 else [0, 1],
-            lambda sel: dists[list(sel)].mean(axis=0),
+            populations_of,
             np.array([0.5, 0.5]),
             tries=2,
-            population_of_many=population_of_many,
         )
-        assert not calls  # ragged sizes -> per-candidate fallback
+        assert calls == [[[0], [0, 1]]]  # one call, every try in order
         assert result.best.candidate == (0, 1)
 
     def test_more_tries_never_hurt_in_expectation(self):
@@ -214,7 +231,7 @@ class TestMultiTimeSelection:
                 return local_rng.choice(50, size=5, replace=False)
 
             return multi_time_selection(
-                draw, lambda sel: dists[list(sel)].mean(axis=0), uniform, tries
+                draw, mean_rows(dists), uniform, tries
             ).best_score
 
         small = np.mean([run(1, s) for s in range(40)])

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.config import DubheConfig
 from repro.core.probability import (
-    bernoulli_participation,
+    VolunteerDraw,
     expected_participants,
     participation_probability,
 )
@@ -170,7 +170,7 @@ class TestLargeNEquivalence:
 
         def reference_draw(probabilities, n_clients, k, rng):
             # the original list-based draw, kept verbatim as the reference
-            volunteers = bernoulli_participation(probabilities, rng=rng)
+            volunteers = VolunteerDraw(probabilities)(rng)
             pool = list(int(v) for v in volunteers)
             if len(pool) > k:
                 keep = rng.choice(len(pool), size=k, replace=False)
@@ -198,8 +198,7 @@ class TestLargeNEquivalence:
 
         class ReferenceDubheSelector(DubheSelector):
             def _tentative_draw(self, _h):
-                volunteers = bernoulli_participation(self.probabilities,
-                                                     rng=self.rng)
+                volunteers = VolunteerDraw(self.probabilities)(self.rng)
                 pool = list(int(v) for v in volunteers)
                 k = self.participants_per_round
                 if len(pool) > k:

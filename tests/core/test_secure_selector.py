@@ -113,7 +113,7 @@ class TestSecureDubheSelector:
                                      agent=KeyAgent(key_size=128, rng=random.Random(5)))
         secure.select(0)
         before = secure.stats
-        secure.register()
+        secure.refresh_registrations()
         assert secure.stats.messages == before.messages + 3 * len(small_federation)
         assert secure.agent.keypair is secure._scorer.keypair
         assert len(secure.select(1)) == 6

@@ -62,7 +62,7 @@ def check_equivalence(key_size, n, k, h, seed, rounds=2):
         assert cohort == plaintext.select(r)
         reference = multi_time_selection(
             draw=drawer._tentative_draw,
-            population_of=partial(scorer.population, distributions),
+            populations_of=partial(scorer.populations, distributions),
             uniform=drawer.uniform, tries=h)
         assert len(secure.last_result.tries) == h
         for ours, theirs in zip(secure.last_result.tries, reference.tries):
@@ -146,8 +146,9 @@ class TestHeadroom:
         scorer = SecureDistributionAggregation(
             config, agent=KeyAgent(128, rng=random.Random(1)))
         empty = np.zeros((2, C))
-        assert np.array_equal(scorer.population(empty, [0, 1]), np.zeros(C))
-        assert scorer.score_selection(empty, [0, 1]) == pytest.approx(1.0)
+        population = scorer.population(empty, [0, 1])
+        assert np.array_equal(population, np.zeros(C))
+        assert np.abs(population - 1.0 / C).sum() == pytest.approx(1.0)
 
 
 class TestKeyEpoch:
@@ -240,7 +241,7 @@ class TestKeyEpoch:
         old_scorer, old_key = selector._scorer, selector._scorer.keypair.public_key
         first_epoch = len(encryptions)
         old_uploads = [c._upload for c in old_scorer._clients.values()]
-        selector.register()
+        selector.refresh_registrations()
         assert selector._scorer is not old_scorer
         assert selector._scorer.keypair.public_key != old_key
         assert selector._scorer._clients == {}

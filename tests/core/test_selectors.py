@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DubheConfig
-from repro.core.probability import bernoulli_participation
+from repro.core.probability import VolunteerDraw
 from repro.core.selectors import DubheSelector, GreedySelector, RandomSelector
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
@@ -196,9 +196,8 @@ class TestDubheSelector:
     def test_expected_pool_size_close_to_k(self, skewed_federation):
         # the volunteer pool before the draw tops it up or trims it to K
         selector = DubheSelector(skewed_federation, group1_config(k=20), seed=0)
-        sizes = [len(bernoulli_participation(selector.probabilities,
-                                             rng=selector.rng))
-                 for _ in range(100)]
+        volunteer = VolunteerDraw(selector.probabilities)
+        sizes = [len(volunteer(selector.rng)) for _ in range(100)]
         assert np.mean(sizes) == pytest.approx(20, rel=0.3)
 
     def test_multi_time_selection_improves_bias(self, skewed_federation):

@@ -139,8 +139,8 @@ class TestServerObjectGraph:
 
     def test_score_selection(self, servers, config, distributions):
         scorer = SecureDistributionAggregation(config, agent=agent())
-        scorer.score_selection(distributions, [0, 3, 5, 8])
-        scorer.score_selection(distributions, [8, 3, 1, 0])   # three re-sends
+        scorer.population(distributions, [0, 3, 5, 8])
+        scorer.population(distributions, [8, 3, 1, 0])   # three re-sends
         # the pool on sk_t exists, on the client side only
         assert isinstance(scorer.noise.key, PaillierPrivateKey)
         assert_clean(servers, 2, client_side=kept_uploads(scorer))
@@ -166,7 +166,7 @@ class TestServerObjectGraph:
         # negative control for client_side=: a server that kept the very
         # object a client handed it would be caught
         scorer = SecureDistributionAggregation(config, agent=agent())
-        scorer.score_selection(distributions, [0, 3, 5, 8])
+        scorer.population(distributions, [0, 3, 5, 8])
         uploads = kept_uploads(scorer)
         servers[0].stats.leak = [uploads[2]]
         assert reachable_forbidden(servers[0], uploads) == [uploads[2]]

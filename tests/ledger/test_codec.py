@@ -12,7 +12,8 @@ from repro.ledger import (LedgerMismatchError, RunRecipe, benchmark_context,
                           config_from_dict, config_to_dict, find_bench_files,
                           git_sha, scenario_from_dict, scenario_to_dict,
                           state_from_bytes, state_sha256, state_to_bytes)
-from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS, RETIRED_KEYS,
+from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS,
+                                RETIRED_DRIFT_KEYS, RETIRED_KEYS,
                                 drop_retired_keys)
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import (AvailabilitySpec, DriftSpec, DropoutSpec,
@@ -135,6 +136,8 @@ class TestConfigCodec:
                                   dropouts=DropoutSpec(probability=0.25)))
         current = {key: value for key, value in RECORDED.items()
                    if key not in RETIRED_KEYS}
+        current["scenario"] = dict(RECORDED["scenario"],
+                                   drift={"period": 0, "shift": 1})
         assert json.dumps(config_to_dict(config)) == json.dumps(current)
         rebuilt = config_from_dict(json.loads(json.dumps(RECORDED)))
         assert rebuilt == config
@@ -162,7 +165,29 @@ class TestRetiredKeys:
         assert payload == RECORDED
         assert list(kept) == [key for key in RECORDED
                               if key not in RETIRED_KEYS]
-        assert all(kept[key] == RECORDED[key] for key in kept)
+        assert all(kept[key] == RECORDED[key] for key in kept
+                   if key != "scenario")
+        assert kept["scenario"]["drift"] == {"period": 0, "shift": 1}
+        assert set(RECORDED["scenario"]["drift"]) >= set(RETIRED_DRIFT_KEYS)
+
+    @pytest.mark.parametrize("key_size", [128, 2048])
+    def test_retired_drift_keys_are_dropped_on_load(self, key_size):
+        # key_size sized a check that only secure_reregistration=True ran
+        recorded = json.loads(json.dumps(RECORDED))
+        recorded["scenario"]["drift"]["key_size"] = key_size
+        assert config_from_dict(recorded) == config_from_dict(RECORDED)
+        assert config_from_dict(recorded).scenario.drift == DriftSpec()
+
+    def test_secure_reregistration_true_is_refused(self):
+        recorded = json.loads(json.dumps(RECORDED))
+        recorded["scenario"]["drift"]["secure_reregistration"] = True
+        with pytest.raises(LedgerMismatchError,
+                           match="recorded drift.secure_reregistration=True"):
+            config_from_dict(recorded)
+
+    def test_no_retired_drift_key_is_a_drift_field(self):
+        fields = {f.name for f in dataclasses.fields(DriftSpec)}
+        assert not fields & set(RETIRED_DRIFT_KEYS)
 
     def test_no_retired_key_is_a_config_field(self):
         fields = {f.name for f in dataclasses.fields(FederatedConfig)}

@@ -41,6 +41,7 @@ class PerComponentScorer:
         total = decrypted.sum()
         return decrypted / total if total > 0 else np.zeros_like(decrypted)
 
-    def score_selection(self, client_distributions, selected):
-        p_o = self.population(client_distributions, selected)
-        return float(np.abs(p_o - 1.0 / self.num_classes).sum())
+    def populations(self, client_distributions, candidates):
+        """One ``population`` row per candidate: a multi-time batch scorer."""
+        return np.stack([self.population(client_distributions, c)
+                         for c in candidates])

@@ -4,14 +4,18 @@ Covers the tentpole guarantees: the zero-fault identity (an empty scenario
 leaves every executor back-end bit-identical to a scenario-free run), full
 reproducibility of injected faults across repeated runs and across back-ends,
 partial-round aggregation with the participation floor, label drift with
-(secure) re-registration, and the robustness report.
+(encrypted) re-registration, and the robustness report.
 """
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.core import DubheConfig, DubheSelector, GreedySelector, RandomSelector
+from repro.core import (DubheConfig, DubheSelector, GreedySelector,
+                        RandomSelector, SecureDubheSelector)
+from repro.crypto.keyagent import KeyAgent
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set
@@ -247,24 +251,48 @@ class TestLabelDrift:
             assert not np.array_equal(np.sort(np.asarray(before.y)),
                                       np.sort(np.asarray(after.y)))
 
-    def test_secure_reregistration_smoke(self, federation):
-        generator, partition, test_set = federation
-        selector = self._dubhe(partition)
-        scenario = ScenarioSpec(
-            drift=DriftSpec(period=2, shift=1, secure_reregistration=True,
-                            key_size=128), seed=5)
-        with make_sim(federation, scenario=scenario, selector=selector) as sim:
-            history = sim.run()  # raises if decrypt != plaintext registry
-            assert sum(r.drift_applied for r in history.records) == 1
+    def test_secure_selector_reregisters_after_each_drift(self, federation):
+        # the encrypted round re-registers the drifted federation: registry,
+        # probabilities and cohorts are those of a plaintext selector over the
+        # drifted partition.  A pure rotation leaves a stale registry's
+        # cohorts right too, so the registry is what shows a skipped refresh
+        _, partition, _ = federation
+        config = self._dubhe(partition).config
+        secure = SecureDubheSelector(
+            partition.client_distributions(), config, seed=0,
+            agent=KeyAgent(key_size=128, rng=random.Random(0)))
+        plaintext = self._dubhe(partition)
+        scenario = ScenarioSpec(drift=DriftSpec(period=2, shift=1), seed=5)
+        with make_sim(federation, scenario=scenario, rounds=5,
+                      selector=secure) as sim:
+            for round_index in range(5):
+                record = sim.run_round(round_index)
+                if record.drift_applied:
+                    plaintext.refresh_registrations(
+                        sim.partition.client_distributions())
+                    assert np.array_equal(secure.overall_registry,
+                                          plaintext.overall_registry)
+                    assert np.array_equal(secure.probabilities,
+                                          plaintext.probabilities)
+                assert record.selected_clients == tuple(
+                    plaintext.select(round_index))
+            assert [r.drift_applied for r in sim.history.records] == [
+                False, False, True, False, True]
 
-    def test_secure_reregistration_needs_dubhe_selector(self, federation):
-        scenario = ScenarioSpec(
-            drift=DriftSpec(period=1, shift=1, secure_reregistration=True),
-            seed=5)
-        with make_sim(federation, scenario=scenario, rounds=2) as sim:
+    def test_drift_hands_a_plain_selector_the_new_distributions(self, federation):
+        # a selector without refresh_registrations gets the drifted rows
+        _, partition, _ = federation
+        selector = RandomSelector(partition.client_distributions(), 4, seed=0)
+        scenario = ScenarioSpec(drift=DriftSpec(period=1, shift=1), seed=5)
+        with make_sim(federation, scenario=scenario, rounds=2,
+                      selector=selector) as sim:
             sim.run_round(0)
-            with pytest.raises(RuntimeError, match="Dubhe"):
-                sim.run_round(1)
+            sim.run_round(1)
+            np.testing.assert_array_equal(selector.client_distributions,
+                                          sim.partition.client_distributions())
+            np.testing.assert_array_equal(
+                selector.client_distributions,
+                np.roll(partition.client_distributions(), 1, axis=1))
 
 
 class TestReports:

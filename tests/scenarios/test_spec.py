@@ -1,5 +1,7 @@
 """Validation tests for the declarative scenario specs."""
 
+import dataclasses
+
 import pytest
 
 from repro.scenarios import (
@@ -88,9 +90,12 @@ class TestDriftSpec:
         with pytest.raises(ValueError):
             DriftSpec(period=-1)
 
-    def test_key_size_floor(self):
-        with pytest.raises(ValueError):
-            DriftSpec(period=2, key_size=8)
+    def test_secure_knobs_are_retired(self):
+        # a SecureDubheSelector re-registers itself; the ledger drops these
+        # keys from older records (repro.ledger.codec.RETIRED_DRIFT_KEYS)
+        assert [f.name for f in dataclasses.fields(DriftSpec)] == ["period", "shift"]
+        with pytest.raises(TypeError):
+            DriftSpec(period=2, key_size=128)
 
 
 class TestScenarioSpec:

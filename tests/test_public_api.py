@@ -27,6 +27,16 @@ class TestPackageSurface:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    def test_one_dubhe_selection_core(self):
+        # the secure selector is the plaintext one over encrypted rounds, and
+        # the Bernoulli step is public as VolunteerDraw, not as a helper
+        import repro.core
+
+        assert issubclass(repro.core.SecureDubheSelector, repro.core.DubheSelector)
+        assert not hasattr(repro.core.SecureDubheSelector, "register")
+        assert "VolunteerDraw" in repro.core.__all__
+        assert not hasattr(repro.core, "bernoulli_participation")
+
 
 class TestQuickFederation:
     def test_mnist_flavour(self):
