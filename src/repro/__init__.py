@@ -14,8 +14,8 @@ Sub-packages
 * :mod:`repro.nn` — NumPy neural-network training substrate.
 * :mod:`repro.federated` — the FL simulation engine (FedVC-style rounds).
 * :mod:`repro.core` — Dubhe itself: registry, probabilities, selectors,
-  multi-time selection, parameter search, the secure protocol and overhead
-  accounting.
+  multi-time selection, parameter search and the secure protocol, which
+  meters its own overhead.
 * :mod:`repro.analysis` — unbiasedness and weight-divergence measurements.
 * :mod:`repro.scenarios` — fault injection (churn, stragglers, dropouts,
   label drift) with partial-round aggregation and robustness reports.

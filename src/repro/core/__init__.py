@@ -15,9 +15,8 @@ Public API
   :class:`ParameterSearchResult`.
 * secure protocol — :class:`SecureRegistrationRound`,
   :class:`SecureDistributionAggregation`, :class:`SecureAggregationServer`,
-  :class:`SecureClient`, :class:`ProtocolStats`.
-* overhead accounting — :func:`measure_encryption_overhead`,
-  :func:`communication_overhead`.
+  :class:`SecureClient`, :class:`ProtocolStats` (the protocol's one cost
+  meter, which the §6.4 overhead study reads).
 """
 
 from .config import (
@@ -28,12 +27,6 @@ from .config import (
     resolve_run_mode,
 )
 from .multitime import MultiTimeResult, TentativeTry, multi_time_selection
-from .overhead import (
-    CommunicationOverheadReport,
-    EncryptionOverheadReport,
-    communication_overhead,
-    measure_encryption_overhead,
-)
 from .parameter_search import ParameterSearchResult, default_sigma_grid, search_thresholds
 from .probability import (
     VolunteerDraw,
@@ -57,10 +50,8 @@ from .selectors import ClientSelector, DubheSelector, GreedySelector, RandomSele
 __all__ = [
     "ClientCategory",
     "ClientSelector",
-    "CommunicationOverheadReport",
     "DubheConfig",
     "DubheSelector",
-    "EncryptionOverheadReport",
     "GROUP1_REFERENCE_SET",
     "GROUP2_REFERENCE_SET",
     "GreedySelector",
@@ -79,11 +70,9 @@ __all__ = [
     "SecureRegistrationRound",
     "TentativeTry",
     "VolunteerDraw",
-    "communication_overhead",
     "default_sigma_grid",
     "expected_category_count",
     "expected_participants",
-    "measure_encryption_overhead",
     "multi_time_selection",
     "participation_probabilities",
     "participation_probability",

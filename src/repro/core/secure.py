@@ -70,6 +70,23 @@ __all__ = [
 class ProtocolStats:
     """Bytes, messages and wall-time spent by one protocol execution.
 
+    This is the protocol's one cost meter: every role books into it, and the
+    §6.4 overhead study reads it.  The booking convention:
+
+    * every message carries one vector's worth of ciphertexts, and a
+      transmission is booked twice — once when the client sends it and once
+      when the server receives it;
+    * a registration round also books the N messages that synchronise the
+      aggregate back to the clients, so it reads 3N messages;
+    * ``plaintext_bytes`` counts each uploaded vector once, at the sender;
+    * ``decrypt_seconds`` books the registry's decrypt and the agent's
+      decrypt of every scored try.
+
+    So ``ciphertext_bytes / messages`` is the per-vector ciphertext size and
+    ``plaintext_bytes / uploads`` the per-vector plaintext size, while
+    :attr:`expansion_factor` is bytes *moved* per plaintext byte: 3× the
+    per-vector expansion for a registration, 2× for a scored try.
+
     Example
     -------
     >>> a = ProtocolStats(messages=2, plaintext_bytes=10, ciphertext_bytes=40)
@@ -101,7 +118,11 @@ class ProtocolStats:
 
     @property
     def expansion_factor(self) -> float:
-        """Ciphertext size relative to plaintext size."""
+        """Ciphertext bytes moved per plaintext byte uploaded.
+
+        Not the per-vector ratio: a registration reads 3× it, a scored try
+        2× (see the booking convention above).
+        """
         if self.plaintext_bytes == 0:
             return 0.0
         return self.ciphertext_bytes / self.plaintext_bytes
@@ -453,9 +474,6 @@ class SecureRegistrationRound:
                     "distributions"
                 )
             num_batches += 1
-            # the protocol order: this chunk's clients get the keys, then encrypt
-            agent.dispatch_public_key(b)
-            agent.dispatch_private_key(b)
             reg = codebook.register_batch(arr)
             blocks_parts.append(reg.blocks)
             index_parts.append(reg.indices)
@@ -579,7 +597,10 @@ class SecureDistributionAggregation:
         for k in selected:
             client = self._client(int(k), distributions[k], len(selected))
             server.receive(client.encrypted_distribution(public_key))
-        decrypted = self.agent.decrypt_vector(server.aggregate())
+        aggregate = server.aggregate()
+        start = perf_counter()
+        decrypted = self.agent.decrypt_vector(aggregate)
+        self.stats.decrypt_seconds += perf_counter() - start
         self.stats.messages += server.stats.messages
         self.stats.ciphertext_bytes += server.stats.ciphertext_bytes
         total = decrypted.sum()

@@ -12,15 +12,14 @@ Public API
 * :class:`PackedEncryptedVector`, :class:`PackingScheme` — BatchCrypt-style
   ciphertext packing (many slots per ciphertext).
 * :class:`NoisePool` — precomputed encryption noise ``r^n mod n²``.
-* :class:`BatchCryptoExecutor`, :func:`encrypt_many`, :func:`decrypt_many` —
-  parallel bulk encryption/decryption.
+* :class:`BatchCryptoExecutor` — bulk encryption of a round's registries.
 * :class:`KeyAgent` — the per-round key-generation / decryption agent role.
 """
 
-from .batch import BatchCryptoExecutor, decrypt_many, encrypt_many
+from .batch import BatchCryptoExecutor
 from .encoding import DEFAULT_BASE, DEFAULT_PRECISION, EncodedNumber, FixedPointEncoder
 from .encrypted_number import EncryptedNumber, decrypt_number, encrypt_number
-from .keyagent import AgentStats, KeyAgent
+from .keyagent import KeyAgent
 from .packing import DEFAULT_MAX_WEIGHT, PackedEncryptedVector, PackingScheme
 from .paillier import (
     DEFAULT_KEY_SIZE,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_KEY_SIZE",
     "DEFAULT_MAX_WEIGHT",
     "PAPER_KEY_SIZE",
-    "AgentStats",
     "BatchCryptoExecutor",
     "EncodedNumber",
     "EncryptedNumber",
@@ -53,9 +51,7 @@ __all__ = [
     "PaillierKeypair",
     "PaillierPrivateKey",
     "PaillierPublicKey",
-    "decrypt_many",
     "decrypt_number",
-    "encrypt_many",
     "encrypt_number",
     "generate_distinct_primes",
     "generate_keypair",

@@ -1,4 +1,4 @@
-"""Batch encryption/decryption of many vectors.
+"""Batch encryption of many vectors.
 
 :class:`BatchCryptoExecutor` is the secure protocol's one call site for bulk
 crypto: every registry of a registration round is encrypted through
@@ -19,10 +19,10 @@ import numpy as np
 
 from .encoding import DEFAULT_BASE, DEFAULT_PRECISION
 from .packing import DEFAULT_MAX_WEIGHT, PackedEncryptedVector
-from .paillier import NoisePool, PaillierPrivateKey, PaillierPublicKey
+from .paillier import NoisePool, PaillierPublicKey
 from .vector import EncryptedVector
 
-__all__ = ["BatchCryptoExecutor", "encrypt_many", "decrypt_many", "encrypt_one"]
+__all__ = ["BatchCryptoExecutor", "encrypt_one"]
 
 AnyEncryptedVector = Union[EncryptedVector, PackedEncryptedVector]
 
@@ -44,7 +44,7 @@ def encrypt_one(public_key: PaillierPublicKey, values: np.ndarray, packed: bool,
 
 
 class BatchCryptoExecutor:
-    """Run bulk encrypt/decrypt for the secure protocol.
+    """Run bulk encryption for the secure protocol.
 
     Example
     -------
@@ -53,7 +53,7 @@ class BatchCryptoExecutor:
     >>> keys = generate_keypair(key_size=64, rng=random.Random(0))
     >>> executor = BatchCryptoExecutor()
     >>> encrypted = executor.encrypt_many(keys.public_key, [[0.5, 0.25]])
-    >>> executor.decrypt_many(keys.private_key, encrypted)[0].tolist()
+    >>> encrypted[0].decrypt(keys.private_key).tolist()
     [0.5, 0.25]
     """
 
@@ -72,21 +72,3 @@ class BatchCryptoExecutor:
                         noise, rng)
             for values in vectors
         ]
-
-    def decrypt_many(self, private_key: PaillierPrivateKey,
-                     vectors: Sequence[AnyEncryptedVector]) -> list[np.ndarray]:
-        """Decrypt every vector in *vectors* back to floats, in order."""
-        return [vector.decrypt(private_key) for vector in vectors]
-
-
-def encrypt_many(public_key: PaillierPublicKey,
-                 vectors: Sequence[Sequence[float]] | np.ndarray,
-                 **kwargs) -> list[AnyEncryptedVector]:
-    """Convenience wrapper: ``BatchCryptoExecutor().encrypt_many(...)``."""
-    return BatchCryptoExecutor().encrypt_many(public_key, vectors, **kwargs)
-
-
-def decrypt_many(private_key: PaillierPrivateKey,
-                 vectors: Sequence[AnyEncryptedVector]) -> list[np.ndarray]:
-    """Convenience wrapper: ``BatchCryptoExecutor().decrypt_many(...)``."""
-    return BatchCryptoExecutor().decrypt_many(private_key, vectors)

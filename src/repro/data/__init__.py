@@ -14,12 +14,12 @@ Public API
   :func:`make_synthetic_cifar`, :func:`make_femnist_federation`.
 * FedVC virtual clients — :func:`make_virtual_clients`.
 * cohort execution — :class:`DatasetCache` (bounded LRU pool of client
-  datasets), :func:`stack_cohort` / :class:`Cohort` (dense ``(K, N_vc, …)``
-  stacking for the vectorized back-end), :class:`CohortBuffer`
-  (round-persistent stacking buffers with per-slot reuse).
+  datasets), :class:`CohortBuffer` (round-persistent dense
+  ``(K, N_vc, …)`` stacking buffers for the vectorized back-end, with
+  per-slot reuse).
 """
 
-from .cohort import Cohort, CohortBuffer, CohortShapeError, DatasetCache, stack_cohort
+from .cohort import CohortBuffer, CohortShapeError, DatasetCache
 from .dataloader import DataLoader
 from .dataset import ArrayDataset, Subset, train_test_split
 from .distributions import (
@@ -60,7 +60,6 @@ from .virtual_clients import VirtualClientMapping, make_virtual_clients
 __all__ = [
     "ArrayDataset",
     "ClientPartition",
-    "Cohort",
     "CohortBuffer",
     "CohortShapeError",
     "DataLoader",
@@ -92,7 +91,6 @@ __all__ = [
     "normalize_counts",
     "population_distribution",
     "skewed_class_counts",
-    "stack_cohort",
     "train_test_split",
     "uniform_distribution",
     "validate_distribution",

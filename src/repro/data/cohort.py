@@ -1,38 +1,34 @@
 """Cohort stacking and pooled client-dataset generation.
 
-Three pieces of plumbing for the vectorized (cohort) execution back-end:
+Two pieces of plumbing for the vectorized (cohort) execution back-end:
 
 * :class:`DatasetCache` — a bounded, thread-safe LRU pool of materialised
   client datasets keyed by client id.  Synthetic client data is generated
   deterministically from a per-client seed, so eviction is safe (a re-selected
   evicted client regenerates bit-identical data) while repeatedly-selected
   clients stop paying the generation cost every round.
-* :func:`stack_cohort` — stack the K selected clients' datasets into one
+* :class:`CohortBuffer` — stacks the K selected clients' datasets into one
   ``(K, N_vc, …)`` features array and ``(K, N_vc)`` labels array, the layout
-  every batched kernel consumes.  Virtual clients all hold the same number of
-  samples (the paper's FedVC convention), which is what makes the cohort a
-  dense rectangular tensor; ragged cohorts raise :class:`CohortShapeError`
-  and callers fall back to per-client execution.
-* :class:`CohortBuffer` — the round-persistent variant of
-  :func:`stack_cohort`: it owns the dense ``(K, N_vc, …)`` buffers across
-  rounds and restacks only the slots whose selected client changed, so a
-  stable (or slowly-rotating) selection pays the K-dataset memcpy once
-  instead of every round.
+  every batched kernel consumes.  Virtual clients all hold the same number
+  of samples (the paper's FedVC convention), which is what makes the cohort
+  a dense rectangular tensor; ragged cohorts raise :class:`CohortShapeError`
+  and callers fall back to per-client execution.  The buffers persist
+  across rounds and only the slots whose selected client changed are
+  restacked, so a stable (or slowly-rotating) selection pays the K-dataset
+  memcpy once instead of every round.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
 from .dataset import ArrayDataset
 
-__all__ = ["Cohort", "CohortBuffer", "CohortShapeError", "DatasetCache",
-           "stack_cohort"]
+__all__ = ["CohortBuffer", "CohortShapeError", "DatasetCache"]
 
 
 class CohortShapeError(ValueError):
@@ -93,54 +89,14 @@ class DatasetCache:
                 f"hits={self.hits}, misses={self.misses})")
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """K clients' datasets stacked into dense ``(K, N_vc, …)`` arrays."""
-
-    x: np.ndarray  #: features, shape ``(K, N_vc, *feature_shape)``
-    y: np.ndarray  #: integer labels, shape ``(K, N_vc)``
-    num_classes: int
-
-    @property
-    def clients(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def samples_per_client(self) -> int:
-        return self.x.shape[1]
-
-
-def stack_cohort(datasets: Sequence[ArrayDataset]) -> Cohort:
-    """Stack per-client datasets into one rectangular cohort.
-
-    All datasets must hold the same number of samples with the same feature
-    shape (the FedVC virtual-client invariant); otherwise
-    :class:`CohortShapeError` is raised.
-    """
-    if not datasets:
-        raise CohortShapeError("cannot stack an empty cohort")
-    xs = [np.asarray(ds.x) for ds in datasets]
-    ys = [np.asarray(ds.y) for ds in datasets]
-    reference = xs[0].shape
-    for k, x in enumerate(xs[1:], start=1):
-        if x.shape != reference:
-            raise CohortShapeError(
-                f"client {k} has data shape {x.shape}, expected {reference}; "
-                "ragged cohorts cannot be vectorized"
-            )
-    num_classes = max(ds.num_classes for ds in datasets)
-    return Cohort(x=np.stack(xs), y=np.stack(ys), num_classes=num_classes)
-
-
 class CohortBuffer:
     """Round-persistent ``(K, N_vc, …)`` stacking buffers with slot reuse.
 
-    Where :func:`stack_cohort` allocates fresh dense arrays every round, a
-    :class:`CohortBuffer` keeps them alive between rounds and tracks which
-    dataset *object* currently occupies each client slot.  A slot whose
-    selected client hands back the very same materialised dataset (memoised
-    on the client, or resident in the shared :class:`DatasetCache`) skips its
-    copy entirely; only slots whose selection changed — or whose dataset was
+    A :class:`CohortBuffer` keeps its dense arrays alive between rounds and
+    tracks which dataset *object* currently occupies each client slot.  A
+    slot whose selected client hands back the very same materialised dataset
+    (memoised on the client, or resident in the shared :class:`DatasetCache`)
+    skips its copy entirely; only slots whose selection changed — or whose dataset was
     evicted and regenerated — are restacked.  Slot datasets are pinned
     (referenced) while resident, so object identity is a sound freshness key.
 
@@ -201,7 +157,7 @@ class CohortBuffer:
         *slots* holds one ``(key, dataset)`` pair per client position (see
         :meth:`repro.federated.FederatedClient.cohort_slot`); the key must
         change whenever the dataset contents may have.  Ragged cohorts raise
-        :class:`CohortShapeError` exactly like :func:`stack_cohort`.
+        :class:`CohortShapeError`.
         """
         if len(slots) != self.num_clients:
             raise CohortShapeError(

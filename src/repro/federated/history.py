@@ -217,42 +217,6 @@ class TrainingHistory:
                 totals[cause] = totals.get(cause, 0) + 1
         return totals
 
-    def decode_failure_totals(self) -> "dict[int, int]":
-        """Undecodable frames over the whole run, keyed by client id.
-
-        ``-1`` collects frames from peers that never finished registering.
-        Non-zero totals mean the link (or a chaos proxy) corrupted traffic
-        — previously these peers were dropped silently.
-
-        Example
-        -------
-        >>> TrainingHistory().decode_failure_totals()
-        {}
-        """
-        totals: dict[int, int] = {}
-        for r in self.records:
-            for client_id, count in r.decode_failures.items():
-                totals[client_id] = totals.get(client_id, 0) + count
-        return totals
-
-    def disconnect_totals(self) -> "dict[str, int]":
-        """Connection losses over the whole run, keyed by cause.
-
-        Causes are ``"connection_lost"`` (EOF/reset), ``"corrupt_frame"``
-        (undecodable traffic cut the link) and ``"heartbeat"`` (declared
-        dead after silent heartbeat intervals).
-
-        Example
-        -------
-        >>> TrainingHistory().disconnect_totals()
-        {}
-        """
-        totals: dict[str, int] = {}
-        for r in self.records:
-            for cause in r.disconnects.values():
-                totals[cause] = totals.get(cause, 0) + 1
-        return totals
-
     def skipped_round_count(self) -> int:
         """Rounds whose aggregation was skipped (below the participation floor)."""
         return sum(1 for r in self.records if r.aggregation_skipped)

@@ -7,10 +7,10 @@ import pytest
 
 from reference.per_component_scorer import PerComponentScorer
 from repro.core.config import DubheConfig
-from repro.core.overhead import communication_overhead, measure_encryption_overhead
 from repro.core.parameter_search import default_sigma_grid, search_thresholds
 from repro.core.registry import RegistryCodebook
 from repro.core.secure import (
+    ProtocolStats,
     SecureAggregationServer,
     SecureClient,
     SecureDistributionAggregation,
@@ -18,6 +18,7 @@ from repro.core.secure import (
 )
 from repro.crypto.keyagent import KeyAgent
 from repro.crypto.paillier import generate_keypair
+from repro.crypto.vector import plaintext_vector_bytes
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 
@@ -137,6 +138,17 @@ class TestSecureProtocol:
         with pytest.raises(ValueError):
             secure.population(federation_distributions, [])
 
+    def test_distribution_aggregation_books_each_decrypt(self, federation_distributions):
+        secure = SecureDistributionAggregation(
+            settled_config(), agent=KeyAgent(key_size=128, rng=random.Random(8)))
+        assert secure.stats.decrypt_seconds == 0
+        secure.population(federation_distributions, [0, 3])
+        first = secure.stats.decrypt_seconds
+        assert first > 0
+        secure.population(federation_distributions, [3, 0])   # re-sent uploads
+        assert secure.stats.decrypt_seconds > first
+        assert secure.stats.encrypt_seconds > 0
+
 
 class TestPackedSecureProtocol:
     """The packed pipeline must be a drop-in replacement, bit for bit."""
@@ -237,68 +249,75 @@ class TestStreamingAggregation:
             server.aggregate()
 
 
+#: the paper's two registries: length → (C, G, thresholds)
+REGISTRIES = {
+    56: (10, (1, 2, 10), {1: 0.7, 2: 0.1, 10: 0.0}),
+    53: (52, (1, 52), {1: 0.7, 52: 0.0}),
+}
+
+
+def one_client_registration(key_size, length=56, packed=False):
+    """A one-client registration round over one of the paper's registries."""
+    num_classes, reference_set, thresholds = REGISTRIES[length]
+    config = DubheConfig(num_classes=num_classes, reference_set=reference_set,
+                         thresholds=thresholds, key_size=key_size)
+    agent = KeyAgent(key_size=key_size, rng=random.Random(key_size))
+    streamed = SecureRegistrationRound(config, agent=agent, packed=packed).run_stream(
+        np.full((1, num_classes), 1.0 / num_classes))
+    assert streamed.registration.length == length
+    return streamed.stats, agent.keypair.public_key
+
+
 class TestOverheadAccounting:
-    def test_encryption_overhead_report(self):
-        report = measure_encryption_overhead(vector_length=56, key_size=128, rng_seed=0)
-        assert report.plaintext_bytes > 0
-        assert report.ciphertext_bytes > report.plaintext_bytes
-        assert report.expansion_factor > 1
-        assert report.encrypt_seconds > 0
-        assert report.decrypt_seconds > 0
-        row = report.as_row()
-        assert row["vector_length"] == 56
-        assert row["key_size"] == 128
+    """§6.4's per-vector figures, read off the rounds' own ProtocolStats."""
+
+    @pytest.mark.parametrize("length", sorted(REGISTRIES))
+    def test_per_vector_figures(self, length):
+        stats, public_key = one_client_registration(128, length)
+        # upload, server receipt, sync back: one registry's ciphertexts each
+        assert stats.messages == 3
+        ciphertext = stats.ciphertext_bytes / stats.messages
+        assert ciphertext == length * public_key.ciphertext_bytes()
+        assert stats.plaintext_bytes == plaintext_vector_bytes(np.zeros(length))
+        assert ciphertext > stats.plaintext_bytes
+        assert stats.encrypt_seconds > 0
+        assert stats.decrypt_seconds > 0
+        # bytes moved, not bytes per vector: three bookings of one vector
+        assert stats.expansion_factor == pytest.approx(
+            3 * ciphertext / stats.plaintext_bytes)
+
+    def test_scored_try_books_each_upload_twice(self, federation_distributions):
+        secure = SecureDistributionAggregation(
+            settled_config(), agent=KeyAgent(key_size=128, rng=random.Random(9)))
+        selected = [0, 3, 5]
+        secure.population(federation_distributions, selected)
+        stats = secure.stats
+        assert stats.messages == 2 * len(selected)
+        ciphertext = stats.ciphertext_bytes / stats.messages
+        plaintext = stats.plaintext_bytes / len(selected)
+        assert plaintext == plaintext_vector_bytes(np.zeros(10))
+        assert stats.expansion_factor == pytest.approx(2 * ciphertext / plaintext)
 
     def test_ciphertext_grows_with_key_size(self):
-        small = measure_encryption_overhead(16, key_size=128, rng_seed=0)
-        large = measure_encryption_overhead(16, key_size=256, rng_seed=0)
+        small, _ = one_client_registration(128)
+        large, _ = one_client_registration(256)
         assert large.ciphertext_bytes > small.ciphertext_bytes
+        assert large.plaintext_bytes == small.plaintext_bytes
 
-    def test_invalid_measure_arguments(self):
-        with pytest.raises(ValueError):
-            measure_encryption_overhead(0, 128)
-        with pytest.raises(ValueError):
-            measure_encryption_overhead(10, 128, trials=0)
-        with pytest.raises(ValueError):
-            measure_encryption_overhead(10, 256, packed_clients=0)
+    @pytest.mark.parametrize("length", sorted(REGISTRIES))
+    def test_packed_sends_fewer_bytes(self, length):
+        plain, _ = one_client_registration(256, length)
+        packed, _ = one_client_registration(256, length, packed=True)
+        assert packed.plaintext_bytes == plain.plaintext_bytes
+        assert packed.messages == plain.messages
+        assert packed.ciphertext_bytes < plain.ciphertext_bytes
 
-    def test_packed_overhead_report(self):
-        report = measure_encryption_overhead(vector_length=56, key_size=256,
-                                             rng_seed=0, packed_clients=100)
-        assert report.packed_ciphertexts < 56
-        assert report.packed_ciphertext_bytes < report.ciphertext_bytes
-        assert report.packed_expansion_factor < report.expansion_factor
-        assert report.packing_gain > 1
-        row = report.as_row()
-        assert row["packed_kb"] < row["ciphertext_kb"]
-        assert {"packed_expansion", "packed_encrypt_s", "packed_decrypt_s"} <= set(row)
+    def test_merged_with_sums_every_field(self):
+        a = ProtocolStats(1, 2, 3, 0.5, 0.25, 0.125)
+        b = ProtocolStats(10, 20, 30, 1.0, 2.0, 4.0)
+        assert a.merged_with(b) == ProtocolStats(11, 22, 33, 1.5, 2.25, 4.125)
+        assert a == ProtocolStats(1, 2, 3, 0.5, 0.25, 0.125)
 
-    def test_report_without_packed_measurement_has_no_packed_columns(self):
-        report = measure_encryption_overhead(vector_length=8, key_size=128, rng_seed=0)
-        assert report.packed_expansion_factor is None
-        assert report.packing_gain is None
-        assert "packed_kb" not in report.as_row()
-
-    def test_communication_counts_match_paper_formulas(self):
-        report = communication_overhead(n_clients=1000, participants_per_round=20,
-                                        tentative_selections=10,
-                                        reregistration=True, multitime_determination=True)
-        assert report.baseline_messages == 20
-        assert report.registration_messages == 1000
-        assert report.multitime_messages == 200
-        assert report.dubhe_total == 1220
-        assert report.overhead_ratio == pytest.approx(1200 / 20)
-
-    def test_no_optional_features_no_overhead(self):
-        report = communication_overhead(1000, 20, reregistration=False)
-        assert report.registration_messages == 0
-        assert report.multitime_messages == 0
-        assert report.overhead_ratio == 0
-
-    def test_invalid_communication_arguments(self):
-        with pytest.raises(ValueError):
-            communication_overhead(0, 1)
-        with pytest.raises(ValueError):
-            communication_overhead(10, 20)
-        with pytest.raises(ValueError):
-            communication_overhead(10, 5, tentative_selections=0)
+    def test_nothing_uploaded_no_expansion(self):
+        assert ProtocolStats().expansion_factor == 0.0
+        assert ProtocolStats(messages=2, ciphertext_bytes=64).expansion_factor == 0.0

@@ -100,13 +100,26 @@ class TestSecureDubheSelector:
         assert registered.ciphertext_bytes == 3 * n * registry.num_ciphertexts * each
         assert registry.num_ciphertexts < secure.codebook.length
         # per try: K packed uploads and K receipts of ⌈C/slots⌉ ciphertexts
-        secure.select(0)
-        scored = secure.stats
-        assert scored.messages - registered.messages == 2 * k * h
-        assert (scored.ciphertext_bytes - registered.ciphertext_bytes
-                == 2 * k * h * upload.num_ciphertexts * each)
+        for selects in range(1, 4):
+            secure.select(selects)
+            scored = secure.stats
+            assert scored.messages == 3 * n + 2 * k * h * selects
+            assert (scored.ciphertext_bytes - registered.ciphertext_bytes
+                    == 2 * k * h * selects * upload.num_ciphertexts * each)
         assert upload.num_ciphertexts == -(-c // upload.slots_per_ciphertext)
         assert upload.num_ciphertexts < c
+
+    def test_every_select_books_its_decrypts(self, small_federation):
+        # each of the H tries decrypts one aggregate, booked on the selector
+        secure = SecureDubheSelector(small_federation, settled_config(h=2), seed=0,
+                                     agent=KeyAgent(key_size=128, rng=random.Random(8)))
+        registered = secure.stats.decrypt_seconds
+        assert registered > 0
+        secure.select(0)
+        first = secure.stats.decrypt_seconds
+        assert first > registered
+        secure.select(1)
+        assert secure.stats.decrypt_seconds > first
 
     def test_reregistration_keeps_the_history(self, small_federation):
         secure = SecureDubheSelector(small_federation, settled_config(), seed=0,
@@ -137,3 +150,15 @@ class TestSecureDubheSelector:
                                        agent=agent, score_securely=False)
         selected = selector.select(0)
         assert len(selected) == 6
+
+    def test_plaintext_scoring_books_nothing_per_select(self, small_federation):
+        agent = KeyAgent(key_size=128, rng=random.Random(6))
+        selector = SecureDubheSelector(small_federation, settled_config(), seed=0,
+                                       agent=agent, score_securely=False)
+        registered = selector.stats
+        assert registered.messages == 3 * len(small_federation)
+        key = agent.keypair
+        for r in range(2):
+            selector.select(r)
+        assert selector.stats == registered
+        assert agent.keypair is key    # no scoring key epoch was opened

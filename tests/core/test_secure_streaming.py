@@ -24,7 +24,7 @@ from repro.core.secure import (
     StreamedRegistration,
     iter_distribution_batches,
 )
-from repro.crypto import paillier
+from repro.crypto import keyagent, paillier
 from repro.crypto.batch import BatchCryptoExecutor
 from repro.crypto.keyagent import KeyAgent
 from repro.crypto.packing import PackingScheme
@@ -109,31 +109,24 @@ class TestStreamEqualsPlaintext:
 
 
 class TestProtocolOrder:
-    def test_keys_are_dispatched_before_each_chunk_encrypts(self, config,
-                                                            distributions,
-                                                            monkeypatch):
+    def test_one_round_key_then_chunks_encrypt(self, config, distributions,
+                                               monkeypatch):
         events = []
-        agent = KeyAgent(key_size=64, rng=random.Random(1))
-        for name in ("dispatch_public_key", "dispatch_private_key"):
-            original = getattr(agent, name)
-            monkeypatch.setattr(
-                agent, name,
-                lambda n, name=name, original=original:
-                    events.append((name, n)) or original(n))
+        generate_keypair = keyagent.generate_keypair
+        monkeypatch.setattr(
+            keyagent, "generate_keypair",
+            lambda *args, **kwargs:
+                events.append(("keygen",)) or generate_keypair(*args, **kwargs))
         encrypt_many = BatchCryptoExecutor.encrypt_many
         monkeypatch.setattr(
             BatchCryptoExecutor, "encrypt_many",
             lambda self, pk, vectors, **kwargs:
                 events.append(("encrypt", len(vectors)))
                 or encrypt_many(self, pk, vectors, **kwargs))
+        agent = KeyAgent(key_size=64, rng=random.Random(1))
         SecureRegistrationRound(config, agent=agent).run_stream(distributions)
-        sizes = [7, 7, 7, 2]
-        assert events == [event for b in sizes for event in (
-            ("dispatch_public_key", b), ("dispatch_private_key", b),
-            ("encrypt", b))]
-        # one round key, one public and one private dispatch per client
-        assert agent.stats.keypairs_generated == 1
-        assert agent.stats.key_dispatches == 2 * N_CLIENTS
+        # one round key, then every chunk of registration_batch_size clients
+        assert events == [("keygen",)] + [("encrypt", b) for b in (7, 7, 7, 2)]
 
 
 class TestKeyHolderRouting:

@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.crypto.batch import BatchCryptoExecutor, decrypt_many, encrypt_many
+from repro.crypto.batch import BatchCryptoExecutor, encrypt_one
+from repro.crypto.encoding import DEFAULT_BASE, DEFAULT_PRECISION
 from repro.crypto.packing import PackedEncryptedVector
 from repro.crypto.paillier import NoisePool, generate_keypair
 from repro.crypto.vector import EncryptedVector
@@ -142,16 +143,15 @@ class TestBatchCryptoExecutor:
         executor = BatchCryptoExecutor()
         encrypted = executor.encrypt_many(pk, matrix)
         assert all(isinstance(e, EncryptedVector) for e in encrypted)
-        decrypted = executor.decrypt_many(sk, encrypted)
-        for out, expected in zip(decrypted, matrix):
-            np.testing.assert_allclose(out, expected, atol=1e-12)
+        for vector, expected in zip(encrypted, matrix):
+            np.testing.assert_allclose(vector.decrypt(sk), expected, atol=1e-12)
 
     def test_roundtrip_packed(self, pk, sk, matrix):
         executor = BatchCryptoExecutor()
         encrypted = executor.encrypt_many(pk, matrix, packed=True, max_weight=8)
         assert all(isinstance(e, PackedEncryptedVector) for e in encrypted)
-        for out, expected in zip(executor.decrypt_many(sk, encrypted), matrix):
-            np.testing.assert_allclose(out, expected, atol=1e-12)
+        for vector, expected in zip(encrypted, matrix):
+            np.testing.assert_allclose(vector.decrypt(sk), expected, atol=1e-12)
 
     def test_prefilled_pool_feeds_every_encryption(self, pk, sk):
         vectors = np.random.default_rng(9).uniform(0, 1, (3, 4))
@@ -175,14 +175,15 @@ class TestBatchCryptoExecutor:
                 for _ in range(2)]
         assert [v.ciphertexts for v in runs[0]] == [v.ciphertexts for v in runs[1]]
 
-    def test_empty_input(self, pk, sk):
-        executor = BatchCryptoExecutor()
-        assert executor.encrypt_many(pk, []) == []
-        assert executor.decrypt_many(sk, []) == []
+    def test_empty_input(self, pk):
+        assert BatchCryptoExecutor().encrypt_many(pk, []) == []
 
-    def test_convenience_wrappers(self, pk, sk):
-        vectors = [[0.5, 0.25], [0.125, 1.0]]
-        encrypted = encrypt_many(pk, vectors)
-        decrypted = decrypt_many(sk, encrypted)
-        np.testing.assert_allclose(np.stack(decrypted), np.asarray(vectors),
-                                   atol=1e-12)
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_encrypt_many_is_encrypt_one_per_vector(self, pk, matrix, packed):
+        batch = BatchCryptoExecutor().encrypt_many(
+            pk, matrix, packed=packed, max_weight=8, rng=random.Random(5))
+        rng = random.Random(5)
+        one_by_one = [encrypt_one(pk, row, packed, 8, DEFAULT_BASE,
+                                  DEFAULT_PRECISION, 1.0, None, rng)
+                      for row in matrix]
+        assert [v.ciphertexts for v in batch] == [v.ciphertexts for v in one_by_one]

@@ -1,9 +1,9 @@
-"""Tests for cohort stacking and the bounded LRU dataset cache."""
+"""Tests for the bounded LRU dataset cache."""
 
 import numpy as np
 import pytest
 
-from repro.data.cohort import Cohort, CohortShapeError, DatasetCache, stack_cohort
+from repro.data.cohort import DatasetCache
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import make_synthetic_mnist
 from repro.federated.client import FederatedClient
@@ -13,41 +13,6 @@ def dataset(n=6, seed=0, num_classes=4):
     rng = np.random.default_rng(seed)
     return ArrayDataset(rng.standard_normal((n, 2, 3, 3)).astype(np.float32),
                         rng.integers(0, num_classes, size=n), num_classes=num_classes)
-
-
-class TestStackCohort:
-    def test_shapes_and_values(self):
-        datasets = [dataset(seed=s) for s in range(3)]
-        cohort = stack_cohort(datasets)
-        assert isinstance(cohort, Cohort)
-        assert cohort.clients == 3
-        assert cohort.samples_per_client == 6
-        assert cohort.x.shape == (3, 6, 2, 3, 3)
-        assert cohort.y.shape == (3, 6)
-        for k, ds in enumerate(datasets):
-            np.testing.assert_array_equal(cohort.x[k], ds.x)
-            np.testing.assert_array_equal(cohort.y[k], ds.y)
-
-    def test_ragged_sizes_rejected(self):
-        with pytest.raises(CohortShapeError):
-            stack_cohort([dataset(n=6), dataset(n=7)])
-
-    def test_mismatched_feature_shapes_rejected(self):
-        a = dataset(n=4)
-        rng = np.random.default_rng(0)
-        b = ArrayDataset(rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, 4),
-                         num_classes=4)
-        with pytest.raises(CohortShapeError):
-            stack_cohort([a, b])
-
-    def test_empty_cohort_rejected(self):
-        with pytest.raises(CohortShapeError):
-            stack_cohort([])
-
-    def test_subset_datasets_stack(self):
-        parent = dataset(n=10)
-        cohort = stack_cohort([parent.subset([0, 1, 2]), parent.subset([3, 4, 5])])
-        assert cohort.x.shape[:2] == (2, 3)
 
 
 class TestDatasetCache:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.cohort import CohortBuffer, CohortShapeError, DatasetCache
+from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import make_synthetic_mnist
 from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
@@ -287,6 +288,25 @@ class TestCohortBuffer:
         buffer = CohortBuffer(2)
         with pytest.raises(CohortShapeError):
             buffer.stack([(("a", 0), a), (("b", 0), b)])
+
+    def test_mismatched_feature_shapes_raise(self):
+        rng = np.random.default_rng(0)
+        a = ArrayDataset(rng.standard_normal((4, 2, 3, 3)),
+                         rng.integers(0, 4, 4), num_classes=4)
+        b = ArrayDataset(rng.standard_normal((4, 1, 3, 3)),
+                         rng.integers(0, 4, 4), num_classes=4)
+        with pytest.raises(CohortShapeError):
+            CohortBuffer(2).stack([("a", a), ("b", b)])
+
+    def test_subset_datasets_stack(self):
+        rng = np.random.default_rng(0)
+        parent = ArrayDataset(rng.standard_normal((10, 2, 3, 3)),
+                              rng.integers(0, 4, 10), num_classes=4)
+        slots = [("a", parent.subset([0, 1, 2])), ("b", parent.subset([3, 4, 5]))]
+        x, y = CohortBuffer(2).stack(slots)
+        assert x.shape == (2, 3, 2, 3, 3) and y.shape == (2, 3)
+        np.testing.assert_array_equal(x[1], parent.x[3:6])
+        np.testing.assert_array_equal(y[1], parent.y[3:6])
 
     def test_contents_match_datasets(self):
         clients = make_clients(3)
