@@ -11,7 +11,6 @@ that measurement for any selector that implements ``select(round_index)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,14 +29,6 @@ class SelectionBiasStats:
     mean_bias: float
     std_bias: float
     biases: tuple[float, ...]
-
-    def as_row(self) -> dict:
-        return {
-            "selector": self.selector_name,
-            "K": self.participants_per_round,
-            "mean": round(self.mean_bias, 4),
-            "std": round(self.std_bias, 4),
-        }
 
 
 def measure_selection_bias(selector, client_distributions: np.ndarray,

@@ -37,13 +37,6 @@ class UnbiasednessSweep:
     def std_series(self, strategy: str) -> np.ndarray:
         return np.array([s.std_bias for s in self.stats[strategy]])
 
-    def as_rows(self) -> list[dict]:
-        rows = []
-        for strategy, series in self.stats.items():
-            for stat in series:
-                rows.append(stat.as_row() | {"strategy": strategy})
-        return rows
-
 
 def bias_reduction(sweep: UnbiasednessSweep, strategy: str = "dubhe",
                    reference: str = "random") -> float:

@@ -35,6 +35,7 @@ __all__ = ["Session", "SessionResult"]
 _COMPONENT_KEYS = ("partition", "generator", "model_factory", "selector",
                    "test_set")
 
+
 @dataclass(frozen=True)
 class SessionResult:
     """What one :meth:`Session.run` produced.
@@ -87,17 +88,6 @@ class Session:
         self._simulation: Optional[FederatedSimulation] = None
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def config(self) -> FederatedConfig:
-        """The session's resolved configuration so far.
-
-        Example
-        -------
-        >>> Session().config.rounds
-        20
-        """
-        return self._config
 
     @property
     def simulation(self) -> Optional[FederatedSimulation]:

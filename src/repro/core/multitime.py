@@ -56,11 +56,6 @@ class MultiTimeResult:
         return self.best.score
 
     @property
-    def scores(self) -> np.ndarray:
-        """All H scores in try order."""
-        return np.array([t.score for t in self.tries])
-
-    @property
     def mean_population(self) -> np.ndarray:
         """``E_h(p_o,h)`` — the statistic scored by the parameter search."""
         return np.mean([t.population for t in self.tries], axis=0)

@@ -134,9 +134,6 @@ class ClientCategory:
         """Number of dominating classes (the block ``i`` the category lives in)."""
         return len(self.classes)
 
-    def __iter__(self):
-        return iter(self.classes)
-
 
 @dataclass(frozen=True)
 class RegistrationResult:

@@ -15,7 +15,6 @@ makes a test non-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -95,15 +94,3 @@ class RetryPolicy:
             return base
         fraction = np.random.default_rng([self.seed, attempt]).random()
         return base * (1.0 - self.jitter * fraction)
-
-    def delays(self) -> Iterator[float]:
-        """The full backoff schedule: one delay per allowed retry.
-
-        Example
-        -------
-        >>> list(RetryPolicy(retries=2, backoff=0.1, max_backoff=1.0,
-        ...                  jitter=0.0).delays())
-        [0.1, 0.2]
-        """
-        for attempt in range(self.retries):
-            yield self.delay(attempt)

@@ -155,7 +155,7 @@ class SecureAggregationServer:
     >>> server = SecureAggregationServer(pk, arity=2)
     >>> server.receive(EncryptedVector.encrypt(pk, [1.0, 0.0]))
     >>> server.receive(EncryptedVector.encrypt(pk, [0.0, 1.0]))
-    >>> (server.received_count, server.fold_depth)
+    >>> (server.stats.messages, server.fold_depth)
     (2, 1)
     """
 
@@ -196,16 +196,6 @@ class SecureAggregationServer:
         asserts both.
         """
         return self._fold.depth
-
-    @property
-    def received_count(self) -> int:
-        """How many client ciphertexts have been folded in."""
-        return self._fold.count
-
-    def reset(self) -> None:
-        """Drop the running aggregate and start a fresh round."""
-        self._fold.reset()
-        self._first = None
 
 
 class SecureClient:

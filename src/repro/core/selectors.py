@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..data.distributions import kl_divergence, uniform_distribution
+from ..data.distributions import uniform_distribution
 from .config import DubheConfig
 from .multitime import MultiTimeResult, multi_time_selection
 from .probability import VolunteerDraw, participation_probabilities

@@ -4,9 +4,8 @@ Public API
 ----------
 * :func:`generate_keypair`, :class:`PaillierPublicKey`,
   :class:`PaillierPrivateKey` — the cryptosystem.
-* :class:`FixedPointEncoder`, :class:`EncodedNumber` — float <-> integer
+* :class:`FixedPointEncoder`, :class:`EncodedNumber` — float -> integer
   fixed-point encoding.
-* :class:`EncryptedNumber` — a single additively homomorphic ciphertext.
 * :class:`EncryptedVector` — element-wise encrypted vectors (registries and
   label distributions).
 * :class:`PackedEncryptedVector`, :class:`PackingScheme` — BatchCrypt-style
@@ -18,7 +17,6 @@ Public API
 
 from .batch import BatchCryptoExecutor
 from .encoding import DEFAULT_BASE, DEFAULT_PRECISION, EncodedNumber, FixedPointEncoder
-from .encrypted_number import EncryptedNumber, decrypt_number, encrypt_number
 from .keyagent import KeyAgent
 from .packing import DEFAULT_MAX_WEIGHT, PackedEncryptedVector, PackingScheme
 from .paillier import (
@@ -41,7 +39,6 @@ __all__ = [
     "PAPER_KEY_SIZE",
     "BatchCryptoExecutor",
     "EncodedNumber",
-    "EncryptedNumber",
     "EncryptedVector",
     "FixedPointEncoder",
     "KeyAgent",
@@ -51,8 +48,6 @@ __all__ = [
     "PaillierKeypair",
     "PaillierPrivateKey",
     "PaillierPublicKey",
-    "decrypt_number",
-    "encrypt_number",
     "generate_distinct_primes",
     "generate_keypair",
     "generate_prime",

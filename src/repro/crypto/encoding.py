@@ -43,33 +43,17 @@ class EncodedNumber:
     encoding:
         The signed integer ``round(value * base**precision)``.
     base, precision:
-        Encoding parameters; two encoded numbers can only be added when these
-        match (enforced by :class:`FixedPointEncoder` and the vector layer).
+        Encoding parameters; the vector layer only combines ciphertexts
+        encoded with the same ones.
     """
 
     encoding: int
     base: int = DEFAULT_BASE
     precision: int = DEFAULT_PRECISION
 
-    @property
-    def scale(self) -> int:
-        """The integer scale factor ``base**precision``."""
-        return self.base**self.precision
-
-    def decode(self) -> float:
-        """Recover the (approximate) original float."""
-        return self.encoding / self.scale
-
-    def __add__(self, other: "EncodedNumber") -> "EncodedNumber":
-        if not isinstance(other, EncodedNumber):
-            return NotImplemented
-        if other.base != self.base or other.precision != self.precision:
-            raise ValueError("cannot add EncodedNumbers with different scales")
-        return EncodedNumber(self.encoding + other.encoding, self.base, self.precision)
-
 
 class FixedPointEncoder:
-    """Encode/decode floats as integers compatible with a Paillier modulus."""
+    """Encode floats as integers compatible with a Paillier modulus."""
 
     def __init__(self, base: int = DEFAULT_BASE, precision: int = DEFAULT_PRECISION):
         if base < 2:
@@ -90,12 +74,6 @@ class FixedPointEncoder:
             raise TypeError(f"cannot encode {type(value).__name__}")
         return EncodedNumber(round(value * self.scale), self.base, self.precision)
 
-    def decode(self, encoded: EncodedNumber) -> float:
-        """Decode an :class:`EncodedNumber` back to a float."""
-        if encoded.base != self.base or encoded.precision != self.precision:
-            raise ValueError("encoded number does not match this encoder's scale")
-        return encoded.decode()
-
     # -- modulus mapping ----------------------------------------------------
 
     def to_modular(self, encoded: EncodedNumber, public_key: PaillierPublicKey) -> int:
@@ -107,17 +85,3 @@ class FixedPointEncoder:
                 f"{public_key.key_size}-bit key"
             )
         return value % public_key.n
-
-    def from_modular(self, value: int, public_key: PaillierPublicKey) -> EncodedNumber:
-        """Inverse of :meth:`to_modular` (values above n/2 are negative)."""
-        n = public_key.n
-        if value > n // 2:
-            value -= n
-        return EncodedNumber(value, self.base, self.precision)
-
-    def decode_modular(self, value: int, public_key: PaillierPublicKey) -> float:
-        """Convenience: map a decrypted residue straight back to a float."""
-        return self.from_modular(value, public_key).decode()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FixedPointEncoder(base={self.base}, precision={self.precision})"

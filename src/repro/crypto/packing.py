@@ -55,8 +55,6 @@ __all__ = [
 #: can be summed into one packed ciphertext before a slot could overflow.
 DEFAULT_MAX_WEIGHT = 128
 
-_HEADER_BYTES = 4 * 6  # vector_length, max_weight, weight, slot_bits, count, width
-
 
 class PackingScheme:
     """Slot geometry for packing a fixed-point vector under a public key.
@@ -178,21 +176,13 @@ class PackingScheme:
             and self.offset == other.offset
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackingScheme(len={self.vector_length}, slots={self.slots_per_ciphertext}"
-            f"/ct, slot_bits={self.slot_bits}, max_weight={self.max_weight})"
-        )
-
 
 class PackedEncryptedVector:
     """A vector packed into ``⌈l/slots⌉`` Paillier ciphertexts.
 
     API-compatible with :class:`~repro.crypto.vector.EncryptedVector`:
-    supports ``+``, :meth:`scale`, :meth:`decrypt`,
-    :meth:`to_bytes` / :meth:`from_bytes`, :meth:`nbytes` and ``len()``
-    (the *logical* vector length), so the secure protocol layer can swap it
-    in without touching the server.
+    supports :meth:`add_`, :meth:`copy`, :meth:`decrypt` and :meth:`nbytes`,
+    so the secure protocol layer can swap it in without touching the server.
 
     Example
     -------
@@ -202,7 +192,7 @@ class PackedEncryptedVector:
     >>> a = PackedEncryptedVector.encrypt(public, [0.25, -0.5, 0.125])
     >>> b = PackedEncryptedVector.encrypt(public, [0.25, 0.5, 0.0],
     ...                                   scheme=a.scheme)
-    >>> (a + b).decrypt(private).tolist()
+    >>> a.copy().add_(b).decrypt(private).tolist()
     [0.5, 0.0, 0.125]
     """
 
@@ -297,11 +287,6 @@ class PackedEncryptedVector:
             )
         return weight
 
-    def __add__(self, other: "PackedEncryptedVector") -> "PackedEncryptedVector":
-        if not isinstance(other, PackedEncryptedVector):
-            return NotImplemented
-        return self.copy().add_(other)
-
     def copy(self) -> "PackedEncryptedVector":
         """A ciphertext-level copy (safe to accumulate into in place)."""
         return PackedEncryptedVector(self.scheme, self.ciphertexts, weight=self.weight)
@@ -333,66 +318,11 @@ class PackedEncryptedVector:
         scaled = [pow(c, scalar, nsquare) for c in self.ciphertexts]
         return PackedEncryptedVector(self.scheme, scaled, weight=weight)
 
-    # -- sizes / serialization -------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.scheme.vector_length
+    # -- sizes -----------------------------------------------------------------
 
     def nbytes(self) -> int:
         """Total ciphertext wire size in bytes (components only)."""
         return len(self.ciphertexts) * self.public_key.ciphertext_bytes()
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the packed wire format (see module docstring)."""
-        width = self.public_key.ciphertext_bytes()
-        header = b"".join(
-            value.to_bytes(4, "big")
-            for value in (self.scheme.vector_length, self.scheme.max_weight,
-                          self.weight, self.scheme.slot_bits,
-                          len(self.ciphertexts), width)
-        )
-        return header + b"".join(c.to_bytes(width, "big") for c in self.ciphertexts)
-
-    @classmethod
-    def from_bytes(cls, public_key: PaillierPublicKey, payload: bytes,
-                   base: int = DEFAULT_BASE, precision: int = DEFAULT_PRECISION,
-                   max_abs_value: float = 1.0) -> "PackedEncryptedVector":
-        """Inverse of :meth:`to_bytes` (the receiver knows the key and scale)."""
-        if len(payload) < _HEADER_BYTES:
-            raise ValueError("packed payload shorter than its header")
-        fields = [int.from_bytes(payload[4 * i:4 * i + 4], "big") for i in range(6)]
-        vector_length, max_weight, weight, slot_bits, count, width = fields
-        if width != public_key.ciphertext_bytes():
-            raise ValueError(
-                f"wire ciphertext width {width} does not match the "
-                f"{public_key.key_size}-bit key ({public_key.ciphertext_bytes()})"
-            )
-        if len(payload) != _HEADER_BYTES + count * width:
-            raise ValueError(
-                f"packed payload is {len(payload)} bytes, expected "
-                f"{_HEADER_BYTES + count * width} for {count} ciphertexts"
-            )
-        scheme = PackingScheme(public_key, vector_length, max_weight=max_weight,
-                               base=base, precision=precision,
-                               max_abs_value=max_abs_value)
-        if scheme.slot_bits != slot_bits:
-            raise ValueError(
-                f"wire slot_bits={slot_bits} does not match the locally derived "
-                f"{scheme.slot_bits}; base/precision/max_abs_value mismatch"
-            )
-        ciphertexts = []
-        offset = _HEADER_BYTES
-        for _ in range(count):
-            ciphertexts.append(int.from_bytes(payload[offset:offset + width], "big"))
-            offset += width
-        return cls(scheme, ciphertexts, weight=weight)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackedEncryptedVector(len={len(self)}, ciphertexts="
-            f"{len(self.ciphertexts)}, weight={self.weight}, "
-            f"key_bits={self.public_key.key_size})"
-        )
 
 
 class StreamingTreeAggregator:
@@ -485,8 +415,3 @@ class StreamingTreeAggregator:
     def partials(self) -> int:
         """Number of partial sums currently held (at most ``⌈log_arity N⌉``)."""
         return len(self._alive())
-
-    def reset(self) -> None:
-        """Drop all state and start a fresh aggregation."""
-        self.count = 0
-        self._digits = []

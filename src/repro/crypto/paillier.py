@@ -18,10 +18,8 @@ Scheme summary
   ``Dec(Enc(a)^k mod n²) = k·a mod n``.
 
 The implementation also provides the usual engineering refinements found in
-production libraries: CRT-accelerated decryption, ciphertext
-re-randomisation (obfuscation), negative-number support via the upper
-half of ``Z_n``, and **key-holder noise**: the encryption noise
-``r^n mod n²`` has one definition and two spellings,
+production libraries: CRT-accelerated decryption and **key-holder noise**:
+the encryption noise ``r^n mod n²`` has one definition and two spellings,
 :meth:`PaillierPublicKey.raw_noise` (one full-size exponentiation, all a
 public-key-only party can do) and :meth:`PaillierPrivateKey.raw_noise` (the
 same integer by CRT over ``p²`` and ``q²``, Paillier 1999 §7, ~2–3× cheaper).
@@ -106,8 +104,7 @@ class PaillierPublicKey:
 
     def raw_encrypt(self, plaintext: int, r_value: Optional[int] = None,
                     rng: Optional[random.Random] = None,
-                    rn_value: Optional[int] = None,
-                    obfuscate: bool = True) -> int:
+                    rn_value: Optional[int] = None) -> int:
         """Encrypt an integer plaintext already reduced into ``Z_n``.
 
         With ``g = n + 1`` the term ``g^m mod n²`` simplifies to
@@ -122,10 +119,6 @@ class PaillierPublicKey:
             Precomputed ``r^n mod n²`` (e.g. from a :class:`NoisePool`),
             skipping the modular exponentiation entirely — the dominant cost
             of Paillier encryption.
-        obfuscate:
-            When ``False`` (and no noise is supplied) the deterministic,
-            noise-free ciphertext ``g^m mod n²`` is returned; it must be
-            re-randomised with :meth:`raw_obfuscate` before transmission.
         """
         if not isinstance(plaintext, int):
             raise TypeError(f"plaintext must be int, got {type(plaintext).__name__}")
@@ -133,8 +126,6 @@ class PaillierPublicKey:
         gm = (1 + self.n * m) % self.nsquare
         if rn_value is not None:
             return (gm * rn_value) % self.nsquare
-        if r_value is None and not obfuscate:
-            return gm
         r = r_value if r_value is not None else self.get_random_lt_n(rng)
         return (gm * self.raw_noise(r)) % self.nsquare
 
@@ -146,34 +137,6 @@ class PaillierPublicKey:
         :meth:`PaillierPrivateKey.raw_noise`.
         """
         return pow(r, self.n, self.nsquare)
-
-    def raw_obfuscate(self, ciphertext: int, rn_value: Optional[int] = None,
-                      rng: Optional[random.Random] = None) -> int:
-        """Re-randomise a raw ciphertext by multiplying in fresh noise.
-
-        Used for deferred obfuscation: encrypt cheaply with
-        ``raw_encrypt(..., obfuscate=False)``, then apply noise (possibly from
-        a :class:`NoisePool`) just before the ciphertext leaves the client.
-        """
-        if rn_value is None:
-            rn_value = self.raw_noise(self.get_random_lt_n(rng))
-        return (ciphertext * rn_value) % self.nsquare
-
-    # -- homomorphic primitives on raw ciphertexts --------------------------
-
-    def raw_add(self, c1: int, c2: int) -> int:
-        """Homomorphic addition of two raw ciphertexts."""
-        return (c1 * c2) % self.nsquare
-
-    def raw_add_plain(self, c: int, plaintext: int) -> int:
-        """Homomorphically add a plaintext integer to a raw ciphertext."""
-        gm = (1 + self.n * (plaintext % self.n)) % self.nsquare
-        return (c * gm) % self.nsquare
-
-    def raw_mul(self, c: int, scalar: int) -> int:
-        """Homomorphic multiplication of a raw ciphertext by a plaintext scalar."""
-        s = scalar % self.n
-        return pow(c, s, self.nsquare)
 
     # -- misc ---------------------------------------------------------------
 
@@ -188,12 +151,6 @@ class PaillierPublicKey:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PaillierPublicKey) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("PaillierPublicKey", self.n))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PaillierPublicKey(bits={self.key_size})"
 
 
 class NoisePool:
@@ -225,8 +182,6 @@ class NoisePool:
     rng:
         Optional seeded RNG for reproducible pools in tests; secure
         randomness is used when omitted.
-    batch_size:
-        How many terms :meth:`take` generates at once when the pool runs dry.
     check_coprime:
         Forwarded to :meth:`PaillierPublicKey.get_random_lt_n`; the default
         ``False`` uses the fast path that skips the gcd rejection loop.
@@ -234,28 +189,15 @@ class NoisePool:
 
     def __init__(self, key: "PaillierPublicKey | PaillierPrivateKey",
                  rng: Optional[random.Random] = None,
-                 batch_size: int = 64,
                  check_coprime: bool = False):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self.key = key
         self.public_key = (key if isinstance(key, PaillierPublicKey)
                            else key.public_key)
         self.rng = rng
-        self.batch_size = batch_size
         self.check_coprime = check_coprime
         self.generated = 0
         self._pool: list[int] = []
         self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def __reduce__(self):
-        # crossing a process boundary carries the configuration only: pooled
-        # terms stay with their owner, and a seeded rng must never be cloned
-        # into several workers (they would all draw the same noise)
-        return (NoisePool, (self.key, None, self.batch_size, self.check_coprime))
 
     def _generate(self, count: int) -> list[int]:
         draw = self.public_key.get_random_lt_n
@@ -271,14 +213,6 @@ class NoisePool:
         with self._lock:
             self._pool.extend(fresh)
             self.generated += count
-
-    def take(self) -> int:
-        """Pop one precomputed ``r^n mod n²``, refilling a batch if empty."""
-        with self._lock:
-            if self._pool:
-                return self._pool.pop()
-        self.refill(self.batch_size)
-        return self.take()
 
     def take_many(self, count: int) -> list[int]:
         """Pop *count* noise terms, generating any shortfall in one batch."""
@@ -366,27 +300,6 @@ class PaillierPrivateKey:
         rq = pow(pow(r % q, p % (q - 1), q), q, self.qsquare)
         return self._crt(rp, rq, self.psquare, self.qsquare,
                          self.psquare_inverse)
-
-    def decrypt_signed(self, ciphertext: int) -> int:
-        """Decrypt and map the upper half of ``Z_n`` back to negative integers."""
-        value = self.raw_decrypt(ciphertext)
-        n = self.public_key.n
-        if value > n // 2:
-            value -= n
-        return value
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PaillierPrivateKey)
-            and other.p == self.p
-            and other.q == self.q
-        )
-
-    def __hash__(self) -> int:
-        return hash(("PaillierPrivateKey", self.p, self.q))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PaillierPrivateKey(bits={self.public_key.key_size})"
 
 
 @dataclass(frozen=True)

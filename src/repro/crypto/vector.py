@@ -142,18 +142,6 @@ class EncryptedVector:
         if self.base != other.base or self.precision != other.precision:
             raise ValueError("cannot combine vectors with different fixed-point scales")
 
-    def __add__(self, other: "EncryptedVector") -> "EncryptedVector":
-        if not isinstance(other, EncryptedVector):
-            return NotImplemented
-        return self.copy().add_(other)
-
-    def scale(self, scalar: int) -> "EncryptedVector":
-        """Multiply every encrypted component by a plaintext integer scalar."""
-        if not isinstance(scalar, int) or isinstance(scalar, bool):
-            raise TypeError("scale expects a plaintext int scalar")
-        scaled = [self.public_key.raw_mul(c, scalar) for c in self.ciphertexts]
-        return EncryptedVector(self.public_key, scaled, self.base, self.precision)
-
     def copy(self) -> "EncryptedVector":
         """A ciphertext-level copy (safe to accumulate into in place)."""
         return EncryptedVector(self.public_key, self.ciphertexts, self.base,
@@ -169,37 +157,8 @@ class EncryptedVector:
             own[i] = own[i] * theirs[i] % nsquare
         return self
 
-    # -- sizes / serialization -------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.ciphertexts)
+    # -- sizes -----------------------------------------------------------------
 
     def nbytes(self) -> int:
         """Total ciphertext wire size in bytes (components only)."""
         return len(self.ciphertexts) * self.public_key.ciphertext_bytes()
-
-    def to_bytes(self) -> bytes:
-        """Serialize ciphertexts to a compact byte string (length-prefixed)."""
-        width = self.public_key.ciphertext_bytes()
-        chunks = [len(self.ciphertexts).to_bytes(4, "big"), width.to_bytes(4, "big")]
-        chunks.extend(c.to_bytes(width, "big") for c in self.ciphertexts)
-        return b"".join(chunks)
-
-    @classmethod
-    def from_bytes(cls, public_key: PaillierPublicKey, payload: bytes,
-                   base: int = DEFAULT_BASE,
-                   precision: int = DEFAULT_PRECISION) -> "EncryptedVector":
-        """Inverse of :meth:`to_bytes` (the receiver knows the public key)."""
-        count = int.from_bytes(payload[0:4], "big")
-        width = int.from_bytes(payload[4:8], "big")
-        ciphertexts = []
-        offset = 8
-        for _ in range(count):
-            ciphertexts.append(int.from_bytes(payload[offset : offset + width], "big"))
-            offset += width
-        return cls(public_key, ciphertexts, base, precision)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EncryptedVector(len={len(self)}, key_bits={self.public_key.key_size})"
-        )

@@ -2,12 +2,10 @@
 
 Public API
 ----------
-* distribution utilities — :func:`emd`, :func:`kl_divergence`,
-  :func:`imbalance_ratio`, :func:`average_emd`, :func:`uniform_distribution`.
-* global skew — :func:`half_normal_class_proportions`,
-  :func:`skewed_class_counts`.
+* distribution utilities — :func:`emd`, :func:`imbalance_ratio`,
+  :func:`average_emd`, :func:`uniform_distribution`.
+* global skew — :func:`half_normal_class_proportions`.
 * client partitioning — :class:`EMDTargetPartitioner`,
-  :class:`DirichletPartitioner`, :class:`ShardPartitioner`,
   :class:`ClientPartition`.
 * datasets — :class:`ArrayDataset`, :class:`DataLoader`,
   :class:`SyntheticImageGenerator`, :func:`make_synthetic_mnist`,
@@ -21,18 +19,16 @@ Public API
 
 from .cohort import CohortBuffer, CohortShapeError, DatasetCache
 from .dataloader import DataLoader
-from .dataset import ArrayDataset, Subset, train_test_split
+from .dataset import ArrayDataset
 from .distributions import (
     average_emd,
     emd,
     imbalance_ratio,
-    kl_divergence,
     label_counts,
     label_distribution,
     normalize_counts,
     population_distribution,
     uniform_distribution,
-    validate_distribution,
 )
 from .femnist import (
     FEMNIST_NUM_CLASSES,
@@ -42,13 +38,8 @@ from .femnist import (
     FemnistFederation,
     make_femnist_federation,
 )
-from .partition import (
-    ClientPartition,
-    DirichletPartitioner,
-    EMDTargetPartitioner,
-    ShardPartitioner,
-)
-from .skew import apply_global_skew, half_normal_class_proportions, skewed_class_counts
+from .partition import ClientPartition, EMDTargetPartitioner
+from .skew import half_normal_class_proportions
 from .synthetic import (
     SyntheticImageGenerator,
     make_synthetic_cifar,
@@ -64,23 +55,18 @@ __all__ = [
     "CohortShapeError",
     "DataLoader",
     "DatasetCache",
-    "DirichletPartitioner",
     "EMDTargetPartitioner",
     "FEMNIST_NUM_CLASSES",
     "FEMNIST_PAPER_CLIENTS",
     "FEMNIST_PAPER_EMD",
     "FEMNIST_PAPER_RHO",
     "FemnistFederation",
-    "ShardPartitioner",
-    "Subset",
     "SyntheticImageGenerator",
     "VirtualClientMapping",
-    "apply_global_skew",
     "average_emd",
     "emd",
     "half_normal_class_proportions",
     "imbalance_ratio",
-    "kl_divergence",
     "label_counts",
     "label_distribution",
     "make_femnist_federation",
@@ -90,8 +76,5 @@ __all__ = [
     "make_virtual_clients",
     "normalize_counts",
     "population_distribution",
-    "skewed_class_counts",
-    "train_test_split",
     "uniform_distribution",
-    "validate_distribution",
 ]

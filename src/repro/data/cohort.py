@@ -74,20 +74,6 @@ class DatasetCache:
                 self._entries.popitem(last=False)
         return dataset
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"DatasetCache(size={len(self._entries)}/{self.capacity}, "
-                f"hits={self.hits}, misses={self.misses})")
-
 
 class CohortBuffer:
     """Round-persistent ``(K, N_vc, …)`` stacking buffers with slot reuse.
@@ -195,15 +181,3 @@ class CohortBuffer:
             self._slot_pins[k] = ds
             self.restacked += 1
         return self.x, self.y
-
-    @property
-    def samples_per_client(self) -> int:
-        if self.x is None:
-            raise RuntimeError("buffer not stacked yet")
-        return self.x.shape[1]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "empty" if self.x is None else f"x{self.x.shape}"
-        return (f"CohortBuffer(clients={self.num_clients}, {state}, "
-                f"allocations={self.allocations}, restacked={self.restacked}, "
-                f"reused={self.reused})")

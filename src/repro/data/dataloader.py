@@ -45,12 +45,6 @@ class DataLoader:
         self.drop_last = drop_last
         self.rng = np.random.default_rng(seed)
 
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)

@@ -1,21 +1,19 @@
 """In-memory dataset containers.
 
 :class:`ArrayDataset` is the minimal dataset abstraction the rest of the
-stack needs: indexable ``(x, y)`` pairs backed by numpy arrays, cheap
-subsetting by index (client shards are views, not copies — important when a
-thousand virtual clients share one underlying array), and label-distribution
-helpers used by the selection algorithms.
+stack needs: ``(x, y)`` pairs backed by numpy arrays and the empirical label
+distribution the selection algorithms read.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .distributions import label_counts, label_distribution
+from .distributions import label_distribution
 
-__all__ = ["ArrayDataset", "Subset", "train_test_split"]
+__all__ = ["ArrayDataset"]
 
 
 class ArrayDataset:
@@ -36,96 +34,9 @@ class ArrayDataset:
             raise ValueError("labels exceed num_classes")
         self.num_classes = num_classes
 
-    # -- container protocol ----------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.y)
-
-    def __getitem__(self, index):
-        return self.x[index], self.y[index]
-
-    # -- label statistics --------------------------------------------------------
-
-    def class_counts(self) -> np.ndarray:
-        """Per-class sample counts."""
-        return label_counts(self.y, self.num_classes)
 
     def class_distribution(self) -> np.ndarray:
         """Empirical label distribution."""
         return label_distribution(self.y, self.num_classes)
-
-    # -- subsetting ---------------------------------------------------------------
-
-    def subset(self, indices: Sequence[int] | np.ndarray) -> "Subset":
-        """A view of this dataset restricted to *indices*."""
-        return Subset(self, np.asarray(indices, dtype=int))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ArrayDataset(n={len(self)}, num_classes={self.num_classes}, "
-            f"x_shape={self.x.shape[1:]})"
-        )
-
-
-class Subset(ArrayDataset):
-    """A view of a parent :class:`ArrayDataset` restricted to given indices."""
-
-    def __init__(self, parent: ArrayDataset, indices: np.ndarray):
-        indices = np.asarray(indices, dtype=int)
-        if indices.size and (indices.min() < 0 or indices.max() >= len(parent)):
-            raise IndexError("subset indices out of range")
-        self.parent = parent
-        self.indices = indices
-        # note: x/y here are fancy-indexed copies only when accessed through
-        # __getitem__; we avoid materialising them eagerly for large parents.
-        self.num_classes = parent.num_classes
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index):
-        return self.parent[self.indices[index]]
-
-    @property
-    def x(self) -> np.ndarray:  # type: ignore[override]
-        return self.parent.x[self.indices]
-
-    @property
-    def y(self) -> np.ndarray:  # type: ignore[override]
-        return self.parent.y[self.indices]
-
-    def subset(self, indices: Sequence[int] | np.ndarray) -> "Subset":
-        return Subset(self.parent, self.indices[np.asarray(indices, dtype=int)])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Subset(n={len(self)}, of={self.parent!r})"
-
-
-def train_test_split(dataset: ArrayDataset, test_fraction: float = 0.2,
-                     rng: Optional[np.random.Generator] = None,
-                     stratified: bool = True) -> tuple[Subset, Subset]:
-    """Split a dataset into train/test subsets.
-
-    With ``stratified=True`` (default) every class contributes the same
-    fraction of its samples to the test set, so the test distribution matches
-    the source distribution.  The paper's *test* set is uniform over classes;
-    use :func:`repro.data.synthetic.make_uniform_test_set` for that.
-    """
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    rng = rng if rng is not None else np.random.default_rng()
-    n = len(dataset)
-    if stratified:
-        test_idx: list[np.ndarray] = []
-        for c in range(dataset.num_classes):
-            idx = np.flatnonzero(dataset.y == c)
-            idx = rng.permutation(idx)
-            take = int(round(len(idx) * test_fraction))
-            test_idx.append(idx[:take])
-        test_indices = np.concatenate(test_idx) if test_idx else np.empty(0, dtype=int)
-    else:
-        test_indices = rng.permutation(n)[: int(round(n * test_fraction))]
-    mask = np.ones(n, dtype=bool)
-    mask[test_indices] = False
-    train_indices = np.flatnonzero(mask)
-    return dataset.subset(train_indices), dataset.subset(test_indices)

@@ -20,32 +20,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "validate_distribution",
     "uniform_distribution",
     "normalize_counts",
     "emd",
-    "kl_divergence",
     "imbalance_ratio",
     "average_emd",
     "label_counts",
     "label_distribution",
     "population_distribution",
 ]
-
-
-def validate_distribution(p: np.ndarray, atol: float = 1e-6) -> np.ndarray:
-    """Check that *p* is a proper probability vector and return it as float64."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"distribution must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("distribution must be non-empty")
-    if np.any(arr < -atol):
-        raise ValueError("distribution has negative entries")
-    total = arr.sum()
-    if not np.isclose(total, 1.0, atol=atol):
-        raise ValueError(f"distribution sums to {total}, expected 1")
-    return arr
 
 
 def uniform_distribution(num_classes: int) -> np.ndarray:
@@ -80,17 +63,6 @@ def emd(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     return float(np.abs(p - q).sum())
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
-    """KL divergence ``D(p || q)`` used by the greedy (Astraea-style) selector."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    p_safe = np.clip(p, eps, None)
-    q_safe = np.clip(q, eps, None)
-    return float(np.sum(p * (np.log(p_safe) - np.log(q_safe))))
 
 
 def imbalance_ratio(counts: np.ndarray | Sequence[float]) -> float:

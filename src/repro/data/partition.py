@@ -19,9 +19,6 @@ coefficient ``α`` is calibrated so that the *average* ``||p_l^k − p_g||₁``
 matches the requested ``EMD_avg``: ``α = 0`` reproduces the IID extreme
 (every client looks like the global data) and ``α = 1`` reproduces the
 fully-concentrated extreme described in the paper.
-
-Two classical partitioners (Dirichlet and shards) are included for
-completeness; they are used by ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -33,18 +30,12 @@ import numpy as np
 
 from .distributions import (
     average_emd,
-    emd,
     imbalance_ratio,
     normalize_counts,
     population_distribution,
 )
 
-__all__ = [
-    "ClientPartition",
-    "EMDTargetPartitioner",
-    "DirichletPartitioner",
-    "ShardPartitioner",
-]
+__all__ = ["ClientPartition", "EMDTargetPartitioner"]
 
 
 @dataclass
@@ -79,10 +70,6 @@ class ClientPartition:
     def n_clients(self) -> int:
         return self.client_class_counts.shape[0]
 
-    def client_sizes(self) -> np.ndarray:
-        """Number of samples on each client."""
-        return self.client_class_counts.sum(axis=1)
-
     def client_distribution(self, k: int) -> np.ndarray:
         """Label distribution ``p_l^k`` of client *k*."""
         return normalize_counts(self.client_class_counts[k])
@@ -112,11 +99,6 @@ class ClientPartition:
     def selection_population(self, selected: Sequence[int]) -> np.ndarray:
         """Population distribution ``p_o`` of a selected subset of clients."""
         return population_distribution([self.client_distribution(k) for k in selected])
-
-    def selection_bias(self, selected: Sequence[int]) -> float:
-        """``||p_o − p_u||₁`` of a selection — the quantity Dubhe minimises."""
-        p_u = np.full(self.num_classes, 1.0 / self.num_classes)
-        return emd(self.selection_population(selected), p_u)
 
 
 class EMDTargetPartitioner:
@@ -258,80 +240,4 @@ class EMDTargetPartitioner:
                 "emd_target": self.emd_target,
                 "dominating_classes": self.dominating_classes,
             },
-        )
-
-
-class DirichletPartitioner:
-    """Classical Dirichlet(α) label-skew partitioner (ablation baseline).
-
-    Smaller concentration values produce more heterogeneous clients; this is
-    the partition scheme used by many FL papers and serves as a sanity
-    baseline for the EMD-targeted partitioner above.
-    """
-
-    def __init__(self, n_clients: int, samples_per_client: int, concentration: float,
-                 seed: Optional[int] = None):
-        if concentration <= 0:
-            raise ValueError("concentration must be positive")
-        if n_clients < 1 or samples_per_client < 1:
-            raise ValueError("n_clients and samples_per_client must be positive")
-        self.n_clients = n_clients
-        self.samples_per_client = samples_per_client
-        self.concentration = concentration
-        self.rng = np.random.default_rng(seed)
-
-    def partition(self, global_distribution: np.ndarray) -> ClientPartition:
-        global_dist = np.asarray(global_distribution, dtype=float)
-        global_dist = global_dist / global_dist.sum()
-        num_classes = global_dist.size
-        counts = np.zeros((self.n_clients, num_classes), dtype=int)
-        for k in range(self.n_clients):
-            p = self.rng.dirichlet(self.concentration * num_classes * global_dist + 1e-9)
-            counts[k] = self.rng.multinomial(self.samples_per_client, p)
-        return ClientPartition(
-            counts,
-            num_classes,
-            metadata={"partitioner": "dirichlet", "concentration": self.concentration},
-        )
-
-
-class ShardPartitioner:
-    """McMahan-style shard partitioner: each client holds a few label shards.
-
-    Every client receives ``shards_per_client`` contiguous label shards, so a
-    client sees at most that many distinct classes — the classic pathological
-    non-IID setting of the original FedAvg paper.
-    """
-
-    def __init__(self, n_clients: int, samples_per_client: int, shards_per_client: int = 2,
-                 seed: Optional[int] = None):
-        if shards_per_client < 1:
-            raise ValueError("shards_per_client must be positive")
-        if n_clients < 1 or samples_per_client < 1:
-            raise ValueError("n_clients and samples_per_client must be positive")
-        self.n_clients = n_clients
-        self.samples_per_client = samples_per_client
-        self.shards_per_client = shards_per_client
-        self.rng = np.random.default_rng(seed)
-
-    def partition(self, global_distribution: np.ndarray) -> ClientPartition:
-        global_dist = np.asarray(global_distribution, dtype=float)
-        global_dist = global_dist / global_dist.sum()
-        num_classes = global_dist.size
-        counts = np.zeros((self.n_clients, num_classes), dtype=int)
-        per_shard = self.samples_per_client // self.shards_per_client
-        remainder = self.samples_per_client - per_shard * self.shards_per_client
-        for k in range(self.n_clients):
-            classes = self.rng.choice(
-                num_classes,
-                size=min(self.shards_per_client, num_classes),
-                replace=False,
-                p=global_dist,
-            )
-            for i, c in enumerate(classes):
-                counts[k, c] += per_shard + (remainder if i == 0 else 0)
-        return ClientPartition(
-            counts,
-            num_classes,
-            metadata={"partitioner": "shards", "shards_per_client": self.shards_per_client},
         )

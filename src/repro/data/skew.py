@@ -9,8 +9,6 @@ divided by that of the least frequent class.
 ``c`` is assigned a share proportional to the half-normal density evaluated on
 an equally spaced grid, with the grid extent solved analytically so that the
 ratio of the largest to the smallest share is exactly ``ρ``.
-:func:`skewed_class_counts` turns the shares into integer per-class sample
-counts for a dataset of a given total size.
 """
 
 from __future__ import annotations
@@ -21,11 +19,7 @@ import numpy as np
 
 from .distributions import normalize_counts
 
-__all__ = [
-    "half_normal_class_proportions",
-    "skewed_class_counts",
-    "apply_global_skew",
-]
+__all__ = ["half_normal_class_proportions"]
 
 
 def half_normal_class_proportions(num_classes: int, rho: float,
@@ -65,62 +59,3 @@ def half_normal_class_proportions(num_classes: int, rho: float,
         rng = rng if rng is not None else np.random.default_rng()
         proportions = rng.permutation(proportions)
     return proportions
-
-
-def skewed_class_counts(total_samples: int, num_classes: int, rho: float,
-                        rng: Optional[np.random.Generator] = None,
-                        shuffle: bool = False) -> np.ndarray:
-    """Integer per-class sample counts for a globally skewed dataset.
-
-    Counts are obtained by largest-remainder rounding of the half-normal
-    shares so that they sum exactly to *total_samples* and every class keeps
-    at least one sample (so ρ stays finite).
-    """
-    if total_samples < num_classes:
-        raise ValueError("need at least one sample per class")
-    proportions = half_normal_class_proportions(num_classes, rho, rng=rng, shuffle=shuffle)
-    raw = proportions * total_samples
-    counts = np.floor(raw).astype(int)
-    counts = np.maximum(counts, 1)
-    # largest-remainder correction towards the exact total
-    deficit = total_samples - counts.sum()
-    if deficit > 0:
-        order = np.argsort(-(raw - np.floor(raw)))
-        for i in range(deficit):
-            counts[order[i % num_classes]] += 1
-    elif deficit < 0:
-        order = np.argsort(raw - np.floor(raw))
-        i = 0
-        while deficit < 0 and i < 10 * num_classes:
-            c = order[i % num_classes]
-            if counts[c] > 1:
-                counts[c] -= 1
-                deficit += 1
-            i += 1
-    return counts
-
-
-def apply_global_skew(labels: np.ndarray, num_classes: int, rho: float,
-                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Subsample an existing label array so its global skew matches ρ.
-
-    Returns the indices (into *labels*) of the retained samples.  The most
-    frequent class keeps as many samples as available; other classes are
-    subsampled according to the half-normal profile.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    labels = np.asarray(labels)
-    proportions = half_normal_class_proportions(num_classes, rho)
-    per_class_available = np.bincount(labels, minlength=num_classes)
-    # scale so that no class requests more samples than it has
-    scale = np.min(per_class_available / np.maximum(proportions, 1e-12))
-    target = np.maximum((proportions * scale).astype(int), 1)
-    keep: list[np.ndarray] = []
-    for c in range(num_classes):
-        idx = np.flatnonzero(labels == c)
-        take = min(target[c], idx.size)
-        keep.append(rng.choice(idx, size=take, replace=False))
-    result = np.concatenate(keep)
-    rng.shuffle(result)
-    return result
-

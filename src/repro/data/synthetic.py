@@ -175,20 +175,6 @@ class SyntheticImageGenerator:
         noise += self._jittered[y, dy + j, dx + j]
         return noise.astype(np.float32), y
 
-    def sample_class(self, label: int, n: int,
-                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Draw *n* samples of class *label*; returns ``(n, C, H, W)`` floats.
-
-        Consumes *rng* (default: the generator's own) exactly as
-        :meth:`generate` does for one class with ``shuffle=False``.
-        """
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} out of range")
-        counts = np.zeros(self.num_classes, dtype=int)
-        counts[label] = _whole_counts(n, "n")
-        x, _ = self._sample(counts, rng if rng is not None else self._rng)
-        return x
-
     def generate(self, class_counts: Sequence[int] | np.ndarray,
                  rng: Optional[np.random.Generator] = None,
                  shuffle: bool = True) -> ArrayDataset:

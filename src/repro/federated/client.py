@@ -10,7 +10,7 @@ anything leaves the client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 from ..data.cohort import DatasetCache
 from ..data.dataloader import DataLoader
 from ..data.dataset import ArrayDataset
-from ..data.distributions import label_distribution
 from ..nn.loss import CrossEntropyLoss
 from ..nn.module import Module
 from ..nn.optim import Adam, SGD
@@ -87,7 +86,7 @@ class FederatedClient:
     >>> data = ArrayDataset(np.zeros((8, 4)), np.zeros(8, dtype=int),
     ...                     num_classes=2)
     >>> client = FederatedClient(client_id=0, num_classes=2, dataset=data)
-    >>> client.num_samples, client.label_distribution().tolist()
+    >>> client.num_samples, client.dataset.class_distribution().tolist()
     (8, [1.0, 0.0])
     """
 
@@ -139,14 +138,6 @@ class FederatedClient:
         dataset = self.dataset
         return (self.client_id, id(dataset)), dataset
 
-    def label_distribution(self) -> np.ndarray:
-        """The plaintext label distribution ``p_l`` of this client's data."""
-        return label_distribution(self.dataset.y, self.num_classes)
-
-    def label_counts(self) -> np.ndarray:
-        """Per-class sample counts of this client's data."""
-        return self.label_distribution() * self.num_samples
-
     # -- local training -----------------------------------------------------------
 
     def local_train(self, model: Module, config: LocalTrainingConfig,
@@ -178,7 +169,3 @@ class FederatedClient:
                 optimizer.step()
         self.rounds_participated += 1
         return model.state_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "materialised" if self._dataset is not None else "lazy"
-        return f"FederatedClient(id={self.client_id}, data={status})"

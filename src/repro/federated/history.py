@@ -8,9 +8,8 @@ those series so every benchmark reads its numbers from one place.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -199,27 +198,7 @@ class TrainingHistory:
             return np.empty((0, 0))
         return np.vstack([r.population_distribution for r in self.records])
 
-    def participation_counts(self, n_clients: int) -> np.ndarray:
-        """How many times each client was selected over the run."""
-        counts = np.zeros(n_clients, dtype=int)
-        for r in self.records:
-            for k in r.selected_clients:
-                counts[k] += 1
-        return counts
-
     # -- fault-injection series (scenario runs) ------------------------------------
-
-    def failure_totals(self) -> "dict[str, int]":
-        """Injected client-round faults over the whole run, keyed by cause."""
-        totals: dict[str, int] = {}
-        for r in self.records:
-            for cause in r.failures.values():
-                totals[cause] = totals.get(cause, 0) + 1
-        return totals
-
-    def skipped_round_count(self) -> int:
-        """Rounds whose aggregation was skipped (below the participation floor)."""
-        return sum(1 for r in self.records if r.aggregation_skipped)
 
     def fallback_reasons(self) -> "list[tuple[int, str]]":
         """Rounds on which the executor degraded its back-end, with the reason."""
@@ -269,35 +248,3 @@ class TrainingHistory:
         }
 
     # -- serialization -------------------------------------------------------------
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The whole history as a JSON document (one object per round).
-
-        Built on :meth:`RoundRecord.to_dict`, so numpy scalars are already
-        native and :meth:`from_json` reproduces every record exactly.
-
-        Example
-        -------
-        >>> import numpy as np
-        >>> history = TrainingHistory()
-        >>> history.append(RoundRecord(0, (0,), np.array([1.0]), 0.0, 0.5))
-        >>> len(TrainingHistory.from_json(history.to_json()))
-        1
-        """
-        return json.dumps({"records": [r.to_dict() for r in self.records]},
-                          indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainingHistory":
-        """Rebuild a history from :meth:`to_json` output.
-
-        Example
-        -------
-        >>> TrainingHistory.from_json('{"records": []}').records
-        []
-        """
-        payload = json.loads(text)
-        history = cls()
-        for record in payload.get("records", []):
-            history.append(RoundRecord.from_dict(record))
-        return history

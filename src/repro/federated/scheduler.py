@@ -450,9 +450,3 @@ class CohortScheduler:
             client.rounds_participated += 1
         self.rounds_dispatched += 1
         return StackedClientStates(self._per_client, self._stacked)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = self.broken or (f"{len(self._workers)} workers"
-                                if self._workers else "idle")
-        return (f"CohortScheduler(num_workers={self.num_workers}, "
-                f"builds={self.builds}, {state})")

@@ -388,7 +388,7 @@ class FederatedSimulation:
         self._drift_events += 1
         self._clients.clear()
         if self.dataset_cache is not None:
-            self.dataset_cache.clear()
+            self.dataset_cache = DatasetCache(self.dataset_cache.capacity)
         distributions = self.partition.client_distributions()
         if hasattr(self.selector, "refresh_registrations"):
             self.selector.refresh_registrations(distributions)

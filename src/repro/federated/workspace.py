@@ -192,7 +192,3 @@ class CohortWorkspace:
             self._optimizer.lr = config.learning_rate
             self._optimizer.reset()
         return self._optimizer
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CohortWorkspace(clients={self.num_clients}, "
-                f"rounds_bound={self.rounds_bound}, buffer={self.buffer!r})")

@@ -440,21 +440,6 @@ class LedgerSession:
             pass  # nothing evaluated yet (e.g. zero remaining rounds)
         self.ledger.finish_run(self.run_id, report=summary)
 
-    def attach_report(self, report: dict, name: Optional[str] = None) -> None:
-        """Store a scenario report (and optional name) on this run's row.
-
-        VERIFY sessions ignore this — they never write.
-
-        Example
-        -------
-        >>> # session.attach_report(report.summary(), name="churn-sweep")
-        """
-        if self.mode == "verify":
-            return
-        self.ledger.attach_report(self.run_id, report)
-        if name is not None:
-            self.ledger.set_run_name(self.run_id, name)
-
     def close(self) -> None:
         """Release the underlying SQLite connection (idempotent).
 

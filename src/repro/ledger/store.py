@@ -33,8 +33,8 @@ import os
 import sqlite3
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class RunInfo:
     >>> info = RunInfo(run_id="ab12", name="demo", status="completed",
     ...                created_at=0.0, finished_at=1.0, rounds_planned=5,
     ...                rounds_committed=5, config={"rounds": 5}, seeds={})
-    >>> info.is_complete()
-    True
+    >>> info.status
+    'completed'
     """
 
     run_id: str
@@ -126,28 +126,6 @@ class RunInfo:
     recipe: Optional[dict] = None
     bench: Optional[dict] = None
     report: Optional[dict] = None
-
-    def is_complete(self) -> bool:
-        """Whether the run finished (as opposed to running or killed).
-
-        Example
-        -------
-        >>> RunInfo("x", "n", "running", 0.0, None, 5, 2, {}, {}).is_complete()
-        False
-        """
-        return self.status == "completed"
-
-    def wall_clock(self) -> Optional[float]:
-        """Total recorded duration in seconds (None while still running).
-
-        Example
-        -------
-        >>> RunInfo("x", "n", "completed", 1.0, 4.5, 5, 5, {}, {}).wall_clock()
-        3.5
-        """
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.created_at
 
 
 def _json_or_none(text: Optional[str]) -> Optional[dict]:
@@ -308,8 +286,8 @@ class RunLedger:
         >>> ledger = RunLedger(os.path.join(tempfile.mkdtemp(), "l.db"))
         >>> run_id = ledger.begin_run("demo", {}, {}, 1)
         >>> ledger.finish_run(run_id, report={"final_accuracy": 0.9})
-        >>> ledger.run(run_id).is_complete()
-        True
+        >>> ledger.run(run_id).status
+        'completed'
         """
         with self._conn:
             cursor = self._conn.execute(
@@ -335,43 +313,6 @@ class RunLedger:
             cursor = self._conn.execute(
                 "UPDATE runs SET status = 'running', finished_at = NULL "
                 "WHERE run_id = ?", (run_id,))
-        if cursor.rowcount == 0:
-            raise LedgerError(f"no run {run_id!r} in {self.path}")
-
-    def set_run_name(self, run_id: str, name: str) -> None:
-        """Rename a run (e.g. a scenario run labelling itself post-hoc).
-
-        Example
-        -------
-        >>> import tempfile, os
-        >>> ledger = RunLedger(os.path.join(tempfile.mkdtemp(), "l.db"))
-        >>> run_id = ledger.begin_run("demo", {}, {}, 1)
-        >>> ledger.set_run_name(run_id, "churn-sweep")
-        >>> ledger.run(run_id).name
-        'churn-sweep'
-        """
-        with self._conn:
-            cursor = self._conn.execute(
-                "UPDATE runs SET name = ? WHERE run_id = ?", (name, run_id))
-        if cursor.rowcount == 0:
-            raise LedgerError(f"no run {run_id!r} in {self.path}")
-
-    def attach_report(self, run_id: str, report: Mapping) -> None:
-        """Store a (scenario) report summary on an existing run row.
-
-        Example
-        -------
-        >>> import tempfile, os
-        >>> ledger = RunLedger(os.path.join(tempfile.mkdtemp(), "l.db"))
-        >>> run_id = ledger.begin_run("demo", {}, {}, 1)
-        >>> ledger.attach_report(run_id, {"skipped_rounds": 0})
-        >>> ledger.run(run_id).report
-        {'skipped_rounds': 0}
-        """
-        with self._conn:
-            cursor = self._conn.execute(
-                "UPDATE runs SET report_json = ? WHERE run_id = ?",
-                (json.dumps(dict(report)), run_id))
         if cursor.rowcount == 0:
             raise LedgerError(f"no run {run_id!r} in {self.path}")
 

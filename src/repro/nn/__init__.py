@@ -5,13 +5,11 @@ Public API
 * :class:`Module`, :class:`Parameter` — model/parameter plumbing with
   ``state_dict`` and flat-vector views for federated aggregation.
 * layers — :class:`Linear`, :class:`Conv2d`, :class:`MaxPool2d`,
-  :class:`AvgPool2d`, :class:`ReLU`, :class:`Flatten`, :class:`Dropout`,
-  :class:`Sequential`.
-* :class:`CrossEntropyLoss`, :func:`softmax`, :func:`log_softmax`.
+  :class:`ReLU`, :class:`Flatten`, :class:`Dropout`, :class:`Sequential`.
+* :class:`CrossEntropyLoss`, :func:`log_softmax`.
 * optimisers — :class:`SGD`, :class:`Adam`.
-* models — :class:`MLP`, :class:`MnistCNN`, :class:`CifarCNN`,
-  :func:`build_model`.
-* metrics — :func:`accuracy`, :func:`evaluate_model`,
+* models — :class:`MLP`, :class:`MnistCNN`, :class:`CifarCNN`.
+* metrics — :func:`evaluate_model`,
   :class:`BatchedEvaluator` (forward-only batched test pass).
 * cohort execution — :class:`BatchedModel`, :class:`BatchedParameter`,
   :func:`batched_cross_entropy` (train K clients as one batched tensor
@@ -26,24 +24,22 @@ from .batched import (
     register_cohort_chain,
     register_layer_vectorizer,
 )
-from .conv import AvgPool2d, Conv2d, MaxPool2d, col2im, im2col
+from .conv import Conv2d, MaxPool2d, col2im, im2col
 from .init import kaiming_uniform, zeros
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
-from .loss import CrossEntropyLoss, log_softmax, softmax
+from .loss import CrossEntropyLoss, log_softmax
 from .metrics import (
     BatchedEvaluator,
-    accuracy,
     confusion_matrix,
     evaluate_model,
     per_class_accuracy,
 )
-from .models import MLP, CifarCNN, MnistCNN, build_model
+from .models import MLP, CifarCNN, MnistCNN
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer
 
 __all__ = [
     "Adam",
-    "AvgPool2d",
     "BatchedEvaluator",
     "BatchedModel",
     "BatchedParameter",
@@ -63,9 +59,7 @@ __all__ = [
     "SGD",
     "Sequential",
     "UnvectorizableModelError",
-    "accuracy",
     "batched_cross_entropy",
-    "build_model",
     "col2im",
     "confusion_matrix",
     "evaluate_model",
@@ -75,6 +69,5 @@ __all__ = [
     "per_class_accuracy",
     "register_cohort_chain",
     "register_layer_vectorizer",
-    "softmax",
     "zeros",
 ]

@@ -38,11 +38,11 @@ built-in batched backward overwrites its parameter grads.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .conv import AvgPool2d, Conv2d, MaxPool2d, col2im, im2col
+from .conv import Conv2d, MaxPool2d, col2im, im2col
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
 from .models import MLP, CifarCNN, MnistCNN
 from .module import Module, Parameter
@@ -75,8 +75,8 @@ class BatchedParameter:
     -------
     >>> import numpy as np
     >>> stacked = BatchedParameter(np.zeros((3, 4, 2)))  # 3 clients
-    >>> stacked.shape, stacked.size
-    ((3, 4, 2), 24)
+    >>> stacked.grad.shape
+    (3, 4, 2)
     """
 
     def __init__(self, value: np.ndarray):
@@ -93,23 +93,6 @@ class BatchedParameter:
     @grad.setter
     def grad(self, value: np.ndarray) -> None:
         self._grad = value
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Full stacked shape ``(K, *parameter_shape)``."""
-        return self.value.shape
-
-    @property
-    def size(self) -> int:
-        """Total scalars across all client copies."""
-        return self.value.size
-
-    def zero_grad(self) -> None:
-        """Reset the stacked gradient to zero in place."""
-        self.grad.fill(0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BatchedParameter(clients={self.value.shape[0]}, shape={self.value.shape[1:]})"
 
 
 def _stack_parameter(param: Parameter, num_clients: int) -> BatchedParameter:
@@ -339,7 +322,7 @@ class FoldedLayer(BatchedLayer):
     """Run a parameter-free per-sample layer with (K, B) folded into one batch.
 
     Exact for any layer whose forward/backward treat samples independently
-    (ReLU, Flatten, max/avg pooling): folding the client axis into the batch
+    (ReLU, Flatten, max pooling): folding the client axis into the batch
     axis leaves every per-sample computation untouched.
     """
 
@@ -463,7 +446,6 @@ register_layer_vectorizer(Dropout, BatchedDropout)
 register_layer_vectorizer(ReLU, FoldedLayer)
 register_layer_vectorizer(Flatten, FoldedLayer)
 register_layer_vectorizer(MaxPool2d, FoldedLayer)
-register_layer_vectorizer(AvgPool2d, FoldedLayer)
 register_layer_vectorizer(Sequential, BatchedSequential)
 
 register_cohort_chain(Sequential, lambda m: list(m.layers))
@@ -497,12 +479,10 @@ class BatchedModel:
 
     Parameters live as ``(K, *shape)`` arrays; :meth:`forward` /
     :meth:`backward` run all K clients' passes at once on ``(K, B, …)``
-    mini-batches.  Because :class:`BatchedParameter` exposes the same
-    ``value`` / ``grad`` / ``zero_grad`` surface as :class:`Parameter` and
-    every optimiser update is elementwise, the *standard* ``Adam`` / ``SGD``
-    optimisers from :mod:`repro.nn.optim` work unchanged — the client axis is
-    transparent to them, which is exactly what makes them the batched
-    optimisers.
+    mini-batches.  Every optimiser update is elementwise, so the fused
+    cohort optimisers (:class:`BatchedAdam` / :class:`BatchedSGD`) run the
+    *standard* ``Adam`` / ``SGD`` arithmetic of :mod:`repro.nn.optim` over
+    the flat parameter pool — the client axis is transparent to it.
 
     The *template* must be a fresh model (e.g. straight from the server's
     model factory): its layer structure defines the program and its dropout
@@ -608,9 +588,6 @@ class BatchedModel:
             x = layer.forward(x)
         return x
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate through every layer, assigning parameter grads."""
         for layer in reversed(self.layers):
@@ -634,18 +611,6 @@ class BatchedModel:
         return self
 
     # -- parameters -----------------------------------------------------------
-
-    def named_parameters(self) -> list[tuple[str, BatchedParameter]]:
-        """``(template name, batched parameter)`` pairs in template order."""
-        return list(self._named)
-
-    def parameters(self) -> list[BatchedParameter]:
-        """All batched parameters (in template order)."""
-        return [bp for _, bp in self._named]
-
-    def zero_grad(self) -> None:
-        """Zero the whole flat gradient pool in place."""
-        self.flat_grads.fill(0.0)
 
     # -- state ----------------------------------------------------------------
 
@@ -675,19 +640,6 @@ class BatchedModel:
             {name: bp.value[k] for name, bp in self._named}
             for k in range(self.num_clients)
         ]
-
-    def mean_state(self) -> dict[str, np.ndarray]:
-        """Server aggregation in one op: the mean over the client axis."""
-        return {name: bp.value.mean(axis=0) for name, bp in self._named}
-
-    def num_parameters(self) -> int:
-        """Total scalar parameters across the whole cohort."""
-        return int(sum(p.size for p in self.parameters()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"BatchedModel({type(self.template).__name__}, "
-                f"clients={self.num_clients})")
-
 
 # -- fused cohort optimisers ------------------------------------------------------
 #
@@ -818,10 +770,6 @@ class BatchedAdam:
         self._s1 = np.empty(scratch, dtype=self._values.dtype)
         self._s2 = np.empty(scratch, dtype=self._values.dtype)
         self._t = 0
-
-    def zero_grad(self) -> None:
-        """Zero the model's flat gradient pool in place."""
-        self._grads.fill(0.0)
 
     def reset(self) -> None:
         """Forget all optimiser state (fresh-optimiser semantics, no realloc).

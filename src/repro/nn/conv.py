@@ -17,7 +17,7 @@ import numpy as np
 from .init import kaiming_uniform, zeros
 from .module import Module, Parameter, seeded_rng
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "im2col", "col2im"]
+__all__ = ["Conv2d", "MaxPool2d", "im2col", "col2im"]
 
 
 def _output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -160,29 +160,3 @@ class MaxPool2d(Module):
         counts = mask.sum(axis=(3, 5), keepdims=True)
         grad = grad / np.maximum(counts, 1).astype(grad.dtype)
         return grad.reshape(n, c, h, w)
-
-
-class AvgPool2d(Module):
-    """Average pooling with square windows (kernel == stride)."""
-
-    def __init__(self, kernel_size: int):
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self._shape: Optional[tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(f"input spatial size {h}x{w} not divisible by pool {k}")
-        self._shape = x.shape
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._shape
-        k = self.kernel_size
-        grad = grad_output[:, :, :, None, :, None] / (k * k)
-        return np.broadcast_to(grad, (n, c, h // k, k, w // k, k)).reshape(n, c, h, w)

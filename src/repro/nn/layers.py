@@ -2,13 +2,13 @@
 
 Each layer implements an explicit ``forward`` that caches whatever the
 matching ``backward`` needs.  Gradients are *accumulated* into
-``Parameter.grad`` (cleared by ``Module.zero_grad`` / the optimiser), which
+``Parameter.grad`` (cleared by the optimiser's ``zero_grad``), which
 matches PyTorch semantics and keeps the local-training loop familiar.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -134,9 +134,3 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
         return grad_output
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
-    def __len__(self) -> int:
-        return len(self.layers)

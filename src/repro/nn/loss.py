@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "CrossEntropyLoss"]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+__all__ = ["log_softmax", "CrossEntropyLoss"]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

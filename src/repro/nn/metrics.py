@@ -26,20 +26,10 @@ from .module import Module
 
 __all__ = [
     "BatchedEvaluator",
-    "accuracy",
     "confusion_matrix",
     "evaluate_model",
     "per_class_accuracy",
 ]
-
-
-def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Top-1 accuracy of a batch of logits."""
-    logits = np.asarray(logits)
-    targets = np.asarray(targets)
-    if len(logits) == 0:
-        raise ValueError("cannot compute accuracy of an empty batch")
-    return float((logits.argmax(axis=1) == targets).mean())
 
 
 def confusion_matrix(predictions: np.ndarray, targets: np.ndarray,

@@ -24,7 +24,7 @@ from .conv import Conv2d, MaxPool2d
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
 from .module import Module
 
-__all__ = ["MLP", "MnistCNN", "CifarCNN", "build_model"]
+__all__ = ["MLP", "MnistCNN", "CifarCNN"]
 
 
 class MLP(Module):
@@ -153,19 +153,3 @@ class CifarCNN(Module):
         grad = self.conv2.backward(grad)
         grad = self.relu1.backward(grad)
         return self.conv1.backward(grad)
-
-
-def build_model(name: str, in_channels: int, image_size: int, num_classes: int,
-                seed: Optional[int] = None) -> Module:
-    """Factory used by the experiment harness and examples.
-
-    ``name`` is one of ``"mlp"``, ``"mnist_cnn"``, ``"cifar_cnn"``.
-    """
-    name = name.lower()
-    if name == "mlp":
-        return MLP(in_channels * image_size * image_size, num_classes, seed=seed)
-    if name == "mnist_cnn":
-        return MnistCNN(in_channels, image_size, num_classes, seed=seed)
-    if name == "cifar_cnn":
-        return CifarCNN(in_channels, image_size, num_classes, seed=seed)
-    raise ValueError(f"unknown model name: {name!r}")

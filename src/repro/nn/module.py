@@ -30,19 +30,8 @@ class Parameter:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    @property
-    def size(self) -> int:
-        return self.value.size
-
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Parameter(shape={self.value.shape})"
 
 
 class Module:
@@ -112,15 +101,6 @@ class Module:
         """All parameters of this module (in named order)."""
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return int(sum(p.size for p in self.parameters()))
-
-    def zero_grad(self) -> None:
-        """Reset all parameter gradients to zero."""
-        for p in self.parameters():
-            p.zero_grad()
-
     # -- state dict / flattening ---------------------------------------------------
 
     def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
@@ -163,24 +143,6 @@ class Module:
             return np.empty(0)
         return np.concatenate([p.value.ravel() for p in params])
 
-    def load_flat_parameters(self, flat: np.ndarray) -> None:
-        """Inverse of :meth:`flatten_parameters`."""
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = self.num_parameters()
-        if flat.size != expected:
-            raise ValueError(f"expected {expected} values, got {flat.size}")
-        offset = 0
-        for p in self.parameters():
-            p.value = flat[offset : offset + p.size].reshape(p.shape).copy()
-            offset += p.size
-
-    def flatten_gradients(self) -> np.ndarray:
-        """Concatenate all parameter gradients into a single 1-D vector."""
-        params = self.parameters()
-        if not params:
-            return np.empty(0)
-        return np.concatenate([p.grad.ravel() for p in params])
-
     # -- misc -----------------------------------------------------------------------
 
     def clone(self) -> "Module":
@@ -188,9 +150,6 @@ class Module:
         import copy
 
         return copy.deepcopy(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(params={self.num_parameters()})"
 
 
 def seeded_rng(seed: Optional[int]) -> np.random.Generator:

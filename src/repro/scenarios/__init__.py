@@ -10,9 +10,8 @@ Public API
 * :class:`FaultInjector`, :class:`RoundPlan`, :class:`ClientFault`,
   :class:`CohortFaults`, :data:`FAILURE_CAUSES` — the seeded engine that
   turns a spec into reproducible per-round decisions.
-* :func:`compare_selectors`,
-  :class:`ScenarioReport` — robustness measured in the paper's own metrics
-  (population EMD, accuracy per selection strategy).
+* :class:`ScenarioReport` — robustness measured in the paper's own metrics
+  (population EMD, accuracy).
 
 A :class:`ScenarioSpec` plugs into
 :class:`repro.federated.FederatedConfig(scenario=...)
@@ -30,7 +29,7 @@ from .engine import (
     FaultInjector,
     RoundPlan,
 )
-from .report import ScenarioReport, compare_selectors
+from .report import ScenarioReport
 from .spec import (
     PARTITION_DIRECTIONS,
     AvailabilitySpec,
@@ -57,5 +56,4 @@ __all__ = [
     "ScenarioReport",
     "ScenarioSpec",
     "StragglerSpec",
-    "compare_selectors",
 ]

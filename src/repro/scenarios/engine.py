@@ -199,23 +199,6 @@ class FaultInjector:
             raise TypeError("spec must be a ScenarioSpec")
         self.spec = spec
 
-    @property
-    def network(self):
-        """The scenario's :class:`~repro.scenarios.spec.NetworkSpec`, if any.
-
-        Network faults are *not* simulated by this injector — they are
-        induced on real sockets by :class:`repro.transport.chaos.ChaosProxy`
-        (keyed by the same scenario seed); this accessor only exposes the
-        spec so transports can pick it up.
-
-        Example
-        -------
-        >>> from repro.scenarios.spec import ScenarioSpec
-        >>> FaultInjector(ScenarioSpec()).network is None
-        True
-        """
-        return self.spec.network
-
     # -- randomness -------------------------------------------------------------
 
     def _client_rng(self, round_index: int, client_id: int,

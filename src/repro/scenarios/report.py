@@ -5,9 +5,6 @@ quantities the paper itself uses, so a :class:`ScenarioReport` reduces a
 faulted run to per-round population EMD ``||p_o − p_u||₁`` (planned *and*
 actually-aggregated cohort), test accuracy, the failure census by cause, and
 how many rounds fell below the participation threshold.
-:func:`compare_selectors` runs the same scenario under several selection
-strategies (Dubhe vs greedy vs random, typically), which is exactly the
-paper's Figure 6/9 comparison transplanted into a faulted world.
 
 This module only reads the simulation's public surface
 (:class:`~repro.federated.TrainingHistory` records and the partition), so it
@@ -18,11 +15,11 @@ inside the functions to keep :mod:`repro.scenarios` import-light.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-__all__ = ["ScenarioReport", "compare_selectors"]
+__all__ = ["ScenarioReport"]
 
 
 @dataclass(frozen=True)
@@ -55,17 +52,6 @@ class ScenarioReport:
     skipped_rounds: int
     baseline_bias: float
     fallback_reasons: tuple[str, ...] = ()
-
-    def total_failures(self) -> int:
-        """How many client-round faults the scenario injected in total.
-
-        Example
-        -------
-        >>> ScenarioReport("d", 1, (0.1,), (0.1,), (0.5,),
-        ...                {"offline": 2, "dropout": 1}, 0, 0.0).total_failures()
-        3
-        """
-        return int(sum(self.failure_counts.values()))
 
     def final_accuracy(self) -> float:
         """Accuracy of the last evaluated round (NaN-skipping)."""
@@ -112,9 +98,7 @@ def _run_scenario_impl(simulation, rounds: Optional[int] = None,
     *simulation* is a :class:`~repro.federated.FederatedSimulation` whose
     config usually carries a :class:`~repro.scenarios.spec.ScenarioSpec`;
     a scenario-free simulation works too and simply reports zero failures.
-    The simulation is left open (callers own its lifecycle).  When the
-    simulation records to a run ledger (:mod:`repro.ledger`), the report's
-    summary and *name* are attached to the recorded run's row.
+    The simulation is left open (callers own its lifecycle).
     """
     from ..analysis.emd import baseline_global_bias  # lazy: avoids import cycle
 
@@ -147,39 +131,4 @@ def _run_scenario_impl(simulation, rounds: Optional[int] = None,
             simulation.partition.client_distributions())),
         fallback_reasons=tuple(fallback_reasons),
     )
-    session = getattr(simulation, "ledger_session", None)
-    if session is not None:
-        try:
-            session.attach_report(report.summary(), name=name)
-        except ValueError:
-            pass  # nothing evaluated: the run row simply keeps no report
     return report
-
-
-def compare_selectors(make_simulation: Callable[[str], object],
-                      names: Sequence[str] = ("dubhe", "greedy", "random"),
-                      rounds: Optional[int] = None,
-                      ) -> "dict[str, ScenarioReport]":
-    """Benchmark one scenario under several selection strategies.
-
-    *make_simulation* receives a strategy name and returns a fresh
-    simulation for it (same federation, same scenario, different selector) —
-    mirroring the paper's accuracy-versus-selector comparison under faults.
-    Each simulation is closed after its run.
-
-    Example
-    -------
-    >>> # reports = compare_selectors(build_sim, names=("dubhe", "random"))
-    >>> # {n: r.summary()["final_accuracy"] for n, r in reports.items()}
-    """
-    reports: dict[str, ScenarioReport] = {}
-    for selector_name in names:
-        simulation = make_simulation(selector_name)
-        try:
-            reports[selector_name] = _run_scenario_impl(simulation, rounds,
-                                                        name=selector_name)
-        finally:
-            close = getattr(simulation, "close", None)
-            if close is not None:
-                close()
-    return reports

@@ -100,16 +100,6 @@ class AvailabilitySpec:
         object.__setattr__(self, "down_rounds",
                            _normalized_schedule(self.down_rounds, "down_rounds"))
 
-    def is_empty(self) -> bool:
-        """Whether this spec can never take a client offline.
-
-        Example
-        -------
-        >>> AvailabilitySpec().is_empty()
-        True
-        """
-        return self.offline_probability == 0.0 and not self.down_rounds
-
 
 @dataclass(frozen=True)
 class ChurnSpec:
@@ -144,16 +134,6 @@ class ChurnSpec:
         object.__setattr__(self, "joins", joins)
         object.__setattr__(self, "leaves", leaves)
 
-    def is_empty(self) -> bool:
-        """Whether no client ever joins late or leaves early.
-
-        Example
-        -------
-        >>> ChurnSpec().is_empty()
-        True
-        """
-        return not self.joins and not self.leaves
-
 
 @dataclass(frozen=True)
 class StragglerSpec:
@@ -187,16 +167,6 @@ class StragglerSpec:
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
 
-    def is_empty(self) -> bool:
-        """Whether no client ever straggles.
-
-        Example
-        -------
-        >>> StragglerSpec().is_empty()
-        True
-        """
-        return self.probability == 0.0
-
 
 @dataclass(frozen=True)
 class DropoutSpec:
@@ -216,16 +186,6 @@ class DropoutSpec:
 
     def __post_init__(self) -> None:
         _check_probability(self.probability, "dropout probability")
-
-    def is_empty(self) -> bool:
-        """Whether no client ever drops out.
-
-        Example
-        -------
-        >>> DropoutSpec().is_empty()
-        True
-        """
-        return self.probability == 0.0
 
 
 @dataclass(frozen=True)
@@ -257,16 +217,6 @@ class DriftSpec:
             raise ValueError("period must be >= 0 (0 disables drift)")
         if self.period > 0 and self.shift == 0:
             raise ValueError("drift with period > 0 needs a non-zero shift")
-
-    def is_empty(self) -> bool:
-        """Whether the label distributions never drift.
-
-        Example
-        -------
-        >>> DriftSpec().is_empty()
-        True
-        """
-        return self.period == 0
 
 
 @dataclass(frozen=True)
@@ -371,8 +321,8 @@ class ScenarioSpec:
     Example
     -------
     >>> spec = ScenarioSpec(dropouts=DropoutSpec(probability=0.1), seed=7)
-    >>> spec.is_empty(), ScenarioSpec().is_empty()
-    (False, True)
+    >>> spec.dropouts.probability, ScenarioSpec().dropouts.probability
+    (0.1, 0.0)
     """
 
     availability: AvailabilitySpec = field(default_factory=AvailabilitySpec)
@@ -399,20 +349,3 @@ class ScenarioSpec:
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0 (SeedSequence entropy)")
-
-    def is_empty(self) -> bool:
-        """Whether this scenario injects no fault of any kind.
-
-        An empty scenario is the zero-fault identity: the round loop takes
-        the scenario-aware code path, but every decision is a no-op and the
-        run stays bit-identical to a scenario-free one.
-
-        Example
-        -------
-        >>> ScenarioSpec(min_participation=0.5).is_empty()
-        True
-        """
-        return (self.availability.is_empty() and self.churn.is_empty()
-                and self.stragglers.is_empty() and self.dropouts.is_empty()
-                and self.drift.is_empty()
-                and (self.network is None or self.network.is_empty()))

@@ -2,14 +2,14 @@
 
 The paper describes a client/server protocol — encrypted registration,
 probability broadcast, selection, update collection — and this package
-promotes it from an in-process simulation loop to an actual networked
-service, following FedLab's separation of *process* from *role*:
+carries its training half over an actual networked service (the encrypted
+registration runs in-process, :mod:`repro.core.secure`), following FedLab's
+separation of *process* from *role*:
 
 * :mod:`repro.transport.wire` — the versioned, length-prefixed, CRC-checked
-  binary frame format, with codecs for model state dicts and BatchCrypt-style
-  :class:`~repro.crypto.packing.PackedEncryptedVector` payloads;
+  binary frame format, with a codec for model state dicts;
 * :mod:`repro.transport.messages` — the typed round-protocol messages
-  (Register, PackedCiphertextUpload, ProbabilityBroadcast, SelectionNotice,
+  (Register, ProbabilityBroadcast, SelectionNotice,
   ModelDelta, RoundResult, ...);
 * :mod:`repro.transport.base` — the :class:`Transport` seam the simulation
   speaks to, and :class:`InProcessTransport` wrapping the existing
@@ -39,7 +39,6 @@ from .messages import (
     Heartbeat,
     HeartbeatAck,
     ModelDelta,
-    PackedCiphertextUpload,
     ProbabilityBroadcast,
     Register,
     RegisterAck,
@@ -70,7 +69,6 @@ __all__ = [
     "InProcessTransport",
     "MESSAGE_TYPES",
     "ModelDelta",
-    "PackedCiphertextUpload",
     "ProbabilityBroadcast",
     "Register",
     "RegisterAck",

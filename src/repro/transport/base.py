@@ -105,22 +105,6 @@ class Transport(ABC):
         the :class:`~repro.transport.messages.RoundResult` to every client.
         """
 
-    def __enter__(self) -> "Transport":
-        """Context-manager entry: the transport itself.
-
-        Example
-        -------
-        >>> from repro.core.config import TransportConfig
-        >>> with build_transport(TransportConfig()) as transport:
-        ...     transport.last_round_delay
-        0.0
-        """
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: close the transport."""
-        self.close()
-
 
 class InProcessTransport(Transport):
     """The existing simulation back-ends behind the :class:`Transport` seam.

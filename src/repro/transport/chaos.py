@@ -235,13 +235,6 @@ class ChaosProxy:
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
 
-    def __enter__(self) -> "ChaosProxy":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- relay -------------------------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,

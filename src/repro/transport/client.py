@@ -44,7 +44,7 @@ training, so a server-side ``round_timeout`` turns it into a real
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .messages import (
     Heartbeat,
     HeartbeatAck,
     ModelDelta,
-    PackedCiphertextUpload,
     ProbabilityBroadcast,
     Register,
     RegisterAck,
@@ -101,8 +100,7 @@ class TransportClient:
                  max_backoff: float = 2.0, jitter: float = 0.1,
                  reconnect: bool = True,
                  max_frame_bytes: int = 1 << 28,
-                 delay: float = 0.0, delay_round: Optional[int] = None,
-                 uploads: Optional[Iterable[Tuple[str, object]]] = None):
+                 delay: float = 0.0, delay_round: Optional[int] = None):
         if delay < 0:
             raise ValueError("delay must be non-negative")
         self.client = client
@@ -117,8 +115,6 @@ class TransportClient:
         self.max_frame_bytes = max_frame_bytes
         self.delay = delay
         self.delay_round = delay_round
-        #: ``(tag, PackedEncryptedVector)`` pairs sent right after Register
-        self.uploads = list(uploads or [])
         #: cohort position assigned by the server's RegisterAck
         self.position: Optional[int] = None
         #: session token issued by the server (echoed on reconnects/deltas)
@@ -142,40 +138,16 @@ class TransportClient:
         self._tasks: "Set[asyncio.Task]" = set()
         self._shutdown = False
 
-    # -- compatibility accessors -------------------------------------------------
-
-    @property
-    def retries(self) -> int:
-        """Connect retries granted after the first attempt.
-
-        Example
-        -------
-        >>> TransportClient.retries.__doc__ is not None
-        True
-        """
-        return self.policy.retries
-
-    @property
-    def backoff(self) -> float:
-        """Base backoff (seconds) of the connect schedule.
-
-        Example
-        -------
-        >>> TransportClient.backoff.__doc__ is not None
-        True
-        """
-        return self.policy.backoff
-
     # -- the protocol loop -------------------------------------------------------
 
     def run(self) -> None:
         """Serve the full protocol loop (blocking; run it on its own thread).
 
-        Connects (with capped, jittered retries), registers, ships any
-        queued encrypted uploads, then answers selection notices until
-        shutdown.  A mid-run disconnect triggers reconnection and session
-        resumption; only exhausted reconnect attempts (recorded in
-        :attr:`last_error`) or a ``Shutdown`` end the loop.
+        Connects (with capped, jittered retries), registers, then answers
+        selection notices until shutdown.  A mid-run disconnect triggers
+        reconnection and session resumption; only exhausted reconnect
+        attempts (recorded in :attr:`last_error`) or a ``Shutdown`` end the
+        loop.
 
         Example
         -------
@@ -208,10 +180,6 @@ class TransportClient:
                     num_samples=int(self.client.num_samples),
                     token=self.token,
                 ))
-                for tag, vector in self.uploads:
-                    await self._send(PackedCiphertextUpload(
-                        client_id=self.client.client_id, tag=tag,
-                        vector=vector))
                 while True:
                     # no local holds the raw frame: across the awaits below it
                     # would pin one extra copy of a model state per connection
@@ -297,7 +265,7 @@ class TransportClient:
                 del self._delta_cache[round_index]
         elif isinstance(message, ErrorNotice):
             self.last_error = message.detail
-        # Register/uploads/deltas are client→server only; ignore echoes
+        # Register/deltas are client→server only; ignore echoes
 
     async def _train_and_reply(self, notice: SelectionNotice) -> None:
         round_index = notice.round_index

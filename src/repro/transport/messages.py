@@ -7,7 +7,6 @@ the Dubhe protocol.  One round is the following exchange::
     client                         server
       | -- Register -------------->  |   join the federation
       | <-- RegisterAck -----------  |   acknowledged, cohort position known
-      | -- PackedCiphertextUpload -> |   encrypted registry / p_l vectors
       | <-- ProbabilityBroadcast --  |   q_k over the registered cohort
       | <-- SelectionNotice -------  |   you are selected: state + recipe
       | -- ModelDelta ------------>  |   locally trained parameters
@@ -30,27 +29,27 @@ Every message is a frozen dataclass with a one-byte :attr:`TYPE` code and a
 ``WIRE`` table: its fields in wire order, each paired with a codec (``U32``,
 ``STR``, ``STATE``, ...) built on the primitives of
 :mod:`repro.transport.wire`.  One generic encoder (``to_payload``) and one
-generic decoder (``from_payload``) walk that table, so the range check, the
-"payload fully consumed" check and field-wise equality live in one place.
+generic decoder (``from_payload``) walk that table, so the range check and
+the "payload fully consumed" check live in one place.
 **Adding a message is one class plus one table**: a
 ``@dataclass(frozen=True, eq=False)`` subclass of ``_Message`` with a new
 ``TYPE`` and its ``WIRE`` table joins :data:`MESSAGE_TYPES` by subclassing.
 :func:`encode_message` wraps a message into one versioned frame;
 :func:`decode_message` is its exact inverse and raises the structured
 :class:`~repro.transport.wire.WireError` family on damage, truncation,
-trailing bytes or a foreign protocol version.
+trailing bytes or a foreign protocol version.  Type code 3 is retired (the
+packed ciphertext upload of wire version 2, which no server folded); a
+frame carrying it is refused as an unknown type.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Type
 
 import numpy as np
 
-from ..crypto.packing import PackedEncryptedVector
 from ..federated.client import LocalTrainingConfig
 from .wire import (
     CorruptFrameError,
@@ -58,8 +57,6 @@ from .wire import (
     WireWriter,
     decode_frame,
     encode_frame,
-    packed_from_wire,
-    packed_to_wire,
     state_from_wire,
     state_to_wire,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "HeartbeatAck",
     "MESSAGE_TYPES",
     "ModelDelta",
-    "PackedCiphertextUpload",
     "ProbabilityBroadcast",
     "Register",
     "RegisterAck",
@@ -83,11 +79,10 @@ __all__ = [
 
 
 class _Codec(NamedTuple):
-    """How one field crosses the wire: append it, read it back, compare it."""
+    """How one field crosses the wire: append it, read it back."""
 
     write: Callable[[WireWriter, Any], Any]
     read: Callable[[WireReader], Any]
-    same: Callable[[Any, Any], bool] = operator.eq
 
 
 def _write_f64s(writer: WireWriter, values) -> None:
@@ -121,12 +116,6 @@ def _read_recipe(reader: WireReader) -> LocalTrainingConfig:
         raise CorruptFrameError(f"invalid training recipe on the wire: {exc}")
 
 
-def _states_equal(a: "Mapping[str, np.ndarray]",
-                  b: "Mapping[str, np.ndarray]") -> bool:
-    return set(a) == set(b) and all(
-        a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a)
-
-
 U32 = _Codec(WireWriter.u32, WireReader.u32)
 STR = _Codec(WireWriter.str, WireReader.str)
 BOOL = _Codec(WireWriter.bool, WireReader.bool)
@@ -139,14 +128,11 @@ FAILURES = _Codec(_write_failures,
                                   for _ in range(reader.u32())})
 RECIPE = _Codec(_write_recipe, _read_recipe)
 STATE = _Codec(lambda writer, state: state_to_wire(state, writer),
-               state_from_wire, _states_equal)
-PACKED = _Codec(lambda writer, vector: packed_to_wire(vector, writer),
-                packed_from_wire,
-                lambda a, b: a.ciphertexts == b.ciphertexts and a.weight == b.weight)
+               state_from_wire)
 
 
 class _Message:
-    """Table-driven encoder, decoder and equality shared by every message."""
+    """Table-driven encoder and decoder shared by every message."""
 
     TYPE: int
     WIRE: "tuple[tuple[str, _Codec], ...]"
@@ -171,19 +157,6 @@ class _Message:
         if not reader.exhausted():
             raise CorruptFrameError(f"{cls.__name__} payload has trailing bytes")
         return cls(**values)
-
-    def _compared(self) -> "list[tuple[str, Callable[[Any, Any], bool]]]":
-        codecs = dict(self.WIRE)
-        return [(f.name, codecs[f.name].same) for f in fields(self) if f.compare]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(same(getattr(self, name), getattr(other, name))
-                   for name, same in self._compared())
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name, _ in self._compared()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,34 +210,6 @@ class RegisterAck(_Message):
     cohort_size: int
     token: str = ""
     resumed: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class PackedCiphertextUpload(_Message):
-    """Client → server: a packed encrypted vector (registry or ``p_l``).
-
-    The *tag* names which protocol artefact the vector is ("registry",
-    "label_distribution", ...), so one message type covers every encrypted
-    upload of the Dubhe handshake.
-
-    Example
-    -------
-    >>> from repro.crypto import generate_keypair
-    >>> from repro.crypto.packing import PackedEncryptedVector
-    >>> public, private = generate_keypair(key_size=256)
-    >>> vec = PackedEncryptedVector.encrypt(public, [0.5, 0.25])
-    >>> msg = PackedCiphertextUpload(client_id=1, tag="registry", vector=vec)
-    >>> back = decode_message(encode_message(msg))[0]
-    >>> back.vector.decrypt(private).tolist()
-    [0.5, 0.25]
-    """
-
-    TYPE = 3
-    WIRE = (("client_id", U32), ("tag", STR), ("vector", PACKED))
-
-    client_id: int
-    tag: str
-    vector: PackedEncryptedVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +267,7 @@ class ModelDelta(_Message):
     ``token`` echoes the session token from :class:`RegisterAck` so the
     server can deduplicate retransmits by ``(round, client, token)``: a
     client that reconnects mid-round and resends its delta is aggregated
-    exactly once.  It takes no part in equality.
+    exactly once.
 
     Example
     -------
@@ -340,7 +285,7 @@ class ModelDelta(_Message):
     round_index: int
     client_id: int
     state: "Mapping[str, np.ndarray]"
-    token: str = field(default="", compare=False)
+    token: str = ""
 
 
 @dataclass(frozen=True, eq=False)

@@ -548,9 +548,7 @@ class SocketTransport(Transport):
             session.health = "healthy"  # last_seen already updated
         elif isinstance(message, ErrorNotice):
             self.last_fallback_reason = f"client error: {message.detail}"
-        # anything else is dropped on arrival: a PackedCiphertextUpload
-        # (nothing on this side folds it, and keeping it would let a peer
-        # grow server memory without bound) or a server→client echo
+        # anything else is a server→client echo: dropped on arrival
 
     # -- protocol broadcasts ----------------------------------------------------
 

@@ -12,10 +12,10 @@ the one asyncio frame reader the server, the client and the chaos proxy
 share.  Decoding failures are *structured*: a frame cut short raises
 :class:`TruncatedFrameError`, damage raises :class:`CorruptFrameError`, and
 a frame stamped with a different protocol version raises
-:class:`VersionMismatchError` — a v2 server never misinterprets a v1
+:class:`VersionMismatchError` — a v3 server never misinterprets a v2
 client, it rejects it with a nameable cause.
 
-Payloads are built from three codecs, all exact inverses of their decoders:
+Payloads are built from two codecs, both exact inverses of their decoders:
 
 * **primitives** — :class:`WireWriter` / :class:`WireReader` serialise
   integers, floats, strings and raw byte strings (big-endian, length
@@ -23,12 +23,7 @@ Payloads are built from three codecs, all exact inverses of their decoders:
 * **model state** — :func:`state_to_wire` / :func:`state_from_wire` pack a
   state dict (parameter name → ndarray) preserving dtype (float32 and
   float64 alike) and shape bit-for-bit, which is what keeps a localhost
-  round bit-identical to the in-process one;
-* **packed ciphertexts** — :func:`packed_to_wire` / :func:`packed_from_wire`
-  ship a :class:`~repro.crypto.packing.PackedEncryptedVector` together with
-  the public key and fixed-point geometry needed to reconstruct it, reusing
-  the ciphertext layout of
-  :meth:`~repro.crypto.packing.PackedEncryptedVector.to_bytes`.
+  round bit-identical to the in-process one.
 """
 
 from __future__ import annotations
@@ -39,9 +34,6 @@ import zlib
 from typing import Mapping, Optional
 
 import numpy as np
-
-from ..crypto.packing import PackedEncryptedVector, PackingScheme
-from ..crypto.paillier import PaillierPublicKey
 
 __all__ = [
     "CorruptFrameError",
@@ -56,8 +48,6 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "frame_header",
-    "packed_from_wire",
-    "packed_to_wire",
     "read_frame",
     "state_from_wire",
     "state_to_wire",
@@ -70,8 +60,10 @@ WIRE_MAGIC = b"DU"
 #: change to the frame layout or a message payload; peers reject frames
 #: stamped with any other version (:class:`VersionMismatchError`).
 #: v2: session tokens on Register/RegisterAck/ModelDelta and the
-#: Heartbeat/HeartbeatAck liveness pair.
-WIRE_VERSION = 2
+#: Heartbeat/HeartbeatAck liveness pair.  v3: type code 3 (the packed
+#: ciphertext upload, which nothing folded) is retired; every other message
+#: keeps its code and its payload bytes.
+WIRE_VERSION = 3
 
 #: Frame layout: magic, version, msg_type, payload length.
 _HEADER = struct.Struct(">2sBBI")
@@ -255,17 +247,6 @@ class WireWriter:
         self._chunks.append(struct.pack(">I", value))
         return self
 
-    def u64(self, value: int) -> "WireWriter":
-        """Append one unsigned 64-bit integer.
-
-        Example
-        -------
-        >>> WireReader(WireWriter().u64(1 << 40).getvalue()).u64()
-        1099511627776
-        """
-        self._chunks.append(struct.pack(">Q", value))
-        return self
-
     def f64(self, value: float) -> "WireWriter":
         """Append one IEEE-754 float64 (NaN round-trips bit-exactly).
 
@@ -320,19 +301,6 @@ class WireWriter:
         'straggler'
         """
         return self.bytes(value.encode("utf-8"))
-
-    def bigint(self, value: int) -> "WireWriter":
-        """Append an arbitrary-precision non-negative integer (ciphertexts, moduli).
-
-        Example
-        -------
-        >>> WireReader(WireWriter().bigint(1 << 300).getvalue()).bigint() == 1 << 300
-        True
-        """
-        if value < 0:
-            raise ValueError("bigint fields are non-negative")
-        width = max(1, (value.bit_length() + 7) // 8)
-        return self.bytes(value.to_bytes(width, "big"))
 
     def getvalue(self) -> bytes:
         """The accumulated payload.
@@ -393,16 +361,6 @@ class WireReader:
         """
         return struct.unpack(">I", self._take(4))[0]
 
-    def u64(self) -> int:
-        """Read one unsigned 64-bit integer.
-
-        Example
-        -------
-        >>> WireReader(WireWriter().u64(12).getvalue()).u64()
-        12
-        """
-        return struct.unpack(">Q", self._take(8))[0]
-
     def f64(self) -> float:
         """Read one float64.
 
@@ -455,16 +413,6 @@ class WireReader:
             return self.bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptFrameError(f"invalid UTF-8 in string field: {exc}")
-
-    def bigint(self) -> int:
-        """Read an arbitrary-precision integer written by :meth:`WireWriter.bigint`.
-
-        Example
-        -------
-        >>> WireReader(WireWriter().bigint(99).getvalue()).bigint()
-        99
-        """
-        return int.from_bytes(self.bytes(), "big")
 
     def exhausted(self) -> bool:
         """Whether every payload byte has been consumed.
@@ -550,92 +498,3 @@ def state_from_wire(payload: "bytes | WireReader") -> "dict[str, np.ndarray]":
         array = np.frombuffer(raw, dtype=dtype.newbyteorder(">")).reshape(shape)
         state[name] = array.astype(dtype)
     return state
-
-
-# -- packed ciphertexts --------------------------------------------------------------
-
-
-def packed_to_wire(vector: PackedEncryptedVector,
-                   writer: Optional[WireWriter] = None) -> bytes:
-    """Serialise a packed encrypted vector with its full scheme geometry.
-
-    Ships the Paillier modulus, the fixed-point geometry (base, precision,
-    per-addend offset bound) and the packing headroom next to the raw
-    ciphertexts, so the receiver reconstructs a *compatible* scheme — the
-    round-trip preserves ciphertexts, weight and slot layout exactly.
-
-    Example
-    -------
-    >>> from repro.crypto import generate_keypair
-    >>> public, private = generate_keypair(key_size=256)
-    >>> vec = PackedEncryptedVector.encrypt(public, [0.5, -0.25])
-    >>> packed_from_wire(packed_to_wire(vec)).decrypt(private).tolist()
-    [0.5, -0.25]
-    """
-    out = writer or WireWriter()
-    scheme = vector.scheme
-    out.bigint(vector.public_key.n)
-    out.u32(scheme.vector_length)
-    out.u32(scheme.max_weight)
-    out.u32(scheme.base)
-    out.u32(scheme.precision)
-    out.u64(scheme.offset)
-    out.u32(scheme.slot_bits)
-    out.u32(vector.weight)
-    out.u32(len(vector.ciphertexts))
-    for ciphertext in vector.ciphertexts:
-        out.bigint(ciphertext)
-    return out.getvalue() if writer is None else b""
-
-
-def packed_from_wire(payload: "bytes | WireReader") -> PackedEncryptedVector:
-    """Inverse of :func:`packed_to_wire`.
-
-    The scheme is rebuilt from the wire fields and cross-checked: a payload
-    whose slot geometry does not reproduce under the shipped base/precision
-    is rejected as corrupt rather than silently mis-decoded.
-
-    Example
-    -------
-    >>> from repro.crypto import generate_keypair
-    >>> public, _ = generate_keypair(key_size=256)
-    >>> vec = PackedEncryptedVector.encrypt(public, [0.125] * 5)
-    >>> len(packed_from_wire(packed_to_wire(vec)))
-    5
-    """
-    reader = payload if isinstance(payload, WireReader) else WireReader(payload)
-    n = reader.bigint()
-    vector_length = reader.u32()
-    max_weight = reader.u32()
-    base = reader.u32()
-    precision = reader.u32()
-    offset = reader.u64()
-    slot_bits = reader.u32()
-    weight = reader.u32()
-    count = reader.u32()
-    ciphertexts = [reader.bigint() for _ in range(count)]
-    try:
-        public_key = PaillierPublicKey(n)
-        # max_abs_value reconstructs the offset: offset = ceil(m * scale) + 1
-        max_abs_value = (offset - 1) / (base ** precision)
-        scheme = PackingScheme(public_key, vector_length,
-                               max_weight=max_weight, base=base,
-                               precision=precision,
-                               max_abs_value=max(max_abs_value, 1e-12))
-    except (ValueError, OverflowError) as exc:
-        raise CorruptFrameError(f"packed vector geometry is invalid: {exc}")
-    if scheme.offset != offset or scheme.slot_bits != slot_bits:
-        raise CorruptFrameError(
-            f"packed vector geometry does not reproduce: wire "
-            f"(offset={offset}, slot_bits={slot_bits}), derived "
-            f"(offset={scheme.offset}, slot_bits={scheme.slot_bits})"
-        )
-    if count != scheme.num_ciphertexts:
-        raise CorruptFrameError(
-            f"packed vector carries {count} ciphertexts, scheme needs "
-            f"{scheme.num_ciphertexts}"
-        )
-    try:
-        return PackedEncryptedVector(scheme, ciphertexts, weight=weight)
-    except ValueError as exc:
-        raise CorruptFrameError(f"packed vector rejected: {exc}")

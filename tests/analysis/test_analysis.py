@@ -30,7 +30,6 @@ class TestSelectionBiasStats:
         assert 0 <= stats.mean_bias <= 2
         assert stats.std_bias >= 0
         assert len(stats.biases) == 30
-        assert stats.as_row()["K"] == 10
 
     def test_invalid_repetitions(self, federation):
         with pytest.raises(ValueError):
@@ -65,7 +64,6 @@ class TestUnbiasednessSweep:
         assert sweep.participation_counts == (10, 40)
         assert set(sweep.stats) == {"random", "greedy", "dubhe"}
         assert sweep.mean_series("dubhe").shape == (2,)
-        assert len(sweep.as_rows()) == 6
         # Dubhe should beat random at the low participation rate on skewed data
         assert sweep.mean_series("dubhe")[0] < sweep.mean_series("random")[0]
         assert bias_reduction(sweep) > 0

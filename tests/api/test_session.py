@@ -79,20 +79,6 @@ class TestScenarioRuns:
         assert result.report.name == "churn"
         assert result.report.rounds == 2
 
-    def test_compare_selectors_does_not_warn(self):
-        from repro.scenarios import compare_selectors
-
-        def build(selector_name):
-            kwargs = dict(RECIPE_KWARGS, selector="random")
-            return Session(FederatedConfig(rounds=1, seed=0)).with_recipe(
-                RECIPE_TARGET, **kwargs).build()
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            reports = compare_selectors(build, names=("random",), rounds=1)
-        assert set(reports) == {"random"}
-
-
 class TestLedgerRuns:
     def test_with_ledger_records_and_returns_run_id(self, tmp_path):
         path = str(tmp_path / "runs.db")
@@ -139,8 +125,8 @@ class TestBuilderGuards:
 
     def test_with_transport_sets_the_group(self):
         session = Session().with_transport(kind="socket", round_timeout=5.0)
-        assert session.config.transport.kind == "socket"
-        assert session.config.transport.round_timeout == 5.0
+        assert session._config.transport.kind == "socket"
+        assert session._config.transport.round_timeout == 5.0
 
     def test_build_is_idempotent(self):
         with make_session() as session:
@@ -153,7 +139,7 @@ class TestFlatConfig:
                    .with_ledger("a.db", run_name="first")
                    .with_ledger("b.db", run_mode="verify",
                                 source_run_id="abc"))
-        config = session.config
+        config = session._config
         assert (config.ledger_path, config.run_mode) == ("b.db", "verify")
         assert (config.replay_source_run_id, config.run_name) == ("abc", None)
         assert config.rounds == 5
@@ -161,7 +147,7 @@ class TestFlatConfig:
     def test_with_ledger_then_with_transport_keeps_both(self):
         config = (Session(FederatedConfig(executor_mode="vectorized"))
                   .with_ledger("runs.db", run_name="api")
-                  .with_transport(kind="socket", round_timeout=9.0)).config
+                  .with_transport(kind="socket", round_timeout=9.0))._config
         assert (config.ledger_path, config.run_name) == ("runs.db", "api")
         assert config.transport.round_timeout == 9.0
         assert config.executor_mode == "vectorized"
@@ -169,7 +155,7 @@ class TestFlatConfig:
     def test_with_ledger_keeps_the_transport_group(self):
         config = FederatedConfig(
             transport=TransportConfig(kind="socket", round_timeout=9.0))
-        amended = Session(config).with_ledger("runs.db").config
+        amended = Session(config).with_ledger("runs.db")._config
         assert amended.transport.round_timeout == 9.0
         assert amended.ledger_path == "runs.db"
 

@@ -1,8 +1,9 @@
 """Pytest configuration shared by the whole tier-1 suite.
 
-Makes ``tests/_hypothesis_support.py`` importable from every test file
-(the tests directory is intentionally not a package), mirroring what
-``benchmarks/conftest.py`` does for the benchmark helpers.
+Makes the ``tests/strategies`` package (hypothesis strategies and settings)
+and the ``tests/reference`` equivalence references importable from every
+test file (the tests directory is intentionally not a package), mirroring
+what ``benchmarks/conftest.py`` does for the benchmark helpers.
 """
 
 import os

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 from hypothesis.extra import numpy as hnp
 
 from repro.core.config import GROUP1_REFERENCE_SET, GROUP2_REFERENCE_SET, DubheConfig
@@ -225,7 +225,7 @@ class TestAlgorithm1:
             codebook.describe(np.zeros(3))
 
 
-@settings(max_examples=scaled_max_examples(150), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(150))
 @given(
     counts=hnp.arrays(dtype=np.int64, shape=10,
                       elements=st.integers(min_value=0, max_value=500)),

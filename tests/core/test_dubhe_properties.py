@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 
 from repro import quick_federation
 from repro.core.config import DubheConfig
@@ -34,7 +34,7 @@ def _settled_config(k: int) -> DubheConfig:
                        participants_per_round=k)
 
 
-@settings(max_examples=scaled_max_examples(25), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(25))
 @given(
     n_clients=st.integers(min_value=25, max_value=120),
     k=st.integers(min_value=2, max_value=20),
@@ -56,7 +56,7 @@ def test_property_selection_size_and_validity(n_clients, k, concentration, seed)
         assert all(0 <= c < n_clients for c in selected)
 
 
-@settings(max_examples=scaled_max_examples(25), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(25))
 @given(
     n_clients=st.integers(min_value=30, max_value=150),
     k=st.integers(min_value=2, max_value=15),
@@ -81,7 +81,7 @@ def test_property_eq6_probabilities_and_eq7_expectation(n_clients, k, concentrat
         assert expectation == pytest.approx(k)
 
 
-@settings(max_examples=scaled_max_examples(10), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(10))
 @given(seed=st.integers(min_value=0, max_value=200))
 def test_property_dubhe_not_worse_than_random_on_skewed_federations(seed):
     """On skewed federations Dubhe's average bias never exceeds random's (+tol)."""
@@ -97,7 +97,7 @@ def test_property_dubhe_not_worse_than_random_on_skewed_federations(seed):
     assert dubhe_bias <= random_bias + 0.05
 
 
-@settings(max_examples=scaled_max_examples(15), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(15))
 @given(
     seed=st.integers(min_value=0, max_value=500),
     k=st.integers(min_value=2, max_value=25),

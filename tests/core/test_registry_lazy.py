@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, codebook_configs, scaled_max_examples
 from reference.combination_table import slot_table
 
 from repro.core.config import DubheConfig
@@ -31,31 +31,13 @@ from repro.core.registry import (
 )
 
 
-@st.composite
-def codebook_configs(draw):
-    """Random (C, G, σ) with C ∈ G and descending-ish thresholds."""
-    num_classes = draw(st.integers(min_value=2, max_value=12))
-    extra = draw(st.lists(st.integers(min_value=1, max_value=num_classes - 1),
-                          min_size=0, max_size=3, unique=True))
-    reference_set = tuple(sorted(set(extra) | {num_classes}))
-    thresholds = {}
-    for i in reference_set:
-        if i == num_classes:
-            thresholds[i] = 0.0
-        else:
-            thresholds[i] = draw(st.floats(min_value=0.0, max_value=1.0,
-                                           allow_nan=False))
-    return DubheConfig(num_classes=num_classes, reference_set=reference_set,
-                       thresholds=thresholds)
-
-
 def distributions_for(config, n, seed):
     rng = np.random.default_rng(seed)
     return rng.dirichlet(np.full(config.num_classes, 0.5), size=n)
 
 
 class TestLazyEqualsEagerTable:
-    @settings(max_examples=scaled_max_examples(30), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(30))
     @given(config=codebook_configs())
     def test_every_slot_roundtrips_identically(self, config):
         codebook = RegistryCodebook(config)
@@ -65,7 +47,7 @@ class TestLazyEqualsEagerTable:
             assert codebook.index_of(combo) == index
             assert codebook.category_of(index).classes == combo
 
-    @settings(max_examples=scaled_max_examples(25), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(25))
     @given(config=codebook_configs(),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_register_flips_the_eager_tables_slot(self, config, seed):
@@ -77,7 +59,7 @@ class TestLazyEqualsEagerTable:
             assert result.block == result.category.size
             assert np.flatnonzero(result.registry).tolist() == [result.index]
 
-    @settings(max_examples=scaled_max_examples(25), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(25))
     @given(config=codebook_configs(),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_register_batch_equals_register_loop(self, config, seed):
@@ -105,7 +87,7 @@ class TestLazyEqualsEagerTable:
 
 
 class TestCombinatorialRanking:
-    @settings(max_examples=scaled_max_examples(50), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(50))
     @given(data=st.data(),
            n=st.integers(min_value=1, max_value=30),
            )
@@ -162,7 +144,7 @@ class TestCombinatorialRanking:
 
 
 class TestPermutationInvariance:
-    @settings(max_examples=scaled_max_examples(30), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(30))
     @given(config=codebook_configs(),
            seed=st.integers(min_value=0, max_value=2**32 - 1),
            perm_seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -177,7 +159,7 @@ class TestPermutationInvariance:
             permuted = codebook.register(p[perm])
             assert permuted.block == original.block
 
-    @settings(max_examples=scaled_max_examples(30), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(30))
     @given(config=codebook_configs(),
            seed=st.integers(min_value=0, max_value=2**32 - 1),
            perm_seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -14,27 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples, tie_configs
 
 from repro.core.config import DubheConfig
 from repro.core.registry import _REGISTER_BLOCK, RegistryCodebook
-
-#: (C, G) pairs: the paper's group 1, a wide and a narrow 10-class codebook,
-#: every block of a 4-class one, FEMNIST's 52 classes, a 40-class codebook
-#: whose C(40, 20) block is far too wide to materialise, and a 66-class one
-#: whose length passes 2^62 (the exact-integer ranking fallback)
-SHAPES = (
-    (10, (1, 2, 10)),
-    (10, (1, 2, 6, 10)),
-    (10, (1, 10)),
-    (4, (1, 2, 3, 4)),
-    (52, (1, 52)),
-    (40, (1, 20, 40)),
-    (66, (1, 33, 66)),
-)
-
-#: thresholds that exact-tie quantised proportions can land on, 0 included
-SIGMAS = (0.0, 0.0, 0.02, 0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0)
 
 GROUP1 = DubheConfig(num_classes=10, reference_set=(1, 2, 10),
                      thresholds={1: 0.7, 2: 0.1, 10: 0.0})
@@ -46,15 +29,6 @@ def block_edges(num_classes):
     """Row counts around :meth:`RegistryCodebook.register_batch`'s row blocks."""
     rows = _REGISTER_BLOCK // num_classes
     return (rows - 1, rows, rows + 1, 2 * rows + 3)
-
-
-@st.composite
-def tie_configs(draw):
-    num_classes, reference_set = draw(st.sampled_from(SHAPES))
-    thresholds = {i: draw(st.sampled_from(SIGMAS))
-                  for i in reference_set if i < num_classes}
-    return DubheConfig(num_classes=num_classes, reference_set=reference_set,
-                       thresholds=thresholds)
 
 
 def tie_heavy_rows(num_classes, n, levels, seed):
@@ -99,7 +73,7 @@ def per_row(codebook, row):
 
 
 class TestBatchEqualsPerRowOnTies:
-    @settings(max_examples=scaled_max_examples(60), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(60))
     @given(config=tie_configs(), n=st.integers(min_value=1, max_value=40),
            levels=st.integers(min_value=1, max_value=4),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -124,7 +98,7 @@ class TestBatchEqualsPerRowOnTies:
             assert batch.indices[k] == index
             assert batch.blocks[k] == block
 
-    @settings(max_examples=scaled_max_examples(30), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(30))
     @given(num_classes=st.sampled_from([4, 10, 40, 52]),
            levels=st.integers(min_value=1, max_value=4),
            seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -207,13 +207,13 @@ class TestPackedSecureProtocol:
 
 
 class TestStreamingAggregation:
-    def test_received_count_and_aggregate(self):
+    def test_received_messages_and_aggregate(self):
         keypair = generate_keypair(128, rng=random.Random(31))
         server = SecureAggregationServer(keypair.public_key)
         clients = [SecureClient(k, np.full(4, 0.25), max_weight=5) for k in range(5)]
         for client in clients:
             server.receive(client.encrypted_distribution(keypair.public_key))
-        assert server.received_count == 5
+        assert server.stats.messages == 5
         total = server.aggregate().decrypt(keypair.private_key)
         np.testing.assert_allclose(total, np.full(4, 1.25), atol=1e-9)
 
@@ -226,7 +226,7 @@ class TestStreamingAggregation:
         # one running aggregate, not a buffer of received vectors
         buffers = [v for v in vars(server).values() if isinstance(v, list)]
         assert not buffers
-        assert server.received_count == 7
+        assert server.stats.messages == 7
 
     def test_receive_does_not_mutate_sender_ciphertext(self):
         keypair = generate_keypair(128, rng=random.Random(33))
@@ -237,17 +237,6 @@ class TestStreamingAggregation:
         server.receive(first)
         server.receive(client.encrypted_distribution(keypair.public_key))
         assert first.ciphertexts == original
-
-    def test_reset_clears_the_stream(self):
-        keypair = generate_keypair(128, rng=random.Random(34))
-        server = SecureAggregationServer(keypair.public_key)
-        client = SecureClient(0, np.full(3, 0.5), max_weight=1)
-        server.receive(client.encrypted_distribution(keypair.public_key))
-        server.reset()
-        assert server.received_count == 0
-        with pytest.raises(ValueError):
-            server.aggregate()
-
 
 #: the paper's two registries: length → (C, G, thresholds)
 REGISTRIES = {

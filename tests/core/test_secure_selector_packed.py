@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 from reference.per_component_scorer import PerComponentScorer
 from repro.core import secure
 from repro.core.config import DubheConfig
@@ -82,7 +82,7 @@ class TestPackedEqualsPerComponent:
         # the select_secure workload's seeded inputs (N=64, K=16, H=4, seed 7)
         check_equivalence(key_size, n=64, k=16, h=4, seed=7, rounds=1)
 
-    @settings(max_examples=scaled_max_examples(8), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(8))
     @given(key_size=st.sampled_from([128, 256, 512]),
            n=st.integers(4, 24), k_fraction=st.floats(0.05, 1.0),
            h=st.integers(1, 3), seed=st.integers(0, 2**16))

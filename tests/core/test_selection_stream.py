@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 
 from repro.core.config import DubheConfig
 from repro.core.selectors import DubheSelector
@@ -86,7 +86,7 @@ def check_draw(n, k, pool_size, seed):
     assert selector.rng.bit_generator.state == rng.bit_generator.state
 
 
-@settings(max_examples=scaled_max_examples(40), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(40))
 @given(n=st.one_of(st.integers(min_value=1, max_value=300),
                    # above 10^4 numpy's choice switches to Floyd's algorithm
                    st.integers(min_value=10_001, max_value=30_000)),

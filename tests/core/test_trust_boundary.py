@@ -9,8 +9,8 @@ pool and no plaintext array is reachable — the structural form of the paper's
 §4 claim, which the key-holder noise path makes load-bearing.  The ciphertext
 each client keeps for re-sending within a key epoch is client-side state too:
 no server may reach a :class:`SecureClient` or the object it kept.  The socket
-server drops every ciphertext upload on arrival, so no peer can grow its
-memory by varying the upload tag.
+server refuses every frame it cannot read — the retired ciphertext upload's
+type code, an older wire version — and keeps none of its bytes.
 """
 
 import gc
@@ -31,17 +31,15 @@ from repro.core.secure import (
 )
 from repro.core.secure_selector import SecureDubheSelector
 from repro.crypto.keyagent import KeyAgent
-from repro.crypto.packing import PackedEncryptedVector
 from repro.crypto.paillier import NoisePool, PaillierPrivateKey
 from repro.transport import SocketTransport
 from repro.transport.messages import (
-    PackedCiphertextUpload,
     Register,
     RegisterAck,
     decode_message,
     encode_message,
 )
-from repro.transport.wire import frame_header
+from repro.transport.wire import encode_frame, frame_header
 
 FORBIDDEN = (PaillierPrivateKey, NoisePool, np.ndarray)
 # code, not data: descending into these reaches every module global
@@ -106,7 +104,7 @@ def kept_uploads(scorer) -> list:
 def assert_clean(servers, expected_at_least=1, client_side=()):
     assert len(servers) >= expected_at_least
     for server in servers:
-        assert server.received_count > 0
+        assert server.stats.messages > 0
         assert reachable_forbidden(server, client_side) == []
         assert not hasattr(server, "decrypt")
 
@@ -204,25 +202,37 @@ def read_message(sock):
 
 
 class TestSocketServerKeepsNoUpload:
-    def test_distinct_tags_leave_no_ciphertext_behind(self):
-        public_key = agent().new_round().public_key
+    #: 4 KiB no reply of the server could contain by chance
+    MARKER = bytes(range(256)) * 16
+
+    def refuse(self, transport, frame):
+        """Send *frame* as a fresh peer and read until the server hangs up."""
+        with socket.create_connection(transport.address, timeout=10.0) as sock:
+            sock.sendall(frame)
+            try:
+                while sock.recv(4096):
+                    pass  # the ErrorNotice, then end of stream
+            except ConnectionResetError:
+                pass  # closed with the rest of the frame unread
+
+    def test_retired_and_old_version_frames_are_refused_and_dropped(self):
+        retired = encode_frame(3, self.MARKER)  # the packed upload's old code
+        old_version = encode_frame(Register.TYPE, Register(5, 6, 8).to_payload()
+                                   + self.MARKER, version=2)
         transport = SocketTransport(TransportConfig(kind="socket"))
         transport.start()
-        sock = socket.create_connection(transport.address, timeout=10.0)
         try:
-            sock.sendall(encode_message(Register(5, 6, 8)))
-            assert isinstance(read_message(sock), RegisterAck)
-            vector = PackedEncryptedVector.encrypt(
-                public_key, [0.5, 0.25], rng=random.Random(1))
-            for tag in range(50):
-                sock.sendall(encode_message(
-                    PackedCiphertextUpload(5, f"tag-{tag}", vector)))
-            # one connection is dispatched in order: this ack means the
-            # server has handled every upload sent before it
-            sock.sendall(encode_message(Register(5, 6, 8)))
-            assert isinstance(read_message(sock), RegisterAck)
-            assert reachable_forbidden(
-                transport, forbidden=PackedEncryptedVector) == []
+            for frame in [retired] * 50 + [old_version] * 50:
+                self.refuse(transport, frame)
+            # each peer is counted before the server hangs up on it
+            assert sum(transport.decode_failures.values()) == 100
+            with socket.create_connection(transport.address,
+                                          timeout=10.0) as sock:
+                sock.sendall(encode_message(Register(7, 6, 8)))
+                assert isinstance(read_message(sock), RegisterAck)
+            kept = [obj for obj in reachable_forbidden(
+                        transport, forbidden=(bytes, bytearray))
+                    if self.MARKER in obj]
+            assert kept == []
         finally:
-            sock.close()
             transport.close()

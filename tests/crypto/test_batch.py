@@ -34,18 +34,6 @@ class TestRawEncryptFastPaths:
         rn = pow(r, pk.n, pk.nsquare)
         assert pk.raw_encrypt(42, r_value=r) == pk.raw_encrypt(42, rn_value=rn)
 
-    def test_deferred_obfuscation_decrypts_identically(self, pk, sk):
-        bare = pk.raw_encrypt(7, obfuscate=False)
-        assert bare == (1 + pk.n * 7) % pk.nsquare  # deterministic g^m
-        obfuscated = pk.raw_obfuscate(bare, rng=random.Random(2))
-        assert obfuscated != bare
-        assert sk.raw_decrypt(obfuscated) == 7
-
-    def test_obfuscate_with_precomputed_term(self, pk, sk):
-        pool = NoisePool(pk, rng=random.Random(3))
-        c = pk.raw_obfuscate(pk.raw_encrypt(9, obfuscate=False), rn_value=pool.take())
-        assert sk.raw_decrypt(c) == 9
-
     def test_gcd_skip_fast_path_stays_in_range(self, pk):
         rng = random.Random(4)
         for _ in range(32):
@@ -54,42 +42,35 @@ class TestRawEncryptFastPaths:
 
 
 class TestNoisePool:
-    def test_refill_and_take(self, pk):
-        pool = NoisePool(pk, rng=random.Random(0), batch_size=4)
+    def test_take_many_uses_the_refilled_terms_first(self, pk):
+        pool = NoisePool(pk, rng=random.Random(0))
         pool.refill(3)
-        assert len(pool) == 3
-        term = pool.take()
-        assert 0 < term < pk.nsquare
-        assert len(pool) == 2
-
-    def test_take_auto_refills_when_empty(self, pk):
-        pool = NoisePool(pk, rng=random.Random(1), batch_size=5)
-        assert len(pool) == 0
-        pool.take()
-        assert len(pool) == 4  # one batch generated, one term consumed
-        assert pool.generated == 5
+        terms = pool.take_many(3)
+        assert all(0 < term < pk.nsquare for term in terms)
+        assert pool.generated == 3
+        pool.take_many(1)
+        assert pool.generated == 4  # the pool ran dry: one generated inline
 
     def test_take_many_covers_shortfall(self, pk):
         pool = NoisePool(pk, rng=random.Random(2))
         pool.refill(2)
         terms = pool.take_many(6)
         assert len(terms) == 6
-        assert len(pool) == 0
         assert pool.generated == 6
 
     def test_terms_decrypt_correctly(self, pk, sk):
         pool = NoisePool(pk, rng=random.Random(3))
-        for _ in range(5):
-            assert sk.raw_decrypt(pk.raw_encrypt(11, rn_value=pool.take())) == 11
+        for term in pool.take_many(5):
+            assert sk.raw_decrypt(pk.raw_encrypt(11, rn_value=term)) == 11
 
     def test_thread_safety(self, pk):
-        pool = NoisePool(pk, rng=random.Random(4), batch_size=8)
+        pool = NoisePool(pk, rng=random.Random(4))
         pool.refill(64)
         taken = []
         lock = threading.Lock()
 
         def worker():
-            got = [pool.take() for _ in range(8)]
+            got = pool.take_many(8)
             with lock:
                 taken.extend(got)
 
@@ -100,33 +81,29 @@ class TestNoisePool:
             t.join()
         assert len(taken) == 64
         assert len(set(taken)) == 64  # no term handed out twice
+        assert pool.generated == 64
 
     def test_private_and_public_pools_yield_the_same_terms_in_order(self, pk,
                                                                     sk):
-        pools = [NoisePool(key, rng=random.Random(5), batch_size=4)
-                 for key in (sk, pk)]
+        pools = [NoisePool(key, rng=random.Random(5)) for key in (sk, pk)]
         drawn = []
         for pool in pools:
             pool.refill(3)
-            drawn.append([pool.take(), *pool.take_many(5), pool.take()])
+            drawn.append(pool.take_many(1) + pool.take_many(5) + pool.take_many(1))
         assert drawn[0] == drawn[1]
-        assert [pool.generated for pool in pools] == [10, 10]
+        assert [pool.generated for pool in pools] == [7, 7]
         assert pools[0].public_key is pools[1].public_key is pk
 
-    def test_pickling_carries_configuration_only(self, sk):
+    def test_pickling_is_refused(self, sk):
         import pickle
 
-        pool = NoisePool(sk, rng=random.Random(7), batch_size=3,
-                         check_coprime=True)
+        pool = NoisePool(sk, rng=random.Random(7))
         pool.refill(2)
-        copy = pickle.loads(pickle.dumps(pool))
-        # no pooled terms and no cloned rng state cross the boundary
-        assert (len(copy), copy.rng) == (0, None)
-        assert (copy.key, copy.batch_size, copy.check_coprime) == (sk, 3, True)
+        # neither pooled terms nor a seeded rng may cross a process boundary
+        with pytest.raises(TypeError):
+            pickle.dumps(pool)
 
     def test_invalid_arguments(self, pk):
-        with pytest.raises(ValueError):
-            NoisePool(pk, batch_size=0)
         pool = NoisePool(pk)
         with pytest.raises(ValueError):
             pool.refill(-1)
@@ -160,8 +137,8 @@ class TestBatchCryptoExecutor:
         pool.refill(vectors.size)
         encrypted = BatchCryptoExecutor().encrypt_many(pk, vectors, noise=pool)
         # exactly the prefilled terms were used, none generated on top
-        assert (len(pool), pool.generated) == (0, vectors.size)
-        used = sorted(c * pow(pk.raw_encrypt(m, obfuscate=False), -1, pk.nsquare)
+        assert pool.generated == vectors.size
+        used = sorted(c * pow((1 + pk.n * m) % pk.nsquare, -1, pk.nsquare)
                       % pk.nsquare
                       for vec in encrypted
                       for c, m in zip(vec.ciphertexts,

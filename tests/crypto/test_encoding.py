@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 
 from repro.crypto.encoding import DEFAULT_PRECISION, EncodedNumber, FixedPointEncoder
 from repro.crypto.paillier import generate_keypair
@@ -22,17 +22,17 @@ class TestEncoderBasics:
         enc = FixedPointEncoder()
         assert enc.scale == 10**DEFAULT_PRECISION
 
-    def test_encode_decode_float(self):
+    def test_encode_float(self):
         enc = FixedPointEncoder()
-        assert enc.decode(enc.encode(0.125)) == pytest.approx(0.125, abs=1e-9)
+        assert enc.encode(0.125) == EncodedNumber(125 * 10**9)
 
-    def test_encode_decode_int(self):
+    def test_encode_int(self):
         enc = FixedPointEncoder()
-        assert enc.decode(enc.encode(7)) == pytest.approx(7.0)
+        assert enc.encode(7).encoding == 7 * enc.scale
 
     def test_encode_negative(self):
         enc = FixedPointEncoder()
-        assert enc.decode(enc.encode(-0.4)) == pytest.approx(-0.4, abs=1e-9)
+        assert enc.encode(-0.4).encoding == -4 * 10**11
 
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
@@ -50,39 +50,17 @@ class TestEncoderBasics:
         with pytest.raises(ValueError):
             FixedPointEncoder(precision=-1)
 
-    def test_decode_scale_mismatch_rejected(self):
-        enc = FixedPointEncoder(precision=6)
-        other = EncodedNumber(123, base=10, precision=3)
-        with pytest.raises(ValueError):
-            enc.decode(other)
-
-
-class TestEncodedNumberArithmetic:
-    def test_addition_is_linear(self):
-        enc = FixedPointEncoder()
-        a, b = enc.encode(0.3), enc.encode(0.45)
-        assert (a + b).decode() == pytest.approx(0.75, abs=1e-9)
-
-    def test_addition_scale_mismatch_rejected(self):
-        a = EncodedNumber(1, precision=3)
-        b = EncodedNumber(1, precision=4)
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_add_non_encoded_returns_notimplemented(self):
-        assert EncodedNumber(1).__add__(2) is NotImplemented
-
 
 class TestModularMapping:
-    def test_roundtrip_positive(self, pk):
+    def test_positive_maps_to_itself(self, pk):
         enc = FixedPointEncoder()
         e = enc.encode(0.62)
-        assert enc.from_modular(enc.to_modular(e, pk), pk).decode() == pytest.approx(0.62, abs=1e-9)
+        assert enc.to_modular(e, pk) == e.encoding
 
-    def test_roundtrip_negative(self, pk):
+    def test_negative_wraps_to_the_top_half(self, pk):
         enc = FixedPointEncoder()
         e = enc.encode(-3.5)
-        assert enc.decode_modular(enc.to_modular(e, pk), pk) == pytest.approx(-3.5, abs=1e-9)
+        assert enc.to_modular(e, pk) == pk.n + e.encoding > pk.n // 2
 
     def test_overflow_detected(self, pk):
         enc = FixedPointEncoder(precision=0)
@@ -91,15 +69,15 @@ class TestModularMapping:
             enc.to_modular(huge, pk)
 
 
-@settings(max_examples=scaled_max_examples(200), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(200))
 @given(x=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False))
 def test_property_encode_decode_roundtrip(x):
-    """encode → decode recovers the value to within the fixed-point resolution."""
+    """The encoding recovers the value to within the fixed-point resolution."""
     enc = FixedPointEncoder()
-    assert enc.decode(enc.encode(x)) == pytest.approx(x, abs=2.0 / enc.scale)
+    assert enc.encode(x).encoding / enc.scale == pytest.approx(x, abs=2.0 / enc.scale)
 
 
-@settings(max_examples=scaled_max_examples(100), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(100))
 @given(
     a=st.floats(min_value=0, max_value=1, allow_nan=False),
     b=st.floats(min_value=0, max_value=1, allow_nan=False),
@@ -107,6 +85,6 @@ def test_property_encode_decode_roundtrip(x):
 def test_property_encoding_is_additive(a, b):
     """Fixed-point encoding commutes with addition (up to one rounding ulp)."""
     enc = FixedPointEncoder()
-    direct = enc.encode(a + b).decode()
-    summed = (enc.encode(a) + enc.encode(b)).decode()
-    assert summed == pytest.approx(direct, abs=2.0 / enc.scale)
+    direct = enc.encode(a + b).encoding
+    summed = enc.encode(a).encoding + enc.encode(b).encoding
+    assert abs(summed - direct) <= 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 
 from repro.crypto.paillier import (
     PaillierPrivateKey,
@@ -59,10 +59,9 @@ class TestKeyGeneration:
         with pytest.raises(ValueError):
             PaillierPublicKey(2)
 
-    def test_public_key_equality_and_hash(self, pk):
+    def test_public_key_equality(self, pk):
         clone = PaillierPublicKey(pk.n)
         assert clone == pk
-        assert hash(clone) == hash(pk)
 
     def test_reproducible_keygen_with_seed(self):
         a = generate_keypair(key_size=64, rng=random.Random(99))
@@ -85,10 +84,6 @@ class TestEncryptDecrypt:
     def test_fixed_r_is_deterministic(self, pk):
         assert pk.raw_encrypt(42, r_value=12345) == pk.raw_encrypt(42, r_value=12345)
 
-    def test_signed_decrypt_maps_upper_half_to_negative(self, pk, sk):
-        c = pk.raw_encrypt(-5 % pk.n)
-        assert sk.decrypt_signed(c) == -5
-
     def test_non_int_plaintext_rejected(self, pk):
         with pytest.raises(TypeError):
             pk.raw_encrypt(1.5)
@@ -102,27 +97,25 @@ class TestEncryptDecrypt:
 
 
 class TestHomomorphism:
-    def test_add_two_ciphertexts(self, pk, sk):
-        c = pk.raw_add(pk.raw_encrypt(17), pk.raw_encrypt(25))
-        assert sk.raw_decrypt(c) == 42
+    """The ciphertext product and power the vector folds and ``scale`` use."""
 
-    def test_add_plaintext(self, pk, sk):
-        c = pk.raw_add_plain(pk.raw_encrypt(17), 25)
+    def test_add_two_ciphertexts(self, pk, sk):
+        c = pk.raw_encrypt(17) * pk.raw_encrypt(25) % pk.nsquare
         assert sk.raw_decrypt(c) == 42
 
     def test_scalar_multiplication(self, pk, sk):
-        c = pk.raw_mul(pk.raw_encrypt(7), 6)
+        c = pow(pk.raw_encrypt(7), 6, pk.nsquare)
         assert sk.raw_decrypt(c) == 42
 
     def test_sum_of_many(self, pk, sk):
         values = list(range(50))
         total = pk.raw_encrypt(0)
         for v in values:
-            total = pk.raw_add(total, pk.raw_encrypt(v))
+            total = total * pk.raw_encrypt(v) % pk.nsquare
         assert sk.raw_decrypt(total) == sum(values)
 
     def test_addition_wraps_modulo_n(self, pk, sk):
-        c = pk.raw_add(pk.raw_encrypt(pk.n - 1), pk.raw_encrypt(2))
+        c = pk.raw_encrypt(pk.n - 1) * pk.raw_encrypt(2) % pk.nsquare
         assert sk.raw_decrypt(c) == 1
 
 
@@ -137,7 +130,7 @@ def _noise_keypair(key_size, seed):
 class TestKeyHolderNoise:
     """``sk.raw_noise`` is the CRT spelling of ``pk.raw_noise`` — same integer."""
 
-    @settings(max_examples=scaled_max_examples(60), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(60))
     @given(key_size=st.sampled_from(NOISE_KEY_SIZES),
            seed=st.integers(min_value=0, max_value=2),
            x=st.integers(min_value=0, max_value=2**1024))
@@ -162,31 +155,30 @@ class TestKeyHolderNoise:
     def test_every_public_encrypt_path_uses_the_one_noise_term(self, pk):
         r = pk.get_random_lt_n(random.Random(5))
         rn = pk.raw_noise(r)
-        bare = pk.raw_encrypt(42, obfuscate=False)
+        bare = (1 + pk.n * 42) % pk.nsquare  # g^m with g = n + 1
         assert pk.raw_encrypt(42, r_value=r) == bare * rn % pk.nsquare
-        assert pk.raw_obfuscate(bare, rng=random.Random(5)) == \
-            bare * rn % pk.nsquare
+        assert pk.raw_encrypt(42, rng=random.Random(5)) == bare * rn % pk.nsquare
 
 
-@settings(max_examples=scaled_max_examples(25), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(25))
 @given(a=st.integers(min_value=0, max_value=10**12),
        b=st.integers(min_value=0, max_value=10**12))
 def test_property_additive_homomorphism(a, b):
     """Dec(Enc(a) ⊕ Enc(b)) == a + b for arbitrary bounded integers."""
     kp = _module_keypair()
     pk, sk = kp.public_key, kp.private_key
-    c = pk.raw_add(pk.raw_encrypt(a), pk.raw_encrypt(b))
+    c = pk.raw_encrypt(a) * pk.raw_encrypt(b) % pk.nsquare
     assert sk.raw_decrypt(c) == a + b
 
 
-@settings(max_examples=scaled_max_examples(25), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(25))
 @given(a=st.integers(min_value=0, max_value=10**9),
        k=st.integers(min_value=0, max_value=10**4))
 def test_property_scalar_homomorphism(a, k):
     """Dec(Enc(a)^k) == k * a for arbitrary bounded integers."""
     kp = _module_keypair()
     pk, sk = kp.public_key, kp.private_key
-    assert sk.raw_decrypt(pk.raw_mul(pk.raw_encrypt(a), k)) == a * k
+    assert sk.raw_decrypt(pow(pk.raw_encrypt(a), k, pk.nsquare)) == a * k
 
 
 _CACHED_KEYPAIR = None

@@ -5,43 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 from hypothesis.extra import numpy as hnp
 
 from repro.data.distributions import (
     average_emd,
     emd,
     imbalance_ratio,
-    kl_divergence,
     label_counts,
     label_distribution,
     normalize_counts,
     population_distribution,
     uniform_distribution,
-    validate_distribution,
 )
-
-
-class TestValidateDistribution:
-    def test_accepts_valid(self):
-        p = validate_distribution([0.2, 0.3, 0.5])
-        assert p.dtype == float
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            validate_distribution([0.5, 0.7, -0.2])
-
-    def test_rejects_not_summing_to_one(self):
-        with pytest.raises(ValueError):
-            validate_distribution([0.5, 0.6])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            validate_distribution(np.ones((2, 2)) / 4)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            validate_distribution([])
 
 
 class TestUniformAndNormalize:
@@ -80,21 +56,6 @@ class TestEMD:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             emd([0.5, 0.5], [1.0])
-
-
-class TestKL:
-    def test_identical_is_zero(self):
-        assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_positive_for_different(self):
-        assert kl_divergence([0.9, 0.1], [0.5, 0.5]) > 0
-
-    def test_handles_zeros(self):
-        assert np.isfinite(kl_divergence([1.0, 0.0], [0.5, 0.5]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence([0.5, 0.5], [1.0])
 
 
 class TestImbalanceRatio:
@@ -155,7 +116,7 @@ class TestPopulationAndAverageEMD:
             average_emd([])
 
 
-@settings(max_examples=scaled_max_examples(100), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(100))
 @given(
     counts=hnp.arrays(
         dtype=np.int64,
@@ -171,7 +132,7 @@ def test_property_emd_bounds(counts):
     assert 0.0 <= value <= 2.0 + 1e-9
 
 
-@settings(max_examples=scaled_max_examples(100), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(100))
 @given(
     counts=hnp.arrays(
         dtype=np.int64,
@@ -185,7 +146,7 @@ def test_property_normalize_counts_sums_to_one(counts):
     assert np.all(p >= 0)
 
 
-@settings(max_examples=scaled_max_examples(50), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(50))
 @given(
     a=hnp.arrays(dtype=np.float64, shape=6,
                  elements=st.floats(min_value=0.01, max_value=1.0)),

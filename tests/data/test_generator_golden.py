@@ -73,7 +73,10 @@ def _own_rng_sequence():
     counts = [1, 0, 2, 3, 0, 1, 0, 0, 4, 1]
     first = gen.generate(counts)
     second = gen.generate(counts)
-    return [first.x, first.y, second.x, second.y, gen.sample_class(3, 5)]
+    one_class = np.zeros(gen.num_classes, dtype=int)
+    one_class[3] = 5
+    return [first.x, first.y, second.x, second.y,
+            gen.generate(one_class, shuffle=False).x]
 
 
 CASES = {

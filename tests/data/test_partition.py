@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 
-from repro.data.distributions import uniform_distribution
-from repro.data.partition import (
-    ClientPartition,
-    DirichletPartitioner,
-    EMDTargetPartitioner,
-    ShardPartitioner,
-)
+from repro.data.partition import ClientPartition, EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 
 
@@ -27,7 +21,7 @@ class TestClientPartition:
         counts = np.array([[5, 5], [10, 0]])
         part = ClientPartition(counts, 2)
         assert part.n_clients == 2
-        np.testing.assert_array_equal(part.client_sizes(), [10, 10])
+        np.testing.assert_array_equal(part.client_class_counts.sum(axis=1), [10, 10])
         np.testing.assert_allclose(part.client_distribution(1), [1.0, 0.0])
         np.testing.assert_allclose(part.global_distribution(), [0.75, 0.25])
 
@@ -37,12 +31,11 @@ class TestClientPartition:
         assert part.achieved_rho() == pytest.approx(1.0)
         assert part.achieved_emd_avg() == pytest.approx(0.5)  # |0.75-0.5| + |0.25-0.5|
 
-    def test_selection_population_and_bias(self):
+    def test_selection_population(self):
         counts = np.array([[10, 0], [0, 10], [10, 0]])
         part = ClientPartition(counts, 2)
         np.testing.assert_allclose(part.selection_population([0, 1]), [0.5, 0.5])
-        assert part.selection_bias([0, 1]) == pytest.approx(0.0)
-        assert part.selection_bias([0, 2]) == pytest.approx(1.0)
+        np.testing.assert_allclose(part.selection_population([0, 2]), [1.0, 0.0])
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +65,7 @@ class TestEMDTargetPartitioner:
 
     def test_every_client_has_exact_size(self, skewed_global):
         part = EMDTargetPartitioner(50, 64, 1.5, seed=3).partition(skewed_global)
-        np.testing.assert_array_equal(part.client_sizes(), np.full(50, 64))
+        np.testing.assert_array_equal(part.client_class_counts.sum(axis=1), np.full(50, 64))
 
     def test_metadata_recorded(self, skewed_global):
         part = EMDTargetPartitioner(10, 32, 1.0, seed=4).partition(skewed_global)
@@ -97,43 +90,7 @@ class TestEMDTargetPartitioner:
         np.testing.assert_array_equal(a.client_class_counts, b.client_class_counts)
 
 
-class TestDirichletPartitioner:
-    def test_sizes_and_classes(self):
-        part = DirichletPartitioner(30, 64, 0.5, seed=0).partition(uniform_distribution(10))
-        assert part.n_clients == 30
-        np.testing.assert_array_equal(part.client_sizes(), np.full(30, 64))
-
-    def test_low_concentration_more_heterogeneous(self):
-        uniform = uniform_distribution(10)
-        tight = DirichletPartitioner(100, 128, 100.0, seed=1).partition(uniform)
-        loose = DirichletPartitioner(100, 128, 0.05, seed=1).partition(uniform)
-        assert loose.achieved_emd_avg() > tight.achieved_emd_avg()
-
-    def test_invalid_concentration(self):
-        with pytest.raises(ValueError):
-            DirichletPartitioner(10, 10, 0.0)
-
-
-class TestShardPartitioner:
-    def test_each_client_sees_few_classes(self):
-        part = ShardPartitioner(50, 40, shards_per_client=2, seed=0).partition(
-            uniform_distribution(10)
-        )
-        classes_per_client = (part.client_class_counts > 0).sum(axis=1)
-        assert np.all(classes_per_client <= 2)
-
-    def test_sizes_exact(self):
-        part = ShardPartitioner(20, 33, shards_per_client=2, seed=1).partition(
-            uniform_distribution(10)
-        )
-        np.testing.assert_array_equal(part.client_sizes(), np.full(20, 33))
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            ShardPartitioner(10, 10, shards_per_client=0)
-
-
-@settings(max_examples=scaled_max_examples(20), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(20))
 @given(target=st.floats(min_value=0.0, max_value=1.5),
        n_clients=st.integers(min_value=20, max_value=100))
 def test_property_partition_sizes_and_validity(target, n_clients):
@@ -141,6 +98,7 @@ def test_property_partition_sizes_and_validity(target, n_clients):
     global_dist = half_normal_class_proportions(10, 5.0)
     part = EMDTargetPartitioner(n_clients, 32, target, seed=0).partition(global_dist)
     assert part.n_clients == n_clients
-    np.testing.assert_array_equal(part.client_sizes(), np.full(n_clients, 32))
+    np.testing.assert_array_equal(part.client_class_counts.sum(axis=1),
+                                  np.full(n_clients, 32))
     dists = part.client_distributions()
     np.testing.assert_allclose(dists.sum(axis=1), np.ones(n_clients))

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 
-from repro.data.distributions import imbalance_ratio
-from repro.data.skew import (
-    apply_global_skew,
-    half_normal_class_proportions,
-    skewed_class_counts,
-)
+from repro.data.skew import half_normal_class_proportions
 
 
 class TestHalfNormalProportions:
@@ -50,41 +45,7 @@ class TestHalfNormalProportions:
             half_normal_class_proportions(0, 2.0)
 
 
-class TestSkewedClassCounts:
-    def test_total_is_exact(self):
-        counts = skewed_class_counts(10_000, 10, 10.0)
-        assert counts.sum() == 10_000
-
-    def test_every_class_has_samples(self):
-        counts = skewed_class_counts(500, 10, 50.0)
-        assert np.all(counts >= 1)
-
-    @pytest.mark.parametrize("rho", [2.0, 5.0, 10.0])
-    def test_achieved_rho_close_to_target(self, rho):
-        counts = skewed_class_counts(50_000, 10, rho)
-        assert imbalance_ratio(counts) == pytest.approx(rho, rel=0.05)
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            skewed_class_counts(5, 10, 2.0)
-
-
-class TestApplyGlobalSkew:
-    def test_skews_a_balanced_label_array(self):
-        rng = np.random.default_rng(1)
-        labels = np.repeat(np.arange(10), 1000)
-        keep = apply_global_skew(labels, 10, 10.0, rng=rng)
-        kept_counts = np.bincount(labels[keep], minlength=10)
-        assert imbalance_ratio(kept_counts) == pytest.approx(10.0, rel=0.15)
-
-    def test_indices_are_valid(self):
-        labels = np.repeat(np.arange(5), 100)
-        keep = apply_global_skew(labels, 5, 3.0, rng=np.random.default_rng(0))
-        assert keep.min() >= 0 and keep.max() < len(labels)
-        assert len(np.unique(keep)) == len(keep)
-
-
-@settings(max_examples=scaled_max_examples(50), deadline=None)
+@settings(STANDARD, max_examples=scaled_max_examples(50))
 @given(
     num_classes=st.integers(min_value=2, max_value=60),
     rho=st.floats(min_value=1.0, max_value=100.0),

@@ -56,7 +56,7 @@ class TestFederatedClient:
     def test_label_distribution(self):
         ds = make_client_dataset([5, 0, 5, 0, 0, 0, 0, 0, 0, 0])
         client = FederatedClient(0, 10, dataset=ds)
-        dist = client.label_distribution()
+        dist = client.dataset.class_distribution()
         assert dist[0] == pytest.approx(0.5)
         assert dist[2] == pytest.approx(0.5)
         assert client.num_samples == 10

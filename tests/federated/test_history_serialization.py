@@ -1,4 +1,4 @@
-"""Round-trip serialization of RoundRecord and TrainingHistory.
+"""Round-trip serialization of RoundRecord.
 
 The run ledger stores every round as ``RoundRecord.to_dict()`` JSON, so the
 round trip ``from_dict(json.loads(json.dumps(to_dict(r))))`` must reproduce
@@ -10,46 +10,10 @@ import json
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
-from repro.federated.history import RoundRecord, TrainingHistory
-from repro.scenarios import FAILURE_CAUSES
-
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-optional_finite = st.none() | finite
-client_ids = st.lists(st.integers(min_value=0, max_value=10_000),
-                      min_size=1, max_size=8, unique=True).map(tuple)
-
-
-@st.composite
-def round_records(draw):
-    selected = draw(client_ids)
-    distribution = draw(st.lists(finite, min_size=1, max_size=6))
-    actual = draw(st.none() | st.sampled_from([selected, selected[:1], ()]))
-    failed = [c for c in selected if actual is not None and c not in actual]
-    failures = {c: draw(st.sampled_from(FAILURE_CAUSES)) for c in failed}
-    bias_options = st.none() | finite
-    if actual == ():  # a round that aggregated nobody records NaN
-        bias_options = bias_options | st.just(float("nan"))
-    actual_bias = draw(bias_options)
-    return RoundRecord(
-        round_index=draw(st.integers(min_value=0, max_value=100_000)),
-        selected_clients=selected,
-        population_distribution=np.asarray(distribution, dtype=float),
-        population_bias=draw(finite),
-        test_accuracy=draw(optional_finite),
-        train_loss=draw(optional_finite),
-        actual_clients=actual,
-        failures=failures,
-        fallback_reason=draw(st.none() | st.text(max_size=20)),
-        aggregation_skipped=draw(st.booleans()),
-        actual_population_bias=actual_bias,
-        round_delay=draw(finite),
-        drift_applied=draw(st.booleans()),
-    )
+from strategies import STANDARD, round_records, scaled_max_examples
+from repro.federated.history import RoundRecord
 
 
 def scalar_equal(left, right) -> bool:
@@ -81,19 +45,19 @@ def assert_records_equal(left: RoundRecord, right: RoundRecord) -> None:
 
 
 class TestRoundRecordRoundTrip:
-    @settings(max_examples=scaled_max_examples(100), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(100))
     @given(record=round_records())
     def test_dict_round_trip_is_exact(self, record):
         assert_records_equal(record, RoundRecord.from_dict(record.to_dict()))
 
-    @settings(max_examples=scaled_max_examples(100), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(100))
     @given(record=round_records())
     def test_json_round_trip_is_exact(self, record):
         # the exact path the run ledger uses: to_dict -> json -> from_dict
         payload = json.loads(json.dumps(record.to_dict()))
         assert_records_equal(record, RoundRecord.from_dict(payload))
 
-    @settings(max_examples=scaled_max_examples(50), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(50))
     @given(record=round_records())
     def test_to_dict_is_json_native(self, record):
         def check(value):
@@ -125,25 +89,3 @@ class TestRoundRecordRoundTrip:
         assert type(payload["population_bias"]) is float
         assert payload["failures"] == {"1": "dropout"}
         json.dumps(payload)  # must not need a custom encoder
-
-
-class TestTrainingHistoryJson:
-    def test_history_round_trip(self):
-        history = TrainingHistory()
-        history.append(RoundRecord(0, (1, 2), np.array([0.5, 0.5]), 0.1, 0.8))
-        history.append(RoundRecord(
-            1, (3,), np.array([1.0, 0.0]), 0.9, None,
-            actual_clients=(), failures={3: "offline"},
-            aggregation_skipped=True,
-            actual_population_bias=float("nan")))
-        rebuilt = TrainingHistory.from_json(history.to_json(indent=2))
-        assert len(rebuilt) == 2
-        for original, copy in zip(history.records, rebuilt.records):
-            assert_records_equal(original, copy)
-        # reductions survive the round trip
-        assert rebuilt.final_accuracy() == history.final_accuracy()
-        assert rebuilt.skipped_round_count() == 1
-        assert rebuilt.failure_totals() == {"offline": 1}
-
-    def test_empty_history(self):
-        assert TrainingHistory.from_json(TrainingHistory().to_json()).records == []

@@ -65,13 +65,6 @@ class TestTrainingHistory:
         history.append(record(1, dist=np.array([0.0, 1.0])))
         np.testing.assert_allclose(history.average_population_distribution(), [0.5, 0.5])
 
-    def test_participation_counts(self):
-        history = TrainingHistory()
-        history.append(record(0))
-        history.append(record(1))
-        counts = history.participation_counts(4)
-        np.testing.assert_array_equal(counts, [2, 2, 0, 0])
-
     def test_empty_history_errors(self):
         history = TrainingHistory()
         with pytest.raises(ValueError):

@@ -5,19 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, cohort_and_survivors, scaled_max_examples
 from repro.federated.aggregation import weighted_average_states
 from repro.federated.server import FederatedServer
 from repro.nn.models import MLP
-
-
-@st.composite
-def cohort_and_survivors(draw):
-    """A planned cohort size plus a non-empty survivor subset."""
-    size = draw(st.integers(min_value=1, max_value=32))
-    survivors = draw(st.sets(st.integers(min_value=0, max_value=size - 1),
-                             min_size=1, max_size=size))
-    return size, sorted(survivors)
 
 
 def mlp_factory():
@@ -25,7 +16,7 @@ def mlp_factory():
 
 
 class TestPartialRoundAverage:
-    @settings(max_examples=scaled_max_examples(100), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(100))
     @given(case=cohort_and_survivors())
     def test_survivors_are_averaged_uniformly(self, case):
         # FedVC virtual clients hold equal sample counts, so the plain mean
@@ -43,7 +34,7 @@ class TestPartialRoundAverage:
                                        atol=1e-12)
             np.testing.assert_allclose(merged[key], fedavg[key], atol=1e-12)
 
-    @settings(max_examples=scaled_max_examples(50), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(50))
     @given(size=st.integers(min_value=1, max_value=16),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_full_survival_equals_the_full_cohort_average(self, size, seed):
@@ -57,7 +48,7 @@ class TestPartialRoundAverage:
         for key in template:
             np.testing.assert_array_equal(partial[key], full[key])
 
-    @settings(max_examples=scaled_max_examples(50), deadline=None)
+    @settings(STANDARD, max_examples=scaled_max_examples(50))
     @given(case=cohort_and_survivors(),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_partial_average_is_a_convex_combination_of_survivors(self, case,

@@ -237,7 +237,7 @@ class TestSimulationExecutorModes:
         )
         sim.run()
         assert sim.dataset_cache is not None
-        assert len(sim.dataset_cache) <= 3
+        assert len(sim.dataset_cache._entries) <= 3
         assert sim.dataset_cache.hits + sim.dataset_cache.misses > 0
 
     def test_cache_disabled_when_none(self, sim_setup):

@@ -298,16 +298,6 @@ class TestCohortBuffer:
         with pytest.raises(CohortShapeError):
             CohortBuffer(2).stack([("a", a), ("b", b)])
 
-    def test_subset_datasets_stack(self):
-        rng = np.random.default_rng(0)
-        parent = ArrayDataset(rng.standard_normal((10, 2, 3, 3)),
-                              rng.integers(0, 4, 10), num_classes=4)
-        slots = [("a", parent.subset([0, 1, 2])), ("b", parent.subset([3, 4, 5]))]
-        x, y = CohortBuffer(2).stack(slots)
-        assert x.shape == (2, 3, 2, 3, 3) and y.shape == (2, 3)
-        np.testing.assert_array_equal(x[1], parent.x[3:6])
-        np.testing.assert_array_equal(y[1], parent.y[3:6])
-
     def test_contents_match_datasets(self):
         clients = make_clients(3)
         buffer = CohortBuffer(3)

@@ -141,7 +141,7 @@ def test_sigkill_mid_run_then_resume_bit_identical(tmp_path, executor_mode):
                                       reference_state[key])
     with RunLedger(ledger_path, create=False) as ledger:
         final = ledger.run(run_id)
-        assert final.is_complete()
+        assert final.status == "completed"
         assert final.rounds_committed == TOTAL_ROUNDS
 
 
@@ -275,7 +275,7 @@ def test_sigkill_socket_server_fleet_reconnects_resume_bit_identical(tmp_path):
                                       reference_state[key])
     with RunLedger(ledger_path, create=False) as ledger:
         final = ledger.run(run_id)
-        assert final.is_complete()
+        assert final.status == "completed"
         assert final.rounds_committed == TOTAL_ROUNDS
 
 

@@ -61,12 +61,13 @@ class TestBatchedForwardBackward:
         for i in range(k):
             model = clone_with_state(factory, state)
             ref_out = model(x[i])
-            model.zero_grad()
+            for p in model.parameters():
+                p.zero_grad()
             ref_grad_in = model.backward(grad_out[i])
             np.testing.assert_allclose(out[i], ref_out, atol=1e-12)
             np.testing.assert_allclose(grad_in[i], ref_grad_in, atol=1e-12)
             ref_state = dict(model.named_parameters())
-            for pname, bp in batched.named_parameters():
+            for pname, bp in batched._named:
                 np.testing.assert_allclose(bp.grad[i], ref_state[pname].grad,
                                            atol=1e-12)
 
@@ -76,7 +77,7 @@ class TestBatchedForwardBackward:
         state = factory().state_dict()
         batched = batched_from(factory, k, state)
         # perturb one client's weights only
-        name0, bp0 = batched.named_parameters()[0]
+        name0, bp0 = batched._named[0]
         bp0.value[1] += 0.5
         x = np.random.default_rng(1).standard_normal((k, 4, 1, 8, 8))
         out = batched.forward(x)
@@ -175,28 +176,16 @@ class TestBatchedModelStructure:
         factory = MODEL_FACTORIES["mlp"]
         batched = batched_from(factory, 3, factory().state_dict())
         states = batched.state_dicts()
-        name, bp = batched.named_parameters()[0]
+        name, bp = batched._named[0]
         bp.value[2] += 1.0
         np.testing.assert_allclose(states[2][name], bp.value[2])
-
-    def test_mean_state_matches_manual_average(self):
-        factory = MODEL_FACTORIES["mlp"]
-        batched = batched_from(factory, 4, factory().state_dict())
-        rng = np.random.default_rng(3)
-        for _, bp in batched.named_parameters():
-            bp.value += rng.standard_normal(bp.value.shape)
-        mean = batched.mean_state()
-        states = batched.state_dicts()
-        for name in mean:
-            np.testing.assert_allclose(
-                mean[name], np.mean([s[name] for s in states], axis=0), atol=1e-15
-            )
 
     def test_flat_pool_layout_is_contiguous_per_parameter(self):
         factory = MODEL_FACTORIES["mlp"]
         batched = BatchedModel(factory(), 3)
-        assert batched.flat_values.size == batched.num_parameters()
-        for _, bp in batched.named_parameters():
+        assert batched.flat_values.size == sum(bp.value.size
+                                               for _, bp in batched._named)
+        for _, bp in batched._named:
             assert bp.value.base is batched.flat_values
             assert bp.value.flags.c_contiguous
             assert bp.grad.base is batched.flat_grads
@@ -210,7 +199,7 @@ class TestBatchedOptimizers:
         batched = batched_from(factory, k, state)
         rng = np.random.default_rng(7)
         grads = {name: rng.standard_normal(bp.value.shape)
-                 for name, bp in batched.named_parameters()}
+                 for name, bp in batched._named}
         refs = []
         for i in range(k):
             model = clone_with_state(factory, state)
@@ -223,7 +212,7 @@ class TestBatchedOptimizers:
         opt = BatchedAdam(batched, lr=1e-2)
         ref_opts = [Adam(m, lr=1e-2) for m in refs]
         for step in range(steps):
-            for name, bp in batched.named_parameters():
+            for name, bp in batched._named:
                 bp.grad[...] = grads[name] * (step + 1)
             opt.step()
             for i, (model, ref_opt) in enumerate(zip(refs, ref_opts)):
@@ -232,7 +221,7 @@ class TestBatchedOptimizers:
                 ref_opt.step()
         for i, model in enumerate(refs):
             ref_state = model.state_dict()
-            for name, bp in batched.named_parameters():
+            for name, bp in batched._named:
                 np.testing.assert_array_equal(bp.value[i], ref_state[name])
 
     @pytest.mark.parametrize("kwargs", [
@@ -246,7 +235,7 @@ class TestBatchedOptimizers:
         opt = BatchedSGD(batched, **kwargs)
         ref_opts = [SGD(m, **kwargs) for m in refs]
         for step in range(2):
-            for name, bp in batched.named_parameters():
+            for name, bp in batched._named:
                 bp.grad[...] = grads[name] * (step + 1)
             opt.step()
             for i, (model, ref_opt) in enumerate(zip(refs, ref_opts)):
@@ -255,7 +244,7 @@ class TestBatchedOptimizers:
                 ref_opt.step()
         for i, model in enumerate(refs):
             ref_state = model.state_dict()
-            for name, bp in batched.named_parameters():
+            for name, bp in batched._named:
                 np.testing.assert_array_equal(bp.value[i], ref_state[name])
 
     def test_invalid_hyperparameters(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d
+from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
@@ -40,7 +40,8 @@ def check_input_gradient(layer: Module, x: np.ndarray, atol: float = 1e-5) -> No
 
 def check_parameter_gradients(layer: Module, x: np.ndarray, atol: float = 1e-5) -> None:
     """Compare analytic parameter gradients with numerical ones for sum(output)."""
-    layer.zero_grad()
+    for p in layer.parameters():
+        p.zero_grad()
     out = layer(x)
     layer.backward(np.ones_like(out))
     for name, p in layer.named_parameters():
@@ -130,10 +131,9 @@ class TestSequential:
         model = Sequential(Linear(6, 5, seed=0), ReLU(), Linear(5, 2, seed=1))
         check_input_gradient(model, rng.normal(size=(3, 6)))
 
-    def test_len_and_getitem(self):
+    def test_layers_in_order(self):
         model = Sequential(Linear(3, 3, seed=0), ReLU())
-        assert len(model) == 2
-        assert isinstance(model[1], ReLU)
+        assert [type(layer) for layer in model.layers] == [Linear, ReLU]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -187,19 +187,9 @@ class TestPooling:
         x = rng.normal(size=(2, 2, 4, 4)) * 10
         check_input_gradient(MaxPool2d(2), x)
 
-    def test_avgpool_forward(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(x)
-        np.testing.assert_allclose(out, [[[[2.5, 4.5], [10.5, 12.5]]]])
-
-    def test_avgpool_input_gradient(self, rng):
-        check_input_gradient(AvgPool2d(2), rng.normal(size=(2, 2, 4, 4)))
-
     def test_indivisible_size_rejected(self, rng):
         with pytest.raises(ValueError):
             MaxPool2d(3)(rng.normal(size=(1, 1, 4, 4)))
-        with pytest.raises(ValueError):
-            AvgPool2d(3)(rng.normal(size=(1, 1, 4, 4)))
 
 
 class TestCrossEntropyGradient:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, ReLU, Sequential
-from repro.nn.models import MLP
+from repro.nn.models import MLP, CifarCNN, MnistCNN
 from repro.nn.module import Module, Parameter
 
 
 class TestParameter:
     def test_value_and_grad_shapes_match(self):
         p = Parameter(np.ones((3, 2)))
-        assert p.shape == (3, 2)
-        assert p.grad.shape == (3, 2)
-        assert p.size == 6
+        assert p.value.shape == p.grad.shape == (3, 2)
 
     def test_zero_grad(self):
         p = Parameter(np.ones(4))
@@ -30,16 +28,9 @@ class TestParameterDiscovery:
         assert "net.layers.1.bias" in names
         assert len(names) == 4  # two linear layers x (weight, bias)
 
-    def test_num_parameters(self):
+    def test_flat_parameter_count(self):
         model = MLP(8, 3, hidden=(5,), seed=0)
-        assert model.num_parameters() == 8 * 5 + 5 + 5 * 3 + 3
-
-    def test_zero_grad_clears_all(self):
-        model = MLP(4, 2, hidden=(3,), seed=0)
-        for p in model.parameters():
-            p.grad += 1.0
-        model.zero_grad()
-        assert all(np.all(p.grad == 0) for p in model.parameters())
+        assert model.flatten_parameters().size == 8 * 5 + 5 + 5 * 3 + 3
 
     def test_children_iterates_submodules(self):
         seq = Sequential(Linear(3, 2, seed=0), ReLU())
@@ -85,27 +76,11 @@ class TestStateDict:
 
 
 class TestFlattening:
-    def test_flatten_roundtrip(self):
+    def test_flatten_concatenates_every_parameter(self):
         model = MLP(5, 3, hidden=(4,), seed=0)
-        flat = model.flatten_parameters()
-        other = MLP(5, 3, hidden=(4,), seed=9)
-        other.load_flat_parameters(flat)
-        np.testing.assert_allclose(other.flatten_parameters(), flat)
-
-    def test_flatten_length(self):
-        model = MLP(5, 3, hidden=(4,), seed=0)
-        assert model.flatten_parameters().size == model.num_parameters()
-
-    def test_wrong_length_rejected(self):
-        model = MLP(5, 3, seed=0)
-        with pytest.raises(ValueError):
-            model.load_flat_parameters(np.zeros(3))
-
-    def test_flatten_gradients(self):
-        model = MLP(5, 3, hidden=(4,), seed=0)
-        for p in model.parameters():
-            p.grad += 2.0
-        assert np.all(model.flatten_gradients() == 2.0)
+        np.testing.assert_array_equal(
+            model.flatten_parameters(),
+            np.concatenate([p.value.ravel() for p in model.parameters()]))
 
 
 class TestCloneAndModes:
@@ -127,3 +102,38 @@ class TestCloneAndModes:
             Module().forward(np.zeros(1))
         with pytest.raises(NotImplementedError):
             Module().backward(np.zeros(1))
+
+
+#: every model family, built at two seeds, with an input batch it accepts
+MODELS = {
+    "mlp": (lambda seed: MLP(64, 10, seed=seed), (4, 64)),
+    "mnist_cnn": (lambda seed: MnistCNN(1, 8, 10, seed=seed), (4, 1, 8, 8)),
+    "cifar_cnn": (lambda seed: CifarCNN(3, 8, 10, seed=seed), (4, 3, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+class TestEveryModel:
+    def test_state_dict_carries_the_whole_model(self, family):
+        make, shape = MODELS[family]
+        x = np.random.default_rng(0).normal(size=shape)
+        a, b = make(0).eval(), make(1).eval()
+        assert not np.array_equal(a(x), b(x))
+        b.load_state_dict(a.state_dict())
+        np.testing.assert_array_equal(a(x), b(x))
+
+    def test_clone_predicts_alike_and_trains_apart(self, family):
+        make, shape = MODELS[family]
+        x = np.random.default_rng(1).normal(size=shape)
+        model = make(0).eval()
+        clone = model.clone()
+        np.testing.assert_array_equal(model(x), clone(x))
+        before = model.flatten_parameters()
+        for parameter in clone.parameters():
+            parameter.value += 1.0
+        np.testing.assert_array_equal(model.flatten_parameters(), before)
+
+    def test_flat_length_is_the_state_dict_size(self, family):
+        model = MODELS[family][0](0)
+        assert model.flatten_parameters().size == sum(
+            value.size for value in model.state_dict().values())

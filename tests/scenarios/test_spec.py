@@ -1,6 +1,7 @@
 """Validation tests for the declarative scenario specs."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -9,16 +10,14 @@ from repro.scenarios import (
     ChurnSpec,
     DriftSpec,
     DropoutSpec,
+    NetworkSpec,
     ScenarioSpec,
     StragglerSpec,
 )
+from repro.ledger.codec import scenario_from_dict, scenario_to_dict
 
 
 class TestAvailabilitySpec:
-    def test_defaults_are_empty(self):
-        spec = AvailabilitySpec()
-        assert spec.is_empty()
-
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError):
             AvailabilitySpec(offline_probability=1.5)
@@ -28,7 +27,6 @@ class TestAvailabilitySpec:
     def test_down_rounds_normalised_and_sorted(self):
         spec = AvailabilitySpec(down_rounds={2: [7, 3, 5]})
         assert spec.down_rounds[2] == (3, 5, 7)
-        assert not spec.is_empty()
 
     def test_down_rounds_rejects_duplicates_and_negatives(self):
         with pytest.raises(ValueError):
@@ -40,9 +38,6 @@ class TestAvailabilitySpec:
 
 
 class TestChurnSpec:
-    def test_defaults_are_empty(self):
-        assert ChurnSpec().is_empty()
-
     def test_leave_must_follow_join(self):
         ChurnSpec(joins={3: 1}, leaves={3: 2})  # fine
         with pytest.raises(ValueError):
@@ -58,13 +53,9 @@ class TestChurnSpec:
 
 
 class TestStragglerSpec:
-    def test_defaults_are_empty(self):
-        assert StragglerSpec().is_empty()
-
     def test_probability_needs_mean_delay(self):
         with pytest.raises(ValueError):
             StragglerSpec(probability=0.5)
-        assert not StragglerSpec(probability=0.5, mean_delay=1.0).is_empty()
 
     def test_deadline_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -75,15 +66,11 @@ class TestStragglerSpec:
 
 class TestDropoutSpec:
     def test_probability_validated(self):
-        assert DropoutSpec().is_empty()
         with pytest.raises(ValueError):
             DropoutSpec(probability=2.0)
 
 
 class TestDriftSpec:
-    def test_defaults_are_empty(self):
-        assert DriftSpec().is_empty()
-
     def test_period_with_zero_shift_rejected(self):
         with pytest.raises(ValueError):
             DriftSpec(period=5, shift=0)
@@ -99,22 +86,6 @@ class TestDriftSpec:
 
 
 class TestScenarioSpec:
-    def test_default_is_empty(self):
-        assert ScenarioSpec().is_empty()
-
-    def test_min_participation_alone_keeps_empty(self):
-        # the participation floor is aggregation policy, not a fault source
-        assert ScenarioSpec(min_participation=0.5).is_empty()
-
-    def test_any_fault_source_makes_it_non_empty(self):
-        assert not ScenarioSpec(dropouts=DropoutSpec(0.1)).is_empty()
-        assert not ScenarioSpec(churn=ChurnSpec(joins={0: 1})).is_empty()
-        assert not ScenarioSpec(drift=DriftSpec(period=3)).is_empty()
-        assert not ScenarioSpec(
-            stragglers=StragglerSpec(probability=0.1, mean_delay=1.0)).is_empty()
-        assert not ScenarioSpec(
-            availability=AvailabilitySpec(offline_probability=0.1)).is_empty()
-
     def test_component_types_enforced(self):
         with pytest.raises(TypeError):
             ScenarioSpec(dropouts=0.5)
@@ -135,3 +106,107 @@ class TestScenarioSpec:
         spec = ScenarioSpec()
         with pytest.raises(AttributeError):
             spec.seed = 3
+
+
+#: one case per validation rule of the specs: (constructor call, error)
+INVALID_SPECS = {
+    "availability-probability-above-one":
+        (lambda: AvailabilitySpec(offline_probability=1.5), ValueError),
+    "availability-probability-negative":
+        (lambda: AvailabilitySpec(offline_probability=-0.1), ValueError),
+    "availability-duplicate-client":
+        (lambda: AvailabilitySpec(down_rounds={0: (1, 1)}), ValueError),
+    "availability-negative-client":
+        (lambda: AvailabilitySpec(down_rounds={0: (-1,)}), ValueError),
+    "availability-negative-round":
+        (lambda: AvailabilitySpec(down_rounds={-1: (0,)}), ValueError),
+    "churn-leave-at-join":
+        (lambda: ChurnSpec(joins={3: 5}, leaves={3: 5}), ValueError),
+    "churn-leave-at-implicit-join":
+        (lambda: ChurnSpec(leaves={3: 0}), ValueError),
+    "churn-negative-client":
+        (lambda: ChurnSpec(joins={-1: 0}), ValueError),
+    "churn-negative-round":
+        (lambda: ChurnSpec(leaves={0: -1}), ValueError),
+    "stragglers-probability-above-one":
+        (lambda: StragglerSpec(probability=1.5, mean_delay=1.0), ValueError),
+    "stragglers-negative-mean-delay":
+        (lambda: StragglerSpec(mean_delay=-1.0), ValueError),
+    "stragglers-probability-without-delay":
+        (lambda: StragglerSpec(probability=0.5), ValueError),
+    "stragglers-zero-deadline":
+        (lambda: StragglerSpec(deadline=0.0), ValueError),
+    "dropouts-probability-above-one":
+        (lambda: DropoutSpec(probability=2.0), ValueError),
+    "dropouts-probability-negative":
+        (lambda: DropoutSpec(probability=-0.5), ValueError),
+    "drift-negative-period":
+        (lambda: DriftSpec(period=-1), ValueError),
+    "drift-period-without-shift":
+        (lambda: DriftSpec(period=5, shift=0), ValueError),
+    "network-negative-latency":
+        (lambda: NetworkSpec(latency=-0.1), ValueError),
+    "network-negative-jitter":
+        (lambda: NetworkSpec(jitter=-0.1), ValueError),
+    "network-zero-bandwidth":
+        (lambda: NetworkSpec(bandwidth=0), ValueError),
+    "network-flip-above-one":
+        (lambda: NetworkSpec(flip_probability=1.5), ValueError),
+    "network-truncate-negative":
+        (lambda: NetworkSpec(truncate_probability=-0.1), ValueError),
+    "network-reset-above-one":
+        (lambda: NetworkSpec(reset_probability=1.01), ValueError),
+    "network-negative-partition-client":
+        (lambda: NetworkSpec(partitions={-1: "both"}), ValueError),
+    "network-unknown-partition-direction":
+        (lambda: NetworkSpec(partitions={2: "sideways"}), ValueError),
+    "scenario-component-not-a-spec":
+        (lambda: ScenarioSpec(stragglers={"probability": 0.1}), TypeError),
+    "scenario-network-not-a-spec":
+        (lambda: ScenarioSpec(network={"latency": 0.1}), TypeError),
+    "scenario-min-participation-above-one":
+        (lambda: ScenarioSpec(min_participation=1.5), ValueError),
+    "scenario-negative-seed":
+        (lambda: ScenarioSpec(seed=-1), ValueError),
+    "scenario-fractional-seed":
+        (lambda: ScenarioSpec(seed=0.5), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SPECS))
+def test_each_validation_rule_rejects_its_case(case):
+    build, error = INVALID_SPECS[case]
+    with pytest.raises(error):
+        build()
+
+
+#: valid specs, each setting one component away from its default
+VALID_SCENARIOS = {
+    "empty": ScenarioSpec(),
+    "availability": ScenarioSpec(availability=AvailabilitySpec(
+        offline_probability=0.1, down_rounds={3: (7, 0), 5: (2,)})),
+    "churn": ScenarioSpec(churn=ChurnSpec(joins={11: 2, 4: 1}, leaves={4: 3})),
+    "stragglers": ScenarioSpec(stragglers=StragglerSpec(
+        probability=0.2, mean_delay=5.0, deadline=8.0)),
+    "dropouts": ScenarioSpec(dropouts=DropoutSpec(probability=0.05)),
+    "drift": ScenarioSpec(drift=DriftSpec(period=10, shift=-2)),
+    "network": ScenarioSpec(network=NetworkSpec(
+        latency=0.01, jitter=0.002, bandwidth=1e6, flip_probability=0.1,
+        truncate_probability=0.05, reset_probability=0.01,
+        partitions={3: "to_server", 1: "both"})),
+    "everything": ScenarioSpec(
+        availability=AvailabilitySpec(down_rounds={1: (0,)}),
+        churn=ChurnSpec(joins={5: 1}), stragglers=StragglerSpec(
+            probability=1.0, mean_delay=0.5),
+        dropouts=DropoutSpec(probability=0.5), drift=DriftSpec(period=2),
+        network=NetworkSpec(), min_participation=0.75, seed=12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALID_SCENARIOS))
+def test_valid_scenario_survives_the_ledger_codec_through_json(case):
+    # JSON turns the schedules' integer keys into strings; the spec
+    # constructors normalise them back, so the rebuilt spec is equal
+    spec = VALID_SCENARIOS[case]
+    payload = json.loads(json.dumps(scenario_to_dict(spec)))
+    assert scenario_from_dict(payload) == spec

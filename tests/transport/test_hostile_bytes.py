@@ -13,7 +13,7 @@ same live server must still complete a full register handshake.
 import socket
 
 import pytest
-from _hypothesis_support import scaled_max_examples
+from strategies import STANDARD, scaled_max_examples
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +83,7 @@ def send_hostile(transport, payload):
 
 
 class TestHostileBytes:
-    @settings(max_examples=scaled_max_examples(20), deadline=None,
+    @settings(STANDARD, max_examples=scaled_max_examples(20),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cut=st.integers(min_value=0, max_value=len(VALID_FRAME) - 1),
            probe=st.integers(min_value=0, max_value=1 << 16))
@@ -93,7 +93,7 @@ class TestHostileBytes:
         send_hostile(transport, VALID_FRAME[:cut])
         assert_still_serving(transport, _PROBE_ID + probe)
 
-    @settings(max_examples=scaled_max_examples(20), deadline=None,
+    @settings(STANDARD, max_examples=scaled_max_examples(20),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(length=st.integers(min_value=(1 << 20) + 1, max_value=1 << 40),
            probe=st.integers(min_value=0, max_value=1 << 16))
@@ -109,7 +109,7 @@ class TestHostileBytes:
             # failure on the unidentified-peer key, not a silent drop
             assert transport.decode_failures.get(-1, 0) > before.get(-1, 0)
 
-    @settings(max_examples=scaled_max_examples(30), deadline=None,
+    @settings(STANDARD, max_examples=scaled_max_examples(30),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bit=st.integers(min_value=0, max_value=len(VALID_FRAME) * 8 - 1),
            probe=st.integers(min_value=0, max_value=1 << 16))
@@ -119,7 +119,7 @@ class TestHostileBytes:
         send_hostile(transport, bytes(damaged))
         assert_still_serving(transport, _PROBE_ID + probe)
 
-    @settings(max_examples=scaled_max_examples(20), deadline=None,
+    @settings(STANDARD, max_examples=scaled_max_examples(20),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(noise=st.binary(min_size=1, max_size=256),
            probe=st.integers(min_value=0, max_value=1 << 16))

@@ -6,7 +6,8 @@ properties below are therefore parametrised over :data:`MESSAGE_TYPES` with
 hypothesis strategies derived from each table, so a new message is covered
 the moment it is declared:
 
-* ``decode(encode(m)) == m`` and ``encode(decode(frame)) == frame``;
+* ``decode(encode(m))`` carries ``m``'s field values and
+  ``encode(decode(frame)) == frame``;
 * every strict prefix of a payload, re-framed with a valid CRC, is a
   :class:`CorruptFrameError` — and so are bytes after the last field;
 * a value the wire cannot carry fails at encode with a ``ValueError`` that
@@ -17,17 +18,14 @@ It also pins the layout facts the chaos proxy relies on when it sniffs
 """
 
 import dataclasses
-import random
 
 import numpy as np
 import pytest
-from _hypothesis_support import scaled_max_examples
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as npst
+from strategies import (DETERMINISM, model_states, recipes, same_message,
+                        scaled_max_examples)
 
-from repro.crypto import generate_keypair
-from repro.crypto.packing import PackedEncryptedVector
 from repro.federated.client import LocalTrainingConfig
 from repro.transport import chaos
 from repro.transport.messages import (
@@ -36,7 +34,6 @@ from repro.transport.messages import (
     FAILURES,
     MESSAGE_TYPES,
     OPT_F64,
-    PACKED,
     RECIPE,
     STATE,
     STR,
@@ -50,44 +47,9 @@ from repro.transport.messages import (
 )
 from repro.transport.wire import CorruptFrameError, encode_frame
 
-PUBLIC_KEY, _ = generate_keypair(key_size=256, rng=random.Random(5))
-
 u32s = st.integers(min_value=0, max_value=(1 << 32) - 1)
 finite = st.floats(allow_nan=False)
 
-
-@st.composite
-def states(draw):
-    """Model states of every wire dtype, including empty and 0-d arrays."""
-    names = draw(st.lists(st.text(max_size=8), max_size=3, unique=True))
-    state = {}
-    for name in names:
-        dtype = np.dtype(draw(st.sampled_from(
-            ["float64", "float32", "int64", "int32"])))
-        elements = (st.floats(width=8 * dtype.itemsize, allow_nan=False)
-                    if dtype.kind == "f" else
-                    st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max))
-        shape = npst.array_shapes(min_dims=0, max_dims=2, min_side=0,
-                                  max_side=3)
-        state[name] = draw(npst.arrays(dtype, shape, elements=elements))
-    return state
-
-
-recipes = st.builds(
-    LocalTrainingConfig,
-    batch_size=st.integers(1, (1 << 32) - 1),
-    local_epochs=st.integers(1, (1 << 32) - 1),
-    learning_rate=st.floats(min_value=1e-12, max_value=1e3),
-    optimizer=st.sampled_from(["adam", "sgd"]),
-    max_batches_per_epoch=st.none() | st.integers(1, (1 << 32) - 1),
-)
-
-packed_vectors = st.builds(
-    lambda values, seed: PackedEncryptedVector.encrypt(
-        PUBLIC_KEY, values, rng=random.Random(seed)),
-    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
-    st.integers(0, 1 << 16),
-)
 
 #: one strategy per codec a WIRE table may name
 CODEC_STRATEGIES = {
@@ -98,8 +60,7 @@ CODEC_STRATEGIES = {
     F64_TUPLE: st.lists(finite, max_size=6).map(tuple),
     FAILURES: st.dictionaries(u32s, st.text(max_size=10), max_size=4),
     RECIPE: recipes,
-    STATE: states(),
-    PACKED: packed_vectors,
+    STATE: model_states(),
 }
 
 MESSAGE_CLASSES = [MESSAGE_TYPES[code] for code in sorted(MESSAGE_TYPES)]
@@ -114,9 +75,7 @@ def payload_of(frame):
     return frame[8:-4]
 
 
-PROPERTY_SETTINGS = settings(max_examples=scaled_max_examples(25),
-                             deadline=None,
-                             suppress_health_check=[HealthCheck.too_slow])
+PROPERTY_SETTINGS = settings(DETERMINISM, max_examples=scaled_max_examples(25))
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
@@ -133,7 +92,7 @@ class TestTableProperties:
         frame = encode_message(message)
         back, used = decode_message(frame)
         assert used == len(frame)
-        assert type(back) is cls and back == message
+        assert type(back) is cls and same_message(back, message)
 
     @PROPERTY_SETTINGS
     @given(data=st.data())
