@@ -18,7 +18,12 @@ import numpy as np
 
 from ..data.dataloader import DataLoader
 from ..data.dataset import ArrayDataset
-from ..data.distributions import emd, population_distribution, uniform_distribution
+from ..data.distributions import (
+    average_emd,
+    emd,
+    population_distribution,
+    uniform_distribution,
+)
 from ..federated.aggregation import average_states, state_difference_norm
 from ..nn.loss import CrossEntropyLoss
 from ..nn.module import Module
@@ -105,7 +110,7 @@ def weight_divergence_experiment(
 
     client_dists = [ds.class_distribution() for ds in client_datasets]
     p_o = population_distribution(client_dists)
-    term1 = float(np.mean([emd(p, p_o) for p in client_dists]))
+    term1 = average_emd(client_dists, p_o)
     term2 = emd(p_o, uniform_distribution(num_classes))
     return DivergenceReport(
         weight_divergence=float(divergence),

@@ -10,7 +10,9 @@ The paper's statistical-heterogeneity machinery is built from three numbers:
   ``EMD_k = ||p_l^k − p_o||₁`` measures the discrepancy between client ``k``
   and the population distribution (§6.1.1).
 
-All distributions are plain 1-D numpy arrays that sum to one.
+All distributions are plain 1-D numpy arrays that sum to one; a federation's
+are one ``(n, C)`` matrix, one row per client, and the helpers below work on
+the whole matrix at once.
 """
 
 from __future__ import annotations
@@ -39,17 +41,20 @@ def uniform_distribution(num_classes: int) -> np.ndarray:
 
 
 def normalize_counts(counts: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Turn a non-negative count vector into a distribution.
+    """Turn non-negative counts into a distribution, row by row.
 
-    A zero count vector maps to the uniform distribution; this mirrors how
-    the paper treats an empty selection (no information, assume uniform).
+    *counts* is one count vector or an ``(n, C)`` matrix of them.  A zero
+    row maps to the uniform distribution; this mirrors how the paper treats
+    an empty selection (no information, assume uniform).
     """
     arr = np.asarray(counts, dtype=float)
     if np.any(arr < 0):
         raise ValueError("counts must be non-negative")
-    total = arr.sum()
-    if total == 0:
-        return uniform_distribution(arr.size)
+    total = arr.sum(axis=-1, keepdims=True)
+    empty = total == 0
+    if empty.any():
+        arr = np.where(empty, uniform_distribution(arr.shape[-1]), arr)
+        total = np.where(empty, 1.0, total)
     return arr / total
 
 
@@ -95,28 +100,33 @@ def label_distribution(labels: np.ndarray | Iterable[int], num_classes: int) -> 
     return normalize_counts(label_counts(labels, num_classes))
 
 
-def population_distribution(client_distributions: Sequence[np.ndarray]) -> np.ndarray:
+def population_distribution(
+        client_distributions: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     """Population distribution ``p_o`` of a selection (eq. after (2)).
 
     With FedVC virtual clients every client contributes the same number of
     samples, so ``p_o`` is the plain average of the selected clients' label
-    distributions.
+    distributions, given as an ``(n, C)`` matrix or a sequence of rows.
     """
     if len(client_distributions) == 0:
         raise ValueError("population of an empty selection is undefined")
-    stacked = np.vstack([np.asarray(p, dtype=float) for p in client_distributions])
-    return stacked.mean(axis=0)
+    return np.asarray(client_distributions, dtype=float).mean(axis=0)
 
 
-def average_emd(client_distributions: Sequence[np.ndarray],
+def average_emd(client_distributions: np.ndarray | Sequence[np.ndarray],
                 reference: np.ndarray | None = None) -> float:
     """``EMD_avg`` of a federation: mean ``||p_l^k − reference||₁`` over clients.
 
+    *client_distributions* is an ``(n, C)`` matrix or a sequence of rows.
     When *reference* is omitted the population distribution over **all**
     clients is used, matching §6.1.1 of the paper.
     """
     if len(client_distributions) == 0:
         raise ValueError("average EMD of an empty federation is undefined")
+    dists = np.asarray(client_distributions, dtype=float)
     if reference is None:
-        reference = population_distribution(client_distributions)
-    return float(np.mean([emd(p, reference) for p in client_distributions]))
+        reference = population_distribution(dists)
+    reference = np.asarray(reference, dtype=float)
+    if reference.shape != dists.shape[1:]:
+        raise ValueError(f"shape mismatch: {dists.shape[1:]} vs {reference.shape}")
+    return float(np.abs(dists - reference).sum(axis=1).mean())

@@ -70,13 +70,9 @@ class ClientPartition:
     def n_clients(self) -> int:
         return self.client_class_counts.shape[0]
 
-    def client_distribution(self, k: int) -> np.ndarray:
-        """Label distribution ``p_l^k`` of client *k*."""
-        return normalize_counts(self.client_class_counts[k])
-
     def client_distributions(self) -> np.ndarray:
-        """All client label distributions stacked into ``(n_clients, C)``."""
-        return np.vstack([self.client_distribution(k) for k in range(self.n_clients)])
+        """All client label distributions ``p_l^k`` stacked into ``(n_clients, C)``."""
+        return normalize_counts(self.client_class_counts)
 
     def global_counts(self) -> np.ndarray:
         """Per-class counts of the union of all client data."""
@@ -94,11 +90,16 @@ class ClientPartition:
 
     def achieved_emd_avg(self) -> float:
         """Measured average client EMD against the global distribution."""
-        return average_emd(list(self.client_distributions()), self.global_distribution())
+        return average_emd(self.client_distributions(), self.global_distribution())
 
     def selection_population(self, selected: Sequence[int]) -> np.ndarray:
         """Population distribution ``p_o`` of a selected subset of clients."""
-        return population_distribution([self.client_distribution(k) for k in selected])
+        ids = np.asarray(selected, dtype=np.intp)
+        outside = ids[(ids < 0) | (ids >= self.n_clients)]
+        if outside.size:  # a negative id would wrap to a client from the end
+            raise IndexError(f"client id {outside[0]} out of range for "
+                             f"n_clients={self.n_clients}")
+        return population_distribution(normalize_counts(self.client_class_counts[ids]))
 
 
 class EMDTargetPartitioner:
@@ -170,21 +171,25 @@ class EMDTargetPartitioner:
             quota[order[:deficit]] += 1
         pool = np.repeat(np.arange(num_classes), quota)
         self.rng.shuffle(pool)
+        # client k takes the next dominating[k] classes of the pool
+        # (len(pool) == Σd); a client whose slice repeats a class redraws the
+        # repeat among the classes it does not hold yet, in client order, and
+        # keeps every class of its slice, so the scatter needs no undoing
+        rows = np.repeat(np.arange(self.n_clients), dominating)
+        keys = np.sort(rows * num_classes + pool)
+        repeated = np.zeros(self.n_clients, dtype=bool)
+        repeated[keys[1:][keys[1:] == keys[:-1]] // num_classes] = True
         q = np.zeros((self.n_clients, num_classes))
-        pos = 0
-        for k, d in enumerate(dominating):
-            take = list(pool[pos : pos + d])
-            pos += d
+        q[rows, pool] = np.repeat(1.0 / dominating, dominating)
+        starts = np.cumsum(dominating) - dominating
+        for k in np.flatnonzero(repeated).tolist():
             chosen: list[int] = []
-            for c in take:
-                if c in chosen:  # avoid duplicate dominating classes per client
+            for c in pool[starts[k] : starts[k] + dominating[k]].tolist():
+                if c in chosen:
                     candidates = [x for x in range(num_classes) if x not in chosen]
                     c = int(self.rng.choice(candidates))
-                chosen.append(int(c))
-            while len(chosen) < d:  # pool exhausted near the end
-                candidates = [x for x in range(num_classes) if x not in chosen]
-                chosen.append(int(self.rng.choice(candidates)))
-            q[k, chosen] = 1.0 / d
+                chosen.append(c)
+            q[k, chosen] = 1.0 / dominating[k]
         return q
 
     def _calibrate_alpha(self, q: np.ndarray, global_dist: np.ndarray) -> float:
@@ -204,12 +209,8 @@ class EMDTargetPartitioner:
 
         def _measured_emd(alpha: float) -> float:
             mixtures = (1 - alpha) * global_dist[None, :] + alpha * q[:n_probe]
-            emds = []
-            for k in range(n_probe):
-                counts = probe_rng.multinomial(self.samples_per_client, mixtures[k])
-                p_k = counts / counts.sum()
-                emds.append(np.abs(p_k - global_dist).sum())
-            return float(np.mean(emds))
+            counts = probe_rng.multinomial(self.samples_per_client, mixtures)
+            return average_emd(normalize_counts(counts), global_dist)
 
         e0 = _measured_emd(0.0)
         e1 = _measured_emd(1.0)
@@ -228,9 +229,7 @@ class EMDTargetPartitioner:
         q = self._concentrated_distributions(global_dist)
         alpha = self._calibrate_alpha(q, global_dist)
         mixtures = (1 - alpha) * global_dist[None, :] + alpha * q
-        counts = np.zeros((self.n_clients, num_classes), dtype=int)
-        for k in range(self.n_clients):
-            counts[k] = self.rng.multinomial(self.samples_per_client, mixtures[k])
+        counts = self.rng.multinomial(self.samples_per_client, mixtures)
         return ClientPartition(
             counts,
             num_classes,

@@ -22,7 +22,7 @@ class TestClientPartition:
         part = ClientPartition(counts, 2)
         assert part.n_clients == 2
         np.testing.assert_array_equal(part.client_class_counts.sum(axis=1), [10, 10])
-        np.testing.assert_allclose(part.client_distribution(1), [1.0, 0.0])
+        np.testing.assert_allclose(part.client_distributions()[1], [1.0, 0.0])
         np.testing.assert_allclose(part.global_distribution(), [0.75, 0.25])
 
     def test_achieved_statistics(self):
@@ -36,6 +36,22 @@ class TestClientPartition:
         part = ClientPartition(counts, 2)
         np.testing.assert_allclose(part.selection_population([0, 1]), [0.5, 0.5])
         np.testing.assert_allclose(part.selection_population([0, 2]), [1.0, 0.0])
+
+    def test_zero_row_is_uniform(self):
+        part = ClientPartition(np.array([[0, 0, 0, 0], [1, 3, 0, 0]]), 4)
+        np.testing.assert_array_equal(part.client_distributions(),
+                                      [[0.25] * 4, [0.25, 0.75, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("selected, bad", [([-1, 0], -1), ([0, -3], -3), ([0, 3], 3)])
+    def test_selection_population_refuses_ids_outside_the_federation(self, selected, bad):
+        # a negative id must not wrap around to a client counted from the end
+        part = ClientPartition(np.array([[10, 0], [0, 10], [10, 0]]), 2)
+        with pytest.raises(IndexError, match=rf"client id {bad} .*n_clients=3"):
+            part.selection_population(selected)
+
+    def test_selection_population_of_nobody_rejected(self):
+        with pytest.raises(ValueError, match="empty selection"):
+            ClientPartition(np.array([[1, 1]]), 2).selection_population([])
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ class TestVirtualClients:
         counts = np.array([[900, 100]])
         real = ClientPartition(counts, 2)
         mapping = make_virtual_clients(real, samples_per_client=1000, seed=1)
-        dist = mapping.partition.client_distribution(0)
+        dist = mapping.partition.client_distributions()[0]
         assert dist[0] == pytest.approx(0.9, abs=0.05)
 
     def test_empty_client_skipped(self):

@@ -9,6 +9,8 @@ property suite can hold the fast path to it exactly:
   generator, against the table-gather kernel;
 * :mod:`reference.combination_table` — the eager ``itertools.combinations``
   slot table, against the codebook's lazy combinatorial ranks.
+* :mod:`reference.partition_loops` — the per-client partition, distribution
+  and population loops, against the row-wise partition kernels.
 
 References live in ``tests/``, not ``src/``.
 """

@@ -11,7 +11,7 @@ own example count through :func:`scaled_max_examples`, so the nightly
     def test_...(state): ...
 """
 
-from .data import generator_cases
+from .data import count_matrices, generator_cases, partition_cases
 from .federated import client_ids, cohort_and_survivors, finite, round_records
 from .registry import SHAPES, SIGMAS, codebook_configs, tie_configs
 from .settings import DETERMINISM, STANDARD, scaled_max_examples
@@ -25,9 +25,11 @@ __all__ = [
     "client_ids",
     "codebook_configs",
     "cohort_and_survivors",
+    "count_matrices",
     "finite",
     "generator_cases",
     "model_states",
+    "partition_cases",
     "recipes",
     "round_records",
     "same_message",
