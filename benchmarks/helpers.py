@@ -29,7 +29,7 @@ from repro.data import EMDTargetPartitioner, half_normal_class_proportions, make
 from repro.data.partition import ClientPartition
 from repro.data.synthetic import SyntheticImageGenerator, make_synthetic_cifar, make_synthetic_mnist
 from repro.federated import FederatedConfig, FederatedSimulation, LocalTrainingConfig, TrainingHistory
-from repro.nn.models import MLP, CifarCNN
+from repro.nn.models import MLP
 
 __all__ = [
     "BenchFederation",
@@ -109,22 +109,16 @@ def make_selector(name: str, fed: BenchFederation, k: int, h: int = 1,
 
 
 def run_training(fed: BenchFederation, selector, rounds: int, k: int,
-                 model: str = "mlp", eval_every: int = 1,
+                 eval_every: int = 1,
                  learning_rate: float = 3e-3, local_epochs: int = 1,
                  test_samples_per_class: int = 20, seed: int = 0) -> TrainingHistory:
-    """Run a reduced-scale federated training and return its history."""
+    """Run a reduced-scale federated MLP training and return its history."""
     test_set = make_uniform_test_set(fed.generator, samples_per_class=test_samples_per_class,
                                      seed=seed + 1)
-    channels, image_size, _ = fed.generator.image_shape
 
     def model_factory():
-        if model == "mlp":
-            return MLP(fed.generator.flat_feature_dim(), fed.num_classes,
-                       hidden=(32,), seed=seed + 11)
-        if model == "cifar_cnn":
-            return CifarCNN(channels, image_size, fed.num_classes,
-                            channels=(8, 16, 16), hidden=32, seed=seed + 11)
-        raise ValueError(f"unknown model {model!r}")
+        return MLP(fed.generator.flat_feature_dim(), fed.num_classes,
+                   hidden=(32,), seed=seed + 11)
 
     sim = FederatedSimulation(
         partition=fed.partition,

@@ -1,7 +1,9 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design choices the paper fixes.
 
 These are not figures of the paper; they probe the knobs the paper fixes and
-justify the choices the reproduction inherits:
+justify the choices the reproduction inherits.  Where its models and data
+depart from the paper instead is recorded in docs/paper_mapping.md, "Where
+the models and data depart from the paper".
 
 * **reference set** — the paper uses G = {1, 2, 10} for the 10-class tasks.
   How much of Dubhe's balancing comes from the pair block (i = 2)?

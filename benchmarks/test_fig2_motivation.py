@@ -37,7 +37,7 @@ def paper_scale() -> dict:
 def _train_random(rho: float, emd: float, seed: int = 0):
     fed = build_federation("cifar", rho=rho, emd_avg=emd, n_clients=N_CLIENTS, seed=seed)
     selector = make_selector("random", fed, K, seed=seed)
-    history = run_training(fed, selector, rounds=ROUNDS, k=K, model="mlp",
+    history = run_training(fed, selector, rounds=ROUNDS, k=K,
                            eval_every=2, learning_rate=3e-3, seed=seed)
     return fed, history
 

@@ -38,7 +38,7 @@ def _curves_for(dataset: str, rho: float, emd: float, seed: int):
     histories = {}
     for name in SELECTORS:
         selector = make_selector(name, fed, K, h=1, seed=seed)
-        histories[name] = run_training(fed, selector, rounds=ROUNDS, k=K, model="mlp",
+        histories[name] = run_training(fed, selector, rounds=ROUNDS, k=K,
                                        eval_every=3, learning_rate=3e-3, seed=seed)
     return fed, histories
 

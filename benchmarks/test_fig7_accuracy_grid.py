@@ -44,8 +44,7 @@ def test_fig7_accuracy_grid(benchmark):
                 for name in SELECTORS:
                     selector = make_selector(name, fed, K, seed=5)
                     history = run_training(fed, selector, rounds=ROUNDS, k=K,
-                                           model="mlp", eval_every=2,
-                                           learning_rate=3e-3, seed=5)
+                                           eval_every=2, learning_rate=3e-3, seed=5)
                     cell[name] = history.tail_average_accuracy(TAIL)
                 results[(rho, emd)] = cell
         return results

@@ -59,7 +59,7 @@ def test_fig8_femnist(benchmark):
         }
         histories = {}
         for name, selector in selectors.items():
-            histories[name] = run_training(fed, selector, rounds=ROUNDS, k=K, model="mlp",
+            histories[name] = run_training(fed, selector, rounds=ROUNDS, k=K,
                                            eval_every=3, learning_rate=3e-3,
                                            test_samples_per_class=6, seed=6)
         return fed, histories

@@ -107,5 +107,6 @@ def test_table1_femnist(benchmark):
     # global skew close to the paper's 13.64
     assert summary["rho"] == pytest.approx(FEMNIST_PAPER_RHO, rel=0.5)
     # the empirical EMD sits above the paper's value because of the per-client
-    # sampling floor and the writer-style concentration (see DESIGN.md)
+    # sampling floor and the writer-style concentration (docs/paper_mapping.md,
+    # "Where the models and data depart from the paper")
     assert 0.3 <= summary["emd_avg"] <= 1.6

@@ -96,10 +96,10 @@ def test_table2_accuracy_improvement(benchmark):
         for name, h in (("dubhe_h1", 1), ("dubhe_h10", 10)):
             selector = make_selector("dubhe", fed, TRAIN_K, h=h, seed=11)
             results[name] = run_training(fed, selector, rounds=TRAIN_ROUNDS, k=TRAIN_K,
-                                         model="mlp", eval_every=2, seed=11)
+                                         eval_every=2, seed=11)
         greedy = make_selector("greedy", fed, TRAIN_K, seed=11)
         results["greedy"] = run_training(fed, greedy, rounds=TRAIN_ROUNDS, k=TRAIN_K,
-                                         model="mlp", eval_every=2, seed=11)
+                                         eval_every=2, seed=11)
         return results
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -4,7 +4,8 @@
 The paper's third workload stresses Dubhe where the registry is *sparse*: 52
 letter classes, reference set G = {1, 52}, and a large, naturally skewed
 client population (Table 1: ρ = 13.64, EMD_avg = 0.554, N = 8962).  This
-example rebuilds that federation (synthetically — see DESIGN.md for the
+example rebuilds that federation (synthetically — docs/paper_mapping.md,
+"Where the models and data depart from the paper", records the
 substitution), runs Dubhe against random and greedy selection, and reports
 the population bias each method achieves, plus how the registry's sparsity
 shows up in which letters never get a dominating client (the Figure 10

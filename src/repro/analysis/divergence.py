@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..data.dataloader import DataLoader
 from ..data.dataset import ArrayDataset
 from ..data.distributions import (
     average_emd,
@@ -25,9 +24,9 @@ from ..data.distributions import (
     uniform_distribution,
 )
 from ..federated.aggregation import average_states, state_difference_norm
-from ..nn.loss import CrossEntropyLoss
+from ..federated.client import FederatedClient, LocalTrainingConfig
+from ..federated.executor import LocalUpdateExecutor
 from ..nn.module import Module
-from ..nn.optim import SGD
 
 __all__ = ["DivergenceReport", "weight_divergence_experiment"]
 
@@ -43,25 +42,6 @@ class DivergenceReport:
     local_steps: int
 
 
-def _train_steps(model: Module, dataset: ArrayDataset, steps: int, lr: float,
-                 batch_size: int, seed: int) -> None:
-    """Run a fixed number of SGD steps on a dataset (in place)."""
-    loss_fn = CrossEntropyLoss()
-    optimizer = SGD(model, lr=lr)
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, seed=seed)
-    done = 0
-    while done < steps:
-        for xb, yb in loader:
-            if done >= steps:
-                break
-            logits = model(xb)
-            _, grad = loss_fn(logits, yb)
-            optimizer.zero_grad()
-            model.backward(grad)
-            optimizer.step()
-            done += 1
-
-
 def weight_divergence_experiment(
     model_factory: Callable[[], Module],
     client_datasets: Sequence[ArrayDataset],
@@ -75,38 +55,44 @@ def weight_divergence_experiment(
     """Measure FedAvg-vs-centralised weight divergence on given client data.
 
     Both runs start from the same initial weights (same ``model_factory``
-    seed).  Each round, the federated run trains one clone per client for
-    ``local_steps`` SGD steps and averages (eq. (1)); the centralised run
-    trains a single model for the same total number of steps on the pooled
-    data.  The returned report pairs the measured divergence with the two
-    EMD terms of eq. (2).
+    seed) and train through :class:`~repro.federated.LocalUpdateExecutor`,
+    each local update being ``local_steps`` SGD steps on one fresh
+    mini-batch each.  Each round the federated run trains every client from
+    the global weights and averages (eq. (1)); the centralised run trains one
+    client holding the pooled data for the same number of steps.  The
+    returned report pairs the measured divergence with the two EMD terms of
+    eq. (2).
     """
     if not client_datasets:
         raise ValueError("need at least one client dataset")
     if rounds < 1 or local_steps < 1:
         raise ValueError("rounds and local_steps must be positive")
 
-    federated = model_factory()
-    centralized = model_factory()
-    if not np.allclose(federated.flatten_parameters(), centralized.flatten_parameters()):
+    first, second = model_factory(), model_factory()
+    if not np.array_equal(first.flatten_parameters(), second.flatten_parameters()):
         raise ValueError("model_factory must produce identically initialised models")
+    federated = centralized = first.state_dict()
 
-    pooled_x = np.concatenate([ds.x for ds in client_datasets])
-    pooled_y = np.concatenate([ds.y for ds in client_datasets])
-    pooled = ArrayDataset(pooled_x, pooled_y, num_classes=num_classes)
-
+    clients = [FederatedClient(i, num_classes, dataset=ds, seed=seed + i)
+               for i, ds in enumerate(client_datasets)]
+    pooled = ArrayDataset(np.concatenate([ds.x for ds in client_datasets]),
+                          np.concatenate([ds.y for ds in client_datasets]),
+                          num_classes=num_classes)
+    central = [FederatedClient(len(clients), num_classes, dataset=pooled,
+                               seed=seed + len(clients))]
+    config = LocalTrainingConfig(batch_size=batch_size, local_epochs=local_steps,
+                                 max_batches_per_epoch=1, learning_rate=lr,
+                                 optimizer="sgd")
+    federated_executor, central_executor = LocalUpdateExecutor(), LocalUpdateExecutor()
     for r in range(rounds):
-        # federated: every client trains a clone of the current global model
-        states = []
-        for i, ds in enumerate(client_datasets):
-            clone = federated.clone()
-            _train_steps(clone, ds, local_steps, lr, batch_size, seed + 31 * r + i)
-            states.append(clone.state_dict())
-        federated.load_state_dict(average_states(states))
-        # centralised: same number of optimisation steps on the pooled data
-        _train_steps(centralized, pooled, local_steps, lr, batch_size, seed + 97 * r)
+        # a vectorized round returns views into its executor's pools, which
+        # that executor's next round overwrites: average them first
+        federated = average_states(federated_executor.run_round(
+            clients, model_factory, federated, config, round_index=r))
+        centralized = average_states(central_executor.run_round(
+            central, model_factory, centralized, config, round_index=r))
 
-    divergence = state_difference_norm(federated.state_dict(), centralized.state_dict())
+    divergence = state_difference_norm(federated, centralized)
 
     client_dists = [ds.class_distribution() for ds in client_datasets]
     p_o = population_distribution(client_dists)

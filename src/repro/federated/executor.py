@@ -4,15 +4,16 @@ The paper implements "the training process of participated clients as
 parallel processes" on a GPU box.  In this reproduction local updates are
 plain NumPy, so three execution modes are offered:
 
-* ``"sequential"`` (default) — deterministic and simplest; NumPy already uses
-  multi-threaded BLAS for the matrix multiplies;
-* ``"vectorized"`` — the cohort back-end: the K selected clients' datasets
-  are stacked into one ``(K, N_vc, …)`` tensor, the model's parameters are
-  broadcast to a leading client axis, and every local optimisation step for
-  all K clients runs as a handful of batched matmuls
-  (:mod:`repro.nn.batched`).  This is the fastest single-core mode for many
-  small clients, where the sequential Python loop — not BLAS — is the
-  bottleneck;
+* ``"vectorized"`` (default) — the cohort back-end: the K selected clients'
+  datasets are stacked into one ``(K, N_vc, …)`` tensor, the model's
+  parameters are broadcast to a leading client axis, and every local
+  optimisation step for all K clients runs as a handful of batched matmuls
+  (:mod:`repro.nn.batched`).  Many small clients make the sequential Python
+  loop — not BLAS — the bottleneck, which this mode removes;
+* ``"sequential"`` — one client after another: the fallback for cohorts the
+  vectorized mode cannot stack, the path every socket peer trains on
+  (:meth:`FederatedClient.local_train`), and the reference the equivalence
+  tests hold the other modes to;
 * ``"parallel"`` — the multi-cohort back-end: the K clients are sharded
   across ``num_workers`` persistent worker processes, each running its shard
   as an independent vectorized block with bulk state crossing the process
@@ -24,9 +25,9 @@ plain NumPy, so three execution modes are offered:
 All modes produce matching results for the same inputs: the work items are
 pure functions of (client dataset, incoming weights, config), and the
 batched kernels mirror the sequential arithmetic slice-for-slice.  When a
-cohort cannot be vectorized (unregistered model type, ragged client dataset
-sizes) the vectorized mode transparently falls back to the sequential loop
-and records the reason in :attr:`LocalUpdateExecutor.last_fallback_reason`.
+cohort cannot be vectorized (a model that is no chain of the shipped layers,
+ragged client dataset sizes) the vectorized mode falls back to the sequential
+loop and records the reason in :attr:`LocalUpdateExecutor.last_fallback_reason`.
 
 The vectorized back-end is *round-persistent*: the first vectorized round
 builds a :class:`~repro.federated.workspace.CohortWorkspace` (flat parameter
@@ -89,7 +90,7 @@ class LocalUpdateExecutor:
     >>> #                             LocalTrainingConfig())
     """
 
-    def __init__(self, mode: str = "sequential",
+    def __init__(self, mode: str = "vectorized",
                  num_workers: Optional[int] = None,
                  scheduler_timeout: Optional[float] = 120.0):
         if mode not in EXECUTOR_MODES:

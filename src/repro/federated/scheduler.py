@@ -294,8 +294,8 @@ class CohortScheduler:
                y_dtype: np.dtype, model_factory: Callable[[], Module]) -> None:
         """Fork a fresh worker fleet over freshly allocated shared pools."""
         self.shutdown()
-        # cheap parent-side vectorization pre-check: refuse unregistered
-        # models/layers here, before any process is forked
+        # cheap parent-side vectorization pre-check: refuse unvectorizable
+        # models here, before any process is forked
         BatchedModel(template, 1)
         self._layout, per_client = _flat_layout(template)
         try:

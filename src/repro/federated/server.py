@@ -34,7 +34,7 @@ class FederatedServer:
     the forward-only cohort kernels (:class:`repro.nn.metrics.BatchedEvaluator`,
     built once and reused every round), falling back to the per-batch loop
     (:func:`repro.nn.metrics.evaluate_model`, identical metrics) for models
-    without a registered cohort chain.
+    that are no layer chain.
 
     Example
     -------

@@ -54,9 +54,9 @@ class FederatedConfig:
     (:class:`~repro.core.config.TransportConfig`).
 
     ``executor_mode`` selects the local-update back-end
-    (:data:`repro.federated.EXECUTOR_MODES`: ``"sequential"``/
-    ``"vectorized"``/``"parallel"``; see
-    :class:`repro.federated.LocalUpdateExecutor`).
+    (:data:`repro.federated.EXECUTOR_MODES`: ``"vectorized"`` by default,
+    which falls back to ``"sequential"`` for a cohort it cannot stack, or
+    ``"parallel"``; see :class:`repro.federated.LocalUpdateExecutor`).
     ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
     mode's multi-cohort scheduler (worker-process count, defaulting to one
     per core, and the per-round worker-reply deadline in seconds — raise it
@@ -92,7 +92,7 @@ class FederatedConfig:
     rounds: int = 20
     eval_every: int = 1
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
-    executor_mode: str = "sequential"
+    executor_mode: str = "vectorized"
     dataset_cache_size: Optional[int] = 1024
     num_workers: Optional[int] = None
     scheduler_timeout: Optional[float] = 120.0

@@ -20,11 +20,11 @@ sequential contract exactly: a rebound round is arithmetically
 indistinguishable from a freshly built one, because sequential clients also
 start every round from a factory-fresh model and optimiser.
 
-Numerical safety valves: a structurally different template, a changed cohort
-size, or an unregistered custom layer silently rebuilds the workspace
-(counted in ``LocalUpdateExecutor.workspace_builds``); a ragged cohort
-raises through to the executor's usual sequential fallback while leaving the
-workspace intact for the next dense round.
+Numerical safety valves: a structurally different template or a changed
+cohort size silently rebuilds the workspace (counted in
+``LocalUpdateExecutor.workspace_builds``); a ragged cohort raises through to
+the executor's usual sequential fallback while leaving the workspace intact
+for the next dense round.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ from .batched import (
     BatchedParameter,
     UnvectorizableModelError,
     batched_cross_entropy,
-    register_cohort_chain,
-    register_layer_vectorizer,
 )
 from .conv import Conv2d, MaxPool2d, col2im, im2col
 from .init import kaiming_uniform, zeros
@@ -67,7 +65,5 @@ __all__ = [
     "kaiming_uniform",
     "log_softmax",
     "per_class_accuracy",
-    "register_cohort_chain",
-    "register_layer_vectorizer",
     "zeros",
 ]

@@ -26,14 +26,17 @@ layer's RNG and broadcasting it across the client axis.
 
 Extending
 ---------
-Unknown layers/models raise :class:`UnvectorizableModelError` (callers such
-as :class:`repro.federated.LocalUpdateExecutor` fall back to the sequential
-back-end).  Register support for custom types with
-:func:`register_layer_vectorizer` / :func:`register_cohort_chain`.  Custom
-batched layers must follow the assign-not-accumulate gradient contract of
-:meth:`BatchedLayer.backward` (unlike sequential layers, which ``+=`` into
-grads): the training loop skips per-step ``zero_grad`` because every
-built-in batched backward overwrites its parameter grads.
+A model vectorizes when it is a :class:`~repro.nn.layers.Sequential` chain
+(nested chains are flattened) of the shipped layer types — ``Linear``,
+``Conv2d``, ``MaxPool2d``, ``ReLU``, ``Flatten``, ``Dropout`` or their
+subclasses — and the chain covers every parameter; each model of
+:mod:`repro.nn.models` lists its chain once.  Anything else raises
+:class:`UnvectorizableModelError`, and callers such as
+:class:`repro.federated.LocalUpdateExecutor` fall back to the sequential
+back-end.  Batched layers follow the assign-not-accumulate gradient contract
+of :meth:`BatchedLayer.backward` (unlike sequential layers, which ``+=`` into
+grads): the training loop skips per-step ``zero_grad`` because every batched
+backward overwrites its parameter grads.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import numpy as np
 
 from .conv import Conv2d, MaxPool2d, col2im, im2col
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
-from .models import MLP, CifarCNN, MnistCNN
 from .module import Module, Parameter
 
 __all__ = [
@@ -54,13 +56,11 @@ __all__ = [
     "BatchedSGD",
     "UnvectorizableModelError",
     "batched_cross_entropy",
-    "register_cohort_chain",
-    "register_layer_vectorizer",
 ]
 
 
 class UnvectorizableModelError(TypeError):
-    """The model/layer has no registered batched (cohort) implementation."""
+    """The model/layer has no batched (cohort) implementation."""
 
 
 class BatchedParameter:
@@ -144,9 +144,9 @@ class BatchedLayer:
         per-round state matters (e.g. the dropout RNG, which must restart
         from the factory-fresh stream every round to mirror sequential
         clients).  ``False`` forces the caller to rebuild the whole batched
-        model; this conservative default covers custom registered layers.
+        model.
         """
-        return False
+        raise NotImplementedError
 
 
 class BatchedLinear(BatchedLayer):
@@ -351,82 +351,17 @@ class FoldedLayer(BatchedLayer):
         return grad.reshape((k, b) + grad.shape[1:])
 
 
-class BatchedSequential(BatchedLayer):
-    """A chain of batched layers applied in order."""
+# -- the layer table ------------------------------------------------------------
 
-    def __init__(self, layer: Sequential, num_clients: int):
-        self.layers = [vectorize_layer(child, num_clients) for child in layer.layers]
-
-    def rebind(self, layer: Module) -> bool:
-        if not isinstance(layer, Sequential) or len(layer.layers) != len(self.layers):
-            return False
-        return all(child.rebind(sub)
-                   for child, sub in zip(self.layers, layer.layers))
-
-    def param_pairs(self) -> list[tuple[Parameter, BatchedParameter]]:
-        return [pair for child in self.layers for pair in child.param_pairs()]
-
-    def set_training(self, training: bool) -> None:
-        self.training = training
-        for child in self.layers:
-            child.set_training(training)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output)
-        return grad_output
-
-
-# -- vectorizer registries ------------------------------------------------------
-
-_LAYER_VECTORIZERS: dict[type, Callable[[Module, int], BatchedLayer]] = {}
-
-#: maps a model type to a function returning its layers as a flat forward chain
-_MODEL_CHAINS: dict[type, Callable[[Module], list[Module]]] = {}
-
-
-def register_layer_vectorizer(layer_type: type,
-                              factory: Callable[[Module, int], BatchedLayer]) -> None:
-    """Register a batched implementation for a layer type (subclasses inherit it).
-
-    Example
-    -------
-    >>> from repro.nn.layers import ReLU
-    >>> class MyReLU(ReLU):
-    ...     pass
-    >>> register_layer_vectorizer(MyReLU, FoldedLayer)  # subclasses inherit
-    >>> type(vectorize_layer(MyReLU(), num_clients=4)).__name__
-    'FoldedLayer'
-    """
-    _LAYER_VECTORIZERS[layer_type] = factory
-
-
-def register_cohort_chain(model_type: type,
-                          chain: Callable[[Module], list[Module]]) -> None:
-    """Register how a model type decomposes into a flat chain of layers.
-
-    Only models whose forward pass is a pure chain of registered layers can
-    be vectorized; the chain function must list the layers in forward order.
-
-    Example
-    -------
-    >>> from repro.nn.layers import Linear, ReLU, Sequential
-    >>> from repro.nn.module import Module
-    >>> class TwoLayer(Module):
-    ...     def __init__(self):
-    ...         self.a, self.r, self.b = Linear(4, 8), ReLU(), Linear(8, 2)
-    ...     def forward(self, x):
-    ...         return self.b(self.r(self.a(x)))
-    >>> register_cohort_chain(TwoLayer, lambda m: [m.a, m.r, m.b])
-    >>> BatchedModel(TwoLayer(), num_clients=3).num_clients
-    3
-    """
-    _MODEL_CHAINS[model_type] = chain
+#: the batched counterpart of each shipped layer type (subclasses inherit it)
+_LAYER_VECTORIZERS: dict[type, Callable[[Module, int], BatchedLayer]] = {
+    Linear: BatchedLinear,
+    Conv2d: BatchedConv2d,
+    Dropout: BatchedDropout,
+    ReLU: FoldedLayer,
+    Flatten: FoldedLayer,
+    MaxPool2d: FoldedLayer,
+}
 
 
 def vectorize_layer(layer: Module, num_clients: int) -> BatchedLayer:
@@ -436,39 +371,26 @@ def vectorize_layer(layer: Module, num_clients: int) -> BatchedLayer:
         if factory is not None:
             return factory(layer, num_clients)
     raise UnvectorizableModelError(
-        f"no batched implementation registered for layer type {type(layer).__name__}"
+        f"no batched implementation for layer type {type(layer).__name__}"
     )
 
 
-register_layer_vectorizer(Linear, BatchedLinear)
-register_layer_vectorizer(Conv2d, BatchedConv2d)
-register_layer_vectorizer(Dropout, BatchedDropout)
-register_layer_vectorizer(ReLU, FoldedLayer)
-register_layer_vectorizer(Flatten, FoldedLayer)
-register_layer_vectorizer(MaxPool2d, FoldedLayer)
-register_layer_vectorizer(Sequential, BatchedSequential)
+def _flat_chain(model: Module) -> list[Module]:
+    """*model*'s layers in forward order, nested :class:`Sequential` flattened.
 
-register_cohort_chain(Sequential, lambda m: list(m.layers))
-register_cohort_chain(MLP, lambda m: list(m.net.layers))
-register_cohort_chain(MnistCNN, lambda m: [
-    m.conv1, m.relu1, m.conv2, m.relu2, m.pool, m.flatten,
-    m.fc1, m.relu3, m.dropout, m.fc2,
-])
-register_cohort_chain(CifarCNN, lambda m: [
-    m.conv1, m.relu1, m.conv2, m.relu2, m.pool1, m.conv3, m.relu3, m.pool2,
-    m.flatten, m.fc1, m.relu4, m.fc2,
-])
-
-
-def _resolve_chain(model: Module) -> list[Module]:
-    for cls in type(model).__mro__:
-        chain = _MODEL_CHAINS.get(cls)
-        if chain is not None:
-            return chain(model)
-    raise UnvectorizableModelError(
-        f"no cohort chain registered for model type {type(model).__name__}; "
-        "register one with repro.nn.batched.register_cohort_chain"
-    )
+    Only a :class:`Sequential` that keeps Sequential's own forward/backward
+    loops is a chain; anything else refuses vectorization.
+    """
+    if (not isinstance(model, Sequential)
+            or type(model).forward is not Sequential.forward
+            or type(model).backward is not Sequential.backward):
+        raise UnvectorizableModelError(
+            f"{type(model).__name__} is not a Sequential layer chain"
+        )
+    chain: list[Module] = []
+    for layer in model.layers:
+        chain.extend(_flat_chain(layer) if isinstance(layer, Sequential) else [layer])
+    return chain
 
 
 # -- the batched model -----------------------------------------------------------
@@ -505,7 +427,7 @@ class BatchedModel:
             raise ValueError("num_clients must be positive")
         self.template = template
         self.num_clients = num_clients
-        chain = _resolve_chain(template)
+        chain = _flat_chain(template)
         self.layers = [vectorize_layer(layer, num_clients) for layer in chain]
         mapping = {id(tp): bp for layer in self.layers for tp, bp in layer.param_pairs()}
         self._named: list[tuple[str, BatchedParameter]] = []
@@ -535,7 +457,7 @@ class BatchedModel:
         global state with :meth:`load_state_dict_broadcast` as usual.
         """
         try:
-            chain = _resolve_chain(template)
+            chain = _flat_chain(template)
         except UnvectorizableModelError:
             return False
         if len(chain) != len(self.layers):
@@ -687,10 +609,6 @@ class BatchedSGD:
         self._velocity = np.zeros_like(self._values) if momentum else None
         self._scratch = np.empty(min(self._values.size, _OPT_BLOCK),
                                  dtype=self._values.dtype)
-
-    def zero_grad(self) -> None:
-        """Zero the model's flat gradient pool in place."""
-        self._grads.fill(0.0)
 
     def reset(self) -> None:
         """Forget all optimiser state (fresh-optimiser semantics, no realloc).

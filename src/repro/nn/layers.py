@@ -118,7 +118,12 @@ class Dropout(Module):
 
 
 class Sequential(Module):
-    """A chain of layers applied in order."""
+    """A chain of layers applied in order.
+
+    A subclass may provide :attr:`layers` as a property instead (every model
+    of :mod:`repro.nn.models` does); forward, backward and the cohort
+    back-end all walk it.
+    """
 
     def __init__(self, *layers: Module):
         if not layers:

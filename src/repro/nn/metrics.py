@@ -99,7 +99,7 @@ class BatchedEvaluator:
 
     The evaluator is round-persistent: construct once (this is where
     :class:`~repro.nn.batched.UnvectorizableModelError` may rule the model
-    out, e.g. a custom architecture with no registered cohort chain), then
+    out, e.g. a custom architecture that is no layer chain), then
     per evaluation call :meth:`load_state` with the current global weights
     and :meth:`evaluate`.
 

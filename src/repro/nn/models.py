@@ -8,17 +8,21 @@ The paper trains:
 
 A full ResNet18 is far too slow for a pure-NumPy substrate at benchmark
 scale, so :class:`CifarCNN` is a compact convolutional network standing in
-for it (documented substitution in DESIGN.md): the selection-method
-comparison only needs a model whose accuracy responds to population-
-distribution bias, which any trainable CNN does.  :class:`MLP` is a cheaper
-alternative used by fast tests and reduced-scale benchmarks.
+for it (a substitution recorded in docs/paper_mapping.md, "Where the models
+and data depart from the paper"): the selection-method comparison only
+needs a model whose accuracy responds to population-distribution bias,
+which any trainable CNN does.  :class:`MLP` is a cheaper alternative used by
+fast tests and reduced-scale benchmarks.
+
+Each model lists its layer order once, in a class-level ``chain``:
+``forward``/``backward`` are :class:`~repro.nn.layers.Sequential`'s loops over
+it, and the cohort back-end (:class:`repro.nn.batched.BatchedModel`)
+vectorizes the same chain.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .conv import Conv2d, MaxPool2d
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
@@ -27,8 +31,25 @@ from .module import Module
 __all__ = ["MLP", "MnistCNN", "CifarCNN"]
 
 
-class MLP(Module):
+class _NamedChain(Sequential):
+    """A :class:`Sequential` whose layers are the attributes named in ``chain``.
+
+    The layers stay named attributes: an instance list of them would give
+    every parameter a second ``state_dict`` name, since ``named_parameters``
+    walks ``__dict__``.
+    """
+
+    chain: tuple[str, ...] = ()
+
+    @property
+    def layers(self) -> list[Module]:
+        return [getattr(self, name) for name in self.chain]
+
+
+class MLP(_NamedChain):
     """A small multi-layer perceptron over flattened inputs."""
+
+    chain = ("net",)
 
     def __init__(self, in_features: int, num_classes: int,
                  hidden: Sequence[int] = (64,), seed: Optional[int] = None):
@@ -44,19 +65,16 @@ class MLP(Module):
         self.net = Sequential(*layers)
         self.num_classes = num_classes
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.net(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_output)
-
-
-class MnistCNN(Module):
+class MnistCNN(_NamedChain):
     """The two-conv CNN of Reddi et al., scaled to the synthetic image size.
 
     conv(32, 3x3) → ReLU → conv(64, 3x3) → ReLU → maxpool(2) → dense(128) →
     dropout → dense(C).  Channel widths can be narrowed for fast tests.
     """
+
+    chain = ("conv1", "relu1", "conv2", "relu2", "pool", "flatten",
+             "fc1", "relu3", "dropout", "fc2")
 
     def __init__(self, in_channels: int = 1, image_size: int = 8, num_classes: int = 10,
                  channels: tuple[int, int] = (16, 32), hidden: int = 64,
@@ -78,35 +96,17 @@ class MnistCNN(Module):
         self.fc2 = Linear(hidden, num_classes, seed=s(5))
         self.num_classes = num_classes
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.relu1(self.conv1(x))
-        x = self.relu2(self.conv2(x))
-        x = self.pool(x)
-        x = self.flatten(x)
-        x = self.relu3(self.fc1(x))
-        x = self.dropout(x)
-        return self.fc2(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = self.fc2.backward(grad_output)
-        grad = self.dropout.backward(grad)
-        grad = self.relu3.backward(grad)
-        grad = self.fc1.backward(grad)
-        grad = self.flatten.backward(grad)
-        grad = self.pool.backward(grad)
-        grad = self.relu2.backward(grad)
-        grad = self.conv2.backward(grad)
-        grad = self.relu1.backward(grad)
-        return self.conv1.backward(grad)
-
-
-class CifarCNN(Module):
+class CifarCNN(_NamedChain):
     """Compact conv net standing in for ResNet18 on the CIFAR-like task.
 
     Three conv blocks with pooling followed by a two-layer classifier.  Deep
     enough that the harder CIFAR-like synthetic task separates the selection
     methods, shallow enough to train in seconds on CPU.
     """
+
+    chain = ("conv1", "relu1", "conv2", "relu2", "pool1", "conv3", "relu3", "pool2",
+             "flatten", "fc1", "relu4", "fc2")
 
     def __init__(self, in_channels: int = 3, image_size: int = 8, num_classes: int = 10,
                  channels: tuple[int, int, int] = (16, 32, 32), hidden: int = 64,
@@ -129,27 +129,3 @@ class CifarCNN(Module):
         self.relu4 = ReLU()
         self.fc2 = Linear(hidden, num_classes, seed=s(5))
         self.num_classes = num_classes
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.relu1(self.conv1(x))
-        x = self.relu2(self.conv2(x))
-        x = self.pool1(x)
-        x = self.relu3(self.conv3(x))
-        x = self.pool2(x)
-        x = self.flatten(x)
-        x = self.relu4(self.fc1(x))
-        return self.fc2(x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = self.fc2.backward(grad_output)
-        grad = self.relu4.backward(grad)
-        grad = self.fc1.backward(grad)
-        grad = self.flatten.backward(grad)
-        grad = self.pool2.backward(grad)
-        grad = self.relu3.backward(grad)
-        grad = self.conv3.backward(grad)
-        grad = self.pool1.backward(grad)
-        grad = self.relu2.backward(grad)
-        grad = self.conv2.backward(grad)
-        grad = self.relu1.backward(grad)
-        return self.conv1.backward(grad)

@@ -143,14 +143,6 @@ class Module:
             return np.empty(0)
         return np.concatenate([p.value.ravel() for p in params])
 
-    # -- misc -----------------------------------------------------------------------
-
-    def clone(self) -> "Module":
-        """A deep copy of this module (used to fork the global model per client)."""
-        import copy
-
-        return copy.deepcopy(self)
-
 
 def seeded_rng(seed: Optional[int]) -> np.random.Generator:
     """Shared helper so every layer seeds its initialiser the same way."""

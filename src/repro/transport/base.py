@@ -169,7 +169,7 @@ def build_transport(config: Optional[TransportConfig] = None,
 
     ``kind="inprocess"`` wraps *executor* (a
     :class:`~repro.federated.executor.LocalUpdateExecutor`; ``None`` means a
-    default sequential one); ``kind="socket"`` starts a
+    default, vectorized one); ``kind="socket"`` starts a
     :class:`~repro.transport.server.SocketTransport` listening on
     ``config.host:config.port`` (port 0 picks a free port).  *network* (a
     :class:`~repro.scenarios.spec.NetworkSpec`) interposes a

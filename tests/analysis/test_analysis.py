@@ -11,6 +11,7 @@ from repro.core.selectors import RandomSelector
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 from repro.data.synthetic import make_synthetic_mnist
+from repro.federated.executor import LocalUpdateExecutor
 from repro.nn.models import MLP
 
 
@@ -151,3 +152,36 @@ class TestWeightDivergence:
 
         with pytest.raises(ValueError):
             weight_divergence_experiment(bad_factory, datasets, 10)
+
+    def test_nearly_identical_initialisations_are_refused(self):
+        # "identically initialised" means bit-equal: a second model off by
+        # 1e-12 in one weight would otherwise pass a tolerance check
+        gen, datasets = self._client_datasets([[2] * 10])
+        built = []
+
+        def drifting_factory():
+            model = MLP(gen.flat_feature_dim(), 10, seed=0)
+            if built:
+                model.parameters()[0].value[0, 0] += 1e-12
+            built.append(model)
+            return model
+
+        with pytest.raises(ValueError, match="identically initialised"):
+            weight_divergence_experiment(drifting_factory, datasets, 10)
+
+    def test_sequential_and_vectorized_runs_agree(self):
+        # dense clients train vectorized (BatchedSGD); the same experiment
+        # forced onto the sequential engine yields the same divergence
+        gen, datasets = self._client_datasets([[3] * 10] * 3, seed=2)
+
+        def factory():
+            return MLP(gen.flat_feature_dim(), 10, hidden=(8,), seed=1)
+
+        vectorized = weight_divergence_experiment(factory, datasets, 10, rounds=2,
+                                                  local_steps=4, batch_size=8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LocalUpdateExecutor, "_run_vectorized",
+                          LocalUpdateExecutor._run_sequential)
+            sequential = weight_divergence_experiment(factory, datasets, 10, rounds=2,
+                                                      local_steps=4, batch_size=8)
+        assert vectorized.weight_divergence == sequential.weight_divergence

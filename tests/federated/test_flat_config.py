@@ -108,7 +108,7 @@ class TestLedgerCodec:
         {"rounds": 7},
         {"eval_every": 3},
         {"local": LocalTrainingConfig(batch_size=4, local_epochs=2)},
-        {"executor_mode": "vectorized"},
+        {"executor_mode": "sequential"},
         {"dataset_cache_size": None},
         {"executor_mode": "parallel", "num_workers": 2},
         {"scheduler_timeout": None},

@@ -282,3 +282,50 @@ class TestSimulationExecutorModes:
             expected = evaluate_model(sim.server.global_model, test_set)
             assert record.test_accuracy == expected["accuracy"]
         assert sim.server.eval_fallback_reason is None
+
+
+class TestDefaultEngine:
+    def test_default_config_trains_a_dense_cohort_vectorized(self, sim_setup):
+        generator, partition, test_set = sim_setup
+        sim = FederatedSimulation(
+            partition=partition,
+            generator=generator,
+            model_factory=lambda: MLP(64, 10, hidden=(16,), seed=5),
+            selector=RoundRobinSelector(partition.n_clients, 4),
+            test_set=test_set,
+            config=FederatedConfig(
+                rounds=3, local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
+                seed=0,
+            ),
+        )
+        history = sim.run()
+        assert sim.executor.mode == "vectorized"
+        assert sim.executor.workspace_builds == 1
+        assert history.fallback_reasons() == []
+        sim_seq, hist_seq = run_simulation(sim_setup, "sequential", rounds=3)
+        np.testing.assert_array_equal(history.accuracies(), hist_seq.accuracies())
+        seq_state = sim_seq.server.global_state()
+        for key, value in sim.server.global_state().items():
+            np.testing.assert_array_equal(value, seq_state[key])
+
+    def test_default_executor_falls_back_on_a_ragged_cohort(self):
+        gen = make_synthetic_mnist(seed=0)
+        datasets = [gen.generate([n] * 10, rng=np.random.default_rng(n)) for n in (3, 4)]
+
+        def clients():
+            return [FederatedClient(k, 10, dataset=ds, seed=k + 1)
+                    for k, ds in enumerate(datasets)]
+
+        factory = MODEL_FACTORIES["mlp"]
+        global_state = FederatedServer(factory).global_state()
+        config = LocalTrainingConfig(learning_rate=1e-3)
+        executor = LocalUpdateExecutor()
+        assert executor.mode == "vectorized"
+        states = executor.run_round(clients(), factory, global_state, config)
+        assert "ragged" in executor.last_fallback_reason
+        assert executor.workspace_builds == 1  # built, then the stack refused
+        reference = LocalUpdateExecutor("sequential").run_round(
+            clients(), factory, global_state, config)
+        for state, ref in zip(states, reference):
+            for key in ref:
+                np.testing.assert_array_equal(state[key], ref[key])

@@ -9,11 +9,10 @@ from repro.nn.batched import (
     BatchedSGD,
     UnvectorizableModelError,
     batched_cross_entropy,
-    register_cohort_chain,
 )
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.loss import CrossEntropyLoss
-from repro.nn.models import MLP, CifarCNN, MnistCNN
+from repro.nn.models import MLP, CifarCNN, MnistCNN, _NamedChain
 from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam
 
@@ -103,6 +102,40 @@ class TestBatchedForwardBackward:
             model.train()
             np.testing.assert_allclose(out[i], model(x[i]), atol=1e-12)
 
+    def test_nested_sequential_trains_like_sequential(self):
+        # a chain that nests a Sequential is flattened in place: one
+        # vectorized local update equals the per-client sequential updates
+        class Nested(_NamedChain):
+            chain = ("head", "body", "out")
+
+            def __init__(self):
+                self.head = Flatten()
+                self.body = Sequential(Linear(16, 8, seed=0), ReLU(),
+                                       Sequential(Linear(8, 8, seed=1), ReLU()))
+                self.out = Linear(8, 3, seed=2)
+
+        k, b = 3, 5
+        state = Nested().state_dict()
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((k, b, 4, 4))
+        y = rng.integers(0, 3, size=(k, b))
+        batched = batched_from(Nested, k, state)
+        optimizer = BatchedSGD(batched, lr=0.1)
+        for _ in range(2):
+            _, grad = batched_cross_entropy(batched.forward(x), y)
+            batched.backward(grad)
+            optimizer.step()
+        for i in range(k):
+            model = clone_with_state(Nested, state)
+            ref_optimizer = SGD(model, lr=0.1)
+            for _ in range(2):
+                _, grad = CrossEntropyLoss()(model(x[i]), y[i])
+                ref_optimizer.zero_grad()
+                model.backward(grad)
+                ref_optimizer.step()
+            for name, value in model.state_dict().items():
+                np.testing.assert_array_equal(batched.stacked_state()[name][i], value)
+
     def test_unseeded_active_dropout_refuses_vectorization(self):
         # sequential clients would draw independent entropy-seeded masks,
         # which a shared broadcast mask cannot reproduce
@@ -138,22 +171,23 @@ class TestBatchedModelStructure:
             BatchedModel(Weird(), 2)
 
     def test_incomplete_chain_raises(self):
-        class Partial(Module):
+        class Partial(_NamedChain):
+            chain = ("a",)  # forgets b
+
             def __init__(self):
                 self.a = Linear(4, 4, seed=0)
                 self.b = Linear(4, 2, seed=1)
 
+        with pytest.raises(UnvectorizableModelError, match="'b.weight'"):
+            BatchedModel(Partial(), 2)
+
+    def test_sequential_with_its_own_forward_raises(self):
+        class Residual(Sequential):
             def forward(self, x):
-                return self.b(self.a(x))
+                return x + super().forward(x)
 
-        register_cohort_chain(Partial, lambda m: [m.a])  # forgets m.b
-        try:
-            with pytest.raises(UnvectorizableModelError):
-                BatchedModel(Partial(), 2)
-        finally:
-            from repro.nn import batched as batched_mod
-
-            del batched_mod._MODEL_CHAINS[Partial]
+        with pytest.raises(UnvectorizableModelError):
+            BatchedModel(Residual(Linear(4, 4, seed=0)), 2)
 
     def test_load_state_dict_broadcast_validation(self):
         factory = MODEL_FACTORIES["mlp"]

@@ -84,12 +84,6 @@ class TestFlattening:
 
 
 class TestCloneAndModes:
-    def test_clone_is_independent(self):
-        model = MLP(4, 2, seed=0)
-        clone = model.clone()
-        clone.parameters()[0].value += 1.0
-        assert not np.allclose(model.flatten_parameters(), clone.flatten_parameters())
-
     def test_train_eval_propagate(self):
         model = MLP(4, 2, seed=0)
         model.eval()
@@ -121,17 +115,6 @@ class TestEveryModel:
         assert not np.array_equal(a(x), b(x))
         b.load_state_dict(a.state_dict())
         np.testing.assert_array_equal(a(x), b(x))
-
-    def test_clone_predicts_alike_and_trains_apart(self, family):
-        make, shape = MODELS[family]
-        x = np.random.default_rng(1).normal(size=shape)
-        model = make(0).eval()
-        clone = model.clone()
-        np.testing.assert_array_equal(model(x), clone(x))
-        before = model.flatten_parameters()
-        for parameter in clone.parameters():
-            parameter.value += 1.0
-        np.testing.assert_array_equal(model.flatten_parameters(), before)
 
     def test_flat_length_is_the_state_dict_size(self, family):
         model = MODELS[family][0](0)

@@ -49,7 +49,7 @@ class TestBuildTransport:
     def test_default_is_inprocess(self):
         transport = build_transport()
         assert isinstance(transport, InProcessTransport)
-        assert transport.executor.mode == "sequential"
+        assert transport.executor.mode == "vectorized"
         transport.close()
 
     def test_inprocess_wraps_the_given_executor(self):
