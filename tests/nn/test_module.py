@@ -1,4 +1,4 @@
-"""Tests for Module/Parameter plumbing: state dicts, flattening, cloning."""
+"""Tests for Module/Parameter plumbing: state dicts, flattening, forking."""
 
 import numpy as np
 import pytest
@@ -75,6 +75,21 @@ class TestStateDict:
             model.load_state_dict(state)
 
 
+    def test_view_state_is_read_only_and_load_copies_it(self):
+        # every engine forks a client from the global model's read-only views
+        model = MLP(4, 2, seed=0)
+        before = model.flatten_parameters()
+        view = model.state_dict(copy=False)
+        first_key = next(iter(view))
+        with pytest.raises(ValueError):
+            view[first_key][:] = 99.0
+        fork = MLP(4, 2, seed=1)
+        fork.load_state_dict(view)
+        for parameter in fork.parameters():
+            parameter.value += 1.0
+        np.testing.assert_array_equal(model.flatten_parameters(), before)
+
+
 class TestFlattening:
     def test_flatten_concatenates_every_parameter(self):
         model = MLP(5, 3, hidden=(4,), seed=0)
@@ -115,6 +130,18 @@ class TestEveryModel:
         assert not np.array_equal(a(x), b(x))
         b.load_state_dict(a.state_dict())
         np.testing.assert_array_equal(a(x), b(x))
+
+    def test_loaded_fork_predicts_alike_and_trains_apart(self, family):
+        make, shape = MODELS[family]
+        x = np.random.default_rng(1).normal(size=shape)
+        model = make(0).eval()
+        fork = make(1).eval()
+        fork.load_state_dict(model.state_dict(copy=False))
+        np.testing.assert_array_equal(model(x), fork(x))
+        before = model.flatten_parameters()
+        for parameter in fork.parameters():
+            parameter.value += 1.0
+        np.testing.assert_array_equal(model.flatten_parameters(), before)
 
     def test_flat_length_is_the_state_dict_size(self, family):
         model = MODELS[family][0](0)
