@@ -68,10 +68,12 @@ class Session:
     -------
     >>> from repro import FederatedConfig
     >>> session = Session(FederatedConfig(rounds=2, seed=0))
-    >>> session.with_ledger("runs.db") is session
+    >>> session.with_recipe("repro.ledger.recipes:quick_mlp", n_clients=8,
+    ...                     participants=2, seed=0) is session
     True
-    >>> session.config.ledger_path
-    'runs.db'
+    >>> session.build().config.rounds
+    2
+    >>> session.close()
     """
 
     def __init__(self, config: Optional[FederatedConfig] = None, *,
@@ -141,8 +143,9 @@ class Session:
         -------
         >>> session = Session().with_recipe("repro.ledger.recipes:quick_mlp",
         ...                                 n_clients=8, seed=0)
-        >>> session._recipe.target
-        'repro.ledger.recipes:quick_mlp'
+        >>> session.build().partition.n_clients
+        8
+        >>> session.close()
         """
         from ..ledger.codec import RunRecipe
 
@@ -163,8 +166,11 @@ class Session:
         -------
         >>> from repro.scenarios import ScenarioSpec
         >>> session = Session().with_scenario(ScenarioSpec(seed=1), name="churn")
-        >>> session.config.scenario.seed
+        >>> simulation = session.with_recipe("repro.ledger.recipes:quick_mlp",
+        ...                                  n_clients=8, seed=0).build()
+        >>> simulation.config.scenario.seed
         1
+        >>> session.close()
         """
         self._scenario_name = name
         return self._amend_config(scenario=spec)
@@ -176,9 +182,15 @@ class Session:
 
         Example
         -------
-        >>> session = Session().with_ledger("/tmp/runs.db", run_name="demo")
-        >>> session.config.ledger_path
-        '/tmp/runs.db'
+        >>> import os, tempfile
+        >>> with tempfile.TemporaryDirectory() as folder:
+        ...     session = Session().with_recipe(
+        ...         "repro.ledger.recipes:quick_mlp", n_clients=8, seed=0)
+        ...     path = os.path.join(folder, "runs.db")
+        ...     simulation = session.with_ledger(path, run_name="demo").build()
+        ...     print(simulation.config.ledger_path == path)
+        ...     session.close()
+        True
         """
         return self._amend_config(
             ledger_path=path, run_mode=run_mode,
@@ -201,9 +213,12 @@ class Session:
 
         Example
         -------
-        >>> Session().with_transport(kind="socket",
-        ...                          round_timeout=5.0).config.transport.kind
+        >>> session = Session().with_transport(kind="socket", round_timeout=5.0)
+        >>> simulation = session.with_recipe("repro.ledger.recipes:quick_mlp",
+        ...                                  n_clients=8, seed=0).build()
+        >>> simulation.config.transport.kind
         'socket'
+        >>> session.close()
         """
         if transport is not None and knobs:
             raise TypeError("pass either a TransportConfig or knobs, not both")
@@ -289,8 +304,8 @@ class Session:
         Example
         -------
         >>> with Session() as session:
-        ...     session.config.rounds
-        20
+        ...     session.simulation is None
+        True
         """
         return self
 

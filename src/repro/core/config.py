@@ -151,8 +151,8 @@ def resolve_aggregation_mode(mode: str) -> str:
 
 #: How a federated run talks to its clients.  ``"inprocess"`` (default) runs
 #: the round loop against the in-process execution back-ends
-#: (:class:`repro.transport.InProcessTransport` wrapping
-#: :class:`repro.federated.LocalUpdateExecutor`); ``"socket"`` promotes the
+#: (:class:`repro.federated.LocalUpdateExecutor`, itself a
+#: :class:`repro.transport.Transport`); ``"socket"`` promotes the
 #: round protocol to the asyncio TCP service layer
 #: (:class:`repro.transport.SocketTransport`), where every client is a remote
 #: peer speaking the versioned wire format.

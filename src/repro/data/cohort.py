@@ -11,8 +11,9 @@ Two pieces of plumbing for the vectorized (cohort) execution back-end:
   ``(K, N_vc, …)`` features array and ``(K, N_vc)`` labels array, the layout
   every batched kernel consumes.  Virtual clients all hold the same number
   of samples (the paper's FedVC convention), which is what makes the cohort
-  a dense rectangular tensor; ragged cohorts raise :class:`CohortShapeError`
-  and callers fall back to per-client execution.  The buffers persist
+  a dense rectangular tensor; :func:`cohort_sample_shape` is the one check
+  of that, and a ragged cohort raises :class:`CohortShapeError` so callers
+  fall back to per-client execution.  The buffers persist
   across rounds and only the slots whose selected client changed are
   restacked, so a stable (or slowly-rotating) selection pays the K-dataset
   memcpy once instead of every round.
@@ -28,11 +29,40 @@ import numpy as np
 
 from .dataset import ArrayDataset
 
-__all__ = ["CohortBuffer", "CohortShapeError", "DatasetCache"]
+__all__ = ["CohortBuffer", "CohortShapeError", "DatasetCache",
+           "cohort_sample_shape"]
 
 
 class CohortShapeError(ValueError):
     """The client datasets cannot be stacked into one rectangular cohort."""
+
+
+def cohort_sample_shape(datasets: Sequence[ArrayDataset]) -> tuple:
+    """The one feature shape every dataset in *datasets* shares.
+
+    Raises :class:`CohortShapeError` naming the first client whose features
+    differ: such a ragged cohort cannot be stacked into one dense tensor.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> small = ArrayDataset(np.zeros((4, 2)), np.zeros(4, dtype=int), num_classes=2)
+    >>> large = ArrayDataset(np.zeros((6, 2)), np.zeros(6, dtype=int), num_classes=2)
+    >>> cohort_sample_shape([small, small])
+    (4, 2)
+    >>> cohort_sample_shape([small, large])
+    Traceback (most recent call last):
+    ...
+    repro.data.cohort.CohortShapeError: client 1 has data shape (6, 2), expected (4, 2); ragged cohorts cannot be vectorized
+    """
+    reference = np.asarray(datasets[0].x).shape
+    for k, ds in enumerate(datasets[1:], start=1):
+        if np.asarray(ds.x).shape != reference:
+            raise CohortShapeError(
+                f"client {k} has data shape {np.asarray(ds.x).shape}, expected "
+                f"{reference}; ragged cohorts cannot be vectorized"
+            )
+    return reference
 
 
 class DatasetCache:
@@ -150,14 +180,7 @@ class CohortBuffer:
                 f"expected {self.num_clients} cohort slots, got {len(slots)}"
             )
         datasets = [ds for _, ds in slots]
-        reference = np.asarray(datasets[0].x).shape
-        for k, ds in enumerate(datasets[1:], start=1):
-            if np.asarray(ds.x).shape != reference:
-                raise CohortShapeError(
-                    f"client {k} has data shape {np.asarray(ds.x).shape}, expected "
-                    f"{reference}; ragged cohorts cannot be vectorized"
-                )
-        shape = (self.num_clients,) + reference
+        shape = (self.num_clients,) + cohort_sample_shape(datasets)
         if self._external and self.x.shape != shape:
             # external backing (process-shared pools) cannot be swapped from
             # here; the owner must rebuild its pools for the new geometry

@@ -103,7 +103,6 @@ class FederatedClient:
         self._dataset_factory = dataset_factory
         self._cache = cache
         self.seed = seed
-        self.rounds_participated = 0
 
     # -- data access -----------------------------------------------------------
 
@@ -167,5 +166,4 @@ class FederatedClient:
                 optimizer.zero_grad()
                 model.backward(grad)
                 optimizer.step()
-        self.rounds_participated += 1
         return model.state_dict()

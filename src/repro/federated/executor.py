@@ -24,10 +24,17 @@ plain NumPy, so three execution modes are offered:
 
 All modes produce matching results for the same inputs: the work items are
 pure functions of (client dataset, incoming weights, config), and the
-batched kernels mirror the sequential arithmetic slice-for-slice.  When a
-cohort cannot be vectorized (a model that is no chain of the shipped layers,
-ragged client dataset sizes) the vectorized mode falls back to the sequential
-loop and records the reason in :attr:`LocalUpdateExecutor.last_fallback_reason`.
+batched kernels mirror the sequential arithmetic slice-for-slice.  Before a
+cohort back-end runs, :meth:`LocalUpdateExecutor.run_round` checks that the
+cohort stacks densely (:func:`~repro.data.cohort.cohort_sample_shape`); a
+ragged cohort, or a model that is no chain of the shipped layers, is trained
+by the sequential loop instead, and the reason is recorded in
+:attr:`LocalUpdateExecutor.last_fallback_reason`.
+
+The executor is the in-process :class:`~repro.transport.base.Transport`: a
+simulation without sockets speaks to it directly.  It only trains and
+returns states; which clients fail, and why, is decided by the simulation's
+fault plan, which hands it the failed cohort positions to leave out.
 
 The vectorized back-end is *round-persistent*: the first vectorized round
 builds a :class:`~repro.federated.workspace.CohortWorkspace` (flat parameter
@@ -46,13 +53,14 @@ as the round loop naturally does.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from ..data.cohort import CohortShapeError
+from ..data.cohort import CohortShapeError, cohort_sample_shape
 from ..nn.batched import UnvectorizableModelError
 from ..nn.module import Module
+from ..transport.base import Transport
 from .aggregation import StackedClientStates
 from .client import FederatedClient, LocalTrainingConfig
 from .scheduler import CohortScheduler, SchedulerError
@@ -72,7 +80,7 @@ def _run_local_update(client: FederatedClient, model: Module, global_state: Stat
     return client.local_train(model, config, round_index=round_index)
 
 
-class LocalUpdateExecutor:
+class LocalUpdateExecutor(Transport):
     """Run the selected clients' local updates with the chosen back-end.
 
     ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
@@ -80,6 +88,11 @@ class LocalUpdateExecutor:
     a worker's reply before declaring it wedged — raise it for genuinely
     long rounds, ``None`` waits forever); they are ignored by every other
     mode.  Every mode trains in float64 and returns bit-identical states.
+
+    As a :class:`~repro.transport.base.Transport` it observes no failures of
+    its own (:attr:`last_round_failures` stays empty), and the
+    probability broadcast and round-complete hooks are no-ops: every role
+    shares memory in process.
 
     Example
     -------
@@ -97,17 +110,10 @@ class LocalUpdateExecutor:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}")
         if scheduler_timeout is not None and scheduler_timeout <= 0:
             raise ValueError("scheduler_timeout must be positive (or None)")
+        super().__init__()
         self.mode = mode
         self.num_workers = num_workers
         self.scheduler_timeout = scheduler_timeout
-        #: why the most recent cohort round fell back (or None)
-        self.last_fallback_reason: Optional[str] = None
-        #: injected failures of the most recent round: cohort position -> cause
-        #: ("dropout" mid-round, "straggler" past the collection deadline)
-        self.last_round_failures: dict[int, str] = {}
-        #: simulated round duration of the most recent round (the slowest
-        #: surviving straggler's delay; 0.0 without injected stragglers)
-        self.last_round_delay: float = 0.0
         #: the round-persistent cohort state, built lazily on the first
         #: vectorized round and reused while rounds stay shape-compatible
         self.workspace: Optional[CohortWorkspace] = None
@@ -127,7 +133,7 @@ class LocalUpdateExecutor:
         Example
         -------
         >>> executor = LocalUpdateExecutor("parallel", num_workers=2)
-        >>> executor.close()
+        >>> executor.close(); executor.close()
         """
         if self.scheduler is not None:
             self.scheduler.shutdown()
@@ -137,22 +143,17 @@ class LocalUpdateExecutor:
                   global_state: StateDict,
                   config: LocalTrainingConfig,
                   round_index: int = 0,
-                  faults: "Optional[CohortFaults]" = None) -> list[StateDict]:
+                  failed: Collection[int] = ()) -> list[StateDict]:
         """Train every client in *clients* from *global_state*; return their states.
 
-        *faults* (a :class:`repro.scenarios.CohortFaults`, position-keyed)
-        opts into per-client failure injection: clients marked as dropouts
-        fail mid-round, and stragglers whose simulated delay exceeds the
-        fault plan's collection deadline are dropped as ``"straggler"``.
-        The returned list then covers only the *survivors*, in cohort order;
-        :attr:`last_round_failures` maps the failed positions to their cause
-        and :attr:`last_round_delay` reports the simulated round duration.
-        The cohort back-ends train the full cohort and discard the failed
-        rows (a real dropout wastes its local compute too — and keeping the
-        cohort geometry stable preserves the round-persistent workspace),
-        while the sequential back-end skips failed clients outright.
-        Without *faults* (or with an empty plan) behaviour is bit-identical
-        to before.
+        *failed* holds the cohort positions the round's fault plan has
+        already failed (dropouts, stragglers past the deadline).  The
+        returned list covers only the other positions, in cohort order.  The
+        cohort back-ends still train the failed rows and then drop them (a
+        real dropout wastes its local compute too, and a stable cohort size
+        keeps the round-persistent workspace warm); the sequential back-end
+        skips them outright.  Either way the survivors are bit-identical to
+        a round that never selected the failed clients.
 
         Example
         -------
@@ -160,56 +161,41 @@ class LocalUpdateExecutor:
         >>> executor.run_round([], lambda: None, {}, LocalTrainingConfig())
         []
         """
-        self.last_round_failures = {}
-        self.last_round_delay = 0.0
         if not clients:
             return []
-        failed: dict[int, str] = {}
-        if faults is not None:
-            failed = faults.resolve()
-            failed = {p: c for p, c in failed.items() if p < len(clients)}
-            self.last_round_failures = failed
-            self.last_round_delay = faults.round_delay()
+        args = (clients, model_factory, global_state, config, round_index)
+        if self.mode == "sequential":
+            return self._run_sequential(*args, failed)
+        self.last_fallback_reason = None
+        # one slot per client per round: the DatasetCache counts each once
+        slots = [client.cohort_slot() for client in clients]
+        try:
+            cohort_sample_shape([dataset for _, dataset in slots])
+        except CohortShapeError as exc:
+            # checked before any pool is built or adopted
+            self.last_fallback_reason = str(exc)
+            return self._run_sequential(*args, failed)
         if self.mode == "parallel":
-            self.last_fallback_reason = None
             try:
-                states = self._run_parallel(clients, model_factory, global_state,
-                                            config, round_index)
-                # the scheduler counts the whole cohort; align participation
-                # bookkeeping with the other back-ends (failed != participated)
-                for position in failed:
-                    clients[position].rounds_participated -= 1
-                return self._filter_survivors(states, failed)
-            except (SchedulerError, UnvectorizableModelError,
-                    CohortShapeError) as exc:
+                return self._filter_survivors(
+                    self._run_parallel(slots, *args), failed)
+            except (SchedulerError, UnvectorizableModelError) as exc:
                 self.last_fallback_reason = str(exc)
-                try:
-                    return self._run_vectorized(clients, model_factory,
-                                                global_state, config, round_index,
-                                                failed=failed)
-                except (UnvectorizableModelError, CohortShapeError) as inner:
-                    self.last_fallback_reason = (
-                        f"{exc}; vectorized fallback failed: {inner}"
-                    )
-                    return self._run_sequential(clients, model_factory,
-                                                global_state, config, round_index,
-                                                failed=failed)
-        if self.mode == "vectorized":
-            self.last_fallback_reason = None
-            try:
-                return self._run_vectorized(clients, model_factory, global_state,
-                                            config, round_index, failed=failed)
-            except (UnvectorizableModelError, CohortShapeError) as exc:
-                self.last_fallback_reason = str(exc)
-                return self._run_sequential(clients, model_factory, global_state,
-                                            config, round_index, failed=failed)
-        return self._run_sequential(clients, model_factory, global_state,
-                                    config, round_index, failed=failed)
+        try:
+            return self._filter_survivors(
+                self._run_vectorized(slots, *args), failed)
+        except UnvectorizableModelError as exc:
+            reason = str(exc)
+            if self.last_fallback_reason is not None:
+                reason = (f"{self.last_fallback_reason}; vectorized fallback "
+                          f"failed: {reason}")
+            self.last_fallback_reason = reason
+            return self._run_sequential(*args, failed)
 
     # -- back-ends -------------------------------------------------------------
 
     def _filter_survivors(self, states: "list[StateDict]",
-                          failed: "dict[int, str]") -> "list[StateDict]":
+                          failed: Collection[int]) -> "list[StateDict]":
         """Drop the failed positions from a full-cohort result.
 
         The no-fault case returns *states* untouched (no copies), preserving
@@ -232,32 +218,27 @@ class LocalUpdateExecutor:
                         model_factory: Callable[[], Module],
                         global_state: StateDict, config: LocalTrainingConfig,
                         round_index: int,
-                        failed: "Optional[dict[int, str]]" = None) -> list[StateDict]:
-        failed = failed or {}
+                        failed: Collection[int]) -> list[StateDict]:
         return [
             _run_local_update(client, model_factory(), global_state, config, round_index)
             for position, client in enumerate(clients)
             if position not in failed
         ]
 
-    def _run_vectorized(self, clients: Sequence[FederatedClient],
+    def _run_vectorized(self, slots: Sequence[tuple],
+                        clients: Sequence[FederatedClient],
                         model_factory: Callable[[], Module],
                         global_state: StateDict, config: LocalTrainingConfig,
-                        round_index: int,
-                        failed: "Optional[dict[int, str]]" = None,
-                        ) -> StackedClientStates:
-        """Train the whole cohort as one batched tensor program.
+                        round_index: int) -> StackedClientStates:
+        """Train the whole (rectangular) cohort as one batched tensor program.
 
         Replays the exact sequential schedule — per-client epoch permutations
         from the same seeded RNG stream as :class:`repro.data.DataLoader`,
         same batch boundaries, same optimiser arithmetic — with the client
         loop folded into a leading tensor axis.  All round-scoped state lives
         in the persistent :class:`CohortWorkspace`; a shape-compatible round
-        allocates no new pools.  Injected *failed* positions still train
-        (every client's row is arithmetically independent, and a stable
-        cohort size keeps the workspace warm) but their rows are discarded
-        from the returned stack — so the survivors are bit-identical to a
-        sequential round that never trained the failed clients at all.
+        allocates no new pools.  *slots* are the clients' cohort slots, in
+        order.
         """
         template = model_factory()
         workspace = self.workspace
@@ -267,9 +248,7 @@ class LocalUpdateExecutor:
             workspace = CohortWorkspace(template, len(clients))
             self.workspace = workspace
             self.workspace_builds += 1
-        # a ragged cohort raises CohortShapeError here; the workspace stays
-        # intact (already-copied slots remain truthful) for the next dense round
-        x, y = workspace.stack(clients)
+        x, y = workspace.buffer.stack(slots)
         batched = workspace.model
         batched.load_state_dict_broadcast(global_state)
         optimizer = workspace.optimizer_for(config)
@@ -282,27 +261,21 @@ class LocalUpdateExecutor:
         ]
         train_cohort(batched, optimizer, x, y, rngs, config,
                      rows=workspace.client_rows)
-        failed = failed or {}
-        for position, client in enumerate(clients):
-            if position not in failed:
-                client.rounds_participated += 1
-        return self._filter_survivors(
-            StackedClientStates(batched.state_dicts(), batched.stacked_state()),
-            failed)
+        return StackedClientStates(batched.state_dicts(), batched.stacked_state())
 
-    def _run_parallel(self, clients: Sequence[FederatedClient],
+    def _run_parallel(self, slots: Sequence[tuple],
+                      clients: Sequence[FederatedClient],
                       model_factory: Callable[[], Module],
                       global_state: StateDict, config: LocalTrainingConfig,
                       round_index: int) -> StackedClientStates:
-        """Shard the cohort across the scheduler's persistent worker fleet.
+        """Shard the (rectangular) cohort across the scheduler's worker fleet.
 
         The scheduler is built lazily on the first parallel round and reused
-        for as long as rounds keep the same geometry; every failure mode
-        (crashed worker, unvectorizable model, ragged cohort) raises into
-        :meth:`run_round`'s fallback chain.
+        for as long as rounds keep the same geometry; a crashed worker or an
+        unvectorizable model raises into :meth:`run_round`'s fallback chain.
         """
         if self.scheduler is None:
             self.scheduler = CohortScheduler(num_workers=self.num_workers,
                                              timeout=self.scheduler_timeout)
-        return self.scheduler.run_round(clients, model_factory, global_state,
-                                        config, round_index)
+        return self.scheduler.run_round(clients, slots, model_factory,
+                                        global_state, config, round_index)

@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import multiprocessing
 import weakref
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
 from ..core.config import partition_cohort, resolve_num_workers
-from ..data.cohort import CohortBuffer, CohortShapeError
+from ..data.cohort import CohortBuffer
+from ..data.dataset import ArrayDataset
 from ..nn.batched import BatchedModel
 from ..nn.module import Module
 from .aggregation import StackedClientStates
@@ -280,16 +281,6 @@ class CohortScheduler:
         self.shutdown()
         return SchedulerError(reason)
 
-    def _check_rectangular(self, datasets) -> tuple:
-        reference = np.asarray(datasets[0].x).shape
-        for k, ds in enumerate(datasets[1:], start=1):
-            if np.asarray(ds.x).shape != reference:
-                raise CohortShapeError(
-                    f"client {k} has data shape {np.asarray(ds.x).shape}, "
-                    f"expected {reference}; ragged cohorts cannot be sharded"
-                )
-        return reference
-
     def _build(self, template: Module, num_clients: int, sample_shape: tuple,
                y_dtype: np.dtype, model_factory: Callable[[], Module]) -> None:
         """Fork a fresh worker fleet over freshly allocated shared pools."""
@@ -350,17 +341,20 @@ class CohortScheduler:
     # -- the round -------------------------------------------------------------
 
     def run_round(self, clients: Sequence[FederatedClient],
+                  slots: "Sequence[tuple[Hashable, ArrayDataset]]",
                   model_factory: Callable[[], Module],
                   global_state: StateDict, config: LocalTrainingConfig,
                   round_index: int = 0) -> StackedClientStates:
         """Train *clients* from *global_state* across the worker shards.
 
+        *slots* are the clients' :meth:`~repro.federated.FederatedClient.cohort_slot`
+        pairs, in order, from a cohort already checked to be rectangular.
         Returns the same :class:`StackedClientStates` the vectorized
         back-end produces (per-client dicts as views into one ``(K, *shape)``
         stack per parameter, clients in selection order).  Raises
-        :class:`SchedulerError` / :class:`~repro.data.cohort.CohortShapeError`
-        / :class:`~repro.nn.batched.UnvectorizableModelError` when the round
-        cannot be served; callers fall back to the in-process back-ends.
+        :class:`SchedulerError` / :class:`~repro.nn.batched.UnvectorizableModelError`
+        when the round cannot be served; callers fall back to the in-process
+        back-ends.
 
         Example
         -------
@@ -372,10 +366,9 @@ class CohortScheduler:
         """
         if self.broken:
             raise SchedulerError(self.broken)
-        slots = [client.cohort_slot() for client in clients]
-        datasets = [ds for _, ds in slots]
-        sample_shape = self._check_rectangular(datasets)
-        y_dtype = np.asarray(datasets[0].y).dtype
+        first = slots[0][1]
+        sample_shape = np.asarray(first.x).shape
+        y_dtype = np.asarray(first.y).dtype
         template = model_factory()
         geometry = (
             len(clients), sample_shape, y_dtype.str,
@@ -446,7 +439,5 @@ class CohortScheduler:
                 stack[indices] = result[
                     shard_size * offset : shard_size * (offset + size)
                 ].reshape((shard_size,) + shape)
-        for client in clients:
-            client.rounds_participated += 1
         self.rounds_dispatched += 1
         return StackedClientStates(self._per_client, self._stacked)

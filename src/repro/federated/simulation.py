@@ -29,6 +29,7 @@ from ..data.synthetic import SyntheticImageGenerator
 from ..nn.module import Module
 from ..scenarios.engine import FaultInjector
 from ..scenarios.spec import ScenarioSpec
+from ..transport.base import build_transport
 from .client import FederatedClient, LocalTrainingConfig
 from .executor import EXECUTOR_MODES, LocalUpdateExecutor
 from .history import RoundRecord, TrainingHistory
@@ -190,29 +191,25 @@ class FederatedSimulation:
         self.test_set = test_set
         self.config = config or FederatedConfig()
         self.server = FederatedServer(model_factory)
-        from ..transport.base import build_transport
-
-        #: the seam every round speaks to: in-process executors or sockets
-        #: (a scenario's NetworkSpec interposes the chaos proxy, keyed by
-        #: the scenario seed so network faults replay deterministically)
         config = self.config
         scenario = config.scenario
-        executor = None
+        #: the in-process LocalUpdateExecutor when there is one (None over
+        #: sockets); scheduler and workspace telemetry live here
+        self.executor: Optional[LocalUpdateExecutor] = None
         if config.transport.kind == "inprocess":
-            executor = LocalUpdateExecutor(
+            self.executor = LocalUpdateExecutor(
                 mode=config.executor_mode, num_workers=config.num_workers,
                 scheduler_timeout=config.scheduler_timeout,
             )
+        #: the seam every round speaks to: the executor itself in process,
+        #: or sockets (a scenario's NetworkSpec interposes the chaos proxy,
+        #: keyed by the scenario seed so network faults replay
+        #: deterministically)
         self.transport = build_transport(
-            config.transport, executor,
+            config.transport, self.executor,
             network=None if scenario is None else scenario.network,
             chaos_seed=0 if scenario is None else scenario.seed,
         )
-        #: the in-process LocalUpdateExecutor when there is one (None over
-        #: sockets); kept as a first-class attribute because scheduler and
-        #: workspace telemetry live here
-        self.executor: Optional[LocalUpdateExecutor] = getattr(
-            self.transport, "executor", None)
         self.dataset_cache = (
             None if self.config.dataset_cache_size is None
             else DatasetCache(self.config.dataset_cache_size)
@@ -269,14 +266,16 @@ class FederatedSimulation:
         """Run one complete round: select, train locally, aggregate, evaluate.
 
         Under a scenario (:attr:`FederatedConfig.scenario`) the round first
-        applies any due label-drift event, then filters the selected cohort
-        through the injector's :class:`~repro.scenarios.RoundPlan`
-        (availability and churn strike before any compute), hands the
-        mid-round faults to the executor, and aggregates only the survivors
-        — or skips aggregation entirely when they fall below the scenario's
+        applies any due label-drift event, then plans the selected cohort's
+        faults through the injector's :class:`~repro.scenarios.RoundPlan`:
+        availability and churn strike before any compute, and dropouts and
+        stragglers past the deadline are handed to the transport as the
+        cohort positions to leave out.  Only the survivors are aggregated —
+        or aggregation is skipped when they fall below the scenario's
         ``min_participation`` floor.  The resulting
         :class:`~repro.federated.history.RoundRecord` carries the full
-        planned-vs-actual story.
+        planned-vs-actual story, including any failure the transport
+        observed itself (a socket peer missing the deadline or vanishing).
         """
         drift_applied = False
         if self.injector is not None and self.injector.drift_due(round_index):
@@ -289,13 +288,14 @@ class FederatedSimulation:
         population = self.partition.selection_population(selected)
         bias = emd(population, self._uniform)
 
-        faults = None
         trainable = selected
-        plan = None
+        failures: dict[int, str] = {}
+        round_delay = 0.0
         if self.injector is not None:
             plan = self.injector.plan_round(round_index, selected)
             trainable = list(plan.trainable)
-            faults = plan.cohort_faults()
+            failures = plan.failures_by_client()
+            round_delay = plan.round_delay()
 
         probabilities = getattr(self.selector, "probabilities", None)
         if probabilities is not None:
@@ -308,18 +308,18 @@ class FederatedSimulation:
         global_state = self.server.global_state(copy=False)
         states = self.transport.run_round(
             clients, self.server.new_client_model, global_state, self.config.local,
-            round_index=round_index, faults=faults,
+            round_index=round_index,
+            failed={position for position, k in enumerate(trainable)
+                    if k in failures},
         )
 
         actual_clients: Optional[tuple[int, ...]] = None
-        failures: dict[int, str] = {}
         actual_bias: Optional[float] = None
-        transport_failures = dict(self.transport.last_round_failures)
-        if self.injector is None and not transport_failures:
+        observed = self.transport.last_round_failures
+        if self.injector is None and not observed:
             self.server.aggregate(states)
         else:
-            failures = dict(plan.failures_by_client()) if plan is not None else {}
-            for position, cause in transport_failures.items():
+            for position, cause in observed.items():
                 failures[trainable[position]] = cause
             actual_clients = tuple(k for k in trainable if k not in failures)
             # injected scenarios carry their own participation floor; real
@@ -354,7 +354,7 @@ class FederatedSimulation:
             fallback_reason=self.transport.last_fallback_reason,
             aggregation_skipped=self.server.last_aggregation_skipped,
             actual_population_bias=actual_bias,
-            round_delay=self.transport.last_round_delay,
+            round_delay=round_delay,
             drift_applied=drift_applied,
             decode_failures=dict(self.transport.last_round_decode_failures),
             disconnects=dict(self.transport.last_round_disconnects),

@@ -22,9 +22,9 @@ start every round from a factory-fresh model and optimiser.
 
 Numerical safety valves: a structurally different template or a changed
 cohort size silently rebuilds the workspace (counted in
-``LocalUpdateExecutor.workspace_builds``); a ragged cohort raises through to
-the executor's usual sequential fallback while leaving the workspace intact
-for the next dense round.
+``LocalUpdateExecutor.workspace_builds``); a ragged cohort never reaches the
+workspace — the executor checks the cohort's shape first and trains it
+sequentially, so the pools stay as the last dense round left them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from ..data.cohort import CohortBuffer
 from ..nn.batched import BatchedAdam, BatchedModel, BatchedSGD, batched_cross_entropy
 from ..nn.module import Module
-from .client import FederatedClient, LocalTrainingConfig
+from .client import LocalTrainingConfig
 
 __all__ = ["CohortWorkspace", "shared_pool", "train_cohort"]
 
@@ -171,10 +171,6 @@ class CohortWorkspace:
             return False
         self.rounds_bound += 1
         return True
-
-    def stack(self, clients: Sequence[FederatedClient]) -> tuple[np.ndarray, np.ndarray]:
-        """The round's ``(K, N_vc, …)`` data, restacking only changed slots."""
-        return self.buffer.stack([client.cohort_slot() for client in clients])
 
     def optimizer_for(self, config: LocalTrainingConfig) -> "BatchedAdam | BatchedSGD":
         """The round's optimiser: state reset in place, never reallocated.

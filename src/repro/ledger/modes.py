@@ -358,8 +358,7 @@ class LedgerSession:
         committed round, asserting each replayed selection reproduces the
         recorded cohort — which both validates determinism and leaves the
         selector's RNG in exactly the state the uninterrupted run would
-        have had.  Participation counters and the in-memory history are
-        restored from the records.
+        have had.  The in-memory history is restored from the records.
         """
         for payload in recorded:
             record = RoundRecord.from_dict(payload)
@@ -375,8 +374,6 @@ class LedgerSession:
                     f"{record.selected_clients}; the selector (or its seed) "
                     "does not match the recorded run"
                 )
-            for client_id in record.participants:
-                simulation.client(client_id).rounds_participated += 1
             simulation.history.append(record)
 
     # -- run-loop hooks ------------------------------------------------------------

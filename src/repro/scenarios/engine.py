@@ -13,15 +13,16 @@ the zero-fault identity).
 The injector produces a :class:`RoundPlan` per round: who of the planned
 cohort is even reachable (availability/churn — *pre-round* faults, no
 compute spent), who will drop out or straggle mid-round, and the simulated
-straggler delays.  The executor receives the mid-round part as
-:class:`CohortFaults` (positions within the trainable cohort) and applies
-the straggler deadline itself, so "partial cohort" is an execution-layer
-concern, exactly where a real collection timeout lives.
+straggler delays.  The plan also resolves the collection deadline — which
+stragglers time out, and how long the survivors kept the round waiting — so
+a round's whole fault story is decided here, by client id, before anyone
+trains.  The simulation records it and hands the transport only the cohort
+positions that fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .spec import ScenarioSpec
 __all__ = [
     "FAILURE_CAUSES",
     "ClientFault",
-    "CohortFaults",
     "FaultInjector",
     "RoundPlan",
 ]
@@ -64,85 +64,23 @@ class ClientFault:
 
 
 @dataclass(frozen=True)
-class CohortFaults:
-    """Mid-round faults addressed by *position* within the trainable cohort.
-
-    This is what :meth:`repro.federated.LocalUpdateExecutor.run_round`
-    consumes: ``dropped`` maps cohort positions to their failure cause
-    (currently always ``"dropout"``), ``delays`` maps positions of
-    stragglers to their simulated delay in seconds, and ``deadline`` is the
-    round's collection deadline — the executor drops stragglers whose delay
-    exceeds it (cause ``"straggler"``) and reports the surviving cohort's
-    simulated duration.  An empty ``CohortFaults()`` is a guaranteed no-op.
-
-    Example
-    -------
-    >>> faults = CohortFaults(dropped={1: "dropout"}, delays={0: 3.5}, deadline=2.0)
-    >>> sorted(faults.resolve())
-    [0, 1]
-    >>> CohortFaults().resolve()
-    {}
-    """
-
-    dropped: Mapping[int, str] = field(default_factory=dict)
-    delays: Mapping[int, float] = field(default_factory=dict)
-    deadline: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dropped",
-                           {int(p): str(c) for p, c in dict(self.dropped).items()})
-        object.__setattr__(self, "delays",
-                           {int(p): float(d) for p, d in dict(self.delays).items()})
-        if any(d < 0 for d in self.delays.values()):
-            raise ValueError("delays must be >= 0")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive (or None)")
-
-    def resolve(self) -> "dict[int, str]":
-        """Final ``position -> cause`` map: dropouts plus timed-out stragglers.
-
-        Example
-        -------
-        >>> CohortFaults(delays={2: 9.0}, deadline=5.0).resolve()
-        {2: 'straggler'}
-        """
-        failed = dict(self.dropped)
-        if self.deadline is not None:
-            for position, delay in self.delays.items():
-                if position not in failed and delay > self.deadline:
-                    failed[position] = "straggler"
-        return failed
-
-    def round_delay(self) -> float:
-        """Simulated round duration: the slowest *surviving* straggler's delay.
-
-        Example
-        -------
-        >>> CohortFaults(delays={0: 1.5, 1: 9.0}, deadline=5.0).round_delay()
-        1.5
-        """
-        failed = self.resolve()
-        return max((d for p, d in self.delays.items() if p not in failed),
-                   default=0.0)
-
-
-@dataclass(frozen=True)
 class RoundPlan:
     """Everything the injector decided about one round.
 
     ``planned`` is the selector's cohort; ``trainable`` is what is left
     after pre-round faults (availability and churn); ``pre_faults`` records
     those removals; ``dropouts`` and ``delays`` are the mid-round decisions
-    (by client id) that :meth:`cohort_faults` re-addresses by position for
-    the executor.
+    by client id, and ``deadline`` is the collection deadline a straggler's
+    delay must not exceed.  :meth:`failures_by_client` and
+    :meth:`round_delay` resolve them into the round's record.
 
     Example
     -------
     >>> plan = RoundPlan(round_index=0, planned=(3, 1, 4), trainable=(1, 4),
     ...                  pre_faults=(ClientFault(3, "offline"),),
-    ...                  dropouts=(4,), delays={}, deadline=None)
-    >>> plan.cohort_faults().dropped
-    {1: 'dropout'}
+    ...                  dropouts=(4,), delays={1: 2.5}, deadline=None)
+    >>> plan.failures_by_client(), plan.round_delay()
+    ({3: 'offline', 4: 'dropout'}, 2.5)
     """
 
     round_index: int
@@ -153,31 +91,41 @@ class RoundPlan:
     delays: Mapping[int, float]
     deadline: Optional[float]
 
-    def cohort_faults(self) -> CohortFaults:
-        """The executor-facing view: faults by position within ``trainable``."""
-        position = {client_id: i for i, client_id in enumerate(self.trainable)}
-        return CohortFaults(
-            dropped={position[c]: "dropout" for c in self.dropouts},
-            delays={position[c]: d for c, d in self.delays.items()},
-            deadline=self.deadline,
-        )
+    def _timed_out(self, delay: float) -> bool:
+        return self.deadline is not None and delay > self.deadline
 
     def failures_by_client(self) -> "dict[int, str]":
-        """Every fault already decided, as ``client_id -> cause``.
+        """Every fault of the round, as ``client_id -> cause``.
 
-        Mid-round straggler timeouts are resolved by the executor, so this
-        contains pre-round faults and dropouts only.
+        Pre-round faults first, then dropouts, then the stragglers whose
+        delay exceeds the deadline — the order the round records them in.
 
         Example
         -------
-        >>> plan = RoundPlan(0, (1, 2), (2,), (ClientFault(1, "left"),),
-        ...                  (), {}, None)
+        >>> plan = RoundPlan(0, (1, 2, 3), (2, 3), (ClientFault(1, "left"),),
+        ...                  (), {2: 9.0, 3: 1.0}, deadline=5.0)
         >>> plan.failures_by_client()
-        {1: 'left'}
+        {1: 'left', 2: 'straggler'}
         """
         failures = {f.client_id: f.cause for f in self.pre_faults}
         failures.update({c: "dropout" for c in self.dropouts})
+        failures.update({c: "straggler" for c, delay in self.delays.items()
+                         if self._timed_out(delay)})
         return failures
+
+    def round_delay(self) -> float:
+        """Simulated round duration: the slowest *surviving* straggler's delay.
+
+        Without a deadline the round waits for every straggler.
+
+        Example
+        -------
+        >>> RoundPlan(0, (0, 1), (0, 1), (), (), {0: 1.5, 1: 9.0},
+        ...           deadline=5.0).round_delay()
+        1.5
+        """
+        return max((delay for delay in self.delays.values()
+                    if not self._timed_out(delay)), default=0.0)
 
 
 class FaultInjector:
@@ -251,9 +199,9 @@ class FaultInjector:
 
         Pre-round faults (churn, scheduled and random availability) remove
         clients before any compute is spent; mid-round faults (dropout,
-        straggler delays) are decided here but applied by the executor.  A
-        client suffers at most one fault, decided in
-        :data:`FAILURE_CAUSES` order.
+        straggler delays) are decided here too, and the transport leaves
+        those clients' states out of the round.  A client suffers at most
+        one fault, decided in :data:`FAILURE_CAUSES` order.
 
         Example
         -------

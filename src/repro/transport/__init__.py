@@ -12,8 +12,9 @@ separation of *process* from *role*:
   (Register, ProbabilityBroadcast, SelectionNotice,
   ModelDelta, RoundResult, ...);
 * :mod:`repro.transport.base` — the :class:`Transport` seam the simulation
-  speaks to, and :class:`InProcessTransport` wrapping the existing
-  sequential / vectorized / parallel executors;
+  speaks to; in process the seam is the
+  :class:`~repro.federated.executor.LocalUpdateExecutor` itself
+  (sequential / vectorized / parallel back-ends);
 * :mod:`repro.transport.server` — :class:`SocketTransport`, the asyncio TCP
   server driving rounds with bounded send queues, timeouts and partial-round
   completion;
@@ -30,7 +31,7 @@ A fault-free localhost round under float64 is bit-identical to the
 in-process sequential run — the transport moves bytes, never arithmetic.
 """
 
-from .base import InProcessTransport, Transport, build_transport
+from .base import Transport, build_transport
 from .chaos import ChaosProxy
 from .client import TransportClient
 from .messages import (
@@ -66,7 +67,6 @@ __all__ = [
     "ErrorNotice",
     "Heartbeat",
     "HeartbeatAck",
-    "InProcessTransport",
     "MESSAGE_TYPES",
     "ModelDelta",
     "ProbabilityBroadcast",

@@ -171,8 +171,8 @@ class Register(_Message):
     Example
     -------
     >>> msg = Register(client_id=3, num_classes=10, num_samples=120)
-    >>> decode_message(encode_message(msg))[0] == msg
-    True
+    >>> decode_message(encode_message(msg))[0]
+    Register(client_id=3, num_classes=10, num_samples=120, token='')
     """
 
     TYPE = 1
@@ -197,8 +197,8 @@ class RegisterAck(_Message):
     Example
     -------
     >>> ack = RegisterAck(client_id=3, position=0, cohort_size=4)
-    >>> decode_message(encode_message(ack))[0] == ack
-    True
+    >>> decode_message(encode_message(ack))[0]
+    RegisterAck(client_id=3, position=0, cohort_size=4, token='', resumed=False)
     """
 
     TYPE = 2

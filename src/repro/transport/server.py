@@ -45,11 +45,10 @@ Round protocol
 --------------
 ``run_round`` waits (capped, jittered backoff via
 :class:`~repro.core.retry.RetryPolicy`, bounded by ``connect_timeout`` /
-``retries``) until every cohort client is registered, resolves injected
-faults *server-side* — a client marked as dropped by the scenario's
-:class:`~repro.scenarios.engine.FaultInjector` is never dispatched to, so
-scenario outcomes are byte-identical across back-ends — then sends each
-survivor a :class:`~repro.transport.messages.SelectionNotice` and awaits
+``retries``) until every cohort client is registered, leaves out the
+cohort positions the scenario's fault plan failed — they are never
+dispatched to, so scenario outcomes are byte-identical across back-ends —
+then sends each remaining client a :class:`~repro.transport.messages.SelectionNotice` and awaits
 their :class:`~repro.transport.messages.ModelDelta` replies under
 ``round_timeout``.  A client that misses the deadline while still connected
 is recorded as a ``"straggler"``; one that is gone (and never reconnected in
@@ -71,7 +70,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -611,16 +610,17 @@ class SocketTransport(Transport):
                   global_state: StateDict,
                   config: LocalTrainingConfig,
                   round_index: int = 0,
-                  faults=None) -> "list[StateDict]":
+                  failed: Collection[int] = ()) -> "list[StateDict]":
         """Dispatch the cohort's selection notices and collect their deltas.
 
         Mirrors :meth:`repro.federated.executor.LocalUpdateExecutor.run_round`:
-        returns the survivors' states in cohort order; injected *faults* are
-        resolved server-side (failed positions are never dispatched), real
-        deadline misses become ``"straggler"`` and vanished clients
-        ``"offline"`` in :attr:`last_round_failures`, with the round's
-        malformed-frame counts and disconnect causes snapshotted into
-        :attr:`last_round_decode_failures` / :attr:`last_round_disconnects`.
+        returns the survivors' states in cohort order.  The *failed*
+        positions of the round's fault plan are never dispatched.  Failures
+        the server observes itself — a deadline miss ``"straggler"``, a
+        vanished client ``"offline"`` — land in :attr:`last_round_failures`,
+        with the round's malformed-frame counts and disconnect causes
+        snapshotted into :attr:`last_round_decode_failures` /
+        :attr:`last_round_disconnects`.
 
         Example
         -------
@@ -633,7 +633,6 @@ class SocketTransport(Transport):
         self.last_round_failures = {}
         self.last_round_decode_failures = {}
         self.last_round_disconnects = {}
-        self.last_round_delay = 0.0
         self.last_fallback_reason = None
         if not clients:
             return []
@@ -641,15 +640,10 @@ class SocketTransport(Transport):
             raise TransportClosedError("transport is closed")
         self.start()
         assert self._loop is not None
-        injected: dict[int, str] = {}
-        if faults is not None:
-            injected = {p: c for p, c in faults.resolve().items()
-                        if p < len(clients)}
-            self.last_round_delay = faults.round_delay()
         ids = [client.client_id for client in clients]
         future = asyncio.run_coroutine_threadsafe(
             self._run_round_async(ids, global_state, config, round_index,
-                                  injected),
+                                  failed),
             self._loop,
         )
         budget = self.config.connect_timeout * (self.config.retries + 2)
@@ -673,23 +667,16 @@ class SocketTransport(Transport):
                 f"round {round_index} did not complete within the "
                 f"{budget:.1f}s transport budget"
             )
-        self.last_round_failures = dict(injected)
-        self.last_round_failures.update(real_failures)
+        self.last_round_failures = real_failures
         self.last_round_decode_failures = decode
         self.last_round_disconnects = disconnects
-        survivors = [p for p in range(len(clients))
-                     if p not in self.last_round_failures]
-        # remote peers incremented their own participation counters; mirror
-        # that on the simulation-side stubs so bookkeeping matches in-process
-        for position in survivors:
-            clients[position].rounds_participated += 1
-        return [states_by_position[p] for p in survivors]
+        return [states_by_position[p] for p in sorted(states_by_position)]
 
     async def _run_round_async(self, ids: Sequence[int],
                                global_state: StateDict,
                                config: LocalTrainingConfig,
                                round_index: int,
-                               injected: "dict[int, str]"):
+                               failed: Collection[int]):
         self._round_task = asyncio.current_task()
         self._round_decode = {}
         self._round_disconnects = {}
@@ -698,8 +685,8 @@ class SocketTransport(Transport):
         deadline = self.config.round_timeout
         pending: "dict[int, tuple[int, asyncio.Future]]" = {}
         for position, client_id in enumerate(ids):
-            if position in injected:
-                continue  # resolved server-side: dropped clients never train
+            if position in failed:
+                continue  # failed by the fault plan: never dispatched
             reply: asyncio.Future = self._loop.create_future()
             self._pending[(round_index, client_id)] = reply
             notice = SelectionNotice(round_index=round_index,

@@ -1,5 +1,7 @@
 """Tests for the analysis utilities: bias statistics, sweeps, weight divergence."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -180,8 +182,9 @@ class TestWeightDivergence:
         vectorized = weight_divergence_experiment(factory, datasets, 10, rounds=2,
                                                   local_steps=4, batch_size=8)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(LocalUpdateExecutor, "_run_vectorized",
-                          LocalUpdateExecutor._run_sequential)
+            # every executor the experiment builds defaults to sequential
+            patch.setattr(LocalUpdateExecutor, "__init__", functools.partialmethod(
+                LocalUpdateExecutor.__init__, "sequential"))
             sequential = weight_divergence_experiment(factory, datasets, 10, rounds=2,
                                                       local_steps=4, batch_size=8)
         assert vectorized.weight_divergence == sequential.weight_divergence

@@ -157,14 +157,6 @@ class TestParallelEquivalence:
         finally:
             executor.close()
 
-    def test_rounds_participated_increment(self, parallel_executor):
-        factory = MODEL_FACTORIES["mlp"]
-        server = FederatedServer(factory)
-        clients = make_clients(4)
-        parallel_executor.run_round(clients, factory, server.global_state(),
-                                    LocalTrainingConfig())
-        assert all(c.rounds_participated == 1 for c in clients)
-
     def test_factory_change_with_same_layout_rebuilds_fleet(self):
         # same parameter names/shapes, different arithmetic (dropout rate):
         # the forked workers captured the old factory, so the scheduler must
@@ -267,7 +259,9 @@ class TestParallelFallback:
         try:
             par = executor.run_round(clients, factory, server.global_state(),
                                      config)
-            assert executor.last_fallback_reason is not None
+            assert "ragged" in executor.last_fallback_reason
+            # refused before a worker is forked or a pool is built
+            assert executor.scheduler is None and executor.workspace is None
             seq = LocalUpdateExecutor("sequential").run_round(
                 [FederatedClient(0, 10, dataset=clients[0].dataset, seed=1),
                  FederatedClient(1, 10, dataset=clients[1].dataset, seed=2)],
@@ -354,7 +348,10 @@ class TestParallelFallback:
         scheduler = CohortScheduler(num_workers=2)
         scheduler.broken = "synthetic breakage"
         with pytest.raises(SchedulerError, match="synthetic breakage"):
-            scheduler.run_round(make_clients(2), MODEL_FACTORIES["mlp"], {},
+            clients = make_clients(2)
+            scheduler.run_round(clients,
+                                [client.cohort_slot() for client in clients],
+                                MODEL_FACTORIES["mlp"], {},
                                 LocalTrainingConfig())
 
 

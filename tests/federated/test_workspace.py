@@ -242,6 +242,35 @@ class TestRaggedFallbackThroughWorkspace:
                 np.testing.assert_allclose(a[key], b[key], atol=TOL, rtol=0)
 
 
+    def test_a_ragged_round_between_dense_rounds_touches_no_pool(self):
+        gen = make_synthetic_mnist(seed=0)
+        dense = make_clients(2)
+        ragged = [
+            dense[0],
+            FederatedClient(9, 10, dataset=gen.generate([4] * 10,
+                            rng=np.random.default_rng(9)), seed=1009),
+        ]
+        executor = LocalUpdateExecutor("vectorized")
+        config = LocalTrainingConfig(learning_rate=1e-3)
+        state = FederatedServer(mlp_factory).global_state()
+
+        executor.run_round(dense, mlp_factory, state, config, round_index=0)
+        workspace = executor.workspace
+        before = (workspace.rounds_bound, executor.workspace_builds,
+                  workspace.buffer.restacked)
+        executor.run_round(ragged, mlp_factory, state, config, round_index=1)
+        assert "ragged" in executor.last_fallback_reason
+        # the shape check runs before the workspace adopts the round
+        assert (workspace.rounds_bound, executor.workspace_builds,
+                workspace.buffer.restacked) == before
+
+        executor.run_round(dense, mlp_factory, state, config, round_index=2)
+        assert executor.last_fallback_reason is None
+        assert executor.workspace is workspace
+        assert workspace.rounds_bound == before[0] + 1
+        assert executor.workspace_builds == before[1]
+
+
 class TestFloat64Pools:
     def test_states_are_float64_and_match_the_reference(self):
         clients = make_clients()

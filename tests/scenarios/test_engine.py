@@ -7,7 +7,6 @@ from repro.scenarios import (
     AvailabilitySpec,
     ChurnSpec,
     ClientFault,
-    CohortFaults,
     DriftSpec,
     DropoutSpec,
     FaultInjector,
@@ -28,45 +27,34 @@ class TestClientFault:
             "not_joined", "left", "offline", "dropout", "straggler"}
 
 
-class TestCohortFaults:
-    def test_empty_is_noop(self):
-        faults = CohortFaults()
-        assert faults.resolve() == {}
-        assert faults.round_delay() == 0.0
+class TestRoundPlan:
+    def test_empty_plan_is_noop(self):
+        plan = RoundPlan(0, (1, 2), (1, 2), (), (), {}, None)
+        assert plan.failures_by_client() == {}
+        assert plan.round_delay() == 0.0
 
     def test_deadline_drops_late_stragglers(self):
-        faults = CohortFaults(dropped={1: "dropout"},
-                              delays={0: 1.0, 2: 9.0}, deadline=5.0)
-        assert faults.resolve() == {1: "dropout", 2: "straggler"}
-        # the surviving straggler (position 0) sets the round duration
-        assert faults.round_delay() == 1.0
+        plan = RoundPlan(0, (4, 5, 6), (4, 5, 6), (), (5,),
+                         {4: 1.0, 6: 9.0}, deadline=5.0)
+        assert plan.failures_by_client() == {5: "dropout", 6: "straggler"}
+        # the surviving straggler (client 4) sets the round duration
+        assert plan.round_delay() == 1.0
+
+    def test_a_delay_equal_to_the_deadline_survives(self):
+        plan = RoundPlan(0, (4,), (4,), (), (), {4: 5.0}, deadline=5.0)
+        assert plan.failures_by_client() == {}
+        assert plan.round_delay() == 5.0
 
     def test_no_deadline_waits_for_everyone(self):
-        faults = CohortFaults(delays={0: 42.0}, deadline=None)
-        assert faults.resolve() == {}
-        assert faults.round_delay() == 42.0
+        plan = RoundPlan(0, (4,), (4,), (), (), {4: 42.0}, deadline=None)
+        assert plan.failures_by_client() == {}
+        assert plan.round_delay() == 42.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CohortFaults(delays={0: -1.0})
-        with pytest.raises(ValueError):
-            CohortFaults(deadline=0.0)
-
-
-class TestRoundPlan:
-    def test_cohort_faults_reindexes_by_trainable_position(self):
-        plan = RoundPlan(round_index=0, planned=(8, 3, 5), trainable=(3, 5),
-                         pre_faults=(ClientFault(8, "offline"),),
-                         dropouts=(5,), delays={3: 2.0}, deadline=4.0)
-        faults = plan.cohort_faults()
-        assert faults.dropped == {1: "dropout"}
-        assert faults.delays == {0: 2.0}
-        assert faults.deadline == 4.0
-
-    def test_failures_by_client_merges_pre_and_dropouts(self):
-        plan = RoundPlan(0, (1, 2, 3), (2, 3), (ClientFault(1, "left"),),
-                         (3,), {}, None)
-        assert plan.failures_by_client() == {1: "left", 3: "dropout"}
+    def test_failures_by_client_in_record_order(self):
+        plan = RoundPlan(0, (1, 2, 3, 4), (2, 3, 4), (ClientFault(1, "left"),),
+                         (3,), {2: 8.0, 4: 1.0}, deadline=4.0)
+        assert list(plan.failures_by_client().items()) == [
+            (1, "left"), (3, "dropout"), (2, "straggler")]
 
 
 class TestFaultInjectorDeterminism:
@@ -110,7 +98,7 @@ class TestFaultInjectorDeterminism:
         plan = FaultInjector(ScenarioSpec()).plan_round(3, [4, 2, 9])
         assert plan.trainable == (4, 2, 9)
         assert plan.pre_faults == () and plan.dropouts == ()
-        assert plan.delays == {} and plan.cohort_faults().resolve() == {}
+        assert plan.delays == {} and plan.failures_by_client() == {}
 
 
 class TestFaultInjectorDecisions:
@@ -136,8 +124,8 @@ class TestFaultInjectorDecisions:
         injector = FaultInjector(ScenarioSpec(dropouts=DropoutSpec(1.0), seed=3))
         plan = injector.plan_round(0, [1, 2, 3])
         assert plan.dropouts == (1, 2, 3)
-        assert plan.cohort_faults().resolve() == {
-            0: "dropout", 1: "dropout", 2: "dropout"}
+        assert plan.failures_by_client() == {
+            1: "dropout", 2: "dropout", 3: "dropout"}
 
     def test_certain_offline_leaves_nothing_trainable(self):
         injector = FaultInjector(ScenarioSpec(

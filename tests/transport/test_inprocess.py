@@ -1,12 +1,16 @@
-"""The in-process transport must be a zero-cost wrapper over the executors.
+"""In process, the executor is the transport.
 
-``InProcessTransport`` is the seam the simulation speaks through when no
-socket layer is configured; these tests pin that it forwards ``run_round``
-verbatim (bit-identical states, mirrored telemetry), that ``build_transport``
-maps configs to the right implementation, and that a simulation built
-through the default config behaves exactly as the pre-transport executor
-path did.
+``LocalUpdateExecutor`` honours the :class:`~repro.transport.base.Transport`
+contract itself, so a simulation without sockets speaks to it directly.
+These tests pin that ``build_transport`` maps configs to the right
+implementation, that the in-process transport only trains (it observes no
+failures, and its broadcast hooks are no-ops), and that ``repro.federated``
+and ``repro.transport`` import in either order.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ import pytest
 from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
-from repro.transport import InProcessTransport, Transport, build_transport
+from repro.transport import Transport, build_transport
 
 
 def make_cohort(n_clients=3, seed=0):
@@ -48,15 +52,15 @@ def make_model_factory(seed=7):
 class TestBuildTransport:
     def test_default_is_inprocess(self):
         transport = build_transport()
-        assert isinstance(transport, InProcessTransport)
-        assert transport.executor.mode == "vectorized"
+        assert isinstance(transport, LocalUpdateExecutor)
+        assert isinstance(transport, Transport)
+        assert transport.mode == "vectorized"
         transport.close()
 
-    def test_inprocess_wraps_the_given_executor(self):
+    def test_inprocess_is_the_given_executor(self):
         executor = LocalUpdateExecutor(mode="vectorized")
-        transport = build_transport(TransportConfig(), executor)
-        assert transport.executor is executor
-        transport.close()
+        assert build_transport(TransportConfig(), executor) is executor
+        executor.close()
 
     def test_socket_kind_builds_a_socket_transport(self):
         from repro.transport import SocketTransport
@@ -66,36 +70,23 @@ class TestBuildTransport:
         transport.close()
 
 
-class TestInProcessForwarding:
-    def test_states_match_the_bare_executor_bit_for_bit(self):
-        clients = make_cohort()
+class TestInProcessContract:
+    @pytest.mark.parametrize("mode", ["sequential", "vectorized"])
+    def test_failed_positions_are_left_out_not_reported(self, mode):
         model_factory = make_model_factory()
         global_state = model_factory().state_dict()
         config = LocalTrainingConfig(batch_size=4, local_epochs=1)
-
-        bare = LocalUpdateExecutor("sequential")
-        expected = bare.run_round(clients, model_factory, global_state,
-                                  config, round_index=0)
-        bare.close()
-
-        transport = InProcessTransport(LocalUpdateExecutor("sequential"))
-        actual = transport.run_round(make_cohort(), model_factory,
-                                     global_state, config, round_index=0)
-        transport.close()
-
-        assert len(actual) == len(expected)
-        for state_a, state_b in zip(actual, expected):
-            for name in state_b:
-                assert np.array_equal(state_a[name], state_b[name])
-
-    def test_telemetry_is_mirrored(self):
-        transport = InProcessTransport(LocalUpdateExecutor("sequential"))
-        transport.run_round([], make_model_factory(), {},
-                            LocalTrainingConfig())
-        assert transport.last_round_failures == {}
-        assert transport.last_round_delay == 0.0
-        assert transport.last_fallback_reason is None
-        transport.close()
+        executor = LocalUpdateExecutor(mode)
+        states = executor.run_round(make_cohort(), model_factory,
+                                    global_state, config, failed=[1])
+        expected = LocalUpdateExecutor("sequential").run_round(
+            make_cohort()[::2], model_factory, global_state, config)
+        # the plan's failures are the simulation's record, not a transport's
+        assert executor.last_round_failures == {}
+        assert len(states) == len(expected) == 2
+        for state, ref in zip(states, expected):
+            for name in ref:
+                assert np.array_equal(state[name], ref[name])
 
     def test_interface_hooks_are_noops_in_process(self):
         transport = build_transport()
@@ -113,8 +104,19 @@ class TestInProcessForwarding:
             Transport()
 
 
+@pytest.mark.parametrize("order", [("repro.federated", "repro.transport"),
+                                   ("repro.transport", "repro.federated")])
+def test_packages_import_in_either_order(order):
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "; ".join(f"import {name}" for name in order)
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 class TestSimulationSeam:
-    def test_simulation_exposes_both_transport_and_executor(self):
+    def test_the_executor_is_the_transport_in_process(self):
         from repro import FederatedConfig, Session
 
         session = Session(FederatedConfig(rounds=1, seed=0)).with_recipe(
@@ -122,7 +124,7 @@ class TestSimulationSeam:
             seed=0)
         simulation = session.build()
         try:
-            assert isinstance(simulation.transport, InProcessTransport)
-            assert simulation.executor is simulation.transport.executor
+            assert isinstance(simulation.executor, LocalUpdateExecutor)
+            assert simulation.transport is simulation.executor
         finally:
             session.close()
