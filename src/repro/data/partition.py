@@ -187,7 +187,7 @@ class EMDTargetPartitioner:
             for c in pool[starts[k] : starts[k] + dominating[k]].tolist():
                 if c in chosen:
                     candidates = [x for x in range(num_classes) if x not in chosen]
-                    c = int(self.rng.choice(candidates))
+                    c = candidates[int(self.rng.integers(len(candidates)))]
                 chosen.append(c)
             q[k, chosen] = 1.0 / dominating[k]
         return q

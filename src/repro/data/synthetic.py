@@ -15,8 +15,9 @@ Each class ``c`` owns a random smooth prototype image; samples are the
 prototype plus per-sample deformation (a random cyclic shift of up to
 ``jitter`` pixels per axis) and pixel noise.  Class overlap is injected by
 mixing a shared background component into every prototype.  Every shifted
-prototype is tabulated once per generator, so a sample costs its RNG draws
-and one gather.
+prototype is tabulated once per generator, and on numpy's default PCG64
+stream a sample's two shifts are decoded from one raw 64-bit word, so a
+sample costs one raw draw, one normal fill and one gather.
 
 For a given seed the data never changes: samples are drawn class by class
 (per sample the row shift, the column shift, then the pixel noise), and one
@@ -158,22 +159,74 @@ class SyntheticImageGenerator:
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """``counts[c]`` samples of each class ``c``, in class order."""
         y = np.repeat(np.arange(self.num_classes), counts)
-        n = len(y)
-        j = int(self.jitter)
-        dy = np.zeros(n, dtype=np.intp)
-        dx = np.zeros(n, dtype=np.intp)
-        noise = np.empty((n, *self.image_shape))
-        integers, normal = rng.integers, rng.normal
-        for i in range(n):
-            if j:
-                dy[i] = integers(-j, j + 1)
-                dx[i] = integers(-j, j + 1)
-            noise[i] = normal(0.0, self.noise_scale, size=self.image_shape)
+        n, j, shape = len(y), int(self.jitter), self.image_shape
+        drawn = None
+        if not j:
+            drawn = 0, 0, rng.normal(0.0, self.noise_scale, size=(n, *shape))
+        elif type(rng.bit_generator) is np.random.PCG64:
+            drawn = self._sample_pcg64(n, j, rng)
+        if drawn is None:
+            # one scalar draw at a time, the stream contract spelled out: any
+            # bit generator other than PCG64, or a PCG64 shift to redraw
+            rows = np.empty(n, dtype=np.intp)
+            cols = np.empty(n, dtype=np.intp)
+            noise = np.empty((n, *shape))
+            integers, normal = rng.integers, rng.normal
+            for i in range(n):
+                rows[i] = integers(-j, j + 1) + j
+                cols[i] = integers(-j, j + 1) + j
+                noise[i] = normal(0.0, self.noise_scale, size=shape)
+        else:
+            rows, cols, noise = drawn
         # the shifts were pure copies and float addition commutes, so adding
         # the gathered prototypes into the noise is the per-sample
         # roll-then-add element for element (and rounds to float32 the same)
-        noise += self._jittered[y, dy + j, dx + j]
+        noise += self._jittered[y, rows, cols]
         return noise.astype(np.float32), y
+
+    def _sample_pcg64(self, n: int, j: int, rng: np.random.Generator):
+        """Table indices, noise and end state of :meth:`_sample`'s scalar loop.
+
+        Each scalar ``integers(-j, j + 1)`` takes the next 32-bit half of the
+        stream: PCG64 hands out a 64-bit word's low half and buffers the high
+        half for the next call, and ``normal`` reads whole words without
+        touching that buffer.  So per sample the two shifts cost one raw word
+        (plus the half buffered on entry, if any), drawn here before the
+        sample's noise, and are decoded afterwards in one array pass by
+        numpy's Lemire rule.  Returns ``None``, with *rng* restored, when a
+        half would have been rejected and redrawn (odds 2**-32 per shift at
+        ``jitter == 1``); the scalar loop then makes the redraw itself.
+        """
+        bit_gen = rng.bit_generator
+        entry = bit_gen.state
+        words = np.empty(n, dtype=np.uint64)
+        noise = np.empty((n, *self.image_shape))
+        raw, standard_normal = bit_gen.random_raw, rng.standard_normal
+        for i in range(n):
+            words[i] = raw()
+            standard_normal(out=noise[i])
+        # the 32-bit halves in the order integers() consumes them
+        halves = np.empty(2 * n + 1, dtype=np.uint64)
+        halves[0] = entry["uinteger"]
+        halves[1::2] = words & 0xFFFFFFFF
+        halves[2::2] = words >> 32
+        buffered = bool(entry["has_uint32"])
+        # Lemire: a half u gives the table index (u * span) >> 32 (= shift + j)
+        # unless the product's low 32 bits fall under (2**32 - span) % span
+        span = 2 * j + 1
+        scaled = halves[1 - buffered : 2 * n + 1 - buffered] * np.uint64(span)
+        if np.any((scaled & 0xFFFFFFFF) < (2**32 - span) % span):
+            bit_gen.state = entry
+            return None
+        if n:  # the last word's high half: consumed, or still buffered
+            state = bit_gen.state
+            state["uinteger"] = int(halves[2 * n])
+            bit_gen.state = state
+        rows, cols = (scaled >> 32).astype(np.intp).reshape(n, 2).T
+        # normal(0.0, s) returns 0.0 + s * z
+        noise *= self.noise_scale
+        noise += 0.0
+        return rows, cols, noise
 
     def generate(self, class_counts: Sequence[int] | np.ndarray,
                  rng: Optional[np.random.Generator] = None,

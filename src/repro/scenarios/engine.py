@@ -45,18 +45,19 @@ FAILURE_CAUSES = ("not_joined", "left", "offline", "dropout", "straggler")
 
 @dataclass(frozen=True)
 class ClientFault:
-    """One injected fault: which client failed, why, and (if straggling) how late.
+    """One injected fault: which client failed, and why.
+
+    Straggler delays are decided per round, in :attr:`RoundPlan.delays`.
 
     Example
     -------
     >>> fault = ClientFault(client_id=3, cause="dropout")
-    >>> (fault.client_id, fault.cause, fault.delay)
-    (3, 'dropout', None)
+    >>> (fault.client_id, fault.cause)
+    (3, 'dropout')
     """
 
     client_id: int
     cause: str
-    delay: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.cause not in FAILURE_CAUSES:

@@ -680,13 +680,15 @@ class SocketTransport(Transport):
         self._round_task = asyncio.current_task()
         self._round_decode = {}
         self._round_disconnects = {}
-        await self._wait_for_clients(ids)
+        # positions failed by the fault plan are never dispatched, so only
+        # the dispatched clients need a session
+        dispatched = [(position, client_id) for position, client_id
+                      in enumerate(ids) if position not in failed]
+        await self._wait_for_clients([client_id for _, client_id in dispatched])
         assert self._loop is not None
         deadline = self.config.round_timeout
         pending: "dict[int, tuple[int, asyncio.Future]]" = {}
-        for position, client_id in enumerate(ids):
-            if position in failed:
-                continue  # failed by the fault plan: never dispatched
+        for position, client_id in dispatched:
             reply: asyncio.Future = self._loop.create_future()
             self._pending[(round_index, client_id)] = reply
             notice = SelectionNotice(round_index=round_index,

@@ -11,11 +11,14 @@ failed clients are never sent a selection notice.
 The scenario (seed 7, six clients, K = 3, five rounds) covers every
 mid-round path: a late joiner (``not_joined``), dropouts, a straggler past
 the 3.0 s deadline, surviving stragglers that set the round delay, and a
-round whose whole cohort fails, so aggregation is skipped.
+round whose whole cohort fails, so aggregation is skipped.  A second,
+all-dropout scenario checks that a socket round whose planned failures
+leave nobody to dispatch waits for no peer.
 """
 
 import hashlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,12 +48,13 @@ PINNED = [
 ]
 
 
-def make_session(executor_mode="sequential", transport=None):
+def make_session(executor_mode="sequential", transport=None,
+                 scenario=SCENARIO, rounds=ROUNDS):
     config = FederatedConfig(
-        rounds=ROUNDS, eval_every=1, seed=0, executor_mode=executor_mode,
+        rounds=rounds, eval_every=1, seed=0, executor_mode=executor_mode,
         num_workers=2 if executor_mode == "parallel" else None,
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
-        scenario=SCENARIO, transport=transport,
+        scenario=scenario, transport=transport,
     )
     return Session(config).with_recipe("repro.ledger.recipes:quick_mlp",
                                        **RECIPE)
@@ -127,3 +131,23 @@ def test_every_backend_tells_the_same_story(reference, backend):
     assert state.keys() == ref_state.keys()
     for name in ref_state:
         assert np.array_equal(state[name], ref_state[name]), name
+
+
+def test_a_socket_round_that_fails_whole_needs_no_peer():
+    # every selected client drops out, so the server dispatches nothing and
+    # must not wait for anyone to register: the round is skipped, as in process
+    everyone_drops = ScenarioSpec(dropouts=DropoutSpec(1.0))
+    with make_session(scenario=everyone_drops, rounds=2) as session:
+        expected = session.run().history.records
+    session = make_session(scenario=everyone_drops, rounds=2,
+                           transport=TransportConfig(kind="socket",
+                                                     connect_timeout=2.0))
+    try:
+        start = time.perf_counter()
+        records = session.run().history.records
+        elapsed = time.perf_counter() - start
+    finally:
+        session.close()
+    assert all(record.aggregation_skipped for record in records)
+    assert [story(r) for r in records] == [story(r) for r in expected]
+    assert elapsed < 1.0

@@ -7,11 +7,13 @@ __all__ = ["count_matrices", "generator_cases", "partition_cases"]
 
 @st.composite
 def generator_cases(draw):
-    """``(generator params, class counts, label, n, shuffle, rng seed)``.
+    """``(generator params, class counts, label, n, shuffle, rng, warmup)``.
 
     *label* and *n* describe a one-class draw that continues on the same RNG
-    stream after the full dataset; a ``None`` rng seed makes both sides draw
-    from their generator's own ``_rng``.
+    stream after the full dataset.  *rng* is ``None`` (both sides draw from
+    their generator's own ``_rng``) or ``(bit generator name, seed)``; either
+    way both streams first make *warmup* bounded ``integers`` draws, so an
+    odd count starts a PCG64 stream with a buffered 32-bit half.
     """
     num_classes = draw(st.integers(2, 52))
     size = draw(st.integers(4, 12))
@@ -27,8 +29,10 @@ def generator_cases(draw):
     label = draw(st.integers(0, num_classes - 1))
     n = draw(st.integers(0, 6))
     shuffle = draw(st.booleans())
-    rng_seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-    return params, counts, label, n, shuffle, rng_seed
+    rng = draw(st.one_of(st.none(), st.tuples(st.sampled_from(["PCG64", "MT19937"]),
+                                              st.integers(0, 2**32 - 1))))
+    warmup = draw(st.integers(0, 3))
+    return params, counts, label, n, shuffle, rng, warmup
 
 
 @st.composite
