@@ -6,7 +6,7 @@ for the K selected clients (ship global weights, train locally, return
 states) plus server aggregation — under each execution back-end of
 :class:`repro.federated.LocalUpdateExecutor`:
 
-* ``sequential`` — one client after another (the reference);
+* ``sequential`` — one client after another, each a one-client cohort;
 * ``vectorized`` — the cohort back-end: all K clients stacked into one
   batched tensor program (:mod:`repro.nn.batched`);
 * ``parallel`` — the multi-cohort back-end: the cohort sharded across
@@ -16,8 +16,10 @@ states) plus server aggregation — under each execution back-end of
 The workload is the paper's group-1 client configuration (B = 8, E = 1,
 Adam 1e-4) over equal-size virtual clients (``N_VC`` samples each, the
 FedVC convention) with the benchmark MLP.  Before timing, the harness
-asserts that every back-end reproduces the sequential per-client states to
-≤ 1e-10 from the same starting weights.
+asserts that every back-end reproduces the per-client states of the
+sequential reference engine (``tests/reference/sequential_nn.py``: per-layer
+kernels, one mini-batch at a time) to ≤ 1e-10 from the same starting
+weights.
 
 Two further sections exercise the round-persistent runtime:
 
@@ -25,9 +27,11 @@ Two further sections exercise the round-persistent runtime:
   with lazy, cache-backed clients: round 1 pays dataset materialisation and
   workspace construction (flat pools, optimiser state, cohort buffers),
   rounds 2+ reuse everything.  The section records the cold/warm split and
-  asserts round-2+ equals the sequential multi-round result to ≤ 1e-10.
-* **evaluation** — the server's test pass: sequential 64-sample Python loop
-  vs the forward-only batched evaluator, same predictions asserted.
+  asserts round-2+ equals the reference engine's multi-round result to
+  ≤ 1e-10.
+* **evaluation** — the server's test pass: the reference engine's
+  64-sample Python loop vs the forward-only batched evaluator, same
+  predictions asserted.
 * **parallel** — warm multi-cohort rounds (process-sharded vectorized
   blocks, ``--parallel-workers`` workers) against warm single-process
   vectorized rounds at ``--parallel-k``, per-client states first asserted
@@ -62,17 +66,21 @@ from time import perf_counter
 import numpy as np
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if os.path.isdir(os.path.join(_REPO_ROOT, "src")) and \
-        os.path.join(_REPO_ROOT, "src") not in sys.path:
-    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+# src/ for the package, tests/ for the sequential reference engine
+for _path in (os.path.join(_REPO_ROOT, "tests"), os.path.join(_REPO_ROOT, "src")):
+    if os.path.isdir(_path) and _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.data.cohort import DatasetCache  # noqa: E402
 from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set  # noqa: E402
 from repro.federated.client import FederatedClient, LocalTrainingConfig  # noqa: E402
 from repro.federated.executor import LocalUpdateExecutor  # noqa: E402
 from repro.federated.server import FederatedServer  # noqa: E402
-from repro.nn.metrics import BatchedEvaluator, evaluate_model  # noqa: E402
+from repro.nn.metrics import BatchedEvaluator  # noqa: E402
 from repro.nn.models import MLP  # noqa: E402
+
+from reference.sequential_nn import evaluate_model  # noqa: E402
+from reference.sequential_nn import run_round as reference_round  # noqa: E402
 
 #: samples per virtual client (N_VC); a multiple of B = 8 so every
 #: optimisation step runs a full batch
@@ -109,11 +117,11 @@ def make_cohort(n_clients: int) -> list[FederatedClient]:
 
 
 def check_equivalence(mode: str, clients, config, num_workers=None) -> float:
-    """Max |Δ| between this mode's per-client states and sequential ones."""
+    """Max |Δ| between this mode's per-client states and the reference engine's."""
     server = FederatedServer(model_factory)
     global_state = server.global_state()
-    reference = LocalUpdateExecutor("sequential").run_round(
-        clients, model_factory, global_state, config, round_index=0)
+    reference = reference_round(clients, model_factory, global_state, config,
+                                round_index=0)
     executor = LocalUpdateExecutor(mode, num_workers=num_workers)
     try:
         states = executor.run_round(
@@ -129,7 +137,8 @@ def check_equivalence(mode: str, clients, config, num_workers=None) -> float:
             worst = max(worst, float(np.max(np.abs(a[key] - b[key]))))
     if worst > EQUIVALENCE_TOL:
         raise AssertionError(
-            f"{mode} diverges from sequential by {worst:.3e} (> {EQUIVALENCE_TOL})"
+            f"{mode} diverges from the reference by {worst:.3e} "
+            f"(> {EQUIVALENCE_TOL})"
         )
     return worst
 
@@ -200,12 +209,11 @@ def bench_multi_round(n_clients: int, rounds: int, config) -> dict:
     assert executor.workspace_builds == 1, "workspace was rebuilt mid-run"
     assert executor.workspace.buffer.allocations == 1
 
-    # warm rounds must still match the sequential multi-round reference
+    # warm rounds must still match the reference engine's multi-round result
     seq_clients = make_lazy_cohort(n_clients, DatasetCache(n_clients))
     seq_server = FederatedServer(model_factory)
-    seq_executor = LocalUpdateExecutor("sequential")
     for r in range(rounds):
-        seq_server.aggregate(seq_executor.run_round(
+        seq_server.aggregate(reference_round(
             seq_clients, model_factory, seq_server.global_state(copy=False),
             config, round_index=r))
     worst = 0.0
@@ -214,7 +222,7 @@ def bench_multi_round(n_clients: int, rounds: int, config) -> dict:
         worst = max(worst, float(np.max(np.abs(value - vec_state[key]))))
     if worst > EQUIVALENCE_TOL:
         raise AssertionError(
-            f"multi-round vectorized diverges from sequential by {worst:.3e}"
+            f"multi-round vectorized diverges from the reference by {worst:.3e}"
         )
 
     cold = times[0]
@@ -240,9 +248,9 @@ def bench_parallel(n_clients: int, rounds: int, config, num_workers: int) -> dic
     Both executors get one untimed warm-up round (workspace build, fleet
     fork, data stacking) so the comparison is steady-state round throughput —
     the regime a multi-round experiment actually runs in.  Before timing,
-    one parallel round is asserted ≤ 1e-10 against the *sequential*
-    reference (the strongest one: vectorized is itself asserted against it
-    by every ``bench_mode`` run).
+    one parallel round is asserted ≤ 1e-10 against the sequential reference
+    engine (the strongest reference: vectorized is itself asserted against
+    it by every ``bench_mode`` run).
     """
     clients = make_cohort(n_clients)
     worst = check_equivalence("parallel", clients, config,
@@ -287,7 +295,7 @@ def bench_parallel(n_clients: int, rounds: int, config, num_workers: int) -> dic
 
 
 def bench_evaluation(samples_per_class: int, repeats: int) -> dict:
-    """Sequential 64-batch eval loop vs the forward-only batched evaluator."""
+    """The reference engine's 64-batch eval loop vs the batched evaluator."""
     generator = make_synthetic_mnist(seed=0)
     test_set = make_uniform_test_set(generator,
                                      samples_per_class=samples_per_class, seed=1)

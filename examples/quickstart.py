@@ -82,9 +82,9 @@ def main() -> None:
                 rounds=10,
                 eval_every=1,
                 local=LocalTrainingConfig(batch_size=8, local_epochs=1, learning_rate=3e-3),
-                # cohort back-end: trains all K clients as one batched tensor
-                # program; bit-identical to (and several times faster than)
-                # the default sequential loop
+                # cohort back-end (the default): trains all K clients as one
+                # batched tensor program; bit-identical to (and several
+                # times faster than) training them one at a time
                 executor_mode="vectorized",
                 seed=3,
             ),

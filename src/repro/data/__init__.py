@@ -7,9 +7,9 @@ Public API
 * global skew — :func:`half_normal_class_proportions`.
 * client partitioning — :class:`EMDTargetPartitioner`,
   :class:`ClientPartition`.
-* datasets — :class:`ArrayDataset`, :class:`DataLoader`,
-  :class:`SyntheticImageGenerator`, :func:`make_synthetic_mnist`,
-  :func:`make_synthetic_cifar`, :func:`make_femnist_federation`.
+* datasets — :class:`ArrayDataset`, :class:`SyntheticImageGenerator`,
+  :func:`make_synthetic_mnist`, :func:`make_synthetic_cifar`,
+  :func:`make_femnist_federation`.
 * FedVC virtual clients — :func:`make_virtual_clients`.
 * cohort execution — :class:`DatasetCache` (bounded LRU pool of client
   datasets), :class:`CohortBuffer` (round-persistent dense
@@ -18,7 +18,6 @@ Public API
 """
 
 from .cohort import CohortBuffer, CohortShapeError, DatasetCache
-from .dataloader import DataLoader
 from .dataset import ArrayDataset
 from .distributions import (
     average_emd,
@@ -53,7 +52,6 @@ __all__ = [
     "ClientPartition",
     "CohortBuffer",
     "CohortShapeError",
-    "DataLoader",
     "DatasetCache",
     "EMDTargetPartitioner",
     "FEMNIST_NUM_CLASSES",

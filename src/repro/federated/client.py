@@ -16,11 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..data.cohort import DatasetCache
-from ..data.dataloader import DataLoader
 from ..data.dataset import ArrayDataset
-from ..nn.loss import CrossEntropyLoss
 from ..nn.module import Module
-from ..nn.optim import Adam, SGD
+from .workspace import CohortWorkspace, train_cohort
 
 __all__ = ["LocalTrainingConfig", "FederatedClient"]
 
@@ -141,29 +139,20 @@ class FederatedClient:
 
     def local_train(self, model: Module, config: LocalTrainingConfig,
                     round_index: int = 0) -> dict[str, np.ndarray]:
-        """Train *model* on the local dataset and return the updated state dict.
+        """Train *model*'s weights on the local dataset; return the trained state.
 
-        The caller passes a model already loaded with the current global
-        weights; this method mutates that model instance (the caller owns it,
-        typically a per-client clone) and returns its state dict for
-        aggregation.
+        The caller passes a model loaded with the current global weights.
+        The update is a one-client cohort: a fresh
+        :class:`~repro.federated.workspace.CohortWorkspace` over *model*, this
+        client's one slot, and :func:`~repro.federated.workspace.train_cohort`
+        with the batch order seeded from ``seed + 7919 · round_index`` — the
+        step every client of a vectorized round runs.  *model* keeps its
+        weights; the returned arrays belong to the caller.
         """
-        loss_fn = CrossEntropyLoss()
-        if config.optimizer == "adam":
-            optimizer = Adam(model, lr=config.learning_rate)
-        else:
-            optimizer = SGD(model, lr=config.learning_rate)
+        workspace = CohortWorkspace(model, 1)
+        x, y = workspace.buffer.stack([self.cohort_slot()])
         seed = None if self.seed is None else self.seed + 7919 * round_index
-        loader = DataLoader(self.dataset, batch_size=config.batch_size, shuffle=True, seed=seed)
-        model.train()
-        for _ in range(config.local_epochs):
-            for batch_index, (xb, yb) in enumerate(loader):
-                if (config.max_batches_per_epoch is not None
-                        and batch_index >= config.max_batches_per_epoch):
-                    break
-                logits = model(xb)
-                _, grad = loss_fn(logits, yb)
-                optimizer.zero_grad()
-                model.backward(grad)
-                optimizer.step()
-        return model.state_dict()
+        train_cohort(workspace.model, workspace.optimizer_for(config), x, y,
+                     [np.random.default_rng(seed)], config)
+        return {name: stack[0].copy()
+                for name, stack in workspace.model.stacked_state().items()}

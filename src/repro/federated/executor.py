@@ -1,35 +1,37 @@
 """Execution back-ends for per-round local client training.
 
 The paper implements "the training process of participated clients as
-parallel processes" on a GPU box.  In this reproduction local updates are
-plain NumPy, so three execution modes are offered:
+parallel processes" on a GPU box.  In this reproduction every local update
+runs the one training step, :func:`~repro.federated.workspace.train_cohort`
+(:mod:`repro.nn.batched`), and the three modes differ only in how many
+clients each call trains:
 
-* ``"vectorized"`` (default) — the cohort back-end: the K selected clients'
-  datasets are stacked into one ``(K, N_vc, …)`` tensor, the model's
-  parameters are broadcast to a leading client axis, and every local
-  optimisation step for all K clients runs as a handful of batched matmuls
-  (:mod:`repro.nn.batched`).  Many small clients make the sequential Python
-  loop — not BLAS — the bottleneck, which this mode removes;
-* ``"sequential"`` — one client after another: the fallback for cohorts the
-  vectorized mode cannot stack, the path every socket peer trains on
-  (:meth:`FederatedClient.local_train`), and the reference the equivalence
-  tests hold the other modes to;
+* ``"vectorized"`` (default) — the whole cohort at once: the K selected
+  clients' datasets are stacked into one ``(K, N_vc, …)`` tensor, the
+  model's parameters are broadcast to a leading client axis, and every
+  local optimisation step for all K clients runs as a handful of batched
+  matmuls.  Many small clients make a per-client Python loop — not BLAS —
+  the bottleneck, which this mode removes;
+* ``"sequential"`` — one client at a time, each a K = 1 cohort
+  (:meth:`FederatedClient.local_train`, the path every socket peer trains
+  on);
 * ``"parallel"`` — the multi-cohort back-end: the K clients are sharded
   across ``num_workers`` persistent worker processes, each running its shard
   as an independent vectorized block with bulk state crossing the process
   boundary through shared-memory pools
   (:class:`~repro.federated.scheduler.CohortScheduler`).  This is the
-  fastest mode on multi-core boxes at large K, and bit-identical to
-  ``"vectorized"``.
+  fastest mode on multi-core boxes at large K.
 
-All modes produce matching results for the same inputs: the work items are
-pure functions of (client dataset, incoming weights, config), and the
-batched kernels mirror the sequential arithmetic slice-for-slice.  Before a
+All modes produce bit-identical results for the same inputs: the work items
+are pure functions of (client dataset, incoming weights, config), and every
+client occupies an independent slice of the batched kernels.  Before a
 cohort back-end runs, :meth:`LocalUpdateExecutor.run_round` checks that the
 cohort stacks densely (:func:`~repro.data.cohort.cohort_sample_shape`); a
-ragged cohort, or a model that is no chain of the shipped layers, is trained
-by the sequential loop instead, and the reason is recorded in
-:attr:`LocalUpdateExecutor.last_fallback_reason`.
+ragged cohort is trained one client at a time instead, and the reason is
+recorded in :attr:`LocalUpdateExecutor.last_fallback_reason`.  A parallel
+round the worker fleet cannot serve falls back to ``"vectorized"`` the same
+way.  A model that is no chain of the shipped layers raises
+:class:`~repro.nn.batched.UnvectorizableModelError` in every mode.
 
 The executor is the in-process :class:`~repro.transport.base.Transport`: a
 simulation without sockets speaks to it directly.  It only trains and
@@ -42,7 +44,7 @@ pools, optimiser state, stacked data buffers) and every shape-compatible
 later round reuses it — rebinding the fresh template into the existing
 pools, resetting (not reallocating) the optimiser and restacking only the
 data slots whose selected client changed.  Its pools are float64, so a
-cohort round is bit-identical to sequential execution.
+cohort round is bit-identical to training its clients one at a time.
 
 Note on result lifetime: vectorized rounds return zero-copy views into the
 workspace pools (:class:`~repro.federated.aggregation.StackedClientStates`).
@@ -58,7 +60,6 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from ..data.cohort import CohortShapeError, cohort_sample_shape
-from ..nn.batched import UnvectorizableModelError
 from ..nn.module import Module
 from ..transport.base import Transport
 from .aggregation import StackedClientStates
@@ -75,7 +76,7 @@ EXECUTOR_MODES = ("sequential", "vectorized", "parallel")
 
 def _run_local_update(client: FederatedClient, model: Module, global_state: StateDict,
                       config: LocalTrainingConfig, round_index: int) -> StateDict:
-    """Load global weights into the fresh clone and train locally."""
+    """Load global weights into the fresh model and train it as a K = 1 cohort."""
     model.load_state_dict(global_state)
     return client.local_train(model, config, round_index=round_index)
 
@@ -151,9 +152,9 @@ class LocalUpdateExecutor(Transport):
         returned list covers only the other positions, in cohort order.  The
         cohort back-ends still train the failed rows and then drop them (a
         real dropout wastes its local compute too, and a stable cohort size
-        keeps the round-persistent workspace warm); the sequential back-end
-        skips them outright.  Either way the survivors are bit-identical to
-        a round that never selected the failed clients.
+        keeps the round-persistent workspace warm); the one-client-at-a-time
+        path skips them outright.  Either way the survivors are bit-identical
+        to a round that never selected the failed clients.
 
         Example
         -------
@@ -179,18 +180,9 @@ class LocalUpdateExecutor(Transport):
             try:
                 return self._filter_survivors(
                     self._run_parallel(slots, *args), failed)
-            except (SchedulerError, UnvectorizableModelError) as exc:
+            except SchedulerError as exc:
                 self.last_fallback_reason = str(exc)
-        try:
-            return self._filter_survivors(
-                self._run_vectorized(slots, *args), failed)
-        except UnvectorizableModelError as exc:
-            reason = str(exc)
-            if self.last_fallback_reason is not None:
-                reason = (f"{self.last_fallback_reason}; vectorized fallback "
-                          f"failed: {reason}")
-            self.last_fallback_reason = reason
-            return self._run_sequential(*args, failed)
+        return self._filter_survivors(self._run_vectorized(slots, *args), failed)
 
     # -- back-ends -------------------------------------------------------------
 
@@ -232,19 +224,18 @@ class LocalUpdateExecutor(Transport):
                         round_index: int) -> StackedClientStates:
         """Train the whole (rectangular) cohort as one batched tensor program.
 
-        Replays the exact sequential schedule — per-client epoch permutations
-        from the same seeded RNG stream as :class:`repro.data.DataLoader`,
-        same batch boundaries, same optimiser arithmetic — with the client
-        loop folded into a leading tensor axis.  All round-scoped state lives
-        in the persistent :class:`CohortWorkspace`; a shape-compatible round
-        allocates no new pools.  *slots* are the clients' cohort slots, in
-        order.
+        Each client's epoch permutations come from its own generator, seeded
+        from its seed and the round exactly as
+        :meth:`FederatedClient.local_train` seeds a one-client cohort.  All
+        round-scoped state lives in the persistent :class:`CohortWorkspace`;
+        a shape-compatible round allocates no new pools.  *slots* are the
+        clients' cohort slots, in order.
         """
         template = model_factory()
         workspace = self.workspace
         if workspace is None or not workspace.adopt(template, len(clients)):
-            # incompatible (or first) round: build fresh pools; may raise
-            # UnvectorizableModelError straight into the sequential fallback
+            # incompatible (or first) round: build fresh pools (a model that
+            # is no layer chain raises UnvectorizableModelError here)
             workspace = CohortWorkspace(template, len(clients))
             self.workspace = workspace
             self.workspace_builds += 1
@@ -252,7 +243,7 @@ class LocalUpdateExecutor(Transport):
         batched = workspace.model
         batched.load_state_dict_broadcast(global_state)
         optimizer = workspace.optimizer_for(config)
-        # one RNG per client, seeded exactly like the sequential DataLoader
+        # one RNG per client, seeded exactly like FederatedClient.local_train
         rngs = [
             np.random.default_rng(
                 None if client.seed is None else client.seed + 7919 * round_index
@@ -271,8 +262,9 @@ class LocalUpdateExecutor(Transport):
         """Shard the (rectangular) cohort across the scheduler's worker fleet.
 
         The scheduler is built lazily on the first parallel round and reused
-        for as long as rounds keep the same geometry; a crashed worker or an
-        unvectorizable model raises into :meth:`run_round`'s fallback chain.
+        for as long as rounds keep the same geometry; a crashed or wedged
+        worker raises :class:`SchedulerError` into :meth:`run_round`'s
+        fallback to the vectorized back-end.
         """
         if self.scheduler is None:
             self.scheduler = CohortScheduler(num_workers=self.num_workers,

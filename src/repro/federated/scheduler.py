@@ -33,8 +33,7 @@ Design
 * **Fail towards correctness.**  A dead or wedged worker marks the scheduler
   broken and raises :class:`SchedulerError`;
   :class:`~repro.federated.LocalUpdateExecutor` catches it and transparently
-  falls back to the in-process vectorized round (and from there, if needed,
-  to the sequential reference).  Geometry changes (different K, data shape
+  falls back to the in-process vectorized round.  Geometry changes (different K, data shape
   or model architecture) rebuild the worker fleet rather than guessing.
 """
 
@@ -64,10 +63,9 @@ class SchedulerError(RuntimeError):
     """The parallel scheduler cannot serve this round (callers fall back).
 
     Raised for worker crashes/timeouts, platforms without the ``fork`` start
-    method, and worker-reported round failures.  The executor treats it like
-    an unvectorizable cohort: the round transparently re-runs on the
-    in-process vectorized (then sequential) back-end and the reason is
-    recorded in ``LocalUpdateExecutor.last_fallback_reason``.
+    method, and worker-reported round failures.  The executor re-runs the
+    round on the in-process vectorized back-end and records the reason in
+    ``LocalUpdateExecutor.last_fallback_reason``.
 
     Example
     -------
@@ -352,9 +350,8 @@ class CohortScheduler:
         Returns the same :class:`StackedClientStates` the vectorized
         back-end produces (per-client dicts as views into one ``(K, *shape)``
         stack per parameter, clients in selection order).  Raises
-        :class:`SchedulerError` / :class:`~repro.nn.batched.UnvectorizableModelError`
-        when the round cannot be served; callers fall back to the in-process
-        back-ends.
+        :class:`SchedulerError` when the fleet cannot serve the round; the
+        executor then falls back to the in-process vectorized back-end.
 
         Example
         -------

@@ -15,8 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..nn.batched import UnvectorizableModelError
-from ..nn.metrics import BatchedEvaluator, evaluate_model
+from ..nn.metrics import BatchedEvaluator
 from ..nn.module import Module
 from .aggregation import average_states
 
@@ -32,9 +31,7 @@ class FederatedServer:
     FedVC virtual client holds the same number of samples, so this equals
     sample-weighted FedAvg.  :meth:`evaluate` pushes the test set through
     the forward-only cohort kernels (:class:`repro.nn.metrics.BatchedEvaluator`,
-    built once and reused every round), falling back to the per-batch loop
-    (:func:`repro.nn.metrics.evaluate_model`, identical metrics) for models
-    that are no layer chain.
+    built on the first call and reused every round).
 
     Example
     -------
@@ -55,8 +52,6 @@ class FederatedServer:
         #: whether the most recent :meth:`aggregate` call skipped the round
         self.last_aggregation_skipped = False
         self._evaluator: Optional[BatchedEvaluator] = None
-        #: why batched evaluation is unavailable for this model (or None)
-        self.eval_fallback_reason: Optional[str] = None
 
     # -- weights -----------------------------------------------------------------
 
@@ -131,28 +126,17 @@ class FederatedServer:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def evaluate(self, test_set: ArrayDataset, batch_size: int = 64) -> dict:
+    def evaluate(self, test_set: ArrayDataset) -> dict:
         """Evaluate the current global model on a (uniform) test set.
 
         The round-persistent batched evaluator reuses its one-client
-        parameter stack across rounds (chunking is internal); *batch_size*
-        only applies to the per-batch fallback for models without a cohort
-        chain.  The metrics are identical either way.
+        parameter stack across rounds; a model that is no layer chain raises
+        :class:`~repro.nn.batched.UnvectorizableModelError`.
         """
-        evaluator = self._ensure_evaluator()
-        if evaluator is not None:
-            evaluator.load_state(self.global_state(copy=False))
-            return evaluator.evaluate(test_set)
-        return evaluate_model(self.global_model, test_set, batch_size=batch_size)
-
-    def _ensure_evaluator(self) -> Optional[BatchedEvaluator]:
-        """The cached batched evaluator, or None when the model rules it out."""
-        if self._evaluator is None and self.eval_fallback_reason is None:
-            try:
-                self._evaluator = BatchedEvaluator(self.model_factory())
-            except UnvectorizableModelError as exc:
-                self.eval_fallback_reason = str(exc)
-        return self._evaluator
+        if self._evaluator is None:
+            self._evaluator = BatchedEvaluator(self.model_factory())
+        self._evaluator.load_state(self.global_state(copy=False))
+        return self._evaluator.evaluate(test_set)
 
     def new_client_model(self) -> Module:
         """A fresh model instance for a client (weights loaded by the executor)."""
@@ -167,4 +151,3 @@ class FederatedServer:
         for the server's lifetime, which outlives short-lived runs.
         """
         self._evaluator = None
-        self.eval_fallback_reason = None

@@ -56,8 +56,9 @@ class FederatedConfig:
 
     ``executor_mode`` selects the local-update back-end
     (:data:`repro.federated.EXECUTOR_MODES`: ``"vectorized"`` by default,
-    which falls back to ``"sequential"`` for a cohort it cannot stack, or
-    ``"parallel"``; see :class:`repro.federated.LocalUpdateExecutor`).
+    which trains a cohort it cannot stack one client at a time, as
+    ``"sequential"`` always does, or ``"parallel"``; see
+    :class:`repro.federated.LocalUpdateExecutor`).
     ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
     mode's multi-cohort scheduler (worker-process count, defaulting to one
     per core, and the per-round worker-reply deadline in seconds — raise it

@@ -1,8 +1,9 @@
-"""Round-persistent state of the vectorized (cohort) execution back-end.
+"""The one training step, and the round-persistent state it runs on.
 
-PR 2 made a single vectorized round fast; this module makes *multi-round*
-simulations fast by keeping everything a round allocates alive between
-rounds.  A :class:`CohortWorkspace` owns
+:func:`train_cohort` is every client's local update: the in-process
+executor's vectorized rounds, the parallel scheduler's workers and a single
+client's :meth:`~repro.federated.FederatedClient.local_train` (a K = 1
+cohort) all run it.  A :class:`CohortWorkspace` owns
 
 * the :class:`~repro.nn.batched.BatchedModel` with its flat ``(K·P)``
   value/grad pools,
@@ -15,29 +16,30 @@ as long as consecutive rounds are *shape-compatible* (same cohort size, same
 model architecture).  Each round the executor rebinds the fresh
 template model into the existing pools (:meth:`CohortWorkspace.adopt`),
 resets — never reallocates — the optimiser state, and restacks only the data
-slots whose selected client changed.  Every reuse path preserves the
-sequential contract exactly: a rebound round is arithmetically
-indistinguishable from a freshly built one, because sequential clients also
-start every round from a factory-fresh model and optimiser.
+slots whose selected client changed.  A rebound round is arithmetically
+indistinguishable from a freshly built one, because every client starts
+every round from a factory-fresh model and optimiser.
 
 Numerical safety valves: a structurally different template or a changed
 cohort size silently rebuilds the workspace (counted in
 ``LocalUpdateExecutor.workspace_builds``); a ragged cohort never reaches the
-workspace — the executor checks the cohort's shape first and trains it
-sequentially, so the pools stay as the last dense round left them.
+workspace — the executor checks the cohort's shape first and trains it one
+client at a time, so the pools stay as the last dense round left them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..data.cohort import CohortBuffer
 from ..nn.batched import BatchedAdam, BatchedModel, BatchedSGD, batched_cross_entropy
 from ..nn.module import Module
-from .client import LocalTrainingConfig
+
+if TYPE_CHECKING:  # the client trains through this module
+    from .client import LocalTrainingConfig
 
 __all__ = ["CohortWorkspace", "shared_pool", "train_cohort"]
 
@@ -82,14 +84,15 @@ def train_cohort(model: BatchedModel, optimizer: "BatchedAdam | BatchedSGD",
                  rows: Optional[np.ndarray] = None) -> None:
     """Run every client's full local update as one batched tensor program.
 
-    This is the body of a vectorized round, shared by the in-process
-    executor and the parallel scheduler's workers: it replays the exact
-    sequential schedule — per-client epoch permutations drawn from *rngs*
-    (one generator per client, seeded exactly like the sequential
-    :class:`repro.data.DataLoader`), same batch boundaries, same optimiser
-    arithmetic — with the client loop folded into the leading axis of the
-    ``(K, N_vc, …)`` arrays *x* / *y*.  The trained parameters land in
-    *model*'s flat value pool; nothing is returned.
+    This is the only training step in the package, shared by the in-process
+    executor, the parallel scheduler's workers and
+    :meth:`~repro.federated.FederatedClient.local_train`.  Each epoch every
+    client shuffles its samples with one permutation drawn from its own
+    generator in *rngs* (seeded from the client's seed and the round), then
+    steps through batches of ``config.batch_size``; the client loop is
+    folded into the leading axis of the ``(K, N_vc, …)`` arrays *x* / *y*.
+    The trained parameters land in *model*'s flat value pool; nothing is
+    returned.
 
     *rows* is the precomputed ``(K, 1)`` client-row index used for per-batch
     gathers (recomputed when omitted — the round-persistent workspace caches
@@ -161,7 +164,7 @@ class CohortWorkspace:
 
         Returns ``True`` after rebinding the factory-fresh *template* into
         the batched model (adopting its dropout RNG streams, exactly what
-        every sequential client's fresh clone would use).  ``False`` means
+        every client's fresh model would use).  ``False`` means
         the round is shape-incompatible — different cohort size or model
         structure — and the executor must build a new workspace.
         """
@@ -175,7 +178,7 @@ class CohortWorkspace:
     def optimizer_for(self, config: LocalTrainingConfig) -> "BatchedAdam | BatchedSGD":
         """The round's optimiser: state reset in place, never reallocated.
 
-        Sequential clients construct a fresh optimiser every round, so the
+        Every client starts its round with a fresh optimiser, so the
         persistent one is reset (moments zeroed, step counter rewound) rather
         than carried over — bit-identical semantics without the pool-sized
         allocations.  Switching between Adam and SGD mid-run rebuilds it.

@@ -6,14 +6,13 @@ Public API
   ``state_dict`` and flat-vector views for federated aggregation.
 * layers — :class:`Linear`, :class:`Conv2d`, :class:`MaxPool2d`,
   :class:`ReLU`, :class:`Flatten`, :class:`Dropout`, :class:`Sequential`.
-* :class:`CrossEntropyLoss`, :func:`log_softmax`.
-* optimisers — :class:`SGD`, :class:`Adam`.
 * models — :class:`MLP`, :class:`MnistCNN`, :class:`CifarCNN`.
-* metrics — :func:`evaluate_model`,
-  :class:`BatchedEvaluator` (forward-only batched test pass).
+* metrics — :class:`BatchedEvaluator` (forward-only batched test pass),
+  :func:`confusion_matrix`, :func:`per_class_accuracy`.
 * cohort execution — :class:`BatchedModel`, :class:`BatchedParameter`,
-  :func:`batched_cross_entropy` (train K clients as one batched tensor
-  program; see :mod:`repro.nn.batched`).
+  :func:`batched_cross_entropy`: the one training kernel, which trains K
+  clients (one, at the least) as one batched tensor program; see
+  :mod:`repro.nn.batched`.  Layers and models describe the chain it runs.
 """
 
 from .batched import (
@@ -25,25 +24,20 @@ from .batched import (
 from .conv import Conv2d, MaxPool2d, col2im, im2col
 from .init import kaiming_uniform, zeros
 from .layers import Dropout, Flatten, Linear, ReLU, Sequential
-from .loss import CrossEntropyLoss, log_softmax
 from .metrics import (
     BatchedEvaluator,
     confusion_matrix,
-    evaluate_model,
     per_class_accuracy,
 )
 from .models import MLP, CifarCNN, MnistCNN
 from .module import Module, Parameter
-from .optim import SGD, Adam, Optimizer
 
 __all__ = [
-    "Adam",
     "BatchedEvaluator",
     "BatchedModel",
     "BatchedParameter",
     "CifarCNN",
     "Conv2d",
-    "CrossEntropyLoss",
     "Dropout",
     "Flatten",
     "Linear",
@@ -51,19 +45,15 @@ __all__ = [
     "MaxPool2d",
     "MnistCNN",
     "Module",
-    "Optimizer",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sequential",
     "UnvectorizableModelError",
     "batched_cross_entropy",
     "col2im",
     "confusion_matrix",
-    "evaluate_model",
     "im2col",
     "kaiming_uniform",
-    "log_softmax",
     "per_class_accuracy",
     "zeros",
 ]

@@ -1,28 +1,25 @@
 """Vectorized cohort execution: train K clients as one batched tensor program.
 
-The sequential federated round trains the K selected clients one-by-one, each
-with its own model clone and Python-level batch loop.  This module provides
-the FedJAX-vmap-style alternative in pure NumPy: the template model's
+This is the one training kernel of the reproduction.  The template model's
 parameters are broadcast to a leading *client axis*, client mini-batches are
 stacked into ``(K, B, …)`` arrays, and every local SGD/Adam step for all K
-clients runs as a handful of batched ``matmul`` ops instead of K Python
-loops.
+clients runs as a handful of batched ``matmul`` ops (the FedJAX-vmap idea in
+pure NumPy).  A single client's local update is the K = 1 cohort
+(:meth:`repro.federated.FederatedClient.local_train`).
 
 Numerical contract
 ------------------
 Every client occupies an independent slice of every batched op, and each
-batched kernel mirrors the arithmetic of its sequential counterpart
+batched kernel computes the arithmetic of the one-client-at-a-time engine
 slice-for-slice (same reduction axes, same dtype promotion, same elementwise
-formulas).  Per-client results therefore match the sequential back-end to
-floating-point reproduction accuracy (the test-suite asserts ≤ 1e-10), so
-selectors, figures and secure paths behave identically under either
-back-end.
+formulas).  That engine is kept as the equivalence reference under
+``tests/reference/``; per-client results match it bit for bit, so selectors,
+figures and secure paths do not depend on the cohort size.
 
-Dropout note: in the sequential back-end every client trains a *fresh*
-factory-built model, so all K per-client dropout RNGs start from the same
-seed and draw identical mask sequences.  :class:`BatchedDropout` reproduces
-exactly that by drawing one ``(B, …)`` mask per step from the template
-layer's RNG and broadcasting it across the client axis.
+Dropout: every client starts its round from a factory-fresh model, so all K
+clients' dropout layers share one seed and one mask sequence.
+:class:`BatchedDropout` draws one ``(B, …)`` mask per step from the template
+layer's RNG and broadcasts it across the client axis.
 
 Extending
 ---------
@@ -31,12 +28,11 @@ A model vectorizes when it is a :class:`~repro.nn.layers.Sequential` chain
 ``Conv2d``, ``MaxPool2d``, ``ReLU``, ``Flatten``, ``Dropout`` or their
 subclasses — and the chain covers every parameter; each model of
 :mod:`repro.nn.models` lists its chain once.  Anything else raises
-:class:`UnvectorizableModelError`, and callers such as
-:class:`repro.federated.LocalUpdateExecutor` fall back to the sequential
-back-end.  Batched layers follow the assign-not-accumulate gradient contract
-of :meth:`BatchedLayer.backward` (unlike sequential layers, which ``+=`` into
-grads): the training loop skips per-step ``zero_grad`` because every batched
-backward overwrites its parameter grads.
+:class:`UnvectorizableModelError`: a new layer type needs a batched layer
+in ``_LAYER_VECTORIZERS``.  Batched layers follow the assign-not-accumulate
+gradient contract of :meth:`BatchedLayer.backward`: the training loop skips
+per-step ``zero_grad`` because every batched backward overwrites its
+parameter grads.
 """
 
 from __future__ import annotations
@@ -116,8 +112,8 @@ class BatchedLayer:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Propagate gradients, *assigning* (not accumulating) parameter grads.
 
-        Contract — note this differs from the sequential layers' ``+=``
-        convention: batched backward runs exactly once per optimisation step
+        Contract — unlike PyTorch's ``+=`` convention, a batched backward
+        runs exactly once per optimisation step
         and must *overwrite* each ``BatchedParameter.grad`` (e.g. via
         ``np.matmul(..., out=p.grad)``).  The cohort training loop relies on
         this to skip the per-step ``zero_grad`` pass; a custom layer that
@@ -138,12 +134,11 @@ class BatchedLayer:
 
         Round-persistent workspaces reuse one batched program across rounds;
         each round the executor builds a fresh template model (exactly what
-        every sequential client receives) and rebinds it into the existing
+        every client starts its round from) and rebinds it into the existing
         stacks.  A layer returns ``True`` when *layer* is structurally
         identical to the one it was built from — after adopting whatever
         per-round state matters (e.g. the dropout RNG, which must restart
-        from the factory-fresh stream every round to mirror sequential
-        clients).  ``False`` forces the caller to rebuild the whole batched
+        from the factory-fresh stream every round).  ``False`` forces the caller to rebuild the whole batched
         model.
         """
         raise NotImplementedError
@@ -275,19 +270,18 @@ class BatchedConv2d(BatchedLayer):
 class BatchedDropout(BatchedLayer):
     """Inverted dropout with one per-step mask shared across the client axis.
 
-    Matches the sequential back-end, where every client's factory-fresh model
-    seeds its dropout RNG identically and therefore draws the same masks.
-    An *unseeded* active dropout layer has no such shared stream — sequential
-    clients would draw independent masks — so it refuses vectorization and
-    the executor falls back to the sequential loop.
+    Every client's factory-fresh model seeds its dropout RNG identically and
+    therefore draws the same masks.  An *unseeded* active dropout layer has
+    no such shared stream — each client would draw independent masks — so
+    it refuses vectorization.
     """
 
     def __init__(self, layer: Dropout, num_clients: int):
         if layer.p > 0 and getattr(layer, "seed", None) is None:
             raise UnvectorizableModelError(
                 "Dropout without a deterministic seed draws independent masks "
-                "per sequential client; the cohort back-end cannot reproduce "
-                "that — construct the layer with an explicit seed"
+                "per client; the cohort back-end cannot reproduce that — "
+                "construct the layer with an explicit seed"
             )
         self.p = layer.p
         self.rng = layer.rng  # the template model is factory-fresh, like each client's
@@ -295,7 +289,7 @@ class BatchedDropout(BatchedLayer):
 
     def rebind(self, layer: Module) -> bool:
         # adopting the fresh template's RNG restarts the mask stream exactly
-        # like the factory-fresh models every sequential client trains
+        # like the factory-fresh model every client starts its round from
         if not isinstance(layer, Dropout) or (
                 layer.p > 0 and getattr(layer, "seed", None) is None):
             return False
@@ -378,12 +372,11 @@ def vectorize_layer(layer: Module, num_clients: int) -> BatchedLayer:
 def _flat_chain(model: Module) -> list[Module]:
     """*model*'s layers in forward order, nested :class:`Sequential` flattened.
 
-    Only a :class:`Sequential` that keeps Sequential's own forward/backward
-    loops is a chain; anything else refuses vectorization.
+    Only a :class:`Sequential` that defines no ``forward``/``backward`` of its
+    own is a chain; anything else refuses vectorization.
     """
     if (not isinstance(model, Sequential)
-            or type(model).forward is not Sequential.forward
-            or type(model).backward is not Sequential.backward):
+            or hasattr(model, "forward") or hasattr(model, "backward")):
         raise UnvectorizableModelError(
             f"{type(model).__name__} is not a Sequential layer chain"
         )
@@ -403,8 +396,8 @@ class BatchedModel:
     :meth:`backward` run all K clients' passes at once on ``(K, B, …)``
     mini-batches.  Every optimiser update is elementwise, so the fused
     cohort optimisers (:class:`BatchedAdam` / :class:`BatchedSGD`) run the
-    *standard* ``Adam`` / ``SGD`` arithmetic of :mod:`repro.nn.optim` over
-    the flat parameter pool — the client axis is transparent to it.
+    *standard* Adam / SGD arithmetic over the flat parameter pool —
+    the client axis is transparent to it.
 
     The *template* must be a fresh model (e.g. straight from the server's
     model factory): its layer structure defines the program and its dropout
@@ -447,7 +440,7 @@ class BatchedModel:
 
         The round-persistent workspace calls this instead of rebuilding the
         batched program: when *template* (a factory-fresh model, exactly what
-        each sequential client would train) is structurally identical —
+        each client starts its round from) is structurally identical —
         same chain, same layer geometry, same parameter names and shapes —
         the existing flat pools and layer stacks are kept and only per-round
         template state (dropout RNG streams, template references) is
@@ -532,8 +525,6 @@ class BatchedModel:
             layer.set_training(False)
         return self
 
-    # -- parameters -----------------------------------------------------------
-
     # -- state ----------------------------------------------------------------
 
     def load_state_dict_broadcast(self, state: dict[str, np.ndarray]) -> None:
@@ -565,11 +556,12 @@ class BatchedModel:
 
 # -- fused cohort optimisers ------------------------------------------------------
 #
-# The sequential optimisers loop over parameters and allocate ~7 temporaries
-# per parameter per step; at cohort scale that Python/allocator overhead
-# dominates the round.  These fused variants run the *identical* sequence of
-# elementwise operations (same order, same scalar factors — hence bit-identical
-# results) on the model's flat 1-D pools, using preallocated scratch buffers
+# A per-parameter optimiser loop allocates ~7 temporaries per parameter per
+# step; at cohort scale that Python/allocator overhead would dominate the
+# round.  These fused optimisers run the textbook sequence of elementwise
+# operations (same order, same scalar factors as the per-parameter reference
+# loops under tests/reference/, hence bit-identical results) on the model's
+# flat 1-D pools, using preallocated scratch buffers
 # and `out=` everywhere.  Updates walk the pool in cache-sized blocks so all
 # ~12 passes of a step hit L2 instead of DRAM; elementwise ops are
 # independent per element, so blocking changes no numerics.
@@ -581,8 +573,8 @@ _OPT_BLOCK = 16384
 class BatchedSGD:
     """SGD over the cohort's flat parameter pool (optional momentum/decay).
 
-    Bit-for-bit equivalent to running :class:`repro.nn.optim.SGD` on each
-    client slice independently.
+    Bit-for-bit equivalent to running per-parameter SGD on each client slice
+    independently.
 
     Example
     -------
@@ -615,7 +607,7 @@ class BatchedSGD:
 
         Round-persistent workspaces keep one optimiser alive across rounds;
         calling this at the top of a round makes it indistinguishable from a
-        newly constructed one — which is what every sequential client gets.
+        newly constructed one.
         """
         if self._velocity is not None:
             self._velocity.fill(0.0)
@@ -651,8 +643,8 @@ class BatchedAdam:
     """Adam over the cohort's flat parameter pool — the paper's optimiser.
 
     One fused update for all K clients per step; every element sees the exact
-    operation sequence of :class:`repro.nn.optim.Adam`, so per-client results
-    are bit-identical to the sequential back-end.
+    operation sequence of per-parameter Adam, so per-client results do not
+    depend on the cohort size.
 
     Example
     -------
@@ -693,8 +685,8 @@ class BatchedAdam:
         """Forget all optimiser state (fresh-optimiser semantics, no realloc).
 
         Zeroes the first/second-moment pools and the step counter in place so
-        a round-persistent optimiser behaves exactly like the fresh ``Adam``
-        every sequential client constructs at the top of its local update.
+        a round-persistent optimiser behaves exactly like a freshly
+        constructed one.
         """
         self._m.fill(0.0)
         self._v.fill(0.0)
@@ -744,8 +736,8 @@ def batched_cross_entropy(logits: np.ndarray, targets: np.ndarray,
 
     Returns ``(losses, grad_logits)`` where ``losses`` has shape ``(K,)`` and
     ``grad_logits`` is ready for :meth:`BatchedModel.backward`.  Slice ``k``
-    reproduces ``CrossEntropyLoss()(logits[k], targets[k])`` exactly (same
-    log-sum-exp arithmetic, same mean normalisation).
+    is the mean cross-entropy of client ``k``'s batch alone (log-sum-exp
+    arithmetic, mean normalisation).
 
     Example
     -------

@@ -6,6 +6,9 @@ the reproduction's stand-in models.  Convolution is implemented with the
 standard im2col/col2im trick so the heavy lifting is one large matrix
 multiplication per layer — the idiomatic way to keep a pure-NumPy
 implementation fast (vectorise, avoid Python-level pixel loops).
+:class:`~repro.nn.batched.BatchedConv2d` holds the convolution kernel;
+:class:`MaxPool2d` keeps its per-sample kernel, which the batched chain
+folds over the client axis.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: int,
 
 
 class Conv2d(Module):
-    """2-D convolution with square kernels."""
+    """2-D convolution with square kernels (parameters and geometry)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
@@ -96,35 +99,6 @@ class Conv2d(Module):
             kaiming_uniform((out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
         )
         self.bias = Parameter(zeros((out_channels,))) if bias else None
-        self._cache: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
-        w_flat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ w_flat.T
-        if self.bias is not None:
-            out = out + self.bias.value
-        n = x.shape[0]
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (x.shape, cols)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_shape, cols = self._cache
-        n, _, out_h, out_w = grad_output.shape
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_flat = self.weight.value.reshape(self.out_channels, -1)
-        self.weight.grad += (grad_flat.T @ cols).reshape(self.weight.value.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_flat.sum(axis=0)
-        grad_cols = grad_flat @ w_flat
-        return col2im(grad_cols, x_shape, self.kernel_size, self.stride, self.padding)
 
 
 class MaxPool2d(Module):

@@ -1,9 +1,11 @@
 """Dense layers, activations and containers for the NumPy NN substrate.
 
-Each layer implements an explicit ``forward`` that caches whatever the
-matching ``backward`` needs.  Gradients are *accumulated* into
-``Parameter.grad`` (cleared by the optimiser's ``zero_grad``), which
-matches PyTorch semantics and keeps the local-training loop familiar.
+``Linear``, ``Dropout`` and ``Sequential`` describe a model: their
+parameters, hyper-parameters and layer order.  The batched chain
+(:mod:`repro.nn.batched`) holds their one kernel.  The parameter-free
+``ReLU`` and ``Flatten`` keep per-sample ``forward``/``backward`` kernels,
+which the batched chain runs with the client axis folded into the batch
+axis; each ``forward`` caches whatever the matching ``backward`` needs.
 """
 
 from __future__ import annotations
@@ -30,27 +32,6 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(kaiming_uniform((out_features, in_features), in_features, rng))
         self.bias = Parameter(zeros((out_features,))) if bias else None
-        self._input: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Linear expected input of shape (N, {self.in_features}), got {x.shape}"
-            )
-        self._input = x
-        out = x @ self.weight.value.T
-        if self.bias is not None:
-            out += self.bias.value  # in place: the matmul result is fresh
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        x = self._input
-        self.weight.grad += grad_output.T @ x
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.value
 
 
 class ReLU(Module):
@@ -93,7 +74,11 @@ class Flatten(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
+    """Inverted dropout; active only in training mode.
+
+    The batched chain draws every mask from :attr:`rng`
+    (:class:`~repro.nn.batched.BatchedDropout`).
+    """
 
     def __init__(self, p: float = 0.5, seed: Optional[int] = None):
         if not 0 <= p < 1:
@@ -101,41 +86,18 @@ class Dropout(Module):
         self.p = p
         self.seed = seed  # retained so the cohort back-end can tell seeded from not
         self.rng = seeded_rng(seed)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
 
 
 class Sequential(Module):
     """A chain of layers applied in order.
 
     A subclass may provide :attr:`layers` as a property instead (every model
-    of :mod:`repro.nn.models` does); forward, backward and the cohort
-    back-end all walk it.
+    of :mod:`repro.nn.models` does); the cohort back-end walks it.  A
+    subclass that defines its own ``forward`` is no chain, and
+    :class:`~repro.nn.batched.BatchedModel` refuses it.
     """
 
     def __init__(self, *layers: Module):
         if not layers:
             raise ValueError("Sequential needs at least one layer")
         self.layers = list(layers)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output)
-        return grad_output

@@ -4,22 +4,18 @@ The paper reports top-1 test accuracy on a class-balanced test set; the
 per-class breakdown and confusion matrix feed the analysis of which classes
 suffer under biased client participation (Figure 10 discussion).
 
-Two evaluation drivers produce the same report from the same model:
-
-* :func:`evaluate_model` — the sequential reference, a Python loop over
-  64-sample batches;
-* :class:`BatchedEvaluator` — forward-only inference through the cohort
-  kernels (:class:`repro.nn.batched.BatchedModel` with a single client
-  slice), which rides the whole test set down the batch axis in a few large
-  chunks.  Predictions — and therefore every derived metric — are identical
-  to the sequential loop; only the Python-loop overhead disappears.
+:class:`BatchedEvaluator` produces the report: forward-only inference
+through the cohort kernels (:class:`repro.nn.batched.BatchedModel` with a
+single client slice), which rides the whole test set down the batch axis in
+a few large chunks.  Its predictions, and therefore every derived metric,
+are identical to the per-batch loop over 64-sample batches that the test
+suite keeps as its reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..data.dataloader import DataLoader
 from ..data.dataset import ArrayDataset
 from .batched import BatchedModel
 from .module import Module
@@ -27,7 +23,6 @@ from .module import Module
 __all__ = [
     "BatchedEvaluator",
     "confusion_matrix",
-    "evaluate_model",
     "per_class_accuracy",
 ]
 
@@ -58,35 +53,6 @@ def per_class_accuracy(predictions: np.ndarray, targets: np.ndarray,
         return np.where(totals > 0, np.diag(matrix) / totals, np.nan)
 
 
-def _classification_report(pred: np.ndarray, target: np.ndarray,
-                           num_classes: int) -> dict:
-    """The standard evaluation dict from a full set of predictions."""
-    if len(pred) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    return {
-        "accuracy": float((pred == target).mean()),
-        "per_class_accuracy": per_class_accuracy(pred, target, num_classes),
-        "confusion_matrix": confusion_matrix(pred, target, num_classes),
-        "n_samples": int(len(pred)),
-    }
-
-
-def evaluate_model(model: Module, dataset: ArrayDataset, batch_size: int = 64) -> dict:
-    """Evaluate *model* on *dataset*; returns accuracy and per-class stats."""
-    model.eval()
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    predictions: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for xb, yb in loader:
-        logits = model(xb)
-        predictions.append(logits.argmax(axis=1))
-        targets.append(yb)
-    model.train()
-    pred = np.concatenate(predictions) if predictions else np.empty(0, dtype=int)
-    target = np.concatenate(targets) if targets else np.empty(0, dtype=int)
-    return _classification_report(pred, target, dataset.num_classes)
-
-
 class BatchedEvaluator:
     """Forward-only batched inference for the server's test pass.
 
@@ -94,14 +60,13 @@ class BatchedEvaluator:
     model broadcast to the eval-batch axis — and pushes the test set through
     in ``chunk_size``-sample slabs: ``⌈N / chunk_size⌉`` batched forwards
     instead of ``N / 64`` Python-loop iterations.  Each chunk computes the
-    very same per-row logits the sequential loop would, so predictions and
-    every derived metric match :func:`evaluate_model` exactly.
+    very same per-row logits a per-batch loop would, so predictions and
+    every derived metric match it exactly.
 
-    The evaluator is round-persistent: construct once (this is where
-    :class:`~repro.nn.batched.UnvectorizableModelError` may rule the model
-    out, e.g. a custom architecture that is no layer chain), then
-    per evaluation call :meth:`load_state` with the current global weights
-    and :meth:`evaluate`.
+    The evaluator is round-persistent: construct once (a model that is no
+    layer chain raises :class:`~repro.nn.batched.UnvectorizableModelError`
+    here), then per evaluation call :meth:`load_state` with the current
+    global weights and :meth:`evaluate`.
 
     ``chunk_size`` is an upper bound; the effective chunk also respects a
     fixed per-chunk element budget, so wide samples (conv image stacks,
@@ -136,9 +101,9 @@ class BatchedEvaluator:
         The cast is exact (float32 features widen losslessly) and
         round-persistent: the server evaluates the same test set every round,
         so the float64 copy is made once for its lifetime (the source array
-        is pinned, making identity a sound cache key).  The sequential loop
-        instead promotes every mini-batch inside its matmuls — same values,
-        recomputed every round.
+        is pinned, making identity a sound cache key).  A per-batch loop
+        would instead promote every mini-batch inside its matmuls — same
+        values, recomputed every round.
         """
         x = np.asarray(dataset.x)
         if x.dtype == np.float64:
@@ -160,7 +125,15 @@ class BatchedEvaluator:
         return pred
 
     def evaluate(self, dataset: ArrayDataset) -> dict:
-        """The same report as :func:`evaluate_model`, from batched forwards."""
+        """Accuracy, per-class accuracy and confusion matrix over *dataset*."""
         pred = self.predictions(dataset)
+        if len(pred) == 0:
+            raise ValueError("cannot evaluate on an empty dataset")
         target = np.asarray(dataset.y, dtype=int)
-        return _classification_report(pred, target, dataset.num_classes)
+        num_classes = dataset.num_classes
+        return {
+            "accuracy": float((pred == target).mean()),
+            "per_class_accuracy": per_class_accuracy(pred, target, num_classes),
+            "confusion_matrix": confusion_matrix(pred, target, num_classes),
+            "n_samples": int(len(pred)),
+        }

@@ -1,17 +1,18 @@
 """Module and parameter plumbing for the NumPy neural-network substrate.
 
 This is the reproduction's stand-in for ``torch.nn.Module``.  The federated
-stack needs four things from a model:
+stack needs three things from a model:
 
-1. forward / backward passes (layer-local, no autograd graph needed),
-2. an ordered collection of named parameters and their gradients,
-3. ``state_dict`` / ``load_state_dict`` so the server can ship weights to
+1. an ordered collection of named parameters,
+2. ``state_dict`` / ``load_state_dict`` so the server can ship weights to
    clients and aggregate the returned updates, and
-4. flatten / unflatten of all parameters into one vector, used by the
+3. flattening of all parameters into one vector, used by the
    weight-divergence analysis (eq. (2)) and by tests.
 
-Every layer stores its parameters as :class:`Parameter` objects (a value
-array plus a gradient array of the same shape).
+Every layer stores its parameters as :class:`Parameter` objects.  Models
+compute nothing themselves: a model is a layer chain
+(:class:`~repro.nn.layers.Sequential`), and :class:`~repro.nn.batched.BatchedModel`
+runs its forward and backward passes for a cohort of one or more clients.
 """
 
 from __future__ import annotations
@@ -24,65 +25,24 @@ __all__ = ["Parameter", "Module"]
 
 
 class Parameter:
-    """A trainable tensor: value plus accumulated gradient."""
+    """A trainable tensor (its gradient lives in the cohort's flat pool)."""
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
 
 class Module:
     """Base class of all layers and models.
 
-    Subclasses implement :meth:`forward` and :meth:`backward`; parameters are
-    discovered automatically from instance attributes (both direct
-    :class:`Parameter` attributes and nested :class:`Module` attributes or
-    lists of modules).
+    Parameters are discovered automatically from instance attributes (both
+    direct :class:`Parameter` attributes and nested :class:`Module`
+    attributes or lists of modules).  ``training`` is read by the layers
+    whose kernel differs between training and inference.
     """
 
     training: bool = True
 
-    # -- forward / backward ---------------------------------------------------
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
-    # -- training mode ---------------------------------------------------------
-
-    def train(self) -> "Module":
-        """Put the module (recursively) into training mode."""
-        self.training = True
-        for child in self.children():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        """Put the module (recursively) into evaluation mode."""
-        self.training = False
-        for child in self.children():
-            child.eval()
-        return self
-
     # -- parameter discovery ----------------------------------------------------
-
-    def children(self) -> Iterator["Module"]:
-        """Direct sub-modules (attributes and lists/tuples of modules)."""
-        for value in self.__dict__.values():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         """Yield ``(name, parameter)`` pairs in a deterministic order."""

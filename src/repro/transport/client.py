@@ -31,10 +31,12 @@ The client is built to survive a flaky link and a crashing server:
   loop gives up after the policy's attempts, records :attr:`last_error`,
   and returns instead of raising into the owning thread.
 
-Because :meth:`FederatedClient.local_train` seeds its data loader purely from
-``(client seed, round_index)`` and starts from the broadcast global state, a
-remote update is bit-identical to the one the in-process executor would have
-produced — the property the loopback tests assert end-to-end.
+Because :meth:`FederatedClient.local_train` trains a one-client cohort whose
+batch order is seeded purely from ``(client seed, round_index)``, starting
+from the broadcast global state, a remote update is bit-identical to the one
+the in-process executor would have produced — the property the loopback
+tests assert end-to-end.  Each delta it returns owns its arrays, so the
+cached one is exactly what was sent.
 
 ``delay`` / ``delay_round`` simulate a straggler: the client sleeps before
 training, so a server-side ``round_timeout`` turns it into a real

@@ -172,10 +172,11 @@ class SocketTransport(Transport):
     The server starts lazily (first ``run_round`` or an explicit
     :meth:`start`) and binds ``config.host:config.port`` — port ``0`` picks
     a free port, readable from :attr:`address`.  Fault-free rounds under
-    float64 are bit-identical to the in-process sequential executor: the
+    float64 are bit-identical to the in-process executor in every mode: the
     remote peers run the very same
-    :meth:`~repro.federated.client.FederatedClient.local_train` from the
-    very same broadcast state.
+    :meth:`~repro.federated.client.FederatedClient.local_train` (a
+    one-client cohort of the batched engine) from the very same broadcast
+    state.
 
     With a *network* spec the transport interposes a
     :class:`~repro.transport.chaos.ChaosProxy` seeded with *chaos_seed*

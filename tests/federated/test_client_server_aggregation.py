@@ -15,6 +15,8 @@ from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
 from repro.nn.models import MLP
 
+from reference.sequential_nn import local_train as reference_local_train
+
 
 def make_client_dataset(counts, seed=0):
     gen = make_synthetic_mnist(seed=0)
@@ -74,22 +76,30 @@ class TestFederatedClient:
         _ = client.dataset
         assert len(calls) == 1
 
-    def test_local_train_changes_weights_and_returns_state(self):
+    def test_local_train_returns_a_trained_state_it_owns(self):
         ds = make_client_dataset([4] * 10)
-        client = FederatedClient(0, 10, dataset=ds, seed=0)
+        flat_ds = ArrayDataset(ds.x.reshape(len(ds), -1), ds.y, num_classes=10)
+        client = FederatedClient(0, 10, dataset=flat_ds, seed=0)
         model = MLP(64, 10, hidden=(16,), seed=1)
+        before = model.state_dict()
+        state = client.local_train(model, LocalTrainingConfig(learning_rate=1e-2))
+        assert set(state) == set(before)
+        assert any(not np.array_equal(state[k], before[k]) for k in before)
+        # the model keeps its weights; every returned array owns its memory
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+        assert all(value.base is None for value in state.values())
 
-        class FlatMLP(MLP):
-            pass
-
-        # flatten images for the MLP by wrapping forward/backward
-        x_flat = ds.x.reshape(len(ds), -1)
-        flat_ds = ArrayDataset(x_flat, ds.y, num_classes=10)
-        client_flat = FederatedClient(0, 10, dataset=flat_ds, seed=0)
-        before = model.flatten_parameters().copy()
-        state = client_flat.local_train(model, LocalTrainingConfig(learning_rate=1e-2))
-        assert not np.allclose(model.flatten_parameters(), before)
-        assert set(state) == set(model.state_dict())
+    def test_local_train_matches_the_sequential_reference(self):
+        ds = make_client_dataset([3] * 10)
+        client = FederatedClient(0, 10, dataset=ds, seed=5)
+        config = LocalTrainingConfig(batch_size=5, local_epochs=2,
+                                     learning_rate=1e-2)
+        state = client.local_train(mlp_factory(), config, round_index=3)
+        expected = reference_local_train(client, mlp_factory(), config,
+                                         round_index=3)
+        for name, value in expected.items():
+            np.testing.assert_array_equal(state[name], value)
 
 
 class TestAggregation:

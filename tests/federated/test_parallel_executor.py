@@ -15,6 +15,8 @@ from repro.federated.server import FederatedServer
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
 from repro.nn.models import MLP, MnistCNN
 
+from reference.sequential_nn import run_round as reference_round
+
 TOL = 1e-10
 
 MODEL_FACTORIES = {
@@ -262,7 +264,7 @@ class TestParallelFallback:
             assert "ragged" in executor.last_fallback_reason
             # refused before a worker is forked or a pool is built
             assert executor.scheduler is None and executor.workspace is None
-            seq = LocalUpdateExecutor("sequential").run_round(
+            seq = reference_round(
                 [FederatedClient(0, 10, dataset=clients[0].dataset, seed=1),
                  FederatedClient(1, 10, dataset=clients[1].dataset, seed=2)],
                 factory, server.global_state(), config,

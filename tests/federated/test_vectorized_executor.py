@@ -11,9 +11,13 @@ from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
-from repro.nn.metrics import evaluate_model
+from repro.nn.batched import UnvectorizableModelError
+from repro.nn.layers import Linear
 from repro.nn.models import MLP, MnistCNN
 from repro.nn.module import Module
+
+from reference.sequential_nn import evaluate_model
+from reference.sequential_nn import run_round as reference_round
 
 TOL = 1e-10
 
@@ -57,7 +61,7 @@ class TestVectorizedEquivalence:
         factory = MODEL_FACTORIES[model_name]
         server = FederatedServer(factory)
         global_state = server.global_state()
-        seq = LocalUpdateExecutor("sequential").run_round(
+        seq = reference_round(
             make_clients(), factory, global_state, config, round_index=2
         )
         executor = LocalUpdateExecutor("vectorized")
@@ -114,36 +118,28 @@ class TestVectorizedFallback:
         executor = LocalUpdateExecutor("vectorized")
         vec = executor.run_round(clients, factory, server.global_state(), config)
         assert executor.last_fallback_reason is not None
-        seq = LocalUpdateExecutor("sequential").run_round(
+        seq = reference_round(
             [FederatedClient(0, 10, dataset=clients[0].dataset, seed=1),
              FederatedClient(1, 10, dataset=clients[1].dataset, seed=2)],
             factory, server.global_state(), config,
         )
         assert_states_match(seq, vec)
 
-    def test_unvectorizable_model_falls_back(self):
+    @pytest.mark.parametrize("mode", ["sequential", "vectorized"])
+    def test_unvectorizable_model_raises(self, mode):
+        # a model that is no layer chain has no training kernel
         class Squared(Module):
             def __init__(self):
-                from repro.nn.layers import Linear
-
                 self.lin = Linear(64, 10, seed=0)
 
             def forward(self, x):
-                return self.lin(x.reshape(x.shape[0], -1)) ** 2
+                return self.lin.weight.value.sum() * x
 
-            def backward(self, grad):
-                raise NotImplementedError
-
-        def factory():
-            return Squared()
-
-        server = FederatedServer(factory)
-        executor = LocalUpdateExecutor("vectorized")
-        # falls back before touching the unimplemented backward of the chain
-        with pytest.raises(NotImplementedError):
-            executor.run_round(make_clients(2), factory, server.global_state(),
+        server = FederatedServer(Squared)
+        executor = LocalUpdateExecutor(mode)
+        with pytest.raises(UnvectorizableModelError):
+            executor.run_round(make_clients(2), Squared, server.global_state(),
                                LocalTrainingConfig())
-        assert executor.last_fallback_reason is not None
 
     def test_empty_client_list(self):
         assert LocalUpdateExecutor("vectorized").run_round(
@@ -272,7 +268,6 @@ class TestSimulationExecutorModes:
             record = sim.run_round(round_index)
             expected = evaluate_model(sim.server.global_model, test_set)
             assert record.test_accuracy == expected["accuracy"]
-        assert sim.server.eval_fallback_reason is None
 
 
 class TestDefaultEngine:
@@ -317,7 +312,7 @@ class TestDefaultEngine:
         # the shape is checked before any pool is built
         assert executor.workspace_builds == 0
         assert executor.workspace is None
-        reference = LocalUpdateExecutor("sequential").run_round(
+        reference = reference_round(
             clients(), factory, global_state, config)
         for state, ref in zip(states, reference):
             for key in ref:

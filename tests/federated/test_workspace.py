@@ -1,5 +1,7 @@
 """Round-persistent vectorized runtime: workspace reuse and restacking."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
 from repro.federated.workspace import CohortWorkspace
 from repro.nn.models import MLP, MnistCNN
+
+from reference.sequential_nn import run_round as reference_round
 
 TOL = 1e-10
 
@@ -142,7 +146,7 @@ class TestWorkspaceReuse:
                            round_index=0)
         vec = executor.run_round(make_clients(), mlp_factory,
                                  server.global_state(), sgd, round_index=1)
-        seq = LocalUpdateExecutor("sequential").run_round(
+        seq = reference_round(
             make_clients(), mlp_factory, server.global_state(), sgd,
             round_index=1)
         assert executor.workspace_builds == 1
@@ -172,7 +176,7 @@ class TestMultiRoundEquivalence:
 
         pool_seq = make_clients(6)
         seq_rounds, seq_server = run_rounds(
-            LocalUpdateExecutor("sequential"),
+            SimpleNamespace(run_round=reference_round),
             [[pool_seq[i] for i in sel] for sel in schedule], factory, config)
 
         for seq_states, vec_states in zip(seq_rounds, vec_rounds):
@@ -221,7 +225,7 @@ class TestRaggedFallbackThroughWorkspace:
         vec = executor.run_round(ragged, mlp_factory, server.global_state(),
                                  config, round_index=1)
         assert executor.last_fallback_reason is not None
-        seq = LocalUpdateExecutor("sequential").run_round(
+        seq = reference_round(
             [FederatedClient(0, 10, dataset=ragged[0].dataset, seed=1000),
              FederatedClient(9, 10, dataset=ragged[1].dataset, seed=1009)],
             mlp_factory, server.global_state(), config, round_index=1)
@@ -234,7 +238,7 @@ class TestRaggedFallbackThroughWorkspace:
                                   config, round_index=2)
         assert executor.last_fallback_reason is None
         assert executor.workspace is workspace
-        seq2 = LocalUpdateExecutor("sequential").run_round(
+        seq2 = reference_round(
             make_clients(2), mlp_factory, server.global_state(), config,
             round_index=2)
         for a, b in zip(seq2, vec2):
@@ -280,7 +284,7 @@ class TestFloat64Pools:
         vec = executor.run_round(clients, mlp_factory, server.global_state(),
                                  config, round_index=0)
         assert executor.last_fallback_reason is None
-        seq = LocalUpdateExecutor("sequential").run_round(
+        seq = reference_round(
             make_clients(), mlp_factory, server.global_state(), config,
             round_index=0)
         for a, b in zip(seq, vec):

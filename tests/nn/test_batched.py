@@ -1,4 +1,8 @@
-"""Tests for the batched (cohort) kernels in repro.nn.batched."""
+"""Tests for the batched (cohort) kernels in repro.nn.batched.
+
+Each kernel is held to the one-client-at-a-time engine kept under
+``tests/reference/``.
+"""
 
 import numpy as np
 import pytest
@@ -11,16 +15,17 @@ from repro.nn.batched import (
     batched_cross_entropy,
 )
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
-from repro.nn.loss import CrossEntropyLoss
 from repro.nn.models import MLP, CifarCNN, MnistCNN, _NamedChain
 from repro.nn.module import Module
-from repro.nn.optim import SGD, Adam
+
+from reference.sequential_nn import SGD, Adam, CrossEntropyLoss, Model
 
 
 def clone_with_state(factory, state):
+    """A fresh model loaded with *state*, run by the sequential engine."""
     model = factory()
     model.load_state_dict(state)
-    return model
+    return Model(model)
 
 
 def batched_from(factory, k, state):
@@ -85,8 +90,8 @@ class TestBatchedForwardBackward:
         assert not np.allclose(out[1], ref(x[1]))
 
     def test_dropout_uses_one_shared_mask_stream(self):
-        # the sequential back-end gives every client an identically-seeded
-        # dropout RNG; the batched layer must reproduce those masks
+        # every client's fresh model seeds its dropout RNG identically; the
+        # batched layer must reproduce those masks
         def factory():
             return Sequential(Flatten(), Linear(16, 8, seed=0), Dropout(0.5, seed=9),
                               Linear(8, 4, seed=1))
@@ -137,8 +142,8 @@ class TestBatchedForwardBackward:
                 np.testing.assert_array_equal(batched.stacked_state()[name][i], value)
 
     def test_unseeded_active_dropout_refuses_vectorization(self):
-        # sequential clients would draw independent entropy-seeded masks,
-        # which a shared broadcast mask cannot reproduce
+        # clients would draw independent entropy-seeded masks, which a
+        # shared broadcast mask cannot reproduce
         model = Sequential(Linear(6, 6, seed=0), Dropout(0.5))
         with pytest.raises(UnvectorizableModelError):
             BatchedModel(model, 2)
@@ -165,7 +170,7 @@ class TestBatchedModelStructure:
                 self.lin = Linear(4, 2, seed=0)
 
             def forward(self, x):
-                return self.lin(x) ** 2
+                return (x @ self.lin.weight.value.T) ** 2
 
         with pytest.raises(UnvectorizableModelError):
             BatchedModel(Weird(), 2)
@@ -184,10 +189,15 @@ class TestBatchedModelStructure:
     def test_sequential_with_its_own_forward_raises(self):
         class Residual(Sequential):
             def forward(self, x):
-                return x + super().forward(x)
+                return x + x @ self.layers[0].weight.value.T
 
-        with pytest.raises(UnvectorizableModelError):
-            BatchedModel(Residual(Linear(4, 4, seed=0)), 2)
+        class OwnBackward(Sequential):
+            def backward(self, grad_output):
+                return 2 * grad_output
+
+        for cls in (Residual, OwnBackward):
+            with pytest.raises(UnvectorizableModelError):
+                BatchedModel(cls(Linear(4, 4, seed=0)), 2)
 
     def test_load_state_dict_broadcast_validation(self):
         factory = MODEL_FACTORIES["mlp"]

@@ -1,4 +1,4 @@
-"""Batched (forward-only) evaluation must reproduce the sequential test pass."""
+"""Batched (forward-only) evaluation must reproduce the per-batch test pass."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,13 @@ from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set
 from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
+from repro.nn.batched import UnvectorizableModelError
 from repro.nn.layers import Linear
-from repro.nn.metrics import BatchedEvaluator, evaluate_model
+from repro.nn.metrics import BatchedEvaluator
 from repro.nn.models import MLP, MnistCNN
 from repro.nn.module import Module
+
+from reference.sequential_nn import evaluate_model
 
 
 def mlp_factory():
@@ -105,7 +108,6 @@ class TestServerEvalBackend:
         server = trained_server(mlp_factory)
         assert_reports_equal(server.evaluate(test_set),
                              evaluate_model(server.global_model, test_set))
-        assert server.eval_fallback_reason is None
 
     def test_evaluation_tracks_the_global_model_across_rounds(self, test_set):
         server = trained_server(cnn_factory, rounds=1)
@@ -116,21 +118,16 @@ class TestServerEvalBackend:
         server.aggregate([{k: v * 0.5 for k, v in state.items()}])
         assert_reports_equal(server.evaluate(test_set),
                              evaluate_model(server.global_model, test_set))
-        assert server.eval_fallback_reason is None
 
-    def test_unvectorizable_model_falls_back(self, test_set):
+    def test_unvectorizable_model_raises(self, test_set):
+        # a model that is no layer chain has no evaluation kernel
         class Custom(Module):
             def __init__(self):
                 self.lin = Linear(64, 10, seed=0)
 
             def forward(self, x):
-                return self.lin(x.reshape(x.shape[0], -1))
-
-            def backward(self, grad):
-                return self.lin.backward(grad)
+                return x.reshape(x.shape[0], -1) @ self.lin.weight.value.T
 
         server = FederatedServer(Custom)
-        report = server.evaluate(test_set)
-        assert server.eval_fallback_reason is not None
-        reference = evaluate_model(server.global_model, test_set)
-        assert_reports_equal(report, reference)
+        with pytest.raises(UnvectorizableModelError):
+            server.evaluate(test_set)

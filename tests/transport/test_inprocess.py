@@ -20,6 +20,8 @@ from repro.federated.client import LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.transport import Transport, build_transport
 
+from reference.sequential_nn import run_round as reference_round
+
 
 def make_cohort(n_clients=3, seed=0):
     from repro import quick_federation
@@ -79,7 +81,7 @@ class TestInProcessContract:
         executor = LocalUpdateExecutor(mode)
         states = executor.run_round(make_cohort(), model_factory,
                                     global_state, config, failed=[1])
-        expected = LocalUpdateExecutor("sequential").run_round(
+        expected = reference_round(
             make_cohort()[::2], model_factory, global_state, config)
         # the plan's failures are the simulation's record, not a transport's
         assert executor.last_round_failures == {}

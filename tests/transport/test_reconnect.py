@@ -11,13 +11,17 @@ The reconnect contract has three legs, each exercised over real sockets:
   aggregated twice;
 * registration with a known token resumes the session (same token, same
   cohort position); an unknown token gets a fresh session but keeps the
-  stable position.
+  stable position;
+* a replayed ``SelectionNotice`` for a round the peer still caches is
+  answered with the delta it sent, not retrained — and training a later
+  round in between leaves that cached delta untouched.
 """
 
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import FederatedConfig, Session
@@ -30,6 +34,7 @@ from repro.transport.messages import (
     Register,
     RegisterAck,
     SelectionNotice,
+    Shutdown,
     decode_message,
     encode_message,
 )
@@ -211,3 +216,50 @@ class TestSessionResumption:
         b1.close()
         assert ack_a.position != ack_b.position
         assert ack_a2.position == ack_a.position
+
+
+class TestCachedDelta:
+    def test_replayed_notice_resends_the_cached_delta_unchanged(self, donor):
+        # a bare socket plays the server, so the test decides which rounds
+        # stay open (no RoundResult): their deltas stay in the peer's cache
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(30.0)
+        host, port = listener.getsockname()
+        peer = TransportClient(donor.client(0), donor.server.new_client_model,
+                               host, port, reconnect=False)
+        thread = threading.Thread(target=peer.run, daemon=True)
+        thread.start()
+        conn, _ = listener.accept()
+        config = LocalTrainingConfig(batch_size=4, learning_rate=1e-2)
+        try:
+            assert isinstance(read_message(conn), Register)
+            conn.sendall(encode_message(RegisterAck(0, 0, 1, token="t0")))
+
+            def train(round_index, state):
+                conn.sendall(encode_message(SelectionNotice(
+                    round_index=round_index, client_id=0, config=config,
+                    state=state, deadline=None)))
+                delta = read_message(conn, timeout=30.0)
+                assert isinstance(delta, ModelDelta)
+                assert delta.round_index == round_index
+                return {name: np.array(value)
+                        for name, value in delta.state.items()}
+
+            sent = train(3, donor.server.global_state())
+            later = train(4, sent)
+            assert any(not np.array_equal(later[name], sent[name])
+                       for name in sent)
+            for name, value in peer._delta_cache[3].items():
+                np.testing.assert_array_equal(value, sent[name])
+
+            resent = train(3, donor.server.global_state())
+            assert peer.rounds_trained == [3, 4]
+            assert set(resent) == set(sent)
+            for name, value in sent.items():
+                np.testing.assert_array_equal(resent[name], value)
+            conn.sendall(encode_message(Shutdown()))
+        finally:
+            conn.close()
+            listener.close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
