@@ -17,8 +17,9 @@ Sub-packages
   multi-time selection, parameter search and the secure protocol, which
   meters its own overhead.
 * :mod:`repro.analysis` — unbiasedness and weight-divergence measurements.
-* :mod:`repro.scenarios` — fault injection (churn, stragglers, dropouts,
-  label drift) with partial-round aggregation and robustness reports.
+* :mod:`repro.scenarios` — fault injection (availability, churn,
+  stragglers, dropouts) with partial-round aggregation and robustness
+  reports.
 * :mod:`repro.transport` — the federated service layer: typed protocol
   messages over a versioned binary wire format, an asyncio TCP server and
   client, and the in-process transport behind the same interface.

@@ -10,7 +10,6 @@ Public API
 * datasets — :class:`ArrayDataset`, :class:`SyntheticImageGenerator`,
   :func:`make_synthetic_mnist`, :func:`make_synthetic_cifar`,
   :func:`make_femnist_federation`.
-* FedVC virtual clients — :func:`make_virtual_clients`.
 * cohort execution — :class:`DatasetCache` (bounded LRU pool of client
   datasets), :class:`CohortBuffer` (round-persistent dense
   ``(K, N_vc, …)`` stacking buffers for the vectorized back-end, with
@@ -45,7 +44,6 @@ from .synthetic import (
     make_synthetic_mnist,
     make_uniform_test_set,
 )
-from .virtual_clients import VirtualClientMapping, make_virtual_clients
 
 __all__ = [
     "ArrayDataset",
@@ -60,7 +58,6 @@ __all__ = [
     "FEMNIST_PAPER_RHO",
     "FemnistFederation",
     "SyntheticImageGenerator",
-    "VirtualClientMapping",
     "average_emd",
     "emd",
     "half_normal_class_proportions",
@@ -71,7 +68,6 @@ __all__ = [
     "make_synthetic_cifar",
     "make_synthetic_mnist",
     "make_uniform_test_set",
-    "make_virtual_clients",
     "normalize_counts",
     "population_distribution",
     "uniform_distribution",

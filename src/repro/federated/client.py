@@ -149,8 +149,13 @@ class FederatedClient:
         step every client of a vectorized round runs.  *model* keeps its
         weights; the returned arrays belong to the caller.
         """
+        return self._train_slot(self.cohort_slot(), model, config, round_index)
+
+    def _train_slot(self, slot: tuple, model: Module, config: LocalTrainingConfig,
+                    round_index: int) -> dict[str, np.ndarray]:
+        """:meth:`local_train` on a :meth:`cohort_slot` the caller already took."""
         workspace = CohortWorkspace(model, 1)
-        x, y = workspace.buffer.stack([self.cohort_slot()])
+        x, y = workspace.buffer.stack([slot])
         seed = None if self.seed is None else self.seed + 7919 * round_index
         train_cohort(workspace.model, workspace.optimizer_for(config), x, y,
                      [np.random.default_rng(seed)], config)

@@ -74,13 +74,6 @@ StateDict = dict[str, np.ndarray]
 EXECUTOR_MODES = ("sequential", "vectorized", "parallel")
 
 
-def _run_local_update(client: FederatedClient, model: Module, global_state: StateDict,
-                      config: LocalTrainingConfig, round_index: int) -> StateDict:
-    """Load global weights into the fresh model and train it as a K = 1 cohort."""
-    model.load_state_dict(global_state)
-    return client.local_train(model, config, round_index=round_index)
-
-
 class LocalUpdateExecutor(Transport):
     """Run the selected clients' local updates with the chosen back-end.
 
@@ -175,7 +168,7 @@ class LocalUpdateExecutor(Transport):
         except CohortShapeError as exc:
             # checked before any pool is built or adopted
             self.last_fallback_reason = str(exc)
-            return self._run_sequential(*args, failed)
+            return self._run_sequential(*args, failed, slots)
         if self.mode == "parallel":
             try:
                 return self._filter_survivors(
@@ -209,13 +202,25 @@ class LocalUpdateExecutor(Transport):
     def _run_sequential(self, clients: Sequence[FederatedClient],
                         model_factory: Callable[[], Module],
                         global_state: StateDict, config: LocalTrainingConfig,
-                        round_index: int,
-                        failed: Collection[int]) -> list[StateDict]:
-        return [
-            _run_local_update(client, model_factory(), global_state, config, round_index)
-            for position, client in enumerate(clients)
-            if position not in failed
-        ]
+                        round_index: int, failed: Collection[int],
+                        slots: Optional[Sequence[tuple]] = None) -> list[StateDict]:
+        """Train the clients not in *failed* one at a time, each a K = 1 cohort.
+
+        A ragged cohort round hands over the *slots* it already took, so
+        each client fetches its data once per round.
+        """
+        states = []
+        for position, client in enumerate(clients):
+            if position in failed:
+                continue
+            model = model_factory()
+            model.load_state_dict(global_state)
+            if slots is None:
+                states.append(client.local_train(model, config, round_index))
+            else:
+                states.append(client._train_slot(slots[position], model, config,
+                                                 round_index))
+        return states
 
     def _run_vectorized(self, slots: Sequence[tuple],
                         clients: Sequence[FederatedClient],

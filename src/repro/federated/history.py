@@ -67,8 +67,6 @@ class RoundRecord:
     actual_population_bias: Optional[float] = None
     #: simulated round duration contributed by surviving stragglers (seconds)
     round_delay: float = 0.0
-    #: True when a label-drift event re-registered clients before this round
-    drift_applied: bool = False
     #: undecodable frames this round: client id -> count (-1 = unidentified
     #: peer); populated only by the socket transport
     decode_failures: Mapping[int, int] = field(default_factory=dict)
@@ -116,7 +114,6 @@ class RoundRecord:
             "aggregation_skipped": bool(self.aggregation_skipped),
             "actual_population_bias": _native_float(self.actual_population_bias),
             "round_delay": float(self.round_delay),
-            "drift_applied": bool(self.drift_applied),
             "decode_failures": {str(int(k)): int(v)
                                 for k, v in self.decode_failures.items()},
             "disconnects": {str(int(k)): str(v)
@@ -151,7 +148,6 @@ class RoundRecord:
             actual_population_bias=_native_float(
                 payload.get("actual_population_bias")),
             round_delay=float(payload.get("round_delay", 0.0)),
-            drift_applied=bool(payload.get("drift_applied", False)),
             decode_failures={int(k): int(v) for k, v in
                              dict(payload.get("decode_failures") or {}).items()},
             disconnects={int(k): str(v) for k, v in

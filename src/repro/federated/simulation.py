@@ -68,7 +68,7 @@ class FederatedConfig:
     forever, the pre-cache behaviour).  Every back-end trains in float64, so
     all three produce bit-identical rounds.  ``scenario`` opts the run
     into fault injection (:class:`repro.scenarios.ScenarioSpec`): churn,
-    availability, stragglers, dropouts and label drift, with partial-round
+    availability, stragglers and dropouts, with partial-round
     aggregation below the spec's participation floor.  ``None`` (default)
     and the empty ``ScenarioSpec()`` both leave the run bit-identical to a
     fault-free one.
@@ -226,8 +226,6 @@ class FederatedSimulation:
             None if self.config.scenario is None
             else FaultInjector(self.config.scenario)
         )
-        #: how many label-drift events have fired (salts regenerated data)
-        self._drift_events = 0
         #: the run-ledger attachment (None unless config.ledger_path is set);
         #: created last so resume/verify fast-forward sees a fully built
         #: simulation.  *recipe* (a repro.ledger.RunRecipe) is recorded next
@@ -245,9 +243,6 @@ class FederatedSimulation:
         if index not in self._clients:
             counts = self.partition.client_class_counts[index]
             data_seed = (0 if self.config.seed is None else self.config.seed) + 100_003 * index
-            # drifted data is *new* data, not a reshuffle: salt the stream per
-            # drift event (zero events leaves the seed — and the run — unchanged)
-            data_seed += 999_999_937 * self._drift_events
 
             def factory(counts=counts, data_seed=data_seed) -> ArrayDataset:
                 return self.generator.generate(counts, rng=np.random.default_rng(data_seed))
@@ -266,23 +261,17 @@ class FederatedSimulation:
     def run_round(self, round_index: int) -> RoundRecord:
         """Run one complete round: select, train locally, aggregate, evaluate.
 
-        Under a scenario (:attr:`FederatedConfig.scenario`) the round first
-        applies any due label-drift event, then plans the selected cohort's
-        faults through the injector's :class:`~repro.scenarios.RoundPlan`:
-        availability and churn strike before any compute, and dropouts and
-        stragglers past the deadline are handed to the transport as the
-        cohort positions to leave out.  Only the survivors are aggregated —
-        or aggregation is skipped when they fall below the scenario's
-        ``min_participation`` floor.  The resulting
-        :class:`~repro.federated.history.RoundRecord` carries the full
-        planned-vs-actual story, including any failure the transport
+        Under a scenario (:attr:`FederatedConfig.scenario`) the round plans
+        the selected cohort's faults through the injector's
+        :class:`~repro.scenarios.RoundPlan`: availability and churn strike
+        before any compute, and dropouts and stragglers past the deadline
+        are handed to the transport as the cohort positions to leave out.
+        Only the survivors are aggregated — or aggregation is skipped when
+        they fall below the scenario's ``min_participation`` floor.  The
+        resulting :class:`~repro.federated.history.RoundRecord` carries the
+        full planned-vs-actual story, including any failure the transport
         observed itself (a socket peer missing the deadline or vanishing).
         """
-        drift_applied = False
-        if self.injector is not None and self.injector.drift_due(round_index):
-            self._apply_drift()
-            drift_applied = True
-
         selected = list(self.selector.select(round_index))
         if len(selected) == 0:
             raise RuntimeError(f"selector returned no clients at round {round_index}")
@@ -356,7 +345,6 @@ class FederatedSimulation:
             aggregation_skipped=self.server.last_aggregation_skipped,
             actual_population_bias=actual_bias,
             round_delay=round_delay,
-            drift_applied=drift_applied,
             decode_failures=dict(self.transport.last_round_decode_failures),
             disconnects=dict(self.transport.last_round_disconnects),
         )
@@ -365,36 +353,6 @@ class FederatedSimulation:
         if self.ledger_session is not None:
             self.ledger_session.on_round(record, self.server.global_state())
         return record
-
-    # -- label drift ----------------------------------------------------------------
-
-    def _apply_drift(self) -> None:
-        """Rotate every client's label counts and re-register the federation.
-
-        Implements the scenario's :class:`~repro.scenarios.DriftSpec`: each
-        client's per-class sample counts shift by ``drift.shift`` positions,
-        the cached clients and pooled datasets are invalidated (their data is
-        regenerated from the drifted counts on next selection), and the
-        selector re-registers against the new distributions — through
-        :meth:`repro.core.DubheSelector.refresh_registrations` when
-        available, else by updating its ``client_distributions``.  A
-        :class:`~repro.core.SecureDubheSelector` re-registers through the
-        encrypted round and opens a new key epoch.
-        """
-        spec = self.config.scenario
-        assert spec is not None  # only called on scenario runs
-        counts = np.roll(self.partition.client_class_counts, spec.drift.shift, axis=1)
-        self.partition = ClientPartition(counts, self.partition.num_classes,
-                                         metadata=dict(self.partition.metadata))
-        self._drift_events += 1
-        self._clients.clear()
-        if self.dataset_cache is not None:
-            self.dataset_cache = DatasetCache(self.dataset_cache.capacity)
-        distributions = self.partition.client_distributions()
-        if hasattr(self.selector, "refresh_registrations"):
-            self.selector.refresh_registrations(distributions)
-        elif hasattr(self.selector, "client_distributions"):
-            self.selector.client_distributions = distributions
 
     def run(self, rounds: Optional[int] = None, progress: Optional[Callable[[RoundRecord], None]] = None,
             ) -> TrainingHistory:

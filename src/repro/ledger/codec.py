@@ -32,7 +32,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 __all__ = [
-    "RETIRED_DRIFT_KEYS",
     "RETIRED_KEYS",
     "RunRecipe",
     "config_from_dict",
@@ -64,20 +63,15 @@ DETERMINISM_KEYS = ("eval_every", "seed", "local", "scenario")
 #: Keys that older ledgers recorded for knobs the config no longer has,
 #: each with the one value every run now uses.  Loading drops a key that
 #: holds that value; any other value names a run this code cannot
-#: reproduce, and is refused (see :func:`drop_retired_keys`).
+#: reproduce, and is refused (see :func:`drop_retired_keys`).  A dotted key
+#: names a block inside the config, and a mapping value retires that whole
+#: block when each key it lists holds its value: a scenario's label-drift
+#: block only replays if it never drifted (``period`` 0).
 RETIRED_KEYS = {
     "dtype": "float64",
     "shard_policy": "contiguous",
     "eval_backend": "batched",
-}
-
-#: The same for the scenario's drift block, where ``None`` drops any value:
-#: ``key_size`` only sized the secure re-registration check, which a
-#: :class:`~repro.core.SecureDubheSelector` now replaces by re-registering
-#: itself.
-RETIRED_DRIFT_KEYS = {
-    "secure_reregistration": False,
-    "key_size": None,
+    "scenario.drift": {"period": 0},
 }
 
 
@@ -157,9 +151,8 @@ def scenario_from_dict(payload: "Optional[Mapping]"):
     >>> scenario_from_dict(scenario_to_dict(spec)) == spec
     True
     """
-    from ..scenarios.spec import (AvailabilitySpec, ChurnSpec, DriftSpec,
-                                  DropoutSpec, NetworkSpec, ScenarioSpec,
-                                  StragglerSpec)
+    from ..scenarios.spec import (AvailabilitySpec, ChurnSpec, DropoutSpec,
+                                  NetworkSpec, ScenarioSpec, StragglerSpec)
 
     if payload is None:
         return None
@@ -170,7 +163,6 @@ def scenario_from_dict(payload: "Optional[Mapping]"):
         churn=ChurnSpec(**payload["churn"]),
         stragglers=StragglerSpec(**payload["stragglers"]),
         dropouts=DropoutSpec(**payload["dropouts"]),
-        drift=DriftSpec(**payload["drift"]),
         network=None if network is None else NetworkSpec(**network),
         min_participation=payload["min_participation"],
         seed=payload["seed"],
@@ -180,29 +172,32 @@ def scenario_from_dict(payload: "Optional[Mapping]"):
 # -- run configuration ---------------------------------------------------------------
 
 
-def _drop_retired(payload: Mapping, retired: Mapping, prefix: str = "") -> dict:
-    """*payload* without the *retired* keys, refusing any other value."""
+def _drop_retired(owner: dict, key: str, surviving, path: str) -> None:
+    """Pop *key* from *owner*, refusing any value but *surviving*.
+
+    A mapping *surviving* retires a block: each key it lists must hold its
+    value, and the rest of the block goes with it.
+    """
     from .modes import LedgerMismatchError
 
-    kept = dict(payload)
-    for key, surviving in retired.items():
-        recorded = kept.pop(key, surviving)
-        if surviving is not None and recorded != surviving:
-            raise LedgerMismatchError(
-                f"recorded {prefix}{key}={recorded!r}, but every run now uses "
-                f"{prefix}{key}={surviving!r}"
-            )
-    return kept
+    recorded = owner.pop(key, surviving)
+    if isinstance(surviving, Mapping):
+        for name, value in surviving.items():
+            _drop_retired(dict(recorded), name, value, f"{path}.{name}")
+    elif recorded != surviving:
+        raise LedgerMismatchError(
+            f"recorded {path}={recorded!r}, but every run now uses "
+            f"{path}={surviving!r}"
+        )
 
 
 def drop_retired_keys(payload: Mapping) -> dict:
-    """A copy of a recorded config without its retired keys.
+    """A copy of a recorded config without its :data:`RETIRED_KEYS`.
 
-    Drops :data:`RETIRED_KEYS` from the config and
-    :data:`RETIRED_DRIFT_KEYS` from its scenario's drift block.  Raises
-    :class:`~repro.ledger.LedgerMismatchError`, naming the key, when a
-    retired key holds anything but its surviving value — a run recorded
-    with another value would not replay bit-for-bit.
+    Raises :class:`~repro.ledger.LedgerMismatchError`, naming the key, when
+    a retired key holds anything but its surviving value — a run recorded
+    with another value would not replay bit-for-bit.  *payload* and the
+    blocks inside it are left untouched.
 
     Example
     -------
@@ -212,13 +207,21 @@ def drop_retired_keys(payload: Mapping) -> dict:
     Traceback (most recent call last):
     ...
     repro.ledger.modes.LedgerMismatchError: recorded dtype='float32', but every run now uses dtype='float64'
+    >>> drop_retired_keys({"scenario": {"seed": 0, "drift": {"period": 0, "shift": 1}}})
+    {'scenario': {'seed': 0}}
     """
-    kwargs = _drop_retired(payload, RETIRED_KEYS)
-    scenario = kwargs.get("scenario")
-    if scenario is not None:
-        drift = _drop_retired(scenario["drift"], RETIRED_DRIFT_KEYS, "drift.")
-        kwargs["scenario"] = dict(scenario, drift=drift)
-    return kwargs
+    kept = dict(payload)
+    for path, surviving in RETIRED_KEYS.items():
+        *blocks, key = path.split(".")
+        owner = kept
+        for name in blocks:
+            if owner.get(name) is None:
+                break
+            owner[name] = dict(owner[name])
+            owner = owner[name]
+        else:
+            _drop_retired(owner, key, surviving, path)
+    return kept
 
 
 def config_to_dict(config) -> dict:

@@ -9,8 +9,8 @@ A :class:`LedgerSession` attaches to a
   global-state checkpoint) as it happens.  A killed process loses at most
   the in-flight round.
 * **resume** — reopen a recorded run, *fast-forward* the deterministic
-  state the ledger cannot store (selector RNG, label-drift events, client
-  participation counters) by replaying the committed rounds' selections —
+  state the ledger cannot store (selector RNG, client participation
+  counters) by replaying the committed rounds' selections —
   asserting they reproduce the recorded cohorts exactly — then restore the
   server from the last committed checkpoint and continue recording into the
   same run.  Because each round's local training is a pure function of
@@ -188,7 +188,7 @@ def diff_records(expected: RoundRecord, actual: RoundRecord,
                  atol: float = VERIFY_ATOL) -> "list[RoundDiff]":
     """Structured field-by-field diff of a recorded vs re-executed round.
 
-    Exact fields (selections, survivors, failure causes, skip/drift flags)
+    Exact fields (selections, survivors, failure causes, the skip flag)
     must match exactly; floating metrics must agree within *atol*.
     ``fallback_reason`` is deliberately not compared — verifying on a
     different executor back-end may legitimately degrade differently
@@ -222,7 +222,6 @@ def diff_records(expected: RoundRecord, actual: RoundRecord,
     exact("failures", dict(expected.failures), dict(actual.failures))
     exact("aggregation_skipped", expected.aggregation_skipped,
           actual.aggregation_skipped)
-    exact("drift_applied", expected.drift_applied, actual.drift_applied)
     close("population_bias", expected.population_bias,
           actual.population_bias)
     close("actual_population_bias", expected.actual_population_bias,
@@ -354,16 +353,13 @@ class LedgerSession:
     def _fast_forward(self, simulation, recorded: "list[dict]") -> None:
         """Replay committed rounds' deterministic side effects (no training).
 
-        Re-applies label-drift events and re-runs the selector for every
-        committed round, asserting each replayed selection reproduces the
-        recorded cohort — which both validates determinism and leaves the
-        selector's RNG in exactly the state the uninterrupted run would
-        have had.  The in-memory history is restored from the records.
+        Re-runs the selector for every committed round, asserting each
+        replayed selection reproduces the recorded cohort — which both
+        validates determinism and leaves the selector's RNG in exactly the
+        state the uninterrupted run would have had.  The in-memory history is restored from the records.
         """
         for payload in recorded:
             record = RoundRecord.from_dict(payload)
-            if record.drift_applied:
-                simulation._apply_drift()
             replayed = tuple(
                 int(c) for c in simulation.selector.select(record.round_index)
             )

@@ -1,12 +1,12 @@
-"""Scenario engine: fault injection for federated runs (churn, stragglers,
-dropouts, label drift) with partial-round aggregation.
+"""Scenario engine: fault injection for federated runs (availability, churn,
+stragglers, dropouts) with partial-round aggregation.
 
 Public API
 ----------
 * :class:`ScenarioSpec` and its parts — :class:`AvailabilitySpec`,
   :class:`ChurnSpec`, :class:`StragglerSpec`, :class:`DropoutSpec`,
-  :class:`DriftSpec`, :class:`NetworkSpec` — declarative, validated fault
-  descriptions (``NetworkSpec`` drives the chaos proxy on real sockets).
+  :class:`NetworkSpec` — declarative, validated fault descriptions
+  (``NetworkSpec`` drives the chaos proxy on real sockets).
 * :class:`FaultInjector`, :class:`RoundPlan`, :class:`ClientFault`,
   :data:`FAILURE_CAUSES` — the seeded engine that turns a spec into
   reproducible per-round decisions.
@@ -33,7 +33,6 @@ from .spec import (
     PARTITION_DIRECTIONS,
     AvailabilitySpec,
     ChurnSpec,
-    DriftSpec,
     DropoutSpec,
     NetworkSpec,
     ScenarioSpec,
@@ -44,7 +43,6 @@ __all__ = [
     "AvailabilitySpec",
     "ChurnSpec",
     "ClientFault",
-    "DriftSpec",
     "DropoutSpec",
     "FAILURE_CAUSES",
     "FaultInjector",

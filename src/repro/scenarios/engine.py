@@ -180,19 +180,6 @@ class FaultInjector:
             return "left"
         return None
 
-    def drift_due(self, round_index: int) -> bool:
-        """Whether a drift event fires at the start of *round_index*.
-
-        Example
-        -------
-        >>> from repro.scenarios.spec import DriftSpec, ScenarioSpec
-        >>> injector = FaultInjector(ScenarioSpec(drift=DriftSpec(period=2)))
-        >>> [injector.drift_due(r) for r in range(5)]
-        [False, False, True, False, True]
-        """
-        period = self.spec.drift.period
-        return period > 0 and round_index > 0 and round_index % period == 0
-
     # -- the round plan -----------------------------------------------------------
 
     def plan_round(self, round_index: int, planned: Sequence[int]) -> RoundPlan:

@@ -3,11 +3,10 @@
 The paper evaluates Dubhe in a static world: a fixed client population,
 static label skew, and every selected client finishing every round.
 Production federated systems are defined by the opposite — devices go
-offline, new devices enrol, selected clients straggle past the round
-deadline or drop out mid-update, and the data on a device drifts over time.
-A :class:`ScenarioSpec` describes one such world declaratively; the seeded
-:class:`~repro.scenarios.engine.FaultInjector` turns it into reproducible
-per-round fault decisions that the
+offline, new devices enrol, and selected clients straggle past the round
+deadline or drop out mid-update.  A :class:`ScenarioSpec` describes one such
+world declaratively; the seeded :class:`~repro.scenarios.engine.FaultInjector`
+turns it into reproducible per-round fault decisions that the
 :class:`~repro.federated.FederatedSimulation` round loop consults.
 
 Every spec is an immutable dataclass validated on construction, so a typo'd
@@ -26,7 +25,6 @@ from typing import Mapping, Optional
 __all__ = [
     "AvailabilitySpec",
     "ChurnSpec",
-    "DriftSpec",
     "DropoutSpec",
     "NetworkSpec",
     "PARTITION_DIRECTIONS",
@@ -189,37 +187,6 @@ class DropoutSpec:
 
 
 @dataclass(frozen=True)
-class DriftSpec:
-    """Label-distribution drift over rounds (stresses re-registration).
-
-    Every ``period`` rounds (at rounds ``period, 2·period, …``) each
-    client's per-class sample counts rotate by ``shift`` class positions —
-    the canonical label-drift model: the classes a client dominates change
-    while its skew *profile* is preserved.  The simulation then regenerates
-    client data from the drifted counts and re-runs Dubhe registration
-    through :mod:`repro.core.registry` — the paper's periodic
-    re-registration, which its static evaluation never exercises.  A
-    :class:`repro.core.SecureDubheSelector` runs that re-registration as the
-    full encrypted round.
-
-    Example
-    -------
-    >>> drift = DriftSpec(period=10, shift=2)
-    >>> drift.period, drift.shift
-    (10, 2)
-    """
-
-    period: int = 0
-    shift: int = 1
-
-    def __post_init__(self) -> None:
-        if self.period < 0:
-            raise ValueError("period must be >= 0 (0 disables drift)")
-        if self.period > 0 and self.shift == 0:
-            raise ValueError("drift with period > 0 needs a non-zero shift")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Real network faults, induced on the wire by the chaos proxy.
 
@@ -304,7 +271,7 @@ class NetworkSpec:
 class ScenarioSpec:
     """One declarative fault-injection scenario.
 
-    Composes availability, churn, stragglers, dropouts and label drift —
+    Composes availability, churn, stragglers and dropouts —
     plus, for socket-transport runs, real wire-level faults
     (:class:`NetworkSpec`, induced by the chaos proxy rather than simulated)
     — and the partial-round aggregation policy: ``min_participation`` is the
@@ -329,7 +296,6 @@ class ScenarioSpec:
     churn: ChurnSpec = field(default_factory=ChurnSpec)
     stragglers: StragglerSpec = field(default_factory=StragglerSpec)
     dropouts: DropoutSpec = field(default_factory=DropoutSpec)
-    drift: DriftSpec = field(default_factory=DriftSpec)
     network: Optional[NetworkSpec] = None
     min_participation: float = 0.0
     seed: int = 0
@@ -338,8 +304,7 @@ class ScenarioSpec:
         for name, cls in (("availability", AvailabilitySpec),
                           ("churn", ChurnSpec),
                           ("stragglers", StragglerSpec),
-                          ("dropouts", DropoutSpec),
-                          ("drift", DriftSpec)):
+                          ("dropouts", DropoutSpec)):
             if not isinstance(getattr(self, name), cls):
                 raise TypeError(f"{name} must be a {cls.__name__}")
         if self.network is not None and not isinstance(self.network, NetworkSpec):

@@ -1,4 +1,4 @@
-"""Tests for synthetic datasets, the FEMNIST-like federation and virtual clients."""
+"""Tests for synthetic datasets and the FEMNIST-like federation."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from repro.data.femnist import (
     FEMNIST_PAPER_RHO,
     make_femnist_federation,
 )
-from repro.data.partition import ClientPartition, EMDTargetPartitioner
-from repro.data.skew import half_normal_class_proportions
 from repro.data.synthetic import (
     SyntheticImageGenerator,
     make_synthetic_cifar,
     make_synthetic_mnist,
     make_uniform_test_set,
 )
-from repro.data.virtual_clients import make_virtual_clients
 
 
 class TestSyntheticGenerator:
@@ -133,49 +130,3 @@ class TestFemnistFederation:
     def test_invalid_clients(self):
         with pytest.raises(ValueError):
             make_femnist_federation(n_clients=0)
-
-
-class TestVirtualClients:
-    def test_every_virtual_client_has_exact_size(self):
-        global_dist = half_normal_class_proportions(10, 5.0)
-        real = EMDTargetPartitioner(20, 300, 1.0, seed=0).partition(global_dist)
-        mapping = make_virtual_clients(real, samples_per_client=128, seed=0)
-        np.testing.assert_array_equal(
-            mapping.partition.client_class_counts.sum(axis=1),
-            np.full(mapping.n_virtual, 128),
-        )
-
-    def test_large_clients_are_split(self):
-        counts = np.array([[400, 400], [10, 10]])
-        real = ClientPartition(counts, 2)
-        mapping = make_virtual_clients(real, samples_per_client=100, seed=0)
-        assert len(mapping.virtual_of(0)) == 8
-        assert len(mapping.virtual_of(1)) == 1
-
-    def test_small_clients_duplicate(self):
-        counts = np.array([[3, 2]])
-        real = ClientPartition(counts, 2)
-        mapping = make_virtual_clients(real, samples_per_client=64, seed=0)
-        assert mapping.n_virtual == 1
-        assert mapping.partition.client_class_counts.sum(axis=1)[0] == 64
-
-    def test_class_proportions_preserved_in_expectation(self):
-        counts = np.array([[900, 100]])
-        real = ClientPartition(counts, 2)
-        mapping = make_virtual_clients(real, samples_per_client=1000, seed=1)
-        dist = mapping.partition.client_distributions()[0]
-        assert dist[0] == pytest.approx(0.9, abs=0.05)
-
-    def test_empty_client_skipped(self):
-        counts = np.array([[0, 0], [5, 5]])
-        real = ClientPartition(counts, 2)
-        mapping = make_virtual_clients(real, samples_per_client=10, seed=0)
-        assert mapping.n_virtual == 1
-
-    def test_invalid_parameters(self):
-        real = ClientPartition(np.array([[1, 1]]), 2)
-        with pytest.raises(ValueError):
-            make_virtual_clients(real, samples_per_client=0)
-        empty = ClientPartition(np.array([[0, 0]]), 2)
-        with pytest.raises(ValueError):
-            make_virtual_clients(empty, samples_per_client=4)

@@ -10,6 +10,7 @@ from repro.federated.client import LocalTrainingConfig
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
 from repro.nn.models import MLP
+from repro.scenarios import DropoutSpec, ScenarioSpec
 
 
 class RoundRobinSelector:
@@ -135,6 +136,26 @@ class TestFederatedSimulation:
         a = sim.client(0)
         b = sim.client(0)
         assert a is b
+
+    @pytest.mark.parametrize("index", [0, 5, 11])
+    def test_client_data_is_drawn_from_its_own_seed(self, small_setup, index):
+        # client k's data is the generator's draw at seed + 100_003·k, and a
+        # scenario run keeps it for the whole run (nothing re-salts it)
+        generator, partition, _ = small_setup
+        config = FederatedConfig(
+            rounds=3, local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
+            seed=3, scenario=ScenarioSpec(dropouts=DropoutSpec(probability=0.25),
+                                          seed=1))
+        expected = generator.generate(
+            partition.client_class_counts[index],
+            rng=np.random.default_rng(3 + 100_003 * index))
+        with self._make(small_setup, config=config) as sim:
+            before = sim.client(index).dataset
+            sim.run()
+            after = sim.client(index).dataset
+        for dataset in (before, after):
+            np.testing.assert_array_equal(dataset.x, expected.x)
+            np.testing.assert_array_equal(dataset.y, expected.y)
 
     def test_empty_selection_raises(self, small_setup):
         sim = self._make(small_setup, selector=EmptySelector())

@@ -13,11 +13,9 @@ from repro.ledger import (LedgerMismatchError, RunRecipe, benchmark_context,
                           git_sha, scenario_from_dict, scenario_to_dict,
                           state_from_bytes, state_sha256, state_to_bytes)
 from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS,
-                                RETIRED_DRIFT_KEYS, RETIRED_KEYS,
-                                drop_retired_keys)
+                                RETIRED_KEYS, drop_retired_keys)
 from repro.scenarios import ScenarioSpec
-from repro.scenarios.spec import (AvailabilitySpec, DriftSpec, DropoutSpec,
-                                  StragglerSpec)
+from repro.scenarios.spec import AvailabilitySpec, DropoutSpec, StragglerSpec
 
 
 class TestStateCodec:
@@ -47,7 +45,6 @@ class TestScenarioCodec:
                                           down_rounds={3: (0, 7)}),
             stragglers=StragglerSpec(probability=0.2, mean_delay=1.5),
             dropouts=DropoutSpec(probability=0.05),
-            drift=DriftSpec(period=4, shift=2),
             min_participation=0.5,
             seed=11,
         )
@@ -63,7 +60,7 @@ class TestScenarioCodec:
 
 
 #: a config payload exactly as an earlier release recorded it, retired
-#: knobs included
+#: knobs and the label-drift block included
 RECORDED = {
     "rounds": 4, "eval_every": 1,
     "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
@@ -136,8 +133,9 @@ class TestConfigCodec:
                                   dropouts=DropoutSpec(probability=0.25)))
         current = {key: value for key, value in RECORDED.items()
                    if key not in RETIRED_KEYS}
-        current["scenario"] = dict(RECORDED["scenario"],
-                                   drift={"period": 0, "shift": 1})
+        current["scenario"] = {key: value for key, value
+                               in RECORDED["scenario"].items()
+                               if key != "drift"}
         assert json.dumps(config_to_dict(config)) == json.dumps(current)
         rebuilt = config_from_dict(json.loads(json.dumps(RECORDED)))
         assert rebuilt == config
@@ -152,47 +150,79 @@ class TestConfigCodec:
             config_from_dict(dict(RECORDED, **{key: value}))
 
 
+#: the top-level retired keys (the dotted ones name blocks inside a config)
+TOP_LEVEL_RETIRED = sorted(key for key in RETIRED_KEYS if "." not in key)
+
+
 class TestRetiredKeys:
-    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    @pytest.mark.parametrize("key", TOP_LEVEL_RETIRED)
     def test_surviving_value_is_dropped_on_load(self, key):
         current = config_to_dict(FederatedConfig(rounds=4, seed=3))
         legacy = dict(current, **{key: RETIRED_KEYS[key]})
         assert config_from_dict(legacy) == config_from_dict(current)
 
     def test_payload_is_left_untouched(self):
-        payload = dict(RECORDED)
+        payload = json.loads(json.dumps(RECORDED))
         kept = drop_retired_keys(payload)
         assert payload == RECORDED
         assert list(kept) == [key for key in RECORDED
                               if key not in RETIRED_KEYS]
         assert all(kept[key] == RECORDED[key] for key in kept
                    if key != "scenario")
-        assert kept["scenario"]["drift"] == {"period": 0, "shift": 1}
-        assert set(RECORDED["scenario"]["drift"]) >= set(RETIRED_DRIFT_KEYS)
+        assert "drift" not in kept["scenario"]
+        assert "drift" in payload["scenario"]
 
-    @pytest.mark.parametrize("key_size", [128, 2048])
-    def test_retired_drift_keys_are_dropped_on_load(self, key_size):
-        # key_size sized a check that only secure_reregistration=True ran
+    @pytest.mark.parametrize("drift", [
+        {"period": 0, "shift": 1},
+        {"period": 0, "shift": 1, "secure_reregistration": False},
+        {"period": 0, "shift": 1, "secure_reregistration": False,
+         "key_size": 2048},
+    ])
+    def test_drift_block_that_never_drifted_is_dropped_on_load(self, drift):
         recorded = json.loads(json.dumps(RECORDED))
-        recorded["scenario"]["drift"]["key_size"] = key_size
-        assert config_from_dict(recorded) == config_from_dict(RECORDED)
-        assert config_from_dict(recorded).scenario.drift == DriftSpec()
+        recorded["scenario"]["drift"] = drift
+        without = json.loads(json.dumps(RECORDED))
+        del without["scenario"]["drift"]
+        assert config_from_dict(recorded) == config_from_dict(without)
+        assert config_from_dict(recorded).scenario == ScenarioSpec(
+            dropouts=DropoutSpec(probability=0.25), seed=2)
 
-    def test_secure_reregistration_true_is_refused(self):
+    def test_drift_block_without_a_period_is_dropped_on_load(self):
+        # like a missing top-level key, a missing period reads as the
+        # surviving value
         recorded = json.loads(json.dumps(RECORDED))
-        recorded["scenario"]["drift"]["secure_reregistration"] = True
+        recorded["scenario"]["drift"] = {"shift": 3}
+        assert "drift" not in drop_retired_keys(recorded)["scenario"]
+        assert config_from_dict(recorded).scenario == ScenarioSpec(
+            dropouts=DropoutSpec(probability=0.25), seed=2)
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param("absent", id="absent"), pytest.param(None, id="none")])
+    def test_config_without_a_scenario_skips_the_drift_rule(self, scenario):
+        recorded = json.loads(json.dumps(RECORDED))
+        if scenario == "absent":
+            del recorded["scenario"]
+        else:
+            recorded["scenario"] = scenario
+        kept = drop_retired_keys(recorded)
+        assert kept.get("scenario") is None
+        assert "dtype" not in kept
+        assert config_from_dict(recorded).scenario is None
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_drift_block_that_drifted_is_refused(self, period):
+        # a run that drifted cannot be replayed by a code base without drift
+        recorded = json.loads(json.dumps(RECORDED))
+        recorded["scenario"]["drift"] = {"period": period, "shift": 1}
         with pytest.raises(LedgerMismatchError,
-                           match="recorded drift.secure_reregistration=True"):
+                           match=f"recorded scenario.drift.period={period}"):
             config_from_dict(recorded)
-
-    def test_no_retired_drift_key_is_a_drift_field(self):
-        fields = {f.name for f in dataclasses.fields(DriftSpec)}
-        assert not fields & set(RETIRED_DRIFT_KEYS)
 
     def test_no_retired_key_is_a_config_field(self):
         fields = {f.name for f in dataclasses.fields(FederatedConfig)}
-        assert not fields & set(RETIRED_KEYS)
-        assert not set(config_to_dict(FederatedConfig())) & set(RETIRED_KEYS)
+        assert not fields & set(TOP_LEVEL_RETIRED)
+        assert not set(config_to_dict(FederatedConfig())) & set(TOP_LEVEL_RETIRED)
+        assert "drift" not in scenario_to_dict(ScenarioSpec())
 
 
 class TestRunRecipe:

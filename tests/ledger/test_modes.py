@@ -308,6 +308,81 @@ class TestScenarioRuns:
         assert "final_accuracy" in info.report
 
 
+class TestLedgersRecordedWithDrift:
+    """Ledgers recorded while scenarios could drift labels carry a drift
+    block in their scenario and a ``drift_applied`` flag in every round."""
+
+    SPEC = TestScenarioRuns.SPEC
+
+    @staticmethod
+    def rerecord_with_drift(ledger_path, run_id, drift):
+        """Rewrite *run_id* as such a release would have stored it."""
+        with RunLedger(ledger_path, create=False) as ledger:
+            scenario = dict(ledger.run(run_id).config["scenario"], drift=drift)
+        rerecord_config(ledger_path, run_id, scenario=scenario)
+        conn = sqlite3.connect(ledger_path)
+        conn.execute("UPDATE runs SET scenario_json = ? WHERE run_id = ?",
+                     (json.dumps(scenario), run_id))
+        rows = conn.execute(
+            "SELECT round_index, record_json FROM rounds WHERE run_id = ?",
+            (run_id,)).fetchall()
+        for round_index, record_json in rows:
+            payload = dict(json.loads(record_json), drift_applied=False)
+            conn.execute(
+                "UPDATE rounds SET record_json = ? WHERE run_id = ? AND "
+                "round_index = ?", (json.dumps(payload), run_id, round_index))
+        conn.commit()
+        conn.close()
+
+    @pytest.mark.parametrize("drift", [
+        {"period": 0, "shift": 1},
+        {"period": 0, "shift": 1, "secure_reregistration": False},
+        {"period": 0, "shift": 1, "secure_reregistration": False,
+         "key_size": 2048},
+    ])
+    def test_resume_accepts_a_drift_block_that_never_drifted(self, ledger_path,
+                                                             drift):
+        _, uninterrupted = record_run(str(ledger_path) + ".ref",
+                                      scenario=self.SPEC)
+        partial_id, _ = record_run(ledger_path, stop_after=2,
+                                   scenario=self.SPEC)
+        self.rerecord_with_drift(ledger_path, partial_id, drift)
+        with build(ledger_path, "resume", scenario=self.SPEC,
+                   replay_source_run_id=partial_id) as sim:
+            resumed = sim.run()
+        np.testing.assert_array_equal(resumed.accuracies(),
+                                      uninterrupted.accuracies())
+        assert ([r.failures for r in resumed.records]
+                == [r.failures for r in uninterrupted.records])
+
+    @pytest.mark.parametrize("executor_mode",
+                             ["sequential", "vectorized", "parallel"])
+    def test_verify_accepts_a_ledger_recorded_with_drift(self, ledger_path,
+                                                         executor_mode):
+        run_id, _ = record_run(ledger_path, scenario=self.SPEC)
+        self.rerecord_with_drift(ledger_path, run_id,
+                                 {"period": 0, "shift": 1})
+        over = ({"num_workers": 2} if executor_mode == "parallel" else {})
+        with build(ledger_path, "verify", scenario=self.SPEC,
+                   replay_source_run_id=run_id, executor_mode=executor_mode,
+                   **over) as sim:
+            sim.run()
+            report = sim.ledger_session.report
+        assert report.ok(), report.format()
+        assert report.rounds_checked == 3
+
+    @pytest.mark.parametrize("run_mode", ["resume", "verify"])
+    def test_a_drift_block_that_drifted_is_refused(self, ledger_path,
+                                                   run_mode):
+        run_id, _ = record_run(ledger_path, stop_after=2, scenario=self.SPEC)
+        self.rerecord_with_drift(ledger_path, run_id,
+                                 {"period": 2, "shift": 1})
+        with pytest.raises(LedgerMismatchError,
+                           match="recorded scenario.drift.period=2"):
+            build(ledger_path, run_mode, scenario=self.SPEC,
+                  replay_source_run_id=run_id)
+
+
 class TestDiffRecords:
     def make(self, **over):
         base = dict(round_index=0, selected_clients=(1, 2),

@@ -7,7 +7,6 @@ from repro.scenarios import (
     AvailabilitySpec,
     ChurnSpec,
     ClientFault,
-    DriftSpec,
     DropoutSpec,
     FaultInjector,
     RoundPlan,
@@ -142,13 +141,6 @@ class TestFaultInjectorDecisions:
         assert set(plan.delays) == set(range(10))
         assert all(d > 0 for d in plan.delays.values())
         assert plan.deadline == 7.5
-
-    def test_drift_due_schedule(self):
-        injector = FaultInjector(ScenarioSpec(drift=DriftSpec(period=3)))
-        assert [injector.drift_due(r) for r in range(7)] == [
-            False, False, False, True, False, False, True]
-        assert not any(FaultInjector(ScenarioSpec()).drift_due(r)
-                       for r in range(10))
 
     def test_spec_type_enforced(self):
         with pytest.raises(TypeError):

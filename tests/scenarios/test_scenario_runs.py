@@ -3,8 +3,8 @@
 Covers the tentpole guarantees: the zero-fault identity (an empty scenario
 leaves every executor back-end bit-identical to a scenario-free run), full
 reproducibility of injected faults across repeated runs and across back-ends,
-partial-round aggregation with the participation floor, label drift with
-(encrypted) re-registration, and the robustness report.
+partial-round aggregation with the participation floor, the robustness
+report, and a secure selector re-registering inside a simulation.
 """
 
 import random
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.core import (DubheConfig, DubheSelector, RandomSelector,
-                        SecureDubheSelector)
+from repro.core import DubheConfig, DubheSelector, SecureDubheSelector
 from repro.crypto.keyagent import KeyAgent
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
@@ -26,7 +25,6 @@ from repro.scenarios import (
     FAILURE_CAUSES,
     AvailabilitySpec,
     ChurnSpec,
-    DriftSpec,
     DropoutSpec,
     ScenarioSpec,
     StragglerSpec,
@@ -210,88 +208,37 @@ class TestPartialRoundPolicy:
                 assert record.aggregation_skipped == (not record.participants)
 
 
-class TestLabelDrift:
-    def _dubhe(self, partition, k=4, seed=0):
-        config = DubheConfig(num_classes=10, participants_per_round=k,
+class TestSecureSelectorInASimulation:
+    def test_secure_selector_matches_plaintext_across_a_refresh(self, federation):
+        # the encrypted rounds register, re-register and select exactly as
+        # the plaintext selector does.  A pure rotation leaves a stale
+        # registry's cohorts right too, so the registry is what shows a
+        # skipped refresh
+        _, partition, _ = federation
+        config = DubheConfig(num_classes=10, participants_per_round=4,
                              thresholds={1: 0.7, 2: 0.1, 10: 0.0},
                              key_size=128)
-        return DubheSelector(partition.client_distributions(), config, seed=seed)
-
-    def test_drift_rolls_partition_and_reregisters(self, federation):
-        generator, partition, test_set = federation
-        selector = self._dubhe(partition)
-        original_counts = partition.client_class_counts.copy()
-        original_registry = selector.registration_batch.overall_registry()
-        scenario = ScenarioSpec(drift=DriftSpec(period=2, shift=1), seed=5)
-        with make_sim(federation, scenario=scenario, selector=selector) as sim:
-            history = sim.run()
-            assert [r.drift_applied for r in history.records] == [
-                False, False, True]
-            np.testing.assert_array_equal(
-                sim.partition.client_class_counts,
-                np.roll(original_counts, 1, axis=1))
-            np.testing.assert_allclose(
-                selector.client_distributions,
-                sim.partition.client_distributions())
-            refreshed_registry = selector.registration_batch.overall_registry()
-            assert not np.array_equal(refreshed_registry, original_registry)
-        # the source partition object is untouched (drift replaces, not mutates)
-        np.testing.assert_array_equal(partition.client_class_counts,
-                                      original_counts)
-
-    def test_drift_invalidates_cached_clients(self, federation):
-        scenario = ScenarioSpec(drift=DriftSpec(period=1, shift=2), seed=5)
-        with make_sim(federation, scenario=scenario, rounds=2) as sim:
-            sim.run_round(0)
-            before = sim.client(1).dataset
-            sim.run_round(1)  # drift fires before this round
-            after = sim.client(1).dataset
-            assert before is not after
-            assert not np.array_equal(np.sort(np.asarray(before.y)),
-                                      np.sort(np.asarray(after.y)))
-
-    def test_secure_selector_reregisters_after_each_drift(self, federation):
-        # the encrypted round re-registers the drifted federation: registry,
-        # probabilities and cohorts are those of a plaintext selector over the
-        # drifted partition.  A pure rotation leaves a stale registry's
-        # cohorts right too, so the registry is what shows a skipped refresh
-        _, partition, _ = federation
-        config = self._dubhe(partition).config
+        distributions = partition.client_distributions()
         secure = SecureDubheSelector(
-            partition.client_distributions(), config, seed=0,
+            distributions, config, seed=0,
             agent=KeyAgent(key_size=128, rng=random.Random(0)))
-        plaintext = self._dubhe(partition)
-        scenario = ScenarioSpec(drift=DriftSpec(period=2, shift=1), seed=5)
-        with make_sim(federation, scenario=scenario, rounds=5,
-                      selector=secure) as sim:
+        plaintext = DubheSelector(distributions, config, seed=0)
+        registered = secure.overall_registry.copy()
+        with make_sim(federation, rounds=5, selector=secure) as sim:
             for round_index in range(5):
+                if round_index == 3:
+                    rolled = np.roll(distributions, 1, axis=1)
+                    secure.refresh_registrations(rolled)
+                    plaintext.refresh_registrations(rolled)
+                    assert not np.array_equal(secure.overall_registry,
+                                              registered)
+                assert np.array_equal(secure.overall_registry,
+                                      plaintext.overall_registry)
+                assert np.array_equal(secure.probabilities,
+                                      plaintext.probabilities)
                 record = sim.run_round(round_index)
-                if record.drift_applied:
-                    plaintext.refresh_registrations(
-                        sim.partition.client_distributions())
-                    assert np.array_equal(secure.overall_registry,
-                                          plaintext.overall_registry)
-                    assert np.array_equal(secure.probabilities,
-                                          plaintext.probabilities)
                 assert record.selected_clients == tuple(
                     plaintext.select(round_index))
-            assert [r.drift_applied for r in sim.history.records] == [
-                False, False, True, False, True]
-
-    def test_drift_hands_a_plain_selector_the_new_distributions(self, federation):
-        # a selector without refresh_registrations gets the drifted rows
-        _, partition, _ = federation
-        selector = RandomSelector(partition.client_distributions(), 4, seed=0)
-        scenario = ScenarioSpec(drift=DriftSpec(period=1, shift=1), seed=5)
-        with make_sim(federation, scenario=scenario, rounds=2,
-                      selector=selector) as sim:
-            sim.run_round(0)
-            sim.run_round(1)
-            np.testing.assert_array_equal(selector.client_distributions,
-                                          sim.partition.client_distributions())
-            np.testing.assert_array_equal(
-                selector.client_distributions,
-                np.roll(partition.client_distributions(), 1, axis=1))
 
 
 class TestReports:

@@ -1,6 +1,5 @@
 """Validation tests for the declarative scenario specs."""
 
-import dataclasses
 import json
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.scenarios import (
     AvailabilitySpec,
     ChurnSpec,
-    DriftSpec,
     DropoutSpec,
     NetworkSpec,
     ScenarioSpec,
@@ -70,21 +68,6 @@ class TestDropoutSpec:
             DropoutSpec(probability=2.0)
 
 
-class TestDriftSpec:
-    def test_period_with_zero_shift_rejected(self):
-        with pytest.raises(ValueError):
-            DriftSpec(period=5, shift=0)
-        with pytest.raises(ValueError):
-            DriftSpec(period=-1)
-
-    def test_secure_knobs_are_retired(self):
-        # a SecureDubheSelector re-registers itself; the ledger drops these
-        # keys from older records (repro.ledger.codec.RETIRED_DRIFT_KEYS)
-        assert [f.name for f in dataclasses.fields(DriftSpec)] == ["period", "shift"]
-        with pytest.raises(TypeError):
-            DriftSpec(period=2, key_size=128)
-
-
 class TestScenarioSpec:
     def test_component_types_enforced(self):
         with pytest.raises(TypeError):
@@ -140,10 +123,6 @@ INVALID_SPECS = {
         (lambda: DropoutSpec(probability=2.0), ValueError),
     "dropouts-probability-negative":
         (lambda: DropoutSpec(probability=-0.5), ValueError),
-    "drift-negative-period":
-        (lambda: DriftSpec(period=-1), ValueError),
-    "drift-period-without-shift":
-        (lambda: DriftSpec(period=5, shift=0), ValueError),
     "network-negative-latency":
         (lambda: NetworkSpec(latency=-0.1), ValueError),
     "network-negative-jitter":
@@ -189,7 +168,6 @@ VALID_SCENARIOS = {
     "stragglers": ScenarioSpec(stragglers=StragglerSpec(
         probability=0.2, mean_delay=5.0, deadline=8.0)),
     "dropouts": ScenarioSpec(dropouts=DropoutSpec(probability=0.05)),
-    "drift": ScenarioSpec(drift=DriftSpec(period=10, shift=-2)),
     "network": ScenarioSpec(network=NetworkSpec(
         latency=0.01, jitter=0.002, bandwidth=1e6, flip_probability=0.1,
         truncate_probability=0.05, reset_probability=0.01,
@@ -198,7 +176,7 @@ VALID_SCENARIOS = {
         availability=AvailabilitySpec(down_rounds={1: (0,)}),
         churn=ChurnSpec(joins={5: 1}), stragglers=StragglerSpec(
             probability=1.0, mean_delay=0.5),
-        dropouts=DropoutSpec(probability=0.5), drift=DriftSpec(period=2),
+        dropouts=DropoutSpec(probability=0.5),
         network=NetworkSpec(), min_participation=0.75, seed=12),
 }
 

@@ -39,7 +39,6 @@ def round_records(draw):
         aggregation_skipped=draw(st.booleans()),
         actual_population_bias=actual_bias,
         round_delay=draw(finite),
-        drift_applied=draw(st.booleans()),
     )
 
 
