@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_federation, make_selector, print_table, run_training
+from helpers import print_table
+from repro import FederatedConfig, LocalTrainingConfig, Session
 
 N_CLIENTS = 60
 K = 8
@@ -35,11 +36,15 @@ def paper_scale() -> dict:
 
 
 def _train_random(rho: float, emd: float, seed: int = 0):
-    fed = build_federation("cifar", rho=rho, emd_avg=emd, n_clients=N_CLIENTS, seed=seed)
-    selector = make_selector("random", fed, K, seed=seed)
-    history = run_training(fed, selector, rounds=ROUNDS, k=K,
-                           eval_every=2, learning_rate=3e-3, seed=seed)
-    return fed, history
+    config = FederatedConfig(rounds=ROUNDS, eval_every=2, seed=seed,
+                             local=LocalTrainingConfig(learning_rate=3e-3))
+    session = Session(config).with_recipe(
+        "repro.ledger.recipes:federation", dataset="cifar", rho=rho,
+        emd_avg=emd, n_clients=N_CLIENTS, samples_per_client=32,
+        participants=K, hidden=32, test_per_class=20, seed=seed,
+        model_seed=seed + 11)
+    history = session.run().history
+    return session.simulation.partition, history
 
 
 @pytest.mark.benchmark(group="fig2")
@@ -48,18 +53,14 @@ def test_fig2a_global_skew(benchmark):
     rhos = (1.0, 5.0, 10.0)
 
     def experiment():
-        results = {}
-        for rho in rhos:
-            fed, history = _train_random(rho=rho, emd=1.0, seed=1)
-            results[rho] = (fed, history)
-        return results
+        return {rho: _train_random(rho=rho, emd=1.0, seed=1) for rho in rhos}
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     rows = []
-    for rho, (fed, history) in results.items():
+    for rho, (_, history) in results.items():
         rows.append({
-            "setting": fed.name,
+            "setting": f"CIFAR-{rho:g}/1",
             "rho": rho,
             "tail_accuracy": round(history.tail_average_accuracy(TAIL), 3),
             "mean_bias": round(history.mean_population_bias(), 3),
@@ -67,9 +68,9 @@ def test_fig2a_global_skew(benchmark):
     print_table("Figure 2(a): accuracy vs global skew (random selection)", rows)
 
     # participated class proportion tracks the skewed global distribution
-    fed, history = results[10.0]
+    partition, history = results[10.0]
     avg_pop = history.average_population_distribution()
-    global_dist = fed.partition.global_distribution()
+    global_dist = partition.global_distribution()
     uniform = np.full(10, 0.1)
     assert np.abs(avg_pop - global_dist).sum() < np.abs(avg_pop - uniform).sum()
 
@@ -89,11 +90,11 @@ def test_fig2b_client_discrepancy(benchmark):
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     rows = []
-    for emd, (fed, history) in results.items():
+    for emd, (partition, history) in results.items():
         rows.append({
-            "setting": fed.name,
+            "setting": f"CIFAR-10/{emd:g}",
             "emd_avg": emd,
-            "achieved_emd": round(fed.partition.achieved_emd_avg(), 3),
+            "achieved_emd": round(partition.achieved_emd_avg(), 3),
             "tail_accuracy": round(history.tail_average_accuracy(TAIL), 3),
             "bias_std": round(float(np.std(history.population_biases())), 3),
         })

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_federation, make_selector, print_table, run_training
+from helpers import print_table
+from repro import FederatedConfig, LocalTrainingConfig, Session
 
 N_CLIENTS = 80
 K = 10
@@ -34,36 +35,40 @@ def paper_scale() -> dict:
 
 
 def _curves_for(dataset: str, rho: float, emd: float, seed: int):
-    fed = build_federation(dataset, rho=rho, emd_avg=emd, n_clients=N_CLIENTS, seed=seed)
-    histories = {}
-    for name in SELECTORS:
-        selector = make_selector(name, fed, K, h=1, seed=seed)
-        histories[name] = run_training(fed, selector, rounds=ROUNDS, k=K,
-                                       eval_every=3, learning_rate=3e-3, seed=seed)
-    return fed, histories
+    config = FederatedConfig(rounds=ROUNDS, eval_every=3, seed=seed,
+                             local=LocalTrainingConfig(learning_rate=3e-3))
+    histories = {
+        name: Session(config).with_recipe(
+            "repro.ledger.recipes:federation", dataset=dataset, rho=rho,
+            emd_avg=emd, n_clients=N_CLIENTS, samples_per_client=32,
+            participants=K, selector=name, hidden=32, test_per_class=20,
+            seed=seed, model_seed=seed + 11).run().history
+        for name in SELECTORS
+    }
+    return f"{dataset.upper()}-{rho:g}/{emd:g}", histories
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_mnist_curves(benchmark):
     """MNIST-2/1.5: Dubhe ≈ greedy ≥ random in accuracy; both less biased."""
-    fed, histories = benchmark.pedantic(
+    setting, histories = benchmark.pedantic(
         lambda: _curves_for("mnist", rho=2.0, emd=1.5, seed=3), rounds=1, iterations=1
     )
-    _report(fed, histories)
+    _report(setting, histories)
     _assert_ordering(histories)
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_cifar_curves(benchmark):
     """CIFAR-10/1.5: the harder task with heavy global skew."""
-    fed, histories = benchmark.pedantic(
+    setting, histories = benchmark.pedantic(
         lambda: _curves_for("cifar", rho=10.0, emd=1.5, seed=4), rounds=1, iterations=1
     )
-    _report(fed, histories)
+    _report(setting, histories)
     _assert_ordering(histories)
 
 
-def _report(fed, histories):
+def _report(setting, histories):
     rows = []
     for name, history in histories.items():
         accs = history.accuracies()
@@ -76,7 +81,7 @@ def _report(fed, histories):
             "mean_bias": round(history.mean_population_bias(), 3),
             "accuracy_curve": curve,
         })
-    print_table(f"Figure 6: {fed.name} accuracy curves (rounds={ROUNDS}, K={K})", rows)
+    print_table(f"Figure 6: {setting} accuracy curves (rounds={ROUNDS}, K={K})", rows)
 
 
 def _assert_ordering(histories):

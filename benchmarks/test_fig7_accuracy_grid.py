@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_federation, make_selector, print_table, run_training
+from helpers import print_table
+from repro import FederatedConfig, LocalTrainingConfig, Session
 
 N_CLIENTS = 60
 K = 8
@@ -34,20 +35,20 @@ def paper_scale() -> dict:
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_accuracy_grid(benchmark):
+    config = FederatedConfig(rounds=ROUNDS, eval_every=2, seed=5,
+                             local=LocalTrainingConfig(learning_rate=3e-3))
+
+    def tail_accuracy(rho, emd, selector):
+        history = Session(config).with_recipe(
+            "repro.ledger.recipes:federation", dataset="mnist", rho=rho,
+            emd_avg=emd, n_clients=N_CLIENTS, samples_per_client=32,
+            participants=K, selector=selector, hidden=32, test_per_class=20,
+            seed=5, model_seed=5 + 11).run().history
+        return history.tail_average_accuracy(TAIL)
+
     def experiment():
-        results = {}
-        for rho in GRID_RHO:
-            for emd in GRID_EMD:
-                fed = build_federation("mnist", rho=rho, emd_avg=emd,
-                                       n_clients=N_CLIENTS, seed=5)
-                cell = {}
-                for name in SELECTORS:
-                    selector = make_selector(name, fed, K, seed=5)
-                    history = run_training(fed, selector, rounds=ROUNDS, k=K,
-                                           eval_every=2, learning_rate=3e-3, seed=5)
-                    cell[name] = history.tail_average_accuracy(TAIL)
-                results[(rho, emd)] = cell
-        return results
+        return {(rho, emd): {name: tail_accuracy(rho, emd, name) for name in SELECTORS}
+                for rho in GRID_RHO for emd in GRID_EMD}
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
 

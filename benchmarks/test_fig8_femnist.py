@@ -18,12 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import print_table, run_training
-from repro.core import DubheConfig, DubheSelector, GreedySelector, RandomSelector
-from repro.core.parameter_search import search_thresholds
-from repro.data import make_femnist_federation
-
-from helpers import BenchFederation
+from helpers import print_table
+from repro import FederatedConfig, LocalTrainingConfig, Session
+from repro.data.femnist import FEMNIST_PAPER_EMD, FEMNIST_PAPER_RHO
 
 N_CLIENTS = 250
 K = 15
@@ -39,32 +36,19 @@ def paper_scale() -> dict:
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_femnist(benchmark):
-    def experiment():
-        federation = make_femnist_federation(n_clients=N_CLIENTS, samples_per_client=32, seed=6)
-        distributions = federation.partition.client_distributions()
-        fed = BenchFederation(
-            partition=federation.partition,
-            generator=federation.generator,
-            distributions=distributions,
-            name="FEMNIST",
-        )
-        unsettled = DubheConfig(num_classes=52, reference_set=(1, 52),
-                                participants_per_round=K, tentative_selections=3, seed=6)
-        settled = search_thresholds(distributions, unsettled,
-                                    sigma_grid=(0.1, 0.2, 0.3, 0.5), seed=6)
-        selectors = {
-            "random": RandomSelector(distributions, K, seed=6),
-            "dubhe": DubheSelector(distributions, settled.config, seed=6),
-            "greedy": GreedySelector(distributions, K, seed=6),
-        }
-        histories = {}
-        for name, selector in selectors.items():
-            histories[name] = run_training(fed, selector, rounds=ROUNDS, k=K,
-                                           eval_every=3, learning_rate=3e-3,
-                                           test_samples_per_class=6, seed=6)
-        return fed, histories
+    config = FederatedConfig(rounds=ROUNDS, eval_every=3, seed=6,
+                             local=LocalTrainingConfig(learning_rate=3e-3))
 
-    fed, histories = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    def experiment():
+        # Dubhe rehearses and runs H = 3 tries on G = (1, 52), its threshold searched
+        return {name: Session(config).with_recipe(
+            "repro.ledger.recipes:federation", dataset="femnist",
+            rho=FEMNIST_PAPER_RHO, emd_avg=FEMNIST_PAPER_EMD, n_clients=N_CLIENTS,
+            samples_per_client=32, participants=K, tries=3, selector=name,
+            hidden=32, test_per_class=6, seed=6, model_seed=6 + 11).run().history
+            for name in ("random", "dubhe", "greedy")}
+
+    histories = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     paper = paper_scale()["paper_accuracy"]
     rows = []

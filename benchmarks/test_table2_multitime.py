@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_federation, make_selector, print_table, run_training
-from repro.core import DubheConfig, DubheSelector, GreedySelector
-from repro.data import EMDTargetPartitioner, half_normal_class_proportions
+from helpers import print_table
+from repro import FederatedConfig, LocalTrainingConfig, Session
+from repro.ledger.recipes import federation
 
 H_VALUES = (1, 2, 5, 10, 20)
 N_CLIENTS = 1000
@@ -29,7 +29,6 @@ K = 20
 RHO = 10.0
 EMD_AVG = 1.5
 SELECTION_ROUNDS = 40
-PAPER_THRESHOLDS = {1: 0.7, 2: 0.1, 10: 0.0}
 
 # training comparison (reduced scale)
 TRAIN_CLIENTS = 80
@@ -49,23 +48,21 @@ def paper_scale() -> dict:
 @pytest.mark.benchmark(group="table2")
 def test_table2_emd_star_vs_h(benchmark):
     """EMD* decreases as the number of tentative selections H grows."""
-    global_dist = half_normal_class_proportions(10, RHO)
-    partition = EMDTargetPartitioner(N_CLIENTS, 128, EMD_AVG, seed=10).partition(global_dist)
-    distributions = partition.client_distributions()
+
+    def recipe_selector(name, tries=1):  # the group-1 federation, Dubhe on its thresholds
+        return federation(rho=RHO, emd_avg=EMD_AVG, n_clients=N_CLIENTS, samples_per_client=128,
+                          participants=K, tries=tries, selector=name, seed=10)["selector"]
 
     def experiment():
         emd_star = {}
         for h in H_VALUES:
-            config = DubheConfig(num_classes=10, reference_set=(1, 2, 10),
-                                 thresholds=PAPER_THRESHOLDS, participants_per_round=K,
-                                 tentative_selections=h, seed=10)
-            selector = DubheSelector(distributions, config, seed=10)
+            selector = recipe_selector("dubhe", h)
             biases = []
             for r in range(SELECTION_ROUNDS):
                 selector.select(r)
                 biases.append(selector.last_bias)
             emd_star[h] = float(np.mean(biases))
-        greedy = GreedySelector(distributions, K, seed=10)
+        greedy = recipe_selector("greedy")
         emd_star["opt"] = float(np.mean(
             [greedy.bias_of(greedy.select(r)) for r in range(10)]
         ))
@@ -89,18 +86,17 @@ def test_table2_emd_star_vs_h(benchmark):
 @pytest.mark.benchmark(group="table2")
 def test_table2_accuracy_improvement(benchmark):
     """Accuracy with H = 10 moves from the H = 1 result toward the greedy bound."""
-    fed = build_federation("mnist", rho=RHO, emd_avg=EMD_AVG, n_clients=TRAIN_CLIENTS, seed=11)
+    config = FederatedConfig(rounds=TRAIN_ROUNDS, eval_every=2, seed=11,
+                             local=LocalTrainingConfig(learning_rate=3e-3))
 
     def experiment():
-        results = {}
-        for name, h in (("dubhe_h1", 1), ("dubhe_h10", 10)):
-            selector = make_selector("dubhe", fed, TRAIN_K, h=h, seed=11)
-            results[name] = run_training(fed, selector, rounds=TRAIN_ROUNDS, k=TRAIN_K,
-                                         eval_every=2, seed=11)
-        greedy = make_selector("greedy", fed, TRAIN_K, seed=11)
-        results["greedy"] = run_training(fed, greedy, rounds=TRAIN_ROUNDS, k=TRAIN_K,
-                                         eval_every=2, seed=11)
-        return results
+        runs = {"dubhe_h1": ("dubhe", 1), "dubhe_h10": ("dubhe", 10), "greedy": ("greedy", 1)}
+        return {name: Session(config).with_recipe(
+            "repro.ledger.recipes:federation", dataset="mnist", rho=RHO,
+            emd_avg=EMD_AVG, n_clients=TRAIN_CLIENTS, samples_per_client=32,
+            participants=TRAIN_K, tries=tries, selector=selector, hidden=32,
+            test_per_class=20, seed=11, model_seed=11 + 11).run().history
+            for name, (selector, tries) in runs.items()}
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
 

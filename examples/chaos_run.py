@@ -35,7 +35,7 @@ from repro.federated.client import LocalTrainingConfig
 from repro.scenarios import NetworkSpec, ScenarioSpec
 from repro.transport import TransportClient
 
-RECIPE_TARGET = "repro.ledger.recipes:quick_mlp"
+RECIPE_TARGET = "repro.ledger.recipes:federation"
 
 
 def make_session(args: argparse.Namespace, transport=None,

@@ -52,7 +52,7 @@ def main() -> None:
     args = parser.parse_args()
 
     path = args.ledger or os.path.join(tempfile.mkdtemp(), "runs.db")
-    recipe = RunRecipe("repro.ledger.recipes:quick_mlp",
+    recipe = RunRecipe("repro.ledger.recipes:federation",
                        {"n_clients": 24, "participants": 6,
                         "selector": "dubhe", "seed": 0})
     base = dict(rounds=args.rounds, seed=0, ledger_path=path)

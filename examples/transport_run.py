@@ -33,7 +33,7 @@ from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.transport import TransportClient
 
-RECIPE_TARGET = "repro.ledger.recipes:quick_mlp"
+RECIPE_TARGET = "repro.ledger.recipes:federation"
 
 
 def make_session(args: argparse.Namespace, transport=None) -> Session:

@@ -8,7 +8,7 @@ a recipe::
     from repro.api import Session
 
     result = (Session(config)
-              .with_recipe("repro.ledger.recipes:quick_mlp", n_clients=16)
+              .with_recipe("repro.ledger.recipes:federation", n_clients=16)
               .with_scenario(spec)
               .with_ledger("runs.db")
               .run(rounds=20))

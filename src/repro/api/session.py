@@ -68,7 +68,7 @@ class Session:
     -------
     >>> from repro import FederatedConfig
     >>> session = Session(FederatedConfig(rounds=2, seed=0))
-    >>> session.with_recipe("repro.ledger.recipes:quick_mlp", n_clients=8,
+    >>> session.with_recipe("repro.ledger.recipes:federation", n_clients=8,
     ...                     participants=2, seed=0) is session
     True
     >>> session.build().config.rounds
@@ -141,7 +141,7 @@ class Session:
 
         Example
         -------
-        >>> session = Session().with_recipe("repro.ledger.recipes:quick_mlp",
+        >>> session = Session().with_recipe("repro.ledger.recipes:federation",
         ...                                 n_clients=8, seed=0)
         >>> session.build().partition.n_clients
         8
@@ -166,7 +166,7 @@ class Session:
         -------
         >>> from repro.scenarios import ScenarioSpec
         >>> session = Session().with_scenario(ScenarioSpec(seed=1), name="churn")
-        >>> simulation = session.with_recipe("repro.ledger.recipes:quick_mlp",
+        >>> simulation = session.with_recipe("repro.ledger.recipes:federation",
         ...                                  n_clients=8, seed=0).build()
         >>> simulation.config.scenario.seed
         1
@@ -185,7 +185,7 @@ class Session:
         >>> import os, tempfile
         >>> with tempfile.TemporaryDirectory() as folder:
         ...     session = Session().with_recipe(
-        ...         "repro.ledger.recipes:quick_mlp", n_clients=8, seed=0)
+        ...         "repro.ledger.recipes:federation", n_clients=8, seed=0)
         ...     path = os.path.join(folder, "runs.db")
         ...     simulation = session.with_ledger(path, run_name="demo").build()
         ...     print(simulation.config.ledger_path == path)
@@ -214,7 +214,7 @@ class Session:
         Example
         -------
         >>> session = Session().with_transport(kind="socket", round_timeout=5.0)
-        >>> simulation = session.with_recipe("repro.ledger.recipes:quick_mlp",
+        >>> simulation = session.with_recipe("repro.ledger.recipes:federation",
         ...                                  n_clients=8, seed=0).build()
         >>> simulation.config.transport.kind
         'socket'
@@ -236,7 +236,7 @@ class Session:
 
         Example
         -------
-        >>> session = Session().with_recipe("repro.ledger.recipes:quick_mlp",
+        >>> session = Session().with_recipe("repro.ledger.recipes:federation",
         ...                                 n_clients=8, participants=2, seed=0)
         >>> session.build() is session.simulation
         True
@@ -266,7 +266,7 @@ class Session:
         Example
         -------
         >>> session = Session(None).with_recipe(
-        ...     "repro.ledger.recipes:quick_mlp", n_clients=8, participants=2,
+        ...     "repro.ledger.recipes:federation", n_clients=8, participants=2,
         ...     seed=0)
         >>> result = session.run(rounds=1)
         >>> len(result.history)

@@ -33,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "RETIRED_KEYS",
+    "RETIRED_TARGETS",
     "RunRecipe",
     "config_from_dict",
     "config_to_dict",
@@ -72,6 +73,12 @@ RETIRED_KEYS = {
     "shard_policy": "contiguous",
     "eval_backend": "batched",
     "scenario.drift": {"period": 0},
+}
+
+#: Recipe targets that older ledgers recorded, each with the factory that
+#: now builds the same components from the same recorded kwargs.
+RETIRED_TARGETS = {
+    "repro.ledger.recipes:quick_mlp": "repro.ledger.recipes:federation",
 }
 
 
@@ -144,6 +151,10 @@ def scenario_to_dict(scenario) -> "Optional[dict]":
 def scenario_from_dict(payload: "Optional[Mapping]"):
     """Rebuild a :class:`~repro.scenarios.ScenarioSpec` from its dict form.
 
+    A retired block (the ``scenario.*`` keys of :data:`RETIRED_KEYS`) is
+    dropped if it holds its surviving value and refused otherwise, as
+    :func:`drop_retired_keys` does for a whole config.
+
     Example
     -------
     >>> from repro.scenarios import ScenarioSpec
@@ -156,7 +167,7 @@ def scenario_from_dict(payload: "Optional[Mapping]"):
 
     if payload is None:
         return None
-    payload = dict(payload)
+    payload = drop_retired_keys({"scenario": payload})["scenario"]
     network = payload.get("network")
     return ScenarioSpec(
         availability=AvailabilitySpec(**payload["availability"]),
@@ -291,7 +302,7 @@ class RunRecipe:
 
     Example
     -------
-    >>> recipe = RunRecipe("repro.ledger.recipes:quick_mlp",
+    >>> recipe = RunRecipe("repro.ledger.recipes:federation",
     ...                    {"n_clients": 16, "participants": 4, "seed": 0})
     >>> sorted(recipe.build())
     ['generator', 'model_factory', 'partition', 'selector', 'test_set']
@@ -311,12 +322,15 @@ class RunRecipe:
     def resolve(self):
         """Import and return the factory callable.
 
+        A target of :data:`RETIRED_TARGETS` resolves to its successor.
+
         Example
         -------
         >>> RunRecipe("repro.ledger.recipes:quick_mlp").resolve().__name__
-        'quick_mlp'
+        'federation'
         """
-        module_name, _, attribute = self.target.partition(":")
+        target = RETIRED_TARGETS.get(self.target, self.target)
+        module_name, _, attribute = target.partition(":")
         module = importlib.import_module(module_name)
         try:
             return getattr(module, attribute)
@@ -331,7 +345,7 @@ class RunRecipe:
 
         Example
         -------
-        >>> components = RunRecipe("repro.ledger.recipes:quick_mlp",
+        >>> components = RunRecipe("repro.ledger.recipes:federation",
         ...                        {"n_clients": 16, "seed": 0}).build()
         >>> components["partition"].n_clients
         16

@@ -571,7 +571,7 @@ _OPT_BLOCK = 16384
 
 
 class BatchedSGD:
-    """SGD over the cohort's flat parameter pool (optional momentum/decay).
+    """Plain SGD over the cohort's flat parameter pool.
 
     Bit-for-bit equivalent to running per-parameter SGD on each client slice
     independently.
@@ -580,63 +580,35 @@ class BatchedSGD:
     -------
     >>> from repro.nn.models import MLP
     >>> model = BatchedModel(MLP(4, 2, hidden=(3,), seed=0), num_clients=2)
-    >>> optimizer = BatchedSGD(model, lr=0.1, momentum=0.9)
+    >>> optimizer = BatchedSGD(model, lr=0.1)
     >>> optimizer.step()  # one fused update for both clients
     """
 
-    def __init__(self, model: BatchedModel, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
+    def __init__(self, model: BatchedModel, lr: float = 0.01):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         self.model = model
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self._values = model.flat_values
         self._grads = model.flat_grads
-        self._velocity = np.zeros_like(self._values) if momentum else None
         self._scratch = np.empty(min(self._values.size, _OPT_BLOCK),
                                  dtype=self._values.dtype)
 
     def reset(self) -> None:
-        """Forget all optimiser state (fresh-optimiser semantics, no realloc).
+        """Forget all optimiser state: plain SGD keeps none, so a no-op.
 
-        Round-persistent workspaces keep one optimiser alive across rounds;
-        calling this at the top of a round makes it indistinguishable from a
-        newly constructed one.
+        Round-persistent workspaces call this at the top of a round, as they
+        do for :class:`BatchedAdam`.
         """
-        if self._velocity is not None:
-            self._velocity.fill(0.0)
 
     def step(self) -> None:
         """One fused SGD update over the whole cohort pool (cache-blocked)."""
         total = self._values.size
         for start in range(0, total, _OPT_BLOCK):
             block = slice(start, min(start + _OPT_BLOCK, total))
-            values = self._values[block]
-            s = self._scratch[: values.size]
-            if self.weight_decay:
-                np.multiply(values, self.weight_decay, out=s)
-                s += self._grads[block]  # == grad + weight_decay * value
-                grad = s
-            else:
-                grad = self._grads[block]
-            if self.momentum:
-                velocity = self._velocity[block]
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            if update is s:
-                s *= self.lr
-            else:
-                np.multiply(update, self.lr, out=s)
-            values -= s  # == p -= lr * update
+            s = self._scratch[: block.stop - start]
+            np.multiply(self._grads[block], self.lr, out=s)
+            self._values[block] -= s  # == p -= lr * grad
 
 
 class BatchedAdam:
@@ -655,23 +627,14 @@ class BatchedAdam:
     >>> optimizer.reset()  # fresh-optimiser semantics, no reallocation
     """
 
-    def __init__(self, model: BatchedModel, lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    #: Adam's moment decay rates and denominator guard (the usual defaults)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: BatchedModel, lr: float = 1e-4):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        beta1, beta2 = betas
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         self.model = model
         self.lr = lr
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._values = model.flat_values
         self._grads = model.flat_grads
         self._m = np.zeros_like(self._values)
@@ -705,12 +668,7 @@ class BatchedAdam:
             v = self._v[block]
             s1 = self._s1[: values.size]
             s2 = self._s2[: values.size]
-            if self.weight_decay:
-                np.multiply(values, self.weight_decay, out=s2)
-                s2 += self._grads[block]  # == grad + weight_decay * value
-                grad = s2
-            else:
-                grad = self._grads[block]
+            grad = self._grads[block]
             m *= self.beta1
             np.multiply(grad, 1 - self.beta1, out=s1)
             m += s1  # == m += (1 - beta1) * grad

@@ -16,7 +16,7 @@ from repro.api.session import SessionResult
 from repro.core.config import TransportConfig
 from repro.scenarios import ScenarioSpec
 
-RECIPE_TARGET = "repro.ledger.recipes:quick_mlp"
+RECIPE_TARGET = "repro.ledger.recipes:federation"
 RECIPE_KWARGS = dict(n_clients=8, participants=2, samples_per_client=12,
                      seed=0)
 

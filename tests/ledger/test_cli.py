@@ -9,7 +9,7 @@ from repro.federated.simulation import FederatedConfig, FederatedSimulation
 from repro.ledger import RunLedger, RunRecipe
 from repro.ledger.cli import main
 
-RECIPE = RunRecipe("repro.ledger.recipes:quick_mlp",
+RECIPE = RunRecipe("repro.ledger.recipes:federation",
                    {"n_clients": 12, "participants": 3, "seed": 0})
 
 

@@ -1,6 +1,7 @@
 """Tests of the ledger codecs (repro/ledger/codec.py) and run context."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -13,7 +14,9 @@ from repro.ledger import (LedgerMismatchError, RunRecipe, benchmark_context,
                           git_sha, scenario_from_dict, scenario_to_dict,
                           state_from_bytes, state_sha256, state_to_bytes)
 from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS,
-                                RETIRED_KEYS, drop_retired_keys)
+                                RETIRED_KEYS, RETIRED_TARGETS,
+                                drop_retired_keys)
+from repro.ledger.recipes import federation
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import AvailabilitySpec, DropoutSpec, StragglerSpec
 
@@ -57,6 +60,23 @@ class TestScenarioCodec:
             availability=AvailabilitySpec(down_rounds={2: (1, 3)}), seed=5)
         payload = json.loads(json.dumps(scenario_to_dict(spec)))
         assert scenario_from_dict(payload) == spec
+
+    @pytest.mark.parametrize("drift", [{"period": 0, "shift": 1},
+                                       {"shift": 1}])
+    def test_drift_block_that_never_drifted_is_dropped(self, drift):
+        spec = ScenarioSpec(dropouts=DropoutSpec(probability=0.25), seed=2)
+        payload = dict(scenario_to_dict(spec), drift=drift)
+        assert scenario_from_dict(payload) == spec
+        assert payload["drift"] == drift  # the caller's payload is untouched
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_drift_block_that_drifted_is_refused(self, period):
+        # the same rule config_from_dict applies to a whole recorded config
+        payload = dict(scenario_to_dict(ScenarioSpec()),
+                       drift={"period": period, "shift": 1})
+        with pytest.raises(LedgerMismatchError,
+                           match=f"recorded scenario.drift.period={period}"):
+            scenario_from_dict(payload)
 
 
 #: a config payload exactly as an earlier release recorded it, retired
@@ -225,6 +245,31 @@ class TestRetiredKeys:
         assert "drift" not in scenario_to_dict(ScenarioSpec())
 
 
+RECIPE_TARGET = "repro.ledger.recipes:federation"
+
+
+def assert_same_components(first, second):
+    """Two recipe builds hold the same federation, data, model and selector."""
+    np.testing.assert_array_equal(first["partition"].client_class_counts,
+                                  second["partition"].client_class_counts)
+    counts = first["partition"].client_class_counts[0]
+    for key in ("x", "y"):
+        np.testing.assert_array_equal(
+            getattr(first["generator"].generate(
+                counts, np.random.default_rng(0)), key),
+            getattr(second["generator"].generate(
+                counts, np.random.default_rng(0)), key))
+        np.testing.assert_array_equal(getattr(first["test_set"], key),
+                                      getattr(second["test_set"], key))
+    first_state = first["model_factory"]().state_dict()
+    second_state = second["model_factory"]().state_dict()
+    assert sorted(first_state) == sorted(second_state)
+    for name, value in first_state.items():
+        np.testing.assert_array_equal(value, second_state[name])
+    assert ([tuple(first["selector"].select(r)) for r in range(3)]
+            == [tuple(second["selector"].select(r)) for r in range(3)])
+
+
 class TestRunRecipe:
     def test_requires_module_colon_function(self):
         with pytest.raises(ValueError, match="package.module:function"):
@@ -235,35 +280,57 @@ class TestRunRecipe:
             RunRecipe("repro.ledger.recipes:missing").resolve()
 
     def test_build_validates_components(self):
-        recipe = RunRecipe("repro.ledger.recipes:np_prod",
-                           {"shape": (2, 2)})
+        recipe = RunRecipe("repro.ledger.codec:state_sha256", {"blob": b""})
         with pytest.raises(ValueError, match="must return a dict"):
             recipe.build()
 
-    def test_quick_mlp_builds_and_is_deterministic(self):
-        recipe = RunRecipe("repro.ledger.recipes:quick_mlp",
-                           {"n_clients": 8, "participants": 2, "seed": 4})
-        first = recipe.build()
-        second = RunRecipe.from_dict(recipe.to_dict()).build()
-        np.testing.assert_array_equal(
-            first["partition"].client_class_counts,
-            second["partition"].client_class_counts)
-        assert (tuple(first["selector"].select(0))
-                == tuple(second["selector"].select(0)))
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar", "femnist"])
+    def test_federation_survives_the_ledger_round_trip(self, dataset):
+        # the recipe_json column is JSON: every kwarg must come back as the
+        # same value and rebuild the same components
+        recipe = RunRecipe(RECIPE_TARGET, {
+            "dataset": dataset, "rho": 2.0, "emd_avg": 1.0, "n_clients": 10,
+            "participants": 3, "tries": 2, "selector": "dubhe", "seed": 4,
+            "model_seed": 9})
+        rebuilt = RunRecipe.from_dict(json.loads(json.dumps(recipe.to_dict())))
+        assert rebuilt == recipe
+        assert_same_components(recipe.build(), rebuilt.build())
 
     @pytest.mark.parametrize("selector", ["random", "greedy", "dubhe"])
-    def test_quick_mlp_selector_variants(self, selector):
+    def test_federation_selector_variants(self, selector):
         recipe = RunRecipe(
-            "repro.ledger.recipes:quick_mlp",
+            RECIPE_TARGET,
             {"n_clients": 8, "participants": 2, "seed": 0,
              "selector": selector})
         components = recipe.build()
         assert len(components["selector"].select(0)) == 2
 
-    def test_quick_mlp_rejects_unknown_selector(self):
-        with pytest.raises(ValueError, match="selector must be"):
-            RunRecipe("repro.ledger.recipes:quick_mlp",
-                      {"selector": "mystery"}).build()
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"selector": "mystery"}, "selector must be"),
+        ({"dataset": "svhn"}, "dataset must be"),
+    ])
+    def test_federation_rejects_unknown_values(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RunRecipe(RECIPE_TARGET, kwargs).build()
+
+    def test_federation_defaults_are_the_retired_quick_mlp_defaults(self):
+        # a ledger recorded with quick_mlp stores only the kwargs it passed;
+        # the rest must still mean what quick_mlp meant
+        defaults = {name: p.default for name, p in
+                    inspect.signature(federation).parameters.items()}
+        assert defaults == {
+            "dataset": "mnist", "rho": 10.0, "emd_avg": 1.5, "n_clients": 32,
+            "samples_per_client": 16, "participants": 4, "tries": 1,
+            "selector": "random", "hidden": 16, "test_per_class": 4,
+            "seed": 0, "model_seed": None}
+
+    def test_retired_quick_mlp_target_builds_the_federation(self):
+        kwargs = {"n_clients": 8, "participants": 2, "selector": "dubhe",
+                  "seed": 3}
+        retired = RunRecipe("repro.ledger.recipes:quick_mlp", kwargs)
+        assert retired.resolve() is federation
+        assert RETIRED_TARGETS[retired.target] == RECIPE_TARGET
+        assert_same_components(retired.build(), federation(**kwargs))
 
     def test_dict_round_trip(self):
         recipe = RunRecipe("m.o:d", {"x": 1})

@@ -30,7 +30,7 @@ from repro.transport import TransportClient
 TOTAL_ROUNDS = 8
 KILL_AFTER = 2  # committed rounds to wait for before killing
 
-RECIPE = RunRecipe("repro.ledger.recipes:quick_mlp",
+RECIPE = RunRecipe("repro.ledger.recipes:federation",
                    {"n_clients": 12, "participants": 3, "seed": 0})
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(

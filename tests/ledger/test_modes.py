@@ -15,7 +15,7 @@ from repro.ledger import (LedgerError, LedgerMismatchError,
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import DropoutSpec, StragglerSpec
 
-RECIPE = RunRecipe("repro.ledger.recipes:quick_mlp",
+RECIPE = RunRecipe("repro.ledger.recipes:federation",
                    {"n_clients": 12, "participants": 3, "seed": 0})
 
 
@@ -158,7 +158,7 @@ class TestResumeMode:
 
     def test_resume_refuses_selector_drift(self, ledger_path):
         partial_id, _ = record_run(ledger_path, stop_after=2)
-        other = RunRecipe("repro.ledger.recipes:quick_mlp",
+        other = RunRecipe("repro.ledger.recipes:federation",
                           dict(RECIPE.kwargs, selector="greedy"))
         with pytest.raises(LedgerMismatchError, match="selector"):
             build(ledger_path, "resume", recipe=other,

@@ -56,7 +56,7 @@ def make_session(executor_mode="sequential", transport=None,
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
         scenario=scenario, transport=transport,
     )
-    return Session(config).with_recipe("repro.ledger.recipes:quick_mlp",
+    return Session(config).with_recipe("repro.ledger.recipes:federation",
                                        **RECIPE)
 
 

@@ -34,7 +34,7 @@ def make_session(transport=None, scenario=None, rounds=2):
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
         transport=transport, scenario=scenario,
     )
-    return Session(config).with_recipe("repro.ledger.recipes:quick_mlp",
+    return Session(config).with_recipe("repro.ledger.recipes:federation",
                                        **RECIPE)
 
 

@@ -122,7 +122,7 @@ class TestSimulationSeam:
         from repro import FederatedConfig, Session
 
         session = Session(FederatedConfig(rounds=1, seed=0)).with_recipe(
-            "repro.ledger.recipes:quick_mlp", n_clients=6, participants=2,
+            "repro.ledger.recipes:federation", n_clients=6, participants=2,
             seed=0)
         simulation = session.build()
         try:

@@ -30,7 +30,7 @@ def make_session(transport=None):
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
         transport=transport,
     )
-    return Session(config).with_recipe("repro.ledger.recipes:quick_mlp",
+    return Session(config).with_recipe("repro.ledger.recipes:federation",
                                        **RECIPE)
 
 

@@ -77,7 +77,7 @@ def donor():
     session = Session(FederatedConfig(
         rounds=1, seed=0,
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
-    )).with_recipe("repro.ledger.recipes:quick_mlp", **RECIPE)
+    )).with_recipe("repro.ledger.recipes:federation", **RECIPE)
     simulation = session.build()
     yield simulation
     session.close()
