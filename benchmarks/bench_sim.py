@@ -192,7 +192,7 @@ def bench_multi_round(n_clients: int, rounds: int, config) -> dict:
 
     Round 1 (cold) materialises every client's data, builds the workspace
     (flat pools + optimiser state + cohort buffers) and stacks the cohort;
-    rounds 2+ (warm) rebind into the same allocations and skip restacking —
+    rounds 2+ (warm) reuse the same allocations and skip restacking —
     the amortisation multi-round experiments actually see.
     """
     clients = make_lazy_cohort(n_clients, DatasetCache(n_clients))

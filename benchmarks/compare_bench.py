@@ -31,17 +31,10 @@ Two guardrails keep the gate honest:
   baseline and candidate is skipped with a warning instead of being gated
   across incomparable workloads.
 
-A second mode reads a run ledger (:mod:`repro.ledger`) instead of two JSON
-files: every recorded run embeds the committed ``BENCH_*.json`` payloads and
-the git SHA it ran under, so ``--ledger`` prints how each gated ratio moved
-across the recorded runs — a metric *trajectory* rather than a two-point
-gate.
-
 Usage::
 
     python benchmarks/compare_bench.py --baseline BENCH_sim.json \
         --candidate /tmp/BENCH_sim_smoke.json
-    python benchmarks/compare_bench.py --ledger runs.db
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ import argparse
 import json
 import sys
 
-__all__ = ["compare", "extract_metrics", "ledger_trajectories", "main"]
+__all__ = ["compare", "extract_metrics", "main"]
 
 
 #: crypto speedup components stable enough to gate: ``encrypt`` and
@@ -176,60 +169,11 @@ def compare(baseline: dict[str, dict], candidate: dict[str, dict],
     return lines, regressions
 
 
-def ledger_trajectories(runs: "list") -> dict[str, list[tuple[str, str, float]]]:
-    """Per-metric value trajectories across a ledger's recorded runs.
-
-    *runs* is ``RunLedger.runs()`` output (oldest first).  Each run's
-    embedded ``BENCH_*.json`` payloads go through :func:`extract_metrics`;
-    the result maps metric key -> ordered ``(run_id, git_sha, value)``
-    samples.  Runs recorded without benchmark context (or with payloads too
-    large to embed) simply contribute nothing.
-    """
-    trajectories: dict[str, list[tuple[str, str, float]]] = {}
-    for info in runs:
-        bench = info.bench or {}
-        sha = (bench.get("git_sha") or "-")[:9]
-        for payload in (bench.get("bench") or {}).values():
-            if not isinstance(payload, dict) or payload.get("skipped"):
-                continue
-            for key, metric in extract_metrics(payload).items():
-                trajectories.setdefault(key, []).append(
-                    (info.run_id, sha, metric["value"]))
-    return trajectories
-
-
-def _print_ledger(path: str) -> int:
-    sys.path.insert(0, "src")  # repo-root invocation without PYTHONPATH
-    from repro.ledger import LedgerError, RunLedger
-
-    try:
-        with RunLedger(path, create=False) as ledger:
-            runs = ledger.runs()
-    except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trajectories = ledger_trajectories(runs)
-    if not trajectories:
-        print(f"no benchmark context recorded in {path}")
-        return 0
-    print(f"benchmark ratio trajectories across {len(runs)} recorded "
-          f"run(s) in {path}:")
-    for key in sorted(trajectories):
-        print(f"  {key}:")
-        for run_id, sha, value in trajectories[key]:
-            print(f"    {run_id}  {sha:<9}  {value:g}x")
-    return 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ledger", default=None,
-                        help="print metric trajectories across the runs "
-                             "recorded in this ledger instead of gating two "
-                             "JSON files")
-    parser.add_argument("--baseline",
+    parser.add_argument("--baseline", required=True,
                         help="committed BENCH_*.json to compare against")
-    parser.add_argument("--candidate",
+    parser.add_argument("--candidate", required=True,
                         help="freshly generated smoke BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed fractional drop below the baseline "
@@ -238,11 +182,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="report regressions but exit 0 (override for "
                              "intentional trade-offs)")
     args = parser.parse_args(argv)
-    if args.ledger is not None:
-        return _print_ledger(args.ledger)
-    if args.baseline is None or args.candidate is None:
-        parser.error("--baseline and --candidate are required "
-                     "(or use --ledger)")
     if not 0 <= args.tolerance < 1:
         print("tolerance must lie in [0, 1)", file=sys.stderr)
         return 2

@@ -40,10 +40,11 @@ fault plan, which hands it the failed cohort positions to leave out.
 
 The vectorized back-end is *round-persistent*: the first vectorized round
 builds a :class:`~repro.federated.workspace.CohortWorkspace` (flat parameter
-pools, optimiser state, stacked data buffers) and every shape-compatible
-later round reuses it — rebinding the fresh template into the existing
-pools, resetting (not reallocating) the optimiser and restacking only the
-data slots whose selected client changed.  Its pools are float64, so a
+pools, optimiser state, stacked data buffers) and every later round with the
+same cohort size and the same :func:`~repro.nn.batched.program_signature`
+reuses it — loading the round's global state into the existing pools,
+resetting (not reallocating) the optimiser and restacking only the data
+slots whose selected client changed.  Its pools are float64, so a
 cohort round is bit-identical to training its clients one at a time.
 
 Note on result lifetime: vectorized rounds return zero-copy views into the
@@ -240,7 +241,8 @@ class LocalUpdateExecutor(Transport):
         workspace = self.workspace
         if workspace is None or not workspace.adopt(template, len(clients)):
             # incompatible (or first) round: build fresh pools (a model that
-            # is no layer chain raises UnvectorizableModelError here)
+            # is no layer chain raises UnvectorizableModelError, in adopt or
+            # here)
             workspace = CohortWorkspace(template, len(clients))
             self.workspace = workspace
             self.workspace_builds += 1

@@ -13,8 +13,10 @@ Design
 * **Workers are warm.**  Each worker owns its own round-persistent
   :class:`~repro.federated.workspace.CohortWorkspace` (flat parameter pools,
   fused optimiser state) that survives across rounds exactly like the
-  single-process vectorized runtime — the first round builds, later rounds
-  rebind.
+  single-process vectorized runtime.  A worker builds it once, on its
+  first round, from the model factory it captured at fork: the fleet's
+  geometry pins the program's :func:`~repro.nn.batched.program_signature`,
+  so that one program serves every round the fleet runs.
 * **No per-round pickling.**  All bulk state crosses the process boundary
   through shared-memory pools (:func:`repro.federated.workspace.shared_pool`)
   allocated before the workers fork: the round's flattened global parameters
@@ -34,7 +36,7 @@ Design
   broken and raises :class:`SchedulerError`;
   :class:`~repro.federated.LocalUpdateExecutor` catches it and transparently
   falls back to the in-process vectorized round.  Geometry changes (different K, data shape
-  or model architecture) rebuild the worker fleet rather than guessing.
+  or program signature) rebuild the worker fleet rather than guessing.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 from ..core.config import partition_cohort, resolve_num_workers
 from ..data.cohort import CohortBuffer
 from ..data.dataset import ArrayDataset
-from ..nn.batched import BatchedModel
+from ..nn.batched import BatchedModel, flat_layout, program_signature
 from ..nn.module import Module
 from .aggregation import StackedClientStates
 from .client import FederatedClient, LocalTrainingConfig
@@ -78,61 +80,8 @@ class SchedulerError(RuntimeError):
     """
 
 
-def _template_fingerprint(module: Module) -> tuple:
-    """A structural fingerprint of a template model beyond parameter shapes.
-
-    Two factories can produce models with identical parameter layouts but
-    different arithmetic (another dropout rate, another pooling stride, a
-    different RNG seed); the worker fleet bakes its factory in at fork time,
-    so such a change must rebuild the fleet rather than silently train the
-    stale program.  The fingerprint walks the module tree collecting layer
-    types and their scalar configuration attributes — everything
-    :meth:`BatchedLayer.rebind` would inspect — while skipping parameters,
-    arrays and RNG state (which legitimately differ between fresh templates).
-    """
-    entries: list = [type(module).__name__]
-    for attr, value in sorted(module.__dict__.items()):
-        if attr.startswith("_"):
-            continue
-        if isinstance(value, Module):
-            entries.append((attr, _template_fingerprint(value)))
-        elif isinstance(value, (list, tuple)):
-            children = tuple(_template_fingerprint(item) for item in value
-                             if isinstance(item, Module))
-            if children:
-                entries.append((attr, children))
-            elif all(isinstance(item, (int, float, bool, str, type(None)))
-                     for item in value):
-                entries.append((attr, tuple(value)))
-        elif isinstance(value, (int, float, bool, str, type(None))):
-            entries.append((attr, value))
-    return tuple(entries)
-
-
-def _flat_layout(template: Module) -> "tuple[list[tuple[str, int, tuple[int, ...]]], int]":
-    """Replicate ``BatchedModel._repack_flat``'s param-major pool layout.
-
-    Returns ``([(name, offset, shape), ...], total)`` where *offset*/*total*
-    count per-client scalars: a K-client pool stores parameter ``p`` at
-    ``[K * offset_p, K * (offset_p + size_p))`` reshaped to ``(K, *shape)``.
-    Parameters shared under two names occupy one segment (both names map to
-    the same offset), matching the dedup in ``_repack_flat`` — whose flat
-    pool packs the deduped segments first, so *total* here is the length of
-    the pool's **used prefix** (the pool itself is over-allocated for tied
-    parameters).
-    """
-    layout: list[tuple[str, int, tuple[int, ...]]] = []
-    offsets: dict[int, int] = {}
-    total = 0
-    for name, param in template.named_parameters():
-        if id(param) not in offsets:
-            offsets[id(param)] = total
-            total += param.value.size
-        layout.append((name, offsets[id(param)], param.value.shape))
-    return layout, total
-
-
 def _worker_main(conn, model_factory: Callable[[], Module], shard_size: int,
+                 layout: "list[tuple[str, int, tuple[int, ...]]]",
                  global_pool: np.ndarray,
                  x: np.ndarray, y: np.ndarray, result: np.ndarray) -> None:
     """Worker body: serve vectorized shard rounds until told to stop.
@@ -143,6 +92,11 @@ def _worker_main(conn, model_factory: Callable[[], Module], shard_size: int,
     ``("done",)``/``("error", message)`` reply.
     """
     workspace: Optional[CohortWorkspace] = None
+    # views into the global pool, which the parent rewrites every round
+    global_state = {
+        name: global_pool[offset : offset + int(np.prod(shape))].reshape(shape)
+        for name, offset, shape in layout
+    }
     while True:
         try:
             message = conn.recv()
@@ -153,16 +107,10 @@ def _worker_main(conn, model_factory: Callable[[], Module], shard_size: int,
             return
         _, round_index, config, seeds = message
         try:
-            template = model_factory()
-            if workspace is None or not workspace.adopt(template, shard_size):
-                workspace = CohortWorkspace(template, shard_size)
+            if workspace is None:
+                workspace = CohortWorkspace(model_factory(), shard_size)
             batched = workspace.model
-            layout, _ = _flat_layout(template)
-            batched.load_state_dict_broadcast({
-                name: global_pool[offset : offset + int(np.prod(shape))
-                                  ].reshape(shape)
-                for name, offset, shape in layout
-            })
+            batched.load_state_dict_broadcast(global_state)
             optimizer = workspace.optimizer_for(config)
             rngs = [
                 np.random.default_rng(
@@ -172,9 +120,7 @@ def _worker_main(conn, model_factory: Callable[[], Module], shard_size: int,
             ]
             train_cohort(batched, optimizer, x, y, rngs, config,
                          rows=workspace.client_rows)
-            # copy the used prefix only: for parameters shared under two
-            # names the model's pool is over-allocated past the result pool
-            result[:] = batched.flat_values[: result.size]
+            result[:] = batched.flat_values
             conn.send(("done",))
         except Exception as exc:  # noqa: BLE001 - relayed to the parent verbatim
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -204,7 +150,7 @@ class CohortScheduler:
 
     The scheduler is round-persistent: the first round forks the worker
     fleet and allocates every shared pool; later rounds with the same
-    *geometry* (cohort size, data shape, model architecture) reuse
+    *geometry* (cohort size, data shape, program signature) reuse
     both, restacking only the data slots whose selected client changed.  A
     geometry change tears the fleet down and rebuilds it
     (:attr:`builds` counts fleet builds); a worker crash or timeout marks
@@ -286,7 +232,7 @@ class CohortScheduler:
         # cheap parent-side vectorization pre-check: refuse unvectorizable
         # models here, before any process is forked
         BatchedModel(template, 1)
-        self._layout, per_client = _flat_layout(template)
+        self._layout, per_client = flat_layout(template)
         try:
             self._shards = partition_cohort(num_clients, self.num_workers)
             self._global = shared_pool((per_client,), np.float64, self._ctx)
@@ -302,7 +248,7 @@ class CohortScheduler:
                 worker = self._ctx.Process(
                     target=_worker_main,
                     args=(child_conn, model_factory, shard_size,
-                          self._global, x, y, result),
+                          self._layout, self._global, x, y, result),
                     daemon=True,
                     name=f"cohort-shard-{len(self._conns)}",
                 )
@@ -367,15 +313,10 @@ class CohortScheduler:
         sample_shape = np.asarray(first.x).shape
         y_dtype = np.asarray(first.y).dtype
         template = model_factory()
-        geometry = (
-            len(clients), sample_shape, y_dtype.str,
-            tuple((name, offset, shape) for name, offset, shape
-                  in _flat_layout(template)[0]),
-            # layer types + scalar config (dropout rate, strides, seeds, …):
-            # a factory change the parameter layout cannot see must still
-            # re-fork the fleet, whose workers captured the old factory
-            _template_fingerprint(template),
-        )
+        # the workers run the program their captured factory built: a
+        # template with another signature must re-fork the fleet
+        geometry = (len(clients), sample_shape, y_dtype.str,
+                    program_signature(template))
         if geometry != self._geometry:
             self._build(template, len(clients), sample_shape, y_dtype,
                         model_factory)

@@ -12,16 +12,17 @@ cohort) all run it.  A :class:`CohortWorkspace` owns
   (:class:`~repro.data.cohort.CohortBuffer`),
 
 and :class:`~repro.federated.LocalUpdateExecutor` reuses one workspace for
-as long as consecutive rounds are *shape-compatible* (same cohort size, same
-model architecture).  Each round the executor rebinds the fresh
-template model into the existing pools (:meth:`CohortWorkspace.adopt`),
-resets — never reallocates — the optimiser state, and restacks only the data
-slots whose selected client changed.  A rebound round is arithmetically
-indistinguishable from a freshly built one, because every client starts
-every round from a factory-fresh model and optimiser.
+as long as consecutive rounds are *shape-compatible*: the same cohort size
+and the same :func:`~repro.nn.batched.program_signature` of the round's
+fresh template (:meth:`CohortWorkspace.adopt`).  Each such round resets —
+never reallocates — the optimiser state and restacks only the data slots
+whose selected client changed.  A reused round is arithmetically
+indistinguishable from a freshly built one: every client starts every round
+from the broadcast global parameters and a fresh optimiser, and the
+signature pins everything else the program computes with.
 
-Numerical safety valves: a structurally different template or a changed
-cohort size silently rebuilds the workspace (counted in
+Numerical safety valves: another signature or a changed cohort size
+silently rebuilds the workspace (counted in
 ``LocalUpdateExecutor.workspace_builds``); a ragged cohort never reaches the
 workspace — the executor checks the cohort's shape first and trains it one
 client at a time, so the pools stay as the last dense round left them.
@@ -35,7 +36,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from ..data.cohort import CohortBuffer
-from ..nn.batched import BatchedAdam, BatchedModel, BatchedSGD, batched_cross_entropy
+from ..nn.batched import (BatchedAdam, BatchedModel, BatchedSGD,
+                          batched_cross_entropy, program_signature)
 from ..nn.module import Module
 
 if TYPE_CHECKING:  # the client trains through this module
@@ -162,15 +164,14 @@ class CohortWorkspace:
     def adopt(self, template: Module, num_clients: int) -> bool:
         """Try to serve a new round from the existing pools.
 
-        Returns ``True`` after rebinding the factory-fresh *template* into
-        the batched model (adopting its dropout RNG streams, exactly what
-        every client's fresh model would use).  ``False`` means
-        the round is shape-incompatible — different cohort size or model
-        structure — and the executor must build a new workspace.
+        Returns ``True`` when *num_clients* and *template*'s
+        :func:`~repro.nn.batched.program_signature` are the workspace's
+        own; the round then loads its global state into the warm program.
+        ``False`` means the round is shape-incompatible and the executor
+        must build a new workspace.
         """
-        if num_clients != self.num_clients:
-            return False
-        if not self.model.rebind(template):
+        if (num_clients != self.num_clients
+                or program_signature(template) != self.model.signature):
             return False
         self.rounds_bound += 1
         return True

@@ -32,7 +32,7 @@ from .codec import (DETERMINISM_KEYS, LEDGER_FIELDS, RunRecipe,
                     config_from_dict, config_to_dict, scenario_from_dict,
                     scenario_to_dict, state_from_bytes, state_sha256,
                     state_to_bytes)
-from .context import benchmark_context, find_bench_files, git_sha
+from .context import benchmark_context, git_sha
 from .modes import (VERIFY_ATOL, LedgerMismatchError, LedgerSession,
                     LedgerVerificationError, RoundDiff, VerifyReport,
                     diff_records)
@@ -59,7 +59,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "diff_records",
-    "find_bench_files",
     "git_sha",
     "scenario_from_dict",
     "scenario_to_dict",

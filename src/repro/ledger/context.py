@@ -1,37 +1,26 @@
-"""Benchmark and machine context recorded next to every ledger run.
+"""Machine context recorded next to every ledger run.
 
-A metric trajectory is only interpretable together with the code revision
-and hardware it was measured on, so every run row stores the current git
-SHA, the CPU count, the Python/NumPy versions and the committed
-``BENCH_*.json`` payloads found at the repository root.  The
-``benchmarks/compare_bench.py --ledger`` mode reads these back to print how
-the gated throughput ratios moved across recorded runs.
+A run's numbers are only interpretable together with the code revision and
+hardware they were measured on, so every run row stores the current git
+SHA, the CPU count, the platform and the Python/NumPy versions;
+``python -m repro.ledger list`` and ``show`` print them.
 
-Everything here degrades gracefully: no git binary, no repository, or no
-benchmark files simply produce ``None``/missing keys — recording a run must
-never fail because the machine lacks benchmarking context.
+Everything here degrades gracefully: no git binary or no repository simply
+produces a ``None`` SHA — recording a run must never fail because the
+machine lacks context.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["benchmark_context", "find_bench_files", "git_sha"]
-
-#: File-name prefix of the committed benchmark baselines at the repo root.
-_BENCH_GLOB = "BENCH_*.json"
-
-#: Keep embedded benchmark payloads small: anything above this many bytes is
-#: summarised to its file name and size instead of inlined.
-_MAX_EMBED_BYTES = 64 * 1024
+__all__ = ["benchmark_context", "git_sha"]
 
 
 def git_sha(root: "Optional[str | os.PathLike]" = None) -> Optional[str]:
@@ -55,49 +44,11 @@ def git_sha(root: "Optional[str | os.PathLike]" = None) -> Optional[str]:
     return sha if completed.returncode == 0 and len(sha) == 40 else None
 
 
-def find_bench_files(root: "Optional[str | os.PathLike]" = None,
-                     ) -> "list[Path]":
-    """Committed ``BENCH_*.json`` files at (or above) the search root.
-
-    Searches *root* (default: the working directory) and then the package's
-    own repository checkout, so both in-repo runs and installed-package runs
-    find whatever baselines exist.
-
-    Example
-    -------
-    >>> isinstance(find_bench_files("/nonexistent"), list)
-    True
-    """
-    candidates: list[Path] = []
-    roots = []
-    if root is not None:
-        roots.append(Path(os.fspath(root)))
-    else:
-        roots.append(Path.cwd())
-        # src/repro/ledger/context.py -> src/repro -> src -> repo root
-        roots.append(Path(__file__).resolve().parents[3])
-    seen: set[Path] = set()
-    for base in roots:
-        try:
-            matches = sorted(base.glob(_BENCH_GLOB))
-        except OSError:
-            continue
-        for match in matches:
-            resolved = match.resolve()
-            if resolved not in seen:
-                seen.add(resolved)
-                candidates.append(resolved)
-    return candidates
-
-
-def benchmark_context(root: "Optional[str | os.PathLike]" = None) -> dict:
+def benchmark_context() -> dict:
     """Everything needed to interpret a run's numbers later.
 
     Returns a JSON-ready dict with the git SHA, CPU count, platform and
-    library versions, plus the parsed payload of every committed
-    ``BENCH_*.json`` (keyed by file stem) so
-    ``benchmarks/compare_bench.py --ledger`` can extract ratio trajectories
-    straight from the ledger.
+    library versions.
 
     Example
     -------
@@ -105,22 +56,10 @@ def benchmark_context(root: "Optional[str | os.PathLike]" = None) -> dict:
     >>> context["cpu_count"] >= 1
     True
     """
-    bench: dict[str, dict] = {}
-    for path in find_bench_files(root):
-        try:
-            size = path.stat().st_size
-            if size > _MAX_EMBED_BYTES:
-                bench[path.stem] = {"skipped": True, "path": str(path),
-                                    "bytes": int(size)}
-                continue
-            bench[path.stem] = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
     return {
-        "git_sha": git_sha(root),
+        "git_sha": git_sha(),
         "cpu_count": os.cpu_count() or 1,
         "platform": platform.platform(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "bench": bench,
     }

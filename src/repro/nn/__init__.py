@@ -5,8 +5,8 @@ Public API
 * :class:`Module`, :class:`Parameter` — model/parameter plumbing with
   ``state_dict`` and flat-vector views for federated aggregation.
 * layers — :class:`Linear`, :class:`Conv2d`, :class:`MaxPool2d`,
-  :class:`ReLU`, :class:`Flatten`, :class:`Dropout`, :class:`Sequential`.
-* models — :class:`MLP`, :class:`MnistCNN`, :class:`CifarCNN`.
+  :class:`ReLU`, :class:`Flatten`, :class:`Sequential`.
+* models — :class:`MLP`, :class:`CifarCNN`.
 * metrics — :class:`BatchedEvaluator` (forward-only batched test pass),
   :func:`confusion_matrix`, :func:`per_class_accuracy`.
 * cohort execution — :class:`BatchedModel`, :class:`BatchedParameter`,
@@ -23,13 +23,13 @@ from .batched import (
 )
 from .conv import Conv2d, MaxPool2d, col2im, im2col
 from .init import kaiming_uniform, zeros
-from .layers import Dropout, Flatten, Linear, ReLU, Sequential
+from .layers import Flatten, Linear, ReLU, Sequential
 from .metrics import (
     BatchedEvaluator,
     confusion_matrix,
     per_class_accuracy,
 )
-from .models import MLP, CifarCNN, MnistCNN
+from .models import MLP, CifarCNN
 from .module import Module, Parameter
 
 __all__ = [
@@ -38,12 +38,10 @@ __all__ = [
     "BatchedParameter",
     "CifarCNN",
     "Conv2d",
-    "Dropout",
     "Flatten",
     "Linear",
     "MLP",
     "MaxPool2d",
-    "MnistCNN",
     "Module",
     "Parameter",
     "ReLU",

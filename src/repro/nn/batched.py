@@ -16,23 +16,31 @@ formulas).  That engine is kept as the equivalence reference under
 ``tests/reference/``; per-client results match it bit for bit, so selectors,
 figures and secure paths do not depend on the cohort size.
 
-Dropout: every client starts its round from a factory-fresh model, so all K
-clients' dropout layers share one seed and one mask sequence.
-:class:`BatchedDropout` draws one ``(B, …)`` mask per step from the template
-layer's RNG and broadcasts it across the client axis.
+Program structure
+-----------------
+Under FedAvg every client starts its round from the broadcast global
+parameters, so a warm batched program can serve any template whose
+structure it was built from.  This module is the one owner of that
+structure: :func:`program_signature` says when two templates build the same
+program, and :func:`flat_layout` says where each parameter lives in the
+program's flat pools (the parallel scheduler's shared pools use the same
+layout).
 
 Extending
 ---------
 A model vectorizes when it is a :class:`~repro.nn.layers.Sequential` chain
 (nested chains are flattened) of the shipped layer types — ``Linear``,
-``Conv2d``, ``MaxPool2d``, ``ReLU``, ``Flatten``, ``Dropout`` or their
-subclasses — and the chain covers every parameter; each model of
-:mod:`repro.nn.models` lists its chain once.  Anything else raises
+``Conv2d``, ``MaxPool2d``, ``ReLU``, ``Flatten`` or their subclasses — and
+the chain covers every parameter; each model of :mod:`repro.nn.models`
+lists its chain once.  Anything else raises
 :class:`UnvectorizableModelError`: a new layer type needs a batched layer
 in ``_LAYER_VECTORIZERS``.  Batched layers follow the assign-not-accumulate
 gradient contract of :meth:`BatchedLayer.backward`: the training loop skips
 per-step ``zero_grad`` because every batched backward overwrites its
-parameter grads.
+parameter grads.  A layer's configuration must live in public scalar
+attributes (they enter :func:`program_signature`), and a batched layer may
+keep no state from one round to the next: a warm program serves every
+template with its signature.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conv import Conv2d, MaxPool2d, col2im, im2col
-from .layers import Dropout, Flatten, Linear, ReLU, Sequential
+from .layers import Flatten, Linear, ReLU, Sequential
 from .module import Module, Parameter
 
 __all__ = [
@@ -52,6 +60,8 @@ __all__ = [
     "BatchedSGD",
     "UnvectorizableModelError",
     "batched_cross_entropy",
+    "flat_layout",
+    "program_signature",
 ]
 
 
@@ -64,7 +74,7 @@ class BatchedParameter:
 
     Freshly constructed instances hold a read-only broadcast view (every
     client aliasing the template value) and a lazily-allocated grad;
-    :meth:`BatchedModel._repack_flat` rebinds both to writable contiguous
+    :meth:`BatchedModel._repack_flat` points both at writable contiguous
     views into the model's flat pools before any training step runs.
 
     Example
@@ -129,20 +139,6 @@ class BatchedLayer:
         """Switch train/eval mode (wrappers propagate to wrapped layers)."""
         self.training = training
 
-    def rebind(self, layer: Module) -> bool:
-        """Adopt a fresh template *layer* for a new round without reallocation.
-
-        Round-persistent workspaces reuse one batched program across rounds;
-        each round the executor builds a fresh template model (exactly what
-        every client starts its round from) and rebinds it into the existing
-        stacks.  A layer returns ``True`` when *layer* is structurally
-        identical to the one it was built from — after adopting whatever
-        per-round state matters (e.g. the dropout RNG, which must restart
-        from the factory-fresh stream every round).  ``False`` forces the caller to rebuild the whole batched
-        model.
-        """
-        raise NotImplementedError
-
 
 class BatchedLinear(BatchedLayer):
     """Per-client ``y_k = x_k W_k^T + b_k`` as one batched matmul."""
@@ -160,16 +156,6 @@ class BatchedLinear(BatchedLayer):
         if self.bias is not None:
             pairs.append((self._template.bias, self.bias))
         return pairs
-
-    def rebind(self, layer: Module) -> bool:
-        if (not isinstance(layer, Linear)
-                or layer.in_features != self.in_features
-                or layer.out_features != self.out_features
-                or (layer.bias is None) != (self.bias is None)):
-            return False
-        self._template = layer
-        self._input = None
-        return True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
@@ -216,19 +202,6 @@ class BatchedConv2d(BatchedLayer):
             pairs.append((self._template.bias, self.bias))
         return pairs
 
-    def rebind(self, layer: Module) -> bool:
-        if (not isinstance(layer, Conv2d)
-                or layer.in_channels != self.in_channels
-                or layer.out_channels != self.out_channels
-                or layer.kernel_size != self.kernel_size
-                or layer.stride != self.stride
-                or layer.padding != self.padding
-                or (layer.bias is None) != (self.bias is None)):
-            return False
-        self._template = layer
-        self._cache = None
-        return True
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
@@ -267,51 +240,6 @@ class BatchedConv2d(BatchedLayer):
         return grad_x.reshape(x_shape)
 
 
-class BatchedDropout(BatchedLayer):
-    """Inverted dropout with one per-step mask shared across the client axis.
-
-    Every client's factory-fresh model seeds its dropout RNG identically and
-    therefore draws the same masks.  An *unseeded* active dropout layer has
-    no such shared stream — each client would draw independent masks — so
-    it refuses vectorization.
-    """
-
-    def __init__(self, layer: Dropout, num_clients: int):
-        if layer.p > 0 and getattr(layer, "seed", None) is None:
-            raise UnvectorizableModelError(
-                "Dropout without a deterministic seed draws independent masks "
-                "per client; the cohort back-end cannot reproduce that — "
-                "construct the layer with an explicit seed"
-            )
-        self.p = layer.p
-        self.rng = layer.rng  # the template model is factory-fresh, like each client's
-        self._mask: Optional[np.ndarray] = None
-
-    def rebind(self, layer: Module) -> bool:
-        # adopting the fresh template's RNG restarts the mask stream exactly
-        # like the factory-fresh model every client starts its round from
-        if not isinstance(layer, Dropout) or (
-                layer.p > 0 and getattr(layer, "seed", None) is None):
-            return False
-        self.p = layer.p
-        self.rng = layer.rng
-        self._mask = None
-        return True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape[1:]) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
 class FoldedLayer(BatchedLayer):
     """Run a parameter-free per-sample layer with (K, B) folded into one batch.
 
@@ -322,13 +250,6 @@ class FoldedLayer(BatchedLayer):
 
     def __init__(self, layer: Module, num_clients: int):
         self.inner = layer
-
-    def rebind(self, layer: Module) -> bool:
-        if type(layer) is not type(self.inner):
-            return False
-        layer.training = self.inner.training
-        self.inner = layer
-        return True
 
     def set_training(self, training: bool) -> None:
         self.training = training
@@ -351,7 +272,6 @@ class FoldedLayer(BatchedLayer):
 _LAYER_VECTORIZERS: dict[type, Callable[[Module, int], BatchedLayer]] = {
     Linear: BatchedLinear,
     Conv2d: BatchedConv2d,
-    Dropout: BatchedDropout,
     ReLU: FoldedLayer,
     Flatten: FoldedLayer,
     MaxPool2d: FoldedLayer,
@@ -386,6 +306,64 @@ def _flat_chain(model: Module) -> list[Module]:
     return chain
 
 
+def flat_layout(template: Module) -> "tuple[list[tuple[str, int, tuple[int, ...]]], int]":
+    """Where each of *template*'s parameters lives in a flat parameter pool.
+
+    Returns ``([(name, offset, shape), ...], total)``, where *offset* and
+    *total* count per-client scalars.  The layout is param-major: a
+    K-client pool stores parameter ``p`` at ``[K * offset_p, K * (offset_p +
+    size_p))``, reshaped to ``(K, *shape)``, and a one-client pool (the
+    parallel scheduler's shared global parameters) is the K = 1 case.  A
+    parameter shared under two names occupies one segment, under both.
+
+    Example
+    -------
+    >>> from repro.nn.models import MLP
+    >>> layout, total = flat_layout(MLP(4, 2, hidden=(3,), seed=0))
+    >>> layout[1], total
+    (('net.layers.1.bias', 12, (3,)), 23)
+    """
+    layout: list[tuple[str, int, tuple[int, ...]]] = []
+    offsets: dict[int, int] = {}
+    total = 0
+    for name, param in template.named_parameters():
+        if id(param) not in offsets:
+            offsets[id(param)] = total
+            total += param.value.size
+        layout.append((name, offsets[id(param)], param.value.shape))
+    return layout, total
+
+
+def program_signature(template: Module) -> tuple:
+    """The structure of the batched program *template* builds.
+
+    Every client starts its round from the broadcast global parameters, so
+    a warm :class:`BatchedModel` serves any template whose signature equals
+    its own :attr:`~BatchedModel.signature`.  The signature lists the
+    flattened chain's layer types with their public scalar configuration
+    (widths, kernel sizes, strides; not the train/eval flag) and the
+    :func:`flat_layout` of every parameter: name, offset and shape.  Values
+    do not enter it.
+
+    Example
+    -------
+    >>> from repro.nn.models import MLP
+    >>> program_signature(MLP(4, 2, seed=0)) == program_signature(MLP(4, 2, seed=1))
+    True
+    >>> program_signature(MLP(4, 2)) == program_signature(MLP(4, 3))
+    False
+    """
+    layers = tuple(
+        (type(layer), tuple(sorted(
+            (attr, value) for attr, value in vars(layer).items()
+            if not attr.startswith("_") and attr != "training"
+            and isinstance(value, (int, float, bool, str, type(None)))
+        )))
+        for layer in _flat_chain(template)
+    )
+    return layers, tuple(flat_layout(template)[0])
+
+
 # -- the batched model -----------------------------------------------------------
 
 
@@ -399,9 +377,9 @@ class BatchedModel:
     *standard* Adam / SGD arithmetic over the flat parameter pool —
     the client axis is transparent to it.
 
-    The *template* must be a fresh model (e.g. straight from the server's
-    model factory): its layer structure defines the program and its dropout
-    RNG state stands in for every client's.
+    The *template*'s structure defines the program (:attr:`signature`);
+    its parameter values only fill the pools until the caller broadcasts the
+    round's state with :meth:`load_state_dict_broadcast`.
 
     Example
     -------
@@ -418,10 +396,11 @@ class BatchedModel:
     def __init__(self, template: Module, num_clients: int):
         if num_clients < 1:
             raise ValueError("num_clients must be positive")
-        self.template = template
         self.num_clients = num_clients
-        chain = _flat_chain(template)
-        self.layers = [vectorize_layer(layer, num_clients) for layer in chain]
+        #: the program's structure: this model serves any template that has it
+        self.signature = program_signature(template)
+        self.layers = [vectorize_layer(layer, num_clients)
+                       for layer in _flat_chain(template)]
         mapping = {id(tp): bp for layer in self.layers for tp, bp in layer.param_pairs()}
         self._named: list[tuple[str, BatchedParameter]] = []
         for name, param in template.named_parameters():
@@ -433,67 +412,30 @@ class BatchedModel:
                 )
             self._named.append((name, batched))
         self.training = True
-        self._repack_flat()
+        self._repack_flat(template)
 
-    def rebind(self, template: Module) -> bool:
-        """Adopt a fresh *template* for a new round, reusing every pool.
-
-        The round-persistent workspace calls this instead of rebuilding the
-        batched program: when *template* (a factory-fresh model, exactly what
-        each client starts its round from) is structurally identical —
-        same chain, same layer geometry, same parameter names and shapes —
-        the existing flat pools and layer stacks are kept and only per-round
-        template state (dropout RNG streams, template references) is
-        adopted.  Returns ``False`` when the structures differ, in which
-        case the caller must construct a new :class:`BatchedModel`.
-        Parameter *values* are not touched; the caller loads the round's
-        global state with :meth:`load_state_dict_broadcast` as usual.
-        """
-        try:
-            chain = _flat_chain(template)
-        except UnvectorizableModelError:
-            return False
-        if len(chain) != len(self.layers):
-            return False
-        if not all(batched.rebind(layer)
-                   for batched, layer in zip(self.layers, chain)):
-            return False
-        named = list(template.named_parameters())
-        if len(named) != len(self._named):
-            return False
-        for (name, param), (own_name, bp) in zip(named, self._named):
-            if name != own_name or param.value.shape != bp.value.shape[1:]:
-                return False
-        self.template = template
-        return True
-
-    def _repack_flat(self) -> None:
+    def _repack_flat(self, template: Module) -> None:
         """Repack every parameter stack as a view into one flat 1-D pool.
 
-        Layout is param-major — each parameter's whole ``(K, *shape)`` stack
-        occupies one contiguous segment — so per-layer views stay contiguous
-        (fast matmul accumulation) while the fused cohort optimisers
-        (:class:`BatchedAdam` / :class:`BatchedSGD`) update the entire cohort
-        with a handful of whole-pool array ops instead of per-parameter
-        Python loops.  Elementwise updates are oblivious to how elements are
-        grouped, so this changes no numerics.
+        The pool follows :func:`flat_layout` — each parameter's whole
+        ``(K, *shape)`` stack occupies one contiguous segment — so per-layer
+        views stay contiguous (fast matmul accumulation) while the fused
+        cohort optimisers (:class:`BatchedAdam` / :class:`BatchedSGD`) update
+        the entire cohort with a handful of whole-pool array ops instead of
+        per-parameter Python loops.  Elementwise updates are oblivious to how
+        elements are grouped, so this changes no numerics.
         """
-        total = sum(bp.value.size for _, bp in self._named)
-        self.flat_values = np.zeros(total)
-        self.flat_grads = np.zeros(total)
-        offset = 0
-        repacked: set[int] = set()
-        for _, bp in self._named:
-            if id(bp) in repacked:  # a parameter shared under two names
-                continue
-            repacked.add(id(bp))
-            size = bp.value.size
-            value_view = self.flat_values[offset : offset + size].reshape(bp.value.shape)
-            grad_view = self.flat_grads[offset : offset + size].reshape(bp.value.shape)
+        layout, per_client = flat_layout(template)
+        k = self.num_clients
+        self.flat_values = np.zeros(k * per_client)
+        self.flat_grads = np.zeros(k * per_client)
+        # a parameter shared under two names maps to one segment twice
+        for (_, bp), (_, offset, _) in zip(self._named, layout):
+            segment = slice(k * offset, k * offset + bp.value.size)
+            value_view = self.flat_values[segment].reshape(bp.value.shape)
             value_view[...] = bp.value
             bp.value = value_view
-            bp.grad = grad_view
-            offset += size
+            bp.grad = self.flat_grads[segment].reshape(bp.value.shape)
 
     # -- forward / backward ---------------------------------------------------
 

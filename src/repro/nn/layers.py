@@ -1,7 +1,7 @@
 """Dense layers, activations and containers for the NumPy NN substrate.
 
-``Linear``, ``Dropout`` and ``Sequential`` describe a model: their
-parameters, hyper-parameters and layer order.  The batched chain
+``Linear`` and ``Sequential`` describe a model: its parameters,
+hyper-parameters and layer order.  The batched chain
 (:mod:`repro.nn.batched`) holds their one kernel.  The parameter-free
 ``ReLU`` and ``Flatten`` keep per-sample ``forward``/``backward`` kernels,
 which the batched chain runs with the client axis folded into the batch
@@ -17,7 +17,7 @@ import numpy as np
 from .init import kaiming_uniform, zeros
 from .module import Module, Parameter, seeded_rng
 
-__all__ = ["Linear", "ReLU", "Flatten", "Dropout", "Sequential"]
+__all__ = ["Linear", "ReLU", "Flatten", "Sequential"]
 
 
 class Linear(Module):
@@ -71,21 +71,6 @@ class Flatten(Module):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_output.reshape(self._shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode.
-
-    The batched chain draws every mask from :attr:`rng`
-    (:class:`~repro.nn.batched.BatchedDropout`).
-    """
-
-    def __init__(self, p: float = 0.5, seed: Optional[int] = None):
-        if not 0 <= p < 1:
-            raise ValueError("dropout probability must lie in [0, 1)")
-        self.p = p
-        self.seed = seed  # retained so the cohort back-end can tell seeded from not
-        self.rng = seeded_rng(seed)
 
 
 class Sequential(Module):

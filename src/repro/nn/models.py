@@ -6,13 +6,13 @@ The paper trains:
   FEMNIST — two conv layers, max pooling, two dense layers;
 * ResNet18 for CIFAR10.
 
-A full ResNet18 is far too slow for a pure-NumPy substrate at benchmark
-scale, so :class:`CifarCNN` is a compact convolutional network standing in
-for it (a substitution recorded in docs/paper_mapping.md, "Where the models
-and data depart from the paper"): the selection-method comparison only
-needs a model whose accuracy responds to population-distribution bias,
-which any trainable CNN does.  :class:`MLP` is a cheaper alternative used by
-fast tests and reduced-scale benchmarks.
+Neither is in the repository.  MNIST and FEMNIST runs train :class:`MLP`
+(a substitution recorded in docs/paper_mapping.md, "Where the models and
+data depart from the paper"), and a full ResNet18 is far too slow for a
+pure-NumPy substrate at benchmark scale, so :class:`CifarCNN` is a compact
+convolutional network standing in for it: the selection-method comparison
+only needs a model whose accuracy responds to population-distribution bias,
+which any trainable model does.
 
 Each model lists its layer order once, in a class-level ``chain``:
 ``forward``/``backward`` are :class:`~repro.nn.layers.Sequential`'s loops over
@@ -25,10 +25,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .conv import Conv2d, MaxPool2d
-from .layers import Dropout, Flatten, Linear, ReLU, Sequential
+from .layers import Flatten, Linear, ReLU, Sequential
 from .module import Module
 
-__all__ = ["MLP", "MnistCNN", "CifarCNN"]
+__all__ = ["MLP", "CifarCNN"]
 
 
 class _NamedChain(Sequential):
@@ -63,37 +63,6 @@ class MLP(_NamedChain):
             prev = width
         layers.append(Linear(prev, num_classes, seed=None if seed is None else seed + 100))
         self.net = Sequential(*layers)
-        self.num_classes = num_classes
-
-
-class MnistCNN(_NamedChain):
-    """The two-conv CNN of Reddi et al., scaled to the synthetic image size.
-
-    conv(32, 3x3) → ReLU → conv(64, 3x3) → ReLU → maxpool(2) → dense(128) →
-    dropout → dense(C).  Channel widths can be narrowed for fast tests.
-    """
-
-    chain = ("conv1", "relu1", "conv2", "relu2", "pool", "flatten",
-             "fc1", "relu3", "dropout", "fc2")
-
-    def __init__(self, in_channels: int = 1, image_size: int = 8, num_classes: int = 10,
-                 channels: tuple[int, int] = (16, 32), hidden: int = 64,
-                 dropout: float = 0.25, seed: Optional[int] = None):
-        if image_size < 4:
-            raise ValueError("image_size too small for two 3x3 convolutions + pooling")
-        s = (lambda off: None) if seed is None else (lambda off: seed + off)
-        c1, c2 = channels
-        self.conv1 = Conv2d(in_channels, c1, kernel_size=3, padding=1, seed=s(1))
-        self.relu1 = ReLU()
-        self.conv2 = Conv2d(c1, c2, kernel_size=3, padding=1, seed=s(2))
-        self.relu2 = ReLU()
-        self.pool = MaxPool2d(2)
-        self.flatten = Flatten()
-        feat = c2 * (image_size // 2) * (image_size // 2)
-        self.fc1 = Linear(feat, hidden, seed=s(3))
-        self.relu3 = ReLU()
-        self.dropout = Dropout(dropout, seed=0 if seed is None else seed + 4)
-        self.fc2 = Linear(hidden, num_classes, seed=s(5))
         self.num_classes = num_classes
 
 

@@ -25,8 +25,8 @@ The client is built to survive a flaky link and a crashing server:
   probes are answered mid-training and a connection loss never cancels
   work in progress.  Finished deltas are cached per round: when the server
   replays an in-flight ``SelectionNotice`` after a reconnect, the cached
-  delta is resent *without retraining* — and the server's
-  ``(round, client, token)`` dedup guarantees it aggregates exactly once;
+  delta is resent *without retraining* — and the server, which accepts one
+  delta per ``(round, client)`` reply, aggregates it exactly once;
 * **graceful exhaustion** — if the server never comes back the reconnect
   loop gives up after the policy's attempts, records :attr:`last_error`,
   and returns instead of raising into the owning thread.

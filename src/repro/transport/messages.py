@@ -21,9 +21,9 @@ plus the liveness pair that runs alongside the round exchange::
 :class:`Register` carries a **session token**: empty on a first join, the
 previously issued token on a reconnect, letting the server resume the old
 session (same cohort position, same round state) instead of treating the
-peer as a stranger.  :class:`ModelDelta` echoes the token so retransmits
-after a reconnect are deduplicated by ``(round, client, token)`` and never
-double-aggregate.
+peer as a stranger.  :class:`ModelDelta` echoes the token; the server
+accepts one delta per ``(round, client)`` reply, so retransmits after a
+reconnect never double-aggregate.
 
 Every message is a frozen dataclass with a one-byte :attr:`TYPE` code and a
 ``WIRE`` table: its fields in wire order, each paired with a codec (``U32``,
@@ -264,10 +264,10 @@ class SelectionNotice(_Message):
 class ModelDelta(_Message):
     """Client → server: locally trained parameters for one round.
 
-    ``token`` echoes the session token from :class:`RegisterAck` so the
-    server can deduplicate retransmits by ``(round, client, token)``: a
-    client that reconnects mid-round and resends its delta is aggregated
-    exactly once.
+    ``token`` echoes the session token from :class:`RegisterAck`.  The
+    server accepts one delta per ``(round, client)`` reply and counts any
+    later one as a duplicate: a client that reconnects mid-round and resends
+    its delta is aggregated exactly once.
 
     Example
     -------

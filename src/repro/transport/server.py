@@ -36,8 +36,8 @@ Registration issues a **session token** (echoed in the
 connection mid-round may reconnect, present the token, and resume: it keeps
 its cohort position, any in-flight
 :class:`~repro.transport.messages.SelectionNotice` is replayed, and its
-:class:`~repro.transport.messages.ModelDelta` is deduplicated by
-``(round, client, token)`` so a retransmit is aggregated exactly once.  The
+:class:`~repro.transport.messages.ModelDelta` answers the round's one
+``(round, client)`` reply, so a retransmit is aggregated exactly once.  The
 reply window of a disconnected client therefore stays open until the round
 deadline — only a heartbeat-confirmed death fails it early.
 
@@ -70,7 +70,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-from typing import Callable, Collection, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,8 +215,8 @@ class SocketTransport(Transport):
         self.decode_failures: "Dict[int, int]" = {}
         #: cumulative latest disconnect cause per client id
         self.disconnects: "Dict[int, str]" = {}
-        #: total ModelDelta retransmits ignored by the (round, client,
-        #: token) dedup — every one of these would have double-aggregated
+        #: total ModelDelta frames ignored because their round's reply was
+        #: already answered or closed — each would have double-aggregated
         self.duplicate_deltas = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -224,7 +224,6 @@ class SocketTransport(Transport):
         self._sessions: "Dict[int, _ClientSession]" = {}
         self._pending: "Dict[Tuple[int, int], asyncio.Future]" = {}
         self._round_notices: "Dict[Tuple[int, int], SelectionNotice]" = {}
-        self._seen_deltas: "Set[Tuple[int, int, str]]" = set()
         self._tokens: "Dict[int, str]" = {}
         self._positions: "Dict[int, int]" = {}
         self._next_token = 0
@@ -532,17 +531,12 @@ class SocketTransport(Transport):
                     if notice is not None:
                         await session.send(notice)
         elif isinstance(message, ModelDelta):
-            key = (message.round_index, message.client_id, message.token)
-            if key in self._seen_deltas:
-                self.duplicate_deltas += 1
-                return
-            self._seen_deltas.add(key)
             future = self._pending.get((message.round_index, message.client_id))
             if future is not None and not future.done():
                 future.set_result(message.state)
             else:
-                # an answered (or closed) round: a fresh-token retransmit
-                # still must not double-aggregate
+                # an answered (or closed) round: a retransmit, under any
+                # token, must not double-aggregate
                 self.duplicate_deltas += 1
         elif isinstance(message, HeartbeatAck):
             session.health = "healthy"  # last_seen already updated
@@ -723,8 +717,6 @@ class SocketTransport(Transport):
                 # one that vanished (and never reconnected) is offline
                 real_failures[position] = (
                     "straggler" if client_id in self._sessions else "offline")
-        self._seen_deltas = {key for key in self._seen_deltas
-                             if key[0] != round_index}
         return (states, real_failures, dict(self._round_decode),
                 dict(self._round_disconnects))
 

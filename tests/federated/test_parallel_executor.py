@@ -13,7 +13,8 @@ from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.scheduler import CohortScheduler, SchedulerError
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
-from repro.nn.models import MLP, MnistCNN
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
+from repro.nn.models import MLP, CifarCNN
 
 from reference.sequential_nn import run_round as reference_round
 
@@ -21,8 +22,8 @@ TOL = 1e-10
 
 MODEL_FACTORIES = {
     "mlp": lambda: MLP(64, 10, hidden=(16,), seed=7),
-    "mnist_cnn": lambda: MnistCNN(1, 8, 10, channels=(3, 5), hidden=12,
-                                  dropout=0.25, seed=7),
+    "cifar_cnn_1ch": lambda: CifarCNN(1, 8, 10, channels=(3, 5, 5), hidden=12,
+                                      seed=7),
 }
 
 
@@ -160,28 +161,31 @@ class TestParallelEquivalence:
             executor.close()
 
     def test_factory_change_with_same_layout_rebuilds_fleet(self):
-        # same parameter names/shapes, different arithmetic (dropout rate):
-        # the forked workers captured the old factory, so the scheduler must
-        # detect the structural change and re-fork instead of silently
-        # training the stale program
-        def cnn(p):
-            return lambda: MnistCNN(1, 8, 10, channels=(3, 5), hidden=12,
-                                    dropout=p, seed=7)
+        # same parameter names/shapes, different arithmetic (a trailing
+        # ReLU): the forked workers captured the old factory, so the
+        # scheduler must see the new signature and re-fork instead of
+        # silently training the stale program
+        def chain(trailing_relu):
+            def factory():
+                layers = [Flatten(), Linear(64, 16, seed=7), ReLU(),
+                          Linear(16, 10, seed=8)]
+                return Sequential(*layers, *([ReLU()] if trailing_relu else []))
+            return factory
 
         config = LocalTrainingConfig(batch_size=8, learning_rate=1e-3)
         executor = LocalUpdateExecutor("parallel", num_workers=2)
         try:
-            server = FederatedServer(cnn(0.25))
-            executor.run_round(make_clients(4), cnn(0.25),
+            server = FederatedServer(chain(False))
+            executor.run_round(make_clients(4), chain(False),
                                server.global_state(), config, round_index=0)
             assert executor.scheduler.builds == 1
-            par = executor.run_round(make_clients(4), cnn(0.6),
+            par = executor.run_round(make_clients(4), chain(True),
                                      server.global_state(), config,
                                      round_index=1)
             assert executor.scheduler.builds == 2
             assert executor.last_fallback_reason is None
             vec = LocalUpdateExecutor("vectorized").run_round(
-                make_clients(4), cnn(0.6), server.global_state(), config,
+                make_clients(4), chain(True), server.global_state(), config,
                 round_index=1)
             assert_states_match(vec, par)
         finally:

@@ -13,7 +13,7 @@ from repro.federated.server import FederatedServer
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
 from repro.nn.batched import UnvectorizableModelError
 from repro.nn.layers import Linear
-from repro.nn.models import MLP, MnistCNN
+from repro.nn.models import MLP, CifarCNN
 from repro.nn.module import Module
 
 from reference.sequential_nn import evaluate_model
@@ -23,8 +23,8 @@ TOL = 1e-10
 
 MODEL_FACTORIES = {
     "mlp": lambda: MLP(64, 10, hidden=(16,), seed=7),
-    "mnist_cnn": lambda: MnistCNN(1, 8, 10, channels=(3, 5), hidden=12,
-                                  dropout=0.25, seed=7),
+    "cifar_cnn_1ch": lambda: CifarCNN(1, 8, 10, channels=(3, 5, 5), hidden=12,
+                                      seed=7),
 }
 
 

@@ -12,7 +12,8 @@ from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
 from repro.federated.workspace import CohortWorkspace
-from repro.nn.models import MLP, MnistCNN
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
+from repro.nn.models import MLP, CifarCNN
 
 from reference.sequential_nn import run_round as reference_round
 
@@ -24,7 +25,7 @@ def mlp_factory():
 
 
 def cnn_factory():
-    return MnistCNN(1, 8, 10, channels=(3, 5), hidden=12, dropout=0.25, seed=7)
+    return CifarCNN(1, 8, 10, channels=(3, 5, 5), hidden=12, seed=7)
 
 
 def make_clients(n_clients=4, samples_per_class=3, cache=None, lazy=False):
@@ -135,6 +136,32 @@ class TestWorkspaceReuse:
                            FederatedServer(wide_factory).global_state(), config)
         assert executor.workspace_builds == 2
 
+    def test_same_layout_other_program_rebuilds(self):
+        # same parameter names/shapes, different arithmetic (a trailing
+        # ReLU): the warm program must not serve the new template
+        def chain(trailing_relu):
+            def factory():
+                layers = [Flatten(), Linear(64, 16, seed=7), ReLU(),
+                          Linear(16, 10, seed=8)]
+                return Sequential(*layers, *([ReLU()] if trailing_relu else []))
+            return factory
+
+        config = LocalTrainingConfig(batch_size=8, learning_rate=1e-3)
+        state = FederatedServer(chain(False)).global_state()
+        executor = LocalUpdateExecutor("vectorized")
+        executor.run_round(make_clients(), chain(False), state, config,
+                           round_index=0)
+        assert executor.workspace_builds == 1
+        warm = executor.run_round(make_clients(), chain(True), state, config,
+                                  round_index=1)
+        assert executor.workspace_builds == 2
+        fresh = LocalUpdateExecutor("vectorized").run_round(
+            make_clients(), chain(True), state, config, round_index=1)
+        for a, b in zip(fresh, warm):
+            assert set(a) == set(b)
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key])
+
     def test_optimizer_switch_is_exact(self):
         # adam -> sgd mid-run rebuilds the optimiser, not the workspace
         clients = make_clients()
@@ -157,7 +184,7 @@ class TestWorkspaceReuse:
 
 class TestMultiRoundEquivalence:
     @pytest.mark.parametrize("factory", [mlp_factory, cnn_factory],
-                             ids=["mlp", "mnist_cnn"])
+                             ids=["mlp", "cifar_cnn_1ch"])
     def test_three_rounds_changing_selection_match_sequential(self, factory):
         # >= 3 rounds through ONE persistent vectorized executor, selection
         # changing every round, must match per-round sequential states and the

@@ -68,6 +68,29 @@ class TestShow:
         assert "no run" in capsys.readouterr().err
 
 
+class TestOlderRows:
+    def test_a_row_with_embedded_bench_payloads_still_reads(self, tmp_path,
+                                                              capsys):
+        # runs recorded before the context stopped embedding the committed
+        # BENCH_*.json payloads carry them under a "bench" key
+        path = str(tmp_path / "runs.db")
+        with RunLedger(path) as ledger:
+            run_id = ledger.begin_run("embedded", {}, {}, 1, bench={
+                "git_sha": "c" * 40, "cpu_count": 2, "python": "3.11.0",
+                "numpy": "1.26.0",
+                "bench": {"BENCH_sim": {"benchmark": "sim", "results": []}}})
+        with RunLedger(path, create=False) as ledger:
+            (info,) = ledger.runs()
+        assert info.bench["bench"]["BENCH_sim"]["benchmark"] == "sim"
+        assert main(["list", path]) == 0
+        out = capsys.readouterr().out
+        assert run_id in out and "c" * 9 in out
+        assert main(["show", path, run_id]) == 0
+        out = capsys.readouterr().out
+        assert "git " + "c" * 40 in out
+        assert "cpus 2" in out and "numpy 1.26.0" in out
+
+
 class TestResumeAndVerify:
     def test_resume_then_verify_round_trip(self, recorded, capsys):
         path, run_id = recorded

@@ -10,8 +10,8 @@ import pytest
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.simulation import FederatedConfig
 from repro.ledger import (LedgerMismatchError, RunRecipe, benchmark_context,
-                          config_from_dict, config_to_dict, find_bench_files,
-                          git_sha, scenario_from_dict, scenario_to_dict,
+                          config_from_dict, config_to_dict, git_sha,
+                          scenario_from_dict, scenario_to_dict,
                           state_from_bytes, state_sha256, state_to_bytes)
 from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS,
                                 RETIRED_KEYS, RETIRED_TARGETS,
@@ -341,24 +341,9 @@ class TestBenchmarkContext:
     def test_context_shape(self):
         context = benchmark_context()
         assert context["cpu_count"] >= 1
-        assert isinstance(context["bench"], dict)
         assert context["python"]
         sha = context["git_sha"]
         assert sha is None or len(sha) == 40
 
     def test_git_sha_outside_repo(self, tmp_path):
         assert git_sha(tmp_path) is None
-
-    def test_find_bench_files_empty_dir(self, tmp_path):
-        assert find_bench_files(tmp_path) == []
-
-    def test_bench_payloads_embedded(self, tmp_path):
-        (tmp_path / "BENCH_demo.json").write_text(
-            json.dumps({"benchmark": "crypto_throughput", "results": []}))
-        (tmp_path / "BENCH_huge.json").write_text(
-            "[" + ",".join(["1"] * 100_000) + "]")
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        context = benchmark_context(tmp_path)
-        assert context["bench"]["BENCH_demo"]["benchmark"] == "crypto_throughput"
-        assert context["bench"]["BENCH_huge"]["skipped"] is True
-        assert "BENCH_broken" not in context["bench"]

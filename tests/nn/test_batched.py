@@ -14,8 +14,8 @@ from repro.nn.batched import (
     UnvectorizableModelError,
     batched_cross_entropy,
 )
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
-from repro.nn.models import MLP, CifarCNN, MnistCNN, _NamedChain
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
+from repro.nn.models import MLP, CifarCNN, _NamedChain
 from repro.nn.module import Module
 
 from reference.sequential_nn import SGD, Adam, CrossEntropyLoss, Model
@@ -36,14 +36,14 @@ def batched_from(factory, k, state):
 
 MODEL_FACTORIES = {
     "mlp": lambda: MLP(64, 10, hidden=(16,), seed=3),
-    "mnist_cnn": lambda: MnistCNN(1, 8, 10, channels=(3, 5), hidden=12,
-                                  dropout=0.0, seed=3),
+    "cifar_cnn_1ch": lambda: CifarCNN(1, 8, 10, channels=(3, 5, 5), hidden=12,
+                                      seed=3),
     "cifar_cnn": lambda: CifarCNN(3, 8, 10, channels=(3, 4, 4), hidden=12, seed=3),
 }
 
 INPUT_SHAPES = {
     "mlp": (1, 8, 8),
-    "mnist_cnn": (1, 8, 8),
+    "cifar_cnn_1ch": (1, 8, 8),
     "cifar_cnn": (3, 8, 8),
 }
 
@@ -89,24 +89,6 @@ class TestBatchedForwardBackward:
         np.testing.assert_allclose(out[0], ref(x[0]), atol=1e-12)
         assert not np.allclose(out[1], ref(x[1]))
 
-    def test_dropout_uses_one_shared_mask_stream(self):
-        # every client's fresh model seeds its dropout RNG identically; the
-        # batched layer must reproduce those masks
-        def factory():
-            return Sequential(Flatten(), Linear(16, 8, seed=0), Dropout(0.5, seed=9),
-                              Linear(8, 4, seed=1))
-
-        k, b = 3, 5
-        state = factory().state_dict()
-        x = np.random.default_rng(2).standard_normal((k, b, 16))
-        batched = batched_from(factory, k, state)
-        batched.train()
-        out = batched.forward(x)
-        for i in range(k):
-            model = clone_with_state(factory, state)
-            model.train()
-            np.testing.assert_allclose(out[i], model(x[i]), atol=1e-12)
-
     def test_nested_sequential_trains_like_sequential(self):
         # a chain that nests a Sequential is flattened in place: one
         # vectorized local update equals the per-client sequential updates
@@ -140,27 +122,6 @@ class TestBatchedForwardBackward:
                 ref_optimizer.step()
             for name, value in model.state_dict().items():
                 np.testing.assert_array_equal(batched.stacked_state()[name][i], value)
-
-    def test_unseeded_active_dropout_refuses_vectorization(self):
-        # clients would draw independent entropy-seeded masks, which a
-        # shared broadcast mask cannot reproduce
-        model = Sequential(Linear(6, 6, seed=0), Dropout(0.5))
-        with pytest.raises(UnvectorizableModelError):
-            BatchedModel(model, 2)
-        # inactive dropout has no mask stream, so it stays vectorizable
-        BatchedModel(Sequential(Linear(6, 6, seed=0), Dropout(0.0)), 2)
-
-    def test_eval_mode_disables_dropout(self):
-        def factory():
-            return Sequential(Linear(6, 6, seed=0), Dropout(0.9, seed=1))
-
-        state = factory().state_dict()
-        batched = batched_from(factory, 2, state)
-        x = np.ones((2, 4, 6))
-        batched.eval()
-        a = batched.forward(x)
-        b = batched.forward(x)
-        np.testing.assert_allclose(a, b)
 
 
 class TestBatchedModelStructure:

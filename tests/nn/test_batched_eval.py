@@ -10,7 +10,7 @@ from repro.federated.server import FederatedServer
 from repro.nn.batched import UnvectorizableModelError
 from repro.nn.layers import Linear
 from repro.nn.metrics import BatchedEvaluator
-from repro.nn.models import MLP, MnistCNN
+from repro.nn.models import MLP, CifarCNN
 from repro.nn.module import Module
 
 from reference.sequential_nn import evaluate_model
@@ -21,7 +21,7 @@ def mlp_factory():
 
 
 def cnn_factory():
-    return MnistCNN(1, 8, 10, channels=(3, 5), hidden=12, dropout=0.25, seed=11)
+    return CifarCNN(1, 8, 10, channels=(3, 5, 5), hidden=12, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def assert_reports_equal(a, b):
 
 class TestBatchedEvaluator:
     @pytest.mark.parametrize("factory", [mlp_factory, cnn_factory],
-                             ids=["mlp", "mnist_cnn"])
+                             ids=["mlp", "cifar_cnn_1ch"])
     def test_matches_sequential_loop(self, factory, test_set):
         server = trained_server(factory)
         evaluator = BatchedEvaluator(factory())

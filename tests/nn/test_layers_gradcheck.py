@@ -20,7 +20,7 @@ from repro.nn.batched import (
     batched_cross_entropy,
 )
 from repro.nn.conv import Conv2d, MaxPool2d
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 from repro.nn.module import Module
 
 from reference.sequential_nn import numerical_gradient
@@ -138,10 +138,6 @@ class TestConstructorValidation:
     def test_linear_invalid_dims(self):
         with pytest.raises(ValueError):
             Linear(0, 2)
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
     def test_conv2d_invalid_hyperparameters(self):
         with pytest.raises(ValueError):

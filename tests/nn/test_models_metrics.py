@@ -10,7 +10,7 @@ import pytest
 from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set
 from repro.nn.batched import BatchedAdam, BatchedModel, batched_cross_entropy
 from repro.nn.metrics import confusion_matrix, per_class_accuracy
-from repro.nn.models import MLP, CifarCNN, MnistCNN
+from repro.nn.models import MLP, CifarCNN
 
 
 def one_client(model):
@@ -21,15 +21,15 @@ def one_client(model):
 class TestModels:
     @pytest.mark.parametrize("make,channels", [
         (lambda: MLP(64, 10, seed=0), 1),
-        (lambda: MnistCNN(1, 8, 10, seed=0), 1),
+        (lambda: CifarCNN(1, 8, 10, seed=0), 1),
         (lambda: CifarCNN(3, 8, 10, seed=0), 3),
-    ], ids=["mlp", "mnist_cnn", "cifar_cnn"])
+    ], ids=["mlp", "cifar_cnn_1ch", "cifar_cnn"])
     def test_forward_shapes(self, make, channels):
         x = np.random.default_rng(0).normal(size=(1, 4, channels, 8, 8))
         assert one_client(make()).forward(x).shape == (1, 4, 10)
 
     def test_backward_produces_gradients(self):
-        model = one_client(MnistCNN(1, 8, 10, channels=(4, 8), hidden=16, seed=0))
+        model = one_client(CifarCNN(1, 8, 10, channels=(4, 8, 8), hidden=16, seed=0))
         x = np.random.default_rng(0).normal(size=(1, 2, 1, 8, 8))
         _, grad = batched_cross_entropy(model.forward(x), np.array([[1, 2]]))
         model.backward(grad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.batched import BatchedModel
-from repro.nn.models import MLP, CifarCNN, MnistCNN
+from repro.nn.models import MLP, CifarCNN
 from repro.nn.module import Parameter
 
 
@@ -95,7 +95,7 @@ class TestFlattening:
 #: every model family, built at two seeds, with an input batch it accepts
 MODELS = {
     "mlp": (lambda seed: MLP(64, 10, seed=seed), (4, 64)),
-    "mnist_cnn": (lambda seed: MnistCNN(1, 8, 10, seed=seed), (4, 1, 8, 8)),
+    "cifar_cnn_1ch": (lambda seed: CifarCNN(1, 8, 10, seed=seed), (4, 1, 8, 8)),
     "cifar_cnn": (lambda seed: CifarCNN(3, 8, 10, seed=seed), (4, 3, 8, 8)),
 }
 

@@ -5,8 +5,8 @@
 keeps the per-sample implementation that chain replaced, so the equivalence
 tests can hold the batched kernels to it exactly:
 
-* the per-layer ``forward``/``backward`` of ``Linear``, ``Conv2d`` and
-  ``Dropout`` and the chain loops of ``Sequential`` (:class:`Model`);
+* the per-layer ``forward``/``backward`` of ``Linear`` and ``Conv2d`` and
+  the chain loops of ``Sequential`` (:class:`Model`);
 * :class:`CrossEntropyLoss`, :class:`SGD`/:class:`Adam` and
   :class:`DataLoader`;
 * :func:`local_train` (one client's local update), :func:`run_round` (a
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.conv import Conv2d, MaxPool2d, col2im, im2col
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 from repro.nn.metrics import confusion_matrix, per_class_accuracy
 from repro.nn.module import Module, Parameter
 
@@ -189,28 +189,6 @@ class _Conv2d(_Affine):
         return col2im(grad_cols, x_shape, layer.kernel_size, layer.stride, layer.padding)
 
 
-class _Dropout(_Layer):
-    """Inverted dropout drawing from the ``src`` layer's RNG; training mode only."""
-
-    def __init__(self, layer: Dropout):
-        self.layer = layer
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        p = self.layer.p
-        if not self.training or p == 0:
-            self._mask = None
-            return x
-        keep = 1.0 - p
-        self._mask = (self.layer.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
 class _Own(_Layer):
     """A parameter-free layer that keeps its kernel in ``src``."""
 
@@ -231,7 +209,6 @@ class _Own(_Layer):
 _KERNELS = {
     Linear: _Linear,
     Conv2d: _Conv2d,
-    Dropout: _Dropout,
     ReLU: _Own,
     Flatten: _Own,
     MaxPool2d: _Own,

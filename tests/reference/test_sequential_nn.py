@@ -12,7 +12,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set
 from repro.nn.conv import Conv2d
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential
+from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.models import MLP
 from repro.nn.module import Parameter
 
@@ -99,20 +99,6 @@ class TestLinear:
     def test_backward_before_forward_rejected(self):
         with pytest.raises(RuntimeError):
             Model(Linear(4, 2, seed=0)).backward(np.zeros((3, 2)))
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        model = Model(Dropout(0.5, seed=0)).eval()
-        x = rng.normal(size=(5, 5))
-        np.testing.assert_allclose(model(x), x)
-
-    def test_train_mode_masks(self):
-        out = Model(Dropout(0.5, seed=0))(np.ones((200, 10)))
-        dropped = (out == 0).mean()
-        assert 0.3 < dropped < 0.7
-        # surviving entries are scaled by 1/keep
-        assert np.allclose(out[out != 0], 2.0)
 
 
 class TestSequentialChain:

@@ -231,61 +231,6 @@ class TestGate:
                                    "--candidate", candidate,
                                    "--tolerance", "1.5"]) == 2
 
-
-class TestLedgerTrajectories:
-    class FakeRunInfo:
-        def __init__(self, run_id, bench):
-            self.run_id = run_id
-            self.bench = bench
-
-    def test_trajectories_across_runs(self):
-        runs = [
-            self.FakeRunInfo("run1", {
-                "git_sha": "a" * 40,
-                "bench": {"BENCH_sim": sim_payload(vectorized=4.0)},
-            }),
-            self.FakeRunInfo("run2", {
-                "git_sha": "b" * 40,
-                "bench": {"BENCH_sim": sim_payload(vectorized=4.4)},
-            }),
-        ]
-        trajectories = compare_bench.ledger_trajectories(runs)
-        key = "sim/k=32/speedup/vectorized"
-        assert [v for _, _, v in trajectories[key]] == [4.0, 4.4]
-        assert trajectories[key][0][:2] == ("run1", "a" * 9)
-
-    def test_runs_without_bench_contribute_nothing(self):
-        runs = [
-            self.FakeRunInfo("bare", None),
-            self.FakeRunInfo("skipped", {
-                "git_sha": None,
-                "bench": {"BENCH_sim": {"skipped": True, "bytes": 1 << 20}},
-            }),
-        ]
-        assert compare_bench.ledger_trajectories(runs) == {}
-
-    def test_ledger_cli_mode(self, tmp_path, capsys):
-        import sys
-        sys.path.insert(0, os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src"))
-        from repro.ledger import RunLedger
-
-        path = str(tmp_path / "runs.db")
-        with RunLedger(path) as ledger:
-            ledger.begin_run("demo", {}, {}, 1, bench={
-                "git_sha": "c" * 40,
-                "bench": {"BENCH_sim": sim_payload(vectorized=3.5)}})
-        assert compare_bench.main(["--ledger", path]) == 0
-        out = capsys.readouterr().out
-        assert "sim/k=32/speedup/vectorized" in out
-        assert "3.5x" in out
-
-    def test_missing_ledger_is_an_error(self, tmp_path, capsys):
-        assert compare_bench.main(
-            ["--ledger", str(tmp_path / "absent.db")]) == 2
-        assert "no ledger" in capsys.readouterr().err
-
-    def test_legacy_mode_requires_both_files(self, capsys):
+    def test_both_files_are_required(self):
         with pytest.raises(SystemExit):
             compare_bench.main(["--baseline", "only.json"])

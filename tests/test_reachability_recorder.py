@@ -188,7 +188,7 @@ class TestCommandLine:
             "# comment lines and blank lines are skipped\n\n"
             "python -c 'from pkg import mod; mod.main()'\n")
         (tools / "reachability_allow.txt").write_text(
-            "# header\n" + "".join(f"{name}  knob\n" for name in listed))
+            "# header\n" + "".join(f"{name}  abstract\n" for name in listed))
         result = subprocess.run([sys.executable, str(tools / "reachability.py")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == status, result.stdout + result.stderr
