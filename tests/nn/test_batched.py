@@ -13,7 +13,10 @@ from repro.nn.batched import (
     BatchedSGD,
     UnvectorizableModelError,
     batched_cross_entropy,
+    flat_layout,
+    program_signature,
 )
+from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 from repro.nn.models import MLP, CifarCNN, _NamedChain
 from repro.nn.module import Module
@@ -194,6 +197,101 @@ class TestBatchedModelStructure:
             assert bp.value.base is batched.flat_values
             assert bp.value.flags.c_contiguous
             assert bp.grad.base is batched.flat_grads
+
+
+class TestProgramSignature:
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_parameter_values_do_not_enter_it(self, name):
+        template = MODEL_FACTORIES[name]()
+        shifted = MODEL_FACTORIES[name]()
+        for param in shifted.parameters():
+            param.value += 1.0
+        assert program_signature(shifted) == program_signature(template)
+
+    def test_the_train_eval_flag_does_not_enter_it(self):
+        template = MODEL_FACTORIES["cifar_cnn"]()
+        signature = program_signature(template)
+        for layer in template.layers:
+            layer.training = False
+        assert program_signature(template) == signature
+
+    def test_a_parameter_shape_changes_it(self):
+        assert (program_signature(MLP(64, 10, hidden=(16,), seed=3))
+                != program_signature(MLP(64, 10, hidden=(24,), seed=3)))
+
+    def test_a_trailing_activation_changes_it(self):
+        plain = Sequential(Linear(4, 3, seed=0), ReLU(), Linear(3, 2, seed=1))
+        rectified = Sequential(Linear(4, 3, seed=0), ReLU(), Linear(3, 2, seed=1),
+                               ReLU())
+        assert flat_layout(plain) == flat_layout(rectified)
+        assert program_signature(plain) != program_signature(rectified)
+
+    @pytest.mark.parametrize("geometry", [{"stride": 2}, {"padding": 1}])
+    def test_conv_geometry_changes_it(self, geometry):
+        base = Sequential(Conv2d(1, 2, 3, seed=0))
+        other = Sequential(Conv2d(1, 2, 3, seed=0, **geometry))
+        assert flat_layout(base) == flat_layout(other)
+        assert program_signature(base) != program_signature(other)
+
+    def test_a_pool_window_changes_it(self):
+        def chain(window):
+            return Sequential(Conv2d(1, 2, 3, seed=0), MaxPool2d(window))
+
+        assert flat_layout(chain(2)) == flat_layout(chain(3))
+        assert program_signature(chain(2)) != program_signature(chain(3))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_batched_model_keeps_its_templates_signature(self, name):
+        factory = MODEL_FACTORIES[name]
+        assert BatchedModel(factory(), 2).signature == program_signature(factory())
+
+    def test_a_model_that_is_no_chain_has_none(self):
+        class Weird(Module):
+            def __init__(self):
+                self.lin = Linear(4, 2, seed=0)
+
+        with pytest.raises(UnvectorizableModelError):
+            program_signature(Weird())
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_param_major_in_named_order(self, name):
+        template = MODEL_FACTORIES[name]()
+        layout, total = flat_layout(template)
+        named = list(template.named_parameters())
+        assert [entry[0] for entry in layout] == [pname for pname, _ in named]
+        offset = 0
+        for (_, entry_offset, shape), (_, param) in zip(layout, named):
+            assert entry_offset == offset
+            assert shape == param.value.shape
+            offset += param.value.size
+        assert total == offset
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_batched_pool_follows_it(self, name):
+        factory = MODEL_FACTORIES[name]
+        k = 3
+        batched = batched_from(factory, k, factory().state_dict())
+        for client in range(k):  # make the client rows distinguishable
+            for _, bp in batched._named:
+                bp.value[client] += client
+        layout, total = flat_layout(factory())
+        assert batched.flat_values.size == k * total
+        stacked = batched.stacked_state()
+        for pname, offset, shape in layout:
+            size = int(np.prod(shape))
+            segment = batched.flat_values[k * offset:k * (offset + size)]
+            np.testing.assert_array_equal(segment.reshape(k, *shape), stacked[pname])
+
+    def test_a_shared_parameter_occupies_one_segment(self):
+        shared = Linear(4, 4, seed=0)
+        layout, total = flat_layout(Sequential(shared, ReLU(), shared))
+        assert [(pname, offset) for pname, offset, _ in layout] == [
+            ("layers.0.weight", 0), ("layers.0.bias", 16),
+            ("layers.2.weight", 0), ("layers.2.bias", 16),
+        ]
+        assert total == 20
 
 
 class TestBatchedOptimizers:
