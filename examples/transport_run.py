@@ -29,18 +29,16 @@ import threading
 import numpy as np
 
 from repro import FederatedConfig, Session
-from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.transport import TransportClient
 
 RECIPE_TARGET = "repro.ledger.recipes:federation"
 
 
-def make_session(args: argparse.Namespace, transport=None) -> Session:
+def make_session(args: argparse.Namespace) -> Session:
     config = FederatedConfig(
         rounds=args.rounds, eval_every=1, seed=0,
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
-        transport=transport,
     )
     return Session(config).with_recipe(
         RECIPE_TARGET, n_clients=args.clients,
@@ -80,8 +78,8 @@ def run_fault_free(args: argparse.Namespace) -> None:
 
     donor = make_session(args)
     donor_sim = donor.build()
-    session = make_session(args, TransportConfig(
-        kind="socket", round_timeout=args.round_timeout))
+    session = make_session(args).with_transport(
+        kind="socket", round_timeout=args.round_timeout)
     simulation = session.build()
     host, port = simulation.transport.start()
     print(f"  server listening on {host}:{port}")
@@ -124,8 +122,8 @@ def run_straggler(args: argparse.Namespace) -> None:
 
     donor = make_session(args)
     donor_sim = donor.build()
-    session = make_session(args, TransportConfig(
-        kind="socket", round_timeout=args.deadline, connect_timeout=15.0))
+    session = make_session(args).with_transport(
+        kind="socket", round_timeout=args.deadline, connect_timeout=15.0)
     simulation = session.build()
     host, port = simulation.transport.start()
     peers, threads = start_clients(donor_sim, host, port, args.clients,

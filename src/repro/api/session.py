@@ -200,12 +200,14 @@ class Session:
                        **knobs) -> "Session":
         """Choose the service layer (in-process, or the asyncio socket server).
 
-        The socket layer's fault-tolerance knobs live here too:
-        ``heartbeat_interval`` / ``heartbeat_limit`` configure liveness
-        probing (a silent connection is declared dead after
-        ``interval * limit`` seconds), and ``retries`` / ``backoff`` /
-        ``max_backoff`` / ``retry_jitter`` shape the capped, jittered
-        reconnection schedule (:class:`~repro.core.retry.RetryPolicy`).
+        *knobs* are the six :class:`~repro.core.config.TransportConfig`
+        fields: ``kind``, ``host``, ``port``, ``round_timeout``,
+        ``connect_timeout`` (the one bound on the registration wait) and
+        ``heartbeat_interval`` (a connection silent for three intervals is
+        declared dead; ``0`` disables probing).  The partial-round floor is
+        the scenario's ``min_participation``, the frame cap is the wire
+        format's, and a client's reconnect schedule is its own
+        :class:`~repro.transport.TransportClient` setting.
         Network-level chaos (latency, corruption, partitions) is *not* a
         transport knob — declare a
         :class:`~repro.scenarios.NetworkSpec` on the scenario and the

@@ -185,23 +185,21 @@ class TransportConfig:
     ``round_timeout`` is the per-client collection deadline in seconds — a
     client whose :class:`~repro.transport.messages.ModelDelta` misses it is
     dropped from the round as a ``"straggler"`` (``None`` waits forever);
-    ``connect_timeout`` bounds how long a round waits for the cohort's
-    clients to register; ``retries``/``backoff``/``max_backoff``/
-    ``retry_jitter`` shape the capped, jittered exponential backoff
-    (:class:`repro.core.retry.RetryPolicy`) used by the server while waiting
-    for registrations and by :class:`repro.transport.TransportClient` when
-    connecting or reconnecting; ``send_queue`` bounds each connection's
-    outbound message queue (backpressure: senders block rather than buffer
-    without limit); ``max_frame_bytes`` caps a single wire frame;
-    ``min_participation`` is the partial-round floor applied when real
-    timeouts (not an injected scenario) shrink the cohort;
-    ``heartbeat_interval`` is how often (seconds) the server probes each
-    connection with a :class:`~repro.transport.messages.Heartbeat` (``0``
-    disables liveness probing) and ``heartbeat_limit`` is how many silent
-    intervals a connection may accumulate before it is declared dead and
-    torn down — half-open TCP connections are detected after roughly
-    ``heartbeat_interval * heartbeat_limit`` seconds instead of stalling
-    the round until ``round_timeout``.
+    ``connect_timeout`` is the one bound on how long a round waits for the
+    cohort's clients to register; ``heartbeat_interval`` is how often
+    (seconds) the server probes each connection with a
+    :class:`~repro.transport.messages.Heartbeat` (``0`` disables liveness
+    probing) — a connection silent for three intervals is declared dead and
+    torn down, so half-open TCP connections are detected instead of
+    stalling the round until ``round_timeout``.
+
+    Every other socket-layer decision has one owner elsewhere: the frame
+    cap is :data:`repro.transport.wire.DEFAULT_MAX_FRAME_BYTES`, the
+    partial-round floor is the scenario's
+    :attr:`~repro.scenarios.spec.ScenarioSpec.min_participation` (none
+    without a scenario), and the client's reconnect schedule is the
+    :class:`~repro.core.retry.RetryPolicy` a
+    :class:`~repro.transport.TransportClient` is built with.
 
     Example
     -------
@@ -214,15 +212,7 @@ class TransportConfig:
     port: int = 0
     round_timeout: Optional[float] = 60.0
     connect_timeout: float = 10.0
-    retries: int = 5
-    backoff: float = 0.05
-    max_backoff: float = 2.0
-    retry_jitter: float = 0.1
-    send_queue: int = 32
-    max_frame_bytes: int = 1 << 28
-    min_participation: float = 0.0
     heartbeat_interval: float = 10.0
-    heartbeat_limit: int = 3
 
     def __post_init__(self) -> None:
         resolve_transport_kind(self.kind)
@@ -232,39 +222,8 @@ class TransportConfig:
             raise ValueError("round_timeout must be positive (or None)")
         if self.connect_timeout <= 0:
             raise ValueError("connect_timeout must be positive")
-        self.retry_policy()  # validates retries/backoff/max_backoff/jitter
-        if self.send_queue < 1:
-            raise ValueError("send_queue must be positive")
-        if self.max_frame_bytes < 1024:
-            raise ValueError("max_frame_bytes must be at least 1024")
-        if not 0.0 <= self.min_participation <= 1.0:
-            raise ValueError("min_participation must lie in [0, 1]")
         if self.heartbeat_interval < 0:
             raise ValueError("heartbeat_interval must be >= 0 (0 disables)")
-        if self.heartbeat_limit < 1:
-            raise ValueError("heartbeat_limit must be positive")
-
-    def retry_policy(self, seed: int = 0) -> "RetryPolicy":
-        """The :class:`~repro.core.retry.RetryPolicy` these knobs describe.
-
-        ``seed`` desynchronises the jitter of independent actors (the
-        client passes its ``client_id`` so a reconnecting fleet spreads
-        out); the schedule stays deterministic for a given seed.
-
-        Example
-        -------
-        >>> TransportConfig(retry_jitter=0.0).retry_policy().delay(0)
-        0.05
-        """
-        from .retry import RetryPolicy  # local: keep module import light
-
-        return RetryPolicy(
-            retries=self.retries,
-            backoff=self.backoff,
-            max_backoff=self.max_backoff,
-            jitter=self.retry_jitter,
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,13 @@
-"""Capped, jittered retry backoff shared by both sides of the service layer.
+"""Capped, jittered backoff: the transport client's reconnect schedule.
 
-Before this module existed the transport had two diverging spellings of the
-same idea: the server's registration wait clamped its exponential backoff
-(``min(backoff * 2**attempt, remaining)``) while the client's connect loop
-slept a raw ``backoff * 2**attempt`` — unbounded, so a handful of retries
-against a crashed server could sleep for minutes.  :class:`RetryPolicy` is
-the single source of truth: exponential growth, a hard ceiling, and
-*deterministic* jitter (seeded per ``(seed, attempt)`` exactly like the
+:class:`~repro.transport.TransportClient` connects and reconnects under a
+:class:`RetryPolicy`: exponential growth, a hard ceiling (an uncapped
+``backoff * 2**attempt`` against a crashed server could sleep for minutes),
+and *deterministic* jitter (seeded per ``(seed, attempt)`` exactly like the
 scenario engine's :class:`~repro.scenarios.engine.FaultInjector` keys its
 fault decisions), so a reconnecting fleet neither thunders in lockstep nor
-makes a test non-reproducible.
+makes a test non-reproducible.  The server's registration wait needs no
+schedule: it waits on the roster itself, bounded by ``connect_timeout``.
 """
 
 from __future__ import annotations

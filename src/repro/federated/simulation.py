@@ -312,12 +312,11 @@ class FederatedSimulation:
             for position, cause in observed.items():
                 failures[trainable[position]] = cause
             actual_clients = tuple(k for k in trainable if k not in failures)
-            # injected scenarios carry their own participation floor; real
-            # transport failures (socket stragglers/disconnects) fall back to
-            # the transport group's floor
+            # the scenario owns the participation floor; without one, real
+            # transport failures (socket stragglers/disconnects) leave any
+            # non-empty survivor set to aggregate
             floor = (self.config.scenario.min_participation
-                     if self.config.scenario is not None
-                     else self.config.transport.min_participation)
+                     if self.config.scenario is not None else 0.0)
             self.server.aggregate(
                 states,
                 expected_count=len(selected),

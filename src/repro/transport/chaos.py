@@ -50,7 +50,7 @@ from .messages import (
     SelectionNotice,
     Shutdown,
 )
-from .wire import DEFAULT_MAX_FRAME_BYTES, WireError, read_frame
+from .wire import WireError, read_frame
 
 __all__ = ["ChaosProxy"]
 
@@ -72,6 +72,10 @@ _DIR_TO_CLIENT = 1
 #: RNG client slot used before a connection has sniffed its Register (the
 #: proxy has no client id yet); offset far above any real cohort id.
 _UNKNOWN_CLIENT_BASE = 1 << 20
+
+#: Seconds :meth:`ChaosProxy.close` lets live relays forward what is still
+#: in flight before it cancels them.
+_DRAIN_SECONDS = 1.0
 
 
 def _read_u32(payload: bytes, offset: int = 0) -> Optional[int]:
@@ -141,8 +145,7 @@ class ChaosProxy:
 
     def __init__(self, upstream: "tuple[str, int]",
                  spec: Optional[NetworkSpec] = None, seed: int = 0,
-                 host: str = "127.0.0.1", port: int = 0,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
+                 host: str = "127.0.0.1", port: int = 0):
         self.upstream = (str(upstream[0]), int(upstream[1]))
         self.spec = spec if spec is not None else NetworkSpec()
         if not isinstance(self.spec, NetworkSpec):
@@ -150,7 +153,6 @@ class ChaosProxy:
         self.seed = int(seed)
         self.host = host
         self.port = int(port)
-        self.max_frame_bytes = int(max_frame_bytes)
         #: ``(round, client, direction, kind)`` tuples of every induced
         #: fault, in decision order — the observable the determinism tests
         #: compare across repeat runs.
@@ -163,7 +165,6 @@ class ChaosProxy:
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._relay_count = 0
-        self._closing = False
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -215,13 +216,18 @@ class ChaosProxy:
     def close(self) -> None:
         """Stop relaying and tear down every proxied connection.
 
+        New connections are refused at once; live relays get up to
+        :data:`_DRAIN_SECONDS` to forward the frames still in flight.  Closed
+        after its server (as :class:`~repro.transport.server.SocketTransport`
+        does), every upstream leg ends after its last frame, so the fleet's
+        ``Shutdown`` is delivered, not dropped — a client that missed it
+        would retry a proxy that is gone.
         Idempotent; safe to call on a proxy that never started.
 
         Example
         -------
         >>> ChaosProxy(("127.0.0.1", 9)).close()
         """
-        self._closing = True
         loop, thread = self._loop, self._thread
         if loop is None or thread is None or not thread.is_alive():
             return
@@ -230,6 +236,9 @@ class ChaosProxy:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
+            relays = asyncio.all_tasks() - {asyncio.current_task()}
+            if relays:
+                await asyncio.wait(relays, timeout=_DRAIN_SECONDS)
 
         asyncio.run_coroutine_threadsafe(shutdown(), loop).result(timeout=10)
         loop.call_soon_threadsafe(loop.stop)
@@ -284,10 +293,9 @@ class ChaosProxy:
                     writer: asyncio.StreamWriter) -> None:
         spec = self.spec
         try:
-            while not self._closing:
+            while True:
                 try:
-                    msg_type, payload, raw = await read_frame(
-                        reader, self.max_frame_bytes)
+                    msg_type, payload, raw = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 except WireError:

@@ -78,13 +78,14 @@ StateDict = Dict[str, np.ndarray]
 class TransportClient:
     """One federated client served over a TCP connection.
 
-    Parameters mirror the server's :class:`~repro.core.config.TransportConfig`
-    knobs where they matter client-side: ``retries`` / ``backoff`` /
-    ``max_backoff`` / ``jitter`` govern the connect *and* reconnect loops
-    through a :class:`~repro.core.retry.RetryPolicy` seeded with the client
-    id (each fleet member jitters differently — no thundering herd);
-    ``max_frame_bytes`` caps inbound frames.  ``reconnect=False`` restores
-    the fail-fast behaviour: any disconnect ends :meth:`run`.
+    ``retries`` / ``backoff`` / ``max_backoff`` / ``jitter`` are the
+    client's own: they govern the connect *and* reconnect loops through a
+    :class:`~repro.core.retry.RetryPolicy` seeded with the client id (each
+    fleet member jitters differently — no thundering herd), and no server
+    setting shapes them.  Inbound frames are capped by
+    :data:`repro.transport.wire.DEFAULT_MAX_FRAME_BYTES`, as on every other
+    reader.  ``reconnect=False`` restores the fail-fast behaviour: any
+    disconnect ends :meth:`run`.
 
     Example
     -------
@@ -101,7 +102,6 @@ class TransportClient:
                  retries: int = 5, backoff: float = 0.05,
                  max_backoff: float = 2.0, jitter: float = 0.1,
                  reconnect: bool = True,
-                 max_frame_bytes: int = 1 << 28,
                  delay: float = 0.0, delay_round: Optional[int] = None):
         if delay < 0:
             raise ValueError("delay must be non-negative")
@@ -114,7 +114,6 @@ class TransportClient:
                                   max_backoff=max_backoff, jitter=jitter,
                                   seed=int(client.client_id))
         self.reconnect = reconnect
-        self.max_frame_bytes = max_frame_bytes
         self.delay = delay
         self.delay_round = delay_round
         #: cohort position assigned by the server's RegisterAck
@@ -185,8 +184,7 @@ class TransportClient:
                 while True:
                     # no local holds the raw frame: across the awaits below it
                     # would pin one extra copy of a model state per connection
-                    message, _ = decode_message(
-                        (await read_frame(reader, self.max_frame_bytes))[2])
+                    message, _ = decode_message((await read_frame(reader))[2])
                     if isinstance(message, Shutdown):
                         self._shutdown = True
                         break

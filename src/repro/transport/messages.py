@@ -294,8 +294,8 @@ class RoundResult(_Message):
 
     ``failures`` maps client id → failure cause (one of
     :data:`repro.scenarios.engine.FAILURE_CAUSES`); a non-empty map means the
-    round completed partially under the server's ``min_participation`` skip
-    policy.
+    round completed partially under the scenario's ``min_participation``
+    skip policy.
 
     Example
     -------
@@ -354,8 +354,8 @@ class Heartbeat(_Message):
 
     ``seq`` is a per-connection sequence number; the client echoes it back
     in a :class:`HeartbeatAck`.  A connection that stays silent for
-    ``heartbeat_interval * heartbeat_limit`` seconds is declared dead and
-    torn down well before the round deadline.
+    :data:`repro.transport.server.HEARTBEAT_LIMIT` heartbeat intervals is
+    declared dead and torn down well before the round deadline.
 
     Example
     -------

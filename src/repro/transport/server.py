@@ -27,9 +27,9 @@ Every connection runs a **health state machine** (``healthy`` → ``degraded``
 :class:`~repro.transport.messages.Heartbeat` every ``heartbeat_interval``
 seconds, and any inbound traffic (a :class:`~repro.transport.messages.
 HeartbeatAck` or a protocol message) proves liveness.  A connection silent
-for ``heartbeat_interval * heartbeat_limit`` seconds is declared dead and
-torn down — a half-open TCP connection is detected well before the round
-deadline instead of stalling the round until ``round_timeout``.
+for :data:`HEARTBEAT_LIMIT` intervals is declared dead and torn down — a
+half-open TCP connection is detected well before the round deadline
+instead of stalling the round until ``round_timeout``.
 
 Registration issues a **session token** (echoed in the
 :class:`~repro.transport.messages.RegisterAck`).  A client that loses its
@@ -43,12 +43,11 @@ deadline — only a heartbeat-confirmed death fails it early.
 
 Round protocol
 --------------
-``run_round`` waits (capped, jittered backoff via
-:class:`~repro.core.retry.RetryPolicy`, bounded by ``connect_timeout`` /
-``retries``) until every cohort client is registered, leaves out the
-cohort positions the scenario's fault plan failed — they are never
-dispatched to, so scenario outcomes are byte-identical across back-ends —
-then sends each remaining client a :class:`~repro.transport.messages.SelectionNotice` and awaits
+``run_round`` waits until every cohort client is registered (one wait on
+the roster, woken by each registration and bounded only by
+``connect_timeout``), leaves out the cohort positions the scenario's fault
+plan failed — they are never dispatched to, so scenario outcomes are
+byte-identical across back-ends — then sends each remaining client a :class:`~repro.transport.messages.SelectionNotice` and awaits
 their :class:`~repro.transport.messages.ModelDelta` replies under
 ``round_timeout``.  A client that misses the deadline while still connected
 is recorded as a ``"straggler"``; one that is gone (and never reconnected in
@@ -56,7 +55,8 @@ time) as ``"offline"`` (both members of
 :data:`repro.scenarios.engine.FAILURE_CAUSES`), and the partial survivor
 set flows into :meth:`repro.federated.server.FederatedServer.aggregate`'s
 ``expected_count`` / ``min_participation`` skip policy exactly like an
-injected fault would.
+injected fault would (the floor is the scenario's; without one any
+non-empty survivor set is aggregated).
 
 When the transport is built with a
 :class:`~repro.scenarios.spec.NetworkSpec`, a
@@ -101,6 +101,13 @@ StateDict = dict[str, np.ndarray]
 #: key for decode failures on connections that never registered
 _UNKNOWN_CLIENT = -1
 
+#: frames each connection's outbound queue holds before a sender blocks
+#: (backpressure: a slow client never grows server memory without limit)
+SEND_QUEUE = 32
+
+#: silent heartbeat intervals after which a connection is declared dead
+HEARTBEAT_LIMIT = 3
+
 
 class TransportError(RuntimeError):
     """A round could not be driven over the socket transport."""
@@ -113,10 +120,10 @@ class TransportClosedError(TransportError):
 class _ClientSession:
     """Server-side state of one connected client (private)."""
 
-    def __init__(self, writer: asyncio.StreamWriter, send_queue: int,
-                 now: float):
+    def __init__(self, writer: asyncio.StreamWriter, now: float):
         self.writer = writer
-        self.queue: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue(maxsize=send_queue)
+        self.queue: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue(
+            maxsize=SEND_QUEUE)
         self.client_id: Optional[int] = None
         self.position: Optional[int] = None
         self.token = ""
@@ -177,6 +184,13 @@ class SocketTransport(Transport):
     :meth:`~repro.federated.client.FederatedClient.local_train` (a
     one-client cohort of the batched engine) from the very same broadcast
     state.
+
+    Of the :class:`~repro.core.config.TransportConfig` it reads the bind
+    address, ``round_timeout``, ``connect_timeout`` (the one bound on the
+    registration wait) and ``heartbeat_interval``; the send queue
+    (:data:`SEND_QUEUE`) and the heartbeat limit (:data:`HEARTBEAT_LIMIT`)
+    are module constants, and the frame cap is
+    :data:`repro.transport.wire.DEFAULT_MAX_FRAME_BYTES`.
 
     With a *network* spec the transport interposes a
     :class:`~repro.transport.chaos.ChaosProxy` seeded with *chaos_seed*
@@ -270,8 +284,7 @@ class SocketTransport(Transport):
 
             self.proxy = ChaosProxy(
                 self.bind_address, spec=self.network, seed=self.chaos_seed,
-                host=self.config.host,
-                max_frame_bytes=self.config.max_frame_bytes)
+                host=self.config.host)
             self.address = self.proxy.start()
         else:
             self.address = self.bind_address
@@ -391,7 +404,7 @@ class SocketTransport(Transport):
         """Probe every connection; tear down the ones that went silent.
 
         A session that fails to show *any* inbound traffic for
-        ``heartbeat_interval * heartbeat_limit`` seconds transitions to
+        :data:`HEARTBEAT_LIMIT` heartbeat intervals transitions to
         ``"dead"``: its pending reply future fails immediately (the round
         does not wait out ``round_timeout`` for a half-open socket), its
         disconnect is recorded with cause ``"heartbeat"``, and the
@@ -399,7 +412,7 @@ class SocketTransport(Transport):
         """
         assert self._loop is not None
         interval = self.config.heartbeat_interval
-        dead_after = interval * self.config.heartbeat_limit
+        dead_after = interval * HEARTBEAT_LIMIT
         try:
             while not self._closing:
                 await asyncio.sleep(interval)
@@ -442,16 +455,14 @@ class SocketTransport(Transport):
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         assert self._loop is not None
-        session = _ClientSession(writer, self.config.send_queue,
-                                 now=self._loop.time())
+        session = _ClientSession(writer, now=self._loop.time())
         drain_task = asyncio.ensure_future(session.drain())
         cause = "connection_lost"
         try:
             while True:
                 # no local holds the raw frame: across the awaits below it
                 # would pin one extra copy of a model state per connection
-                message, _ = decode_message(
-                    (await read_frame(reader, self.config.max_frame_bytes))[2])
+                message, _ = decode_message((await read_frame(reader))[2])
                 session.last_seen = self._loop.time()
                 session.health = "healthy"
                 await self._dispatch(session, message)
@@ -641,7 +652,11 @@ class SocketTransport(Transport):
                                   failed),
             self._loop,
         )
-        budget = self.config.connect_timeout * (self.config.retries + 2)
+        # a backstop for a wedged loop, never the bound a round meets: the
+        # registration wait (connect_timeout) and the collection
+        # (round_timeout) each end on their own, and one more
+        # connect_timeout covers dispatch into full send queues
+        budget = 2 * self.config.connect_timeout
         if self.config.round_timeout is not None:
             budget += self.config.round_timeout
             result_timeout: Optional[float] = budget
@@ -721,26 +736,26 @@ class SocketTransport(Transport):
                 dict(self._round_disconnects))
 
     async def _wait_for_clients(self, ids: Sequence[int]) -> None:
-        """Wait until every cohort client is registered (backoff + deadline)."""
+        """Wait until every cohort client is registered, up to ``connect_timeout``.
+
+        One wait on the roster: each registration wakes it to re-check who
+        is missing, and the ``connect_timeout`` deadline is the only bound.
+        """
         assert self._loop is not None and self._roster_changed is not None
-        policy = self.config.retry_policy()
         deadline = self._loop.time() + self.config.connect_timeout
-        attempt = 0
         while True:
             missing = [cid for cid in ids if cid not in self._sessions]
             if not missing:
                 return
             remaining = deadline - self._loop.time()
-            if remaining <= 0 or attempt > self.config.retries:
+            if remaining <= 0:
                 raise TransportError(
                     f"clients {missing} never registered within "
-                    f"{self.config.connect_timeout}s "
-                    f"({attempt} waits, backoff {self.config.backoff}s)"
+                    f"{self.config.connect_timeout}s"
                 )
-            step = min(max(policy.delay(attempt), 0.001), remaining)
             self._roster_changed.clear()
             try:
                 await asyncio.wait_for(self._roster_changed.wait(),
-                                       timeout=step)
+                                       timeout=remaining)
             except asyncio.TimeoutError:
-                attempt += 1
+                pass

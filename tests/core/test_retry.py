@@ -1,4 +1,4 @@
-"""Unit tests of the shared capped, jittered backoff policy.
+"""Unit tests of the client's capped, jittered reconnect policy.
 
 The regression at the heart of this file: the transport client's original
 reconnect loop slept ``backoff * 2**attempt`` with no cap, so a fleet that
@@ -68,6 +68,7 @@ class TestValidationAndWiring:
         dict(backoff=-0.1),
         dict(max_backoff=0.0),
         dict(jitter=-0.1),
+        dict(jitter=1.0),
         dict(jitter=1.5),
     ])
     def test_invalid_knobs_are_rejected(self, kwargs):
@@ -76,23 +77,6 @@ class TestValidationAndWiring:
 
     def test_attempts_counts_the_first_try(self):
         assert RetryPolicy(retries=5).attempts == 6
-
-    def test_transport_config_builds_the_policy(self):
-        from repro.core.config import TransportConfig
-
-        config = TransportConfig(retries=8, backoff=0.05, max_backoff=1.5,
-                                 retry_jitter=0.2)
-        policy = config.retry_policy(seed=4)
-        assert (policy.retries, policy.max_backoff, policy.seed) == (8, 1.5, 4)
-        assert all(d <= 1.5 for d in schedule(policy))
-
-    def test_transport_config_rejects_bad_retry_knobs(self):
-        from repro.core.config import TransportConfig
-
-        with pytest.raises(ValueError):
-            TransportConfig(max_backoff=-1.0)
-        with pytest.raises(ValueError):
-            TransportConfig(retry_jitter=2.0)
 
     def test_transport_client_reconnects_under_the_policy(self):
         # the client seeds its policy with its own id so a fleet staggers

@@ -193,7 +193,7 @@ def read_message(sock):
         chunk = sock.recv(8 - len(data))
         assert chunk, "server closed the connection"
         data += chunk
-    _, length = frame_header(data, 1 << 20)
+    _, length = frame_header(data)
     while len(data) < 8 + length + 4:
         chunk = sock.recv(8 + length + 4 - len(data))
         assert chunk, "server truncated its reply"

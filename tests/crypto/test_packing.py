@@ -258,3 +258,59 @@ def test_property_packed_equals_per_component(values, scalar):
                    PackedEncryptedVector.encrypt(pk, values[::-1], max_weight=16)]
                   ).scale(scalar).decrypt(sk)
     np.testing.assert_array_equal(per_component, packed)
+
+
+@st.composite
+def headroom_cases(draw):
+    """A scheme (``for_counts`` or any fixed-point one) and a one-slot vector.
+
+    The combined weight reaches 10^6; it is split into at most four parts,
+    each one ``scale(part)`` of the same fresh vector.
+    """
+    length = draw(st.integers(min_value=1, max_value=40))
+    max_weight = draw(st.integers(min_value=1, max_value=10**6))
+    if draw(st.booleans()):
+        geometry = None  # PackingScheme.for_counts
+    else:
+        geometry = dict(base=draw(st.sampled_from([2, 10, 16])),
+                        precision=draw(st.integers(min_value=0, max_value=12)),
+                        max_abs_value=draw(st.floats(min_value=1e-3,
+                                                     max_value=1e3)))
+    slot = draw(st.integers(min_value=0, max_value=length - 1))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    cuts = (draw(st.lists(st.integers(min_value=1, max_value=max_weight - 1),
+                          max_size=3, unique=True))
+            if max_weight > 1 else [])
+    bounds = [0, *sorted(cuts), max_weight]
+    parts = [high - low for low, high in zip(bounds, bounds[1:])]
+    return length, max_weight, geometry, slot, sign, parts
+
+
+@settings(STANDARD, max_examples=scaled_max_examples(20))
+@given(case=headroom_cases())
+def test_property_headroom_holds_to_exactly_max_weight(pk, sk, case):
+    """All the mass in one slot, summed to exactly ``max_weight``, never carries.
+
+    Both folds decrypt the exact sum; one more addition raises.
+    """
+    length, max_weight, geometry, slot, sign, parts = case
+    if geometry is None:
+        scheme = PackingScheme.for_counts(pk, length, max_weight=max_weight)
+        extreme = 1.0
+    else:
+        scheme = PackingScheme(pk, length, max_weight=max_weight, **geometry)
+        extreme = geometry["max_abs_value"]
+    values = np.zeros(length)
+    values[slot] = sign * extreme
+    fresh = PackedEncryptedVector.encrypt(pk, values, scheme=scheme)
+    expected = np.zeros(length)
+    expected[slot] = (max_weight * round(values[slot] * scheme.scale)) / scheme.scale
+    for arity in (None, 2):
+        aggregator = StreamingTreeAggregator(arity=arity)
+        for part in parts:
+            aggregator.push(fresh.scale(part))
+        total = aggregator.combined()
+        assert total.weight == max_weight
+        np.testing.assert_array_equal(total.decrypt(sk), expected)
+        with pytest.raises(OverflowError):
+            total.add_(fresh)

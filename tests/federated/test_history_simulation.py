@@ -270,8 +270,7 @@ class TestFederatedSimulation:
 
         sim = self._make(small_setup, config=FederatedConfig(
             rounds=2, local=LocalTrainingConfig(learning_rate=1e-3), seed=0,
-            transport=TransportConfig(kind="socket", connect_timeout=30.0,
-                                      backoff=0.01),
+            transport=TransportConfig(kind="socket", connect_timeout=30.0),
         ))
         sim.transport.start()
         outcome = []

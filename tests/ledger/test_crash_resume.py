@@ -176,8 +176,7 @@ _SOCKET_CHILD = textwrap.dedent("""
     config = FederatedConfig(
         rounds=int(rounds), seed=0, ledger_path=ledger_path,
         transport=TransportConfig(kind="socket", port=int(port),
-                                  round_timeout=60.0, connect_timeout=60.0,
-                                  retries=15, backoff=0.25))
+                                  round_timeout=60.0, connect_timeout=60.0))
     sim = FederatedSimulation(config=config, recipe=recipe, **recipe.build())
     # the pause after each commit gives the test a window to SIGKILL this
     # process mid-run; it never changes what gets recorded
@@ -250,8 +249,7 @@ def test_sigkill_socket_server_fleet_reconnects_resume_bit_identical(tmp_path):
         rounds=TOTAL_ROUNDS, seed=0, ledger_path=ledger_path,
         run_mode="resume", replay_source_run_id=run_id,
         transport=TransportConfig(kind="socket", port=port,
-                                  round_timeout=60.0, connect_timeout=60.0,
-                                  retries=15, backoff=0.25))
+                                  round_timeout=60.0, connect_timeout=60.0))
     with FederatedSimulation(config=config, recipe=RECIPE,
                              **RECIPE.build()) as sim:
         resumed = sim.run()

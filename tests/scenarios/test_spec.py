@@ -76,8 +76,10 @@ class TestScenarioSpec:
             ScenarioSpec(churn={"joins": {}})
 
     def test_min_participation_range(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(min_participation=1.5)
+        # the scenario owns the partial-round floor
+        for floor in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                ScenarioSpec(min_participation=floor)
 
     def test_seed_must_be_nonnegative_integer(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,14 @@ from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.scenarios import NetworkSpec, ScenarioSpec
 from repro.transport import ChaosProxy, SocketTransport, TransportClient
-from repro.transport.messages import Register, encode_message
+from repro.transport.messages import (
+    Register,
+    RegisterAck,
+    Shutdown,
+    decode_message,
+    encode_message,
+)
+from repro.transport.wire import TruncatedFrameError
 
 RECIPE = dict(n_clients=6, participants=3, samples_per_client=12, seed=0)
 
@@ -274,3 +281,43 @@ class TestSeededEventStream:
         finally:
             proxy.close()
             transport.close()
+
+
+def test_closing_a_proxied_transport_relays_the_shutdown():
+    # the server closes before its proxy; frames still in flight through
+    # the proxy (held back here by its latency) must reach the client, or a
+    # TransportClient that never sees Shutdown retries a proxy that is gone
+    transport = SocketTransport(
+        TransportConfig(kind="socket", heartbeat_interval=0.0),
+        network=NetworkSpec(latency=0.05))
+    sock = socket.create_connection(transport.start(), timeout=5.0)
+    received = b""
+    try:
+        sock.sendall(encode_message(Register(0, 10, 8)))
+        while RegisterAck not in [type(m) for m in _messages(received)]:
+            chunk = sock.recv(4096)
+            assert chunk, "the proxy hung up before the RegisterAck"
+            received += chunk
+        transport.close()
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            received += chunk
+    finally:
+        sock.close()
+        transport.close()
+    assert [type(m) for m in _messages(received)] == [RegisterAck, Shutdown]
+
+
+def _messages(buffer):
+    """Every whole message at the head of *buffer*, in order."""
+    messages = []
+    while buffer:
+        try:
+            message, used = decode_message(buffer)
+        except TruncatedFrameError:
+            break  # a frame still arriving
+        messages.append(message)
+        buffer = buffer[used:]
+    return messages

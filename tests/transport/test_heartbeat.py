@@ -3,8 +3,8 @@
 A TCP peer that stops reading and writing (a yanked cable, a frozen VM)
 leaves a *half-open* connection: the server's writes succeed into the kernel
 buffer, so nothing fails until the round deadline.  The heartbeat protocol
-closes that gap — a connection silent for ``heartbeat_interval *
-heartbeat_limit`` seconds is declared dead, its pending reply future fails
+closes that gap — a connection silent for ``HEARTBEAT_LIMIT`` (3)
+heartbeat intervals is declared dead, its pending reply future fails
 immediately, and the round completes long before ``round_timeout``.
 """
 
@@ -18,6 +18,7 @@ from repro import FederatedConfig, Session
 from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.transport import SocketTransport, TransportClient
+from repro.transport.server import HEARTBEAT_LIMIT
 from repro.transport.messages import Register, encode_message
 
 RECIPE = dict(n_clients=4, participants=2, samples_per_client=12, seed=0)
@@ -38,7 +39,7 @@ class TestHalfOpenDetection:
     def test_silent_client_fails_the_round_well_before_the_deadline(self, donor):
         transport = SocketTransport(TransportConfig(
             kind="socket", round_timeout=30.0, connect_timeout=10.0,
-            heartbeat_interval=0.2, heartbeat_limit=3))
+            heartbeat_interval=0.2))
         host, port = transport.start()
         # a half-open peer: registers, then never reads or writes again
         zombie = socket.create_connection((host, port))
@@ -55,6 +56,7 @@ class TestHalfOpenDetection:
             transport.close()
 
         # death comes from 3 missed 0.2s heartbeats, not the 30s deadline
+        assert HEARTBEAT_LIMIT == 3
         assert elapsed < 5.0, (
             f"half-open client stalled the round for {elapsed:.1f}s")
         assert states == []
@@ -64,10 +66,11 @@ class TestHalfOpenDetection:
 
     def test_responsive_client_survives_aggressive_heartbeats(self, donor):
         # frequent heartbeats during real training: the client answers from
-        # its read loop (training runs off-loop) and is never declared dead
+        # its read loop (training runs off-loop) and is never declared dead:
+        # three 1/3 s intervals keep the 1 s silence window
         transport = SocketTransport(TransportConfig(
             kind="socket", round_timeout=30.0, connect_timeout=10.0,
-            heartbeat_interval=0.25, heartbeat_limit=4))
+            heartbeat_interval=1.0 / 3))
         host, port = transport.start()
         peer = TransportClient(donor.client(1), donor.server.new_client_model,
                                host, port)
@@ -88,9 +91,10 @@ class TestHalfOpenDetection:
             transport.disconnects[1] != "heartbeat"
 
     def test_health_state_machine_degrades_then_dies(self, donor):
+        # degraded after one silent 0.2 s interval, dead after three (0.6 s)
         transport = SocketTransport(TransportConfig(
             kind="socket", round_timeout=30.0, connect_timeout=10.0,
-            heartbeat_interval=0.15, heartbeat_limit=4))
+            heartbeat_interval=0.2))
         host, port = transport.start()
         zombie = socket.create_connection((host, port))
         try:

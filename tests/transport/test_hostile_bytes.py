@@ -25,7 +25,7 @@ from repro.transport.messages import (
     decode_message,
     encode_message,
 )
-from repro.transport.wire import frame_header
+from repro.transport.wire import DEFAULT_MAX_FRAME_BYTES, frame_header
 
 #: a sacrificial id space for the fuzzer's handshake probes, far away from
 #: any id the hostile frames might carry
@@ -37,7 +37,7 @@ VALID_FRAME = encode_message(Register(7, 10, 64))
 @pytest.fixture(scope="module")
 def transport():
     transport = SocketTransport(TransportConfig(
-        kind="socket", connect_timeout=10.0, max_frame_bytes=1 << 20))
+        kind="socket", connect_timeout=10.0))
     transport.start()
     yield transport
     transport.close()
@@ -54,7 +54,7 @@ def assert_still_serving(transport, probe_id):
             chunk = sock.recv(8 - len(data))
             assert chunk, "server closed a healthy connection"
             data += chunk
-        _, length = frame_header(data, 1 << 20)
+        _, length = frame_header(data)
         while len(data) < 8 + length + 4:
             chunk = sock.recv(8 + length + 4 - len(data))
             assert chunk, "server truncated its own reply"
@@ -95,7 +95,8 @@ class TestHostileBytes:
 
     @settings(STANDARD, max_examples=scaled_max_examples(20),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(length=st.integers(min_value=(1 << 20) + 1, max_value=1 << 40),
+    @given(length=st.integers(min_value=DEFAULT_MAX_FRAME_BYTES + 1,
+                              max_value=1 << 40),
            probe=st.integers(min_value=0, max_value=1 << 16))
     def test_oversized_length_prefix_is_rejected_before_allocation(
             self, transport, length, probe):
@@ -104,7 +105,7 @@ class TestHostileBytes:
         before = dict(transport.decode_failures)
         send_hostile(transport, bytes(hostile))
         assert_still_serving(transport, _PROBE_ID + probe)
-        if (length & 0xFFFFFFFF) > (1 << 20):
+        if (length & 0xFFFFFFFF) > DEFAULT_MAX_FRAME_BYTES:
             # an in-range-but-over-cap announcement is a counted decode
             # failure on the unidentified-peer key, not a silent drop
             assert transport.decode_failures.get(-1, 0) > before.get(-1, 0)

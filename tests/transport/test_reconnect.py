@@ -58,7 +58,7 @@ def read_message(sock, timeout=10.0):
 
     while True:
         head = recvexact(8)
-        _, length = frame_header(head, 1 << 28)
+        _, length = frame_header(head)
         body = recvexact(length + 4)
         message, _ = decode_message(head + body)
         if not isinstance(message, Heartbeat):
