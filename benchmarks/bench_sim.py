@@ -8,10 +8,7 @@ states) plus server aggregation — under each execution back-end of
 
 * ``sequential`` — one client after another, each a one-client cohort;
 * ``vectorized`` — the cohort back-end: all K clients stacked into one
-  batched tensor program (:mod:`repro.nn.batched`);
-* ``parallel`` — the multi-cohort back-end: the cohort sharded across
-  persistent worker processes, each running its shard as an independent
-  vectorized block (:mod:`repro.federated.scheduler`).
+  batched tensor program (:mod:`repro.nn.batched`).
 
 The workload is the paper's group-1 client configuration (B = 8, E = 1,
 Adam 1e-4) over equal-size virtual clients (``N_VC`` samples each, the
@@ -32,15 +29,6 @@ Two further sections exercise the round-persistent runtime:
 * **evaluation** — the server's test pass: the reference engine's
   64-sample Python loop vs the forward-only batched evaluator, same
   predictions asserted.
-* **parallel** — warm multi-cohort rounds (process-sharded vectorized
-  blocks, ``--parallel-workers`` workers) against warm single-process
-  vectorized rounds at ``--parallel-k``, per-client states first asserted
-  ≤ 1e-10 against the sequential reference.  The ``--min-parallel-speedup`` gate only applies on
-  boxes with >= 2 cores — the ratio measures multi-core scaling, so on a
-  single-core runner the section records the (necessarily <= 1x) number and
-  the gate is skipped with a warning.  For the same reason the ratio is
-  *not* part of the ``compare_bench.py`` baseline gate (it tracks the
-  host's core count, not the code).
 
 Run from the repository root::
 
@@ -116,21 +104,14 @@ def make_cohort(n_clients: int) -> list[FederatedClient]:
     return clients
 
 
-def check_equivalence(mode: str, clients, config, num_workers=None) -> float:
+def check_equivalence(mode: str, clients, config) -> float:
     """Max |Δ| between this mode's per-client states and the reference engine's."""
     server = FederatedServer(model_factory)
     global_state = server.global_state()
     reference = reference_round(clients, model_factory, global_state, config,
                                 round_index=0)
-    executor = LocalUpdateExecutor(mode, num_workers=num_workers)
-    try:
-        states = executor.run_round(
-            clients, model_factory, global_state, config, round_index=0)
-        if mode == "parallel":
-            assert executor.last_fallback_reason is None, \
-                executor.last_fallback_reason
-    finally:
-        executor.close()
+    states = LocalUpdateExecutor(mode).run_round(
+        clients, model_factory, global_state, config, round_index=0)
     worst = 0.0
     for a, b in zip(reference, states):
         for key in a:
@@ -242,58 +223,6 @@ def bench_multi_round(n_clients: int, rounds: int, config) -> dict:
     }
 
 
-def bench_parallel(n_clients: int, rounds: int, config, num_workers: int) -> dict:
-    """Warm multi-cohort (process-sharded) rounds vs warm vectorized rounds.
-
-    Both executors get one untimed warm-up round (workspace build, fleet
-    fork, data stacking) so the comparison is steady-state round throughput —
-    the regime a multi-round experiment actually runs in.  Before timing,
-    one parallel round is asserted ≤ 1e-10 against the sequential reference
-    engine (the strongest reference: vectorized is itself asserted against
-    it by every ``bench_mode`` run).
-    """
-    clients = make_cohort(n_clients)
-    worst = check_equivalence("parallel", clients, config,
-                              num_workers=num_workers)
-
-    def timed_rounds(executor) -> float:
-        server = FederatedServer(model_factory)
-        states = executor.run_round(clients, model_factory, server.global_state(),
-                                    config, round_index=0)
-        server.aggregate(states)
-        start = perf_counter()
-        for r in range(1, rounds + 1):
-            states = executor.run_round(clients, model_factory,
-                                        server.global_state(copy=False), config,
-                                        round_index=r)
-            server.aggregate(states)
-        return (perf_counter() - start) / rounds
-
-    vec_round_s = timed_rounds(LocalUpdateExecutor("vectorized"))
-    par_exec = LocalUpdateExecutor("parallel", num_workers=num_workers)
-    try:
-        par_round_s = timed_rounds(par_exec)
-        assert par_exec.last_fallback_reason is None, par_exec.last_fallback_reason
-        scheduler_builds = par_exec.scheduler.builds
-        assert scheduler_builds == 1, "fleet was rebuilt mid-run"
-    finally:
-        par_exec.close()
-    return {
-        "k": n_clients,
-        "samples_per_client": SAMPLES_PER_CLIENT,
-        "rounds": rounds,
-        "num_workers": num_workers,
-        "cpus": os.cpu_count(),
-        "vectorized_round_ms": round(vec_round_s * 1e3, 3),
-        "parallel_round_ms": round(par_round_s * 1e3, 3),
-        "vectorized_client_updates_per_s": round(n_clients / vec_round_s, 1),
-        "parallel_client_updates_per_s": round(n_clients / par_round_s, 1),
-        "parallel_vs_vectorized_speedup": round(vec_round_s / par_round_s, 2),
-        "scheduler_builds": scheduler_builds,
-        "max_abs_diff_vs_sequential": worst,
-    }
-
-
 def bench_evaluation(samples_per_class: int, repeats: int) -> dict:
     """The reference engine's 64-batch eval loop vs the batched evaluator."""
     generator = make_synthetic_mnist(seed=0)
@@ -368,21 +297,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-eval-speedup", type=float, default=None,
                         help="fail (exit 1) when batched evaluation is not this "
                              "many times faster than the sequential loop")
-    parser.add_argument("--parallel-k", type=int, default=128,
-                        help="cohort size of the multi-cohort (parallel) "
-                             "section")
-    parser.add_argument("--parallel-workers", type=int, default=2,
-                        help="worker processes in the parallel section "
-                             "(0 disables the section)")
-    parser.add_argument("--parallel-rounds", type=int, default=5,
-                        help="timed warm rounds per executor in the parallel "
-                             "section")
-    parser.add_argument("--min-parallel-speedup", type=float, default=None,
-                        help="fail (exit 1) when parallel rounds are not this "
-                             "many times faster than vectorized rounds; "
-                             "skipped (with a warning) on boxes with < 2 "
-                             "cores, where multi-process scaling is "
-                             "impossible by construction")
     args = parser.parse_args(argv)
     if args.multiround_rounds == 1:
         parser.error("--multiround-rounds needs >= 2 rounds to split cold "
@@ -418,18 +332,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{multi_round['warm_round_ms']:.1f} ms "
               f"({multi_round['warm_vs_cold_speedup']}x)")
 
-    parallel = None
-    if args.parallel_workers > 0:
-        print(f"benchmarking multi-cohort parallel K={args.parallel_k} "
-              f"({args.parallel_workers} workers, {args.parallel_rounds} "
-              "rounds) ...", flush=True)
-        parallel = bench_parallel(args.parallel_k, args.parallel_rounds,
-                                  config, args.parallel_workers)
-        print(f"  vectorized {parallel['vectorized_round_ms']:.1f} ms, "
-              f"parallel {parallel['parallel_round_ms']:.1f} ms "
-              f"({parallel['parallel_vs_vectorized_speedup']}x on "
-              f"{parallel['cpus']} core(s))")
-
     evaluation = None
     if args.eval_samples_per_class > 0:
         print("benchmarking evaluation throughput ...", flush=True)
@@ -456,7 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "results": results,
         "multi_round": multi_round,
-        "parallel": parallel,
         "evaluation": evaluation,
     }
     with open(args.out, "w") as fh:
@@ -490,27 +391,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.min_warm_speedup}x", file=sys.stderr)
             return 1
         print(f"OK: warm-round speedup {achieved}x >= {args.min_warm_speedup}x")
-
-    if args.min_parallel_speedup is not None:
-        if parallel is None:
-            print("FAIL: --min-parallel-speedup needs the parallel section",
-                  file=sys.stderr)
-            return 1
-        if (parallel["cpus"] or 1) < 2:
-            print("WARNING: --min-parallel-speedup skipped — the parallel "
-                  f"gate needs >= 2 cores, this box has {parallel['cpus']}; "
-                  f"recorded {parallel['parallel_vs_vectorized_speedup']}x "
-                  "without gating")
-        else:
-            achieved = parallel["parallel_vs_vectorized_speedup"]
-            if achieved < args.min_parallel_speedup:
-                print(f"FAIL: parallel speedup {achieved}x < required "
-                      f"{args.min_parallel_speedup}x at K={parallel['k']} "
-                      f"with {parallel['num_workers']} workers",
-                      file=sys.stderr)
-                return 1
-            print(f"OK: parallel speedup {achieved}x >= "
-                  f"{args.min_parallel_speedup}x at K={parallel['k']}")
 
     if args.min_eval_speedup is not None:
         if evaluation is None:

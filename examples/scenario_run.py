@@ -52,7 +52,7 @@ def build_scenario(n_clients: int) -> ScenarioSpec:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backends", default="sequential,vectorized,parallel",
+    parser.add_argument("--backends", default="sequential,vectorized",
                         help="comma-separated executor modes to run and compare")
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--clients", type=int, default=24)
@@ -80,7 +80,6 @@ def main() -> None:
             FederatedConfig(
                 rounds=args.rounds,
                 executor_mode=mode,
-                num_workers=2 if mode == "parallel" else None,
                 local=LocalTrainingConfig(batch_size=8, local_epochs=1,
                                           learning_rate=1e-3),
                 seed=0,

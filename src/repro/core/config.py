@@ -8,11 +8,8 @@ participation target ``K``, the number of tentative multi-time selections
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Mapping, Optional
 
 from ..crypto.paillier import DEFAULT_KEY_SIZE
 
@@ -25,9 +22,7 @@ __all__ = [
     "RUN_MODES",
     "TRANSPORT_KINDS",
     "TransportConfig",
-    "partition_cohort",
     "resolve_aggregation_mode",
-    "resolve_num_workers",
     "resolve_run_mode",
     "resolve_transport_kind",
 ]
@@ -37,11 +32,6 @@ GROUP1_REFERENCE_SET: tuple[int, ...] = (1, 2, 10)
 
 #: Reference set used by the paper for the 52-class FEMNIST experiment.
 GROUP2_REFERENCE_SET: tuple[int, ...] = (1, 52)
-
-#: Soft cap on the default worker count: federated cohorts on the benchmark
-#: models stop scaling well before this, and oversubscribing a shared box
-#: with one process per core of a large machine hurts more than it helps.
-_DEFAULT_MAX_WORKERS = 8
 
 
 #: How a federated run interacts with the run ledger (:mod:`repro.ledger`).
@@ -66,57 +56,6 @@ def resolve_run_mode(run_mode: str) -> str:
             f"run mode must be one of {RUN_MODES}, got {run_mode!r}"
         )
     return run_mode
-
-
-def resolve_num_workers(num_workers: Optional[int] = None) -> int:
-    """Normalise the parallel-scheduler worker count.
-
-    ``None`` picks a sensible default for the current box: one worker per
-    CPU core, capped at 8 (cohort training stops scaling past a handful of
-    shards on the models this reproduction ships).  Explicit values are
-    validated and returned unchanged — asking for more workers than cores is
-    allowed (useful in tests) but wasteful.
-
-    Example
-    -------
-    >>> resolve_num_workers(2)
-    2
-    >>> resolve_num_workers() >= 1
-    True
-    """
-    if num_workers is None:
-        return max(1, min(os.cpu_count() or 1, _DEFAULT_MAX_WORKERS))
-    if num_workers < 1:
-        raise ValueError("num_workers must be positive when given")
-    return int(num_workers)
-
-
-def partition_cohort(num_clients: int, num_workers: int) -> "list[np.ndarray]":
-    """Partition ``K`` client positions into contiguous per-worker shards.
-
-    Returns one integer index array per shard, in selection order (shard 0
-    gets clients 0..s-1, ...).  At most ``num_workers`` shards are produced
-    and every shard is non-empty, so ``K < num_workers`` simply yields ``K``
-    single-client shards; when ``K`` is not divisible the first ``K mod W``
-    shards hold one extra client.  Concatenating the shards always
-    reproduces ``range(K)`` exactly once — the merge step relies on that
-    bijection.
-
-    Example
-    -------
-    >>> [s.tolist() for s in partition_cohort(5, 2)]
-    [[0, 1, 2], [3, 4]]
-    >>> len(partition_cohort(3, 8))
-    3
-    """
-    if num_clients < 1:
-        raise ValueError("num_clients must be positive")
-    num_workers = resolve_num_workers(num_workers)
-    shards = min(num_clients, num_workers)
-    base, extra = divmod(num_clients, shards)
-    sizes = [base + (1 if s < extra else 0) for s in range(shards)]
-    bounds = np.cumsum([0] + sizes)
-    return [np.arange(bounds[s], bounds[s + 1]) for s in range(shards)]
 
 
 #: The shape of the secure-aggregation server's one fold over the stream of

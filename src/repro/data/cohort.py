@@ -119,14 +119,6 @@ class CohortBuffer:
     Features are cast to the float64 pools once, on the copy into the
     buffer, instead of per batch.  Labels keep their integral dtype.
 
-    ``arrays`` pins the buffer to preallocated backing storage instead of
-    letting it allocate lazily — the multi-cohort scheduler passes
-    process-shared ``(K, N_vc, …)`` pools here so the parent restacks
-    straight into memory its worker processes can see.  An externally-backed
-    buffer never reallocates: a round whose data shape does not match the
-    backing arrays raises :class:`CohortShapeError` (the scheduler treats
-    that as a geometry change and rebuilds its pools).
-
     Example
     -------
     >>> import numpy as np
@@ -141,23 +133,12 @@ class CohortBuffer:
     2
     """
 
-    def __init__(self, num_clients: int,
-                 arrays: "Optional[tuple[np.ndarray, np.ndarray]]" = None):
+    def __init__(self, num_clients: int):
         if num_clients < 1:
             raise ValueError("num_clients must be positive")
         self.num_clients = num_clients
         self.x: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
-        self._external = arrays is not None
-        if arrays is not None:
-            x, y = arrays
-            if x.shape[0] != num_clients or y.shape != x.shape[:2]:
-                raise ValueError(
-                    f"backing arrays disagree with num_clients={num_clients}: "
-                    f"x{x.shape}, y{y.shape}"
-                )
-            self.x = x
-            self.y = y
         self._slot_keys: list[Optional[Hashable]] = [None] * num_clients
         self._slot_pins: list[Optional[ArrayDataset]] = [None] * num_clients
         #: how many times the dense buffers were (re)allocated
@@ -181,13 +162,6 @@ class CohortBuffer:
             )
         datasets = [ds for _, ds in slots]
         shape = (self.num_clients,) + cohort_sample_shape(datasets)
-        if self._external and self.x.shape != shape:
-            # external backing (process-shared pools) cannot be swapped from
-            # here; the owner must rebuild its pools for the new geometry
-            raise CohortShapeError(
-                f"cohort data shape {shape} does not match the externally "
-                f"backed buffers {self.x.shape}"
-            )
         if self.x is None or self.x.shape != shape:
             self.x = np.empty(shape)
             self.y = np.empty(shape[:2], dtype=np.asarray(datasets[0].y).dtype)

@@ -5,18 +5,13 @@ Public API
 * :class:`FederatedClient`, :class:`LocalTrainingConfig` — local training.
 * :class:`FederatedServer` — global model and aggregation.
 * :func:`average_states`, :func:`weighted_average_states` — FedVC/FedAvg rules.
-* :class:`LocalUpdateExecutor` — sequential/vectorized/parallel local
-  updates (``"vectorized"`` trains the whole cohort as one
-  batched tensor program, ``"parallel"`` shards it across persistent worker
-  processes; see :mod:`repro.nn.batched` and
-  :mod:`repro.federated.scheduler`).
+* :class:`LocalUpdateExecutor` — sequential/vectorized local updates
+  (``"vectorized"`` trains the whole cohort as one batched tensor program;
+  see :mod:`repro.nn.batched`).
 * :class:`StackedClientStates` — zero-copy per-client views into the
   cohort's stacked parameters, aggregated via one mean over the client axis.
 * :class:`CohortWorkspace` — the round-persistent pools/optimiser/data
-  buffers the cohort back-ends reuse across rounds.
-* :class:`CohortScheduler` — the multi-cohort process fleet behind
-  ``executor_mode="parallel"`` (shared-memory pools, warm per-worker
-  workspaces, deterministic merge).
+  buffers the vectorized back-end reuses across rounds.
 * :class:`FederatedSimulation`, :class:`FederatedConfig` — the round loop
   (``FederatedConfig(scenario=...)`` opts into :mod:`repro.scenarios` fault
   injection with partial-round aggregation).
@@ -34,14 +29,12 @@ from .aggregation import (
 from .client import FederatedClient, LocalTrainingConfig
 from .executor import EXECUTOR_MODES, LocalUpdateExecutor
 from .history import RoundRecord, TrainingHistory
-from .scheduler import CohortScheduler, SchedulerError
 from .server import FederatedServer
 from .simulation import ClientSelectorProtocol, FederatedConfig, FederatedSimulation
-from .workspace import CohortWorkspace, shared_pool, train_cohort
+from .workspace import CohortWorkspace, train_cohort
 
 __all__ = [
     "ClientSelectorProtocol",
-    "CohortScheduler",
     "CohortWorkspace",
     "EXECUTOR_MODES",
     "FederatedClient",
@@ -51,11 +44,9 @@ __all__ = [
     "LocalTrainingConfig",
     "LocalUpdateExecutor",
     "RoundRecord",
-    "SchedulerError",
     "StackedClientStates",
     "TrainingHistory",
     "average_states",
-    "shared_pool",
     "state_difference_norm",
     "train_cohort",
     "weighted_average_states",

@@ -3,7 +3,7 @@
 The paper implements "the training process of participated clients as
 parallel processes" on a GPU box.  In this reproduction every local update
 runs the one training step, :func:`~repro.federated.workspace.train_cohort`
-(:mod:`repro.nn.batched`), and the three modes differ only in how many
+(:mod:`repro.nn.batched`), and the two modes differ only in how many
 clients each call trains:
 
 * ``"vectorized"`` (default) — the whole cohort at once: the K selected
@@ -14,23 +14,16 @@ clients each call trains:
   the bottleneck, which this mode removes;
 * ``"sequential"`` — one client at a time, each a K = 1 cohort
   (:meth:`FederatedClient.local_train`, the path every socket peer trains
-  on);
-* ``"parallel"`` — the multi-cohort back-end: the K clients are sharded
-  across ``num_workers`` persistent worker processes, each running its shard
-  as an independent vectorized block with bulk state crossing the process
-  boundary through shared-memory pools
-  (:class:`~repro.federated.scheduler.CohortScheduler`).  This is the
-  fastest mode on multi-core boxes at large K.
+  on).
 
-All modes produce bit-identical results for the same inputs: the work items
+Both modes produce bit-identical results for the same inputs: the work items
 are pure functions of (client dataset, incoming weights, config), and every
-client occupies an independent slice of the batched kernels.  Before a
+client occupies an independent slice of the batched kernels.  Before the
 cohort back-end runs, :meth:`LocalUpdateExecutor.run_round` checks that the
 cohort stacks densely (:func:`~repro.data.cohort.cohort_sample_shape`); a
 ragged cohort is trained one client at a time instead, and the reason is
-recorded in :attr:`LocalUpdateExecutor.last_fallback_reason`.  A parallel
-round the worker fleet cannot serve falls back to ``"vectorized"`` the same
-way.  A model that is no chain of the shipped layers raises
+recorded in :attr:`LocalUpdateExecutor.last_fallback_reason`.  A model that
+is no chain of the shipped layers raises
 :class:`~repro.nn.batched.UnvectorizableModelError` in every mode.
 
 The executor is the in-process :class:`~repro.transport.base.Transport`: a
@@ -65,24 +58,19 @@ from ..nn.module import Module
 from ..transport.base import Transport
 from .aggregation import StackedClientStates
 from .client import FederatedClient, LocalTrainingConfig
-from .scheduler import CohortScheduler, SchedulerError
 from .workspace import CohortWorkspace, train_cohort
 
 __all__ = ["EXECUTOR_MODES", "LocalUpdateExecutor"]
 
 StateDict = dict[str, np.ndarray]
 
-EXECUTOR_MODES = ("sequential", "vectorized", "parallel")
+EXECUTOR_MODES = ("sequential", "vectorized")
 
 
 class LocalUpdateExecutor(Transport):
     """Run the selected clients' local updates with the chosen back-end.
 
-    ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
-    mode's scheduler (worker-process count, and how long a round waits for
-    a worker's reply before declaring it wedged — raise it for genuinely
-    long rounds, ``None`` waits forever); they are ignored by every other
-    mode.  Every mode trains in float64 and returns bit-identical states.
+    Both modes train in float64 and return bit-identical states.
 
     As a :class:`~repro.transport.base.Transport` it observes no failures of
     its own (:attr:`last_round_failures` stays empty), and the
@@ -98,40 +86,17 @@ class LocalUpdateExecutor(Transport):
     >>> #                             LocalTrainingConfig())
     """
 
-    def __init__(self, mode: str = "vectorized",
-                 num_workers: Optional[int] = None,
-                 scheduler_timeout: Optional[float] = 120.0):
+    def __init__(self, mode: str = "vectorized"):
         if mode not in EXECUTOR_MODES:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}")
-        if scheduler_timeout is not None and scheduler_timeout <= 0:
-            raise ValueError("scheduler_timeout must be positive (or None)")
         super().__init__()
         self.mode = mode
-        self.num_workers = num_workers
-        self.scheduler_timeout = scheduler_timeout
         #: the round-persistent cohort state, built lazily on the first
         #: vectorized round and reused while rounds stay shape-compatible
         self.workspace: Optional[CohortWorkspace] = None
         #: how many times a workspace had to be (re)built — 1 after any number
         #: of shape-compatible vectorized rounds
         self.workspace_builds = 0
-        #: the parallel mode's process fleet, built lazily on the first round
-        self.scheduler: Optional[CohortScheduler] = None
-
-    def close(self) -> None:
-        """Shut down the parallel scheduler's worker fleet (if any).
-
-        Idempotent, and a no-op for every in-process mode.  The executor
-        stays usable afterwards — the next parallel round simply rebuilds
-        the fleet.
-
-        Example
-        -------
-        >>> executor = LocalUpdateExecutor("parallel", num_workers=2)
-        >>> executor.close(); executor.close()
-        """
-        if self.scheduler is not None:
-            self.scheduler.shutdown()
 
     def run_round(self, clients: Sequence[FederatedClient],
                   model_factory: Callable[[], Module],
@@ -144,7 +109,7 @@ class LocalUpdateExecutor(Transport):
         *failed* holds the cohort positions the round's fault plan has
         already failed (dropouts, stragglers past the deadline).  The
         returned list covers only the other positions, in cohort order.  The
-        cohort back-ends still train the failed rows and then drop them (a
+        cohort back-end still trains the failed rows and then drops them (a
         real dropout wastes its local compute too, and a stable cohort size
         keeps the round-persistent workspace warm); the one-client-at-a-time
         path skips them outright.  Either way the survivors are bit-identical
@@ -170,12 +135,6 @@ class LocalUpdateExecutor(Transport):
             # checked before any pool is built or adopted
             self.last_fallback_reason = str(exc)
             return self._run_sequential(*args, failed, slots)
-        if self.mode == "parallel":
-            try:
-                return self._filter_survivors(
-                    self._run_parallel(slots, *args), failed)
-            except SchedulerError as exc:
-                self.last_fallback_reason = str(exc)
         return self._filter_survivors(self._run_vectorized(slots, *args), failed)
 
     # -- back-ends -------------------------------------------------------------
@@ -260,21 +219,3 @@ class LocalUpdateExecutor(Transport):
         train_cohort(batched, optimizer, x, y, rngs, config,
                      rows=workspace.client_rows)
         return StackedClientStates(batched.state_dicts(), batched.stacked_state())
-
-    def _run_parallel(self, slots: Sequence[tuple],
-                      clients: Sequence[FederatedClient],
-                      model_factory: Callable[[], Module],
-                      global_state: StateDict, config: LocalTrainingConfig,
-                      round_index: int) -> StackedClientStates:
-        """Shard the (rectangular) cohort across the scheduler's worker fleet.
-
-        The scheduler is built lazily on the first parallel round and reused
-        for as long as rounds keep the same geometry; a crashed or wedged
-        worker raises :class:`SchedulerError` into :meth:`run_round`'s
-        fallback to the vectorized back-end.
-        """
-        if self.scheduler is None:
-            self.scheduler = CohortScheduler(num_workers=self.num_workers,
-                                             timeout=self.scheduler_timeout)
-        return self.scheduler.run_round(clients, slots, model_factory,
-                                        global_state, config, round_index)

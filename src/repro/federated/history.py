@@ -35,8 +35,8 @@ class RoundRecord:
     forward), and ``actual_population_bias`` is ``||p_o − p_u||₁`` over the
     survivors (``NaN`` when nobody survived).  ``fallback_reason`` surfaces
     :attr:`repro.federated.LocalUpdateExecutor.last_fallback_reason`, so a
-    silent back-end degradation (parallel → vectorized, or a ragged cohort
-    trained one client at a time) is visible in the run history rather than
+    silent back-end degradation (a ragged cohort trained one client at a
+    time) is visible in the run history rather than
     only on the executor object.
 
     Example

@@ -57,16 +57,12 @@ class FederatedConfig:
     ``executor_mode`` selects the local-update back-end
     (:data:`repro.federated.EXECUTOR_MODES`: ``"vectorized"`` by default,
     which trains a cohort it cannot stack one client at a time, as
-    ``"sequential"`` always does, or ``"parallel"``; see
+    ``"sequential"`` always does; see
     :class:`repro.federated.LocalUpdateExecutor`).
-    ``num_workers`` / ``scheduler_timeout`` configure the ``"parallel"``
-    mode's multi-cohort scheduler (worker-process count, defaulting to one
-    per core, and the per-round worker-reply deadline in seconds — raise it
-    for genuinely long local updates, ``None`` waits forever).
     ``dataset_cache_size`` bounds the shared LRU pool of materialised client
     datasets; ``None`` disables pooling (each client pins its own data
-    forever, the pre-cache behaviour).  Every back-end trains in float64, so
-    all three produce bit-identical rounds.  ``scenario`` opts the run
+    forever, the pre-cache behaviour).  Both back-ends train in float64, so
+    they produce bit-identical rounds.  ``scenario`` opts the run
     into fault injection (:class:`repro.scenarios.ScenarioSpec`): churn,
     availability, stragglers and dropouts, with partial-round
     aggregation below the spec's participation floor.  ``None`` (default)
@@ -85,10 +81,9 @@ class FederatedConfig:
 
     Example
     -------
-    >>> config = FederatedConfig(rounds=5, executor_mode="parallel",
-    ...                          num_workers=2, seed=0)
-    >>> config.num_workers
-    2
+    >>> config = FederatedConfig(rounds=5, executor_mode="sequential", seed=0)
+    >>> config.executor_mode
+    'sequential'
     """
 
     rounds: int = 20
@@ -96,8 +91,6 @@ class FederatedConfig:
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
     executor_mode: str = "vectorized"
     dataset_cache_size: Optional[int] = 1024
-    num_workers: Optional[int] = None
-    scheduler_timeout: Optional[float] = 120.0
     seed: Optional[int] = None
     scenario: Optional[ScenarioSpec] = None
     run_mode: str = "live"
@@ -122,16 +115,6 @@ class FederatedConfig:
             raise ValueError("eval_every must be positive")
         if self.dataset_cache_size is not None and self.dataset_cache_size < 1:
             raise ValueError("dataset_cache_size must be positive when given")
-        if self.num_workers is not None:
-            if self.num_workers < 1:
-                raise ValueError("num_workers must be positive when given")
-            if self.executor_mode != "parallel":
-                raise ValueError(
-                    "num_workers configures the parallel scheduler; it "
-                    "requires executor_mode='parallel'"
-                )
-        if self.scheduler_timeout is not None and self.scheduler_timeout <= 0:
-            raise ValueError("scheduler_timeout must be positive (or None)")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
             raise TypeError("scenario must be a ScenarioSpec (or None)")
         if (self.scenario is not None and self.scenario.network is not None
@@ -195,13 +178,10 @@ class FederatedSimulation:
         config = self.config
         scenario = config.scenario
         #: the in-process LocalUpdateExecutor when there is one (None over
-        #: sockets); scheduler and workspace telemetry live here
+        #: sockets); workspace telemetry lives here
         self.executor: Optional[LocalUpdateExecutor] = None
         if config.transport.kind == "inprocess":
-            self.executor = LocalUpdateExecutor(
-                mode=config.executor_mode, num_workers=config.num_workers,
-                scheduler_timeout=config.scheduler_timeout,
-            )
+            self.executor = LocalUpdateExecutor(mode=config.executor_mode)
         #: the seam every round speaks to: the executor itself in process,
         #: or sockets (a scenario's NetworkSpec interposes the chaos proxy,
         #: keyed by the scenario seed so network faults replay
@@ -383,9 +363,8 @@ class FederatedSimulation:
     def close(self) -> None:
         """Release round-persistent runtime state (idempotent).
 
-        Closes the transport (shutting down the parallel scheduler's worker
-        processes in process, or the asyncio socket server — cancelling any
-        round still pending on the loop), drops the server's cached batched
+        Closes the transport (the asyncio socket server, cancelling any
+        round still pending on the loop; a no-op in process), drops the server's cached batched
         evaluator and releases the attached ledger session's SQLite
         connection (committed rounds are already durable).  The three
         teardowns are chained so a failure in one never leaks the others'

@@ -1,9 +1,9 @@
 """The one training step, and the round-persistent state it runs on.
 
-:func:`train_cohort` is every client's local update: the in-process
-executor's vectorized rounds, the parallel scheduler's workers and a single
-client's :meth:`~repro.federated.FederatedClient.local_train` (a K = 1
-cohort) all run it.  A :class:`CohortWorkspace` owns
+:func:`train_cohort` is every client's local update: the executor's
+vectorized rounds and a single client's
+:meth:`~repro.federated.FederatedClient.local_train` (a K = 1 cohort) both
+run it.  A :class:`CohortWorkspace` owns
 
 * the :class:`~repro.nn.batched.BatchedModel` with its flat ``(K·P)``
   value/grad pools,
@@ -30,7 +30,6 @@ client at a time, so the pools stay as the last dense round left them.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -43,40 +42,7 @@ from ..nn.module import Module
 if TYPE_CHECKING:  # the client trains through this module
     from .client import LocalTrainingConfig
 
-__all__ = ["CohortWorkspace", "shared_pool", "train_cohort"]
-
-
-def shared_pool(shape: Sequence[int], dtype: "str | np.dtype",
-                ctx: "Optional[multiprocessing.context.BaseContext]" = None,
-                ) -> np.ndarray:
-    """Allocate a dense array on process-shared (fork-inheritable) memory.
-
-    The multi-cohort scheduler keeps three kinds of state in pools allocated
-    here: the round's flattened global parameters (parent writes, every
-    worker reads), each shard's stacked ``(K_s, N_vc, …)`` cohort data
-    (parent restacks changed slots, its worker trains from the same pages)
-    and each shard's flat result pool (worker writes its trained parameter
-    stack, parent merges zero-copy).  Worker processes forked *after* the
-    allocation inherit the mapping, so per-round communication is a couple of
-    array writes instead of pickling models and datasets through a pipe.
-
-    Without *ctx* the pool comes from the default multiprocessing context;
-    the returned array owns a reference to the underlying shared block, so it
-    lives exactly as long as the array (and any forked views of it) does.
-
-    Example
-    -------
-    >>> pool = shared_pool((2, 3), "float64")
-    >>> pool[:] = 1.0
-    >>> pool.shape
-    (2, 3)
-    """
-    ctx = ctx or multiprocessing.get_context()
-    resolved = np.dtype(dtype)
-    n_bytes = int(np.prod(shape)) * resolved.itemsize
-    raw = ctx.RawArray("b", max(n_bytes, 1))
-    return np.frombuffer(raw, dtype=resolved, count=int(np.prod(shape))
-                         ).reshape(tuple(shape))
+__all__ = ["CohortWorkspace", "train_cohort"]
 
 
 def train_cohort(model: BatchedModel, optimizer: "BatchedAdam | BatchedSGD",
@@ -86,9 +52,8 @@ def train_cohort(model: BatchedModel, optimizer: "BatchedAdam | BatchedSGD",
                  rows: Optional[np.ndarray] = None) -> None:
     """Run every client's full local update as one batched tensor program.
 
-    This is the only training step in the package, shared by the in-process
-    executor, the parallel scheduler's workers and
-    :meth:`~repro.federated.FederatedClient.local_train`.  Each epoch every
+    This is the only training step in the package, shared by the executor's
+    vectorized rounds and :meth:`~repro.federated.FederatedClient.local_train`.  Each epoch every
     client shuffles its samples with one permutation drawn from its own
     generator in *rngs* (seeded from the client's seed and the round), then
     steps through batches of ``config.batch_size``; the client loop is

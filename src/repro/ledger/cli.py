@@ -27,6 +27,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from ..federated.executor import EXECUTOR_MODES
 from .codec import RunRecipe, config_from_dict
 from .modes import LedgerVerificationError
 from .store import LedgerError, RunInfo, RunLedger
@@ -118,10 +119,6 @@ def _build_simulation(path: str, info: RunInfo, run_mode: str,
     }
     if executor_mode is not None:
         overrides["executor_mode"] = executor_mode
-        # executor-specific knobs recorded for another back-end must not
-        # leak into this one (e.g. num_workers requires 'parallel')
-        if executor_mode != "parallel":
-            overrides["num_workers"] = None
     config = config_from_dict(info.config, **overrides)
     return Session(config).with_recipe(recipe).build()
 
@@ -194,6 +191,7 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         sub.add_argument("ledger")
         sub.add_argument("run_id", nargs="?", default=None)
         sub.add_argument("--executor-mode", default=None,
+                         choices=EXECUTOR_MODES,
                          help="re-execute on this back-end instead of the "
                               "recorded one")
         sub.add_argument("--recipe", default=None,

@@ -32,6 +32,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 __all__ = [
+    "RETIRED_EXECUTOR_MODES",
     "RETIRED_KEYS",
     "RETIRED_TARGETS",
     "RunRecipe",
@@ -56,7 +57,7 @@ GROUP_FIELDS = ("transport",)
 
 #: Recorded-config keys that determine a run's numeric results.  RESUME and
 #: VERIFY require these to match between the recorded run and the current
-#: simulation; executor knobs (back-end, workers, cache sizes) are absent on
+#: simulation; executor knobs (back-end, cache sizes) are absent on
 #: purpose — all back-ends are bit-identical, which is exactly what makes
 #: cross-back-end VERIFY meaningful.
 DETERMINISM_KEYS = ("eval_every", "seed", "local", "scenario")
@@ -73,6 +74,15 @@ RETIRED_KEYS = {
     "shard_policy": "contiguous",
     "eval_backend": "batched",
     "scenario.drift": {"period": 0},
+}
+
+#: Executor back-ends that older ledgers recorded, each with the back-end
+#: that now replays the run and the knobs that only the retired one read.
+#: Every back-end is bit-identical and none of these keys is in
+#: :data:`DETERMINISM_KEYS`, so loading swaps in the successor and drops the
+#: knobs whatever they hold (every run recorded them, on any back-end).
+RETIRED_EXECUTOR_MODES = {
+    "parallel": ("vectorized", ("num_workers", "scheduler_timeout")),
 }
 
 #: Recipe targets that older ledgers recorded, each with the factory that
@@ -207,8 +217,9 @@ def drop_retired_keys(payload: Mapping) -> dict:
 
     Raises :class:`~repro.ledger.LedgerMismatchError`, naming the key, when
     a retired key holds anything but its surviving value — a run recorded
-    with another value would not replay bit-for-bit.  *payload* and the
-    blocks inside it are left untouched.
+    with another value would not replay bit-for-bit.  A retired executor
+    back-end becomes its successor (:data:`RETIRED_EXECUTOR_MODES`).
+    *payload* and the blocks inside it are left untouched.
 
     Example
     -------
@@ -220,8 +231,15 @@ def drop_retired_keys(payload: Mapping) -> dict:
     repro.ledger.modes.LedgerMismatchError: recorded dtype='float32', but every run now uses dtype='float64'
     >>> drop_retired_keys({"scenario": {"seed": 0, "drift": {"period": 0, "shift": 1}}})
     {'scenario': {'seed': 0}}
+    >>> drop_retired_keys({"executor_mode": "parallel", "num_workers": 2})
+    {'executor_mode': 'vectorized'}
     """
     kept = dict(payload)
+    for retired, (successor, knobs) in RETIRED_EXECUTOR_MODES.items():
+        if kept.get("executor_mode") == retired:
+            kept["executor_mode"] = successor
+        for knob in knobs:
+            kept.pop(knob, None)
     for path, surviving in RETIRED_KEYS.items():
         *blocks, key = path.split(".")
         owner = kept

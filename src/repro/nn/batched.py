@@ -23,8 +23,7 @@ parameters, so a warm batched program can serve any template whose
 structure it was built from.  This module is the one owner of that
 structure: :func:`program_signature` says when two templates build the same
 program, and :func:`flat_layout` says where each parameter lives in the
-program's flat pools (the parallel scheduler's shared pools use the same
-layout).
+program's flat pools.
 
 Extending
 ---------
@@ -312,8 +311,7 @@ def flat_layout(template: Module) -> "tuple[list[tuple[str, int, tuple[int, ...]
     Returns ``([(name, offset, shape), ...], total)``, where *offset* and
     *total* count per-client scalars.  The layout is param-major: a
     K-client pool stores parameter ``p`` at ``[K * offset_p, K * (offset_p +
-    size_p))``, reshaped to ``(K, *shape)``, and a one-client pool (the
-    parallel scheduler's shared global parameters) is the K = 1 case.  A
+    size_p))``, reshaped to ``(K, *shape)``, and a one-client pool is the K = 1 case.  A
     parameter shared under two names occupies one segment, under both.
 
     Example

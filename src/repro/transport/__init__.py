@@ -14,7 +14,7 @@ separation of *process* from *role*:
 * :mod:`repro.transport.base` — the :class:`Transport` seam the simulation
   speaks to; in process the seam is the
   :class:`~repro.federated.executor.LocalUpdateExecutor` itself
-  (sequential / vectorized / parallel back-ends);
+  (sequential / vectorized back-ends);
 * :mod:`repro.transport.server` — :class:`SocketTransport`, the asyncio TCP
   server driving rounds with bounded send queues, timeouts and partial-round
   completion;

@@ -7,7 +7,7 @@ cohort order and exposes the same telemetry attributes, so the simulation's
 round loop is transport-agnostic:
 
 * :class:`~repro.federated.executor.LocalUpdateExecutor` *is* the in-process
-  transport (sequential / vectorized / parallel back-ends);
+  transport (sequential / vectorized back-ends);
 * :class:`~repro.transport.server.SocketTransport` drives the same round
   over localhost (or real) TCP sockets against
   :class:`~repro.transport.client.TransportClient` peers.
@@ -89,9 +89,12 @@ class Transport(ABC):
         already failed; their states are never returned.
         """
 
-    @abstractmethod
     def close(self) -> None:
-        """Release the transport's resources.  Idempotent."""
+        """Release the transport's resources.  Idempotent.
+
+        A no-op in process, where the executor holds no process, socket or
+        thread; the socket transport overrides it to stop its server.
+        """
 
     def broadcast_probabilities(self, round_index: int,
                                 probabilities: Sequence[float]) -> None:

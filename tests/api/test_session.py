@@ -162,4 +162,4 @@ class TestFlatConfig:
     @pytest.mark.parametrize("group", ["executor", "ledger"])
     def test_nested_group_keywords_are_unknown(self, group):
         with pytest.raises(TypeError, match=group):
-            FederatedConfig(**{group: {"mode": "parallel"}})
+            FederatedConfig(**{group: {"mode": "vectorized"}})

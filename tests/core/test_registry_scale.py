@@ -28,6 +28,8 @@ from repro.core.probability import (
 from repro.core.registry import RegistryCodebook
 from repro.core.secure import SecureRegistrationRound
 from repro.core.selectors import DubheSelector, GreedySelector
+from repro.crypto import generate_keypair
+from repro.crypto.packing import PackingScheme
 
 N_LARGE = 100_000
 BATCH = 4096
@@ -43,10 +45,25 @@ STREAM_CEILING_BYTES = 16 * 2**20
 #: full (N, C) float copy alone is 16 MB.
 BATCH_SCRATCH_BYTES = 2 * 2**20
 
-#: Fixed ceiling for the secure streaming round below (N = 8192, 32-bit toy
-#: key, count packing, batch 512): streaming peaks well under 2 MB; holding
+#: Fixed ceiling for the secure streaming rounds below (N ≤ 2048, 40-bit toy
+#: key, count packing, batch 512): streaming peaks under 1 MB; holding
 #: every client's ciphertext vector or one-hot registry would not fit.
 SECURE_STREAM_CEILING_BYTES = 8 * 2**20
+
+#: What ``SecureRegistrationRound.run_stream`` holds per client, read off
+#: the code: each batch's int64 ``blocks`` and ``indices`` parts stay in
+#: ``blocks_parts`` / ``index_parts`` until the end (16 B), where
+#: ``np.concatenate`` copies both into the returned registration while
+#: the parts are still alive (16 B more).
+SECURE_STREAM_BYTES_PER_CLIENT = 2 * 8 + 2 * 8
+
+#: Bookkeeping that grows with N but not per client, for the doubling
+#: N = 1024 → 2048 at batch 512 below: two more batches, each adding two
+#: part arrays (a 112 B ndarray header and an 8 B list slot each, 480 B
+#: in all), and one more digit of the arity-2 tree fold, which keeps one
+#: more partial ciphertext vector alive (six 80-bit ciphertexts, their
+#: list and the vector object: about 0.5 kB).  Rounded up to 4 kB.
+SECURE_STREAM_BOOKKEEPING_BYTES = 4 * 2**10
 
 
 def scale_config(k=1000, batch=BATCH, key_size=32, reference_set=(1, 2, 10)):
@@ -108,22 +125,46 @@ class TestStreamingMemory:
         )
 
     def test_secure_run_stream_peak_is_o_batch(self):
-        n = 8192
-        config = scale_config(k=64, batch=512, key_size=32,
+        # two N with the same batch: the O(batch) scratch (one batch's
+        # registries and ciphertexts, the previous batch's ciphertexts) is
+        # the same at both, so the peak may grow only by what run_stream
+        # holds per client.  Both N must share the packing geometry, since
+        # the headroom (max_weight = N) sets the slot width: a 40-bit key
+        # packs two counts per ciphertext for any N from 1024 to 4096, where
+        # a 32-bit key packs two at N = 1024 and one or two at N = 2048.
+        config = scale_config(k=64, batch=512, key_size=40,
                               reference_set=(1, 10))
-        distributions = skewed_population(n, seed=2)
-        round_ = SecureRegistrationRound(config, packed=True,
-                                         aggregation="tree")
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        streamed = round_.run_stream(distributions)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert streamed.n_clients == n
-        assert streamed.overall.sum() == n
-        assert peak < SECURE_STREAM_CEILING_BYTES, (
-            f"secure streaming peaked at {peak / 2**20:.1f} MB: the round is "
-            "holding more than O(batch) ciphertexts or registries"
+        small, large = 1024, 2048
+        codebook = RegistryCodebook(config)
+        public_key, _ = generate_keypair(key_size=config.key_size)
+        geometry = {n: PackingScheme.for_counts(public_key, codebook.length,
+                                                max_weight=n).num_ciphertexts
+                    for n in (small, large)}
+        assert geometry[small] == geometry[large]
+        peaks = {}
+        for n in (small, large):
+            distributions = skewed_population(n, seed=2)
+            round_ = SecureRegistrationRound(config, packed=True,
+                                             aggregation="tree")
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            streamed = round_.run_stream(distributions)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert streamed.n_clients == n
+            assert streamed.overall.sum() == n
+            assert peaks[n] < SECURE_STREAM_CEILING_BYTES, (
+                f"secure streaming peaked at {peaks[n] / 2**20:.1f} MB at "
+                f"N = {n}: the round is holding more than O(batch) "
+                "ciphertexts or registries"
+            )
+        allowed = (SECURE_STREAM_BYTES_PER_CLIENT * (large - small)
+                   + SECURE_STREAM_BOOKKEEPING_BYTES)
+        growth = peaks[large] - peaks[small]
+        assert growth <= allowed, (
+            f"secure streaming peak grew by {growth} B from N = {small} to "
+            f"{large}, more than the {allowed} B of per-client index arrays "
+            "run_stream holds: something else is O(N)"
         )
 
 

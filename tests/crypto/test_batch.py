@@ -1,4 +1,4 @@
-"""Tests for precomputed noise (NoisePool) and parallel batch crypto."""
+"""Tests for precomputed noise (NoisePool) and batch crypto."""
 
 import random
 import threading

@@ -225,37 +225,6 @@ class TestFederatedSimulation:
         sim.close()  # second close after __exit__ must be a no-op
         sim.close()
 
-    def test_mid_round_exception_does_not_leak_workers(self, small_setup):
-        class ExplodingSelector(RoundRobinSelector):
-            def select(self, round_index):
-                if round_index >= 1:
-                    raise RuntimeError("selector lost its registry")
-                return super().select(round_index)
-
-        generator, partition, test_set = small_setup
-        workers = []
-        sim_ref = []
-        with pytest.raises(RuntimeError, match="lost its registry"):
-            with FederatedSimulation(
-                partition=partition,
-                generator=generator,
-                model_factory=lambda: MLP(64, 10, hidden=(16,), seed=7),
-                selector=ExplodingSelector(partition.n_clients, 4),
-                test_set=test_set,
-                config=FederatedConfig(
-                    rounds=3, executor_mode="parallel", num_workers=2,
-                    local=LocalTrainingConfig(learning_rate=1e-3), seed=0,
-                ),
-            ) as sim:
-                sim_ref.append(sim)
-                sim.run(progress=lambda r: workers.extend(
-                    sim.executor.scheduler._workers))
-        assert workers, "round 0 should have spawned the worker fleet"
-        assert all(not w.is_alive() for w in workers)
-        scheduler = sim_ref[0].executor.scheduler
-        assert scheduler._workers == [] and scheduler._conns == []
-        sim_ref[0].close()  # idempotent after the context-manager teardown
-
     def test_close_with_a_pending_socket_round_does_not_hang(self, small_setup):
         # teardown race: a transport-wrapped simulation is closed while its
         # server loop still has a round in flight (no client ever registers).

@@ -272,11 +272,10 @@ class TestRaggedFallbackThroughWorkspace:
             for key in a:
                 np.testing.assert_allclose(a[key], b[key], atol=TOL, rtol=0)
 
-    @pytest.mark.parametrize("mode", ["sequential", "vectorized", "parallel"])
+    @pytest.mark.parametrize("mode", ["sequential", "vectorized"])
     def test_a_ragged_round_fetches_each_client_once(self, mode):
         # the ragged fallback trains on the slots the shape check took, so
-        # the pool counts one lookup per client, as the sequential mode does;
-        # "parallel" finds the cohort ragged before it starts any worker
+        # the pool counts one lookup per client, as the sequential mode does
         gen = make_synthetic_mnist(seed=0)
         cache = DatasetCache(8)
         clients = [
@@ -285,13 +284,9 @@ class TestRaggedFallbackThroughWorkspace:
                                 [3 + k] * 10, rng=np.random.default_rng(k)))
             for k in range(2)
         ]
-        executor = LocalUpdateExecutor(mode, num_workers=2)
-        try:
-            states = executor.run_round(
-                clients, mlp_factory, FederatedServer(mlp_factory).global_state(),
-                LocalTrainingConfig(learning_rate=1e-3))
-        finally:
-            executor.close()
+        states = LocalUpdateExecutor(mode).run_round(
+            clients, mlp_factory, FederatedServer(mlp_factory).global_state(),
+            LocalTrainingConfig(learning_rate=1e-3))
         assert len(states) == 2
         assert (cache.misses, cache.hits) == (2, 0)
 

@@ -165,14 +165,35 @@ def record_config(path, run_id, payload):
     conn.close()
 
 
+#: what config_to_dict wrote for FederatedConfig(rounds=4, seed=0,
+#: executor_mode="parallel", num_workers=2) before that back-end was retired
+PARALLEL_CONFIG = {
+    "rounds": 4, "eval_every": 1,
+    "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
+              "optimizer": "adam", "max_batches_per_epoch": None},
+    "executor_mode": "parallel", "dataset_cache_size": 1024,
+    "num_workers": 2, "scheduler_timeout": 120.0, "seed": 0, "scenario": None,
+}
+
+
 class TestLegacyConfig:
-    def test_legacy_config_resumes_and_verifies(self, recorded, capsys):
+    @pytest.mark.parametrize("payload", [LEGACY_CONFIG, PARALLEL_CONFIG],
+                             ids=["retired-knobs", "parallel"])
+    def test_legacy_config_resumes_and_verifies(self, recorded, capsys,
+                                                payload):
         path, run_id = recorded
-        record_config(path, run_id, LEGACY_CONFIG)
+        record_config(path, run_id, payload)
         assert main(["resume", path, run_id]) == 0
         assert "ran 2 round(s), 4 total" in capsys.readouterr().out
         assert main(["verify", path, run_id]) == 0
         assert "OK (4 rounds" in capsys.readouterr().out
+
+    def test_executor_mode_offers_only_live_modes(self, recorded, capsys):
+        path, run_id = recorded
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, run_id, "--executor-mode", "parallel"])
+        assert exit_info.value.code == 2
+        assert "'sequential', 'vectorized'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("dtype", "float32"),
                                            ("shard_policy", "interleaved"),

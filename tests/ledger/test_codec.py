@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.executor import EXECUTOR_MODES
 from repro.federated.simulation import FederatedConfig
 from repro.ledger import (LedgerMismatchError, RunRecipe, benchmark_context,
                           config_from_dict, config_to_dict, git_sha,
                           scenario_from_dict, scenario_to_dict,
                           state_from_bytes, state_sha256, state_to_bytes)
 from repro.ledger.codec import (DETERMINISM_KEYS, LEDGER_FIELDS,
-                                RETIRED_KEYS, RETIRED_TARGETS,
-                                drop_retired_keys)
+                                RETIRED_EXECUTOR_MODES, RETIRED_KEYS,
+                                RETIRED_TARGETS, drop_retired_keys)
 from repro.ledger.recipes import federation
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import AvailabilitySpec, DropoutSpec, StragglerSpec
@@ -101,6 +102,18 @@ RECORDED = {
 }
 
 
+#: what config_to_dict wrote for a parallel run before that back-end was
+#: retired: FederatedConfig(rounds=4, seed=3, executor_mode="parallel",
+#: num_workers=2, dataset_cache_size=7, scenario=...)
+PARALLEL = {
+    "rounds": 4, "eval_every": 1,
+    "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
+              "optimizer": "adam", "max_batches_per_epoch": None},
+    "executor_mode": "parallel", "dataset_cache_size": 7, "num_workers": 2,
+    "scheduler_timeout": 120.0, "seed": 3, "scenario": RECORDED["scenario"],
+}
+
+
 class TestConfigCodec:
     def test_ledger_fields_are_stripped(self):
         config = FederatedConfig(rounds=3, seed=1, ledger_path="x.db",
@@ -137,8 +150,7 @@ class TestConfigCodec:
     def test_recorded_key_set_is_pinned(self):
         assert set(config_to_dict(FederatedConfig())) == {
             "rounds", "eval_every", "local", "executor_mode",
-            "dataset_cache_size", "num_workers", "scheduler_timeout", "seed",
-            "scenario",
+            "dataset_cache_size", "seed", "scenario",
         }
 
     def test_recorded_payload_is_byte_stable(self):
@@ -152,7 +164,7 @@ class TestConfigCodec:
             scenario=ScenarioSpec(seed=2,
                                   dropouts=DropoutSpec(probability=0.25)))
         current = {key: value for key, value in RECORDED.items()
-                   if key not in RETIRED_KEYS}
+                   if key not in (*RETIRED_KEYS, *RETIRED_KNOBS)}
         current["scenario"] = {key: value for key, value
                                in RECORDED["scenario"].items()
                                if key != "drift"}
@@ -161,17 +173,24 @@ class TestConfigCodec:
         assert rebuilt == config
         assert json.dumps(config_to_dict(rebuilt)) == json.dumps(current)
 
+    @pytest.mark.parametrize("payload", [RECORDED, PARALLEL],
+                             ids=["vectorized", "parallel"])
     @pytest.mark.parametrize("key,value", [
         ("dtype", "float32"), ("shard_policy", "interleaved"),
         ("eval_backend", "sequential")])
-    def test_retired_key_with_another_value_is_refused(self, key, value):
+    def test_retired_key_with_another_value_is_refused(self, key, value,
+                                                       payload):
         # a float32 run must never load (and so resume) silently in float64
         with pytest.raises(LedgerMismatchError, match=f"recorded {key}="):
-            config_from_dict(dict(RECORDED, **{key: value}))
+            config_from_dict(dict(payload, **{key: value}))
 
 
 #: the top-level retired keys (the dotted ones name blocks inside a config)
 TOP_LEVEL_RETIRED = sorted(key for key in RETIRED_KEYS if "." not in key)
+
+#: the knobs only a retired executor back-end read
+RETIRED_KNOBS = tuple(knob for _, knobs in RETIRED_EXECUTOR_MODES.values()
+                      for knob in knobs)
 
 
 class TestRetiredKeys:
@@ -186,7 +205,7 @@ class TestRetiredKeys:
         kept = drop_retired_keys(payload)
         assert payload == RECORDED
         assert list(kept) == [key for key in RECORDED
-                              if key not in RETIRED_KEYS]
+                              if key not in (*RETIRED_KEYS, *RETIRED_KNOBS)]
         assert all(kept[key] == RECORDED[key] for key in kept
                    if key != "scenario")
         assert "drift" not in kept["scenario"]
@@ -239,10 +258,48 @@ class TestRetiredKeys:
             config_from_dict(recorded)
 
     def test_no_retired_key_is_a_config_field(self):
+        retired = set(TOP_LEVEL_RETIRED + list(RETIRED_KNOBS))
         fields = {f.name for f in dataclasses.fields(FederatedConfig)}
-        assert not fields & set(TOP_LEVEL_RETIRED)
-        assert not set(config_to_dict(FederatedConfig())) & set(TOP_LEVEL_RETIRED)
+        assert not fields & retired
+        assert not set(config_to_dict(FederatedConfig())) & retired
         assert "drift" not in scenario_to_dict(ScenarioSpec())
+
+
+class TestRetiredExecutorModes:
+    def test_parallel_run_loads_as_vectorized(self):
+        payload = json.loads(json.dumps(PARALLEL))
+        rebuilt = config_from_dict(payload)
+        assert rebuilt == config_from_dict(RECORDED)
+        assert rebuilt.executor_mode == "vectorized"
+        assert payload == PARALLEL
+
+    def test_every_successor_is_a_live_mode(self):
+        for retired, (successor, _) in RETIRED_EXECUTOR_MODES.items():
+            assert retired not in EXECUTOR_MODES
+            assert successor in EXECUTOR_MODES
+
+    def test_no_retired_knob_is_a_determinism_key(self):
+        for _, knobs in RETIRED_EXECUTOR_MODES.values():
+            assert not {"executor_mode", *knobs} & set(DETERMINISM_KEYS)
+
+    @pytest.mark.parametrize("knobs", [
+        {"num_workers": 2, "scheduler_timeout": None},
+        {"num_workers": 64, "scheduler_timeout": -1.0},
+        {"num_workers": "many"},
+        {}], ids=["recorded", "invalid-values", "junk", "absent"])
+    def test_knobs_are_dropped_whatever_they_hold(self, knobs):
+        payload = {key: value for key, value in PARALLEL.items()
+                   if key not in RETIRED_KNOBS}
+        kept = drop_retired_keys(dict(payload, **knobs))
+        assert not set(kept) & set(RETIRED_KNOBS)
+        assert kept["executor_mode"] == "vectorized"
+
+    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
+    def test_live_modes_load_unchanged(self, mode):
+        assert drop_retired_keys(dict(PARALLEL, executor_mode=mode))[
+            "executor_mode"] == mode
+        assert config_from_dict(PARALLEL, executor_mode=mode
+                                ).executor_mode == mode
 
 
 RECIPE_TARGET = "repro.ledger.recipes:federation"

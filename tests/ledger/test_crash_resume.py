@@ -5,8 +5,7 @@ in flight.  These tests exercise it for real: a child process records a run
 into a ledger, the test kills it (SIGKILL — no cleanup, no atexit) once
 enough rounds are durably committed, then resumes from the surviving file
 and asserts the completed trajectory is bit-identical to an uninterrupted
-run of the same configuration.  The parallel variant kills the whole
-process group, taking the worker fleet down with the scheduler.
+run of the same configuration.
 """
 
 import json
@@ -143,26 +142,6 @@ def test_sigkill_mid_run_then_resume_bit_identical(tmp_path, executor_mode):
         final = ledger.run(run_id)
         assert final.status == "completed"
         assert final.rounds_committed == TOTAL_ROUNDS
-
-
-def test_kill_parallel_worker_fleet_then_resume(tmp_path):
-    ledger_path = str(tmp_path / "runs.db")
-    child = spawn_recorder(ledger_path, executor_mode="parallel",
-                           num_workers=2)
-    try:
-        run_id = wait_for_rounds(ledger_path, child, KILL_AFTER)
-    finally:
-        kill_group(child)  # SIGKILL the whole group: scheduler AND workers
-
-    # resume on a *different* back-end: determinism holds across executors
-    resumed, resumed_state = resume(ledger_path, run_id,
-                                    executor_mode="sequential")
-    reference, reference_state = uninterrupted_run(executor_mode="sequential")
-    np.testing.assert_array_equal(resumed.accuracies(),
-                                  reference.accuracies())
-    for key in reference_state:
-        np.testing.assert_array_equal(resumed_state[key],
-                                      reference_state[key])
 
 
 _SOCKET_CHILD = textwrap.dedent("""

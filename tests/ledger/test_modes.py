@@ -195,10 +195,9 @@ class TestVerifyMode:
 
     def test_verify_across_backends(self, ledger_path):
         run_id, _ = record_run(ledger_path)
-        for executor_mode in ("vectorized", "parallel"):
-            over = ({"num_workers": 2} if executor_mode == "parallel" else {})
+        for executor_mode in ("sequential", "vectorized"):
             with build(ledger_path, "verify", replay_source_run_id=run_id,
-                       executor_mode=executor_mode, **over) as sim:
+                       executor_mode=executor_mode) as sim:
                 sim.run()
                 assert sim.ledger_session.report.ok(), executor_mode
 
@@ -240,7 +239,9 @@ class TestVerifyMode:
     def test_verify_accepts_a_legacy_config(self, ledger_path):
         run_id, _ = record_run(ledger_path)
         rerecord_config(ledger_path, run_id, dtype="float64",
-                        shard_policy="contiguous", eval_backend="batched")
+                        shard_policy="contiguous", eval_backend="batched",
+                        executor_mode="parallel", num_workers=2,
+                        scheduler_timeout=120.0)
         with build(ledger_path, "verify",
                    replay_source_run_id=run_id) as sim:
             sim.run()
@@ -355,17 +356,15 @@ class TestLedgersRecordedWithDrift:
         assert ([r.failures for r in resumed.records]
                 == [r.failures for r in uninterrupted.records])
 
-    @pytest.mark.parametrize("executor_mode",
-                             ["sequential", "vectorized", "parallel"])
+    @pytest.mark.parametrize("executor_mode", ["sequential", "vectorized"])
     def test_verify_accepts_a_ledger_recorded_with_drift(self, ledger_path,
                                                          executor_mode):
         run_id, _ = record_run(ledger_path, scenario=self.SPEC)
         self.rerecord_with_drift(ledger_path, run_id,
                                  {"period": 0, "shift": 1})
-        over = ({"num_workers": 2} if executor_mode == "parallel" else {})
         with build(ledger_path, "verify", scenario=self.SPEC,
-                   replay_source_run_id=run_id, executor_mode=executor_mode,
-                   **over) as sim:
+                   replay_source_run_id=run_id,
+                   executor_mode=executor_mode) as sim:
             sim.run()
             report = sim.ledger_session.report
         assert report.ok(), report.format()

@@ -89,8 +89,7 @@ class TestLedgersRecordedAsQuickMlp:
                 RunLedger(str(tmp_path / "ref.db"), create=False) as ref:
             assert resumed.rounds(run_id) == ref.rounds(uninterrupted)
 
-    @pytest.mark.parametrize("executor_mode",
-                             ["sequential", "vectorized", "parallel"])
+    @pytest.mark.parametrize("executor_mode", ["sequential", "vectorized"])
     def test_verify_on_every_backend(self, tmp_path, capsys, executor_mode):
         path = str(tmp_path / "runs.db")
         run_id = self.recorded_as_quick_mlp(path, selector="greedy")

@@ -1,9 +1,9 @@
-"""One scenario, four back-ends, one fault story per round.
+"""One scenario, three back-ends, one fault story per round.
 
-A churn + dropout + straggler scenario runs on the ``sequential``,
-``vectorized`` and ``parallel`` executors and over loopback sockets.  Every
+A churn + dropout + straggler scenario runs on the ``sequential`` and
+``vectorized`` executors and over loopback sockets.  Every
 round's planned cohort, surviving cohort, failure causes (in recorded
-order), simulated delay and skip flag must be equal on all four and equal to
+order), simulated delay and skip flag must be equal on all three and equal to
 the pinned digests below, and the final global states must be equal.  The
 socket leg is the one where injected faults are resolved on the server side:
 failed clients are never sent a selection notice.
@@ -52,7 +52,6 @@ def make_session(executor_mode="sequential", transport=None,
                  scenario=SCENARIO, rounds=ROUNDS):
     config = FederatedConfig(
         rounds=rounds, eval_every=1, seed=0, executor_mode=executor_mode,
-        num_workers=2 if executor_mode == "parallel" else None,
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
         scenario=scenario, transport=transport,
     )
@@ -121,7 +120,7 @@ def test_sequential_records_match_the_pinned_digests(reference):
     assert [record_digest(record) for record in records] == PINNED
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "parallel", "socket"])
+@pytest.mark.parametrize("backend", ["vectorized", "socket"])
 def test_every_backend_tells_the_same_story(reference, backend):
     ref_records, ref_state = reference
     records, state = (run_over_sockets() if backend == "socket"

@@ -31,7 +31,7 @@ from repro.scenarios import (
 )
 
 TOL = 1e-10
-BACKENDS = ("sequential", "vectorized", "parallel")
+BACKENDS = ("sequential", "vectorized")
 
 #: churn + stragglers + dropouts, the acceptance scenario; client 0 joining
 #: far in the future guarantees at least one deterministic fault
@@ -71,7 +71,6 @@ def make_sim(federation, mode="sequential", scenario=None, rounds=3,
     config = FederatedConfig(
         rounds=rounds,
         executor_mode=mode,
-        num_workers=2 if mode == "parallel" else None,
         local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
         seed=0,
         scenario=scenario,

@@ -74,8 +74,8 @@ class TestApiDirectives:
 
     def test_public_federated_modules_are_documented(self):
         documented = (DOCS / "api" / "federated.md").read_text()
-        for module in ("client", "server", "executor", "scheduler",
-                       "workspace", "aggregation", "simulation", "history"):
+        for module in ("client", "server", "executor", "workspace",
+                       "aggregation", "simulation", "history"):
             assert f"::: repro.federated.{module}" in documented, module
 
 

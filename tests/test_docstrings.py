@@ -36,7 +36,6 @@ import repro.federated.aggregation
 import repro.federated.client
 import repro.federated.executor
 import repro.federated.history
-import repro.federated.scheduler
 import repro.federated.server
 import repro.federated.simulation
 import repro.federated.workspace
@@ -73,7 +72,6 @@ AUDITED_MODULES = [
     repro.federated.client,
     repro.federated.executor,
     repro.federated.history,
-    repro.federated.scheduler,
     repro.federated.server,
     repro.federated.simulation,
     repro.federated.workspace,
