@@ -1,5 +1,7 @@
 """Tests for the bounded LRU dataset cache."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,36 @@ class TestDatasetCache:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DatasetCache(0)
+
+    def test_residency_never_exceeds_capacity(self):
+        cache = DatasetCache(3)
+        for key in range(10):
+            cache.get(key, dataset)
+            assert len(cache._entries) == min(key + 1, 3)
+        assert list(cache._entries) == [7, 8, 9]
+
+    def test_concurrent_misses_on_distinct_keys_are_all_kept(self):
+        cache = DatasetCache(8)
+        barrier = threading.Barrier(4)
+
+        def factory_for(key):
+            def factory():
+                barrier.wait(timeout=10)  # every miss overlaps the others
+                return dataset(seed=key)
+            return factory
+
+        threads = [threading.Thread(target=cache.get, args=(key, factory_for(key)))
+                   for key in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert cache.misses == 4
+        assert sorted(cache._entries) == [0, 1, 2, 3]
+        for key in range(4):
+            np.testing.assert_array_equal(cache.get(key, dataset).x,
+                                          dataset(seed=key).x)
+        assert cache.hits == 4
 
 
 class TestClientCacheIntegration:

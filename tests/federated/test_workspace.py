@@ -394,3 +394,33 @@ class TestCohortBuffer:
     def test_invalid_num_clients(self):
         with pytest.raises(ValueError):
             CohortBuffer(0)
+
+    def test_a_geometry_change_reallocates_and_restacks_every_slot(self):
+        buffer = CohortBuffer(2)
+        buffer.stack([c.cohort_slot() for c in make_clients(2)])
+        larger = make_clients(2, samples_per_class=4)
+        x, y = buffer.stack([c.cohort_slot() for c in larger])
+        assert x.shape[1] == 40
+        assert (buffer.allocations, buffer.restacked, buffer.reused) == (2, 4, 0)
+        for k, client in enumerate(larger):
+            np.testing.assert_array_equal(x[k], client.dataset.x)
+            np.testing.assert_array_equal(y[k], client.dataset.y)
+
+    def test_a_new_dataset_under_an_old_key_is_restacked(self):
+        # the slot is fresh only while it pins the very same object
+        a, b = make_clients(2)
+        buffer = CohortBuffer(1)
+        buffer.stack([("client", a.dataset)])
+        x, y = buffer.stack([("client", b.dataset)])
+        assert (buffer.restacked, buffer.reused) == (2, 0)
+        np.testing.assert_array_equal(x[0], b.dataset.x)
+        np.testing.assert_array_equal(y[0], b.dataset.y)
+
+    def test_clients_that_swap_slots_are_restacked_in_place(self):
+        a, b = make_clients(2)
+        buffer = CohortBuffer(2)
+        buffer.stack([a.cohort_slot(), b.cohort_slot()])
+        x, _ = buffer.stack([b.cohort_slot(), a.cohort_slot()])
+        assert (buffer.allocations, buffer.restacked) == (1, 4)
+        np.testing.assert_array_equal(x[0], b.dataset.x)
+        np.testing.assert_array_equal(x[1], a.dataset.x)
