@@ -77,7 +77,7 @@ class Session:
     """
 
     def __init__(self, config: Optional[FederatedConfig] = None, *,
-                 recipe=None, scenario_name: str = "scenario", **components):
+                 recipe=None, **components):
         unknown = set(components) - set(_COMPONENT_KEYS)
         if unknown:
             raise TypeError(f"unknown component kwargs: {sorted(unknown)}")
@@ -86,7 +86,7 @@ class Session:
             raise TypeError("config must be a FederatedConfig (or None)")
         self._components = dict(components)
         self._recipe = recipe
-        self._scenario_name = scenario_name
+        self._scenario_name = "scenario"
         self._simulation: Optional[FederatedSimulation] = None
 
     # -- introspection ---------------------------------------------------------
@@ -162,6 +162,8 @@ class Session:
     def with_scenario(self, spec, name: str = "scenario") -> "Session":
         """Attach a fault-injection scenario; :meth:`run` then returns a report.
 
+        *name* titles the :class:`~repro.scenarios.report.ScenarioReport`.
+
         Example
         -------
         >>> from repro.scenarios import ScenarioSpec
@@ -206,8 +208,8 @@ class Session:
         ``heartbeat_interval`` (a connection silent for three intervals is
         declared dead; ``0`` disables probing).  The partial-round floor is
         the scenario's ``min_participation``, the frame cap is the wire
-        format's, and a client's reconnect schedule is its own
-        :class:`~repro.transport.TransportClient` setting.
+        format's, and a client's reconnect schedule is the ``RECONNECT_*``
+        constants of :mod:`repro.transport.client`.
         Network-level chaos (latency, corruption, partitions) is *not* a
         transport knob — declare a
         :class:`~repro.scenarios.NetworkSpec` on the scenario and the

@@ -36,7 +36,6 @@ from .probability import (
     participation_probability,
 )
 from .registry import ClientCategory, RegistrationResult, RegistryCodebook
-from .retry import RetryPolicy
 from .secure import (
     ProtocolStats,
     SecureAggregationServer,
@@ -62,7 +61,6 @@ __all__ = [
     "RandomSelector",
     "RegistrationResult",
     "RegistryCodebook",
-    "RetryPolicy",
     "SecureAggregationServer",
     "SecureClient",
     "SecureDistributionAggregation",

@@ -137,8 +137,7 @@ class TransportConfig:
     partial-round floor is the scenario's
     :attr:`~repro.scenarios.spec.ScenarioSpec.min_participation` (none
     without a scenario), and the client's reconnect schedule is the
-    :class:`~repro.core.retry.RetryPolicy` a
-    :class:`~repro.transport.TransportClient` is built with.
+    ``RECONNECT_*`` constants of :mod:`repro.transport.client`.
 
     Example
     -------

@@ -102,7 +102,7 @@ class PaillierPublicKey:
             if not check_coprime or math.gcd(r, self.n) == 1:
                 return r
 
-    def raw_encrypt(self, plaintext: int, r_value: Optional[int] = None,
+    def raw_encrypt(self, plaintext: int,
                     rng: Optional[random.Random] = None,
                     rn_value: Optional[int] = None) -> int:
         """Encrypt an integer plaintext already reduced into ``Z_n``.
@@ -112,13 +112,14 @@ class PaillierPublicKey:
 
         Parameters
         ----------
-        r_value:
-            Explicit noise ``r``; ``r^n mod n²`` is still computed here
-            (:meth:`raw_noise`).
+        rng:
+            Where the noise ``r`` is drawn from (:meth:`get_random_lt_n`);
+            ``None`` draws from :mod:`secrets`.
         rn_value:
-            Precomputed ``r^n mod n²`` (e.g. from a :class:`NoisePool`),
-            skipping the modular exponentiation entirely — the dominant cost
-            of Paillier encryption.
+            Precomputed ``r^n mod n²`` (e.g. from a :class:`NoisePool`, or
+            ``raw_noise(r)`` for an explicit ``r``), skipping the modular
+            exponentiation entirely — the dominant cost of Paillier
+            encryption.
         """
         if not isinstance(plaintext, int):
             raise TypeError(f"plaintext must be int, got {type(plaintext).__name__}")
@@ -126,8 +127,7 @@ class PaillierPublicKey:
         gm = (1 + self.n * m) % self.nsquare
         if rn_value is not None:
             return (gm * rn_value) % self.nsquare
-        r = r_value if r_value is not None else self.get_random_lt_n(rng)
-        return (gm * self.raw_noise(r)) % self.nsquare
+        return (gm * self.raw_noise(self.get_random_lt_n(rng))) % self.nsquare
 
     def raw_noise(self, r: int) -> int:
         """The encryption noise term ``r^n mod n²`` for the random ``r``.

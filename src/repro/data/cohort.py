@@ -110,8 +110,8 @@ class CohortBuffer:
 
     A :class:`CohortBuffer` keeps its dense arrays alive between rounds and
     tracks which dataset *object* currently occupies each client slot.  A
-    slot whose selected client hands back the very same materialised dataset
-    (memoised on the client, or resident in the shared :class:`DatasetCache`)
+    slot whose selected client hands back the very same dataset object
+    (given to the client, or resident in the shared :class:`DatasetCache`)
     skips its copy entirely; only slots whose selection changed — or whose dataset was
     evicted and regenerated — are restacked.  Slot datasets are pinned
     (referenced) while resident, so object identity is a sound freshness key.

@@ -71,10 +71,9 @@ class FederatedClient:
     num_classes:
         Label-space size ``C``.
     cache:
-        Optional shared :class:`repro.data.cohort.DatasetCache`.  When given
-        (and the dataset is lazy), materialised data lives in the bounded
-        LRU pool keyed by ``client_id`` instead of being pinned on the
-        client forever — repeatedly-selected clients hit the cache while a
+        The shared :class:`repro.data.cohort.DatasetCache` a lazy client
+        (one built from *dataset_factory*) keeps its data in, keyed by
+        ``client_id``: repeatedly-selected clients hit the cache while a
         federation of millions keeps bounded memory.
 
     Example
@@ -93,8 +92,9 @@ class FederatedClient:
                  dataset_factory: Optional[Callable[[], ArrayDataset]] = None,
                  seed: Optional[int] = None,
                  cache: Optional[DatasetCache] = None):
-        if dataset is None and dataset_factory is None:
-            raise ValueError("provide either dataset or dataset_factory")
+        if dataset is None and (dataset_factory is None or cache is None):
+            raise ValueError(
+                "provide either dataset, or dataset_factory and cache")
         self.client_id = client_id
         self.num_classes = num_classes
         self._dataset = dataset
@@ -106,14 +106,10 @@ class FederatedClient:
 
     @property
     def dataset(self) -> ArrayDataset:
-        """The client's local dataset (materialised lazily, pooled when cached)."""
+        """The client's local dataset (given, or materialised in the cache)."""
         if self._dataset is not None:
             return self._dataset
-        assert self._dataset_factory is not None
-        if self._cache is not None:
-            return self._cache.get(self.client_id, self._dataset_factory)
-        self._dataset = self._dataset_factory()
-        return self._dataset
+        return self._cache.get(self.client_id, self._dataset_factory)
 
     @property
     def num_samples(self) -> int:
@@ -123,14 +119,13 @@ class FederatedClient:
     def cohort_slot(self) -> tuple[tuple[int, int], ArrayDataset]:
         """A ``(key, dataset)`` pair for round-persistent cohort stacking.
 
-        The key is stable exactly as long as the materialised dataset object
-        is — memoised on the client, or resident in the shared
+        The key is stable exactly as long as the dataset object is — given to
+        the client, or resident in the shared
         :class:`~repro.data.cohort.DatasetCache` — so a
         :class:`~repro.data.cohort.CohortBuffer` slot holding it can skip the
-        restack copy on the next round.  Cache eviction (or an uncached lazy
-        factory) yields a fresh object and therefore a fresh key, forcing the
-        copy; data is regenerated deterministically, so either way the slot
-        contents are correct.
+        restack copy on the next round.  Cache eviction yields a fresh object
+        and therefore a fresh key, forcing the copy; data is regenerated
+        deterministically, so either way the slot contents are correct.
         """
         dataset = self.dataset
         return (self.client_id, id(dataset)), dataset

@@ -35,7 +35,13 @@ from .executor import EXECUTOR_MODES, LocalUpdateExecutor
 from .history import RoundRecord, TrainingHistory
 from .server import FederatedServer
 
-__all__ = ["ClientSelectorProtocol", "FederatedConfig", "FederatedSimulation"]
+__all__ = ["ClientSelectorProtocol", "DATASET_CACHE_SIZE", "FederatedConfig",
+           "FederatedSimulation"]
+
+#: How many materialised client datasets a simulation keeps resident.
+#: Client data is regenerated bit-identically from a per-client seed, so
+#: the size trades memory for generation time and never changes a result.
+DATASET_CACHE_SIZE = 1024
 
 
 class ClientSelectorProtocol(Protocol):
@@ -58,11 +64,10 @@ class FederatedConfig:
     (:data:`repro.federated.EXECUTOR_MODES`: ``"vectorized"`` by default,
     which trains a cohort it cannot stack one client at a time, as
     ``"sequential"`` always does; see
-    :class:`repro.federated.LocalUpdateExecutor`).
-    ``dataset_cache_size`` bounds the shared LRU pool of materialised client
-    datasets; ``None`` disables pooling (each client pins its own data
-    forever, the pre-cache behaviour).  Both back-ends train in float64, so
-    they produce bit-identical rounds.  ``scenario`` opts the run
+    :class:`repro.federated.LocalUpdateExecutor`).  Both back-ends train in
+    float64, so they produce bit-identical rounds.  Materialised client
+    datasets live in one shared LRU pool of
+    :data:`DATASET_CACHE_SIZE` entries.  ``scenario`` opts the run
     into fault injection (:class:`repro.scenarios.ScenarioSpec`): churn,
     availability, stragglers and dropouts, with partial-round
     aggregation below the spec's participation floor.  ``None`` (default)
@@ -90,7 +95,6 @@ class FederatedConfig:
     eval_every: int = 1
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
     executor_mode: str = "vectorized"
-    dataset_cache_size: Optional[int] = 1024
     seed: Optional[int] = None
     scenario: Optional[ScenarioSpec] = None
     run_mode: str = "live"
@@ -113,8 +117,6 @@ class FederatedConfig:
             raise ValueError("rounds must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be positive")
-        if self.dataset_cache_size is not None and self.dataset_cache_size < 1:
-            raise ValueError("dataset_cache_size must be positive when given")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
             raise TypeError("scenario must be a ScenarioSpec (or None)")
         if (self.scenario is not None and self.scenario.network is not None
@@ -191,10 +193,8 @@ class FederatedSimulation:
             network=None if scenario is None else scenario.network,
             chaos_seed=0 if scenario is None else scenario.seed,
         )
-        self.dataset_cache = (
-            None if self.config.dataset_cache_size is None
-            else DatasetCache(self.config.dataset_cache_size)
-        )
+        #: the shared LRU pool of materialised client datasets
+        self.dataset_cache = DatasetCache(DATASET_CACHE_SIZE)
         self._uniform = uniform_distribution(partition.num_classes)
         self._clients: dict[int, FederatedClient] = {}
         self._rng = np.random.default_rng(self.config.seed)
@@ -270,7 +270,7 @@ class FederatedSimulation:
         probabilities = getattr(self.selector, "probabilities", None)
         if probabilities is not None:
             self.transport.broadcast_probabilities(
-                round_index, np.asarray(probabilities, dtype=float).tolist())
+                round_index, np.asarray(probabilities, dtype=float))
 
         clients = [self.client(k) for k in trainable]
         # read-only views: every executor back-end copies the state on load,
@@ -341,8 +341,9 @@ class FederatedSimulation:
         RESUME starts at the first uncommitted round (already-committed
         rounds are restored to the history during fast-forward), VERIFY
         re-executes exactly the committed rounds.  The session is notified
-        when the loop completes (marking the run finished, or raising the
-        verification report).
+        when the loop completes (marking the run finished once it has
+        committed ``config.rounds`` rounds, or raising the verification
+        report).
         """
         total = rounds if rounds is not None else self.config.rounds
         if total < 1:

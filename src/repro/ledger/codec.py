@@ -57,9 +57,9 @@ GROUP_FIELDS = ("transport",)
 
 #: Recorded-config keys that determine a run's numeric results.  RESUME and
 #: VERIFY require these to match between the recorded run and the current
-#: simulation; executor knobs (back-end, cache sizes) are absent on
-#: purpose — all back-ends are bit-identical, which is exactly what makes
-#: cross-back-end VERIFY meaningful.
+#: simulation; the executor back-end is absent on purpose — all back-ends
+#: are bit-identical, which is exactly what makes cross-back-end VERIFY
+#: meaningful.
 DETERMINISM_KEYS = ("eval_every", "seed", "local", "scenario")
 
 #: Keys that older ledgers recorded for knobs the config no longer has,
@@ -73,6 +73,7 @@ RETIRED_KEYS = {
     "dtype": "float64",
     "shard_policy": "contiguous",
     "eval_backend": "batched",
+    "dataset_cache_size": 1024,
     "scenario.drift": {"period": 0},
 }
 

@@ -261,6 +261,8 @@ class LedgerSession:
         self.ledger = RunLedger(config.ledger_path,
                                 create=self.mode == "live")
         self.run_id: str = ""
+        #: the rounds a run must commit before it is finished
+        self.rounds_planned = config.rounds
         self.start_round = 0
         self.recorded: list[dict] = []
         self.mismatches: list[RoundDiff] = []
@@ -412,6 +414,11 @@ class LedgerSession:
     def on_run_complete(self, history) -> None:
         """Finalise the run: mark it completed, or raise the verify report.
 
+        A run is completed once it has committed ``config.rounds`` rounds.
+        A loop stopped earlier (``run(3)`` on a 6-round config) leaves the
+        run ``running``, so ``list`` and ``show`` tell it from a finished
+        one and ``resume`` continues it.
+
         Example
         -------
         >>> # called by FederatedSimulation.run; not user-facing
@@ -425,6 +432,8 @@ class LedgerSession:
             )
             if self.mismatches:
                 raise LedgerVerificationError(self.report)
+            return
+        if self.start_round < self.rounds_planned:
             return
         summary = None
         try:

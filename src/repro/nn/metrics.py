@@ -58,7 +58,7 @@ class BatchedEvaluator:
 
     Wraps a model template as a one-client :class:`BatchedModel` — the single
     model broadcast to the eval-batch axis — and pushes the test set through
-    in ``chunk_size``-sample slabs: ``⌈N / chunk_size⌉`` batched forwards
+    in :attr:`CHUNK_SIZE`-sample slabs: ``⌈N / CHUNK_SIZE⌉`` batched forwards
     instead of ``N / 64`` Python-loop iterations.  Each chunk computes the
     very same per-row logits a per-batch loop would, so predictions and
     every derived metric match it exactly.
@@ -68,20 +68,19 @@ class BatchedEvaluator:
     here), then per evaluation call :meth:`load_state` with the current
     global weights and :meth:`evaluate`.
 
-    ``chunk_size`` is an upper bound; the effective chunk also respects a
-    fixed per-chunk element budget, so wide samples (conv image stacks,
+    :attr:`CHUNK_SIZE` is an upper bound; the effective chunk also respects
+    a fixed per-chunk element budget, so wide samples (conv image stacks,
     whose im2col intermediates multiply the footprint) automatically run in
     smaller slabs instead of ballooning memory.
     """
 
+    #: samples per forward chunk at most
+    CHUNK_SIZE = 2048
     #: feature elements per chunk the evaluator aims for (~4 MB of float64);
-    #: chunks shrink below ``chunk_size`` when samples are wider than this
+    #: chunks shrink below :attr:`CHUNK_SIZE` when samples are wider than this
     CHUNK_ELEMENT_BUDGET = 1 << 19
 
-    def __init__(self, template: Module, chunk_size: int = 2048):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self.chunk_size = chunk_size
+    def __init__(self, template: Module):
         self._model = BatchedModel(template, 1)
         self._model.eval()
         self._cast_cache: "tuple[np.ndarray, np.ndarray] | None" = None
@@ -89,7 +88,7 @@ class BatchedEvaluator:
     def _effective_chunk(self, sample_elements: int) -> int:
         """Samples per forward chunk for a given per-sample element count."""
         budget = max(1, self.CHUNK_ELEMENT_BUDGET // max(1, sample_elements))
-        return min(self.chunk_size, budget)
+        return min(self.CHUNK_SIZE, budget)
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Load the weights to evaluate (read-only views are fine)."""

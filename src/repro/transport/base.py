@@ -97,11 +97,12 @@ class Transport(ABC):
         """
 
     def broadcast_probabilities(self, round_index: int,
-                                probabilities: Sequence[float]) -> None:
+                                probabilities: np.ndarray) -> None:
         """Announce this round's selection probabilities ``q_k`` (optional).
 
-        A no-op in process (every role shares memory); the socket transport
-        overrides it with a real
+        *probabilities* is the selector's float64 vector, one entry per
+        client, passed as is.  A no-op in process (every role shares
+        memory); the socket transport overrides it with a real
         :class:`~repro.transport.messages.ProbabilityBroadcast`.
         """
 

@@ -5,7 +5,7 @@ behind a socket.
 local :class:`~repro.federated.client.FederatedClient` (the dataset and the
 deterministic local trainer) plus a model factory, connects to a
 :class:`~repro.transport.server.SocketTransport` with capped, jittered
-backoff (:class:`~repro.core.retry.RetryPolicy`), registers, and then serves
+backoff (the ``RECONNECT_*`` schedule below), registers, and then serves
 the protocol loop — every :class:`~repro.transport.messages.SelectionNotice`
 is answered with a locally trained
 :class:`~repro.transport.messages.ModelDelta` until the server says
@@ -16,7 +16,7 @@ Fault tolerance
 The client is built to survive a flaky link and a crashing server:
 
 * **reconnection** — a lost connection (anything short of a ``Shutdown``)
-  triggers a reconnect loop under the same backoff policy, re-registering
+  triggers a reconnect loop under the same backoff schedule, re-registering
   with the **session token** from the last
   :class:`~repro.transport.messages.RegisterAck` so the server resumes the
   session instead of treating the peer as a stranger;
@@ -28,8 +28,9 @@ The client is built to survive a flaky link and a crashing server:
   delta is resent *without retraining* — and the server, which accepts one
   delta per ``(round, client)`` reply, aggregates it exactly once;
 * **graceful exhaustion** — if the server never comes back the reconnect
-  loop gives up after the policy's attempts, records :attr:`last_error`,
-  and returns instead of raising into the owning thread.
+  loop gives up after :data:`RECONNECT_RETRIES` retries, records
+  :attr:`last_error`, and returns instead of raising into the owning
+  thread.
 
 Because :meth:`FederatedClient.local_train` trains a one-client cohort whose
 batch order is seeded purely from ``(client seed, round_index)``, starting
@@ -50,7 +51,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.retry import RetryPolicy
 from ..federated.client import FederatedClient
 from ..nn.module import Module
 from .messages import (
@@ -74,18 +74,29 @@ __all__ = ["TransportClient"]
 
 StateDict = Dict[str, np.ndarray]
 
+#: The one reconnect schedule every peer follows.  After failed connect
+#: attempt ``a`` (0-based) a peer sleeps ``RECONNECT_BACKOFF * 2**a``,
+#: capped at ``RECONNECT_MAX_BACKOFF``, less up to ``RECONNECT_JITTER`` of
+#: it drawn from an RNG keyed by ``(client id, a)``: a fleet does not
+#: reconnect in lockstep, and a run stays reproducible.  A peer gives up
+#: after ``RECONNECT_RETRIES`` retries, about 1.5 s of sleep; five
+#: doublings stay under the cap, which bounds any longer schedule (an
+#: uncapped one would sleep for hours after 30 failures).
+RECONNECT_RETRIES = 5
+RECONNECT_BACKOFF = 0.05
+RECONNECT_MAX_BACKOFF = 2.0
+RECONNECT_JITTER = 0.1
+
 
 class TransportClient:
     """One federated client served over a TCP connection.
 
-    ``retries`` / ``backoff`` / ``max_backoff`` / ``jitter`` are the
-    client's own: they govern the connect *and* reconnect loops through a
-    :class:`~repro.core.retry.RetryPolicy` seeded with the client id (each
-    fleet member jitters differently — no thundering herd), and no server
-    setting shapes them.  Inbound frames are capped by
+    The connect *and* reconnect loops follow the module's ``RECONNECT_*``
+    schedule, jittered by the client id (each fleet member backs off
+    differently — no thundering herd); no server setting shapes it.
+    Inbound frames are capped by
     :data:`repro.transport.wire.DEFAULT_MAX_FRAME_BYTES`, as on every other
-    reader.  ``reconnect=False`` restores the fail-fast behaviour: any
-    disconnect ends :meth:`run`.
+    reader.
 
     Example
     -------
@@ -99,9 +110,6 @@ class TransportClient:
     def __init__(self, client: FederatedClient,
                  model_factory: Callable[[], Module],
                  host: str, port: int,
-                 retries: int = 5, backoff: float = 0.05,
-                 max_backoff: float = 2.0, jitter: float = 0.1,
-                 reconnect: bool = True,
                  delay: float = 0.0, delay_round: Optional[int] = None):
         if delay < 0:
             raise ValueError("delay must be non-negative")
@@ -109,11 +117,6 @@ class TransportClient:
         self.model_factory = model_factory
         self.host = host
         self.port = port
-        #: capped, jittered backoff schedule for (re)connect attempts
-        self.policy = RetryPolicy(retries=retries, backoff=backoff,
-                                  max_backoff=max_backoff, jitter=jitter,
-                                  seed=int(client.client_id))
-        self.reconnect = reconnect
         self.delay = delay
         self.delay_round = delay_round
         #: cohort position assigned by the server's RegisterAck
@@ -198,8 +201,6 @@ class TransportClient:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-            if not self.reconnect:
-                break
         # shutdown (or giving up) makes any in-flight training moot
         for task in list(self._tasks):
             if not task.done():
@@ -209,16 +210,21 @@ class TransportClient:
 
     async def _connect(self):
         last_error: Optional[Exception] = None
-        for attempt in range(self.policy.attempts):
+        for attempt in range(RECONNECT_RETRIES + 1):
             try:
                 return await asyncio.open_connection(self.host, self.port)
             except (ConnectionError, OSError) as exc:
                 last_error = exc
-                if attempt < self.policy.retries:
-                    await asyncio.sleep(self.policy.delay(attempt))
+            if attempt < RECONNECT_RETRIES:
+                # clamp first, then jitter downwards: the cap is a true bound
+                delay = min(RECONNECT_BACKOFF * 2 ** attempt,
+                            RECONNECT_MAX_BACKOFF)
+                fraction = np.random.default_rng(
+                    [int(self.client.client_id), attempt]).random()
+                await asyncio.sleep(delay * (1.0 - RECONNECT_JITTER * fraction))
         raise TransportError(
             f"could not connect to {self.host}:{self.port} after "
-            f"{self.policy.attempts} attempts: {last_error}"
+            f"{RECONNECT_RETRIES + 1} attempts: {last_error}"
         )
 
     async def _send(self, message) -> bool:

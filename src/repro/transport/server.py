@@ -558,8 +558,10 @@ class SocketTransport(Transport):
     # -- protocol broadcasts ----------------------------------------------------
 
     def broadcast_probabilities(self, round_index: int,
-                                probabilities: Sequence[float]) -> None:
+                                probabilities: np.ndarray) -> None:
         """Send every registered client this round's ``q_k`` probabilities.
+
+        The vector becomes a tuple of Python floats here, at the wire.
 
         Example
         -------
@@ -570,8 +572,8 @@ class SocketTransport(Transport):
         >>> transport.broadcast_probabilities(0, [0.5, 0.5])  # no clients: no-op
         >>> transport.close()
         """
-        message = ProbabilityBroadcast(round_index,
-                                       tuple(float(p) for p in probabilities))
+        message = ProbabilityBroadcast(
+            round_index, tuple(np.asarray(probabilities, dtype=float).tolist()))
         self._broadcast(message)
 
     def on_round_complete(self, record) -> None:

@@ -29,10 +29,11 @@ def sk(keypair):
 
 
 class TestRawEncryptFastPaths:
-    def test_rn_value_matches_r_value(self, pk):
+    def test_rn_value_matches_the_inline_noise(self, pk):
         r = pk.get_random_lt_n(random.Random(1))
         rn = pow(r, pk.n, pk.nsquare)
-        assert pk.raw_encrypt(42, r_value=r) == pk.raw_encrypt(42, rn_value=rn)
+        assert (pk.raw_encrypt(42, rng=random.Random(1))
+                == pk.raw_encrypt(42, rn_value=rn))
 
     def test_gcd_skip_fast_path_stays_in_range(self, pk):
         rng = random.Random(4)

@@ -82,7 +82,10 @@ class TestEncryptDecrypt:
         assert pk.raw_encrypt(42) != pk.raw_encrypt(42)
 
     def test_fixed_r_is_deterministic(self, pk):
-        assert pk.raw_encrypt(42, r_value=12345) == pk.raw_encrypt(42, r_value=12345)
+        assert (pk.raw_encrypt(42, rng=random.Random(3))
+                == pk.raw_encrypt(42, rng=random.Random(3))
+                == pk.raw_encrypt(42, rn_value=pk.raw_noise(
+                    pk.get_random_lt_n(random.Random(3)))))
 
     def test_non_int_plaintext_rejected(self, pk):
         with pytest.raises(TypeError):
@@ -156,7 +159,7 @@ class TestKeyHolderNoise:
         r = pk.get_random_lt_n(random.Random(5))
         rn = pk.raw_noise(r)
         bare = (1 + pk.n * 42) % pk.nsquare  # g^m with g = n + 1
-        assert pk.raw_encrypt(42, r_value=r) == bare * rn % pk.nsquare
+        assert pk.raw_encrypt(42, rn_value=pk.raw_noise(r)) == bare * rn % pk.nsquare
         assert pk.raw_encrypt(42, rng=random.Random(5)) == bare * rn % pk.nsquare
 
 

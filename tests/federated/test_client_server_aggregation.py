@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.cohort import DatasetCache
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import make_synthetic_mnist, make_uniform_test_set
 from repro.federated.aggregation import (
@@ -55,6 +56,12 @@ class TestFederatedClient:
         with pytest.raises(ValueError):
             FederatedClient(0, 10)
 
+    def test_a_lazy_client_needs_a_cache(self):
+        # the cache is where lazy data lives: no client memoises its own
+        with pytest.raises(ValueError, match="cache"):
+            FederatedClient(0, 10,
+                            dataset_factory=lambda: make_client_dataset([1] * 10))
+
     def test_label_distribution(self):
         ds = make_client_dataset([5, 0, 5, 0, 0, 0, 0, 0, 0, 0])
         client = FederatedClient(0, 10, dataset=ds)
@@ -70,7 +77,8 @@ class TestFederatedClient:
             calls.append(1)
             return make_client_dataset([2] * 10)
 
-        client = FederatedClient(1, 10, dataset_factory=factory)
+        client = FederatedClient(1, 10, dataset_factory=factory,
+                                 cache=DatasetCache(4))
         assert not calls
         _ = client.dataset
         _ = client.dataset

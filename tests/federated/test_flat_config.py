@@ -42,7 +42,7 @@ class TestFederatedConfigValidation:
         ({"transport": {"kind": "socket"}}, TypeError),
         ({"rounds": 0}, ValueError),
         ({"eval_every": 0}, ValueError),
-        ({"dataset_cache_size": 0}, ValueError),
+        ({"dataset_cache_size": 0}, TypeError),
         ({"executor_mode": "parallel"}, ValueError),
         ({"num_workers": 2}, TypeError),
         ({"scheduler_timeout": 120.0}, TypeError),
@@ -65,13 +65,22 @@ class TestFederatedConfigValidation:
 
     @pytest.mark.parametrize("knob,value", [
         ("dtype", "float64"), ("shard_policy", "contiguous"),
-        ("eval_backend", "batched"), ("dtype", "float32"),
-        ("shard_policy", "interleaved"), ("eval_backend", "sequential")])
+        ("eval_backend", "batched"), ("dataset_cache_size", 1024),
+        ("dtype", "float32"), ("shard_policy", "interleaved"),
+        ("eval_backend", "sequential"), ("dataset_cache_size", None)])
     def test_retired_knob_is_rejected(self, knob, value):
         # whatever the value, even the one every run uses: the config has no
         # such field
         with pytest.raises(TypeError):
             FederatedConfig(**{knob: value})
+
+    def test_eleven_fields(self):
+        # one census of the settable values: a field added or retired
+        # changes this list on purpose
+        assert [f.name for f in dataclasses.fields(FederatedConfig)] == [
+            "rounds", "eval_every", "local", "executor_mode", "seed",
+            "scenario", "run_mode", "ledger_path", "replay_source_run_id",
+            "run_name", "transport"]
 
     def test_network_scenario_is_accepted_on_sockets(self):
         config = FederatedConfig(
@@ -115,7 +124,6 @@ class TestLedgerCodec:
         {"eval_every": 3},
         {"local": LocalTrainingConfig(batch_size=4, local_epochs=2)},
         {"executor_mode": "sequential"},
-        {"dataset_cache_size": None},
         {"seed": 11},
         {"scenario": ScenarioSpec(dropouts=DropoutSpec(probability=0.2),
                                   seed=4)},

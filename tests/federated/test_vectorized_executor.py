@@ -10,6 +10,7 @@ from repro.federated.aggregation import StackedClientStates, average_states
 from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.executor import LocalUpdateExecutor
 from repro.federated.server import FederatedServer
+from repro.federated import simulation as simulation_module
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
 from repro.nn.batched import UnvectorizableModelError
 from repro.nn.layers import Linear
@@ -207,8 +208,10 @@ class TestSimulationExecutorModes:
             np.testing.assert_allclose(seq_state[key], vec_state[key], atol=TOL,
                                        rtol=0)
 
-    def test_dataset_cache_is_shared_and_bounded(self, sim_setup):
+    def test_dataset_cache_is_shared_and_bounded(self, sim_setup,
+                                                 monkeypatch):
         generator, partition, test_set = sim_setup
+        monkeypatch.setattr(simulation_module, "DATASET_CACHE_SIZE", 3)
         sim = FederatedSimulation(
             partition=partition,
             generator=generator,
@@ -218,16 +221,15 @@ class TestSimulationExecutorModes:
             config=FederatedConfig(
                 rounds=3,
                 local=LocalTrainingConfig(learning_rate=1e-3),
-                dataset_cache_size=3,
                 seed=0,
             ),
         )
         sim.run()
-        assert sim.dataset_cache is not None
+        assert sim.dataset_cache.capacity == 3
         assert len(sim.dataset_cache._entries) <= 3
         assert sim.dataset_cache.hits + sim.dataset_cache.misses > 0
 
-    def test_cache_disabled_when_none(self, sim_setup):
+    def test_every_client_draws_on_the_one_cache(self, sim_setup):
         generator, partition, test_set = sim_setup
         sim = FederatedSimulation(
             partition=partition,
@@ -235,14 +237,14 @@ class TestSimulationExecutorModes:
             model_factory=lambda: MLP(64, 10, hidden=(16,), seed=5),
             selector=RoundRobinSelector(partition.n_clients, 2),
             test_set=test_set,
-            config=FederatedConfig(rounds=1, dataset_cache_size=None, seed=0),
+            config=FederatedConfig(rounds=1, seed=0),
         )
-        assert sim.dataset_cache is None
+        assert sim.dataset_cache.capacity == simulation_module.DATASET_CACHE_SIZE
+        assert simulation_module.DATASET_CACHE_SIZE == 1024
         sim.run_round(0)
-
-    def test_invalid_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            FederatedConfig(dataset_cache_size=0)
+        assert sim.dataset_cache.misses == 2
+        assert sim.client(0).dataset is sim.client(0).dataset
+        assert sim.dataset_cache.hits >= 2
 
     def test_workspace_persists_across_simulation_rounds(self, sim_setup):
         sim, _ = run_simulation(sim_setup, "vectorized", rounds=3)

@@ -35,6 +35,23 @@ class TestList:
         assert "cli-test" in out
         assert "2/4" in out.replace(" ", "")
 
+    def test_a_stopped_run_is_listed_as_running(self, recorded, capsys):
+        # 2 of 4 rounds: the run stays resumable, not "completed"
+        path, run_id = recorded
+        assert main(["list", path]) == 0
+        (line,) = [row for row in capsys.readouterr().out.splitlines()
+                   if row.startswith(run_id)]
+        assert line.split()[2] == "running"
+
+    def test_a_resumed_run_is_listed_as_completed(self, recorded, capsys):
+        path, run_id = recorded
+        assert main(["resume", path, run_id]) == 0
+        capsys.readouterr()
+        assert main(["list", path]) == 0
+        (line,) = [row for row in capsys.readouterr().out.splitlines()
+                   if row.startswith(run_id)]
+        assert line.split()[2:4] == ["completed", "4/4"]
+
     def test_empty_ledger(self, tmp_path, capsys):
         path = str(tmp_path / "empty.db")
         RunLedger(path).close()
@@ -61,6 +78,14 @@ class TestShow:
         assert "cli-test" in out
         assert "recipe" in out
         assert '"rounds": 4' in out
+
+    def test_a_stopped_run_has_no_finish_time(self, recorded, capsys):
+        path, run_id = recorded
+        assert main(["show", path, run_id]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"run {run_id} (cli-test) — running, "
+                            "2/4 rounds committed")
+        assert lines[2] == "  finished -"
 
     def test_unknown_run(self, recorded, capsys):
         path, _ = recorded
@@ -165,6 +190,17 @@ def record_config(path, run_id, payload):
     conn.close()
 
 
+#: what config_to_dict wrote for the ``recorded`` fixture's
+#: FederatedConfig(rounds=4, seed=0) before dataset_cache_size was retired
+CACHE_SIZE_CONFIG = {
+    "rounds": 4, "eval_every": 1,
+    "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
+              "optimizer": "adam", "max_batches_per_epoch": None},
+    "executor_mode": "vectorized", "dataset_cache_size": 1024, "seed": 0,
+    "scenario": None,
+}
+
+
 #: what config_to_dict wrote for FederatedConfig(rounds=4, seed=0,
 #: executor_mode="parallel", num_workers=2) before that back-end was retired
 PARALLEL_CONFIG = {
@@ -188,6 +224,18 @@ class TestLegacyConfig:
         assert main(["verify", path, run_id]) == 0
         assert "OK (4 rounds" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("backend", ["sequential", "vectorized"])
+    def test_a_recorded_cache_size_resumes_and_verifies(self, recorded,
+                                                        capsys, backend):
+        path, run_id = recorded
+        record_config(path, run_id, CACHE_SIZE_CONFIG)
+        assert main(["resume", path, run_id, "--executor-mode", backend]) == 0
+        assert "ran 2 round(s), 4 total" in capsys.readouterr().out
+        assert main(["verify", path, run_id, "--executor-mode", backend]) == 0
+        assert "OK (4 rounds" in capsys.readouterr().out
+        with RunLedger(path, create=False) as ledger:
+            assert ledger.run(run_id).status == "completed"
+
     def test_executor_mode_offers_only_live_modes(self, recorded, capsys):
         path, run_id = recorded
         with pytest.raises(SystemExit) as exit_info:
@@ -197,7 +245,9 @@ class TestLegacyConfig:
 
     @pytest.mark.parametrize("key,value", [("dtype", "float32"),
                                            ("shard_policy", "interleaved"),
-                                           ("eval_backend", "sequential")])
+                                           ("eval_backend", "sequential"),
+                                           ("dataset_cache_size", 7),
+                                           ("dataset_cache_size", None)])
     @pytest.mark.parametrize("command", ["resume", "verify"])
     def test_another_retired_value_is_refused(self, recorded, capsys,
                                               command, key, value):

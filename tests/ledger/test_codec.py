@@ -86,7 +86,7 @@ RECORDED = {
     "rounds": 4, "eval_every": 1,
     "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
               "optimizer": "adam", "max_batches_per_epoch": None},
-    "executor_mode": "vectorized", "dataset_cache_size": 7,
+    "executor_mode": "vectorized", "dataset_cache_size": 1024,
     "dtype": "float64", "eval_backend": "batched", "num_workers": None,
     "shard_policy": "contiguous", "scheduler_timeout": 120.0, "seed": 3,
     "scenario": {
@@ -104,12 +104,12 @@ RECORDED = {
 
 #: what config_to_dict wrote for a parallel run before that back-end was
 #: retired: FederatedConfig(rounds=4, seed=3, executor_mode="parallel",
-#: num_workers=2, dataset_cache_size=7, scenario=...)
+#: num_workers=2, scenario=...)
 PARALLEL = {
     "rounds": 4, "eval_every": 1,
     "local": {"batch_size": 8, "local_epochs": 1, "learning_rate": 0.0001,
               "optimizer": "adam", "max_batches_per_epoch": None},
-    "executor_mode": "parallel", "dataset_cache_size": 7, "num_workers": 2,
+    "executor_mode": "parallel", "dataset_cache_size": 1024, "num_workers": 2,
     "scheduler_timeout": 120.0, "seed": 3, "scenario": RECORDED["scenario"],
 }
 
@@ -149,8 +149,8 @@ class TestConfigCodec:
 
     def test_recorded_key_set_is_pinned(self):
         assert set(config_to_dict(FederatedConfig())) == {
-            "rounds", "eval_every", "local", "executor_mode",
-            "dataset_cache_size", "seed", "scenario",
+            "rounds", "eval_every", "local", "executor_mode", "seed",
+            "scenario",
         }
 
     def test_recorded_payload_is_byte_stable(self):
@@ -160,7 +160,6 @@ class TestConfigCodec:
         # the retired keys
         config = FederatedConfig(
             rounds=4, seed=3, executor_mode="vectorized",
-            dataset_cache_size=7,
             scenario=ScenarioSpec(seed=2,
                                   dropouts=DropoutSpec(probability=0.25)))
         current = {key: value for key, value in RECORDED.items()
@@ -177,7 +176,8 @@ class TestConfigCodec:
                              ids=["vectorized", "parallel"])
     @pytest.mark.parametrize("key,value", [
         ("dtype", "float32"), ("shard_policy", "interleaved"),
-        ("eval_backend", "sequential")])
+        ("eval_backend", "sequential"), ("dataset_cache_size", 7),
+        ("dataset_cache_size", None)])
     def test_retired_key_with_another_value_is_refused(self, key, value,
                                                        payload):
         # a float32 run must never load (and so resume) silently in float64

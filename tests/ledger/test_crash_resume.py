@@ -25,6 +25,7 @@ from repro.core.config import TransportConfig
 from repro.federated.simulation import FederatedConfig, FederatedSimulation
 from repro.ledger import LedgerError, RunLedger, RunRecipe
 from repro.transport import TransportClient
+from repro.transport import client as client_module
 
 TOTAL_ROUNDS = 8
 KILL_AFTER = 2  # committed rounds to wait for before killing
@@ -181,7 +182,8 @@ def spawn_socket_recorder(ledger_path, port):
     )
 
 
-def test_sigkill_socket_server_fleet_reconnects_resume_bit_identical(tmp_path):
+def test_sigkill_socket_server_fleet_reconnects_resume_bit_identical(
+        tmp_path, monkeypatch):
     """SIGKILL the *server* of a live socket federation, restart, resume.
 
     The worst-case production crash: the aggregation server dies mid-round
@@ -198,13 +200,15 @@ def test_sigkill_socket_server_fleet_reconnects_resume_bit_identical(tmp_path):
     donor = FederatedSimulation(config=FederatedConfig(rounds=TOTAL_ROUNDS,
                                                        seed=0),
                                 **RECIPE.build())
+    # a wide reconnect window (~25s of capped backoff) so the fleet
+    # outlives the server's death *and* the replacement's startup
+    monkeypatch.setattr(client_module, "RECONNECT_RETRIES", 15)
+    monkeypatch.setattr(client_module, "RECONNECT_BACKOFF", 0.1)
     peers, threads = [], []
     for client_id in range(RECIPE.kwargs["n_clients"]):
-        # a wide reconnect window (~25s of capped backoff) so the fleet
-        # outlives the server's death *and* the replacement's startup
         peer = TransportClient(
             donor.client(client_id), donor.server.new_client_model,
-            "127.0.0.1", port, retries=15, backoff=0.1, max_backoff=2.0)
+            "127.0.0.1", port)
         thread = threading.Thread(target=peer.run, daemon=True)
         peers.append(peer)
         threads.append(thread)

@@ -77,6 +77,25 @@ class TestLiveMode:
             assert rebuilt.selected_clients == record.selected_clients
             assert rebuilt.test_accuracy == record.test_accuracy
 
+    def test_a_stopped_run_stays_running_until_its_plan_is_committed(
+            self, ledger_path):
+        def status(run_id):
+            with RunLedger(ledger_path, create=False) as ledger:
+                info = ledger.run(run_id)
+            return (info.status, info.rounds_committed,
+                    info.finished_at is None, info.report is None)
+
+        run_id, _ = record_run(ledger_path, rounds=5, stop_after=2)
+        assert status(run_id) == ("running", 2, True, True)
+        with build(ledger_path, "resume", rounds=5,
+                   replay_source_run_id=run_id) as sim:
+            sim.run(4)  # stopped again, one round short of the plan
+        assert status(run_id) == ("running", 4, True, True)
+        with build(ledger_path, "resume", rounds=5,
+                   replay_source_run_id=run_id) as sim:
+            sim.run()
+        assert status(run_id) == ("completed", 5, False, False)
+
     def test_run_row_carries_context(self, ledger_path):
         run_id, _ = record_run(ledger_path, run_name="ctx")
         with RunLedger(ledger_path, create=False) as ledger:

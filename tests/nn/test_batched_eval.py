@@ -70,15 +70,15 @@ class TestBatchedEvaluator:
         sequential = evaluate_model(server.global_model, test_set, batch_size=64)
         assert_reports_equal(batched, sequential)
 
-    def test_chunking_does_not_change_predictions(self, test_set):
+    def test_chunking_does_not_change_predictions(self, test_set,
+                                                  monkeypatch):
         server = trained_server(mlp_factory)
-        state = server.global_state(copy=False)
-        small = BatchedEvaluator(mlp_factory(), chunk_size=7)
-        large = BatchedEvaluator(mlp_factory(), chunk_size=10_000)
-        small.load_state(state)
-        large.load_state(state)
-        np.testing.assert_array_equal(small.predictions(test_set),
-                                      large.predictions(test_set))
+        evaluator = BatchedEvaluator(mlp_factory())
+        evaluator.load_state(server.global_state(copy=False))
+        assert len(test_set) < BatchedEvaluator.CHUNK_SIZE
+        whole = evaluator.predictions(test_set)  # one chunk
+        monkeypatch.setattr(BatchedEvaluator, "CHUNK_SIZE", 7)
+        np.testing.assert_array_equal(evaluator.predictions(test_set), whole)
 
     def test_reusable_across_state_updates(self, test_set):
         # one evaluator tracks a moving global model (the round-persistent use)
@@ -89,12 +89,9 @@ class TestBatchedEvaluator:
             reference = evaluate_model(server.global_model, test_set)
             assert evaluator.evaluate(test_set)["accuracy"] == reference["accuracy"]
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            BatchedEvaluator(mlp_factory(), chunk_size=0)
-
     def test_effective_chunk_bounded_by_element_budget(self):
-        evaluator = BatchedEvaluator(mlp_factory(), chunk_size=2048)
+        evaluator = BatchedEvaluator(mlp_factory())
+        assert BatchedEvaluator.CHUNK_SIZE == 2048
         # narrow samples (benchmark MLP): full chunk
         assert evaluator._effective_chunk(64) == 2048
         # wide conv-stack samples shrink the chunk to bound im2col memory

@@ -27,7 +27,6 @@ import repro.api.session
 import repro.core.multitime
 import repro.core.probability
 import repro.core.registry
-import repro.core.retry
 import repro.core.secure
 import repro.core.selectors
 import repro.crypto.packing
@@ -64,7 +63,6 @@ AUDITED_MODULES = [
     repro.core.multitime,
     repro.core.probability,
     repro.core.registry,
-    repro.core.retry,
     repro.core.secure,
     repro.core.selectors,
     repro.federated,

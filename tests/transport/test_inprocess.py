@@ -25,10 +25,12 @@ from reference.sequential_nn import run_round as reference_round
 
 def make_cohort(n_clients=3, seed=0):
     from repro import quick_federation
+    from repro.data.cohort import DatasetCache
     from repro.federated.client import FederatedClient
 
     partition, generator = quick_federation(n_clients=n_clients,
                                             samples_per_client=12, seed=seed)
+    cache = DatasetCache(n_clients)
     clients = []
     for index in range(n_clients):
         counts = partition.client_class_counts[index]
@@ -41,7 +43,7 @@ def make_cohort(n_clients=3, seed=0):
         clients.append(FederatedClient(client_id=index,
                                        num_classes=partition.num_classes,
                                        dataset_factory=factory,
-                                       seed=data_seed))
+                                       seed=data_seed, cache=cache))
     return clients
 
 

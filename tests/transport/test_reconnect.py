@@ -226,7 +226,7 @@ class TestCachedDelta:
         listener.settimeout(30.0)
         host, port = listener.getsockname()
         peer = TransportClient(donor.client(0), donor.server.new_client_model,
-                               host, port, reconnect=False)
+                               host, port)
         thread = threading.Thread(target=peer.run, daemon=True)
         thread.start()
         conn, _ = listener.accept()

@@ -8,37 +8,15 @@ the elapsed loop time is exact.
 """
 
 import asyncio
-import selectors
 
 import pytest
+
+from virtual_clock import VirtualClockLoop
 
 from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.transport import SocketTransport
 from repro.transport.server import TransportError
-
-
-class _JumpingSelector(selectors.DefaultSelector):
-    """Polls for I/O without blocking; a timed wait advances the clock."""
-
-    def __init__(self, clock):
-        super().__init__()
-        self.clock = clock
-
-    def select(self, timeout=None):
-        if timeout is None:
-            return super().select(None)  # nothing scheduled: wait for I/O
-        self.clock.now += timeout
-        return super().select(0)
-
-
-class _VirtualClockLoop(asyncio.SelectorEventLoop):
-    def __init__(self):
-        self.now = 0.0
-        super().__init__(selector=_JumpingSelector(self))
-
-    def time(self):
-        return self.now
 
 
 class _Peer:
@@ -54,7 +32,7 @@ def test_a_cohort_that_never_registers_fails_after_connect_timeout(
     loops = []
 
     def new_event_loop():
-        loops.append(_VirtualClockLoop())
+        loops.append(VirtualClockLoop())
         return loops[-1]
 
     monkeypatch.setattr(asyncio, "new_event_loop", new_event_loop)

@@ -9,7 +9,7 @@ import ast, atexit, glob, os, shlex, subprocess, sys, tempfile, threading
 TOOLS = os.path.dirname(os.path.realpath(__file__))
 ROOT, SRC = os.path.dirname(TOOLS), os.path.join(os.path.dirname(TOOLS), "src")
 TAGS = ("abstract", "documented", "error-path", "reserved:item-")  # + ROADMAP item
-MAX_ALLOWED = 15
+MAX_ALLOWED = 14
 
 
 def _lines(name):
