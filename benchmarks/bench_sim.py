@@ -111,7 +111,7 @@ def check_equivalence(mode: str, clients, config) -> float:
     reference = reference_round(clients, model_factory, global_state, config,
                                 round_index=0)
     states = LocalUpdateExecutor(mode).run_round(
-        clients, model_factory, global_state, config, round_index=0)
+        clients, model_factory, global_state, config, round_index=0).states
     worst = 0.0
     for a, b in zip(reference, states):
         for key in a:
@@ -133,13 +133,13 @@ def bench_mode(mode: str, n_clients: int, rounds: int, config) -> dict:
     steps_per_client = (SAMPLES_PER_CLIENT + config.batch_size - 1) // config.batch_size
     # warm-up round (pools, caches, BLAS threads)
     states = executor.run_round(clients, model_factory, server.global_state(),
-                                config, round_index=0)
+                                config, round_index=0).states
     server.aggregate(states)
     start = perf_counter()
     for r in range(1, rounds + 1):
         states = executor.run_round(clients, model_factory,
                                     server.global_state(copy=False), config,
-                                    round_index=r)
+                                    round_index=r).states
         server.aggregate(states)
     elapsed = perf_counter() - start
     return {
@@ -184,7 +184,7 @@ def bench_multi_round(n_clients: int, rounds: int, config) -> dict:
         start = perf_counter()
         states = executor.run_round(clients, model_factory,
                                     server.global_state(copy=False), config,
-                                    round_index=r)
+                                    round_index=r).states
         server.aggregate(states)
         times.append(perf_counter() - start)
     assert executor.workspace_builds == 1, "workspace was rebuilt mid-run"

@@ -3,10 +3,11 @@
 
 Runs the same seeded scenario on every requested executor back-end and
 verifies the engine's reproducibility contract: each back-end sees identical
-planned/actual participation (faults are a pure function of the scenario
-seed, the round and the client), and each completes the run.  Per round it
-prints the paper's metrics — population EMD ``||p_o − p_u||₁`` for the
-planned and the actually-aggregated cohort — next to the failure census.
+planned/actual participation, failure census and skipped rounds (faults are
+a pure function of the scenario seed, the round and the client), and each
+completes the run.  Per round it prints the paper's metrics — population EMD
+``||p_o − p_u||₁`` for the planned and the actually-aggregated cohort — next
+to the failures; per run, the census the history reduces it to.
 
 Run it with::
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import (
     DubheConfig,
     DubheSelector,
@@ -32,6 +31,7 @@ from repro import (
     make_uniform_test_set,
     quick_federation,
 )
+from repro.analysis.emd import baseline_global_bias
 from repro.nn.models import MLP
 from repro.scenarios import AvailabilitySpec, ChurnSpec, DropoutSpec, StragglerSpec
 
@@ -72,7 +72,9 @@ def main() -> None:
           f"{len(scenario.churn.leaves)} leaves), 10% offline, "
           f"25% stragglers (deadline 6s), 10% dropouts, "
           f"participation floor {scenario.min_participation:.0%}, "
-          f"seed {scenario.seed}\n")
+          f"seed {scenario.seed}")
+    print(f"Baseline bias (full participation): "
+          f"{baseline_global_bias(distributions):.4f}\n")
 
     logs: dict[str, list] = {}
     for mode in backends:
@@ -90,39 +92,39 @@ def main() -> None:
             model_factory=lambda: MLP(64, 10, hidden=(32,), seed=3),
             selector=DubheSelector(distributions, dubhe, seed=0),
             test_set=test_set,
-        ).with_scenario(scenario, name=mode)
+        ).with_scenario(scenario)
         with session:
-            report = session.run().report
-            history = session.simulation.history
+            history = session.run().history
         assert len(history) == args.rounds, f"{mode} did not complete"
-        logs[mode] = [(r.selected_clients, r.participants, dict(r.failures))
-                      for r in history.records]
+        logs[mode] = ([(r.selected_clients, r.participants, dict(r.failures))
+                       for r in history.records],
+                      history.failure_counts(), history.skipped_rounds())
 
         print(f"=== {mode} ===")
         print(f"{'round':>5}  {'EMD planned':>11}  {'EMD actual':>10}  "
               f"{'accuracy':>8}  {'delay':>6}  failures")
-        for r in history.records:
-            actual = (r.population_bias if r.actual_population_bias is None
-                      else r.actual_population_bias)
+        for r, actual in zip(history.records,
+                             history.actual_population_biases()):
             failures = (", ".join(f"{k}:{c}" for k, c in sorted(r.failures.items()))
                         or "-")
             skipped = "  [skipped]" if r.aggregation_skipped else ""
             print(f"{r.round_index:>5}  {r.population_bias:>11.4f}  "
                   f"{actual:>10.4f}  {r.test_accuracy:>8.3f}  "
                   f"{r.round_delay:>5.1f}s  {failures}{skipped}")
-        summary = report.summary()
-        print(f"  failures by cause  : {summary['failures']}")
-        print(f"  skipped rounds     : {summary['skipped_rounds']}")
-        print(f"  baseline bias      : {summary['baseline_bias']:.4f}")
-        print(f"  final accuracy     : {summary['final_accuracy']:.3f}\n")
+        print(f"  failures by cause  : {history.failure_counts()}")
+        print(f"  skipped rounds     : {history.skipped_rounds()}")
+        print(f"  mean actual bias   : "
+              f"{history.mean_actual_population_bias():.4f}")
+        print(f"  final accuracy     : {history.final_accuracy():.3f}\n")
 
     reference = backends[0]
     for mode in backends[1:]:
         assert logs[mode] == logs[reference], (
-            f"participation logs diverged between {reference} and {mode}")
+            f"participation, failure census or skipped rounds diverged "
+            f"between {reference} and {mode}")
     if len(backends) > 1:
-        print(f"OK: identical planned/actual participation across "
-              f"{', '.join(backends)}")
+        print(f"OK: identical planned/actual participation, failure census "
+              f"and skipped rounds across {', '.join(backends)}")
 
 
 if __name__ == "__main__":

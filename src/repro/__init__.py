@@ -18,8 +18,7 @@ Sub-packages
   meters its own overhead.
 * :mod:`repro.analysis` — unbiasedness and weight-divergence measurements.
 * :mod:`repro.scenarios` — fault injection (availability, churn,
-  stragglers, dropouts) with partial-round aggregation and robustness
-  reports.
+  stragglers, dropouts) with partial-round aggregation.
 * :mod:`repro.transport` — the federated service layer: typed protocol
   messages over a versioned binary wire format, an asyncio TCP server and
   client, and the in-process transport behind the same interface.

@@ -88,9 +88,9 @@ def weight_divergence_experiment(
         # a vectorized round returns views into its executor's pools, which
         # that executor's next round overwrites: average them first
         federated = average_states(federated_executor.run_round(
-            clients, model_factory, federated, config, round_index=r))
+            clients, model_factory, federated, config, round_index=r).states)
         centralized = average_states(central_executor.run_round(
-            central, model_factory, centralized, config, round_index=r))
+            central, model_factory, centralized, config, round_index=r).states)
 
     divergence = state_difference_norm(federated, centralized)
 

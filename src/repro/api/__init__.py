@@ -2,8 +2,8 @@
 
 :class:`~repro.federated.FederatedSimulation` is the engine and
 :class:`~repro.federated.FederatedConfig` the one flat description of a run;
-a ``Session`` assembles them when a run needs a scenario report, a ledger or
-a recipe::
+a ``Session`` assembles them when a run needs a scenario, a ledger or a
+recipe::
 
     from repro.api import Session
 

@@ -3,8 +3,8 @@
 :class:`~repro.federated.FederatedSimulation` is the engine and
 :class:`~repro.federated.FederatedConfig` the one flat description of a run;
 ``Session`` assembles the two for the runs that need more than a bare
-engine — a fault-injection scenario (with its report), a run ledger, or
-components rebuilt from an importable recipe::
+engine — a fault-injection scenario, a run ledger, or components rebuilt
+from an importable recipe::
 
     result = (Session(config)
               .with_federation(partition=..., generator=..., model_factory=...,
@@ -12,8 +12,8 @@ components rebuilt from an importable recipe::
               .with_scenario(spec)
               .with_ledger("runs.db")
               .run(rounds=20))
-    result.history      # TrainingHistory — always
-    result.report       # ScenarioReport — when a scenario was attached
+    result.history      # TrainingHistory — always; its failure_counts(),
+                        # skipped_rounds() etc. reduce a scenario run
     result.run_id       # ledger run id — when a ledger was attached
 
 Every transport (in-process back-ends and the asyncio socket layer) runs
@@ -40,19 +40,18 @@ _COMPONENT_KEYS = ("partition", "generator", "model_factory", "selector",
 class SessionResult:
     """What one :meth:`Session.run` produced.
 
-    ``history`` is always present; ``report`` only when the session carried
-    a scenario; ``run_id`` only when it recorded to a ledger.
+    ``history`` is always present; ``run_id`` only when the session recorded
+    to a ledger.
 
     Example
     -------
     >>> # result = Session(config).with_federation(**parts).run(5)
-    >>> # result.history.final_accuracy(), result.report, result.run_id
+    >>> # result.history.final_accuracy(), result.run_id
     >>> SessionResult.__dataclass_fields__["run_id"].default is None
     True
     """
 
     history: object
-    report: Optional[object] = None
     run_id: Optional[str] = None
 
 
@@ -86,7 +85,6 @@ class Session:
             raise TypeError("config must be a FederatedConfig (or None)")
         self._components = dict(components)
         self._recipe = recipe
-        self._scenario_name = "scenario"
         self._simulation: Optional[FederatedSimulation] = None
 
     # -- introspection ---------------------------------------------------------
@@ -159,22 +157,23 @@ class Session:
             self._recipe = RunRecipe(target, kwargs)
         return self
 
-    def with_scenario(self, spec, name: str = "scenario") -> "Session":
-        """Attach a fault-injection scenario; :meth:`run` then returns a report.
+    def with_scenario(self, spec) -> "Session":
+        """Attach a fault-injection :class:`~repro.scenarios.ScenarioSpec`.
 
-        *name* titles the :class:`~repro.scenarios.report.ScenarioReport`.
+        The run's history then carries the failure census
+        (:meth:`~repro.federated.TrainingHistory.failure_counts`), the
+        skipped rounds and the survivors' population EMD.
 
         Example
         -------
         >>> from repro.scenarios import ScenarioSpec
-        >>> session = Session().with_scenario(ScenarioSpec(seed=1), name="churn")
+        >>> session = Session().with_scenario(ScenarioSpec(seed=1))
         >>> simulation = session.with_recipe("repro.ledger.recipes:federation",
         ...                                  n_clients=8, seed=0).build()
         >>> simulation.config.scenario.seed
         1
         >>> session.close()
         """
-        self._scenario_name = name
         return self._amend_config(scenario=spec)
 
     def with_ledger(self, path: str, run_mode: str = "live",
@@ -278,19 +277,10 @@ class Session:
         >>> session.close()
         """
         simulation = self.build()
-        report = None
-        if self._config.scenario is not None:
-            from ..scenarios.report import _run_scenario_impl
-
-            report = _run_scenario_impl(simulation, rounds,
-                                        name=self._scenario_name)
-            history = simulation.history
-        else:
-            history = simulation.run(rounds)
+        history = simulation.run(rounds)
         run_id = (simulation.ledger_session.run_id
                   if simulation.ledger_session is not None else None)
-        return SessionResult(history=history, report=report,
-                             run_id=run_id or None)
+        return SessionResult(history=history, run_id=run_id or None)
 
     def close(self) -> None:
         """Close the built simulation (a no-op before :meth:`build`).

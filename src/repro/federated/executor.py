@@ -22,9 +22,10 @@ client occupies an independent slice of the batched kernels.  Before the
 cohort back-end runs, :meth:`LocalUpdateExecutor.run_round` checks that the
 cohort stacks densely (:func:`~repro.data.cohort.cohort_sample_shape`); a
 ragged cohort is trained one client at a time instead, and the reason is
-recorded in :attr:`LocalUpdateExecutor.last_fallback_reason`.  A model that
-is no chain of the shipped layers raises
-:class:`~repro.nn.batched.UnvectorizableModelError` in every mode.
+the ``fallback_reason`` of the round's
+:class:`~repro.transport.base.RoundOutcome`.  A model that is no chain of
+the shipped layers raises :class:`~repro.nn.batched.UnvectorizableModelError`
+in every mode.
 
 The executor is the in-process :class:`~repro.transport.base.Transport`: a
 simulation without sockets speaks to it directly.  It only trains and
@@ -55,7 +56,7 @@ import numpy as np
 
 from ..data.cohort import CohortShapeError, cohort_sample_shape
 from ..nn.module import Module
-from ..transport.base import Transport
+from ..transport.base import RoundOutcome, Transport
 from .aggregation import StackedClientStates
 from .client import FederatedClient, LocalTrainingConfig
 from .workspace import CohortWorkspace, train_cohort
@@ -73,23 +74,22 @@ class LocalUpdateExecutor(Transport):
     Both modes train in float64 and return bit-identical states.
 
     As a :class:`~repro.transport.base.Transport` it observes no failures of
-    its own (:attr:`last_round_failures` stays empty), and the
-    probability broadcast and round-complete hooks are no-ops: every role
-    shares memory in process.
+    its own (an outcome's ``failures`` stay empty), and the probability
+    broadcast and round-complete hooks are no-ops: every role shares memory
+    in process.
 
     Example
     -------
     >>> executor = LocalUpdateExecutor("vectorized")
     >>> executor.mode, executor.workspace_builds
     ('vectorized', 0)
-    >>> # states = executor.run_round(clients, model_factory, global_state,
-    >>> #                             LocalTrainingConfig())
+    >>> # outcome = executor.run_round(clients, model_factory, global_state,
+    >>> #                              LocalTrainingConfig())
     """
 
     def __init__(self, mode: str = "vectorized"):
         if mode not in EXECUTOR_MODES:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}")
-        super().__init__()
         self.mode = mode
         #: the round-persistent cohort state, built lazily on the first
         #: vectorized round and reused while rounds stay shape-compatible
@@ -103,12 +103,14 @@ class LocalUpdateExecutor(Transport):
                   global_state: StateDict,
                   config: LocalTrainingConfig,
                   round_index: int = 0,
-                  failed: Collection[int] = ()) -> list[StateDict]:
-        """Train every client in *clients* from *global_state*; return their states.
+                  failed: Collection[int] = ()) -> RoundOutcome:
+        """Train every client in *clients* from *global_state*.
 
         *failed* holds the cohort positions the round's fault plan has
         already failed (dropouts, stragglers past the deadline).  The
-        returned list covers only the other positions, in cohort order.  The
+        outcome's states cover only the other positions, in cohort order;
+        its ``fallback_reason`` says why a ragged cohort was trained one
+        client at a time (``None`` on the cohort back-end).  The
         cohort back-end still trains the failed rows and then drops them (a
         real dropout wastes its local compute too, and a stable cohort size
         keeps the round-persistent workspace warm); the one-client-at-a-time
@@ -118,24 +120,25 @@ class LocalUpdateExecutor(Transport):
         Example
         -------
         >>> executor = LocalUpdateExecutor("sequential")
-        >>> executor.run_round([], lambda: None, {}, LocalTrainingConfig())
+        >>> executor.run_round([], lambda: None, {}, LocalTrainingConfig()).states
         []
         """
         if not clients:
-            return []
+            return RoundOutcome(states=[])
         args = (clients, model_factory, global_state, config, round_index)
         if self.mode == "sequential":
-            return self._run_sequential(*args, failed)
-        self.last_fallback_reason = None
+            return RoundOutcome(states=self._run_sequential(*args, failed))
         # one slot per client per round: the DatasetCache counts each once
         slots = [client.cohort_slot() for client in clients]
         try:
             cohort_sample_shape([dataset for _, dataset in slots])
         except CohortShapeError as exc:
             # checked before any pool is built or adopted
-            self.last_fallback_reason = str(exc)
-            return self._run_sequential(*args, failed, slots)
-        return self._filter_survivors(self._run_vectorized(slots, *args), failed)
+            return RoundOutcome(
+                states=self._run_sequential(*args, failed, slots),
+                fallback_reason=str(exc))
+        return RoundOutcome(states=self._filter_survivors(
+            self._run_vectorized(slots, *args), failed))
 
     # -- back-ends -------------------------------------------------------------
 

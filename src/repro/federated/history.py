@@ -33,11 +33,11 @@ class RoundRecord:
     :data:`repro.scenarios.FAILURE_CAUSES`), ``aggregation_skipped`` flags a
     round that fell below the participation threshold (global model carried
     forward), and ``actual_population_bias`` is ``||p_o − p_u||₁`` over the
-    survivors (``NaN`` when nobody survived).  ``fallback_reason`` surfaces
-    :attr:`repro.federated.LocalUpdateExecutor.last_fallback_reason`, so a
-    silent back-end degradation (a ragged cohort trained one client at a
-    time) is visible in the run history rather than
-    only on the executor object.
+    survivors (``NaN`` when nobody survived).  ``fallback_reason``,
+    ``decode_failures`` and ``disconnects`` come from the transport's
+    :class:`~repro.transport.base.RoundOutcome`, so a silent back-end
+    degradation (a ragged cohort trained one client at a time, a broadcast
+    that timed out) is visible in the run history.
 
     Example
     -------
@@ -198,9 +198,50 @@ class TrainingHistory:
     # -- fault-injection series (scenario runs) ------------------------------------
 
     def fallback_reasons(self) -> "list[tuple[int, str]]":
-        """Rounds on which the executor degraded its back-end, with the reason."""
+        """Rounds on which the transport left its usual path, with the reason."""
         return [(r.round_index, r.fallback_reason) for r in self.records
                 if r.fallback_reason is not None]
+
+    def failure_counts(self) -> dict[str, int]:
+        """The failure census: how many client failures each cause made.
+
+        Example
+        -------
+        >>> import numpy as np
+        >>> history = TrainingHistory()
+        >>> history.append(RoundRecord(0, (0, 1, 2), np.array([0.5, 0.5]), 0.0,
+        ...                            0.8, failures={1: "dropout", 2: "offline"}))
+        >>> history.append(RoundRecord(1, (0, 1), np.array([0.5, 0.5]), 0.0,
+        ...                            0.8, failures={0: "dropout"}))
+        >>> history.failure_counts()
+        {'dropout': 2, 'offline': 1}
+        """
+        counts: dict[str, int] = {}
+        for record in self.records:
+            for cause in record.failures.values():
+                counts[cause] = counts.get(cause, 0) + 1
+        return counts
+
+    def skipped_rounds(self) -> "list[int]":
+        """Rounds whose survivors fell below the participation floor."""
+        return [r.round_index for r in self.records if r.aggregation_skipped]
+
+    def actual_population_biases(self) -> np.ndarray:
+        """``||p_o − p_u||₁`` of the clients actually aggregated, per round.
+
+        A scenario-free round aggregated its whole selection, so it reads
+        its planned bias; a round that aggregated nobody reads ``NaN``.
+        """
+        return np.array([r.population_bias if r.actual_population_bias is None
+                         else r.actual_population_bias for r in self.records])
+
+    def mean_actual_population_bias(self) -> float:
+        """Mean survivor ``||p_o − p_u||₁`` over rounds that aggregated anyone."""
+        biases = self.actual_population_biases()
+        valid = biases[~np.isnan(biases)]
+        if valid.size == 0:
+            raise ValueError("no aggregated rounds in history")
+        return float(valid.mean())
 
     # -- reductions ----------------------------------------------------------------
 

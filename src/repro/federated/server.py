@@ -49,8 +49,6 @@ class FederatedServer:
         self.rounds_completed = 0
         #: rounds whose aggregation was skipped (survivors below the floor)
         self.rounds_skipped = 0
-        #: whether the most recent :meth:`aggregate` call skipped the round
-        self.last_aggregation_skipped = False
         self._evaluator: Optional[BatchedEvaluator] = None
 
     # -- weights -----------------------------------------------------------------
@@ -89,24 +87,22 @@ class FederatedServer:
         self.global_model.load_state_dict(state)
         self.rounds_completed = rounds_completed
         self.rounds_skipped = rounds_skipped
-        self.last_aggregation_skipped = False
 
     def aggregate(self, client_states: Sequence[StateDict],
                   expected_count: Optional[int] = None,
-                  min_participation: float = 0.0) -> StateDict:
+                  min_participation: float = 0.0) -> Optional[StateDict]:
         """Average client updates into the new global model (eq. (1)).
 
-        *expected_count* opts into **partial-round aggregation** (the
-        fault-injection path): it is the planned cohort size, of which only
-        ``len(client_states)`` survivors reported back.  When the survivor
-        fraction falls below *min_participation* — or nobody survived — the
-        round is *skipped*: the global model is carried forward unchanged,
-        :attr:`rounds_skipped` is incremented and
-        :attr:`last_aggregation_skipped` is set, and the (unchanged) global
-        state is returned.  Without *expected_count* an empty update list is
-        a caller bug and raises, exactly as before.
+        Returns the new global state.  *expected_count* opts into
+        **partial-round aggregation** (the fault-injection path): it is the
+        planned cohort size, of which only ``len(client_states)`` survivors
+        reported back.  When the survivor fraction falls below
+        *min_participation* — or nobody survived — the round is *skipped*:
+        the global model is carried forward unchanged,
+        :attr:`rounds_skipped` is incremented and ``None`` is returned.
+        Without *expected_count* an empty update list is a caller bug and
+        raises.
         """
-        self.last_aggregation_skipped = False
         if expected_count is not None:
             if expected_count < 1:
                 raise ValueError("expected_count must be positive when given")
@@ -115,8 +111,7 @@ class FederatedServer:
             participation = len(client_states) / expected_count
             if not client_states or participation < min_participation:
                 self.rounds_skipped += 1
-                self.last_aggregation_skipped = True
-                return self.global_state()
+                return None
         if not client_states:
             raise ValueError("no client updates to aggregate")
         new_state = average_states(client_states)

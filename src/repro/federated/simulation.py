@@ -249,8 +249,10 @@ class FederatedSimulation:
         Only the survivors are aggregated — or aggregation is skipped when
         they fall below the scenario's ``min_participation`` floor.  The
         resulting :class:`~repro.federated.history.RoundRecord` carries the
-        full planned-vs-actual story, including any failure the transport
-        observed itself (a socket peer missing the deadline or vanishing).
+        full planned-vs-actual story, built from the plan and from the
+        transport's :class:`~repro.transport.base.RoundOutcome`: any failure
+        the transport observed itself (a socket peer missing the deadline or
+        vanishing), its fallback reason, undecodable frames and disconnects.
         """
         selected = list(self.selector.select(round_index))
         if len(selected) == 0:
@@ -276,7 +278,7 @@ class FederatedSimulation:
         # read-only views: every executor back-end copies the state on load,
         # so one shared global state serves all K workers without K deep copies
         global_state = self.server.global_state(copy=False)
-        states = self.transport.run_round(
+        outcome = self.transport.run_round(
             clients, self.server.new_client_model, global_state, self.config.local,
             round_index=round_index,
             failed={position for position, k in enumerate(trainable)
@@ -285,11 +287,11 @@ class FederatedSimulation:
 
         actual_clients: Optional[tuple[int, ...]] = None
         actual_bias: Optional[float] = None
-        observed = self.transport.last_round_failures
-        if self.injector is None and not observed:
-            self.server.aggregate(states)
+        skipped = False
+        if self.injector is None and not outcome.failures:
+            self.server.aggregate(outcome.states)
         else:
-            for position, cause in observed.items():
+            for position, cause in outcome.failures.items():
                 failures[trainable[position]] = cause
             actual_clients = tuple(k for k in trainable if k not in failures)
             # the scenario owns the participation floor; without one, real
@@ -297,11 +299,11 @@ class FederatedSimulation:
             # non-empty survivor set to aggregate
             floor = (self.config.scenario.min_participation
                      if self.config.scenario is not None else 0.0)
-            self.server.aggregate(
-                states,
+            skipped = self.server.aggregate(
+                outcome.states,
                 expected_count=len(selected),
                 min_participation=floor,
-            )
+            ) is None
             actual_bias = (
                 float("nan") if not actual_clients
                 else emd(self.partition.selection_population(actual_clients),
@@ -320,12 +322,12 @@ class FederatedSimulation:
             test_accuracy=accuracy,
             actual_clients=actual_clients,
             failures=failures,
-            fallback_reason=self.transport.last_fallback_reason,
-            aggregation_skipped=self.server.last_aggregation_skipped,
+            fallback_reason=outcome.fallback_reason,
+            aggregation_skipped=skipped,
             actual_population_bias=actual_bias,
             round_delay=round_delay,
-            decode_failures=dict(self.transport.last_round_decode_failures),
-            disconnects=dict(self.transport.last_round_disconnects),
+            decode_failures=outcome.decode_failures,
+            disconnects=outcome.disconnects,
         )
         self.transport.on_round_complete(record)
         self.history.append(record)

@@ -12,8 +12,8 @@ Four subcommands, all operating on one ledger file:
   every round's selections and metrics are bit-identical; exits non-zero
   with a structured diff on mismatch.
 * ``resume LEDGER [RUN]`` — rebuild the run from its recipe, restore the
-  last committed checkpoint and run the remaining rounds, committing to
-  the same run row.
+  last committed checkpoint and run the remaining rounds of the recorded
+  plan, committing to the same run row.
 
 ``verify`` and ``resume`` need the run's recorded recipe (see
 :class:`~repro.ledger.codec.RunRecipe`); ``--recipe``/``--recipe-kwargs``
@@ -144,14 +144,13 @@ def _verify(path: str, ledger: RunLedger, run_id: Optional[str],
 
 def _resume(path: str, ledger: RunLedger, run_id: Optional[str],
             executor_mode: Optional[str],
-            recipe_override: Optional[RunRecipe],
-            rounds: Optional[int]) -> int:
+            recipe_override: Optional[RunRecipe]) -> int:
     info = ledger.run(run_id)
     already = info.rounds_committed
     simulation = _build_simulation(path, info, "resume", executor_mode,
                                    recipe_override)
     try:
-        history = simulation.run(rounds)
+        history = simulation.run()
     finally:
         simulation.close()
     ran = len(history) - already
@@ -202,10 +201,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         if name == "verify":
             sub.add_argument("--json", action="store_true",
                              help="machine-readable report")
-        else:
-            sub.add_argument("--rounds", type=int, default=None,
-                             help="total rounds to reach (default: the "
-                                  "recorded plan)")
 
     args = parser.parse_args(argv)
     recipe_override = None
@@ -224,7 +219,7 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
                 return _verify(args.ledger, ledger, args.run_id,
                                args.executor_mode, recipe_override, args.json)
             return _resume(args.ledger, ledger, args.run_id,
-                           args.executor_mode, recipe_override, args.rounds)
+                           args.executor_mode, recipe_override)
     except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,14 +10,15 @@ Public API
 * :class:`FaultInjector`, :class:`RoundPlan`, :class:`ClientFault`,
   :data:`FAILURE_CAUSES` — the seeded engine that turns a spec into
   reproducible per-round decisions.
-* :class:`ScenarioReport` — robustness measured in the paper's own metrics
-  (population EMD, accuracy).
 
 A :class:`ScenarioSpec` plugs into
 :class:`repro.federated.FederatedConfig(scenario=...)
 <repro.federated.FederatedConfig>`; the round loop consults the injector,
 the transport leaves the failed clients out, and the server aggregates the
-partial round (or skips it below the participation threshold).  The empty
+partial round (or skips it below the participation threshold).  The run's
+:class:`~repro.federated.TrainingHistory` reduces it: the failure census
+(``failure_counts()``), the skipped rounds and the survivors' population
+EMD beside the planned one.  The empty
 ``ScenarioSpec()`` is guaranteed to leave every executor back-end
 bit-identical to a scenario-free run.
 """
@@ -28,7 +29,6 @@ from .engine import (
     FaultInjector,
     RoundPlan,
 )
-from .report import ScenarioReport
 from .spec import (
     PARTITION_DIRECTIONS,
     AvailabilitySpec,
@@ -49,7 +49,6 @@ __all__ = [
     "NetworkSpec",
     "PARTITION_DIRECTIONS",
     "RoundPlan",
-    "ScenarioReport",
     "ScenarioSpec",
     "StragglerSpec",
 ]

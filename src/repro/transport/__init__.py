@@ -12,8 +12,8 @@ separation of *process* from *role*:
   (Register, ProbabilityBroadcast, SelectionNotice,
   ModelDelta, RoundResult, ...);
 * :mod:`repro.transport.base` — the :class:`Transport` seam the simulation
-  speaks to; in process the seam is the
-  :class:`~repro.federated.executor.LocalUpdateExecutor` itself
+  speaks to, and the :class:`RoundOutcome` every round returns; in process
+  the seam is the :class:`~repro.federated.executor.LocalUpdateExecutor` itself
   (sequential / vectorized back-ends);
 * :mod:`repro.transport.server` — :class:`SocketTransport`, the asyncio TCP
   server driving rounds with bounded send queues, timeouts and partial-round
@@ -31,7 +31,7 @@ A fault-free localhost round under float64 is bit-identical to the
 in-process sequential run — the transport moves bytes, never arithmetic.
 """
 
-from .base import Transport, build_transport
+from .base import RoundOutcome, Transport, build_transport
 from .chaos import ChaosProxy
 from .client import TransportClient
 from .messages import (
@@ -72,6 +72,7 @@ __all__ = [
     "ProbabilityBroadcast",
     "Register",
     "RegisterAck",
+    "RoundOutcome",
     "RoundResult",
     "SelectionNotice",
     "Shutdown",

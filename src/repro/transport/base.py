@@ -2,9 +2,10 @@
 
 A *transport* is the single seam between :class:`~repro.federated.simulation.
 FederatedSimulation` and wherever the selected clients actually run.  Every
-implementation takes the same arguments, returns the survivors' states in
-cohort order and exposes the same telemetry attributes, so the simulation's
-round loop is transport-agnostic:
+implementation takes the same arguments and returns the same
+:class:`RoundOutcome` — the survivors' states in cohort order plus what the
+transport saw of the round — so the simulation's round loop is
+transport-agnostic:
 
 * :class:`~repro.federated.executor.LocalUpdateExecutor` *is* the in-process
   transport (sequential / vectorized back-ends);
@@ -17,7 +18,8 @@ round's bookkeeping — which clients the fault plan fails, the simulated
 round delay, the :class:`~repro.federated.history.RoundRecord` — and hands
 the transport just the cohort positions to leave out.  A transport reports
 only the failures it observes itself (over sockets: a deadline miss
-``"straggler"``, a vanished peer ``"offline"``).
+``"straggler"``, a vanished peer ``"offline"``), and it reports them in the
+outcome it returns, never on an attribute a later round overwrites.
 
 Both produce bit-identical survivor states under float64 — the contract the
 loopback and fault-record tests assert.
@@ -29,7 +31,9 @@ loopback and fault-record tests assert.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import (TYPE_CHECKING, Callable, Collection, Mapping, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -40,41 +44,51 @@ if TYPE_CHECKING:  # the executor subclasses Transport: no runtime import
     from ..federated.executor import LocalUpdateExecutor
     from ..nn.module import Module
 
-__all__ = ["Transport", "build_transport"]
+__all__ = ["RoundOutcome", "Transport", "build_transport"]
 
 StateDict = dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    """What one :meth:`Transport.run_round` produced.
+
+    ``states`` are the survivors' states in cohort order.  ``failures``
+    maps a cohort position to the cause of a failure the transport observed
+    itself (never one the fault plan already decided).  ``fallback_reason``
+    says why the round left its usual path — a ragged cohort trained one
+    client at a time, a broadcast that timed out, a peer's error notice.
+    ``decode_failures`` (client id → undecodable frames, -1 for a peer that
+    never registered) and ``disconnects`` (client id → cause) are filled
+    only over sockets.
+
+    Example
+    -------
+    >>> outcome = RoundOutcome(states=[])
+    >>> outcome.failures, outcome.fallback_reason
+    ({}, None)
+    """
+
+    states: Sequence[StateDict]
+    failures: Mapping[int, str] = field(default_factory=dict)
+    fallback_reason: Optional[str] = None
+    decode_failures: Mapping[int, int] = field(default_factory=dict)
+    disconnects: Mapping[int, str] = field(default_factory=dict)
 
 
 class Transport(ABC):
     """Where a round's local updates run: in process, or across sockets.
 
-    ``run_round`` returns the *survivors'* states in cohort order; the
-    telemetry attributes :attr:`last_round_failures` (cohort position →
-    cause, for failures the transport observed itself),
-    :attr:`last_fallback_reason`, :attr:`last_round_decode_failures` and
-    :attr:`last_round_disconnects` describe the most recent round.
+    ``run_round`` returns the round's :class:`RoundOutcome`; a transport
+    keeps no per-round state that a caller has to read afterwards.
 
     Example
     -------
     >>> from repro.core.config import TransportConfig
     >>> transport = build_transport(TransportConfig(kind="inprocess"))
-    >>> transport.last_round_failures
-    {}
+    >>> transport.run_round([], lambda: None, {}, None).states
+    []
     """
-
-    def __init__(self) -> None:
-        #: failures the transport observed in the most recent round: cohort
-        #: position -> cause; always empty in process
-        self.last_round_failures: dict[int, str] = {}
-        #: why the most recent round fell back to a slower back-end (or None)
-        self.last_fallback_reason: Optional[str] = None
-        #: undecodable frames of the most recent round: client id -> count
-        #: (-1 keys frames from peers that never finished registering);
-        #: always empty in process
-        self.last_round_decode_failures: dict[int, int] = {}
-        #: connection losses of the most recent round: client id -> cause;
-        #: always empty in process
-        self.last_round_disconnects: dict[int, str] = {}
 
     @abstractmethod
     def run_round(self, clients: "Sequence[FederatedClient]",
@@ -82,8 +96,8 @@ class Transport(ABC):
                   global_state: StateDict,
                   config: "LocalTrainingConfig",
                   round_index: int = 0,
-                  failed: Collection[int] = ()) -> "list[StateDict]":
-        """Train the cohort from *global_state*; return the survivors' states.
+                  failed: Collection[int] = ()) -> RoundOutcome:
+        """Train the cohort from *global_state*; return the round's outcome.
 
         *failed* holds the cohort positions the round's fault plan has
         already failed; their states are never returned.

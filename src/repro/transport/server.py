@@ -16,9 +16,13 @@ unbounding server memory.  A frame that fails the structured wire checks
 (:class:`~repro.transport.wire.CorruptFrameError` and friends) earns the
 peer an :class:`~repro.transport.messages.ErrorNotice` and a disconnect —
 counted per client in :attr:`SocketTransport.decode_failures` and
-:attr:`SocketTransport.disconnects`, surfaced per round on the
+:attr:`SocketTransport.disconnects`, surfaced per round through the
+:class:`~repro.transport.base.RoundOutcome` on the
 :class:`~repro.federated.history.RoundRecord`, so a silently-dropped peer
-always leaves a trace in the run record.
+always leaves a trace in the run record.  A broadcast that timed out and a
+peer's :class:`~repro.transport.messages.ErrorNotice` are noted as they
+happen — between rounds too — and the next outcome's ``fallback_reason``
+takes them.
 
 Liveness and session resumption
 -------------------------------
@@ -68,6 +72,7 @@ relay while the server itself stays oblivious.
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
 import threading
 from typing import Callable, Collection, Dict, Optional, Sequence, Tuple
@@ -77,7 +82,7 @@ import numpy as np
 from ..core.config import TransportConfig
 from ..federated.client import FederatedClient, LocalTrainingConfig
 from ..nn.module import Module
-from .base import Transport
+from .base import RoundOutcome, Transport
 from .messages import (
     ErrorNotice,
     Heartbeat,
@@ -107,6 +112,10 @@ SEND_QUEUE = 32
 
 #: silent heartbeat intervals after which a connection is declared dead
 HEARTBEAT_LIMIT = 3
+
+#: fallback notes kept for the next round outcome (the latest win), so a
+#: peer that floods error notices between rounds cannot grow server memory
+NOTES_KEPT = 8
 
 
 class TransportError(RuntimeError):
@@ -210,7 +219,6 @@ class SocketTransport(Transport):
 
     def __init__(self, config: Optional[TransportConfig] = None,
                  network=None, chaos_seed: int = 0):
-        super().__init__()
         self.config = config or TransportConfig(kind="socket")
         #: optional :class:`~repro.scenarios.spec.NetworkSpec` driving a
         #: chaos proxy in front of the server
@@ -243,6 +251,10 @@ class SocketTransport(Transport):
         self._next_token = 0
         self._round_decode: "Dict[int, int]" = {}
         self._round_disconnects: "Dict[int, str]" = {}
+        #: fallback reasons noted since the last outcome took them; appended
+        #: on the loop thread (error notices) and the caller's (broadcasts)
+        self._notes: "collections.deque[str]" = collections.deque(
+            maxlen=NOTES_KEPT)
         self._round_task: Optional["asyncio.Task"] = None
         self._heartbeat_task: Optional["asyncio.Future"] = None
         self._roster_changed: Optional[asyncio.Event] = None
@@ -552,7 +564,7 @@ class SocketTransport(Transport):
         elif isinstance(message, HeartbeatAck):
             session.health = "healthy"  # last_seen already updated
         elif isinstance(message, ErrorNotice):
-            self.last_fallback_reason = f"client error: {message.detail}"
+            self._notes.append(f"client error: {message.detail}")
         # anything else is a server→client echo: dropped on arrival
 
     # -- protocol broadcasts ----------------------------------------------------
@@ -609,7 +621,7 @@ class SocketTransport(Transport):
         except (concurrent.futures.TimeoutError, TimeoutError):
             # broadcasts are advisory; a saturated client queue (backpressure)
             # must not fail the round
-            self.last_fallback_reason = "broadcast timed out on a full queue"
+            self._notes.append("broadcast timed out on a full queue")
 
     # -- the round --------------------------------------------------------------
 
@@ -618,32 +630,31 @@ class SocketTransport(Transport):
                   global_state: StateDict,
                   config: LocalTrainingConfig,
                   round_index: int = 0,
-                  failed: Collection[int] = ()) -> "list[StateDict]":
+                  failed: Collection[int] = ()) -> RoundOutcome:
         """Dispatch the cohort's selection notices and collect their deltas.
 
         Mirrors :meth:`repro.federated.executor.LocalUpdateExecutor.run_round`:
-        returns the survivors' states in cohort order.  The *failed*
-        positions of the round's fault plan are never dispatched.  Failures
-        the server observes itself — a deadline miss ``"straggler"``, a
-        vanished client ``"offline"`` — land in :attr:`last_round_failures`,
-        with the round's malformed-frame counts and disconnect causes
-        snapshotted into :attr:`last_round_decode_failures` /
-        :attr:`last_round_disconnects`.
+        the outcome's states are the survivors' in cohort order.  The
+        *failed* positions of the round's fault plan are never dispatched.
+        Failures the server observes itself — a deadline miss
+        ``"straggler"``, a vanished client ``"offline"`` — are the outcome's
+        ``failures``, beside the round's malformed-frame counts and
+        disconnect causes; its ``fallback_reason`` joins the notes made
+        since the previous outcome (a broadcast that timed out, a peer's
+        error notice).
 
         Example
         -------
         >>> from repro.core.config import TransportConfig
         >>> transport = SocketTransport(TransportConfig(kind="socket"))
-        >>> transport.run_round([], lambda: None, {}, LocalTrainingConfig())
-        []
+        >>> outcome = transport.run_round([], lambda: None, {},
+        ...                               LocalTrainingConfig())
+        >>> outcome.states, outcome.fallback_reason
+        ([], None)
         >>> transport.close()
         """
-        self.last_round_failures = {}
-        self.last_round_decode_failures = {}
-        self.last_round_disconnects = {}
-        self.last_fallback_reason = None
         if not clients:
-            return []
+            return RoundOutcome(states=[], fallback_reason=self._take_notes())
         if self._closing:
             raise TransportClosedError("transport is closed")
         self.start()
@@ -665,8 +676,7 @@ class SocketTransport(Transport):
         else:
             result_timeout = None
         try:
-            states_by_position, real_failures, decode, disconnects = \
-                future.result(timeout=result_timeout)
+            return future.result(timeout=result_timeout)
         except (asyncio.CancelledError, concurrent.futures.CancelledError):
             # the bridging future raises the concurrent.futures flavour,
             # which is not the asyncio class on every interpreter
@@ -679,16 +689,19 @@ class SocketTransport(Transport):
                 f"round {round_index} did not complete within the "
                 f"{budget:.1f}s transport budget"
             )
-        self.last_round_failures = real_failures
-        self.last_round_decode_failures = decode
-        self.last_round_disconnects = disconnects
-        return [states_by_position[p] for p in sorted(states_by_position)]
+
+    def _take_notes(self) -> Optional[str]:
+        """Empty the notes kept since the last outcome; their distinct reasons joined."""
+        notes = []
+        while self._notes:
+            notes.append(self._notes.popleft())
+        return "; ".join(dict.fromkeys(notes)) or None
 
     async def _run_round_async(self, ids: Sequence[int],
                                global_state: StateDict,
                                config: LocalTrainingConfig,
                                round_index: int,
-                               failed: Collection[int]):
+                               failed: Collection[int]) -> RoundOutcome:
         self._round_task = asyncio.current_task()
         self._round_decode = {}
         self._round_disconnects = {}
@@ -734,8 +747,11 @@ class SocketTransport(Transport):
                 # one that vanished (and never reconnected) is offline
                 real_failures[position] = (
                     "straggler" if client_id in self._sessions else "offline")
-        return (states, real_failures, dict(self._round_decode),
-                dict(self._round_disconnects))
+        return RoundOutcome(
+            states=[states[position] for position in sorted(states)],
+            failures=real_failures, fallback_reason=self._take_notes(),
+            decode_failures=dict(self._round_decode),
+            disconnects=dict(self._round_disconnects))
 
     async def _wait_for_clients(self, ids: Sequence[int]) -> None:
         """Wait until every cohort client is registered, up to ``connect_timeout``.

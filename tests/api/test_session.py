@@ -14,7 +14,7 @@ import pytest
 from repro import FederatedConfig, Session
 from repro.api.session import SessionResult
 from repro.core.config import TransportConfig
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import DropoutSpec, ScenarioSpec
 
 RECIPE_TARGET = "repro.ledger.recipes:federation"
 RECIPE_KWARGS = dict(n_clients=8, participants=2, samples_per_client=12,
@@ -32,7 +32,6 @@ class TestPlainRuns:
             result = session.run()
         assert isinstance(result, SessionResult)
         assert len(result.history) == 2
-        assert result.report is None
         assert result.run_id is None
 
     def test_session_never_emits_the_deprecation_warning(self):
@@ -70,14 +69,17 @@ class TestPlainRuns:
 
 
 class TestScenarioRuns:
-    def test_with_scenario_yields_a_report(self):
+    def test_a_scenario_run_is_reduced_by_its_history(self):
         config = FederatedConfig(rounds=2, eval_every=1, seed=0)
-        with make_session(config).with_scenario(ScenarioSpec(seed=3),
-                                                name="churn") as session:
+        # every selected client drops: two of two, in both rounds
+        spec = ScenarioSpec(dropouts=DropoutSpec(probability=1.0), seed=3)
+        with make_session(config).with_scenario(spec) as session:
             result = session.run()
-        assert result.report is not None
-        assert result.report.name == "churn"
-        assert result.report.rounds == 2
+            assert session.simulation.config.scenario is spec
+        history = result.history
+        assert len(history) == 2
+        assert history.failure_counts() == {"dropout": 4}
+        assert history.skipped_rounds() == [0, 1]
 
 class TestLedgerRuns:
     def test_with_ledger_records_and_returns_run_id(self, tmp_path):

@@ -203,15 +203,16 @@ class TestExecutor:
         clients = self._setup()
         server = FederatedServer(mlp_factory)
         executor = LocalUpdateExecutor("sequential")
-        states = executor.run_round(
+        outcome = executor.run_round(
             clients, server.new_client_model, server.global_state(), LocalTrainingConfig()
         )
-        assert len(states) == 3
+        assert len(outcome.states) == 3
+        assert outcome.failures == {} and outcome.fallback_reason is None
 
     def test_empty_client_list(self):
         assert LocalUpdateExecutor().run_round(
             [], mlp_factory, {}, LocalTrainingConfig()
-        ) == []
+        ).states == []
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

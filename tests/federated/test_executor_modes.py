@@ -81,7 +81,7 @@ class TestSequentialModeMatchesTheReference:
         expected = reference_round(make_clients(), factory, global_state,
                                    config, round_index=2)
         actual = LocalUpdateExecutor("sequential").run_round(
-            make_clients(), factory, global_state, config, round_index=2)
+            make_clients(), factory, global_state, config, round_index=2).states
         assert_states_match(expected, actual)
 
 
@@ -95,10 +95,10 @@ class TestCohortSizes:
         expected = reference_round(make_clients(n_clients), factory,
                                    global_state, CONFIG, round_index=1)
         executor = LocalUpdateExecutor(mode)
-        actual = executor.run_round(make_clients(n_clients), factory,
-                                    global_state, CONFIG, round_index=1)
-        assert executor.last_fallback_reason is None
-        assert_states_match(expected, actual)
+        outcome = executor.run_round(make_clients(n_clients), factory,
+                                     global_state, CONFIG, round_index=1)
+        assert outcome.fallback_reason is None
+        assert_states_match(expected, outcome.states)
         if mode == "vectorized":
             assert executor.workspace.num_clients == n_clients
 
@@ -114,7 +114,7 @@ class TestFailedPositions:
                                    CONFIG, round_index=1, failed=failed)
         actual = LocalUpdateExecutor(mode).run_round(
             make_clients(), factory, global_state, CONFIG, round_index=1,
-            failed=failed)
+            failed=failed).states
         assert len(expected) == 4 - len(failed)
         assert_states_match(expected, actual)
         if isinstance(actual, StackedClientStates):
@@ -136,7 +136,7 @@ class TestFailedPositions:
                            round_index=0, failed=(1, 3))
         workspace = executor.workspace
         actual = executor.run_round(make_clients(), factory, global_state,
-                                    CONFIG, round_index=1)
+                                    CONFIG, round_index=1).states
         # the failed rows were trained and dropped, not cut from the cohort
         assert executor.workspace is workspace
         assert executor.workspace_builds == 1
@@ -150,13 +150,12 @@ class TestFailedPositions:
         global_state = FederatedServer(factory).global_state()
         expected = reference_round(make_ragged_clients(), factory,
                                    global_state, CONFIG, failed=(1,))
-        executor = LocalUpdateExecutor(mode)
-        actual = executor.run_round(make_ragged_clients(), factory,
-                                    global_state, CONFIG, failed=(1,))
+        outcome = LocalUpdateExecutor(mode).run_round(
+            make_ragged_clients(), factory, global_state, CONFIG, failed=(1,))
         if mode == "vectorized":
-            assert "ragged" in executor.last_fallback_reason
-        assert len(actual) == 2
-        assert_states_match(expected, actual)
+            assert "ragged" in outcome.fallback_reason
+        assert len(outcome.states) == 2
+        assert_states_match(expected, outcome.states)
 
 
 class TestLifecycle:
@@ -186,7 +185,7 @@ class TestLifecycle:
         monkeypatch.undo()
 
         actual = executor.run_round(make_clients(), factory, global_state,
-                                    CONFIG, round_index=1)
+                                    CONFIG, round_index=1).states
         assert_states_match(reference_round(make_clients(), factory,
                                             global_state, CONFIG,
                                             round_index=1), actual)
@@ -200,7 +199,7 @@ class TestLifecycle:
         executor.close()
         executor.close()
         actual = executor.run_round(make_clients(), factory, global_state,
-                                    CONFIG, round_index=1)
+                                    CONFIG, round_index=1).states
         assert_states_match(reference_round(make_clients(), factory,
                                             global_state, CONFIG,
                                             round_index=1), actual)

@@ -66,8 +66,32 @@ class TestTrainingHistory:
         history.append(record(1, dist=np.array([0.0, 1.0])))
         np.testing.assert_allclose(history.average_population_distribution(), [0.5, 0.5])
 
+    def test_failure_census(self):
+        history = TrainingHistory()
+        history.append(record(0))
+        history.append(RoundRecord(1, (0, 1, 2), np.array([0.5, 0.5]), 0.3,
+                                   0.6, actual_clients=(0,),
+                                   failures={1: "dropout", 2: "straggler"},
+                                   actual_population_bias=0.8))
+        history.append(RoundRecord(2, (3, 4), np.array([0.5, 0.5]), 0.4, 0.6,
+                                   actual_clients=(),
+                                   failures={3: "dropout", 4: "offline"},
+                                   aggregation_skipped=True,
+                                   actual_population_bias=float("nan")))
+        assert history.failure_counts() == {"dropout": 2, "straggler": 1,
+                                            "offline": 1}
+        assert history.skipped_rounds() == [2]
+        # a scenario-free round reads its planned bias, an empty one NaN
+        actual = history.actual_population_biases()
+        assert actual[:2].tolist() == [0.1, 0.8] and np.isnan(actual[2])
+        assert history.mean_actual_population_bias() == pytest.approx(0.45)
+
     def test_empty_history_errors(self):
         history = TrainingHistory()
+        assert history.failure_counts() == {}
+        assert history.skipped_rounds() == []
+        with pytest.raises(ValueError):
+            history.mean_actual_population_bias()
         with pytest.raises(ValueError):
             history.final_accuracy()
         with pytest.raises(ValueError):

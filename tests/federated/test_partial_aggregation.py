@@ -82,16 +82,17 @@ class TestServerSkipPolicy:
         before = server.global_state()
         out = server.aggregate([self._state(1.0)], expected_count=4,
                                min_participation=0.5)
-        assert server.last_aggregation_skipped
+        assert out is None
         assert server.rounds_skipped == 1 and server.rounds_completed == 0
+        after = server.global_state()
         for key in before:
-            np.testing.assert_array_equal(out[key], before[key])
+            np.testing.assert_array_equal(after[key], before[key])
 
     def test_round_at_floor_aggregates(self):
         server = self._server()
-        server.aggregate([self._state(1.0), self._state(3.0)], expected_count=4,
-                         min_participation=0.5)
-        assert not server.last_aggregation_skipped
+        out = server.aggregate([self._state(1.0), self._state(3.0)],
+                               expected_count=4, min_participation=0.5)
+        assert out is not None
         assert server.rounds_completed == 1 and server.rounds_skipped == 0
         np.testing.assert_allclose(
             server.global_state()["net.layers.1.weight"], 2.0)
@@ -99,22 +100,23 @@ class TestServerSkipPolicy:
     def test_no_survivors_always_skips(self):
         server = self._server()
         before = server.global_state()
-        out = server.aggregate([], expected_count=4, min_participation=0.0)
-        assert server.last_aggregation_skipped
+        assert server.aggregate([], expected_count=4,
+                                min_participation=0.0) is None
+        after = server.global_state()
         for key in before:
-            np.testing.assert_array_equal(out[key], before[key])
+            np.testing.assert_array_equal(after[key], before[key])
 
     def test_empty_without_expected_count_still_raises(self):
         with pytest.raises(ValueError):
             self._server().aggregate([])
 
-    def test_flag_resets_on_next_aggregation(self):
+    def test_a_skip_is_reported_by_its_own_call(self):
         server = self._server()
-        server.aggregate([], expected_count=2)
-        assert server.last_aggregation_skipped
-        server.aggregate([self._state(1.0)], expected_count=2,
-                         min_participation=0.5)
-        assert not server.last_aggregation_skipped
+        assert server.aggregate([], expected_count=2) is None
+        out = server.aggregate([self._state(1.0)], expected_count=2,
+                               min_participation=0.5)
+        np.testing.assert_allclose(out["net.layers.1.weight"], 1.0)
+        assert (server.rounds_skipped, server.rounds_completed) == (1, 1)
 
     def test_invalid_arguments(self):
         server = self._server()

@@ -66,10 +66,11 @@ class TestVectorizedEquivalence:
             make_clients(), factory, global_state, config, round_index=2
         )
         executor = LocalUpdateExecutor("vectorized")
-        vec = executor.run_round(
+        outcome = executor.run_round(
             make_clients(), factory, global_state, config, round_index=2
         )
-        assert executor.last_fallback_reason is None
+        assert outcome.fallback_reason is None
+        vec = outcome.states
         assert_states_match(seq, vec)
         agg_seq = average_states(seq)
         agg_vec = average_states(vec)
@@ -81,7 +82,7 @@ class TestVectorizedEquivalence:
         server = FederatedServer(factory)
         states = LocalUpdateExecutor("vectorized").run_round(
             make_clients(3), factory, server.global_state(), LocalTrainingConfig()
-        )
+        ).states
         assert isinstance(states, StackedClientStates)
         for name, stacked in states.stacked.items():
             assert stacked.shape[0] == 3
@@ -96,10 +97,10 @@ class TestVectorizedEquivalence:
         config = LocalTrainingConfig(learning_rate=1e-2)
         a = LocalUpdateExecutor("vectorized").run_round(
             make_clients(), factory, server.global_state(), config, round_index=0
-        )
+        ).states
         b = LocalUpdateExecutor("vectorized").run_round(
             make_clients(), factory, server.global_state(), config, round_index=1
-        )
+        ).states
         key = next(iter(a[0]))
         assert not np.allclose(a[0][key], b[0][key])
 
@@ -117,8 +118,10 @@ class TestVectorizedFallback:
         server = FederatedServer(factory)
         config = LocalTrainingConfig(learning_rate=1e-3)
         executor = LocalUpdateExecutor("vectorized")
-        vec = executor.run_round(clients, factory, server.global_state(), config)
-        assert executor.last_fallback_reason is not None
+        outcome = executor.run_round(clients, factory, server.global_state(),
+                                     config)
+        assert outcome.fallback_reason is not None
+        vec = outcome.states
         seq = reference_round(
             [FederatedClient(0, 10, dataset=clients[0].dataset, seed=1),
              FederatedClient(1, 10, dataset=clients[1].dataset, seed=2)],
@@ -145,7 +148,7 @@ class TestVectorizedFallback:
     def test_empty_client_list(self):
         assert LocalUpdateExecutor("vectorized").run_round(
             [], MODEL_FACTORIES["mlp"], {}, LocalTrainingConfig()
-        ) == []
+        ).states == []
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +202,7 @@ class TestSimulationExecutorModes:
         # curves must agree with sequential execution
         sim_seq, hist_seq = run_simulation(sim_setup, "sequential", rounds=3)
         sim_vec, hist_vec = run_simulation(sim_setup, "vectorized", rounds=3)
-        assert sim_vec.executor.last_fallback_reason is None
+        assert hist_vec.fallback_reasons() == []
         np.testing.assert_allclose(hist_seq.accuracies(), hist_vec.accuracies(),
                                    atol=TOL)
         seq_state = sim_seq.server.global_state()
@@ -309,8 +312,9 @@ class TestDefaultEngine:
         config = LocalTrainingConfig(learning_rate=1e-3)
         executor = LocalUpdateExecutor()
         assert executor.mode == "vectorized"
-        states = executor.run_round(clients(), factory, global_state, config)
-        assert "ragged" in executor.last_fallback_reason
+        outcome = executor.run_round(clients(), factory, global_state, config)
+        assert "ragged" in outcome.fallback_reason
+        states = outcome.states
         # the shape is checked before any pool is built
         assert executor.workspace_builds == 0
         assert executor.workspace is None

@@ -1,7 +1,5 @@
 """Round-persistent vectorized runtime: workspace reuse and restacking."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -49,13 +47,13 @@ def make_clients(n_clients=4, samples_per_class=3, cache=None, lazy=False):
     return clients
 
 
-def run_rounds(executor, clients_per_round, factory, config, server=None):
-    """Drive *executor* through one round per entry of *clients_per_round*."""
+def run_rounds(train_round, clients_per_round, factory, config, server=None):
+    """Call *train_round* (returning states) once per entry of *clients_per_round*."""
     server = server or FederatedServer(factory)
     per_round = []
     for r, clients in enumerate(clients_per_round):
-        states = executor.run_round(clients, factory, server.global_state(),
-                                    config, round_index=r)
+        states = train_round(clients, factory, server.global_state(), config,
+                             round_index=r)
         per_round.append([{k: v.copy() for k, v in s.items()} for s in states])
         server.aggregate(states)
     return per_round, server
@@ -153,10 +151,10 @@ class TestWorkspaceReuse:
                            round_index=0)
         assert executor.workspace_builds == 1
         warm = executor.run_round(make_clients(), chain(True), state, config,
-                                  round_index=1)
+                                  round_index=1).states
         assert executor.workspace_builds == 2
         fresh = LocalUpdateExecutor("vectorized").run_round(
-            make_clients(), chain(True), state, config, round_index=1)
+            make_clients(), chain(True), state, config, round_index=1).states
         for a, b in zip(fresh, warm):
             assert set(a) == set(b)
             for key in a:
@@ -172,7 +170,8 @@ class TestWorkspaceReuse:
         executor.run_round(clients, mlp_factory, server.global_state(), adam,
                            round_index=0)
         vec = executor.run_round(make_clients(), mlp_factory,
-                                 server.global_state(), sgd, round_index=1)
+                                 server.global_state(), sgd,
+                                 round_index=1).states
         seq = reference_round(
             make_clients(), mlp_factory, server.global_state(), sgd,
             round_index=1)
@@ -195,15 +194,21 @@ class TestMultiRoundEquivalence:
 
         pool_vec = make_clients(6)
         executor = LocalUpdateExecutor("vectorized")
+        outcomes = []
+
+        def vectorized(*args, **kwargs):
+            outcomes.append(executor.run_round(*args, **kwargs))
+            return outcomes[-1].states
+
         vec_rounds, vec_server = run_rounds(
-            executor, [[pool_vec[i] for i in sel] for sel in schedule],
+            vectorized, [[pool_vec[i] for i in sel] for sel in schedule],
             factory, config)
-        assert executor.last_fallback_reason is None
+        assert [o.fallback_reason for o in outcomes] == [None] * 3
         assert executor.workspace_builds == 1
 
         pool_seq = make_clients(6)
         seq_rounds, seq_server = run_rounds(
-            SimpleNamespace(run_round=reference_round),
+            reference_round,
             [[pool_seq[i] for i in sel] for sel in schedule], factory, config)
 
         for seq_states, vec_states in zip(seq_rounds, vec_rounds):
@@ -244,14 +249,16 @@ class TestRaggedFallbackThroughWorkspace:
         config = LocalTrainingConfig(learning_rate=1e-3)
         server = FederatedServer(mlp_factory)
 
-        executor.run_round(dense, mlp_factory, server.global_state(), config,
-                           round_index=0)
+        outcome = executor.run_round(dense, mlp_factory, server.global_state(),
+                                     config, round_index=0)
         workspace = executor.workspace
-        assert executor.last_fallback_reason is None
+        assert outcome.fallback_reason is None
 
-        vec = executor.run_round(ragged, mlp_factory, server.global_state(),
-                                 config, round_index=1)
-        assert executor.last_fallback_reason is not None
+        outcome = executor.run_round(ragged, mlp_factory,
+                                     server.global_state(), config,
+                                     round_index=1)
+        assert outcome.fallback_reason is not None
+        vec = outcome.states
         seq = reference_round(
             [FederatedClient(0, 10, dataset=ragged[0].dataset, seed=1000),
              FederatedClient(9, 10, dataset=ragged[1].dataset, seed=1009)],
@@ -261,9 +268,11 @@ class TestRaggedFallbackThroughWorkspace:
                 np.testing.assert_allclose(a[key], b[key], atol=TOL, rtol=0)
 
         # the workspace is intact and serves the next dense round
-        vec2 = executor.run_round(dense, mlp_factory, server.global_state(),
-                                  config, round_index=2)
-        assert executor.last_fallback_reason is None
+        outcome = executor.run_round(dense, mlp_factory,
+                                     server.global_state(), config,
+                                     round_index=2)
+        assert outcome.fallback_reason is None
+        vec2 = outcome.states
         assert executor.workspace is workspace
         seq2 = reference_round(
             make_clients(2), mlp_factory, server.global_state(), config,
@@ -284,10 +293,10 @@ class TestRaggedFallbackThroughWorkspace:
                                 [3 + k] * 10, rng=np.random.default_rng(k)))
             for k in range(2)
         ]
-        states = LocalUpdateExecutor(mode).run_round(
+        outcome = LocalUpdateExecutor(mode).run_round(
             clients, mlp_factory, FederatedServer(mlp_factory).global_state(),
             LocalTrainingConfig(learning_rate=1e-3))
-        assert len(states) == 2
+        assert len(outcome.states) == 2
         assert (cache.misses, cache.hits) == (2, 0)
 
     def test_a_ragged_round_between_dense_rounds_touches_no_pool(self):
@@ -306,14 +315,16 @@ class TestRaggedFallbackThroughWorkspace:
         workspace = executor.workspace
         before = (workspace.rounds_bound, executor.workspace_builds,
                   workspace.buffer.restacked)
-        executor.run_round(ragged, mlp_factory, state, config, round_index=1)
-        assert "ragged" in executor.last_fallback_reason
+        outcome = executor.run_round(ragged, mlp_factory, state, config,
+                                     round_index=1)
+        assert "ragged" in outcome.fallback_reason
         # the shape check runs before the workspace adopts the round
         assert (workspace.rounds_bound, executor.workspace_builds,
                 workspace.buffer.restacked) == before
 
-        executor.run_round(dense, mlp_factory, state, config, round_index=2)
-        assert executor.last_fallback_reason is None
+        outcome = executor.run_round(dense, mlp_factory, state, config,
+                                     round_index=2)
+        assert outcome.fallback_reason is None
         assert executor.workspace is workspace
         assert workspace.rounds_bound == before[0] + 1
         assert executor.workspace_builds == before[1]
@@ -325,9 +336,11 @@ class TestFloat64Pools:
         config = LocalTrainingConfig(learning_rate=1e-3)
         server = FederatedServer(mlp_factory)
         executor = LocalUpdateExecutor("vectorized")
-        vec = executor.run_round(clients, mlp_factory, server.global_state(),
-                                 config, round_index=0)
-        assert executor.last_fallback_reason is None
+        outcome = executor.run_round(clients, mlp_factory,
+                                     server.global_state(), config,
+                                     round_index=0)
+        assert outcome.fallback_reason is None
+        vec = outcome.states
         seq = reference_round(
             make_clients(), mlp_factory, server.global_state(), config,
             round_index=0)

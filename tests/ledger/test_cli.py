@@ -151,6 +151,18 @@ class TestResumeAndVerify:
         assert main(["verify", path, run_id]) == 1
         assert "FAILED" in capsys.readouterr().out
 
+    def test_resume_takes_no_round_count(self, recorded, capsys):
+        # a run's length is its recorded config.rounds; resuming past it
+        # left "completed 6/4" rows (test_a_resumed_run_is_listed_as_completed
+        # holds the plain resume to 4/4)
+        path, run_id = recorded
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resume", path, run_id, "--rounds", "6"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --rounds 6" in capsys.readouterr().err
+        with RunLedger(path, create=False) as ledger:
+            assert ledger.run(run_id).rounds_committed == 2
+
     def test_recipe_override(self, recorded, capsys):
         path, run_id = recorded
         assert main(["resume", path, run_id, "--recipe",

@@ -318,7 +318,7 @@ class TestScenarioRuns:
 
         session = (Session(FederatedConfig(rounds=3, seed=0))
                    .with_recipe(RECIPE)
-                   .with_scenario(self.SPEC, name="dropout-study")
+                   .with_scenario(self.SPEC)
                    .with_ledger(ledger_path, run_name="scenario"))
         with session:
             run_id = session.run().run_id

@@ -44,7 +44,7 @@ def trained_server(factory, rounds=2):
     for r in range(rounds):
         states = executor.run_round(clients, factory, server.global_state(),
                                     LocalTrainingConfig(learning_rate=1e-3),
-                                    round_index=r)
+                                    round_index=r).states
         server.aggregate(states)
     return server
 

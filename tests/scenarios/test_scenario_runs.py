@@ -3,8 +3,8 @@
 Covers the tentpole guarantees: the zero-fault identity (an empty scenario
 leaves every executor back-end bit-identical to a scenario-free run), full
 reproducibility of injected faults across repeated runs and across back-ends,
-partial-round aggregation with the participation floor, the robustness
-report, and a secure selector re-registering inside a simulation.
+partial-round aggregation with the participation floor, the history's
+failure census, and a secure selector re-registering inside a simulation.
 """
 
 import random
@@ -240,8 +240,8 @@ class TestSecureSelectorInASimulation:
                     plaintext.select(round_index))
 
 
-class TestReports:
-    def test_session_scenario_report(self, federation):
+class TestHistoryCensus:
+    def test_session_scenario_census(self, federation):
         generator, partition, test_set = federation
         config = FederatedConfig(
             rounds=3, local=LocalTrainingConfig(batch_size=8, learning_rate=1e-3),
@@ -251,15 +251,19 @@ class TestReports:
             model_factory=lambda: MLP(64, 10, hidden=(16,), seed=7),
             selector=RoundRobinSelector(partition.n_clients, 4),
             test_set=test_set,
-        ).with_scenario(FAULTY, name="acceptance")
+        ).with_scenario(FAULTY)
         with session:
-            report = session.run().report
-        assert report.name == "acceptance"
-        assert report.rounds == 3
-        assert sum(report.failure_counts.values()) >= 1
-        assert np.isfinite(report.final_accuracy())
-        assert np.isfinite(report.mean_actual_bias())
-        summary = report.summary()
-        assert summary["skipped_rounds"] == 0
-        assert 0.0 <= summary["baseline_bias"] <= 2.0
-
+            history = session.run().history
+        assert len(history) == 3
+        counts = history.failure_counts()
+        assert set(counts) <= set(FAILURE_CAUSES)
+        assert sum(counts.values()) == sum(
+            len(r.failures) for r in history.records) >= 1
+        assert history.skipped_rounds() == []
+        assert np.isfinite(history.final_accuracy())
+        actual = history.actual_population_biases()
+        assert actual.shape == (3,)
+        for record, bias in zip(history.records, actual):
+            assert bias == record.actual_population_bias
+        assert history.mean_actual_population_bias() == pytest.approx(
+            actual.mean())

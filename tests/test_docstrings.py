@@ -47,7 +47,6 @@ import repro.ledger.recipes
 import repro.ledger.store
 import repro.nn.batched
 import repro.scenarios.engine
-import repro.scenarios.report
 import repro.scenarios.spec
 import repro.transport
 import repro.transport.base
@@ -83,7 +82,6 @@ AUDITED_MODULES = [
     repro.nn.batched,
     repro.crypto.packing,
     repro.scenarios.engine,
-    repro.scenarios.report,
     repro.scenarios.spec,
     repro.transport,
     repro.transport.base,

@@ -46,7 +46,7 @@ class TestHalfOpenDetection:
         try:
             zombie.sendall(encode_message(Register(0, 10, 12)))
             start = time.monotonic()
-            states = transport.run_round(
+            outcome = transport.run_round(
                 [donor.client(0)], donor.server.new_client_model,
                 donor.server.global_state(), LocalTrainingConfig(),
                 round_index=0)
@@ -59,9 +59,9 @@ class TestHalfOpenDetection:
         assert HEARTBEAT_LIMIT == 3
         assert elapsed < 5.0, (
             f"half-open client stalled the round for {elapsed:.1f}s")
-        assert states == []
-        assert transport.last_round_failures == {0: "offline"}
-        assert transport.last_round_disconnects == {0: "heartbeat"}
+        assert outcome.states == []
+        assert outcome.failures == {0: "offline"}
+        assert outcome.disconnects == {0: "heartbeat"}
         assert transport.disconnects[0] == "heartbeat"
 
     def test_responsive_client_survives_aggressive_heartbeats(self, donor):
@@ -77,7 +77,7 @@ class TestHalfOpenDetection:
         thread = threading.Thread(target=peer.run, daemon=True)
         thread.start()
         try:
-            states = transport.run_round(
+            outcome = transport.run_round(
                 [donor.client(1)], donor.server.new_client_model,
                 donor.server.global_state(), LocalTrainingConfig(),
                 round_index=0)
@@ -85,8 +85,8 @@ class TestHalfOpenDetection:
             transport.close()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert len(states) == 1
-        assert transport.last_round_failures == {}
+        assert len(outcome.states) == 1
+        assert outcome.failures == {}
         assert 1 not in transport.disconnects or \
             transport.disconnects[1] != "heartbeat"
 
@@ -130,13 +130,13 @@ class TestHalfOpenDetection:
         zombie = socket.create_connection((host, port))
         try:
             zombie.sendall(encode_message(Register(3, 10, 12)))
-            states = transport.run_round(
+            outcome = transport.run_round(
                 [donor.client(3)], donor.server.new_client_model,
                 donor.server.global_state(), LocalTrainingConfig(),
                 round_index=0)
             # still connected at the deadline: a straggler, not offline
-            assert states == []
-            assert transport.last_round_failures == {0: "straggler"}
+            assert outcome.states == []
+            assert outcome.failures == {0: "straggler"}
             assert transport.client_health(3) == "healthy"
         finally:
             zombie.close()

@@ -81,14 +81,14 @@ class TestInProcessContract:
         global_state = model_factory().state_dict()
         config = LocalTrainingConfig(batch_size=4, local_epochs=1)
         executor = LocalUpdateExecutor(mode)
-        states = executor.run_round(make_cohort(), model_factory,
-                                    global_state, config, failed=[1])
+        outcome = executor.run_round(make_cohort(), model_factory,
+                                     global_state, config, failed=[1])
         expected = reference_round(
             make_cohort()[::2], model_factory, global_state, config)
         # the plan's failures are the simulation's record, not a transport's
-        assert executor.last_round_failures == {}
-        assert len(states) == len(expected) == 2
-        for state, ref in zip(states, expected):
+        assert outcome.failures == {}
+        assert len(outcome.states) == len(expected) == 2
+        for state, ref in zip(outcome.states, expected):
             for name in ref:
                 assert np.array_equal(state[name], ref[name])
 

@@ -8,10 +8,17 @@ The service layer's headline contracts, asserted over real TCP sockets:
   determinism;
 * a client that misses the round deadline becomes a real ``"straggler"``
   partial round with the same record semantics the fault injector produces;
+* a fallback note made outside ``run_round`` (a broadcast that timed out, a
+  peer's error notice) lands on the record of the round it belongs to, and
+  on no other;
 * teardown is idempotent and leak-free even with clients still connected.
 """
 
+import asyncio
+import contextlib
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,18 +27,20 @@ from repro import FederatedConfig, Session
 from repro.core.config import TransportConfig
 from repro.federated.client import LocalTrainingConfig
 from repro.transport import SocketTransport, TransportClient
+from repro.transport.messages import ErrorNotice, Register, encode_message
+from repro.transport.server import SEND_QUEUE
 
 RECIPE = dict(n_clients=6, participants=3, samples_per_client=12, seed=0)
 
 
-def make_session(transport=None):
+def make_session(transport=None, selector="random"):
     config = FederatedConfig(
         rounds=2, eval_every=1, seed=0,
         local=LocalTrainingConfig(batch_size=4, local_epochs=1),
         transport=transport,
     )
     return Session(config).with_recipe("repro.ledger.recipes:federation",
-                                       **RECIPE)
+                                       selector=selector, **RECIPE)
 
 
 def start_clients(donor, host, port, delays=None):
@@ -143,6 +152,104 @@ class TestRealStraggler:
         assert len(partial.actual_clients) == len(partial.selected_clients) - 1
         assert not partial.aggregation_skipped
         assert partial.actual_population_bias is not None
+
+
+def wait_registered(transport, client_ids, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while any(transport.client_health(cid) is None for cid in client_ids):
+        assert time.monotonic() < deadline, "clients never registered"
+        time.sleep(0.01)
+
+
+@contextlib.contextmanager
+def full_send_queue(transport, client_id):
+    """Hold *client_id*'s bounded send queue full for the block.
+
+    The session's queue is swapped for one holding ``SEND_QUEUE`` frames
+    that no writer drains; leaving the block puts the drained queue back
+    and empties the full one, releasing any sender still waiting on it.
+    """
+    session = transport._sessions[client_id]
+    drained = session.queue
+    full = asyncio.Queue(maxsize=SEND_QUEUE)
+
+    async def fill():
+        for _ in range(SEND_QUEUE):
+            full.put_nowait(b"")
+        session.queue = full
+
+    async def release():
+        session.queue = drained
+        while not full.empty():
+            full.get_nowait()
+
+    asyncio.run_coroutine_threadsafe(fill(), transport._loop).result()
+    try:
+        yield
+    finally:
+        asyncio.run_coroutine_threadsafe(release(), transport._loop).result()
+
+
+class TestFallbackNotes:
+    def socket_run(self, donor, connect_timeout=10.0):
+        # Dubhe's selector broadcasts its probabilities every round
+        session = make_session(TransportConfig(
+            kind="socket", round_timeout=30.0,
+            connect_timeout=connect_timeout, heartbeat_interval=0.0),
+            selector="dubhe")
+        simulation = session.build()
+        host, port = simulation.transport.start()
+        _, threads = start_clients(donor, host, port)
+        wait_registered(simulation.transport, range(RECIPE["n_clients"]))
+        return session, simulation, threads
+
+    def test_a_broadcast_into_a_full_queue_is_on_its_own_round(self, donor):
+        # round 0's ProbabilityBroadcast finds client 0's send queue full
+        # and gives up after connect_timeout; round 1's goes through
+        session, simulation, threads = self.socket_run(donor,
+                                                       connect_timeout=1.0)
+        transport = simulation.transport
+        broadcast = transport.broadcast_probabilities
+
+        def broadcast_into_a_full_queue(round_index, probabilities):
+            if round_index != 0:
+                return broadcast(round_index, probabilities)
+            with full_send_queue(transport, client_id=0):
+                broadcast(round_index, probabilities)
+
+        transport.broadcast_probabilities = broadcast_into_a_full_queue
+        try:
+            first, second = simulation.run().records
+        finally:
+            session.close()
+        join_all(threads)
+        assert first.fallback_reason == "broadcast timed out on a full queue"
+        assert second.fallback_reason is None
+        assert first.failures == second.failures == {}
+
+    def test_an_error_notice_between_rounds_reaches_the_next_record(
+            self, donor):
+        session, simulation, threads = self.socket_run(donor)
+        rogue = None
+        try:
+            first = simulation.run_round(0)
+            host, port = simulation.transport.address
+            rogue = socket.create_connection((host, port))
+            # frames of one connection are dispatched in order: once the
+            # Register is seen, so is the notice before it
+            rogue.sendall(encode_message(ErrorNotice("disk full")))
+            rogue.sendall(encode_message(Register(99, 10, 12)))
+            wait_registered(simulation.transport, [99])
+            second = simulation.run_round(1)
+            third = simulation.run_round(2)
+        finally:
+            if rogue is not None:
+                rogue.close()
+            session.close()
+        join_all(threads)
+        assert first.fallback_reason is None
+        assert second.fallback_reason == "client error: disk full"
+        assert third.fallback_reason is None
 
 
 class TestTeardown:

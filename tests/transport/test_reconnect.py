@@ -97,7 +97,7 @@ def run_round_in_thread(transport, donor, client, round_index=0):
 
     def body():
         try:
-            result["states"] = transport.run_round(
+            result["outcome"] = transport.run_round(
                 [client], donor.server.new_client_model,
                 donor.server.global_state(), LocalTrainingConfig(),
                 round_index=round_index)
@@ -133,11 +133,12 @@ class TestMidRoundReconnect:
         thread.join(timeout=60.0)
         assert not thread.is_alive(), "round never completed"
         assert "error" not in result, result.get("error")
-        assert len(result["states"]) == 1
-        assert transport.last_round_failures == {}
+        outcome = result["outcome"]
+        assert len(outcome.states) == 1
+        assert outcome.failures == {}
         assert transport.duplicate_deltas == 0
         # the mid-round loss is visible, not silent
-        assert transport.last_round_disconnects == {0: "connection_lost"}
+        assert outcome.disconnects == {0: "connection_lost"}
         assert peer.rounds_trained == [0]
 
         transport.close()  # Shutdown lets the peer thread exit
@@ -160,7 +161,7 @@ class TestMidRoundReconnect:
             thread.join(timeout=60.0)
             assert not thread.is_alive()
             assert "error" not in result, result.get("error")
-            assert len(result["states"]) == 1
+            assert len(result["outcome"].states) == 1
             # the retransmit may still be in flight when the round closes;
             # the dedup must swallow it either way
             deadline = time.monotonic() + 5.0
