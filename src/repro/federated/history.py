@@ -54,7 +54,6 @@ class RoundRecord:
     population_distribution: np.ndarray
     population_bias: float            # ||p_o − p_u||₁ of this round's selection
     test_accuracy: Optional[float]    # None when evaluation was skipped this round
-    train_loss: Optional[float] = None
     #: survivors actually aggregated; None = scenario-free (== selected)
     actual_clients: Optional[tuple[int, ...]] = None
     #: failed client id -> cause ("offline", "dropout", "straggler", ...)
@@ -67,11 +66,12 @@ class RoundRecord:
     actual_population_bias: Optional[float] = None
     #: simulated round duration contributed by surviving stragglers (seconds)
     round_delay: float = 0.0
-    #: undecodable frames this round: client id -> count (-1 = unidentified
-    #: peer); populated only by the socket transport
+    #: undecodable frames since the previous round's record: client id ->
+    #: count (-1 = unidentified peer); populated only by the socket transport
     decode_failures: Mapping[int, int] = field(default_factory=dict)
-    #: connections lost this round: client id -> cause ("connection_lost",
-    #: "corrupt_frame", "heartbeat"); populated only by the socket transport
+    #: connections lost since the previous round's record: client id ->
+    #: cause ("connection_lost", "corrupt_frame", "heartbeat"); populated
+    #: only by the socket transport
     disconnects: Mapping[int, str] = field(default_factory=dict)
 
     @property
@@ -106,7 +106,6 @@ class RoundRecord:
             ],
             "population_bias": float(self.population_bias),
             "test_accuracy": _native_float(self.test_accuracy),
-            "train_loss": _native_float(self.train_loss),
             "actual_clients": (None if self.actual_clients is None
                                else [int(c) for c in self.actual_clients]),
             "failures": {str(int(k)): str(v) for k, v in self.failures.items()},
@@ -139,7 +138,6 @@ class RoundRecord:
                                                dtype=float),
             population_bias=float(payload["population_bias"]),
             test_accuracy=_native_float(payload.get("test_accuracy")),
-            train_loss=_native_float(payload.get("train_loss")),
             actual_clients=None if actual is None else tuple(int(c) for c in actual),
             failures={int(k): str(v)
                       for k, v in dict(payload.get("failures") or {}).items()},

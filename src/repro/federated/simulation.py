@@ -241,11 +241,12 @@ class FederatedSimulation:
     def run_round(self, round_index: int) -> RoundRecord:
         """Run one complete round: select, train locally, aggregate, evaluate.
 
-        Under a scenario (:attr:`FederatedConfig.scenario`) the round plans
-        the selected cohort's faults through the injector's
-        :class:`~repro.scenarios.RoundPlan`: availability and churn strike
-        before any compute, and dropouts and stragglers past the deadline
-        are handed to the transport as the cohort positions to leave out.
+        Under a scenario (:attr:`FederatedConfig.scenario`) the injector's
+        :class:`~repro.scenarios.RoundPlan` says who of the selected cohort
+        trains (availability and churn strike before any compute), who
+        fails and why, and the simulated round delay; the dropouts and
+        stragglers past the deadline are handed to the transport as the
+        cohort positions to leave out.
         Only the survivors are aggregated — or aggregation is skipped when
         they fall below the scenario's ``min_participation`` floor.  The
         resulting :class:`~repro.federated.history.RoundRecord` carries the
@@ -266,8 +267,8 @@ class FederatedSimulation:
         if self.injector is not None:
             plan = self.injector.plan_round(round_index, selected)
             trainable = list(plan.trainable)
-            failures = plan.failures_by_client()
-            round_delay = plan.round_delay()
+            failures = dict(plan.failures)
+            round_delay = plan.round_delay
 
         probabilities = getattr(self.selector, "probabilities", None)
         if probabilities is not None:

@@ -227,7 +227,6 @@ def diff_records(expected: RoundRecord, actual: RoundRecord,
     close("actual_population_bias", expected.actual_population_bias,
           actual.actual_population_bias)
     close("test_accuracy", expected.test_accuracy, actual.test_accuracy)
-    close("train_loss", expected.train_loss, actual.train_loss)
     close("round_delay", expected.round_delay, actual.round_delay)
     left = np.asarray(expected.population_distribution, dtype=float)
     right = np.asarray(actual.population_distribution, dtype=float)

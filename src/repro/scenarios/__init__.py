@@ -7,9 +7,10 @@ Public API
   :class:`ChurnSpec`, :class:`StragglerSpec`, :class:`DropoutSpec`,
   :class:`NetworkSpec` — declarative, validated fault descriptions
   (``NetworkSpec`` drives the chaos proxy on real sockets).
-* :class:`FaultInjector`, :class:`RoundPlan`, :class:`ClientFault`,
-  :data:`FAILURE_CAUSES` — the seeded engine that turns a spec into
-  reproducible per-round decisions.
+* :class:`FaultInjector`, :class:`RoundPlan`, :data:`FAILURE_CAUSES` — the
+  seeded engine that turns a spec into reproducible per-round decisions:
+  each round's plan is who trains, who fails (client id → cause) and the
+  simulated round delay.
 
 A :class:`ScenarioSpec` plugs into
 :class:`repro.federated.FederatedConfig(scenario=...)
@@ -25,7 +26,6 @@ bit-identical to a scenario-free run.
 
 from .engine import (
     FAILURE_CAUSES,
-    ClientFault,
     FaultInjector,
     RoundPlan,
 )
@@ -42,7 +42,6 @@ from .spec import (
 __all__ = [
     "AvailabilitySpec",
     "ChurnSpec",
-    "ClientFault",
     "DropoutSpec",
     "FAILURE_CAUSES",
     "FaultInjector",

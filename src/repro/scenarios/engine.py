@@ -10,20 +10,20 @@ executor back-end, iteration order, and of any other RNG in the system (the
 selector's and the training streams are untouched, which is what preserves
 the zero-fault identity).
 
-The injector produces a :class:`RoundPlan` per round: who of the planned
-cohort is even reachable (availability/churn — *pre-round* faults, no
-compute spent), who will drop out or straggle mid-round, and the simulated
-straggler delays.  The plan also resolves the collection deadline — which
-stragglers time out, and how long the survivors kept the round waiting — so
-a round's whole fault story is decided here, by client id, before anyone
-trains.  The simulation records it and hands the transport only the cohort
-positions that fail.
+The injector produces a :class:`RoundPlan` per round, holding only what the
+round loop reads: who of the planned cohort trains (availability and churn
+are *pre-round* faults, no compute spent), every failure by client id, and
+the simulated round delay.  Dropouts, stragglers past the collection
+deadline and the surviving stragglers' delays are all resolved here, so a
+round's whole fault story is decided by client id before anyone trains.
+The simulation records it and hands the transport only the cohort positions
+that fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .spec import ScenarioSpec
 
 __all__ = [
     "FAILURE_CAUSES",
-    "ClientFault",
     "FaultInjector",
     "RoundPlan",
 ]
@@ -44,89 +43,27 @@ FAILURE_CAUSES = ("not_joined", "left", "offline", "dropout", "straggler")
 
 
 @dataclass(frozen=True)
-class ClientFault:
-    """One injected fault: which client failed, and why.
-
-    Straggler delays are decided per round, in :attr:`RoundPlan.delays`.
-
-    Example
-    -------
-    >>> fault = ClientFault(client_id=3, cause="dropout")
-    >>> (fault.client_id, fault.cause)
-    (3, 'dropout')
-    """
-
-    client_id: int
-    cause: str
-
-    def __post_init__(self) -> None:
-        if self.cause not in FAILURE_CAUSES:
-            raise ValueError(f"cause must be one of {FAILURE_CAUSES}")
-
-
-@dataclass(frozen=True)
 class RoundPlan:
-    """Everything the injector decided about one round.
+    """What the injector decided about one round.
 
-    ``planned`` is the selector's cohort; ``trainable`` is what is left
-    after pre-round faults (availability and churn); ``pre_faults`` records
-    those removals; ``dropouts`` and ``delays`` are the mid-round decisions
-    by client id, and ``deadline`` is the collection deadline a straggler's
-    delay must not exceed.  :meth:`failures_by_client` and
-    :meth:`round_delay` resolve them into the round's record.
+    ``trainable`` is the planned cohort less its pre-round faults
+    (availability and churn); ``failures`` maps every failed client to its
+    cause in record order — pre-round faults, then dropouts, then the
+    stragglers whose delay exceeds the deadline; ``round_delay`` is the
+    slowest *surviving* straggler's delay (the whole wait without a
+    deadline).
 
     Example
     -------
-    >>> plan = RoundPlan(round_index=0, planned=(3, 1, 4), trainable=(1, 4),
-    ...                  pre_faults=(ClientFault(3, "offline"),),
-    ...                  dropouts=(4,), delays={1: 2.5}, deadline=None)
-    >>> plan.failures_by_client(), plan.round_delay()
-    ({3: 'offline', 4: 'dropout'}, 2.5)
+    >>> plan = RoundPlan(trainable=(1, 4), failures={3: "offline"},
+    ...                  round_delay=2.5)
+    >>> plan.failures, plan.round_delay
+    ({3: 'offline'}, 2.5)
     """
 
-    round_index: int
-    planned: tuple[int, ...]
     trainable: tuple[int, ...]
-    pre_faults: tuple[ClientFault, ...]
-    dropouts: tuple[int, ...]
-    delays: Mapping[int, float]
-    deadline: Optional[float]
-
-    def _timed_out(self, delay: float) -> bool:
-        return self.deadline is not None and delay > self.deadline
-
-    def failures_by_client(self) -> "dict[int, str]":
-        """Every fault of the round, as ``client_id -> cause``.
-
-        Pre-round faults first, then dropouts, then the stragglers whose
-        delay exceeds the deadline — the order the round records them in.
-
-        Example
-        -------
-        >>> plan = RoundPlan(0, (1, 2, 3), (2, 3), (ClientFault(1, "left"),),
-        ...                  (), {2: 9.0, 3: 1.0}, deadline=5.0)
-        >>> plan.failures_by_client()
-        {1: 'left', 2: 'straggler'}
-        """
-        failures = {f.client_id: f.cause for f in self.pre_faults}
-        failures.update({c: "dropout" for c in self.dropouts})
-        failures.update({c: "straggler" for c, delay in self.delays.items()
-                         if self._timed_out(delay)})
-        return failures
-
-    def round_delay(self) -> float:
-        """Simulated round duration: the slowest *surviving* straggler's delay.
-
-        Without a deadline the round waits for every straggler.
-
-        Example
-        -------
-        >>> RoundPlan(0, (0, 1), (0, 1), (), (), {0: 1.5, 1: 9.0},
-        ...           deadline=5.0).round_delay()
-        1.5
-        """
-        return max((delay for delay in self.delays.values()
-                    if not self._timed_out(delay)), default=0.0)
+    failures: Mapping[int, str]
+    round_delay: float
 
 
 class FaultInjector:
@@ -137,8 +74,8 @@ class FaultInjector:
     >>> from repro.scenarios.spec import DropoutSpec, ScenarioSpec
     >>> injector = FaultInjector(ScenarioSpec(dropouts=DropoutSpec(1.0), seed=1))
     >>> plan = injector.plan_round(0, [4, 9])
-    >>> plan.trainable, plan.dropouts
-    ((4, 9), (4, 9))
+    >>> plan.trainable, plan.failures
+    ((4, 9), {4: 'dropout', 9: 'dropout'})
     >>> injector.plan_round(0, [4, 9]) == plan  # fully reproducible
     True
     """
@@ -148,10 +85,8 @@ class FaultInjector:
             raise TypeError("spec must be a ScenarioSpec")
         self.spec = spec
 
-    # -- randomness -------------------------------------------------------------
-
     def _client_rng(self, round_index: int, client_id: int,
-                    stream: int = 0) -> np.random.Generator:
+                    stream: int) -> np.random.Generator:
         """The generator a ``(round, client)`` decision stream comes from.
 
         ``stream`` 0 seeds the availability draw, 1 the mid-round draws
@@ -160,27 +95,6 @@ class FaultInjector:
         """
         return np.random.default_rng(
             [self.spec.seed, round_index, client_id, stream])
-
-    # -- schedule queries --------------------------------------------------------
-
-    def presence(self, client_id: int, round_index: int) -> Optional[str]:
-        """Why *client_id* is absent at *round_index* (``None`` when present).
-
-        Example
-        -------
-        >>> from repro.scenarios.spec import ChurnSpec, ScenarioSpec
-        >>> injector = FaultInjector(ScenarioSpec(churn=ChurnSpec(joins={5: 3})))
-        >>> injector.presence(5, 0), injector.presence(5, 3)
-        ('not_joined', None)
-        """
-        if round_index < self.spec.churn.joins.get(client_id, 0):
-            return "not_joined"
-        leave = self.spec.churn.leaves.get(client_id)
-        if leave is not None and round_index >= leave:
-            return "left"
-        return None
-
-    # -- the round plan -----------------------------------------------------------
 
     def plan_round(self, round_index: int, planned: Sequence[int]) -> RoundPlan:
         """Decide every fault of one round for the *planned* cohort.
@@ -193,43 +107,50 @@ class FaultInjector:
 
         Example
         -------
-        >>> injector = FaultInjector(ScenarioSpec())
-        >>> injector.plan_round(0, [2, 7]).trainable
-        (2, 7)
+        >>> from repro.scenarios.spec import ChurnSpec, StragglerSpec
+        >>> injector = FaultInjector(ScenarioSpec(
+        ...     churn=ChurnSpec(joins={2: 3}),
+        ...     stragglers=StragglerSpec(probability=1.0, mean_delay=5.0,
+        ...                              deadline=1.0)))
+        >>> plan = injector.plan_round(0, [2, 7])
+        >>> plan.trainable, plan.failures
+        ((7,), {2: 'not_joined', 7: 'straggler'})
         """
         spec = self.spec
-        down = spec.availability.down_rounds.get(round_index, ())
-        pre_faults: list[ClientFault] = []
+        churn, availability = spec.churn, spec.availability
+        down = availability.down_rounds.get(round_index, ())
+        failures: dict[int, str] = {}
         trainable: list[int] = []
         for client_id in planned:
-            cause = self.presence(client_id, round_index)
-            if cause is None and client_id in down:
-                cause = "offline"
-            if cause is None and spec.availability.offline_probability > 0:
-                rng = self._client_rng(round_index, client_id, stream=0)
-                if rng.random() < spec.availability.offline_probability:
-                    cause = "offline"
-            if cause is None:
-                trainable.append(client_id)
+            leave = churn.leaves.get(client_id)
+            if round_index < churn.joins.get(client_id, 0):
+                failures[client_id] = "not_joined"
+            elif leave is not None and round_index >= leave:
+                failures[client_id] = "left"
+            elif client_id in down or (
+                    availability.offline_probability > 0
+                    and self._client_rng(round_index, client_id, 0).random()
+                    < availability.offline_probability):
+                failures[client_id] = "offline"
             else:
-                pre_faults.append(ClientFault(client_id, cause))
+                trainable.append(client_id)
 
-        dropouts: list[int] = []
-        delays: dict[int, float] = {}
+        dropped: list[int] = []
+        late: list[int] = []
+        round_delay = 0.0
         if spec.dropouts.probability > 0 or spec.stragglers.probability > 0:
+            deadline = spec.stragglers.deadline
             for client_id in trainable:
-                rng = self._client_rng(round_index, client_id, stream=1)
+                rng = self._client_rng(round_index, client_id, 1)
                 if rng.random() < spec.dropouts.probability:
-                    dropouts.append(client_id)
+                    dropped.append(client_id)
                 elif rng.random() < spec.stragglers.probability:
-                    delays[client_id] = float(
-                        rng.exponential(spec.stragglers.mean_delay))
-        return RoundPlan(
-            round_index=round_index,
-            planned=tuple(int(c) for c in planned),
-            trainable=tuple(trainable),
-            pre_faults=tuple(pre_faults),
-            dropouts=tuple(dropouts),
-            delays=delays,
-            deadline=spec.stragglers.deadline,
-        )
+                    delay = float(rng.exponential(spec.stragglers.mean_delay))
+                    if deadline is not None and delay > deadline:
+                        late.append(client_id)
+                    else:
+                        round_delay = max(round_delay, delay)
+        failures.update(dict.fromkeys(dropped, "dropout"))
+        failures.update(dict.fromkeys(late, "straggler"))
+        return RoundPlan(trainable=tuple(trainable), failures=failures,
+                         round_delay=round_delay)

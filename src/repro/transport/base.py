@@ -60,7 +60,8 @@ class RoundOutcome:
     client at a time, a broadcast that timed out, a peer's error notice.
     ``decode_failures`` (client id → undecodable frames, -1 for a peer that
     never registered) and ``disconnects`` (client id → cause) are filled
-    only over sockets.
+    only over sockets, with what happened since the previous outcome — an
+    event between two rounds is on the later round's outcome.
 
     Example
     -------

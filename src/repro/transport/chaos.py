@@ -34,7 +34,6 @@ Two deliberate policies keep induced chaos well-defined:
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Optional
 
 import numpy as np
@@ -73,7 +72,7 @@ _DIR_TO_CLIENT = 1
 #: proxy has no client id yet); offset far above any real cohort id.
 _UNKNOWN_CLIENT_BASE = 1 << 20
 
-#: Seconds :meth:`ChaosProxy.close` lets live relays forward what is still
+#: Seconds :meth:`ChaosProxy.aclose` lets live relays forward what is still
 #: in flight before it cancels them.
 _DRAIN_SECONDS = 1.0
 
@@ -131,9 +130,10 @@ class ChaosProxy:
     identity**: every frame is forwarded untouched and a proxied run is
     bit-identical to a direct-socket one (asserted in CI).
 
-    The proxy runs its own asyncio loop on a daemon thread, exactly like
-    :class:`~repro.transport.server.SocketTransport`, so it composes with
-    the blocking round-loop API without sharing an event loop.
+    The proxy owns no thread or event loop: :meth:`open` and :meth:`aclose`
+    run on the caller's loop.
+    :class:`~repro.transport.server.SocketTransport` hosts it on its own
+    loop thread, beside the server it fronts.
 
     Example
     -------
@@ -161,59 +161,35 @@ class ChaosProxy:
         #: for them is in :attr:`events`
         self.relays_finished = 0
         self.address: Optional[tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._relays: "set[asyncio.Task]" = set()
         self._relay_count = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self) -> "tuple[str, int]":
-        """Bind the relay and return its public ``(host, port)`` address.
+    async def open(self) -> "tuple[str, int]":
+        """Bind the relay on the running loop; return its ``(host, port)``.
+
+        Idempotent: an open proxy returns its existing address.
 
         Example
         -------
-        >>> ChaosProxy(("127.0.0.1", 9)).start  # doctest: +ELLIPSIS
-        <bound method ChaosProxy.start of ...>
+        >>> import asyncio
+        >>> async def bind():
+        ...     proxy = ChaosProxy(("127.0.0.1", 9))
+        ...     host, port = await proxy.open()
+        ...     await proxy.aclose()
+        ...     return port > 0
+        >>> asyncio.run(bind())
+        True
         """
-        if self._thread is not None:
-            if self.address is None:
-                raise RuntimeError("proxy failed to start")
-            return self.address
-        started = threading.Event()
-        failure: "list[BaseException]" = []
-
-        def runner() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                self._server = loop.run_until_complete(
-                    asyncio.start_server(self._handle, self.host, self.port))
-                self.address = self._server.sockets[0].getsockname()[:2]
-            except BaseException as exc:  # pragma: no cover - bind failure
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(target=runner, name="chaos-proxy",
-                                        daemon=True)
-        self._thread.start()
-        started.wait()
-        if failure:
-            raise failure[0]
-        assert self.address is not None
+        if self._server is None:
+            self._server = await asyncio.start_server(self._handle, self.host,
+                                                      self.port)
+            self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
-    def close(self) -> None:
+    async def aclose(self) -> None:
         """Stop relaying and tear down every proxied connection.
 
         New connections are refused at once; live relays get up to
@@ -222,27 +198,18 @@ class ChaosProxy:
         does), every upstream leg ends after its last frame, so the fleet's
         ``Shutdown`` is delivered, not dropped — a client that missed it
         would retry a proxy that is gone.
-        Idempotent; safe to call on a proxy that never started.
-
-        Example
-        -------
-        >>> ChaosProxy(("127.0.0.1", 9)).close()
+        Idempotent; safe to call on a proxy that never opened.
         """
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None or not thread.is_alive():
+        server, self._server = self._server, None
+        if server is None:
             return
-
-        async def shutdown() -> None:
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            relays = asyncio.all_tasks() - {asyncio.current_task()}
-            if relays:
-                await asyncio.wait(relays, timeout=_DRAIN_SECONDS)
-
-        asyncio.run_coroutine_threadsafe(shutdown(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
+        server.close()
+        await server.wait_closed()
+        if self._relays:
+            _, late = await asyncio.wait(self._relays, timeout=_DRAIN_SECONDS)
+            for relay in late:
+                relay.cancel()
+            await asyncio.gather(*late, return_exceptions=True)
 
     # -- relay -------------------------------------------------------------------
 
@@ -250,28 +217,31 @@ class ChaosProxy:
                       writer: asyncio.StreamWriter) -> None:
         relay = _Relay(self, self._relay_count)
         self._relay_count += 1
+        task = asyncio.current_task()
+        self._relays.add(task)
+        up_writer = None
+        pumps: "list[asyncio.Future]" = []
         try:
             up_reader, up_writer = await asyncio.open_connection(*self.upstream)
-        except OSError:
-            writer.close()
-            self.relays_finished += 1
-            return
-        pumps = [
-            asyncio.ensure_future(self._pump(relay, _DIR_TO_SERVER, reader,
-                                             up_writer)),
-            asyncio.ensure_future(self._pump(relay, _DIR_TO_CLIENT, up_reader,
-                                             writer)),
-        ]
-        try:
+            pumps = [
+                asyncio.ensure_future(self._pump(relay, _DIR_TO_SERVER, reader,
+                                                 up_writer)),
+                asyncio.ensure_future(self._pump(relay, _DIR_TO_CLIENT,
+                                                 up_reader, writer)),
+            ]
             await asyncio.wait(pumps, return_when=asyncio.FIRST_COMPLETED)
+        except OSError:
+            pass  # the upstream refused: the client leg just closes
         finally:
             for pump in pumps:
                 pump.cancel()
-            for w in (writer, up_writer):
+            await asyncio.gather(*pumps, return_exceptions=True)
+            for w in filter(None, (writer, up_writer)):
                 try:
                     w.close()
                 except Exception:
                     pass
+            self._relays.discard(task)
             self.relays_finished += 1
 
     def _record(self, relay: _Relay, direction: int, kind: str) -> None:

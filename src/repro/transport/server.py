@@ -16,13 +16,13 @@ unbounding server memory.  A frame that fails the structured wire checks
 (:class:`~repro.transport.wire.CorruptFrameError` and friends) earns the
 peer an :class:`~repro.transport.messages.ErrorNotice` and a disconnect —
 counted per client in :attr:`SocketTransport.decode_failures` and
-:attr:`SocketTransport.disconnects`, surfaced per round through the
-:class:`~repro.transport.base.RoundOutcome` on the
-:class:`~repro.federated.history.RoundRecord`, so a silently-dropped peer
-always leaves a trace in the run record.  A broadcast that timed out and a
-peer's :class:`~repro.transport.messages.ErrorNotice` are noted as they
-happen — between rounds too — and the next outcome's ``fallback_reason``
-takes them.
+:attr:`SocketTransport.disconnects`.  Every wire event lands on exactly one
+:class:`~repro.federated.history.RoundRecord`: malformed frames, lost
+connections, a broadcast that timed out and a peer's
+:class:`~repro.transport.messages.ErrorNotice` are noted as they happen —
+between rounds too — and the next :class:`~repro.transport.base.RoundOutcome`
+takes everything noted since the previous one, so a silently-dropped peer
+always leaves a trace in the run record.
 
 Liveness and session resumption
 -------------------------------
@@ -64,9 +64,9 @@ non-empty survivor set is aggregated).
 
 When the transport is built with a
 :class:`~repro.scenarios.spec.NetworkSpec`, a
-:class:`~repro.transport.chaos.ChaosProxy` is interposed: :attr:`address`
-is the proxy's address, and every client byte crosses the fault-inducing
-relay while the server itself stays oblivious.
+:class:`~repro.transport.chaos.ChaosProxy` is interposed on the same event
+loop: :attr:`address` is the proxy's address, and every client byte crosses
+the fault-inducing relay while the server itself stays oblivious.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .base import RoundOutcome, Transport
 from .messages import (
     ErrorNotice,
     Heartbeat,
-    HeartbeatAck,
     ModelDelta,
     ProbabilityBroadcast,
     Register,
@@ -134,8 +133,6 @@ class _ClientSession:
         self.queue: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue(
             maxsize=SEND_QUEUE)
         self.client_id: Optional[int] = None
-        self.position: Optional[int] = None
-        self.token = ""
         #: liveness state machine: "healthy" -> "degraded" -> "dead"
         self.health = "healthy"
         #: loop time of the last inbound frame (any traffic proves liveness)
@@ -203,9 +200,9 @@ class SocketTransport(Transport):
 
     With a *network* spec the transport interposes a
     :class:`~repro.transport.chaos.ChaosProxy` seeded with *chaos_seed*
-    (conventionally the scenario seed): :attr:`address` becomes the proxy's
-    address and real wire faults surface through the same failure records
-    as injected ones.
+    (conventionally the scenario seed) on the same event loop: :attr:`address`
+    becomes the proxy's address and real wire faults surface through the
+    same failure records as injected ones.
 
     Example
     -------
@@ -249,6 +246,8 @@ class SocketTransport(Transport):
         self._tokens: "Dict[int, str]" = {}
         self._positions: "Dict[int, int]" = {}
         self._next_token = 0
+        #: malformed frames and disconnect causes since the last outcome
+        #: took them (loop thread only)
         self._round_decode: "Dict[int, int]" = {}
         self._round_disconnects: "Dict[int, str]" = {}
         #: fallback reasons noted since the last outcome took them; appended
@@ -268,8 +267,8 @@ class SocketTransport(Transport):
         Idempotent: a started transport returns its existing address.  The
         event loop runs on a daemon thread, so the caller's thread (the
         simulation loop) never blocks on socket readiness.  With a network
-        spec the chaos proxy is started in front of the server and its
-        address returned instead.
+        spec the chaos proxy is opened on that loop in front of the server
+        and its address returned instead.
 
         Example
         -------
@@ -290,16 +289,7 @@ class SocketTransport(Transport):
         self._loop = loop
         self._thread = thread
         future = asyncio.run_coroutine_threadsafe(self._start_async(), loop)
-        self.bind_address = future.result(timeout=self.config.connect_timeout)
-        if self.network is not None:
-            from .chaos import ChaosProxy  # local: optional dependency edge
-
-            self.proxy = ChaosProxy(
-                self.bind_address, spec=self.network, seed=self.chaos_seed,
-                host=self.config.host)
-            self.address = self.proxy.start()
-        else:
-            self.address = self.bind_address
+        self.address = future.result(timeout=self.config.connect_timeout)
         return self.address
 
     async def _start_async(self) -> Tuple[str, int]:
@@ -309,8 +299,14 @@ class SocketTransport(Transport):
             port=self.config.port)
         if self.config.heartbeat_interval > 0:
             self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        self.bind_address = self._server.sockets[0].getsockname()[:2]
+        if self.network is None:
+            return self.bind_address
+        from .chaos import ChaosProxy  # local: optional dependency edge
+
+        self.proxy = ChaosProxy(self.bind_address, spec=self.network,
+                                seed=self.chaos_seed, host=self.config.host)
+        return await self.proxy.open()
 
     def close(self) -> None:
         """Stop the server, notifying clients and failing any pending round.
@@ -320,8 +316,9 @@ class SocketTransport(Transport):
         (the blocked ``run_round`` raises :class:`TransportClosedError`
         instead of hanging), every client gets a best-effort
         :class:`~repro.transport.messages.Shutdown`, and the loop thread is
-        joined.  The chaos proxy (when present) is closed *after* the
-        server, so shutdown frames are still relayed to the fleet.
+        joined.  The chaos proxy (when present) is closed on the loop right
+        after the server has written those frames, so they are still
+        relayed to the fleet.
 
         Example
         -------
@@ -346,9 +343,7 @@ class SocketTransport(Transport):
             thread.join(timeout=self.config.connect_timeout)
         if not loop.is_running() and not loop.is_closed():
             loop.close()
-        if self.proxy is not None:
-            self.proxy.close()
-            self.proxy = None
+        self.proxy = None
         self._loop = None
         self._thread = None
         self._server = None
@@ -383,6 +378,9 @@ class SocketTransport(Transport):
                 pass
             session.close()
         self._sessions.clear()
+        # the proxy's relays forward those frames and end at their EOF
+        if self.proxy is not None:
+            await self.proxy.aclose()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -507,7 +505,7 @@ class SocketTransport(Transport):
                 # deadline (only the heartbeat declares a client dead early)
 
     def _record_disconnect(self, client_id: int, cause: str) -> None:
-        """Remember why a client's connection ended (first cause per round)."""
+        """Remember why a client's connection ended (first cause per outcome)."""
         self.disconnects[client_id] = cause
         self._round_disconnects.setdefault(client_id, cause)
 
@@ -537,8 +535,6 @@ class SocketTransport(Transport):
                 position = len(self._positions)
                 self._positions[message.client_id] = position
             session.client_id = message.client_id
-            session.token = token
-            session.position = position
             self._sessions[message.client_id] = session
             assert self._roster_changed is not None
             self._roster_changed.set()
@@ -561,11 +557,10 @@ class SocketTransport(Transport):
                 # an answered (or closed) round: a retransmit, under any
                 # token, must not double-aggregate
                 self.duplicate_deltas += 1
-        elif isinstance(message, HeartbeatAck):
-            session.health = "healthy"  # last_seen already updated
         elif isinstance(message, ErrorNotice):
             self._notes.append(f"client error: {message.detail}")
-        # anything else is a server→client echo: dropped on arrival
+        # anything else (a HeartbeatAck, whose arrival already refreshed
+        # the session's liveness, or a server→client echo) is dropped
 
     # -- protocol broadcasts ----------------------------------------------------
 
@@ -638,10 +633,10 @@ class SocketTransport(Transport):
         *failed* positions of the round's fault plan are never dispatched.
         Failures the server observes itself — a deadline miss
         ``"straggler"``, a vanished client ``"offline"`` — are the outcome's
-        ``failures``, beside the round's malformed-frame counts and
-        disconnect causes; its ``fallback_reason`` joins the notes made
-        since the previous outcome (a broadcast that timed out, a peer's
-        error notice).
+        ``failures``.  Its malformed-frame counts and disconnect causes are
+        those since the previous outcome, and its ``fallback_reason`` joins
+        the notes made since then (a broadcast that timed out, a peer's
+        error notice): an event between two rounds lands on the later one.
 
         Example
         -------
@@ -653,7 +648,8 @@ class SocketTransport(Transport):
         ([], None)
         >>> transport.close()
         """
-        if not clients:
+        if not clients and self._loop is None:
+            # never started: no wire event to take, nothing to start for
             return RoundOutcome(states=[], fallback_reason=self._take_notes())
         if self._closing:
             raise TransportClosedError("transport is closed")
@@ -703,8 +699,6 @@ class SocketTransport(Transport):
                                round_index: int,
                                failed: Collection[int]) -> RoundOutcome:
         self._round_task = asyncio.current_task()
-        self._round_decode = {}
-        self._round_disconnects = {}
         # positions failed by the fault plan are never dispatched, so only
         # the dispatched clients need a session
         dispatched = [(position, client_id) for position, client_id
@@ -747,11 +741,12 @@ class SocketTransport(Transport):
                 # one that vanished (and never reconnected) is offline
                 real_failures[position] = (
                     "straggler" if client_id in self._sessions else "offline")
+        decode, self._round_decode = self._round_decode, {}
+        disconnects, self._round_disconnects = self._round_disconnects, {}
         return RoundOutcome(
             states=[states[position] for position in sorted(states)],
             failures=real_failures, fallback_reason=self._take_notes(),
-            decode_failures=dict(self._round_decode),
-            disconnects=dict(self._round_disconnects))
+            decode_failures=decode, disconnects=disconnects)
 
     async def _wait_for_clients(self, ids: Sequence[int]) -> None:
         """Wait until every cohort client is registered, up to ``connect_timeout``.

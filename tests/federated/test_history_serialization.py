@@ -34,7 +34,6 @@ def assert_records_equal(left: RoundRecord, right: RoundRecord) -> None:
         np.asarray(right.population_distribution, dtype=float))
     assert scalar_equal(left.population_bias, right.population_bias)
     assert scalar_equal(left.test_accuracy, right.test_accuracy)
-    assert scalar_equal(left.train_loss, right.train_loss)
     assert left.actual_clients == right.actual_clients
     assert dict(left.failures) == dict(right.failures)
     assert left.fallback_reason == right.fallback_reason

@@ -266,6 +266,33 @@ class TestVerifyMode:
             sim.run()
             assert sim.ledger_session.report.ok()
 
+    def test_verify_accepts_rows_with_the_retired_train_loss(self,
+                                                             ledger_path):
+        # rows recorded before RoundRecord dropped its never-set train_loss
+        # carry "train_loss": null; they still load and still verify
+        run_id, history = record_run(ledger_path)
+        conn = sqlite3.connect(ledger_path)
+        rows = conn.execute("SELECT round_index, record_json FROM rounds "
+                            "WHERE run_id = ?", (run_id,)).fetchall()
+        for round_index, record_json in rows:
+            conn.execute(
+                "UPDATE rounds SET record_json = ? WHERE run_id = ? AND "
+                "round_index = ?",
+                (json.dumps(dict(json.loads(record_json), train_loss=None)),
+                 run_id, round_index))
+        conn.commit()
+        conn.close()
+        with RunLedger(ledger_path, create=False) as ledger:
+            rows = ledger.rounds(run_id)
+        assert all(row["train_loss"] is None for row in rows)
+        loaded = [RoundRecord.from_dict(row) for row in rows]
+        assert [r.to_dict() for r in loaded] == [
+            r.to_dict() for r in history.records]
+        with build(ledger_path, "verify",
+                   replay_source_run_id=run_id) as sim:
+            sim.run()
+            assert sim.ledger_session.report.ok()
+
     def test_verify_refuses_a_retired_knob_value(self, ledger_path):
         run_id, _ = record_run(ledger_path)
         rerecord_config(ledger_path, run_id, dtype="float32")

@@ -1,12 +1,12 @@
 """Determinism and fault-decision tests for the FaultInjector engine."""
 
+import numpy as np
 import pytest
 
 from repro.scenarios import (
     FAILURE_CAUSES,
     AvailabilitySpec,
     ChurnSpec,
-    ClientFault,
     DropoutSpec,
     FaultInjector,
     RoundPlan,
@@ -15,45 +15,74 @@ from repro.scenarios import (
 )
 
 
-class TestClientFault:
-    def test_cause_vocabulary_enforced(self):
-        ClientFault(0, "dropout")
-        with pytest.raises(ValueError):
-            ClientFault(0, "exploded")
+def straggle_delay(spec, round_index, client_id):
+    """A straggling client's delay, drawn as the injector draws it: the
+    mid-round stream (key ``(seed, round, client, 1)``) draws dropout,
+    straggle, then the delay."""
+    rng = np.random.default_rng([spec.seed, round_index, client_id, 1])
+    rng.random(2)
+    return float(rng.exponential(spec.stragglers.mean_delay))
 
+
+def stragglers(deadline, seed=3):
+    return ScenarioSpec(stragglers=StragglerSpec(
+        probability=1.0, mean_delay=5.0, deadline=deadline), seed=seed)
+
+
+class TestFailureCauses:
     def test_causes_cover_pre_and_mid_round(self):
         assert set(FAILURE_CAUSES) == {
             "not_joined", "left", "offline", "dropout", "straggler"}
 
+    def test_plans_use_the_cause_vocabulary(self):
+        spec = ScenarioSpec(
+            churn=ChurnSpec(joins={0: 2}, leaves={1: 1}),
+            availability=AvailabilitySpec(offline_probability=0.2),
+            stragglers=StragglerSpec(probability=0.4, mean_delay=3.0,
+                                     deadline=2.0),
+            dropouts=DropoutSpec(probability=0.3), seed=5)
+        plan = FaultInjector(spec).plan_round(1, range(40))
+        assert set(plan.failures.values()) == set(FAILURE_CAUSES)
 
-class TestRoundPlan:
-    def test_empty_plan_is_noop(self):
-        plan = RoundPlan(0, (1, 2), (1, 2), (), (), {}, None)
-        assert plan.failures_by_client() == {}
-        assert plan.round_delay() == 0.0
 
+class TestRoundDelay:
     def test_deadline_drops_late_stragglers(self):
-        plan = RoundPlan(0, (4, 5, 6), (4, 5, 6), (), (5,),
-                         {4: 1.0, 6: 9.0}, deadline=5.0)
-        assert plan.failures_by_client() == {5: "dropout", 6: "straggler"}
-        # the surviving straggler (client 4) sets the round duration
-        assert plan.round_delay() == 1.0
+        spec = stragglers(deadline=5.0)
+        delays = {c: straggle_delay(spec, 0, c) for c in range(10)}
+        late = {c for c, delay in delays.items() if delay > 5.0}
+        assert late and len(late) < len(delays)
+        plan = FaultInjector(spec).plan_round(0, range(10))
+        assert plan.trainable == tuple(range(10))
+        assert plan.failures == {c: "straggler" for c in sorted(late)}
+        # the slowest surviving straggler sets the round duration
+        assert plan.round_delay == max(
+            delay for c, delay in delays.items() if c not in late)
 
     def test_a_delay_equal_to_the_deadline_survives(self):
-        plan = RoundPlan(0, (4,), (4,), (), (), {4: 5.0}, deadline=5.0)
-        assert plan.failures_by_client() == {}
-        assert plan.round_delay() == 5.0
+        delay = straggle_delay(stragglers(deadline=None), 0, 4)
+        plan = FaultInjector(stragglers(deadline=delay)).plan_round(0, [4])
+        assert plan.failures == {}
+        assert plan.round_delay == delay
 
     def test_no_deadline_waits_for_everyone(self):
-        plan = RoundPlan(0, (4,), (4,), (), (), {4: 42.0}, deadline=None)
-        assert plan.failures_by_client() == {}
-        assert plan.round_delay() == 42.0
+        spec = stragglers(deadline=None)
+        plan = FaultInjector(spec).plan_round(0, range(10))
+        assert plan.failures == {}
+        assert plan.round_delay == max(
+            straggle_delay(spec, 0, c) for c in range(10))
 
-    def test_failures_by_client_in_record_order(self):
-        plan = RoundPlan(0, (1, 2, 3, 4), (2, 3, 4), (ClientFault(1, "left"),),
-                         (3,), {2: 8.0, 4: 1.0}, deadline=4.0)
-        assert list(plan.failures_by_client().items()) == [
+    def test_failures_in_record_order(self):
+        # pre-round faults, then dropouts, then late stragglers — not
+        # cohort order: client 2 straggles past the deadline, 3 drops out
+        spec = ScenarioSpec(
+            churn=ChurnSpec(leaves={1: 1}), dropouts=DropoutSpec(0.3),
+            stragglers=StragglerSpec(probability=0.5, mean_delay=4.0,
+                                     deadline=4.0), seed=4)
+        plan = FaultInjector(spec).plan_round(1, [1, 2, 3, 4])
+        assert plan.trainable == (2, 3, 4)
+        assert list(plan.failures.items()) == [
             (1, "left"), (3, "dropout"), (2, "straggler")]
+        assert plan.round_delay == straggle_delay(spec, 1, 4)
 
 
 class TestFaultInjectorDeterminism:
@@ -75,13 +104,13 @@ class TestFaultInjectorDeterminism:
         # selectors
         injector = FaultInjector(self.SPEC)
         full = injector.plan_round(2, range(30))
-        for client_id in range(30):
-            alone = injector.plan_round(2, [client_id])
-            assert (client_id in alone.dropouts) == (client_id in full.dropouts)
-            assert alone.delays.get(client_id) == full.delays.get(client_id)
-            pre_full = {f.client_id: f.cause for f in full.pre_faults}
-            pre_alone = {f.client_id: f.cause for f in alone.pre_faults}
-            assert pre_alone.get(client_id) == pre_full.get(client_id)
+        alone = [injector.plan_round(2, [client_id]) for client_id in range(30)]
+        for client_id, plan in enumerate(alone):
+            assert ((client_id in plan.trainable)
+                    == (client_id in full.trainable))
+            assert plan.failures.get(client_id) == full.failures.get(client_id)
+        assert full.round_delay == max(plan.round_delay for plan in alone)
+        assert full.round_delay > 0
 
     def test_different_seeds_differ(self):
         a = FaultInjector(self.SPEC).plan_round(0, range(50))
@@ -95,52 +124,49 @@ class TestFaultInjectorDeterminism:
 
     def test_empty_spec_plans_nothing(self):
         plan = FaultInjector(ScenarioSpec()).plan_round(3, [4, 2, 9])
-        assert plan.trainable == (4, 2, 9)
-        assert plan.pre_faults == () and plan.dropouts == ()
-        assert plan.delays == {} and plan.failures_by_client() == {}
+        assert plan == RoundPlan(trainable=(4, 2, 9), failures={},
+                                 round_delay=0.0)
 
 
 class TestFaultInjectorDecisions:
-    def test_churn_presence(self):
+    def test_churn(self):
         injector = FaultInjector(ScenarioSpec(
             churn=ChurnSpec(joins={5: 3}, leaves={2: 4})))
-        assert injector.presence(5, 0) == "not_joined"
-        assert injector.presence(5, 3) is None
-        assert injector.presence(2, 3) is None
-        assert injector.presence(2, 4) == "left"
-        assert injector.presence(7, 100) is None
+        assert injector.plan_round(0, [5]).failures == {5: "not_joined"}
+        assert injector.plan_round(3, [5, 2]).failures == {}
+        assert injector.plan_round(4, [2]).failures == {2: "left"}
+        assert injector.plan_round(100, [7]).failures == {}
 
     def test_scheduled_down_rounds(self):
         injector = FaultInjector(ScenarioSpec(
             availability=AvailabilitySpec(down_rounds={1: (3, 4)})))
         plan = injector.plan_round(1, [2, 3, 4])
         assert plan.trainable == (2,)
-        assert {f.client_id: f.cause for f in plan.pre_faults} == {
-            3: "offline", 4: "offline"}
+        assert plan.failures == {3: "offline", 4: "offline"}
         assert injector.plan_round(0, [2, 3, 4]).trainable == (2, 3, 4)
 
     def test_certain_dropout(self):
         injector = FaultInjector(ScenarioSpec(dropouts=DropoutSpec(1.0), seed=3))
         plan = injector.plan_round(0, [1, 2, 3])
-        assert plan.dropouts == (1, 2, 3)
-        assert plan.failures_by_client() == {
-            1: "dropout", 2: "dropout", 3: "dropout"}
+        assert plan.trainable == (1, 2, 3)
+        assert plan.failures == {1: "dropout", 2: "dropout", 3: "dropout"}
 
     def test_certain_offline_leaves_nothing_trainable(self):
         injector = FaultInjector(ScenarioSpec(
             availability=AvailabilitySpec(offline_probability=1.0), seed=3))
         plan = injector.plan_round(0, [1, 2])
         assert plan.trainable == ()
-        assert plan.dropouts == ()
+        assert plan.failures == {1: "offline", 2: "offline"}
 
-    def test_straggler_delays_positive_and_deadline_forwarded(self):
-        injector = FaultInjector(ScenarioSpec(
-            stragglers=StragglerSpec(probability=1.0, mean_delay=2.0,
-                                     deadline=7.5), seed=3))
-        plan = injector.plan_round(0, range(10))
-        assert set(plan.delays) == set(range(10))
-        assert all(d > 0 for d in plan.delays.values())
-        assert plan.deadline == 7.5
+    def test_straggler_delays_against_the_deadline(self):
+        spec = ScenarioSpec(stragglers=StragglerSpec(
+            probability=1.0, mean_delay=2.0, deadline=7.5), seed=3)
+        delays = [straggle_delay(spec, 0, c) for c in range(10)]
+        plan = FaultInjector(spec).plan_round(0, range(10))
+        assert all(delay > 0 for delay in delays)
+        assert plan.failures == {c: "straggler"
+                                 for c, delay in enumerate(delays) if delay > 7.5}
+        assert plan.round_delay == max(d for d in delays if d <= 7.5)
 
     def test_spec_type_enforced(self):
         with pytest.raises(TypeError):

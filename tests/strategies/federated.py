@@ -32,7 +32,6 @@ def round_records(draw):
         population_distribution=np.asarray(distribution, dtype=float),
         population_bias=draw(finite),
         test_accuracy=draw(optional_finite),
-        train_loss=draw(optional_finite),
         actual_clients=actual,
         failures=failures,
         fallback_reason=draw(st.none() | st.text(max_size=20)),

@@ -11,6 +11,8 @@ Two headline contracts from the chaos design:
   and the failure records the run produces are identical across repeats.
 """
 
+import asyncio
+import contextlib
 import socket
 import threading
 import time
@@ -202,6 +204,21 @@ class _SinkServer:
         self.thread.join(timeout=5.0)
 
 
+@contextlib.contextmanager
+def hosted(proxy):
+    """Open *proxy* on an event loop of its own thread; yield its address."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        yield asyncio.run_coroutine_threadsafe(proxy.open(), loop).result(10)
+    finally:
+        asyncio.run_coroutine_threadsafe(proxy.aclose(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        loop.close()
+
+
 def _drive_proxy(spec, seed, connections=12, frames_per_connection=6):
     """Push a fixed frame schedule through a fresh proxy; return its events.
 
@@ -212,27 +229,27 @@ def _drive_proxy(spec, seed, connections=12, frames_per_connection=6):
     """
     sink = _SinkServer()
     proxy = ChaosProxy(sink.address, spec=spec, seed=seed)
-    address = proxy.start()
     try:
-        for connection in range(connections):
-            burst = b"".join(
-                encode_message(Register(connection, 10, index + 1))
-                for index in range(frames_per_connection))
-            sock = socket.create_connection(address, timeout=5.0)
-            try:
-                sock.sendall(burst)
-            except OSError:
-                pass  # the proxy already cut this connection
-            finally:
-                sock.close()
-        # every fault decision is recorded once each connection's relay ends
-        deadline = time.monotonic() + 30.0
-        while proxy.relays_finished < connections:
-            assert time.monotonic() < deadline, "the proxy never drained"
-            time.sleep(0.01)
-        return sorted(proxy.events)
+        with hosted(proxy) as address:
+            for connection in range(connections):
+                burst = b"".join(
+                    encode_message(Register(connection, 10, index + 1))
+                    for index in range(frames_per_connection))
+                sock = socket.create_connection(address, timeout=5.0)
+                try:
+                    sock.sendall(burst)
+                except OSError:
+                    pass  # the proxy already cut this connection
+                finally:
+                    sock.close()
+            # every fault decision is recorded once each connection's relay
+            # ends
+            deadline = time.monotonic() + 30.0
+            while proxy.relays_finished < connections:
+                assert time.monotonic() < deadline, "the proxy never drained"
+                time.sleep(0.01)
+            return sorted(proxy.events)
     finally:
-        proxy.close()
         sink.close()
 
 
@@ -256,12 +273,11 @@ class TestSeededEventStream:
     def test_corruption_kinds_map_to_structured_wire_errors(self):
         # a flipped frame relayed to a real transport earns a structured
         # decode failure, not a crash: end-to-end through proxy AND server
-        transport = SocketTransport(TransportConfig(
-            kind="socket", connect_timeout=10.0))
-        upstream = transport.start()
-        proxy = ChaosProxy(upstream, spec=NetworkSpec(flip_probability=1.0),
-                           seed=5)
-        address = proxy.start()
+        transport = SocketTransport(
+            TransportConfig(kind="socket", connect_timeout=10.0),
+            network=NetworkSpec(flip_probability=1.0), chaos_seed=5)
+        address = transport.start()
+        proxy = transport.proxy
         try:
             sock = socket.create_connection(address, timeout=5.0)
             sock.sendall(encode_message(Register(0, 10, 8)))
@@ -279,7 +295,6 @@ class TestSeededEventStream:
             assert sum(transport.decode_failures.values()) >= 1
             assert proxy.events and proxy.events[0][3] == "flip"
         finally:
-            proxy.close()
             transport.close()
 
 
@@ -308,6 +323,33 @@ def test_closing_a_proxied_transport_relays_the_shutdown():
         sock.close()
         transport.close()
     assert [type(m) for m in _messages(received)] == [RegisterAck, Shutdown]
+
+
+def test_a_bare_proxy_opens_once_and_closes_safely():
+    async def lifecycle():
+        proxy = ChaosProxy(("127.0.0.1", 9))
+        await proxy.aclose()  # never opened: a no-op
+        address = await proxy.open()
+        again = await proxy.open()
+        await proxy.aclose()
+        await proxy.aclose()
+        return address, again, proxy.address
+
+    address, again, kept = asyncio.run(lifecycle())
+    assert address == again == kept and address[1] > 0
+
+
+def test_a_proxied_transport_runs_one_event_loop_thread():
+    before = set(threading.enumerate())
+    transport = SocketTransport(TransportConfig(kind="socket"),
+                                network=NetworkSpec())
+    try:
+        assert transport.start() == transport.proxy.address
+        started = set(threading.enumerate()) - before
+        assert started == {transport._thread}
+        assert "chaos-proxy" not in {t.name for t in threading.enumerate()}
+    finally:
+        transport.close()
 
 
 def _messages(buffer):

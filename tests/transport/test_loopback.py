@@ -190,24 +190,25 @@ def full_send_queue(transport, client_id):
         asyncio.run_coroutine_threadsafe(release(), transport._loop).result()
 
 
-class TestFallbackNotes:
-    def socket_run(self, donor, connect_timeout=10.0):
-        # Dubhe's selector broadcasts its probabilities every round
-        session = make_session(TransportConfig(
-            kind="socket", round_timeout=30.0,
-            connect_timeout=connect_timeout, heartbeat_interval=0.0),
-            selector="dubhe")
-        simulation = session.build()
-        host, port = simulation.transport.start()
-        _, threads = start_clients(donor, host, port)
-        wait_registered(simulation.transport, range(RECIPE["n_clients"]))
-        return session, simulation, threads
+def socket_run(donor, connect_timeout=10.0):
+    """A started Dubhe federation (its selector broadcasts probabilities
+    every round) with every peer registered and no heartbeat."""
+    session = make_session(TransportConfig(
+        kind="socket", round_timeout=30.0,
+        connect_timeout=connect_timeout, heartbeat_interval=0.0),
+        selector="dubhe")
+    simulation = session.build()
+    host, port = simulation.transport.start()
+    _, threads = start_clients(donor, host, port)
+    wait_registered(simulation.transport, range(RECIPE["n_clients"]))
+    return session, simulation, threads
 
+
+class TestFallbackNotes:
     def test_a_broadcast_into_a_full_queue_is_on_its_own_round(self, donor):
         # round 0's ProbabilityBroadcast finds client 0's send queue full
         # and gives up after connect_timeout; round 1's goes through
-        session, simulation, threads = self.socket_run(donor,
-                                                       connect_timeout=1.0)
+        session, simulation, threads = socket_run(donor, connect_timeout=1.0)
         transport = simulation.transport
         broadcast = transport.broadcast_probabilities
 
@@ -229,7 +230,7 @@ class TestFallbackNotes:
 
     def test_an_error_notice_between_rounds_reaches_the_next_record(
             self, donor):
-        session, simulation, threads = self.socket_run(donor)
+        session, simulation, threads = socket_run(donor)
         rogue = None
         try:
             first = simulation.run_round(0)
@@ -250,6 +251,55 @@ class TestFallbackNotes:
         assert first.fallback_reason is None
         assert second.fallback_reason == "client error: disk full"
         assert third.fallback_reason is None
+
+
+class TestWireEventsBetweenRounds:
+    def test_a_lost_peer_and_a_bad_frame_reach_the_next_record(self, donor):
+        # a peer that registers after round 0 and hangs up before round 1,
+        # and a stranger's malformed frame, each land on round 1 only
+        session, simulation, threads = socket_run(donor)
+        transport = simulation.transport
+        try:
+            first = simulation.run_round(0)
+            late = socket.create_connection(transport.address)
+            late.sendall(encode_message(Register(99, 10, 12)))
+            wait_registered(transport, [99])
+            late.close()
+            stranger = socket.create_connection(transport.address)
+            stranger.sendall(b"\xff" * 16)  # no frame magic
+            deadline = time.monotonic() + 10.0
+            while (99 not in transport.disconnects
+                   or not transport.decode_failures):
+                assert time.monotonic() < deadline, "the events never arrived"
+                time.sleep(0.01)
+            stranger.close()
+            second = simulation.run_round(1)
+            third = simulation.run_round(2)
+        finally:
+            session.close()
+        join_all(threads)
+        assert first.disconnects == {} and first.decode_failures == {}
+        assert second.disconnects == {99: "connection_lost"}
+        assert second.decode_failures == {-1: 1}
+        assert third.disconnects == {} and third.decode_failures == {}
+
+    def test_an_empty_cohort_takes_the_events_too(self):
+        # a round whose whole cohort the fault plan failed still closes the
+        # window: the next round does not inherit what happened before it
+        transport = SocketTransport(TransportConfig(kind="socket"))
+        try:
+            stranger = socket.create_connection(transport.start())
+            stranger.sendall(b"\xff" * 16)  # no frame magic
+            deadline = time.monotonic() + 10.0
+            while not transport.decode_failures:
+                assert time.monotonic() < deadline, "the frame never arrived"
+                time.sleep(0.01)
+            stranger.close()
+            empty = [transport.run_round([], None, {}, LocalTrainingConfig(),
+                                         round_index=r) for r in (0, 1)]
+        finally:
+            transport.close()
+        assert [o.decode_failures for o in empty] == [{-1: 1}, {}]
 
 
 class TestTeardown:
